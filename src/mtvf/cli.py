@@ -27,6 +27,7 @@ from .io import (
     flow_config_from_mapping,
     fmt,
     parse_config_text,
+    parse_dt,
     read_curve,
     read_trajectory,
     reports_to_csv,
@@ -75,7 +76,7 @@ def _apply_overrides(cfg: FlowConfig, args) -> FlowConfig:
     if getattr(args, "grid", None) is not None:
         updates["grid_n"] = args.grid
     if getattr(args, "dt", None) is not None:
-        updates["dt"] = "auto" if args.dt == "auto" else float(args.dt)
+        updates["dt"] = args.dt
     if getattr(args, "t_max", None) is not None:
         updates["t_max"] = args.t_max
     if getattr(args, "seed", None) is not None:
@@ -241,6 +242,8 @@ def cmd_lab(args) -> int:
         return 0
     if args.experiment == "hessian":
         man = parse_manifold(args.manifold)
+        if not 0.0 < args.r < man.injectivity_radius:
+            raise ConfigError(f"--r must lie in (0, {man.injectivity_radius:g}) on {man.spec_id}")
         rng = np.random.Generator(np.random.Philox([args.seed, 2]))
         center = man.random_point(rng)
         direction = man.random_tangent(rng, center)
@@ -286,13 +289,10 @@ def cmd_generate(args) -> int:
     if args.kind == "staircase":
         try:
             levels = [float(tok) for tok in args.levels.split(",")]
+            bp = [float(tok) for tok in args.breakpoints.split(",")] if args.breakpoints else None
         except (AttributeError, ValueError) as exc:
-            raise ConfigError("staircase needs --levels v0,v1,...") from exc
-        if len(levels) < 1:
-            raise ConfigError("staircase needs at least one level")
-        bp = None
-        if args.breakpoints:
-            bp = [float(tok) for tok in args.breakpoints.split(",")]
+            raise ConfigError("staircase needs --levels v0,v1,... and optional "
+                              "--breakpoints x1,x2,...") from exc
         curve = staircase(levels, bp)
     elif args.kind == "noisy_field":
         curve = noisy_field(
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto")
     p_flow.add_argument("--eps", type=float)
     p_flow.add_argument("--grid", type=int)
-    p_flow.add_argument("--dt")
+    p_flow.add_argument("--dt", type=parse_dt)
     p_flow.add_argument("--t-max", dest="t_max", type=float)
     p_flow.add_argument("--seed", type=int)
     p_flow.add_argument("--manifold")

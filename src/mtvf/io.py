@@ -98,24 +98,31 @@ def _read_rows(lines, n_cols: int):
             raise ConfigError(
                 f"row has {len(parts)} columns, expected {n_cols}: {ln!r}"
             )
-        rows.append([float(p) for p in parts])
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ConfigError(f"non-numeric cell in row {ln!r}") from exc
     return np.array(rows)
 
 
-def curve_from_text(text: str):
+def _split_file(text: str, tag: str):
+    """Metadata, column names and data lines of a '# <tag> ...' CSV file."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError("empty curve file")
-    meta = _parse_meta(lines[0], "curve")
+    if len(lines) < 2:
+        raise ConfigError(f"{tag} file needs a '# {tag} ...' line and a column header")
+    return _parse_meta(lines[0], tag), lines[1].strip().split(","), lines[2:]
+
+
+def curve_from_text(text: str):
+    meta, header, rows = _split_file(text, "curve")
     man = parse_manifold(meta.get("manifold", ""))
     kind = meta.get("kind")
-    header = lines[1].strip().split(",")
     if len(header) != 1 + man.ambient_dim:
         raise ConfigError(
             f"curve for {man.spec_id} needs {1 + man.ambient_dim} columns, "
             f"header has {len(header)}"
         )
-    data = _read_rows(lines[2:], 1 + man.ambient_dim)
+    data = _read_rows(rows, 1 + man.ambient_dim)
     if data.size == 0:
         raise ConfigError("curve file has no data rows")
     if kind == "pc":
@@ -190,11 +197,10 @@ def write_trajectory(traj_path: str, diag_path: str, traj: FlowTrajectory) -> No
 
 def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
     with open(traj_path) as handle:
-        lines = [ln for ln in handle.read().splitlines() if ln.strip()]
-    meta = _parse_meta(lines[0], "trajectory")
-    man = parse_manifold(meta["manifold"])
+        meta, _, rows = _split_file(handle.read(), "trajectory")
+    man = parse_manifold(meta.get("manifold", ""))
     kind = meta.get("kind")
-    data = _read_rows(lines[2:], 2 + man.ambient_dim)
+    data = _read_rows(rows, 2 + man.ambient_dim)
     if data.size == 0:
         raise ConfigError("trajectory file has no data rows")
     # split rows into snapshots at changes of t (bit-exact after round-trip)
@@ -211,8 +217,8 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
             snapshots.append(SampledCurve(man, values))
 
     with open(diag_path) as handle:
-        dlines = [ln for ln in handle.read().splitlines() if ln.strip()]
-    ddata = _read_rows(dlines[2:], 5)
+        _, _, drows = _split_file(handle.read(), "diagnostics")
+    ddata = _read_rows(drows, 5)
     if ddata.shape[0] != len(times) or np.any(ddata[:, 0] != np.array(times)):
         raise IncompatibleSnapshots("diagnostics do not match the trajectory times")
     eps_raw = meta.get("epsilon", "none")
@@ -235,11 +241,16 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
 # configs
 # ---------------------------------------------------------------------------
 
+def parse_dt(text: str):
+    """A time step: a float, or ``auto`` for the solver's own choice."""
+    return "auto" if text == "auto" else float(text)
+
+
 _CONFIG_KEYS = {
     "manifold": str,
     "epsilon": float,
     "grid_n": int,
-    "dt": None,  # float or "auto"
+    "dt": parse_dt,
     "t_max": float,
     "merge_tol": float,
     "snapshot_every": int,
@@ -263,16 +274,10 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        caster = _CONFIG_KEYS[key]
-        if key == "dt":
-            out[key] = "auto" if value == "auto" else float(value)
-        elif caster is None:
-            out[key] = value
-        else:
-            try:
-                out[key] = caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
+        try:
+            out[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return out
 
 
@@ -286,11 +291,6 @@ def flow_config_from_mapping(mapping: dict) -> FlowConfig:
         return FlowConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def read_config(path: str) -> FlowConfig:
-    with open(path) as handle:
-        return flow_config_from_mapping(parse_config_text(handle.read()))
 
 
 def config_to_text(cfg: FlowConfig) -> str:

@@ -15,6 +15,7 @@ import numpy as np
 from .curves import SampledCurve, tv_measure
 from .errors import (
     BeyondInjectivityRadius,
+    ConfigError,
     DegenerateTriangle,
     OutOfComparisonRange,
     WindowTooLong,
@@ -36,6 +37,12 @@ def _unit_tangent(manifold: Manifold, p, rng: np.random.Generator) -> np.ndarray
         n = float(np.linalg.norm(v))
         if n > 1e-8:
             return v / n
+
+
+def _dot(a, b):
+    # inner products over the last axis; a (1, N) @ (N, 1) matmul rounds
+    # exactly as np.dot does on one pair of vectors
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _hav(theta):
@@ -177,23 +184,17 @@ def first_positive_gap(n_max: int = 100) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def second_difference(manifold: Manifold, p0, p, direction, step: float = 1e-4) -> float:
+def second_difference(manifold: Manifold, p0, p, direction, step: float = 1e-4):
     """Richardson-extrapolated second difference of s -> 0.5*dist(exp_p(s X), p0)^2
-    along a unit tangent direction X at p."""
-    p0 = np.asarray(p0, dtype=float)
-    p = np.asarray(p, dtype=float)
+    along a unit tangent direction X at p; directions of shape (k, N) give
+    (k,) values from one ``exp`` and one ``dist`` call."""
     x = np.asarray(direction, dtype=float)
-
-    def phi(s: float) -> float:
-        d = manifold.dist(manifold.exp(p, s * x), p0)
-        return 0.5 * float(d) ** 2
-
-    base = phi(0.0)
-
-    def dd(h: float) -> float:
-        return (phi(h) - 2.0 * base + phi(-h)) / (h * h)
-
-    return float((4.0 * dd(0.5 * step) - dd(step)) / 3.0)
+    s = np.array([0.0, step, -step, 0.5 * step, -0.5 * step]).reshape((5,) + (1,) * x.ndim)
+    pts = manifold.exp(np.asarray(p, dtype=float), s * x)
+    base, f_h, f_mh, f_h2, f_mh2 = 0.5 * manifold.dist(pts, np.asarray(p0, dtype=float)) ** 2
+    dd_h = (f_h - 2.0 * base + f_mh) / (step * step)
+    dd_h2 = (f_h2 - 2.0 * base + f_mh2) / ((0.5 * step) * (0.5 * step))
+    return ((4.0 * dd_h2 - dd_h) / 3.0)[()]
 
 
 @dataclass(frozen=True)
@@ -221,14 +222,14 @@ def hessian_comparison_check(
     sampled over random unit tangent directions at p, against the curvature
     comparison lower bound.
     """
+    if n_dirs < 1:
+        raise ConfigError(f"need at least one direction, got n_dirs={n_dirs}")
     if rng is None:
         rng = np.random.Generator(np.random.Philox(0))
     r = float(manifold.dist(p, p0))
     bound = manifold.hessian_comparison_bound(r)
-    best = np.inf
-    for _ in range(n_dirs):
-        x = _unit_tangent(manifold, p, rng)
-        best = min(best, second_difference(manifold, p0, p, x, step))
+    dirs = np.array([_unit_tangent(manifold, p, rng) for _ in range(n_dirs)])
+    best = np.min(second_difference(manifold, p0, p, dirs, step))
     return HessianComparison(r, float(best), float(bound), tolerance)
 
 
@@ -255,20 +256,13 @@ def alexandrov_angle_check(p, q, r, manifold: Manifold = _SPHERE3,
     """Each vertex angle of a spherical geodesic triangle dominates the
     corresponding angle of the flat triangle with equal side lengths.
     """
-    pts = [np.asarray(v, dtype=float) for v in (p, q, r)]
+    pts = np.array([p, q, r], dtype=float)
     tri = SphericalTriangle.from_points(*pts, manifold=manifold)
-    sph = []
-    for i in range(3):
-        at = pts[i]
-        others = [pts[j] for j in range(3) if j != i]
-        tans = []
-        for o in others:
-            t, _ = manifold.unit_tangent_pair(at, o)
-            tans.append(t)
-        sph.append(float(np.arccos(np.clip(np.dot(tans[0], tans[1]), -1.0, 1.0))))
-    sph = tuple(sph)
-    # SphericalTriangle orders angles opposite (a, b, c) = (d(q,r), d(p,r), d(p,q));
-    # the vertex loop above produces exactly that order (p, q, r)
+    # angles at the vertices (p, q, r) between the tangents toward the other
+    # two: the order of SphericalTriangle, opposite (a, b, c)
+    t_next, _ = manifold.unit_tangent_pair(pts, np.roll(pts, -1, axis=0))
+    t_prev, _ = manifold.unit_tangent_pair(pts, np.roll(pts, 1, axis=0))
+    sph = tuple(float(a) for a in np.arccos(np.clip(_dot(t_next, t_prev), -1.0, 1.0)))
     planar = tri.planar_angles()
     worst = float(max(pl - s for s, pl in zip(sph, planar)))
     return AngleComparison((tri.a, tri.b, tri.c), sph, planar, worst, tolerance)
@@ -279,50 +273,54 @@ def alexandrov_angle_check(p, q, r, manifold: Manifold = _SPHERE3,
 # ---------------------------------------------------------------------------
 
 
-def distance_to_geodesic(manifold: Manifold, x, p, q, samples: int = 257) -> float:
-    """Distance from a point to the geodesic segment joining p and q."""
+def distance_to_geodesic(manifold: Manifold, x, p, q, samples: int = 257) -> np.ndarray:
+    """Distance from points to the geodesic segment joining p and q.
+
+    ``x``, ``p`` and ``q`` broadcast over leading axes: points of shape
+    ``(k, N)`` against one segment give ``(k,)`` distances.  Closed form on
+    the 2-sphere; elsewhere the minimum over ``samples`` segment points.
+    """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if manifold.kind == "euclidean":
-        seg = q - p
-        denom = float(np.dot(seg, seg))
-        t = 0.0 if denom == 0.0 else np.clip(np.dot(x - p, seg) / denom, 0.0, 1.0)
-        return float(np.linalg.norm(x - (p + t * seg)))
     if manifold.kind == "sphere" and manifold.ambient_dim == 3:
+        # the foot on the great circle through p and q if it lies on the arc,
+        # else (p == q, x at a pole of the circle, foot past an end) an end
         nvec = np.cross(p, q)
-        nn = np.linalg.norm(nvec)
-        if nn > 1e-14:
-            nhat = nvec / nn
-            foot = x - np.dot(x, nhat) * nhat
-            fn = np.linalg.norm(foot)
-            if fn > 1e-14:
-                w = foot / fn
-                arc = manifold.dist(p, q)
-                if manifold.dist(p, w) <= arc + 1e-12 and manifold.dist(w, q) <= arc + 1e-12:
-                    return float(abs(np.arcsin(np.clip(np.dot(x, nhat), -1.0, 1.0))))
-        return float(min(manifold.dist(x, p), manifold.dist(x, q)))
-    svals = np.linspace(0.0, 1.0, samples)
-    pts = manifold.geodesic_point(p, q, svals)
-    return float(np.min(manifold.dist(pts, x)))
+        nn = np.sqrt(_dot(nvec, nvec))
+        nhat = nvec / np.where(nn > 1e-14, nn, 1.0)[..., None]
+        off = _dot(x, nhat)
+        foot = x - off[..., None] * nhat
+        fn = np.sqrt(_dot(foot, foot))
+        w = foot / np.where(fn > 1e-14, fn, 1.0)[..., None]
+        # w splits the arc p -> q, not its complement: for arcs longer than
+        # 2*pi/3 both distances can stay below the arc length off the arc
+        reach = manifold.dist(p, q) + 2e-12
+        on_arc = (nn > 1e-14) & (fn > 1e-14) & (manifold.dist(p, w) + manifold.dist(w, q) <= reach)
+        to_ends = np.minimum(manifold.dist(x, p), manifold.dist(x, q))
+        return np.where(on_arc, np.abs(np.arcsin(np.clip(off, -1.0, 1.0))), to_ends)
+    # running minimum over the segment samples keeps memory linear in the batch
+    best = np.inf
+    for s in np.linspace(0.0, 1.0, samples):
+        best = np.minimum(best, manifold.dist(manifold.geodesic_point(p, q, s), x))
+    return best
 
 
-def hausdorff_one_sided(manifold: Manifold, p1, q1, p2, q2, samples: int = 33) -> float:
+def hausdorff_one_sided(manifold: Manifold, p1, q1, p2, q2, samples: int = 33):
     """sup over the first segment of the distance to the second segment,
-    the first segment sampled densely."""
-    svals = np.linspace(0.0, 1.0, samples)
-    pts = manifold.geodesic_point(np.asarray(p1, float), np.asarray(q1, float), svals)
-    return max(distance_to_geodesic(manifold, x, p2, q2) for x in pts)
+    the first segment sampled densely; endpoints broadcast over leading axes."""
+    p1, q1, p2, q2 = (np.asarray(a, dtype=float)[..., None, :] for a in (p1, q1, p2, q2))
+    pts = manifold.geodesic_point(p1, q1, np.linspace(0.0, 1.0, samples))
+    return np.max(distance_to_geodesic(manifold, pts, p2, q2), axis=-1)
 
 
-def endpoint_stability_ratio(manifold: Manifold, p1, q1, p2, q2,
-                             samples: int = 33) -> float:
+def endpoint_stability_ratio(manifold: Manifold, p1, q1, p2, q2, samples: int = 33):
     """One-sided Hausdorff distance between two geodesic segments divided by
-    the larger endpoint displacement; 0 when the endpoints coincide."""
-    denom = max(float(manifold.dist(p1, p2)), float(manifold.dist(q1, q2)))
-    if denom == 0.0:
-        return 0.0
-    return hausdorff_one_sided(manifold, p1, q1, p2, q2, samples) / denom
+    the larger endpoint displacement; 0 when the endpoints coincide.
+    Endpoints broadcast: four (n, N) arrays give (n,) ratios."""
+    denom = np.maximum(manifold.dist(p1, p2), manifold.dist(q1, q2))
+    haus = hausdorff_one_sided(manifold, p1, q1, p2, q2, samples)
+    return np.where(denom == 0.0, 0.0, haus / np.where(denom == 0.0, 1.0, denom))[()]
 
 
 @dataclass(frozen=True)
@@ -344,9 +342,12 @@ def geodesic_endpoint_stability(
     """Empirical stability constant: max ratio of segment Hausdorff distance
     to endpoint displacement over random quadruples in a geodesic ball.
 
-    Uses a counter-based generator so sweeps are reproducible and
-    parallelizable.
+    The quadruples come from a counter-based generator keyed by ``seed``,
+    drawn sequentially, so a scan is reproducible and its stream can be
+    replayed; the ratios of all quadruples are then evaluated in one batch.
     """
+    if n_samples < 1 or not radius > 0.0:
+        raise ConfigError(f"need n_samples >= 1 and radius > 0, got {n_samples} and {radius}")
     if radius >= manifold.convexity_radius:
         raise BeyondInjectivityRadius(
             f"ball radius {radius} reaches the convexity radius"
@@ -355,15 +356,11 @@ def geodesic_endpoint_stability(
     center = manifold.project_point(
         np.concatenate([[1.0], np.zeros(manifold.ambient_dim - 1)])
     )
-
-    def ball_point():
-        v = _unit_tangent(manifold, center, rng)
-        return manifold.exp(center, (radius * rng.uniform() ** 0.5) * v)
-
-    ratios = np.empty(n_samples)
-    for k in range(n_samples):
-        p1, q1, p2, q2 = (ball_point() for _ in range(4))
-        ratios[k] = endpoint_stability_ratio(manifold, p1, q1, p2, q2, samples)
+    # per point: its unit tangent is drawn before its radius (left operand first)
+    steps = np.array([_unit_tangent(manifold, center, rng) * (radius * rng.uniform() ** 0.5)
+                      for _ in range(4 * n_samples)])
+    quads = manifold.exp(center, steps).reshape(n_samples, 4, -1)
+    ratios = endpoint_stability_ratio(manifold, *quads.transpose(1, 0, 2), samples)
     ratios.flags.writeable = False
     return StabilityScan(radius, n_samples, seed, float(np.max(ratios)), ratios)
 
@@ -398,9 +395,6 @@ def one_harmonic_residual_bound(
     f = np.asarray(f, dtype=float)
     if f.shape != w.values.shape:
         raise ValueError("driving term must match the sampled values in shape")
-    p, q = w.values[0], w.values[-1]
-    sup = max(
-        distance_to_geodesic(man, x, p, q) for x in w.values
-    )
+    sup = np.max(distance_to_geodesic(man, w.values, w.values[0], w.values[-1]))
     rhs = float(np.sum(np.linalg.norm(f, axis=1)) * w.h)
     return SliceResidual(float(sup), rhs, float(constant))

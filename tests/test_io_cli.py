@@ -302,3 +302,59 @@ def test_cli_missing_input_file(tmp_path):
     assert main(["flow", "--config", str(cfg),
                  "--input", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+_BAD_INPUTS = {
+    "stability_zero_samples": ["lab", "stability", "--samples", "0"],
+    "stability_negative_samples": ["lab", "stability", "--samples", "-3"],
+    "stability_negative_radius": ["lab", "stability", "--samples", "5", "--radius", "-1"],
+    "hessian_zero_dirs": ["lab", "hessian", "--dirs", "0"],
+    "hessian_r_beyond_injectivity": ["lab", "hessian", "--r", "3.5"],
+    "hessian_r_zero": ["lab", "hessian", "--r", "0"],
+    "staircase_bad_breakpoints": ["generate", "staircase", "--levels", "0,1",
+                                  "--breakpoints", "x", "--out", "{tmp}/s.csv"],
+    "flow_empty_curve": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/empty.csv",
+                         "--out", "{tmp}/run"],
+    "flow_header_only_curve": ["flow", "--config", "{tmp}/run.cfg", "--input",
+                               "{tmp}/meta.csv", "--out", "{tmp}/run"],
+    "flow_non_numeric_cell": ["flow", "--config", "{tmp}/run.cfg", "--input",
+                              "{tmp}/nan.csv", "--out", "{tmp}/run"],
+    "flow_bad_dt_in_config": ["flow", "--config", "{tmp}/dt.cfg", "--input", "{tmp}/ok.csv",
+                              "--out", "{tmp}/run"],
+    "verify_empty_trajectory": ["verify", "--input", "{tmp}/empty.csv",
+                                "--diagnostics", "{tmp}/empty.csv"],
+    "verify_empty_diagnostics": ["verify", "--input", "{tmp}/run/trajectory.csv",
+                                 "--diagnostics", "{tmp}/empty.csv"],
+    "verify_trajectory_without_manifold": ["verify", "--input", "{tmp}/traj.csv",
+                                           "--diagnostics", "{tmp}/empty.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_cli_bad_input_is_config_error(tmp_path, capsys, case):
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0)
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "meta.csv").write_text("# curve kind=pc manifold=euclidean:1\n")
+    (tmp_path / "traj.csv").write_text("# trajectory kind=pc\nt,x,c0\n0,1,0.5\n")
+    (tmp_path / "ok.csv").write_text("# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n1,0\n")
+    _write_config(tmp_path / "dt.cfg", manifold="euclidean:1", dt="soon")
+    (tmp_path / "nan.csv").write_text(
+        "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n0.5,zero\n1,1\n")
+    assert main(["flow", "--config", str(tmp_path / "run.cfg"),
+                 "--input", str(tmp_path / "ok.csv"), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path) for a in _BAD_INPUTS[case]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_cli_bad_dt_option_is_usage_error(tmp_path, capsys):
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["flow", "--config", str(tmp_path / "run.cfg"), "--input", "u0.csv",
+              "--out", str(tmp_path / "run"), "--dt", "x"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--dt" in err and "Traceback" not in err

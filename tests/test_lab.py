@@ -4,10 +4,14 @@ import pytest
 
 from mtvf import (
     BeyondInjectivityRadius,
+    Circle,
+    ConfigError,
+    Cylinder,
     DegenerateTriangle,
     Euclidean,
     OutOfComparisonRange,
     PiecewiseConstantCurve,
+    SampledCurve,
     Sphere,
     WindowTooLong,
     tv_measure,
@@ -18,9 +22,11 @@ from mtvf.lab import (
     ONE_HARMONIC_C,
     SphericalTriangle,
     alexandrov_angle_check,
+    distance_to_geodesic,
     endpoint_stability_ratio,
     first_positive_gap,
     geodesic_endpoint_stability,
+    hausdorff_one_sided,
     haversine_side,
     hessian_comparison_check,
     lambda_convexity_violation,
@@ -267,6 +273,138 @@ def test_stability_scan_guard_and_determinism():
         a.ratios[0] = 0.0
 
 
+# Plain-numpy reference for the 2-sphere: the scan's documented random stream
+# and great-circle arcs, sharing no code with mtvf.lab or mtvf.manifolds.
+
+
+def _arc(x, y):
+    return np.arctan2(np.linalg.norm(np.cross(x, y), axis=-1), np.sum(x * y, axis=-1))
+
+
+def _slerp(p, q, s):
+    omega = _arc(p, q)
+    a, b = np.sin((1.0 - s) * omega), np.sin(s * omega)
+    return (a[..., None] * p + b[..., None] * q) / np.sin(omega)
+
+
+def _replay_quadruples(n, radius, seed):
+    """Philox(seed); per point a Gaussian tangent at (1,0,0), redrawn below
+    norm 1e-8, then geodesic radius radius*sqrt(U)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = np.empty((n, 4, 3))
+    for k in range(n):
+        for j in range(4):
+            while True:
+                v = rng.standard_normal(3)
+                v[0] = 0.0
+                nv = np.linalg.norm(v)
+                if nv > 1e-8:
+                    break
+            r = radius * np.sqrt(rng.uniform())
+            out[k, j] = [np.cos(r), 0.0, 0.0] + np.sin(r) * v / nv
+    return out
+
+
+def _dist_to_arc_reference(xs, p, q, dense=2001):
+    """Dense sampling of the arc, then golden-section search on the bracket
+    around the best sample."""
+    s = np.linspace(0.0, 1.0, dense)
+    d = _arc(_slerp(p, q, s)[None], xs[:, None])
+    k = np.argmin(d, axis=1)
+    lo, hi = s[np.maximum(k - 1, 0)], s[np.minimum(k + 1, dense - 1)]
+    g = 0.5 * (np.sqrt(5.0) - 1.0)
+
+    def f(t):
+        return _arc(_slerp(p, q, t), xs)
+
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(60):
+        left = fa < fb
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+        a, b = np.where(left, hi - g * (hi - lo), b), np.where(left, a, lo + g * (hi - lo))
+        fa, fb = np.where(left, f(a), fb), np.where(left, fa, f(b))
+    return np.minimum(d[np.arange(len(xs)), k], np.minimum(fa, fb))
+
+
+def _ratio_reference(quad, samples=33):
+    p1, q1, p2, q2 = quad
+    xs = _slerp(p1, q1, np.linspace(0.0, 1.0, samples))
+    return np.max(_dist_to_arc_reference(xs, p2, q2)) / max(_arc(p1, p2), _arc(q1, q2))
+
+
+@pytest.mark.parametrize("seed,radius", [(0, 1.0), (3, 0.8), (11, 0.3), (12, 1.45)])
+def test_stability_scan_matches_reference(seed, radius):
+    n = 30
+    scan = geodesic_endpoint_stability(n, radius=radius, seed=seed)
+    quads = _replay_quadruples(n, radius, seed)
+    ref = np.array([_ratio_reference(quad) for quad in quads])
+    assert np.max(np.abs(scan.ratios - ref)) <= 1e-9
+    assert scan.max_ratio == np.max(scan.ratios)
+
+
+def test_stability_batch_equals_batch_of_one():
+    quads = _replay_quadruples(25, 1.0, 5)
+    batch = hausdorff_one_sided(SPH, *quads.transpose(1, 0, 2))
+    single = [hausdorff_one_sided(SPH, *quad) for quad in quads]
+    # same arithmetic in both shapes; the tolerance only absorbs vectorized
+    # transcendental functions that round differently on some CPUs
+    ulps = 4 * np.finfo(float).eps
+    np.testing.assert_allclose(batch, single, rtol=0, atol=ulps)
+    pts = quads.reshape(-1, 3)
+    p, q = quads[0, 0], quads[0, 1]
+    np.testing.assert_allclose(distance_to_geodesic(SPH, pts, p, q),
+                               [distance_to_geodesic(SPH, x, p, q) for x in pts],
+                               rtol=0, atol=ulps)
+
+
+def _on_sphere(lon, lat):
+    return np.array([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+
+
+EQ0, EQ90 = _on_sphere(0.0, 0.0), _on_sphere(0.5 * np.pi, 0.0)
+
+
+@pytest.mark.parametrize("x,expected", [
+    (_on_sphere(0.4, 0.25), 0.25),                        # foot on the arc
+    (_on_sphere(-0.3, 0.2), float(SPH.dist(_on_sphere(-0.3, 0.2), EQ0))),  # foot past p
+    (_on_sphere(1.9, -0.1), float(SPH.dist(_on_sphere(1.9, -0.1), EQ90))),  # foot past q
+    (np.array([0.0, 0.0, 1.0]), 0.5 * np.pi),             # pole of the great circle
+    (np.array([0.0, 0.0, -1.0]), 0.5 * np.pi),
+])
+def test_distance_to_geodesic_sphere_branches(x, expected):
+    assert float(distance_to_geodesic(SPH, x, EQ0, EQ90)) == pytest.approx(expected, abs=1e-14)
+
+
+def test_distance_to_geodesic_long_arc_complement():
+    # on an arc longer than 2*pi/3 the foot can sit on the complementary arc
+    # while both of its distances to the ends stay below the arc length
+    q = _on_sphere(2.6, 0.0)
+    x = _on_sphere(-1.8, 0.1)
+    expected = min(float(SPH.dist(x, EQ0)), float(SPH.dist(x, q)))
+    assert expected > 1.7
+    assert float(distance_to_geodesic(SPH, x, EQ0, q)) == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("quad,expected", [
+    ((EQ0, EQ90, EQ0, EQ90), 0.0),                        # identical segments
+    ((EQ0, EQ90, EQ0, EQ0), 1.0),                         # p2 == q2
+    ((np.array([0.0, 0.0, 1.0]), EQ0, EQ0, EQ90), 1.0),   # arc 1 reaches the pole of arc 2
+    ((_on_sphere(-0.3, 0.0),) * 2 + (EQ0, _on_sphere(0.5, 0.0)), 0.3 / 0.8),  # foot past p2
+])
+def test_stability_ratio_degenerate_quadruples(quad, expected):
+    assert endpoint_stability_ratio(SPH, *quad) == pytest.approx(expected, abs=1e-14)
+
+
+def test_stability_scan_rejects_empty_scan():
+    with pytest.raises(ConfigError):
+        geodesic_endpoint_stability(0)
+    with pytest.raises(ConfigError):
+        geodesic_endpoint_stability(5, radius=0.0)
+    with pytest.raises(ConfigError):
+        hessian_comparison_check(SPH, EQ0, EQ90, n_dirs=0)
+
+
 # ---------------------------------------------------------------------------
 # near-geodesic slice estimate
 # ---------------------------------------------------------------------------
@@ -326,3 +464,31 @@ def test_one_harmonic_guards():
     short = SampledCurve(SPH, SPH.geodesic_point(p, q, np.linspace(0, 1, 9)))
     with pytest.raises(ValueError):
         one_harmonic_residual_bound(short, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("manifold", [Circle(), Cylinder(), Euclidean(2)])
+def test_one_harmonic_sampled_fallback(manifold):
+    # the window overshoots its end value and bulges sideways; in the chart
+    # (angle, height) all three targets are flat, so the exact distance to
+    # the geodesic is a planar point-to-segment distance
+    xs = np.linspace(0.0, 1.0, 41)
+    theta = 1.2 * np.sin(0.5 * np.pi * xs) + 0.4 * xs ** 2 - 0.4 * xs
+    z = 0.3 * np.sin(np.pi * xs)
+    if manifold.kind == "circle":
+        values, chart = np.stack([np.cos(theta), np.sin(theta)], 1), theta[:, None]
+    elif manifold.kind == "euclidean":
+        values = chart = np.stack([theta, z], 1)
+    else:
+        values, chart = np.stack([np.cos(theta), np.sin(theta), z], 1), np.stack([theta, z], 1)
+    w = SampledCurve(manifold, values)
+    res = one_harmonic_residual_bound(w, np.zeros_like(values))
+    seg = chart[-1] - chart[0]
+    t = np.clip((chart - chart[0]) @ seg / (seg @ seg), 0.0, 1.0)
+    exact = np.linalg.norm(chart - (chart[0] + t[:, None] * seg), axis=1)
+    # the fallback samples the geodesic at 257 points, so it may overshoot
+    # the exact distance by half a sample spacing
+    spacing = np.linalg.norm(seg) / 256
+    assert np.max(exact) - 1e-12 <= res.sup_distance <= np.max(exact) + 0.5 * spacing
+    batch = distance_to_geodesic(manifold, values, values[0], values[-1])
+    single = [distance_to_geodesic(manifold, x, values[0], values[-1]) for x in values]
+    np.testing.assert_allclose(batch, single, rtol=0, atol=4 * np.finfo(float).eps)
