@@ -15,7 +15,6 @@ import numpy as np
 from . import __version__
 from .curves import (
     PiecewiseConstantCurve,
-    SampledCurve,
     auto_ramp,
     mollify,
     tv_measure,
@@ -30,7 +29,6 @@ from .io import (
     parse_dt,
     read_curve,
     read_trajectory,
-    reports_to_csv,
     write_curve,
     write_manifest,
     write_reports,
@@ -110,6 +108,7 @@ def cmd_flow(args) -> int:
             curve,
             t_max=cfg.t_max,
             merge_tol=cfg.merge_tol,
+            dt=None if cfg.dt == "auto" else cfg.dt,
             snapshot_every=cfg.snapshot_every,
         )
     else:

@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BeyondInjectivityRadius,
-    ConfigError,
-    RampTooWide,
-)
+from .errors import ConfigError, RampTooWide
 from .manifolds import CONSTRAINT_TOL, Manifold
 
 # Plateaus closer than this are treated as equal and merged away.

@@ -31,7 +31,7 @@ from .errors import (
     DegenerateJump,
     StepUnderflow,
 )
-from .manifolds import Manifold
+from .manifolds import COINCIDENT_TOL, Manifold
 
 # one-step TV increase beyond this aborts the run as an unstable step
 _TV_INCREASE_TOL = 1e-7
@@ -111,9 +111,6 @@ class FaceFluxField:
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=1), initial=0.0))
 
-    def boundary_values(self) -> np.ndarray:
-        return np.zeros((2, self.values.shape[1]))
-
     def divergence(self) -> np.ndarray:
         """Per-node flux divergence with zero boundary faces, shape (n, N)."""
         padded = np.vstack(
@@ -153,10 +150,6 @@ class PiecewiseLinearFluxField:
         s = 0.0 if b == a else (x - a) / (b - a)
         return (1.0 - s) * self.left_values[i] + s * self.right_values[i]
 
-    def jump_limits(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """One-sided limits (from the left, from the right) at breakpoint i."""
-        return self.right_values[i], self.left_values[i + 1]
-
 
 @dataclass
 class FlowTrajectory:
@@ -180,11 +173,6 @@ class FlowTrajectory:
     @property
     def final_curve(self):
         return self.snapshots[-1]
-
-    @property
-    def dissipation_increments(self) -> np.ndarray:
-        """Per-interval increments of the dissipation integral."""
-        return np.diff(self.dissipation, prepend=0.0)
 
     def index_at(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -387,38 +375,36 @@ def reconstruct_z_pc(curve: PiecewiseConstantCurve) -> PiecewiseLinearFluxField:
 
 
 def pc_velocity(manifold: Manifold, lengths: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Plateau velocities: mutual pull of the unit tangents at each jump."""
-    m = values.shape[0] - 1
-    rhs = np.zeros_like(values)
-    if m == 0:
+    """Plateau velocities: mutual pull of the unit tangents at each jump.
+
+    Plateau i moves with ``(t_minus[i] - t_plus[i-1]) / lengths[i]`` for the
+    ``unit_tangent_pair`` of each existing jump, all from one call of the
+    target's closed-form kernel; coincident neighbours (jump size at most
+    1e-15) exert no pull.
+    """
+    rhs = np.zeros(values.shape)
+    if values.shape[0] == 1:
         return rhs
-    d = np.atleast_1d(manifold.dist(values[:-1], values[1:]))
-    good = d > 1e-15
-    toward_next = np.zeros((m, values.shape[1]))
-    toward_prev = np.zeros((m, values.shape[1]))
-    if np.any(good):
-        lv = values[:-1][good]
-        rv = values[1:][good]
-        dg = d[good][:, None]
-        toward_next[good] = manifold._unitize(lv, manifold.log(lv, rv) / dg)
-        toward_prev[good] = manifold._unitize(rv, manifold.log(rv, lv) / dg)
-    rhs[:-1] += toward_next
-    rhs[1:] += toward_prev
+    t_minus, t_plus, d = manifold._tangent_pair(values[:-1], values[1:])
+    if d.min() <= COINCIDENT_TOL:
+        apart = (d > COINCIDENT_TOL)[:, None]
+        t_minus = np.where(apart, t_minus, 0.0)
+        t_plus = np.where(apart, t_plus, 0.0)
+    rhs[:-1] = t_minus
+    rhs[1:] -= t_plus
     return rhs / lengths[:, None]
 
 
 def _pc_rk4(man, lengths, values, diss, dt):
-    def f(v):
-        vel = pc_velocity(man, lengths, v)
-        return vel, float(np.sum(lengths * np.sum(vel * vel, axis=1)))
-
-    k1, e1 = f(values)
-    k2, e2 = f(values + 0.5 * dt * k1)
-    k3, e3 = f(values + 0.5 * dt * k2)
-    k4, e4 = f(values + dt * k3)
+    k1 = pc_velocity(man, lengths, values)
+    k2 = pc_velocity(man, lengths, values + 0.5 * dt * k1)
+    k3 = pc_velocity(man, lengths, values + 0.5 * dt * k2)
+    k4 = pc_velocity(man, lengths, values + dt * k3)
     new_vals = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # dissipation rate of a stage: sum of lengths * |velocity|^2
+    e1, e2, e3, e4 = (lengths @ (k * k).sum(1) for k in (k1, k2, k3, k4))
     new_diss = diss + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-    return man.project_point(new_vals), new_diss
+    return man.project_point(new_vals), float(new_diss)
 
 
 def _merge_plateaus(man, xs, values, merge_tol):
@@ -481,8 +467,11 @@ def run_exact_pc(
     if snapshot_times is not None:
         wanted = sorted(float(s) for s in snapshot_times if 0.0 < s <= t_max)
 
-    def lengths_of(bp):
-        return np.diff(np.concatenate([[0.0], bp, [1.0]]))
+    def plateau_rates():
+        # lengths and the closing-rate bound of each jump: the sum of the two
+        # inverse plateau lengths
+        lengths = np.diff(np.concatenate([[0.0], xs, [1.0]]))
+        return lengths, 1.0 / lengths[:-1] + 1.0 / lengths[1:]
 
     def record(stopped_flag):
         snap = PiecewiseConstantCurve(man, xs.copy(), vals.copy())
@@ -492,22 +481,19 @@ def run_exact_pc(
                 float(np.max(sizes, initial=0.0)), stopped_flag)
 
     def resolved_state():
-        if vals.shape[0] == 1:
-            return True
-        dmin = float(np.min(np.atleast_1d(man.dist(vals[:-1], vals[1:]))))
-        return dmin > _SNAPSHOT_JUMP_FLOOR
+        return vals.shape[0] == 1 or float(np.min(d)) > _SNAPSHOT_JUMP_FLOOR
 
     record(vals.shape[0] == 1)
     steps = 0
+    # lengths and rates change only at merges; an accepted step's jump sizes
+    # are those of its trial
+    lengths, rates = plateau_rates()
+    d = man.dist(vals[:-1], vals[1:])
     while t < t_max - 1e-14 and vals.shape[0] > 1:
-        lengths = lengths_of(xs)
-        d = np.atleast_1d(man.dist(vals[:-1], vals[1:]))
         if float(np.max(d)) >= bound:
             raise ConvexityRadiusExceeded("a jump reached twice the convexity radius")
         # cap the step so no jump can close much more than a quarter of its
-        # remaining gap: closing speed is at most the sum of the two inverse
-        # plateau lengths
-        rates = 1.0 / lengths[:-1] + 1.0 / lengths[1:]
+        # remaining gap
         guard = 0.25 * float(np.min((d - 0.5 * merge_tol) / rates))
         dt_step = min(dt_base, t_max - t, max(guard, 1e-12))
         if wanted:
@@ -516,8 +502,8 @@ def run_exact_pc(
             raise StepUnderflow(f"step size underflow at t={t}")
 
         trial_vals, trial_diss = _pc_rk4(man, lengths, vals, diss, dt_step)
-        dmin_trial = float(np.min(man.dist(trial_vals[:-1], trial_vals[1:])))
-        if dmin_trial <= merge_tol:
+        trial_d = man.dist(trial_vals[:-1], trial_vals[1:])
+        if float(np.min(trial_d)) <= merge_tol:
             # bisection in time for the first crossing of merge_tol
             lo, hi = 0.0, dt_step
             while hi - lo > _EVENT_TIME_TOL:
@@ -530,12 +516,14 @@ def run_exact_pc(
             vals, diss = _pc_rk4(man, lengths, vals, diss, hi)
             t += hi
             xs, vals = _merge_plateaus(man, xs, vals, merge_tol)
+            lengths, rates = plateau_rates()
+            d = man.dist(vals[:-1], vals[1:])
             if resolved_state():
                 record(vals.shape[0] == 1)
             steps += 1
             continue
 
-        vals, diss = trial_vals, trial_diss
+        vals, diss, d = trial_vals, trial_diss, trial_d
         t += dt_step
         steps += 1
         if wanted and t >= wanted[0] - 1e-14:

@@ -14,9 +14,9 @@ import tempfile
 import numpy as np
 
 from .curves import PiecewiseConstantCurve, SampledCurve
-from .errors import ConfigError, IncompatibleSnapshots
+from .errors import ConfigError
 from .flows import FlowConfig, FlowTrajectory
-from .manifolds import Manifold, parse_manifold
+from .manifolds import parse_manifold
 
 _FMT = "%.17g"
 
@@ -220,7 +220,8 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
         _, _, drows = _split_file(handle.read(), "diagnostics")
     ddata = _read_rows(drows, 5)
     if ddata.shape[0] != len(times) or np.any(ddata[:, 0] != np.array(times)):
-        raise IncompatibleSnapshots("diagnostics do not match the trajectory times")
+        # a sidecar from another run is a bad input, not a failed check
+        raise ConfigError("diagnostics do not match the trajectory times")
     eps_raw = meta.get("epsilon", "none")
     return FlowTrajectory(
         manifold=man,

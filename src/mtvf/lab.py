@@ -259,9 +259,11 @@ def alexandrov_angle_check(p, q, r, manifold: Manifold = _SPHERE3,
     pts = np.array([p, q, r], dtype=float)
     tri = SphericalTriangle.from_points(*pts, manifold=manifold)
     # angles at the vertices (p, q, r) between the tangents toward the other
-    # two: the order of SphericalTriangle, opposite (a, b, c)
-    t_next, _ = manifold.unit_tangent_pair(pts, np.roll(pts, -1, axis=0))
-    t_prev, _ = manifold.unit_tangent_pair(pts, np.roll(pts, 1, axis=0))
+    # two: the order of SphericalTriangle, opposite (a, b, c).  The edge
+    # from vertex i to i+1 gives the tangent toward i+1 at i and, reversed,
+    # the tangent toward i at i+1.
+    t_next, t_away = manifold.unit_tangent_pair(pts, np.roll(pts, -1, axis=0))
+    t_prev = -np.roll(t_away, 1, axis=0)
     sph = tuple(float(a) for a in np.arccos(np.clip(_dot(t_next, t_prev), -1.0, 1.0)))
     planar = tri.planar_angles()
     worst = float(max(pl - s for s, pl in zip(sph, planar)))

@@ -24,11 +24,21 @@ from .errors import (
 CONSTRAINT_TOL = 1e-12
 
 # Two points are considered coincident (no jump direction) below this.
-_COINCIDENT_TOL = 1e-15
+COINCIDENT_TOL = 1e-15
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # rounds as np.sum(a * b, axis=-1), without its wrapper cost per call
+    return np.add.reduce(a * b, axis=-1)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=-1))
+    return np.sqrt(_dot(v, v))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    # a zero vector stays zero instead of turning into 0/0
+    return v / np.maximum(_norm(v), 1e-300)[..., None]
 
 
 class Manifold:
@@ -154,21 +164,20 @@ class Manifold:
 
         Returns ``(t_minus, t_plus)``: ``t_minus`` sits in T_p and points
         toward q, ``t_plus`` sits in T_q and points away from p; both have
-        unit length.
+        unit length.  Both come from the target's one closed-form kernel,
+        ``_tangent_pair``, which ``flows.pc_velocity`` calls as well.
+        Raises ``DegenerateJump`` if p and q coincide.
         """
-        d = self.dist(p, q)
-        if np.any(np.asarray(d) < _COINCIDENT_TOL):
+        t_minus, t_plus, d = self._tangent_pair(np.asarray(p, float), np.asarray(q, float))
+        if np.any(d < COINCIDENT_TOL):
             raise DegenerateJump("unit tangents undefined for coincident points")
-        d = np.asarray(d)[..., None] if np.asarray(d).ndim else d
-        # re-project and renormalize: dividing a short chord by its length
-        # amplifies the O(eps) non-tangency of log to O(eps/d)
-        t_minus = self._unitize(p, self.log(p, q) / d)
-        t_plus = self._unitize(q, -self.log(q, p) / d)
         return t_minus, t_plus
 
-    def _unitize(self, base: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w = self.tangent_projection(base, v)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+    def _tangent_pair(self, p: np.ndarray, q: np.ndarray):
+        # (t_minus, t_plus, jump size) through log, re-projected: scaling a
+        # short chord to unit length turns O(eps) non-tangency into O(eps/d)
+        return (_unit(self.tangent_projection(p, self.log(p, q))),
+                _unit(self.tangent_projection(q, -self.log(q, p))), self.dist(p, q))
 
     # -- sampling helpers (used by tests and synthetic data) ----------------
 
@@ -207,6 +216,13 @@ class Euclidean(Manifold):
     def log(self, p, q):
         return np.asarray(q, float) - np.asarray(p, float)
 
+    def _tangent_pair(self, p, q):
+        # the chord direction is tangent everywhere and the same at both ends
+        diff = q - p
+        d = _norm(diff)
+        t = diff / np.maximum(d, 1e-300)[..., None]
+        return t, t, d
+
     def second_fundamental_form(self, p, x, y):
         return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
@@ -237,12 +253,12 @@ class Sphere(Manifold):
     def tangent_projection(self, p, v):
         p = np.asarray(p, float)
         v = np.asarray(v, float)
-        return v - np.sum(v * p, axis=-1, keepdims=True) * p
+        return v - _dot(v, p)[..., None] * p
 
     def dist(self, p, q):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        c = np.sum(p * q, axis=-1)
+        c = _dot(p, q)
         w = q - c[..., None] * p
         return np.arctan2(_norm(w), c)
 
@@ -257,7 +273,7 @@ class Sphere(Manifold):
     def log(self, p, q):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        c = np.sum(p * q, axis=-1)
+        c = _dot(p, q)
         w = q - c[..., None] * p
         s = _norm(w)
         theta = np.arctan2(s, c)
@@ -266,9 +282,23 @@ class Sphere(Manifold):
         scale = np.where(s < 1e-300, 1.0, theta / np.where(s < 1e-300, 1.0, s))
         return scale[..., None] * w
 
+    def _tangent_pair(self, p, q):
+        # w = q - c p points from p toward q, v = c q - p away from p at q.
+        # Each is projected once more: scaled to unit length, the O(eps)
+        # radial rounding of w would grow to O(eps/d).
+        c = _dot(p, q)[..., None]
+        w, v = q - c * p, c * q - p
+        w -= _dot(w, p)[..., None] * p
+        v -= _dot(v, q)[..., None] * q
+        s = _norm(w)
+        d = np.arctan2(s, c[..., 0])
+        if d.max() >= math.pi * (1.0 - 1e-12):
+            raise BeyondInjectivityRadius("antipodal points have no unique geodesic")
+        return w / np.maximum(s, 1e-300)[..., None], _unit(v), d
+
     def second_fundamental_form(self, p, x, y):
         p = np.asarray(p, float)
-        return np.sum(np.asarray(x, float) * np.asarray(y, float), axis=-1)[..., None] * p
+        return _dot(np.asarray(x, float), np.asarray(y, float))[..., None] * p
 
     def random_point(self, rng, size=()):
         shape = (tuple(np.atleast_1d(size)) if size != () else ()) + (self.ambient_dim,)
@@ -309,7 +339,7 @@ class Cylinder(Manifold):
         p = np.asarray(p, float)
         v = np.asarray(v, float)
         n = self._radial(p)
-        return v - np.sum(v * n, axis=-1, keepdims=True) * n
+        return v - _dot(v, n)[..., None] * n
 
     def _wrap_angle(self, p, q):
         # signed circular angle from p to q in (-pi, pi]
@@ -326,7 +356,7 @@ class Cylinder(Manifold):
         p = np.asarray(p, float)
         v = np.asarray(v, float)
         tau = self._circ_tangent(p)
-        a = np.sum(v * tau, axis=-1)
+        a = _dot(v, tau)
         ca, sa = np.cos(a), np.sin(a)
         x = ca * p[..., 0] - sa * p[..., 1]
         y = sa * p[..., 0] + ca * p[..., 1]
@@ -345,12 +375,26 @@ class Cylinder(Manifold):
             [np.zeros_like(a), np.zeros_like(a), q[..., 2] - p[..., 2]], axis=-1
         )
 
+    def _tangent_pair(self, p, q):
+        # direction (a, dz) / d in the (circle tangent, axis) frame of each end
+        a = self._wrap_angle(p, q)
+        if np.abs(a).max() >= math.pi * (1.0 - 1e-12):
+            raise BeyondInjectivityRadius("opposite cylinder rulings have no unique geodesic")
+        dz = q[..., 2] - p[..., 2]
+        d = np.hypot(a, dz)
+        scale = np.maximum(d, 1e-300)
+        ca, cz = a / scale, dz / scale
+        pair = np.empty((2,) + np.broadcast_shapes(p.shape, q.shape))
+        for t, base in zip(pair, (p, q)):
+            t[..., 0] = -ca * base[..., 1]
+            t[..., 1] = ca * base[..., 0]
+            t[..., 2] = cz
+        return pair[0], pair[1], d
+
     def second_fundamental_form(self, p, x, y):
         p = np.asarray(p, float)
         tau = self._circ_tangent(p)
-        coeff = np.sum(np.asarray(x, float) * tau, axis=-1) * np.sum(
-            np.asarray(y, float) * tau, axis=-1
-        )
+        coeff = _dot(np.asarray(x, float), tau) * _dot(np.asarray(y, float), tau)
         return coeff[..., None] * self._radial(p)
 
     def random_point(self, rng, size=()):

@@ -162,13 +162,6 @@ def check_monotone_variation(
     return CheckReport("monotone_variation", worst <= tol, worst, tol, where)
 
 
-def _pc_l2_sq(a: PiecewiseConstantCurve, b: PiecewiseConstantCurve) -> float:
-    edges = np.unique(np.concatenate([[0.0], a.breakpoints, b.breakpoints, [1.0]]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    d = a.manifold.dist(a.eval_grid(mids), b.eval_grid(mids))
-    return float(np.sum(d * d * np.diff(edges)))
-
-
 def check_variational_inequality(
     traj: FlowTrajectory, competitor: PiecewiseConstantCurve, tol: float | None = None
 ) -> CheckReport:
@@ -191,7 +184,7 @@ def check_variational_inequality(
 
     def dist_sq(snapshot) -> float:
         if isinstance(snapshot, PiecewiseConstantCurve):
-            return _pc_l2_sq(snapshot, competitor)
+            return l2_distance(snapshot, competitor) ** 2
         xs = snapshot.xs
         d = man.dist(snapshot.values, competitor.eval_grid(xs))
         return float(np.trapezoid(d * d, xs))

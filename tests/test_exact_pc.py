@@ -3,11 +3,16 @@
 The solver integrates plateau values only; breakpoints are fixed until two
 plateau values collide, at which point they merge at the geodesic midpoint.
 """
+import warnings
+
 import numpy as np
 import pytest
 
+import mtvf.flows
 from mtvf import (
+    Circle,
     ConvexityRadiusExceeded,
+    Cylinder,
     Euclidean,
     PiecewiseConstantCurve,
     Sphere,
@@ -103,6 +108,81 @@ def test_two_jump_velocity_formula():
     assert np.allclose(vel[0], tm01 / lengths[0], atol=1e-12)
     assert np.allclose(vel[1], (tm12 - tp01) / lengths[1], atol=1e-12)
     assert np.allclose(vel[2], -tp12 / lengths[2], atol=1e-12)
+
+
+KERNEL_MANIFOLDS = [EU2, SPH, Circle(), Cylinder()]
+EPS = np.finfo(float).eps
+
+
+def _reference_velocity(man, lengths, values):
+    # plain log-then-project unit tangents, summed jump by jump
+    rhs = np.zeros_like(values)
+    for i in range(values.shape[0] - 1):
+        p, q = values[i], values[i + 1]
+        if man.dist(p, q) <= 1e-15:
+            continue
+        a = man.tangent_projection(p, man.log(p, q))
+        b = man.tangent_projection(q, man.log(q, p))
+        rhs[i] += a / np.linalg.norm(a)
+        rhs[i + 1] += b / np.linalg.norm(b)
+    return rhs / lengths[:, None]
+
+
+def _chain(man, rng, sizes):
+    # plateau values whose consecutive jumps have the given geodesic sizes
+    vals = [man.random_point(rng)]
+    for d in sizes:
+        v = man.random_tangent(rng, vals[-1])
+        vals.append(man.exp(vals[-1], d * v / np.linalg.norm(v)))
+    return np.stack(vals)
+
+
+@pytest.mark.parametrize("man", KERNEL_MANIFOLDS, ids=lambda m: m.spec_id)
+def test_pc_velocity_matches_log_reference(man):
+    rng = np.random.Generator(np.random.Philox([84, 0]))
+    top = 2.0 * man.convexity_radius if np.isfinite(man.convexity_radius) else 10.0
+    lengths = np.array([0.2, 0.3, 0.1, 0.4])
+    for d in (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 2.0, 0.999 * top):
+        vals = _chain(man, rng, [d, 0.5 * d, d])
+        vel = pc_velocity(man, lengths, vals)
+        ref = _reference_velocity(man, lengths, vals)
+        tol = 4 * EPS * max(1.0, 1.0 / (0.5 * d)) / lengths.min()
+        assert np.max(np.abs(vel - ref)) <= tol, d
+
+
+@pytest.mark.parametrize("man", KERNEL_MANIFOLDS, ids=lambda m: m.spec_id)
+def test_pc_velocity_coincident_neighbours_exert_no_pull(man):
+    rng = np.random.Generator(np.random.Philox([85, 0]))
+    vals = _chain(man, rng, [0.4, 0.0, 0.6])
+    vals[2] = vals[1]
+    lengths = np.array([0.25, 0.25, 0.25, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vel = pc_velocity(man, lengths, vals)
+    tm01, tp01 = man.unit_tangent_pair(vals[0], vals[1])
+    tm23, tp23 = man.unit_tangent_pair(vals[2], vals[3])
+    # jump 1 is coincident: plateau 1 feels only jump 0, plateau 2 only jump 2
+    expected = np.stack([tm01, -tp01, tm23, -tp23]) / 0.25
+    assert np.max(np.abs(vel - expected)) <= 4 * EPS / 0.25
+    all_same = np.stack([vals[0]] * 3)
+    assert np.array_equal(pc_velocity(man, lengths[:3], all_same), np.zeros_like(all_same))
+
+
+def test_pc_velocity_call_count_pinned(monkeypatch):
+    # the step sequence of the solver (step guard, RK4 stages, bisection) on
+    # one fixed datum; any change to it changes this count
+    u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([91, 0])), n_jumps=4)
+    calls = []
+    real = mtvf.flows.pc_velocity
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mtvf.flows, "pc_velocity", counted)
+    traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
+    assert len(calls) == 3436
+    assert traj.final_curve.num_jumps == 0
 
 
 def test_first_jump_vanishes_before_coupling_bound():

@@ -196,6 +196,43 @@ def test_cli_verify_fails_on_corrupted_trajectory(tmp_path):
                  "--checks", "energy"]) == 4
 
 
+def test_cli_verify_sidecar_from_another_run_is_config_error(tmp_path, capsys):
+    for name, levels in (("a", "0,0.8,0.3,1.1"), ("b", "0,1")):
+        curve_path = tmp_path / f"{name}.csv"
+        assert main(["generate", "staircase", "--levels", levels,
+                     "--out", str(curve_path)]) == 0
+        _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=4.0)
+        assert main(["flow", "--config", str(tmp_path / "run.cfg"), "--input",
+                     str(curve_path), "--out", str(tmp_path / f"run{name}")]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", str(tmp_path / "runa" / "trajectory.csv"),
+                 "--diagnostics", str(tmp_path / "runb" / "diagnostics.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_cli_flow_dt_sets_exact_solver_base_step(tmp_path):
+    curve_path = tmp_path / "stairs.csv"
+    assert main(["generate", "staircase", "--levels", "0,0.8,0.3,1.1",
+                 "--out", str(curve_path)]) == 0
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=0.02)
+    runs = {}
+    for dt in (0.5, 1e-5):
+        outdir = tmp_path / f"run{dt}"
+        assert main(["flow", "--config", str(tmp_path / "run.cfg"), "--input",
+                     str(curve_path), "--out", str(outdir), "--dt", repr(dt)]) == 0
+        recorded = flow_config_from_mapping(
+            parse_config_text((outdir / "config.txt").read_text()))
+        assert recorded.dt == dt
+        runs[dt] = read_trajectory(str(outdir / "trajectory.csv"),
+                                   str(outdir / "diagnostics.csv"))
+        assert runs[dt].dt_nominal == dt
+    # the coarse step is cut only by the collision guard; the fine one is not
+    assert len(runs[0.5]) < len(runs[1e-5])
+    assert not np.array_equal(runs[0.5].times, runs[1e-5].times[:len(runs[0.5])])
+
+
 def test_cli_verify_unknown_check_is_config_error(tmp_path):
     u0 = scalar_curve([0.5], [0.0, 1.0])
     traj = run_exact_pc(u0, t_max=1.0)

@@ -134,6 +134,87 @@ def test_unit_tangent_pair_rejects_coincident_points():
         man.unit_tangent_pair(p, p)
 
 
+# the four targets of the exact solver, each with its own closed-form kernel
+KERNEL_MANIFOLDS = [Euclidean(2), Sphere(3), Circle(), Cylinder()]
+EPS = np.finfo(float).eps
+
+
+def _jump_sizes(man):
+    top = 2.0 * man.convexity_radius if np.isfinite(man.convexity_radius) else 10.0
+    return [1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 2.0, 0.999 * top]
+
+
+def _pairs_at_distance(man, rng, d, k):
+    p = man.random_point(rng, size=(k,))
+    v = man.random_tangent(rng, p)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return p, man.exp(p, d * v)
+
+
+def log_reference_pair(man, p, q):
+    """Unit tangents of p -> q the plain way: log, project, normalize."""
+    a = man.tangent_projection(p, man.log(p, q))
+    b = man.tangent_projection(q, -man.log(q, p))
+    return (a / np.linalg.norm(a, axis=-1, keepdims=True),
+            b / np.linalg.norm(b, axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("man", KERNEL_MANIFOLDS, ids=lambda m: m.spec_id)
+def test_unit_tangent_pair_matches_log_reference(man):
+    # both are accurate to O(eps/d), so allow a few ulp scaled by 1/d
+    rng = _rng(20)
+    for d in _jump_sizes(man):
+        p, q = _pairs_at_distance(man, rng, d, 64)
+        t_minus, t_plus = man.unit_tangent_pair(p, q)
+        r_minus, r_plus = log_reference_pair(man, p, q)
+        tol = 4 * EPS * max(1.0, 1.0 / d)
+        assert np.max(np.abs(t_minus - r_minus)) <= tol, d
+        assert np.max(np.abs(t_plus - r_plus)) <= tol, d
+
+
+@pytest.mark.parametrize("man", [Sphere(3), Circle()], ids=lambda m: m.spec_id)
+def test_unit_tangent_pair_tangent_at_tiny_jump(man):
+    # without the re-projection the residual would be O(eps/d) ~ 1e-8 here
+    p, q = _pairs_at_distance(man, _rng(21), 1e-8, 256)
+    t_minus, t_plus = man.unit_tangent_pair(p, q)
+    assert np.max(np.abs(np.sum(t_minus * p, axis=-1))) <= 4 * EPS
+    assert np.max(np.abs(np.sum(t_plus * q, axis=-1))) <= 4 * EPS
+    assert np.allclose(np.linalg.norm(t_minus, axis=-1), 1.0, atol=4 * EPS)
+
+
+@pytest.mark.parametrize("man", KERNEL_MANIFOLDS, ids=lambda m: m.spec_id)
+def test_unit_tangent_pair_coincident_rows_raise(man):
+    rng = _rng(22)
+    p, q = _pairs_at_distance(man, rng, 0.5, 4)
+    with pytest.raises(DegenerateJump):
+        man.unit_tangent_pair(p[0], p[0])
+    q[2] = p[2]
+    with pytest.raises(DegenerateJump):
+        man.unit_tangent_pair(p, q)
+
+
+@pytest.mark.parametrize("man", KERNEL_MANIFOLDS, ids=lambda m: m.spec_id)
+def test_unit_tangent_pair_batch_matches_single(man):
+    # one-at-a-time and batched calls share the arithmetic; allow 4 ulp for
+    # CPUs whose vectorized transcendental functions round differently
+    p, q = _pairs_at_distance(man, _rng(23), 0.7, 32)
+    t_minus, t_plus = man.unit_tangent_pair(p, q)
+    for i in range(len(p)):
+        s_minus, s_plus = man.unit_tangent_pair(p[i], q[i])
+        assert s_minus.shape == p[i].shape
+        assert np.max(np.abs(s_minus - t_minus[i])) <= 4 * EPS
+        assert np.max(np.abs(s_plus - t_plus[i])) <= 4 * EPS
+
+
+@pytest.mark.parametrize("man", [Sphere(3), Circle(), Cylinder()], ids=lambda m: m.spec_id)
+def test_unit_tangent_pair_rejects_cut_locus(man):
+    p = np.zeros(man.ambient_dim)
+    p[0] = 1.0
+    q = -p
+    with pytest.raises(BeyondInjectivityRadius):
+        man.unit_tangent_pair(p, q)
+
+
 def test_geodesic_point_pins_endpoints():
     man = Sphere(3)
     rng = _rng(8)
