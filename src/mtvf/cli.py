@@ -68,17 +68,10 @@ def _emit(text: str, out: str | None) -> None:
 def _apply_overrides(cfg: FlowConfig, args) -> FlowConfig:
     from dataclasses import replace
 
-    updates = {}
-    if getattr(args, "eps", None) is not None:
-        updates["epsilon"] = args.eps
-    if getattr(args, "grid", None) is not None:
-        updates["grid_n"] = args.grid
-    if getattr(args, "dt", None) is not None:
-        updates["dt"] = args.dt
-    if getattr(args, "t_max", None) is not None:
-        updates["t_max"] = args.t_max
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
+    # option name -> FlowConfig field
+    names = {"eps": "epsilon", "grid": "grid_n", "dt": "dt", "t_max": "t_max", "seed": "seed"}
+    updates = {field: getattr(args, opt) for opt, field in names.items()
+               if getattr(args, opt, None) is not None}
     if getattr(args, "manifold", None) is not None:
         updates["manifold"] = parse_manifold(args.manifold)
     return replace(cfg, **updates) if updates else cfg

@@ -69,14 +69,11 @@ class FlowConfig:
     cfl_factor: float = 0.4
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        for name in ("epsilon", "t_max", "merge_tol"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ConfigError(f"{name} must be positive")
         if self.grid_n < 3:
             raise ConfigError("grid_n must be at least 3")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
-        if self.merge_tol <= 0:
-            raise ConfigError("merge_tol must be positive")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be at least 1")
         if self.scheme not in ("semi_implicit", "explicit"):
@@ -84,8 +81,8 @@ class FlowConfig:
         if not (0.0 < self.cfl_factor <= 0.5):
             raise ConfigError("cfl_factor must lie in (0, 0.5]")
         if self.dt != "auto":
-            if not isinstance(self.dt, (int, float)) or float(self.dt) <= 0:
-                raise ConfigError("dt must be 'auto' or a positive number")
+            if not isinstance(self.dt, (int, float)) or not 0 < float(self.dt) < math.inf:
+                raise ConfigError("dt must be 'auto' or a finite positive number")
             self.dt = float(self.dt)
 
     def resolved_dt(self, grid_n: int | None = None) -> float:
@@ -452,7 +449,7 @@ def run_exact_pc(
             f"jump of size {worst:.6g} at x={loc:.6g} reaches twice the "
             f"convexity radius {man.convexity_radius:.6g}"
         )
-    if t_max <= 0:
+    if not t_max > 0:
         raise ConfigError("t_max must be positive")
     dt_base = float(dt) if dt is not None else min(1e-3, t_max / 32.0)
     bound = 2.0 * man.convexity_radius
@@ -606,7 +603,7 @@ def run_scalar_tv(
     """
     if sigma0.manifold.ambient_dim != 1 or sigma0.manifold.kind != "euclidean":
         raise ConfigError("scalar flow expects a curve on euclidean:1")
-    if t_max <= 0:
+    if not t_max > 0:
         raise ConfigError("t_max must be positive")
     bp = np.array(sigma0.breakpoints, dtype=float)
     vals = np.array(sigma0.values[:, 0], dtype=float)

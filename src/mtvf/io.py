@@ -66,20 +66,14 @@ def curve_to_text(curve) -> str:
     man = curve.manifold
     n = man.ambient_dim
     cols = ",".join(f"c{i}" for i in range(n))
-    lines = []
     if isinstance(curve, PiecewiseConstantCurve):
-        lines.append(_meta_line("curve", kind="pc", manifold=man.spec_id))
-        lines.append(f"x_right_end,{cols}")
-        right_ends = np.concatenate([curve.breakpoints, [1.0]])
-        for x, v in zip(right_ends, curve.values):
-            lines.append(",".join([fmt(x)] + [fmt(c) for c in v]))
+        kind, x_col, xs = "pc", "x_right_end", np.concatenate([curve.breakpoints, [1.0]])
     elif isinstance(curve, SampledCurve):
-        lines.append(_meta_line("curve", kind="sampled", manifold=man.spec_id))
-        lines.append(f"x,{cols}")
-        for x, v in zip(curve.xs, curve.values):
-            lines.append(",".join([fmt(x)] + [fmt(c) for c in v]))
+        kind, x_col, xs = "sampled", "x", curve.xs
     else:
         raise ConfigError(f"not a curve: {type(curve).__name__}")
+    lines = [_meta_line("curve", kind=kind, manifold=man.spec_id), f"{x_col},{cols}"]
+    lines += [",".join([fmt(x)] + [fmt(c) for c in v]) for x, v in zip(xs, curve.values)]
     return "\n".join(lines) + "\n"
 
 

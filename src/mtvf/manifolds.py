@@ -36,9 +36,10 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(v, v))
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    # a zero vector stays zero instead of turning into 0/0
-    return v / np.maximum(_norm(v), 1e-300)[..., None]
+def _unit_norm(v: np.ndarray):
+    # (v / |v|, |v|); a zero vector stays zero instead of turning into 0/0
+    n = _norm(v)
+    return v / np.maximum(n, 1e-300)[..., None], n
 
 
 class Manifold:
@@ -125,6 +126,10 @@ class Manifold:
     def log(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _tangent_pair(self, p: np.ndarray, q: np.ndarray):
+        """``(t_minus, t_plus, jump size)`` of ``unit_tangent_pair``, no checks."""
+        raise NotImplementedError
+
     def second_fundamental_form(
         self, p: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
@@ -171,13 +176,8 @@ class Manifold:
         t_minus, t_plus, d = self._tangent_pair(np.asarray(p, float), np.asarray(q, float))
         if np.any(d < COINCIDENT_TOL):
             raise DegenerateJump("unit tangents undefined for coincident points")
-        return t_minus, t_plus
-
-    def _tangent_pair(self, p: np.ndarray, q: np.ndarray):
-        # (t_minus, t_plus, jump size) through log, re-projected: scaling a
-        # short chord to unit length turns O(eps) non-tangency into O(eps/d)
-        return (_unit(self.tangent_projection(p, self.log(p, q))),
-                _unit(self.tangent_projection(q, -self.log(q, p))), self.dist(p, q))
+        # flat targets share one array for both ends; hand out two
+        return t_minus, (t_plus.copy() if t_plus is t_minus else t_plus)
 
     # -- sampling helpers (used by tests and synthetic data) ----------------
 
@@ -218,9 +218,7 @@ class Euclidean(Manifold):
 
     def _tangent_pair(self, p, q):
         # the chord direction is tangent everywhere and the same at both ends
-        diff = q - p
-        d = _norm(diff)
-        t = diff / np.maximum(d, 1e-300)[..., None]
+        t, d = _unit_norm(q - p)
         return t, t, d
 
     def second_fundamental_form(self, p, x, y):
@@ -290,11 +288,11 @@ class Sphere(Manifold):
         w, v = q - c * p, c * q - p
         w -= _dot(w, p)[..., None] * p
         v -= _dot(v, q)[..., None] * q
-        s = _norm(w)
+        (t_minus, s), (t_plus, _) = _unit_norm(w), _unit_norm(v)
         d = np.arctan2(s, c[..., 0])
         if d.max() >= math.pi * (1.0 - 1e-12):
             raise BeyondInjectivityRadius("antipodal points have no unique geodesic")
-        return w / np.maximum(s, 1e-300)[..., None], _unit(v), d
+        return t_minus, t_plus, d
 
     def second_fundamental_form(self, p, x, y):
         p = np.asarray(p, float)
@@ -321,6 +319,7 @@ class Cylinder(Manifold):
     ambient_dim = 3
     curvature_bound = 0.0
     injectivity_radius = math.pi
+    _axis = np.array([0.0, 0.0, 1.0])
 
     def project_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -371,25 +370,21 @@ class Cylinder(Manifold):
             raise BeyondInjectivityRadius(
                 "opposite cylinder rulings have no unique geodesic"
             )
-        return a[..., None] * self._circ_tangent(p) + np.stack(
-            [np.zeros_like(a), np.zeros_like(a), q[..., 2] - p[..., 2]], axis=-1
-        )
+        dz = (q[..., 2] - p[..., 2])[..., None]
+        return a[..., None] * self._circ_tangent(p) + dz * self._axis
 
     def _tangent_pair(self, p, q):
-        # direction (a, dz) / d in the (circle tangent, axis) frame of each end
+        # a * (circle tangent) + dz * axis at each end, normalised there: off
+        # the cylinder (RK4 stage points) the circle tangent is not unit
         a = self._wrap_angle(p, q)
         if np.abs(a).max() >= math.pi * (1.0 - 1e-12):
             raise BeyondInjectivityRadius("opposite cylinder rulings have no unique geodesic")
         dz = q[..., 2] - p[..., 2]
-        d = np.hypot(a, dz)
-        scale = np.maximum(d, 1e-300)
-        ca, cz = a / scale, dz / scale
         pair = np.empty((2,) + np.broadcast_shapes(p.shape, q.shape))
         for t, base in zip(pair, (p, q)):
-            t[..., 0] = -ca * base[..., 1]
-            t[..., 1] = ca * base[..., 0]
-            t[..., 2] = cz
-        return pair[0], pair[1], d
+            t[..., 0], t[..., 1], t[..., 2] = -a * base[..., 1], a * base[..., 0], dz
+        pair = _unit_norm(pair)[0]
+        return pair[0], pair[1], np.hypot(a, dz)
 
     def second_fundamental_form(self, p, x, y):
         p = np.asarray(p, float)

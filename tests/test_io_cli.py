@@ -358,6 +358,12 @@ _BAD_INPUTS = {
                               "{tmp}/nan.csv", "--out", "{tmp}/run"],
     "flow_bad_dt_in_config": ["flow", "--config", "{tmp}/dt.cfg", "--input", "{tmp}/ok.csv",
                               "--out", "{tmp}/run"],
+    "flow_nan_dt_option": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/ok.csv",
+                           "--out", "{tmp}/run", "--dt", "nan"],
+    "flow_nan_t_max_option": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/ok.csv",
+                              "--out", "{tmp}/run", "--t-max", "nan"],
+    "flow_inf_dt_in_config": ["flow", "--config", "{tmp}/inf_dt.cfg", "--input", "{tmp}/ok.csv",
+                              "--out", "{tmp}/run"],
     "verify_empty_trajectory": ["verify", "--input", "{tmp}/empty.csv",
                                 "--diagnostics", "{tmp}/empty.csv"],
     "verify_empty_diagnostics": ["verify", "--input", "{tmp}/run/trajectory.csv",
@@ -375,6 +381,7 @@ def test_cli_bad_input_is_config_error(tmp_path, capsys, case):
     (tmp_path / "traj.csv").write_text("# trajectory kind=pc\nt,x,c0\n0,1,0.5\n")
     (tmp_path / "ok.csv").write_text("# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n1,0\n")
     _write_config(tmp_path / "dt.cfg", manifold="euclidean:1", dt="soon")
+    _write_config(tmp_path / "inf_dt.cfg", manifold="euclidean:1", dt="inf")
     (tmp_path / "nan.csv").write_text(
         "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n0.5,zero\n1,1\n")
     assert main(["flow", "--config", str(tmp_path / "run.cfg"),

@@ -206,6 +206,28 @@ def test_unit_tangent_pair_batch_matches_single(man):
         assert np.max(np.abs(s_plus - t_plus[i])) <= 4 * EPS
 
 
+@pytest.mark.parametrize("man", KERNEL_MANIFOLDS, ids=lambda m: m.spec_id)
+def test_unit_tangent_pair_unit_length_off_manifold(man):
+    # RK4 stage points p + c*dt*k are not projected back onto the target
+    rng = _rng(24)
+    p, q = _pairs_at_distance(man, rng, 0.7, 64)
+    p_off = p + 0.2 * man.random_tangent(rng, p)
+    q_off = q + 0.2 * man.random_tangent(rng, q)
+    assert man.constraint_residual(p_off) > 1e-3 or man.kind == "euclidean"
+    t_minus, t_plus = man.unit_tangent_pair(p_off, q_off)
+    r_minus, r_plus = log_reference_pair(man, p_off, q_off)
+    for t, r in ((t_minus, r_minus), (t_plus, r_plus)):
+        assert np.max(np.abs(np.linalg.norm(t, axis=-1) - 1.0)) <= 4 * EPS
+        assert np.max(np.abs(t - r)) <= 8 * EPS
+
+
+@pytest.mark.parametrize("man", KERNEL_MANIFOLDS, ids=lambda m: m.spec_id)
+def test_unit_tangent_pair_returns_separate_arrays(man):
+    p, q = _pairs_at_distance(man, _rng(25), 0.5, 3)
+    t_minus, t_plus = man.unit_tangent_pair(p, q)
+    assert not np.shares_memory(t_minus, t_plus)
+
+
 @pytest.mark.parametrize("man", [Sphere(3), Circle(), Cylinder()], ids=lambda m: m.spec_id)
 def test_unit_tangent_pair_rejects_cut_locus(man):
     p = np.zeros(man.ambient_dim)
