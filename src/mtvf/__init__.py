@@ -41,7 +41,6 @@ from .errors import (
     WrongManifold,
 )
 from .flows import (
-    FaceFluxField,
     FlowConfig,
     FlowTrajectory,
     PiecewiseLinearFluxField,

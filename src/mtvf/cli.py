@@ -9,12 +9,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .curves import (
     PiecewiseConstantCurve,
+    SampledCurve,
     auto_ramp,
     mollify,
     tv_measure,
@@ -65,22 +67,20 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_overrides(cfg: FlowConfig, args) -> FlowConfig:
-    from dataclasses import replace
-
-    # option name -> FlowConfig field
-    names = {"eps": "epsilon", "grid": "grid_n", "dt": "dt", "t_max": "t_max", "seed": "seed"}
-    updates = {field: getattr(args, opt) for opt, field in names.items()
-               if getattr(args, opt, None) is not None}
-    if getattr(args, "manifold", None) is not None:
-        updates["manifold"] = parse_manifold(args.manifold)
-    return replace(cfg, **updates) if updates else cfg
+# config keys each solver reads; a run given any other key is refused
+_EXACT_KEYS = ("manifold", "dt", "t_max", "merge_tol", "snapshot_every")
+_REGULARIZED_KEYS = ("manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every", "scheme")
+# option name -> FlowConfig field
+_OVERRIDES = {"eps": "epsilon", "grid": "grid_n", "dt": "dt", "t_max": "t_max",
+              "manifold": "manifold"}
 
 
 def cmd_flow(args) -> int:
     with open(args.config) as handle:
-        mapping = parse_config_text(handle.read())
-    cfg = _apply_overrides(flow_config_from_mapping(mapping), args)
+        given = parse_config_text(handle.read())
+    given.update((field, getattr(args, opt)) for opt, field in _OVERRIDES.items()
+                 if getattr(args, opt) is not None)
+    cfg = flow_config_from_mapping(given)
     curve = read_curve(args.input)
     if curve.manifold != cfg.manifold:
         raise ConfigError(
@@ -90,13 +90,24 @@ def cmd_flow(args) -> int:
     solver = args.solver
     if solver == "auto":
         solver = "exact" if isinstance(curve, PiecewiseConstantCurve) else "regularized"
-    if solver == "regularized" and "epsilon" not in mapping and args.eps is None:
-        raise ConfigError(
-            "the regularized solver needs 'epsilon' in the config file or --eps"
-        )
     if solver == "exact":
+        read = _EXACT_KEYS
         if not isinstance(curve, PiecewiseConstantCurve):
             raise ConfigError("the exact solver needs piecewise-constant input")
+    else:
+        # cfl_factor only sets the explicit scheme's automatic step
+        explicit_auto = cfg.scheme == "explicit" and cfg.dt == "auto"
+        read = _REGULARIZED_KEYS + (("cfl_factor",) if explicit_auto else ())
+        if "epsilon" not in given:
+            raise ConfigError(
+                "the regularized solver needs 'epsilon' in the config file or --eps"
+            )
+        if isinstance(curve, SampledCurve) and cfg.grid_n != curve.grid_n and "grid_n" in given:
+            raise ConfigError(f"grid_n = {cfg.grid_n} but the input curve has {curve.grid_n} nodes")
+    unread = sorted(set(given) - set(read))
+    if unread:
+        raise ConfigError(f"the {solver} solver does not read {', '.join(unread)}")
+    if solver == "exact":
         traj = run_exact_pc(
             curve,
             t_max=cfg.t_max,
@@ -107,20 +118,20 @@ def cmd_flow(args) -> int:
     else:
         if isinstance(curve, PiecewiseConstantCurve):
             curve = mollify(curve, cfg.grid_n, auto_ramp(curve, cfg.grid_n))
+        cfg = replace(cfg, grid_n=curve.grid_n)
         traj = run_regularized(curve, cfg)
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectory.csv")
     diag_path = os.path.join(args.out, "diagnostics.csv")
     cfg_path = os.path.join(args.out, "config.txt")
     write_trajectory(traj_path, diag_path, traj)
-    _atomic_write_text(cfg_path, config_to_text(cfg))
+    _atomic_write_text(cfg_path, config_to_text(cfg, read))
     write_manifest(
         os.path.join(args.out, "manifest.json"),
         "flow",
         {"solver": solver, "config_file": os.path.basename(args.config)},
         [args.config, args.input],
         [traj_path, diag_path, cfg_path],
-        seed=cfg.seed,
     )
     stop = detect_stopping(traj)
     status = f"stopped at t={fmt(stop[0])}" if stop else "not stopped"
@@ -143,7 +154,6 @@ def cmd_denoise(args) -> int:
         epsilon=args.eps,
         grid_n=curve.grid_n,
         t_max=t_max,
-        seed=args.seed or 0,
     )
     traj = run_regularized(curve, cfg)
     pick = len(traj) - 1
@@ -167,7 +177,6 @@ def cmd_denoise(args) -> int:
         },
         [args.input],
         [out_path],
-        seed=args.seed,
     )
     print(
         f"denoised at t={fmt(traj.times[pick])}: TV {fmt(tv0)} -> {fmt(traj.tv[pick])}"
@@ -322,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--grid", type=int)
     p_flow.add_argument("--dt", type=parse_dt)
     p_flow.add_argument("--t-max", dest="t_max", type=float)
-    p_flow.add_argument("--seed", type=int)
     p_flow.add_argument("--manifold")
     p_flow.set_defaults(func=cmd_flow)
 
@@ -333,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--eps", type=float, default=1e-3)
     p_den.add_argument("--t-stop", dest="t_stop", type=float)
     p_den.add_argument("--tv-fraction", dest="tv_fraction", type=float, default=0.5)
-    p_den.add_argument("--seed", type=int)
     p_den.set_defaults(func=cmd_denoise)
 
     p_ver = sub.add_parser("verify", help="run invariant checks on a trajectory")

@@ -76,9 +76,7 @@ class PiecewiseConstantCurve:
         return np.diff(edges)
 
     def jump_sizes(self) -> np.ndarray:
-        if not self.num_jumps:
-            return np.zeros(0)
-        return np.atleast_1d(self.manifold.dist(self.values[:-1], self.values[1:]))
+        return chord_sizes(self)
 
     def value_at(self, x: float) -> np.ndarray:
         idx = bisect.bisect_right(self.breakpoints.tolist(), float(x))
@@ -146,6 +144,15 @@ class TVBreakdown:
         return float(np.max(self.jump_sizes, initial=0.0))
 
 
+def chord_sizes(curve) -> np.ndarray:
+    """Geodesic distances between consecutive values: the jump sizes of a
+    step curve, the chords of a sampled one."""
+    vals = curve.values
+    if vals.shape[0] < 2:
+        return np.zeros(0)
+    return np.atleast_1d(curve.manifold.dist(vals[:-1], vals[1:]))
+
+
 def tv_measure(curve) -> TVBreakdown:
     """Total variation of a curve, split into diffuse and jump parts.
 
@@ -157,12 +164,9 @@ def tv_measure(curve) -> TVBreakdown:
         if curve.num_jumps:
             # a jump across the cut locus has no unique geodesic: reject it
             curve.manifold.log(curve.values[:-1], curve.values[1:])
-        return TVBreakdown(
-            0.0, np.array(curve.breakpoints, copy=True), curve.jump_sizes()
-        )
+        return TVBreakdown(0.0, np.array(curve.breakpoints, copy=True), chord_sizes(curve))
     if isinstance(curve, SampledCurve):
-        d = curve.manifold.dist(curve.values[:-1], curve.values[1:])
-        return TVBreakdown(float(np.sum(d)))
+        return TVBreakdown(float(np.sum(chord_sizes(curve))))
     raise ConfigError(f"cannot measure variation of {type(curve).__name__}")
 
 
@@ -173,12 +177,8 @@ def jump_admissibility(curve) -> tuple[bool, float, float]:
     consecutive chords play the role of jumps.
     """
     bound = 2.0 * curve.manifold.convexity_radius
-    if isinstance(curve, PiecewiseConstantCurve):
-        sizes = curve.jump_sizes()
-        locs = curve.breakpoints
-    else:
-        sizes = curve.manifold.dist(curve.values[:-1], curve.values[1:])
-        locs = curve.xs[:-1]
+    sizes = chord_sizes(curve)
+    locs = curve.breakpoints if isinstance(curve, PiecewiseConstantCurve) else curve.xs[:-1]
     if sizes.size == 0:
         return True, 0.0, 0.0
     worst = int(np.argmax(sizes))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .curves import PiecewiseConstantCurve, SampledCurve, jump_admissibility
+from .curves import PiecewiseConstantCurve, SampledCurve, chord_sizes, jump_admissibility
 from .errors import (
     CflViolation,
     ConfigError,
@@ -31,7 +31,7 @@ from .errors import (
     DegenerateJump,
     StepUnderflow,
 )
-from .manifolds import COINCIDENT_TOL, Manifold
+from .manifolds import COINCIDENT_TOL, Euclidean, Manifold
 
 # one-step TV increase beyond this aborts the run as an unstable step
 _TV_INCREASE_TOL = 1e-7
@@ -41,7 +41,7 @@ _EVENT_TIME_TOL = 1e-12
 # resolution floor for cadence-recorded piecewise-constant snapshots: while
 # any jump sits below this size the state is mid merge-cascade, and unit
 # tangent directions at separation d carry O(eps_mach/d) rounding noise that
-# would poison the recorded flux reconstruction.  Cadence and merge records
+# would poison the flux reconstructed from the snapshot.  Cadence and merge records
 # are deferred until the cascade finishes (a few steps); explicitly requested
 # snapshot times and the final record always capture the exact state.
 _SNAPSHOT_JUMP_FLOOR = 1e-7
@@ -64,7 +64,6 @@ class FlowConfig:
     t_max: float = 1.0
     merge_tol: float = 1e-9
     snapshot_every: int = 10
-    seed: int = 0
     scheme: str = "semi_implicit"
     cfl_factor: float = 0.4
 
@@ -92,28 +91,6 @@ class FlowConfig:
         if self.scheme == "explicit":
             return self.cfl_factor * h * h * self.epsilon
         return 0.25 * h
-
-
-@dataclass(frozen=True)
-class FaceFluxField:
-    """Flux vectors on the staggered faces of a uniform grid.
-
-    ``values[i]`` lives on the face between nodes i and i+1; the phantom
-    faces outside the domain carry zero flux (homogeneous Neumann).
-    """
-
-    values: np.ndarray  # (n-1, N)
-    h: float
-
-    def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=1), initial=0.0))
-
-    def divergence(self) -> np.ndarray:
-        """Per-node flux divergence with zero boundary faces, shape (n, N)."""
-        padded = np.vstack(
-            [np.zeros((1, self.values.shape[1])), self.values, np.zeros((1, self.values.shape[1]))]
-        )
-        return (padded[1:] - padded[:-1]) / self.h
 
 
 @dataclass(frozen=True)
@@ -150,13 +127,13 @@ class PiecewiseLinearFluxField:
 
 @dataclass
 class FlowTrajectory:
-    """Recorded snapshots plus per-snapshot diagnostics of one run."""
+    """Recorded snapshots plus per-snapshot diagnostics of one run; flux
+    fields are functions of the snapshots and are not stored."""
 
     manifold: Manifold
     solver: str
     times: np.ndarray
     snapshots: list
-    flux_fields: list
     tv: np.ndarray
     dissipation: np.ndarray      # cumulative space-time integral of |u_t|^2
     max_jump: np.ndarray
@@ -177,37 +154,29 @@ class FlowTrajectory:
 
 
 class _Recorder:
-    def __init__(self):
-        self.times = []
-        self.snapshots = []
-        self.fluxes = []
-        self.tv = []
-        self.dissipation = []
-        self.max_jump = []
-        self.stopped = []
+    """Snapshots of a run; each one's variation and largest jump are
+    measured from the snapshot itself when the trajectory is built."""
 
-    def add(self, t, snapshot, flux, tv, dissipation, max_jump, stopped):
-        if self.times and abs(self.times[-1] - t) < 1e-15:
-            return
-        self.times.append(t)
-        self.snapshots.append(snapshot)
-        self.fluxes.append(flux)
-        self.tv.append(tv)
-        self.dissipation.append(dissipation)
-        self.max_jump.append(max_jump)
-        self.stopped.append(stopped)
+    def __init__(self):
+        self.rows = []  # (t, snapshot, cumulative dissipation, stopped)
+
+    def add(self, t, snapshot, dissipation, stopped):
+        """Record a snapshot unless one is already recorded at time t."""
+        if not self.rows or abs(self.rows[-1][0] - t) >= 1e-15:
+            self.rows.append((t, snapshot, dissipation, stopped))
 
     def build(self, manifold, solver, dt_nominal, epsilon=None) -> FlowTrajectory:
+        times, snapshots, dissipation, stopped = zip(*self.rows)
+        sizes = [chord_sizes(s) for s in snapshots]
         return FlowTrajectory(
             manifold=manifold,
             solver=solver,
-            times=np.array(self.times),
-            snapshots=self.snapshots,
-            flux_fields=self.fluxes,
-            tv=np.array(self.tv),
-            dissipation=np.array(self.dissipation),
-            max_jump=np.array(self.max_jump),
-            stopped=np.array(self.stopped, dtype=bool),
+            times=np.array(times),
+            snapshots=list(snapshots),
+            tv=np.array([float(np.sum(z)) for z in sizes]),
+            dissipation=np.array(dissipation),
+            max_jump=np.array([float(np.max(z, initial=0.0)) for z in sizes]),
+            stopped=np.array(stopped, dtype=bool),
             dt_nominal=dt_nominal,
             epsilon=epsilon,
         )
@@ -218,24 +187,32 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-def face_flux(manifold: Manifold, values: np.ndarray, h: float, epsilon: float) -> FaceFluxField:
-    """Regularized flux ``Du / sqrt(eps^2 + |Du|^2)`` on interior faces."""
+def _face_slopes(values: np.ndarray, h: float, epsilon: float):
+    """Difference quotients ``Du`` on interior faces and ``sqrt(eps^2 + |Du|^2)``."""
     du = (values[1:] - values[:-1]) / h
-    denom = np.sqrt(epsilon * epsilon + np.sum(du * du, axis=1))
-    return FaceFluxField(du / denom[:, None], h)
+    return du, np.sqrt(epsilon * epsilon + np.sum(du * du, axis=1))
+
+
+def face_flux(values: np.ndarray, h: float, epsilon: float) -> np.ndarray:
+    """Regularized flux ``Du / sqrt(eps^2 + |Du|^2)`` on interior faces,
+    row i on the face between nodes i and i+1."""
+    du, denom = _face_slopes(values, h, epsilon)
+    return du / denom[:, None]
 
 
 def regularized_velocity(
     manifold: Manifold, values: np.ndarray, h: float, epsilon: float
 ) -> np.ndarray:
     """Instantaneous right-hand side: tangential part of the flux divergence."""
-    div = face_flux(manifold, values, h, epsilon).divergence()
-    return manifold.tangent_projection(values, div)
+    z = face_flux(values, h, epsilon)
+    # the phantom faces outside the domain carry zero flux (homogeneous Neumann)
+    pad = np.zeros((1, z.shape[1]))
+    padded = np.vstack([pad, z, pad])
+    return manifold.tangent_projection(values, (padded[1:] - padded[:-1]) / h)
 
 
 def _semi_implicit_step(man, u, h, dt, epsilon):
-    du = (u[1:] - u[:-1]) / h
-    b = 1.0 / np.sqrt(epsilon * epsilon + np.sum(du * du, axis=1))
+    b = 1.0 / _face_slopes(u, h, epsilon)[1]
     g = dt / (h * h)
     n = u.shape[0]
     ab = np.zeros((3, n))
@@ -250,9 +227,7 @@ def _semi_implicit_step(man, u, h, dt, epsilon):
 
 
 def _explicit_step(man, u, h, dt, epsilon):
-    div = face_flux(man, u, h, epsilon).divergence()
-    delta = dt * man.tangent_projection(u, div)
-    return man.project_point(u + delta)
+    return man.project_point(u + dt * regularized_velocity(man, u, h, epsilon))
 
 
 def run_regularized(
@@ -294,17 +269,10 @@ def run_regularized(
     diss = 0.0
     rec = _Recorder()
 
-    def tv_of(vals):
-        return float(np.sum(man.dist(vals[:-1], vals[1:])))
-
     def record(stopped_flag):
-        snap = SampledCurve(man, u.copy())
-        flux = face_flux(man, u, h, eps)
-        d = man.dist(u[:-1], u[1:])
-        rec.add(t, snap, flux, float(np.sum(d)), diss, float(np.max(d, initial=0.0)),
-                stopped_flag)
+        rec.add(t, SampledCurve(man, u.copy()), diss, stopped_flag)
 
-    tv_prev = tv_of(u)
+    tv_prev = float(np.sum(chord_sizes(u0)))
     record(tv_prev < flat_tol)
     if tv_prev < flat_tol:
         return rec.build(man, "regularized", dt, eps)
@@ -318,7 +286,8 @@ def run_regularized(
         if dt_step < 1e-15:
             raise StepUnderflow(f"step size underflow at t={t}")
         u_new = step(man, u, h, dt_step, eps)
-        tv_new = tv_of(u_new)
+        chords = man.dist(u_new[:-1], u_new[1:])
+        tv_new = float(np.sum(chords))
         if tv_new > tv_prev + _TV_INCREASE_TOL:
             raise CflViolation(
                 f"variation increased by {tv_new - tv_prev:.3g} in one step "
@@ -330,7 +299,7 @@ def run_regularized(
         t += dt_step
         tv_prev = tv_new
         steps += 1
-        if math.isfinite(bound) and float(np.max(man.dist(u[:-1], u[1:]))) >= bound:
+        if math.isfinite(bound) and float(np.max(chords)) >= bound:
             raise ConvexityRadiusExceeded("a chord reached twice the convexity radius")
         flat = tv_new < flat_tol
         due = False
@@ -343,8 +312,6 @@ def run_regularized(
             record(flat)
         if flat:
             break
-    if abs(rec.times[-1] - t) > 1e-15:
-        record(tv_prev < flat_tol)
     return rec.build(man, "regularized", dt, eps)
 
 
@@ -471,11 +438,7 @@ def run_exact_pc(
         return lengths, 1.0 / lengths[:-1] + 1.0 / lengths[1:]
 
     def record(stopped_flag):
-        snap = PiecewiseConstantCurve(man, xs.copy(), vals.copy())
-        flux = reconstruct_z_pc(snap)
-        sizes = snap.jump_sizes()
-        rec.add(t, snap, flux, float(np.sum(sizes)), diss,
-                float(np.max(sizes, initial=0.0)), stopped_flag)
+        rec.add(t, PiecewiseConstantCurve(man, xs.copy(), vals.copy()), diss, stopped_flag)
 
     def resolved_state():
         return vals.shape[0] == 1 or float(np.min(d)) > _SNAPSHOT_JUMP_FLOOR
@@ -528,8 +491,7 @@ def run_exact_pc(
             record(False)
         elif wanted is None and steps % snapshot_every == 0 and resolved_state():
             record(False)
-    if abs(rec.times[-1] - t) > 1e-15 or not rec.times:
-        record(vals.shape[0] == 1)
+    record(vals.shape[0] == 1)
     return rec.build(man, "exact_pc", dt_base)
 
 
@@ -664,8 +626,6 @@ def run_scalar_tv(
 
 def scalar_curve(breakpoints, values) -> PiecewiseConstantCurve:
     """Convenience constructor for scalar staircases on euclidean:1."""
-    from .manifolds import Euclidean
-
     return PiecewiseConstantCurve(
         Euclidean(1), np.asarray(breakpoints, float), np.asarray(values, float)[:, None]
     )
@@ -675,8 +635,6 @@ def scalar_trajectory(
     flow: ScalarStaircaseFlow, sample_times=None
 ) -> FlowTrajectory:
     """Materialize a scalar flow as a trajectory of euclidean:1 snapshots."""
-    from .manifolds import Euclidean
-
     man = Euclidean(1)
     times = set(flow.event_times())
     times.add(0.0)
@@ -689,11 +647,9 @@ def scalar_trajectory(
     rec = _Recorder()
     for t in sorted(times):
         bp, vals = flow.state_at(t)
-        snap = PiecewiseConstantCurve(man, bp, vals[:, None])
-        sizes = snap.jump_sizes()
         stopped = flow.extinction_time is not None and t >= flow.extinction_time - 1e-15
-        rec.add(t, snap, reconstruct_z_pc(snap), float(np.sum(sizes)),
-                flow.dissipation_at(t), float(np.max(sizes, initial=0.0)), stopped)
+        rec.add(t, PiecewiseConstantCurve(man, bp, vals[:, None]), flow.dissipation_at(t),
+                stopped)
     return rec.build(man, "scalar_tv", dt_nominal=0.0)
 
 
@@ -727,9 +683,6 @@ def flow_on_geodesic(
     for k, t in enumerate(base.times):
         s_curve = base.snapshots[k]
         sigma_unit = scalar_curve(s_curve.breakpoints, s_curve.values[:, 0] / dist_pq)
-        snap = compose_with_geodesic(manifold, p, q, sigma_unit)
-        sizes = snap.jump_sizes()
-        rec.add(float(t), snap, reconstruct_z_pc(snap), float(np.sum(sizes)),
-                float(base.dissipation[k]), float(np.max(sizes, initial=0.0)),
-                bool(base.stopped[k]))
+        rec.add(float(t), compose_with_geodesic(manifold, p, q, sigma_unit),
+                float(base.dissipation[k]), bool(base.stopped[k]))
     return rec.build(manifold, "geodesic_graph", dt_nominal=0.0)

@@ -62,18 +62,45 @@ def _parse_meta(line: str, tag: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# abscissa column of each curve kind: plateau right ends, grid nodes
+_X_COLUMN = {"pc": "x_right_end", "sampled": "x"}
+
+
+def _layout(curve):
+    """File kind and abscissae of a curve."""
+    if isinstance(curve, PiecewiseConstantCurve):
+        return "pc", np.concatenate([curve.breakpoints, [1.0]])
+    if isinstance(curve, SampledCurve):
+        return "sampled", curve.xs
+    raise ConfigError(f"not a curve: {type(curve).__name__}")
+
+
+def _curve_from_columns(man, kind, xs, values):
+    """Inverse of ``_layout``: one curve from its abscissae and values."""
+    if kind == "pc":
+        if abs(xs[-1] - 1.0) > 1e-12:
+            raise ConfigError("last plateau must end at x=1")
+        return PiecewiseConstantCurve(man, xs[:-1], values)
+    if kind == "sampled":
+        expected = np.linspace(0.0, 1.0, len(xs))
+        if len(xs) < 2 or np.max(np.abs(xs - expected)) > 1e-9:
+            raise ConfigError("sampled curve must sit on a uniform grid over [0,1]")
+        return SampledCurve(man, values)
+    raise ConfigError(f"unknown curve kind {kind!r}")
+
+
+def _csv_lines(data: np.ndarray) -> list[str]:
+    """One line per row, every cell written with ``_FMT``."""
+    row = ",".join([_FMT] * data.shape[1])
+    return [row % tuple(cells) for cells in data.tolist()]
+
+
 def curve_to_text(curve) -> str:
     man = curve.manifold
-    n = man.ambient_dim
-    cols = ",".join(f"c{i}" for i in range(n))
-    if isinstance(curve, PiecewiseConstantCurve):
-        kind, x_col, xs = "pc", "x_right_end", np.concatenate([curve.breakpoints, [1.0]])
-    elif isinstance(curve, SampledCurve):
-        kind, x_col, xs = "sampled", "x", curve.xs
-    else:
-        raise ConfigError(f"not a curve: {type(curve).__name__}")
-    lines = [_meta_line("curve", kind=kind, manifold=man.spec_id), f"{x_col},{cols}"]
-    lines += [",".join([fmt(x)] + [fmt(c) for c in v]) for x, v in zip(xs, curve.values)]
+    kind, xs = _layout(curve)
+    cols = ",".join(f"c{i}" for i in range(man.ambient_dim))
+    lines = [_meta_line("curve", kind=kind, manifold=man.spec_id), f"{_X_COLUMN[kind]},{cols}"]
+    lines += _csv_lines(np.column_stack([xs, curve.values]))
     return "\n".join(lines) + "\n"
 
 
@@ -81,22 +108,14 @@ def write_curve(path: str, curve) -> None:
     _atomic_write_text(path, curve_to_text(curve))
 
 
-def _read_rows(lines, n_cols: int):
-    rows = []
-    for ln in lines:
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split(",")
-        if len(parts) != n_cols:
-            raise ConfigError(
-                f"row has {len(parts)} columns, expected {n_cols}: {ln!r}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric cell in row {ln!r}") from exc
-    return np.array(rows)
+def _read_rows(lines, n_cols: int) -> np.ndarray:
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"malformed data rows: {exc}") from exc
+    if data.shape[1] != n_cols:
+        raise ConfigError(f"rows have {data.shape[1]} columns, expected {n_cols}")
+    return data
 
 
 def _split_file(text: str, tag: str):
@@ -104,7 +123,10 @@ def _split_file(text: str, tag: str):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ConfigError(f"{tag} file needs a '# {tag} ...' line and a column header")
-    return _parse_meta(lines[0], tag), lines[1].strip().split(","), lines[2:]
+    meta = _parse_meta(lines[0], tag)
+    if len(lines) < 3:
+        raise ConfigError(f"{tag} file has no data rows")
+    return meta, lines[1].strip().split(","), lines[2:]
 
 
 def curve_from_text(text: str):
@@ -117,24 +139,9 @@ def curve_from_text(text: str):
             f"header has {len(header)}"
         )
     data = _read_rows(rows, 1 + man.ambient_dim)
-    if data.size == 0:
-        raise ConfigError("curve file has no data rows")
-    if kind == "pc":
-        if header[0] != "x_right_end":
-            raise ConfigError("pc curve must use the x_right_end column")
-        right_ends, values = data[:, 0], data[:, 1:]
-        if abs(right_ends[-1] - 1.0) > 1e-12:
-            raise ConfigError("last plateau must end at x=1")
-        return PiecewiseConstantCurve(man, right_ends[:-1], values)
-    if kind == "sampled":
-        if header[0] != "x":
-            raise ConfigError("sampled curve must use the x column")
-        xs, values = data[:, 0], data[:, 1:]
-        expected = np.linspace(0.0, 1.0, len(xs))
-        if len(xs) < 2 or np.max(np.abs(xs - expected)) > 1e-9:
-            raise ConfigError("sampled curve must sit on a uniform grid over [0,1]")
-        return SampledCurve(man, values)
-    raise ConfigError(f"unknown curve kind {kind!r}")
+    if kind in _X_COLUMN and header[0] != _X_COLUMN[kind]:
+        raise ConfigError(f"{kind} curve must use the {_X_COLUMN[kind]} column")
+    return _curve_from_columns(man, kind, data[:, 0], data[:, 1:])
 
 
 def read_curve(path: str):
@@ -149,43 +156,28 @@ def read_curve(path: str):
 
 def write_trajectory(traj_path: str, diag_path: str, traj: FlowTrajectory) -> None:
     man = traj.manifold
-    n = man.ambient_dim
-    first = traj.snapshots[0]
-    kind = "pc" if isinstance(first, PiecewiseConstantCurve) else "sampled"
     eps = "none" if traj.epsilon is None else fmt(traj.epsilon)
     lines = [
         _meta_line(
             "trajectory",
-            kind=kind,
+            kind=_layout(traj.snapshots[0])[0],
             manifold=man.spec_id,
             solver=traj.solver,
             dt_nominal=fmt(traj.dt_nominal),
             epsilon=eps,
         ),
-        "t,x," + ",".join(f"c{i}" for i in range(n)),
+        "t,x," + ",".join(f"c{i}" for i in range(man.ambient_dim)),
     ]
+    blocks = []
     for t, snap in zip(traj.times, traj.snapshots):
-        if isinstance(snap, PiecewiseConstantCurve):
-            xs = np.concatenate([snap.breakpoints, [1.0]])
-        else:
-            xs = snap.xs
-        for x, v in zip(xs, snap.values):
-            lines.append(",".join([fmt(t), fmt(x)] + [fmt(c) for c in v]))
+        xs = _layout(snap)[1]
+        blocks.append(np.column_stack([np.full(xs.size, t), xs, snap.values]))
+    lines += _csv_lines(np.vstack(blocks))
     _atomic_write_text(traj_path, "\n".join(lines) + "\n")
 
     diag = ["# diagnostics", "t,tv,dissipation,max_jump,stopped"]
-    for k in range(len(traj)):
-        diag.append(
-            ",".join(
-                [
-                    fmt(traj.times[k]),
-                    fmt(traj.tv[k]),
-                    fmt(traj.dissipation[k]),
-                    fmt(traj.max_jump[k]),
-                    str(int(traj.stopped[k])),
-                ]
-            )
-        )
+    diag += _csv_lines(np.column_stack(
+        [traj.times, traj.tv, traj.dissipation, traj.max_jump, traj.stopped]))
     _atomic_write_text(diag_path, "\n".join(diag) + "\n")
 
 
@@ -193,22 +185,14 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
     with open(traj_path) as handle:
         meta, _, rows = _split_file(handle.read(), "trajectory")
     man = parse_manifold(meta.get("manifold", ""))
-    kind = meta.get("kind")
     data = _read_rows(rows, 2 + man.ambient_dim)
-    if data.size == 0:
-        raise ConfigError("trajectory file has no data rows")
     # split rows into snapshots at changes of t (bit-exact after round-trip)
     tcol = data[:, 0]
     starts = np.concatenate([[0], np.nonzero(np.diff(tcol) != 0.0)[0] + 1, [len(tcol)]])
     times, snapshots = [], []
     for a, b in zip(starts[:-1], starts[1:]):
-        block = data[a:b]
-        times.append(block[0, 0])
-        xs, values = block[:, 1], block[:, 2:]
-        if kind == "pc":
-            snapshots.append(PiecewiseConstantCurve(man, xs[:-1], values))
-        else:
-            snapshots.append(SampledCurve(man, values))
+        times.append(data[a, 0])
+        snapshots.append(_curve_from_columns(man, meta.get("kind"), data[a:b, 1], data[a:b, 2:]))
 
     with open(diag_path) as handle:
         _, _, drows = _split_file(handle.read(), "diagnostics")
@@ -217,18 +201,22 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
         # a sidecar from another run is a bad input, not a failed check
         raise ConfigError("diagnostics do not match the trajectory times")
     eps_raw = meta.get("epsilon", "none")
+    try:
+        dt_nominal = float(meta.get("dt_nominal", 0.0))
+        epsilon = None if eps_raw == "none" else float(eps_raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad trajectory metadata: {exc}") from exc
     return FlowTrajectory(
         manifold=man,
         solver=meta.get("solver", "unknown"),
         times=np.array(times),
         snapshots=snapshots,
-        flux_fields=[None] * len(times),
         tv=ddata[:, 1],
         dissipation=ddata[:, 2],
         max_jump=ddata[:, 3],
         stopped=ddata[:, 4] != 0.0,
-        dt_nominal=float(meta.get("dt_nominal", 0.0)),
-        epsilon=None if eps_raw == "none" else float(eps_raw),
+        dt_nominal=dt_nominal,
+        epsilon=epsilon,
     )
 
 
@@ -249,7 +237,6 @@ _CONFIG_KEYS = {
     "t_max": float,
     "merge_tol": float,
     "snapshot_every": int,
-    "seed": int,
     "scheme": str,
     "cfl_factor": float,
 }
@@ -288,7 +275,8 @@ def flow_config_from_mapping(mapping: dict) -> FlowConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def config_to_text(cfg: FlowConfig) -> str:
+def config_to_text(cfg: FlowConfig, keys=tuple(_CONFIG_KEYS)) -> str:
+    """``key = value`` lines for the given keys (every field by default)."""
     pairs = [
         ("manifold", cfg.manifold.spec_id),
         ("epsilon", fmt(cfg.epsilon)),
@@ -297,11 +285,10 @@ def config_to_text(cfg: FlowConfig) -> str:
         ("t_max", fmt(cfg.t_max)),
         ("merge_tol", fmt(cfg.merge_tol)),
         ("snapshot_every", str(cfg.snapshot_every)),
-        ("seed", str(cfg.seed)),
         ("scheme", cfg.scheme),
         ("cfl_factor", fmt(cfg.cfl_factor)),
     ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    return "".join(f"{k} = {v}\n" for k, v in pairs if k in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -347,5 +334,6 @@ def write_manifest(path: str, command: str, config: dict | None,
         "config": config,
         "inputs": {os.path.basename(p): sha256_of(p) for p in inputs},
         "outputs": [os.path.basename(p) for p in outputs],
+        "output_digests": {os.path.basename(p): sha256_of(p) for p in outputs},
     }
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -238,11 +238,11 @@ def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> 
         else:
             tol = 1e-8
     r_tan = r_wedge = r_pair = 0.0
-    for k, snap in enumerate(traj.snapshots):
+    for snap in traj.snapshots:
         if isinstance(snap, PiecewiseConstantCurve):
             vals = snap.values
             lengths = snap.plateau_lengths()
-            flux = traj.flux_fields[k] or reconstruct_z_pc(snap)
+            flux = reconstruct_z_pc(snap)
             vel = pc_velocity(man, lengths, vals)
             # (i) tangency at both ends of every linear piece
             for endp in (flux.left_values, flux.right_values):
@@ -268,8 +268,7 @@ def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> 
         else:
             vals = snap.values
             h = snap.h
-            flux = traj.flux_fields[k] or face_flux(man, vals, h, traj.epsilon)
-            z = flux.values
+            z = face_flux(vals, h, traj.epsilon)
             u_star = 0.5 * (vals[1:] + vals[:-1])
             r_tan = max(r_tan, float(np.max(np.abs(np.sum(z * u_star, axis=1)), initial=0.0)))
             vel = regularized_velocity(man, vals, h, traj.epsilon)

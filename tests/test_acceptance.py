@@ -161,7 +161,7 @@ def test_criterion_05_z_field_structure(acceptance_log, suite_runs):
     boundary_exact = True
     for _, exact, _ in suite_runs["sphere:3"]:
         for k, snap in enumerate(exact.snapshots):
-            z = exact.flux_fields[k] or reconstruct_z_pc(snap)
+            z = reconstruct_z_pc(snap)
             sup_norm = max(sup_norm, z.max_norm())
             if np.any(z.value_at(0.0) != 0.0) or np.any(z.value_at(1.0) != 0.0):
                 boundary_exact = False

@@ -8,9 +8,15 @@ import pytest
 
 from mtvf import (
     Euclidean,
+    PiecewiseConstantCurve,
     Sphere,
+    auto_ramp,
+    flow_on_geodesic,
+    mollify,
     run_exact_pc,
+    run_scalar_tv,
     scalar_curve,
+    scalar_trajectory,
     tv_measure,
 )
 from mtvf.cli import main
@@ -18,6 +24,7 @@ from mtvf.flows import FlowConfig, run_regularized
 from mtvf.io import (
     config_to_text,
     curve_from_text,
+    curve_to_text,
     flow_config_from_mapping,
     parse_config_text,
     read_curve,
@@ -92,7 +99,7 @@ def test_regularized_trajectory_round_trip_keeps_epsilon(tmp_path):
 
 def test_config_round_trip():
     cfg = FlowConfig(manifold=SPH, epsilon=3e-4, grid_n=129, dt=1.25e-4,
-                     t_max=0.7, merge_tol=1e-10, snapshot_every=3, seed=11,
+                     t_max=0.7, merge_tol=1e-10, snapshot_every=3,
                      scheme="explicit", cfl_factor=0.3)
     back = flow_config_from_mapping(parse_config_text(config_to_text(cfg)))
     assert back == cfg
@@ -370,6 +377,49 @@ _BAD_INPUTS = {
                                  "--diagnostics", "{tmp}/empty.csv"],
     "verify_trajectory_without_manifold": ["verify", "--input", "{tmp}/traj.csv",
                                            "--diagnostics", "{tmp}/empty.csv"],
+    # every config key and option is read by the chosen solver or refused
+    "flow_seed_in_config": ["flow", "--config", "{tmp}/seed.cfg", "--input", "{tmp}/ok.csv",
+                            "--out", "{tmp}/run"],
+    "flow_exact_given_epsilon": ["flow", "--config", "{tmp}/eps.cfg", "--input", "{tmp}/ok.csv",
+                                 "--out", "{tmp}/run"],
+    "flow_exact_given_grid_n": ["flow", "--config", "{tmp}/grid.cfg", "--input", "{tmp}/ok.csv",
+                                "--out", "{tmp}/run"],
+    "flow_exact_given_scheme": ["flow", "--config", "{tmp}/scheme.cfg", "--input",
+                                "{tmp}/ok.csv", "--out", "{tmp}/run"],
+    "flow_exact_given_cfl_factor": ["flow", "--config", "{tmp}/cfl.cfg", "--input",
+                                    "{tmp}/ok.csv", "--out", "{tmp}/run"],
+    "flow_exact_eps_option": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/ok.csv",
+                              "--out", "{tmp}/run", "--eps", "1e-3"],
+    "flow_exact_grid_option": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/ok.csv",
+                               "--out", "{tmp}/run", "--grid", "101"],
+    "flow_regularized_given_merge_tol": ["flow", "--config", "{tmp}/reg_merge.cfg", "--input",
+                                         "{tmp}/field.csv", "--out", "{tmp}/run"],
+    "flow_regularized_cfl_without_explicit": ["flow", "--config", "{tmp}/reg_cfl.cfg",
+                                              "--input", "{tmp}/field.csv", "--out", "{tmp}/run"],
+    "flow_regularized_cfl_with_fixed_dt": ["flow", "--config", "{tmp}/reg_cfl_explicit.cfg",
+                                           "--input", "{tmp}/field.csv", "--out", "{tmp}/run",
+                                           "--dt", "1e-6"],
+    "flow_regularized_grid_n_not_node_count": ["flow", "--config", "{tmp}/reg_grid.cfg",
+                                               "--input", "{tmp}/field.csv", "--out", "{tmp}/run"],
+    "flow_regularized_grid_option_not_node_count": ["flow", "--config", "{tmp}/reg.cfg",
+                                                    "--input", "{tmp}/field.csv",
+                                                    "--out", "{tmp}/run", "--grid", "7"],
+}
+
+# config files the bad-input cases read, beside run.cfg
+_BAD_CONFIGS = {
+    "seed": {"manifold": "euclidean:1", "t_max": 1.0, "seed": 3},
+    "eps": {"manifold": "euclidean:1", "t_max": 1.0, "epsilon": 1e-3},
+    "grid": {"manifold": "euclidean:1", "t_max": 1.0, "grid_n": 101},
+    "scheme": {"manifold": "euclidean:1", "t_max": 1.0, "scheme": "explicit"},
+    "cfl": {"manifold": "euclidean:1", "t_max": 1.0, "cfl_factor": 0.3},
+    "reg": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1},
+    "reg_merge": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
+                  "merge_tol": 1e-9},
+    "reg_cfl": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1, "cfl_factor": 0.3},
+    "reg_cfl_explicit": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
+                         "scheme": "explicit", "cfl_factor": 0.3},
+    "reg_grid": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1, "grid_n": 5},
 }
 
 
@@ -384,6 +434,10 @@ def test_cli_bad_input_is_config_error(tmp_path, capsys, case):
     _write_config(tmp_path / "inf_dt.cfg", manifold="euclidean:1", dt="inf")
     (tmp_path / "nan.csv").write_text(
         "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n0.5,zero\n1,1\n")
+    (tmp_path / "field.csv").write_text(
+        "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\n0.5,1\n1,0\n")
+    for name, kv in _BAD_CONFIGS.items():
+        _write_config(tmp_path / f"{name}.cfg", **kv)
     assert main(["flow", "--config", str(tmp_path / "run.cfg"),
                  "--input", str(tmp_path / "ok.csv"), "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
@@ -402,3 +456,89 @@ def test_cli_bad_dt_option_is_usage_error(tmp_path, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "--dt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["flow", "denoise"])
+def test_cli_seed_option_is_usage_error(tmp_path, capsys, command):
+    # neither solver draws random numbers, so neither command takes a seed
+    argv = {"flow": ["flow", "--config", "run.cfg"], "denoise": ["denoise"]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--input", "u0.csv", "--out", str(tmp_path / "run"), "--seed", "3"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+
+
+def test_cli_flow_records_only_the_keys_read(tmp_path):
+    write_curve(str(tmp_path / "stairs.csv"), scalar_curve([0.5], [0.0, 1.0]))
+    _write_config(tmp_path / "exact.cfg", manifold="euclidean:1", t_max=1.0)
+    write_curve(str(tmp_path / "field.csv"),
+                noisy_field("circle", grid_n=33, noise=0.05, seed=3))
+    _write_config(tmp_path / "reg.cfg", manifold="circle", t_max=1e-3, epsilon=1e-2,
+                  scheme="explicit", cfl_factor=0.3)
+    expected = {
+        "exact": ("exact.cfg", "stairs.csv",
+                  ["manifold", "dt", "t_max", "merge_tol", "snapshot_every"]),
+        "regularized": ("reg.cfg", "field.csv",
+                        ["manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every",
+                         "scheme", "cfl_factor"]),
+    }
+    for solver, (cfg, curve, keys) in expected.items():
+        outdir = tmp_path / solver
+        assert main(["flow", "--config", str(tmp_path / cfg), "--input",
+                     str(tmp_path / curve), "--out", str(outdir)]) == 0
+        lines = (outdir / "config.txt").read_text().splitlines()
+        assert [ln.split(" = ")[0] for ln in lines] == keys
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["outputs"] == ["trajectory.csv", "diagnostics.csv", "config.txt"]
+        assert manifest["output_digests"] == {
+            name: sha256_of(str(outdir / name)) for name in manifest["outputs"]}
+    assert "grid_n = 33" in (tmp_path / "regularized" / "config.txt").read_text()
+    assert "epsilon" not in (tmp_path / "exact" / "config.txt").read_text()
+
+
+def _reference_csv_rows(rows) -> list[str]:
+    """Per-cell reference formatter: every cell printed as '%.17g' % float(x)."""
+    return [",".join("%.17g" % float(x) for x in row) for row in rows]
+
+
+def _reference_rows(curve) -> list[list]:
+    """Abscissa (plateau right end or grid node) and values of each row."""
+    if isinstance(curve, PiecewiseConstantCurve):
+        xs = list(curve.breakpoints) + [1.0]
+    else:
+        xs = list(curve.xs)
+    return [[x] + list(v) for x, v in zip(xs, curve.values)]
+
+
+@pytest.fixture(scope="module")
+def written_runs():
+    u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([63, 0])))
+    runs = {"exact": run_exact_pc(u0, t_max=4 * tv_measure(u0).total)}
+    for scheme, n, t_max in (("semi_implicit", 65, 0.05), ("explicit", 33, 2e-3)):
+        field = mollify(u0, n, auto_ramp(u0, n))
+        cfg = FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=n, t_max=t_max, scheme=scheme)
+        runs[scheme] = run_regularized(field, cfg)
+    flow = run_scalar_tv(scalar_curve([0.25, 0.6], [0.0, 0.9, 0.2]), 2.0)
+    runs["scalar"] = scalar_trajectory(flow, np.linspace(0.0, 2.0, 9))
+    runs["geodesic"] = flow_on_geodesic(
+        SPH, np.array([1.0, 0, 0]), np.array([0, 0.6, 0.8]),
+        scalar_curve([0.3, 0.7], [0.0, 0.8, 0.3]), 2.0, np.linspace(0.0, 2.0, 5))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["exact", "semi_implicit", "explicit", "scalar", "geodesic"])
+def test_written_files_match_per_cell_reference(tmp_path, written_runs, name):
+    traj = written_runs[name]
+    tp, dp = tmp_path / "t.csv", tmp_path / "d.csv"
+    write_trajectory(str(tp), str(dp), traj)
+    rows = [[t] + row for t, snap in zip(traj.times, traj.snapshots)
+            for row in _reference_rows(snap)]
+    assert tp.read_text().splitlines()[2:] == _reference_csv_rows(rows)
+    diag = [[traj.times[k], traj.tv[k], traj.dissipation[k], traj.max_jump[k]]
+            for k in range(len(traj))]
+    expected = [ref + "," + str(int(traj.stopped[k]))
+                for k, ref in enumerate(_reference_csv_rows(diag))]
+    assert dp.read_text().splitlines()[2:] == expected
+    for snap in (traj.snapshots[0], traj.final_curve):
+        assert curve_to_text(snap).splitlines()[2:] == _reference_csv_rows(_reference_rows(snap))
