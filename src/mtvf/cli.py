@@ -16,7 +16,6 @@ import numpy as np
 from . import __version__
 from .curves import (
     PiecewiseConstantCurve,
-    SampledCurve,
     auto_ramp,
     mollify,
     tv_measure,
@@ -102,8 +101,6 @@ def cmd_flow(args) -> int:
             raise ConfigError(
                 "the regularized solver needs 'epsilon' in the config file or --eps"
             )
-        if isinstance(curve, SampledCurve) and cfg.grid_n != curve.grid_n and "grid_n" in given:
-            raise ConfigError(f"grid_n = {cfg.grid_n} but the input curve has {curve.grid_n} nodes")
     unread = sorted(set(given) - set(read))
     if unread:
         raise ConfigError(f"the {solver} solver does not read {', '.join(unread)}")
@@ -118,7 +115,8 @@ def cmd_flow(args) -> int:
     else:
         if isinstance(curve, PiecewiseConstantCurve):
             curve = mollify(curve, cfg.grid_n, auto_ramp(curve, cfg.grid_n))
-        cfg = replace(cfg, grid_n=curve.grid_n)
+        elif "grid_n" not in given:  # a sampled input sets the grid
+            cfg = replace(cfg, grid_n=curve.grid_n)
         traj = run_regularized(curve, cfg)
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectory.csv")

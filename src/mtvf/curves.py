@@ -17,11 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RampTooWide
+from .errors import ConfigError, RampTooWide, SingularProjection
 from .manifolds import CONSTRAINT_TOL, Manifold
 
 # Plateaus closer than this are treated as equal and merged away.
 _SPURIOUS_TOL = 1e-14
+
+
+def _on_manifold(manifold: Manifold, vals: np.ndarray, what: str) -> np.ndarray:
+    # finite values within 1e-9 of the manifold, projected back; else ConfigError
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"{what} values must be finite")
+    try:
+        residual = manifold.constraint_residual(vals)
+    except SingularProjection as exc:
+        raise ConfigError(f"{what} values are off the manifold: {exc}") from exc
+    if residual > 1e-9:
+        raise ConfigError(f"{what} values are off the manifold by {residual:.3g}")
+    return manifold.project_point(vals) if residual > CONSTRAINT_TOL else vals
 
 
 @dataclass(frozen=True)
@@ -47,13 +60,9 @@ class PiecewiseConstantCurve:
             )
         if bp.size + 1 != vals.shape[0]:
             raise ConfigError("need exactly one more plateau than breakpoints")
-        if bp.size and (np.any(bp <= 0.0) or np.any(bp >= 1.0) or np.any(np.diff(bp) <= 0)):
+        if bp.size and not (np.all(bp > 0.0) and np.all(bp < 1.0) and np.all(np.diff(bp) > 0)):
             raise ConfigError("breakpoints must be strictly increasing inside (0, 1)")
-        residual = self.manifold.constraint_residual(vals)
-        if residual > 1e-9:
-            raise ConfigError(f"plateau values are off the manifold by {residual:.3g}")
-        if residual > CONSTRAINT_TOL:
-            vals = self.manifold.project_point(vals)
+        vals = _on_manifold(self.manifold, vals, "plateau")
         # drop spurious breakpoints (equal neighbouring plateaus)
         if bp.size:
             keep = self.manifold.dist(vals[:-1], vals[1:]) > _SPURIOUS_TOL
@@ -106,11 +115,7 @@ class SampledCurve:
             )
         if vals.shape[0] < 2:
             raise ConfigError("a sampled curve needs at least two nodes")
-        residual = self.manifold.constraint_residual(vals)
-        if residual > 1e-9:
-            raise ConfigError(f"sampled values are off the manifold by {residual:.3g}")
-        if residual > CONSTRAINT_TOL:
-            vals = self.manifold.project_point(vals)
+        vals = _on_manifold(self.manifold, vals, "sampled")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -31,7 +31,7 @@ from .errors import (
     DegenerateJump,
     StepUnderflow,
 )
-from .manifolds import COINCIDENT_TOL, Euclidean, Manifold
+from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
 
 # one-step TV increase beyond this aborts the run as an unstable step
 _TV_INCREASE_TOL = 1e-7
@@ -84,10 +84,10 @@ class FlowConfig:
                 raise ConfigError("dt must be 'auto' or a finite positive number")
             self.dt = float(self.dt)
 
-    def resolved_dt(self, grid_n: int | None = None) -> float:
+    def resolved_dt(self) -> float:
         if self.dt != "auto":
             return float(self.dt)
-        h = 1.0 / ((grid_n or self.grid_n) - 1)
+        h = 1.0 / (self.grid_n - 1)
         if self.scheme == "explicit":
             return self.cfl_factor * h * h * self.epsilon
         return 0.25 * h
@@ -110,12 +110,7 @@ class PiecewiseLinearFluxField:
     def max_norm(self) -> float:
         # within a piece the field is a convex-combination path between the
         # endpoint vectors, so endpoint norms dominate
-        return float(
-            max(
-                np.max(np.linalg.norm(self.left_values, axis=1), initial=0.0),
-                np.max(np.linalg.norm(self.right_values, axis=1), initial=0.0),
-            )
-        )
+        return float(np.max(_norm(np.vstack([self.left_values, self.right_values])), initial=0.0))
 
     def value_at(self, x: float) -> np.ndarray:
         edges = np.concatenate([[0.0], self.breakpoints, [1.0]])
@@ -190,7 +185,7 @@ class _Recorder:
 def _face_slopes(values: np.ndarray, h: float, epsilon: float):
     """Difference quotients ``Du`` on interior faces and ``sqrt(eps^2 + |Du|^2)``."""
     du = (values[1:] - values[:-1]) / h
-    return du, np.sqrt(epsilon * epsilon + np.sum(du * du, axis=1))
+    return du, np.sqrt(epsilon * epsilon + _dot(du, du))
 
 
 def face_flux(values: np.ndarray, h: float, epsilon: float) -> np.ndarray:
@@ -237,28 +232,29 @@ def run_regularized(
 ) -> FlowTrajectory:
     """Integrate the epsilon-regularized flow from a sampled datum.
 
-    Stops early once the state is constant; raises ``CflViolation`` if the
-    chordal variation increases in a single step and
-    ``ConvexityRadiusExceeded`` if a chord reaches twice the convexity
-    radius.
+    ``config.grid_n`` must be the datum's node count.  Stops early once the
+    state is constant; raises ``CflViolation`` if the chordal variation
+    increases in a single step and ``ConvexityRadiusExceeded`` if a chord
+    reaches twice the convexity radius.
     """
     man = config.manifold
     if u0.manifold != man:
         raise ConfigError("datum and config disagree on the manifold")
+    if u0.grid_n != config.grid_n:
+        raise ConfigError(f"grid_n = {config.grid_n} but the datum has {u0.grid_n} nodes")
     ok, worst, loc = jump_admissibility(u0)
     if not ok:
         raise ConvexityRadiusExceeded(
             f"chord of size {worst:.6g} at x={loc:.6g} reaches twice the "
             f"convexity radius {man.convexity_radius:.6g}"
         )
-    n = u0.grid_n
     h = u0.h
-    dt = config.resolved_dt(n)
+    dt = config.resolved_dt()
     eps = config.epsilon
     step = _semi_implicit_step if config.scheme == "semi_implicit" else _explicit_step
     # chord sums of a constant state sit at a roundoff floor that grows with
     # the face count, so the flat-state detector must scale with the grid
-    flat_tol = max(_FLAT_TV_TOL, 1e-14 * (n - 1))
+    flat_tol = max(_FLAT_TV_TOL, 1e-14 * (u0.grid_n - 1))
 
     wanted = None
     if snapshot_times is not None:
@@ -366,7 +362,7 @@ def _pc_rk4(man, lengths, values, diss, dt):
     k4 = pc_velocity(man, lengths, values + dt * k3)
     new_vals = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # dissipation rate of a stage: sum of lengths * |velocity|^2
-    e1, e2, e3, e4 = (lengths @ (k * k).sum(1) for k in (k1, k2, k3, k4))
+    e1, e2, e3, e4 = (lengths @ _dot(k, k) for k in (k1, k2, k3, k4))
     new_diss = diss + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
     return man.project_point(new_vals), float(new_diss)
 

@@ -78,12 +78,12 @@ def _layout(curve):
 def _curve_from_columns(man, kind, xs, values):
     """Inverse of ``_layout``: one curve from its abscissae and values."""
     if kind == "pc":
-        if abs(xs[-1] - 1.0) > 1e-12:
+        if not abs(xs[-1] - 1.0) <= 1e-12:
             raise ConfigError("last plateau must end at x=1")
         return PiecewiseConstantCurve(man, xs[:-1], values)
     if kind == "sampled":
         expected = np.linspace(0.0, 1.0, len(xs))
-        if len(xs) < 2 or np.max(np.abs(xs - expected)) > 1e-9:
+        if len(xs) < 2 or not np.max(np.abs(xs - expected)) <= 1e-9:
             raise ConfigError("sampled curve must sit on a uniform grid over [0,1]")
         return SampledCurve(man, values)
     raise ConfigError(f"unknown curve kind {kind!r}")

@@ -20,7 +20,7 @@ from .errors import (
     OutOfComparisonRange,
     WindowTooLong,
 )
-from .manifolds import Manifold, Sphere
+from .manifolds import Manifold, Sphere, _norm
 
 #: Empirical constant for one_harmonic_residual_bound, frozen from the first
 #: refinement sweep (mollified two-jump sphere data at n = 101/201/401 plus
@@ -398,5 +398,5 @@ def one_harmonic_residual_bound(
     if f.shape != w.values.shape:
         raise ValueError("driving term must match the sampled values in shape")
     sup = np.max(distance_to_geodesic(man, w.values, w.values[0], w.values[-1]))
-    rhs = float(np.sum(np.linalg.norm(f, axis=1)) * w.h)
+    rhs = float(np.sum(_norm(f)) * w.h)
     return SliceResidual(float(sup), rhs, float(constant))

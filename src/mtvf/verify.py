@@ -32,6 +32,7 @@ from .flows import (
     run_exact_pc,
     run_regularized,
 )
+from .manifolds import _dot, _norm
 
 STOP_TV_TOL = 1e-10
 
@@ -246,7 +247,7 @@ def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> 
             vel = pc_velocity(man, lengths, vals)
             # (i) tangency at both ends of every linear piece
             for endp in (flux.left_values, flux.right_values):
-                r_tan = max(r_tan, float(np.max(np.abs(np.sum(endp * vals, axis=1)), initial=0.0)))
+                r_tan = max(r_tan, float(np.max(np.abs(_dot(endp, vals)), initial=0.0)))
             # (ii) interior: u_t ^ u = z_x ^ u on each plateau
             slope = (flux.right_values - flux.left_values) / lengths[:, None]
             r_wedge = max(
@@ -262,15 +263,15 @@ def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> 
                 du = vals[1:] - vals[:-1]
                 z_star = 0.5 * (flux.right_values[:-1] + flux.left_values[1:])
                 u_star = 0.5 * (vals[1:] + vals[:-1])
-                lhs = np.sum(du * z_star, axis=1)
-                rhs = np.linalg.norm(u_star, axis=1) * np.linalg.norm(du, axis=1)
+                lhs = _dot(du, z_star)
+                rhs = _norm(u_star) * _norm(du)
                 r_pair = max(r_pair, float(np.max(np.abs(lhs - rhs), initial=0.0)))
         else:
             vals = snap.values
             h = snap.h
             z = face_flux(vals, h, traj.epsilon)
             u_star = 0.5 * (vals[1:] + vals[:-1])
-            r_tan = max(r_tan, float(np.max(np.abs(np.sum(z * u_star, axis=1)), initial=0.0)))
+            r_tan = max(r_tan, float(np.max(np.abs(_dot(z, u_star)), initial=0.0)))
             vel = regularized_velocity(man, vals, h, traj.epsilon)
             w_face = _wedge(z, u_star)
             pad = np.zeros((1,) + w_face.shape[1:])
@@ -280,8 +281,8 @@ def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> 
                 float(np.max(_wedge_norm(_wedge(vel, vals) - w_div), initial=0.0)),
             )
             du = vals[1:] - vals[:-1]
-            lhs = np.sum(du * z, axis=1)
-            rhs = np.linalg.norm(u_star, axis=1) * np.linalg.norm(du, axis=1)
+            lhs = _dot(du, z)
+            rhs = _norm(u_star) * _norm(du)
             r_pair = max(r_pair, float(np.max(np.abs(lhs - rhs), initial=0.0)))
     worst = max(r_tan, r_wedge, r_pair)
     return CheckReport(

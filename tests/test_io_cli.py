@@ -404,6 +404,32 @@ _BAD_INPUTS = {
     "flow_regularized_grid_option_not_node_count": ["flow", "--config", "{tmp}/reg.cfg",
                                                     "--input", "{tmp}/field.csv",
                                                     "--out", "{tmp}/run", "--grid", "7"],
+    # curve values that are not finite or sit where the projection is singular
+    "flow_nan_plateau_value": ["flow", "--config", "{tmp}/sphere.cfg", "--input",
+                               "{tmp}/nan_plateau.csv", "--out", "{tmp}/run"],
+    "flow_inf_cell": ["flow", "--config", "{tmp}/plane.cfg", "--input", "{tmp}/inf.csv",
+                      "--out", "{tmp}/run"],
+    "flow_origin_on_sphere": ["flow", "--config", "{tmp}/sphere.cfg", "--input",
+                              "{tmp}/origin.csv", "--out", "{tmp}/run"],
+    "flow_point_on_cylinder_axis": ["flow", "--config", "{tmp}/cylinder.cfg", "--input",
+                                    "{tmp}/axis.csv", "--out", "{tmp}/run"],
+    "flow_nan_breakpoint": ["flow", "--config", "{tmp}/run.cfg", "--input",
+                            "{tmp}/nan_breakpoint.csv", "--out", "{tmp}/run"],
+    "flow_nan_last_x": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/nan_end.csv",
+                        "--out", "{tmp}/run"],
+    "flow_nan_sampled_x": ["flow", "--config", "{tmp}/reg.cfg", "--input", "{tmp}/nan_x.csv",
+                           "--out", "{tmp}/run"],
+}
+
+# curve files the non-finite and singular cases read
+_BAD_CURVES = {
+    "nan_plateau": "# curve kind=pc manifold=sphere:3\nx_right_end,c0,c1,c2\n0.5,0,0,1\n1,nan,0,1\n",
+    "inf": "# curve kind=pc manifold=euclidean:2\nx_right_end,c0,c1\n0.5,0,0\n1,inf,0\n",
+    "origin": "# curve kind=pc manifold=sphere:3\nx_right_end,c0,c1,c2\n1,0,0,0\n",
+    "axis": "# curve kind=sampled manifold=cylinder\nx,c0,c1,c2\n0,1,0,0\n1,0,0,0.5\n",
+    "nan_breakpoint": "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\nnan,0\n1,1\n",
+    "nan_end": "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\nnan,0\n",
+    "nan_x": "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\nnan,1\n1,0\n",
 }
 
 # config files the bad-input cases read, beside run.cfg
@@ -420,6 +446,9 @@ _BAD_CONFIGS = {
     "reg_cfl_explicit": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
                          "scheme": "explicit", "cfl_factor": 0.3},
     "reg_grid": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1, "grid_n": 5},
+    "sphere": {"manifold": "sphere:3", "t_max": 1.0},
+    "plane": {"manifold": "euclidean:2", "t_max": 1.0},
+    "cylinder": {"manifold": "cylinder", "t_max": 1.0, "epsilon": 0.1},
 }
 
 
@@ -438,6 +467,8 @@ def test_cli_bad_input_is_config_error(tmp_path, capsys, case):
         "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\n0.5,1\n1,0\n")
     for name, kv in _BAD_CONFIGS.items():
         _write_config(tmp_path / f"{name}.cfg", **kv)
+    for name, text in _BAD_CURVES.items():
+        (tmp_path / f"{name}.csv").write_text(text)
     assert main(["flow", "--config", str(tmp_path / "run.cfg"),
                  "--input", str(tmp_path / "ok.csv"), "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()

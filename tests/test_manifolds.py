@@ -20,6 +20,7 @@ from mtvf import (
     Sphere,
     parse_manifold,
 )
+from mtvf.manifolds import _COLUMN_SUM_ROWS, _dot, _norm
 
 ALL_MANIFOLDS = [Euclidean(1), Euclidean(2), Sphere(2), Sphere(3), Circle(), Cylinder()]
 
@@ -382,3 +383,52 @@ def test_random_point_lands_on_manifold():
     for man in ALL_MANIFOLDS:
         pts = man.random_point(_rng(12), size=(100,))
         assert man.constraint_residual(pts) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# row kernels: _dot and _norm round as one np.add.reduce call, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _extreme_rows(shape, stream):
+    """Entries of random sign and magnitude 1e-300..1e300, a fifth of them
+    +-0; the first row is all -0 and the second (if any) mixes +0 and -0."""
+    rng = _rng(stream)
+    mag = np.where(rng.random(shape) < 0.2, 0.0, 10.0 ** rng.uniform(-300, 300, shape))
+    a = mag * rng.choice([-1.0, 1.0], shape)
+    flat = a.reshape(-1, shape[-1])
+    flat[:2] = -0.0
+    flat[1:2, 1::2] = 0.0
+    return a
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize(
+    "shape",
+    [(1,), (13,), (_COLUMN_SUM_ROWS - 1,), (_COLUMN_SUM_ROWS,), (_COLUMN_SUM_ROWS + 1,),
+     (10_000,), (80, 33)],
+    ids=lambda s: "x".join(map(str, s)),
+)
+def test_row_kernels_round_as_add_reduce(shape, n):
+    a = _extreme_rows(shape + (n,), 2 * n)
+    # b: unit-scale factors (no overflow) with rows 0 and 1 positive, so the
+    # all -0 row of a * b stays all -0; c: extreme magnitudes, so products
+    # underflow to +-0 and subnormals or overflow to +-inf and NaN
+    b = _rng(2 * n + 1).standard_normal(shape + (n,))
+    b.reshape(-1, n)[:2] = 1.0
+    c = _extreme_rows(shape + (n,), 2 * n + 1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for x, y in ((a, b), (a, c), (b, b)):
+            _assert_same_bits(_dot(x, y), np.add.reduce(x * y, axis=-1))
+        for v in (a, b):
+            _assert_same_bits(_norm(v), np.sqrt(np.add.reduce(v * v, axis=-1)))
+    # the signed-zero rows sum to +0, as reduce does
+    zero = _dot(a, b).reshape(-1)[:2]
+    assert not zero.any() and not np.signbit(zero).any()

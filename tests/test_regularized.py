@@ -4,6 +4,7 @@ import pytest
 
 from mtvf import (
     CflViolation,
+    ConfigError,
     ConvexityRadiusExceeded,
     Euclidean,
     PiecewiseConstantCurve,
@@ -64,6 +65,14 @@ def test_flat_datum_stops_at_time_zero():
     assert traj.times[0] == 0.0
     assert bool(traj.stopped[-1])
     assert np.allclose(traj.final_curve.values, 0.37)
+
+
+def test_rejects_grid_n_other_than_the_node_count():
+    # the grid is the datum's: a config asking for another one is refused,
+    # not run on the datum's nodes with a step set for grid_n
+    field = SampledCurve(EU, np.linspace(0.0, 1.0, 33)[:, None])
+    with pytest.raises(ConfigError, match="grid_n = 201"):
+        run_regularized(field, FlowConfig(manifold=EU, epsilon=1e-2, grid_n=201, t_max=0.01))
 
 
 def test_rejects_chord_at_twice_convexity_radius():
