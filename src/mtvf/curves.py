@@ -52,8 +52,8 @@ class PiecewiseConstantCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        bp = np.atleast_1d(np.asarray(self.breakpoints, dtype=float))
-        vals = np.asarray(self.values, dtype=float)
+        bp = np.array(self.breakpoints, dtype=float, ndmin=1)  # copies: the caller's
+        vals = np.array(self.values, dtype=float)  # arrays stay writable
         if vals.ndim != 2 or vals.shape[1] != self.manifold.ambient_dim:
             raise ConfigError(
                 f"plateau values must have shape (m+1, {self.manifold.ambient_dim})"
@@ -108,7 +108,7 @@ class SampledCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a copy: the caller's array stays writable
         if vals.ndim != 2 or vals.shape[1] != self.manifold.ambient_dim:
             raise ConfigError(
                 f"sampled values must have shape (n, {self.manifold.ambient_dim})"

@@ -7,7 +7,8 @@ Three solvers share one trajectory container:
   conditions, staggered face fluxes and projection retraction;
 * :func:`run_exact_pc` — event-driven integrator for piecewise-constant
   data, evolving plateau values by the mutual pull of unit tangents while
-  the jump locations stay put, with bisection-located merge events;
+  the jump locations stay put; a small closing jump merges ahead at its
+  closed-form (pursuit-curve) collision time, else by bisection;
 * :func:`run_scalar_tv` — closed-form staircase dynamics for scalar data
   (plateau speeds are constant between merge events).
 
@@ -38,6 +39,9 @@ _TV_INCREASE_TOL = 1e-7
 # state is declared constant (flow stopped) below this variation
 _FLAT_TV_TOL = 1e-12
 _EVENT_TIME_TOL = 1e-12
+# a jump below this size and 100x smaller than every other one merges ahead
+# of its collision, at the time the pursuit-curve closed form predicts
+_MERGE_AHEAD_JUMP = 1e-5
 # resolution floor for cadence-recorded piecewise-constant snapshots: while
 # any jump sits below this size the state is mid merge-cascade, and unit
 # tangent directions at separation d carry O(eps_mach/d) rounding noise that
@@ -266,7 +270,7 @@ def run_regularized(
     rec = _Recorder()
 
     def record(stopped_flag):
-        rec.add(t, SampledCurve(man, u.copy()), diss, stopped_flag)
+        rec.add(t, SampledCurve(man, u), diss, stopped_flag)
 
     tv_prev = float(np.sum(chord_sizes(u0)))
     record(tv_prev < flat_tol)
@@ -367,6 +371,26 @@ def _pc_rk4(man, lengths, values, diss, dt):
     return man.project_point(new_vals), float(new_diss)
 
 
+def _pursuit_collision(man, lengths, rates, values, d):
+    """``(k, tau, pair dissipation)`` once the smallest jump k is below
+    ``_MERGE_AHEAD_JUMP`` and 100x smaller than every other, else None.
+
+    r = u_{k+1} - u_k follows ``r' = -c r/|r| + w`` (c = ``rates[k]``, w the
+    outer pull); for a frozen w (a pursuit curve) ``c|r| + <w, r>`` falls at
+    the rate ``c^2 - |w|^2`` to 0 at the collision, and the pair dissipates
+    ``|r| - <w, r>/c``.  None too if w nearly cancels c.
+    """
+    k = int(np.argmin(d))
+    if not d[k] < _MERGE_AHEAD_JUMP or np.any(np.delete(d, k) <= 100.0 * d[k]):
+        return None
+    t_minus, t_plus, _ = man._tangent_pair(values[:-1], values[1:])
+    # a boundary neighbour's slice is empty and exerts no pull
+    w = t_plus[k - 1:k].sum(0) / lengths[k] + t_minus[k + 1:k + 2].sum(0) / lengths[k + 1]
+    c, wr = rates[k], w @ (values[k + 1] - values[k])
+    slack = c * c - w @ w
+    return None if slack <= 1e-6 * c * c else (k, (c * d[k] + wr) / slack, d[k] - wr / c)
+
+
 def _merge_plateaus(man, xs, values, merge_tol):
     """Collapse every jump at or below ``merge_tol`` to its geodesic midpoint."""
     while values.shape[0] > 1:
@@ -395,10 +419,12 @@ def run_exact_pc(
     """Integrate the flow of a piecewise-constant datum.
 
     Jump locations never move; plateau values follow the coupled pull of
-    the jump unit tangents (RK4).  When a jump's geodesic size decays to
-    ``merge_tol`` the collision time is located by bisection to 1e-12 and
-    the two plateaus merge at their geodesic midpoint.  Terminates at
-    ``t_max`` or when a single plateau remains.
+    the jump unit tangents (RK4).  A small isolated jump merges ahead at its
+    closed-form collision time (``_pursuit_collision``) when that fits in
+    one step; otherwise, once its size decays to ``merge_tol``, the
+    collision time is located by bisection to 1e-12 and the two plateaus
+    merge at their geodesic midpoint.  Terminates at ``t_max`` or when a
+    single plateau remains.
 
     Cadence and merge-event records are deferred while any jump sits below
     the snapshot resolution floor (the state is then mid merge-cascade and
@@ -434,7 +460,7 @@ def run_exact_pc(
         return lengths, 1.0 / lengths[:-1] + 1.0 / lengths[1:]
 
     def record(stopped_flag):
-        rec.add(t, PiecewiseConstantCurve(man, xs.copy(), vals.copy()), diss, stopped_flag)
+        rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, stopped_flag)
 
     def resolved_state():
         return vals.shape[0] == 1 or float(np.min(d)) > _SNAPSHOT_JUMP_FLOOR
@@ -450,16 +476,34 @@ def run_exact_pc(
             raise ConvexityRadiusExceeded("a jump reached twice the convexity radius")
         # cap the step so no jump can close much more than a quarter of its
         # remaining gap
-        guard = 0.25 * float(np.min((d - 0.5 * merge_tol) / rates))
-        dt_step = min(dt_base, t_max - t, max(guard, 1e-12))
-        if wanted:
-            dt_step = min(dt_step, wanted[0] - t)
-        if dt_step < 1e-15:
-            raise StepUnderflow(f"step size underflow at t={t}")
-
-        trial_vals, trial_diss = _pc_rk4(man, lengths, vals, diss, dt_step)
-        trial_d = man.dist(trial_vals[:-1], trial_vals[1:])
-        if float(np.min(trial_d)) <= merge_tol:
+        guards = 0.25 * ((d - 0.5 * merge_tol) / rates)
+        dt_step = min(dt_base, t_max - t, wanted[0] - t) if wanted else min(dt_base, t_max - t)
+        ahead = _pursuit_collision(man, lengths, rates, vals, d)
+        if ahead and ahead[1] < min(dt_step, np.delete(guards, ahead[0]).min(initial=np.inf)):
+            # merge at the projected length-weighted centre, which the pair's
+            # mutual pull does not move, and step to the collision time
+            k, tau, pair_diss = ahead
+            centre = man.project_point(lengths[k:k + 2] @ vals[k:k + 2] / lengths[k:k + 2].sum())
+            xs, vals = np.delete(xs, k), np.vstack([vals[:k], centre, vals[k + 2:]])
+            lengths, rates = plateau_rates()
+            vals, diss = _pc_rk4(man, lengths, vals, diss + pair_diss, tau)
+            t += tau
+        else:
+            dt_step = min(dt_step, max(float(guards.min()), 1e-12))
+            if dt_step < 1e-15:
+                raise StepUnderflow(f"step size underflow at t={t}")
+            trial_vals, trial_diss = _pc_rk4(man, lengths, vals, diss, dt_step)
+            trial_d = man.dist(trial_vals[:-1], trial_vals[1:])
+            if float(np.min(trial_d)) > merge_tol:
+                vals, diss, d = trial_vals, trial_diss, trial_d
+                t += dt_step
+                steps += 1
+                if wanted and t >= wanted[0] - 1e-14:
+                    wanted.pop(0)
+                    record(False)
+                elif wanted is None and steps % snapshot_every == 0 and resolved_state():
+                    record(False)
+                continue
             # bisection in time for the first crossing of merge_tol
             lo, hi = 0.0, dt_step
             while hi - lo > _EVENT_TIME_TOL:
@@ -473,20 +517,10 @@ def run_exact_pc(
             t += hi
             xs, vals = _merge_plateaus(man, xs, vals, merge_tol)
             lengths, rates = plateau_rates()
-            d = man.dist(vals[:-1], vals[1:])
-            if resolved_state():
-                record(vals.shape[0] == 1)
-            steps += 1
-            continue
-
-        vals, diss, d = trial_vals, trial_diss, trial_d
-        t += dt_step
+        d = man.dist(vals[:-1], vals[1:])
+        if resolved_state():
+            record(vals.shape[0] == 1)
         steps += 1
-        if wanted and t >= wanted[0] - 1e-14:
-            wanted.pop(0)
-            record(False)
-        elif wanted is None and steps % snapshot_every == 0 and resolved_state():
-            record(False)
     record(vals.shape[0] == 1)
     return rec.build(man, "exact_pc", dt_base)
 

@@ -8,8 +8,6 @@ when the property holds with margin.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -340,16 +338,6 @@ def _state_at(traj: FlowTrajectory, t: float):
     raise IncompatibleSnapshots(f"no snapshot recorded at t={t}")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("MTVF_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return 1
-
-
 def cross_solver_compare(
     u0: PiecewiseConstantCurve,
     eps_list,
@@ -366,8 +354,7 @@ def cross_solver_compare(
     grid cells), comparing states at shared snapshot times.  ``sup_l2`` is
     the largest L2 distance over the time grid; ``final_l2`` compares the
     terminal states.  Along a simultaneous refinement both columns should
-    decrease.  The MTVF_THREADS environment variable caps the number of
-    concurrent runs.
+    decrease.
     """
     exact = run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total, merge_tol=merge_tol)
     stop = detect_stopping(exact)
@@ -398,10 +385,4 @@ def cross_solver_compare(
         jobs = [(float(e), int(n)) for e in eps_list for n in grid_list]
     else:
         raise ConfigError(f"unknown pairing {pairing!r}")
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, jobs))
-    else:
-        rows = [one(job) for job in jobs]
-    return rows
+    return [one(job) for job in jobs]

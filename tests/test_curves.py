@@ -33,6 +33,18 @@ def _pc1(breakpoints, levels):
 # ---------------------------------------------------------------------------
 
 
+def test_constructors_leave_the_callers_arrays_writable():
+    v = np.zeros((3, 1))
+    sampled = SampledCurve(EU1, v)
+    v[0] = 1.0
+    assert sampled.values[0, 0] == 0.0 and not sampled.values.flags.writeable
+    bp, vals = np.array([0.5]), np.array([[0.0], [1.0]])
+    curve = PiecewiseConstantCurve(EU1, bp, vals)
+    bp[0], vals[0] = 0.25, 2.0
+    assert curve.breakpoints[0] == 0.5 and curve.values[0, 0] == 0.0
+    assert not (curve.breakpoints.flags.writeable or curve.values.flags.writeable)
+
+
 def test_pc_basic_queries():
     c = _pc1([0.25, 0.75], [0.0, 1.0, 0.5])
     assert c.num_jumps == 2

@@ -24,6 +24,7 @@ from mtvf import (
     pc_velocity,
     reconstruct_z_pc,
     run_exact_pc,
+    run_scalar_tv,
     scalar_curve,
     tv_measure,
 )
@@ -169,8 +170,9 @@ def test_pc_velocity_coincident_neighbours_exert_no_pull(man):
 
 
 def test_pc_velocity_call_count_pinned(monkeypatch):
-    # the step sequence of the solver (step guard, RK4 stages, bisection) on
-    # one fixed datum; any change to it changes this count
+    # the step sequence of the solver (step guard, RK4 stages, merge ahead,
+    # bisection) on one fixed datum; any change to it changes this count.
+    # 3,436 before merge ahead; lower it with the solver, never raise it
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([91, 0])), n_jumps=4)
     calls = []
     real = mtvf.flows.pc_velocity
@@ -181,7 +183,7 @@ def test_pc_velocity_call_count_pinned(monkeypatch):
 
     monkeypatch.setattr(mtvf.flows, "pc_velocity", counted)
     traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
-    assert len(calls) == 3436
+    assert len(calls) == 1768
     assert traj.final_curve.num_jumps == 0
 
 
@@ -241,6 +243,87 @@ def test_symmetric_collision_merges_at_midpoint():
     assert stop is not None
     mid = SPH.geodesic_point(a, b, 0.5)
     assert float(SPH.dist(stop[1], mid)) < 1e-8
+
+
+@pytest.mark.parametrize("man", [EU1, SPH], ids=lambda m: m.spec_id)
+def test_two_plateaus_merge_ahead_in_closed_form(man):
+    # one jump: no outer pull (w = 0), so the pair closes at the constant rate
+    # c = 1/l0 + 1/l1, collides after d/c and dissipates exactly d
+    p, q = (np.zeros(1), np.ones(1)) if man is EU1 else _sphere_pair()
+    u0 = PiecewiseConstantCurve(man, [0.3], np.stack([p, q]))
+    traj = run_exact_pc(u0, t_max=1.0, snapshot_every=1)
+    before, after = traj.snapshots[-2], traj.final_curve
+    d = before.jump_sizes()[0]
+    c = 1 / 0.3 + 1 / 0.7
+    assert 0 < d < mtvf.flows._MERGE_AHEAD_JUMP and after.num_jumps == 0
+    assert abs(traj.times[-1] - traj.times[-2] - d / c) <= 4 * EPS * traj.times[-1]
+    assert abs(traj.dissipation[-1] - traj.dissipation[-2] - d) <= 4 * EPS * traj.dissipation[-1]
+    centre = man.project_point(before.plateau_lengths() @ before.values)
+    assert np.max(np.abs(after.values[0] - centre)) <= 4 * EPS
+    if man is EU1:
+        assert traj.times[-1] == pytest.approx(0.3 * 0.7, abs=1e-14)
+
+
+def _guarded_run(monkeypatch, u0, **kw):
+    # the same run with merge ahead switched off: step guard and bisection only
+    with monkeypatch.context() as m:
+        m.setattr(mtvf.flows, "_MERGE_AHEAD_JUMP", 0.0)
+        return run_exact_pc(u0, **kw)
+
+
+def _assert_same_trajectory(a, b, tol=1e-9):
+    assert len(a) == len(b)
+    assert np.max(np.abs(a.times - b.times)) <= tol
+    assert np.max(np.abs(a.dissipation - b.dissipation)) <= tol
+    assert max(l2_distance(s, r) for s, r in zip(a.snapshots, b.snapshots)) <= tol
+
+
+# a unit jump at x0 = 0.3 on the line collides at x0 (1 - x0) = 0.21; merge
+# ahead starts from a gap of about 1e-5, more than 1e-6 before that
+_LINE_COLLISION = 0.21
+
+
+def test_merge_ahead_falls_back_for_a_snapshot_inside_the_collision_time(monkeypatch):
+    u0 = scalar_curve([0.3], [0.0, 1.0])
+    wanted = [_LINE_COLLISION - 1e-7]
+    traj = run_exact_pc(u0, t_max=0.5, snapshot_times=wanted)
+    assert wanted[0] in traj.times
+    _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=0.5, snapshot_times=wanted))
+
+
+def test_merge_ahead_falls_back_for_t_max_inside_the_collision_time(monkeypatch):
+    u0 = scalar_curve([0.3], [0.0, 1.0])
+    t_max = _LINE_COLLISION - 1e-7
+    traj = run_exact_pc(u0, t_max=t_max, snapshot_every=1)
+    assert traj.times[-1] == t_max and traj.final_curve.num_jumps == 1
+    _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=t_max, snapshot_every=1))
+
+
+def test_merge_ahead_falls_back_when_outer_pulls_cancel_the_closing_rate(monkeypatch):
+    # a backward step inside a rising staircase: both outer pulls point along
+    # the rise, so |w| = c exactly and the closed form is 0/0; the pair still
+    # closes (at 2c), found by the guard and bisection
+    u0 = scalar_curve([0.25, 0.5, 0.75], [0.0, 1.0, 1.0 - 1e-6, 2.0])
+    traj = run_exact_pc(u0, t_max=1e-3, snapshot_every=1)
+    assert traj.final_curve.num_jumps == 2
+    _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=1e-3, snapshot_every=1))
+
+
+def test_merge_ahead_falls_back_when_another_jump_closes_first():
+    # the small jump 0 would collide after 3.9e-6, but jump 2 (137x larger,
+    # between two short plateaus) closes at rate 300 and collides after 3.7e-6:
+    # one step of length tau* would carry it through its collision.  Jump 0
+    # merges ahead later; on the line the scalar staircase flow is exact
+    u0 = scalar_curve([0.49, 0.98, 0.99], [0.0, 8e-6, 1.0, 1.0 - 1.1e-3])
+    wanted = np.linspace(0.0, 1e-3, 21)[1:]
+    traj = run_exact_pc(u0, t_max=1e-3, snapshot_times=wanted)
+    exact = run_scalar_tv(u0, t_max=1e-3)
+    assert traj.final_curve.num_jumps == 1
+    for t in wanted:
+        snap = traj.snapshots[traj.index_at(t)]
+        bp, vals = exact.state_at(t)
+        assert l2_distance(snap, scalar_curve(bp, vals)) <= 1e-9
+        assert abs(traj.dissipation[traj.index_at(t)] - exact.dissipation_at(t)) <= 1e-9
 
 
 def test_merge_reduces_jump_count_by_one():

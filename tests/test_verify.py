@@ -21,7 +21,6 @@ from mtvf import (
     tv_measure,
 )
 from mtvf.synth import random_rad_curve
-from mtvf.verify import _max_workers
 
 EU1 = Euclidean(1)
 EU2 = Euclidean(2)
@@ -162,22 +161,3 @@ def test_cross_solver_rows_and_pairings():
     assert [r.grid_n for r in zipped] == [51, 101]
     with pytest.raises(Exception):
         cross_solver_compare(u0, [1e-2], [51, 101], pairing="zip")
-
-
-def test_thread_cap_env_var(monkeypatch):
-    monkeypatch.delenv("MTVF_THREADS", raising=False)
-    assert _max_workers() == 1
-    monkeypatch.setenv("MTVF_THREADS", "3")
-    assert _max_workers() == 3
-    monkeypatch.setenv("MTVF_THREADS", "zebra")
-    assert _max_workers() == 1
-
-
-def test_cross_solver_deterministic_under_threads(monkeypatch):
-    u0 = scalar_curve([0.4], [0.0, 1.0])
-    serial = cross_solver_compare(u0, [1e-1, 1e-2], [51], n_times=5)
-    monkeypatch.setenv("MTVF_THREADS", "4")
-    threaded = cross_solver_compare(u0, [1e-1, 1e-2], [51], n_times=5)
-    assert [(r.epsilon, r.grid_n, r.sup_l2, r.final_l2) for r in serial] == [
-        (r.epsilon, r.grid_n, r.sup_l2, r.final_l2) for r in threaded
-    ]
