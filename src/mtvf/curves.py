@@ -248,7 +248,7 @@ def compose_with_geodesic(
     # keep the endpoints bit-exact
     new_vals[svals == 0.0] = np.asarray(p, float)
     new_vals[svals == 1.0] = np.asarray(q, float)
-    return PiecewiseConstantCurve(manifold, np.array(sigma.breakpoints, copy=True), new_vals)
+    return PiecewiseConstantCurve(manifold, sigma.breakpoints, new_vals)
 
 
 def l2_distance(a, b, grid_n: int = 2049) -> float:

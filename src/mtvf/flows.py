@@ -477,7 +477,7 @@ def run_exact_pc(
         # cap the step so no jump can close much more than a quarter of its
         # remaining gap
         guards = 0.25 * ((d - 0.5 * merge_tol) / rates)
-        dt_step = min(dt_base, t_max - t, wanted[0] - t) if wanted else min(dt_base, t_max - t)
+        dt_step = min(dt_base, t_max - t, wanted[0] - t if wanted else math.inf)
         ahead = _pursuit_collision(man, lengths, rates, vals, d)
         if ahead and ahead[1] < min(dt_step, np.delete(guards, ahead[0]).min(initial=np.inf)):
             # merge at the projected length-weighted centre, which the pair's

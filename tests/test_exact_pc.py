@@ -1,7 +1,9 @@
 """Piecewise-constant manifold flow: immobile jumps, merges, closed forms.
 
 The solver integrates plateau values only; breakpoints are fixed until two
-plateau values collide, at which point they merge at the geodesic midpoint.
+plateau values collide.  A small isolated jump merges ahead of its collision
+at the length-weighted centre; otherwise the plateaus merge at the geodesic
+midpoint once the jump has closed to merge_tol.
 """
 import warnings
 
