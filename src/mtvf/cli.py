@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: each command, lab experiment and generator kind
+parses only the options its handler reads and refuses any other (exit 2).
 
 Exit codes: 0 success, 2 configuration/usage errors, 3 geometry violations
 (inadmissible jumps, out-of-range constructions), 4 failed verification
@@ -7,6 +8,7 @@ checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -52,13 +54,6 @@ from .verify import (
     check_sphere_equivalence,
     detect_stopping,
 )
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _atomic_write_text(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +133,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_denoise(args) -> int:
+    if not 0.0 < args.tv_fraction < 1.0:
+        raise ConfigError("--tv-fraction must lie in (0, 1)")
     curve = read_curve(args.input)
     man = curve.manifold
     if args.manifold is not None and parse_manifold(args.manifold) != man:
@@ -169,8 +166,7 @@ def cmd_denoise(args) -> int:
         "denoise",
         {
             "epsilon": args.eps,
-            "t_stop": t_stop,
-            "tv_fraction": args.tv_fraction,
+            **({"tv_fraction": args.tv_fraction} if t_stop is None else {"t_stop": t_stop}),
             "picked_t": float(traj.times[pick]),
         },
         [args.input],
@@ -227,81 +223,79 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lab
+# lab: each experiment returns its CSV report
 # ---------------------------------------------------------------------------
+
+
+def _semiconvexity_report(args) -> str:
+    n0 = first_positive_gap(args.n_max)
+    lines = ["n,gap,first_positive"]
+    for n in range(1, args.n_max + 1):
+        lines.append(f"{n},{fmt(semiconvexity_gap(n))},{int(n == n0)}")
+    return "\n".join(lines) + "\n"
+
+
+def _hessian_report(args) -> str:
+    man = parse_manifold(args.manifold)
+    if not 0.0 < args.r < man.injectivity_radius:
+        raise ConfigError(f"--r must lie in (0, {man.injectivity_radius:g}) on {man.spec_id}")
+    rng = np.random.Generator(np.random.Philox([args.seed, 2]))
+    center = man.random_point(rng)
+    direction = man.random_tangent(rng, center)
+    nd = float(np.linalg.norm(direction))
+    if nd < 1e-12:
+        raise GeometryError("degenerate direction draw")
+    p = man.exp(center, (args.r / nd) * direction)
+    res = hessian_comparison_check(man, center, p, n_dirs=args.dirs, rng=rng)
+    return "r,min_estimate,bound,passed\n" + ",".join(
+        [fmt(res.distance), fmt(res.min_estimate), fmt(res.bound), str(int(res.passed))]
+    ) + "\n"
+
+
+def _stability_report(args) -> str:
+    scan = geodesic_endpoint_stability(
+        args.samples, radius=args.radius, seed=args.seed
+    )
+    edges = np.linspace(0.0, max(scan.max_ratio, 1e-12), 21)
+    counts, _ = np.histogram(scan.ratios, bins=edges)
+    lines = [f"# max_ratio={fmt(scan.max_ratio)} samples={scan.n_samples} seed={scan.seed}"]
+    lines.append("bin_lo,bin_hi,count")
+    for lo, hi, c in zip(edges[:-1], edges[1:], counts):
+        lines.append(f"{fmt(lo)},{fmt(hi)},{int(c)}")
+    return "\n".join(lines) + "\n"
+
+
+def _midpoint_report(args) -> str:
+    sep = midpoint_separation(args.side)
+    return f"side,separation,excess\n{fmt(args.side)},{fmt(sep)},{fmt(sep - args.side)}\n"
 
 
 def cmd_lab(args) -> int:
-    if args.experiment == "semiconvexity":
-        n0 = first_positive_gap(args.n_max)
-        lines = ["n,gap,first_positive"]
-        for n in range(1, args.n_max + 1):
-            lines.append(f"{n},{fmt(semiconvexity_gap(n))},{int(n == n0)}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    if args.experiment == "hessian":
-        man = parse_manifold(args.manifold)
-        if not 0.0 < args.r < man.injectivity_radius:
-            raise ConfigError(f"--r must lie in (0, {man.injectivity_radius:g}) on {man.spec_id}")
-        rng = np.random.Generator(np.random.Philox([args.seed, 2]))
-        center = man.random_point(rng)
-        direction = man.random_tangent(rng, center)
-        nd = float(np.linalg.norm(direction))
-        if nd < 1e-12:
-            raise GeometryError("degenerate direction draw")
-        p = man.exp(center, (args.r / nd) * direction)
-        res = hessian_comparison_check(man, center, p, n_dirs=args.dirs, rng=rng)
-        text = "r,min_estimate,bound,passed\n" + ",".join(
-            [fmt(res.distance), fmt(res.min_estimate), fmt(res.bound), str(int(res.passed))]
-        ) + "\n"
-        _emit(text, args.out)
-        return 0
-    if args.experiment == "stability":
-        scan = geodesic_endpoint_stability(
-            args.samples, radius=args.radius, seed=args.seed
-        )
-        edges = np.linspace(0.0, max(scan.max_ratio, 1e-12), 21)
-        counts, _ = np.histogram(scan.ratios, bins=edges)
-        lines = [f"# max_ratio={fmt(scan.max_ratio)} samples={scan.n_samples} seed={scan.seed}"]
-        lines.append("bin_lo,bin_hi,count")
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            lines.append(f"{fmt(lo)},{fmt(hi)},{int(c)}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    if args.experiment == "midpoint":
-        sep = midpoint_separation(args.side)
-        _emit(
-            "side,separation,excess\n"
-            f"{fmt(args.side)},{fmt(sep)},{fmt(sep - args.side)}\n",
-            args.out,
-        )
-        return 0
-    raise ConfigError(f"unknown lab experiment {args.experiment!r}")
+    text = args.report(args)
+    if args.out:
+        _atomic_write_text(args.out, text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# generate
+# generate: each kind returns its curve
 # ---------------------------------------------------------------------------
+
+
+def _staircase_curve(args):
+    try:
+        levels = [float(tok) for tok in args.levels.split(",")]
+        bp = [float(tok) for tok in args.breakpoints.split(",")] if args.breakpoints else None
+    except (AttributeError, ValueError) as exc:
+        raise ConfigError("staircase needs --levels v0,v1,... and optional "
+                          "--breakpoints x1,x2,...") from exc
+    return staircase(levels, bp)
 
 
 def cmd_generate(args) -> int:
-    if args.kind == "staircase":
-        try:
-            levels = [float(tok) for tok in args.levels.split(",")]
-            bp = [float(tok) for tok in args.breakpoints.split(",")] if args.breakpoints else None
-        except (AttributeError, ValueError) as exc:
-            raise ConfigError("staircase needs --levels v0,v1,... and optional "
-                              "--breakpoints x1,x2,...") from exc
-        curve = staircase(levels, bp)
-    elif args.kind == "noisy_field":
-        curve = noisy_field(
-            args.manifold, grid_n=args.grid, noise=args.noise, seed=args.seed
-        )
-    elif args.kind == "two_jump_square":
-        curve = two_jump_square(side=args.side, eps=args.ramp_eps, variant=args.variant)
-    else:
-        raise ConfigError(f"unknown generator kind {args.kind!r}")
-    write_curve(args.out, curve)
+    write_curve(args.out, args.make_curve(args))
     print(f"wrote {args.kind} curve to {args.out}")
     return 0
 
@@ -311,7 +305,15 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# looked up per call rather than bound into the cached parser, so that a wrapper
+# installed on a command later (as the benchmark's tracer does) is the one run
+_COMMANDS = {"flow": cmd_flow, "denoise": cmd_denoise, "verify": cmd_verify,
+             "lab": cmd_lab, "generate": cmd_generate}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mtvf`` parser; built once, since one process may call ``main`` often."""
     parser = argparse.ArgumentParser(
         prog="mtvf",
         description="Total-variation gradient flow for manifold-valued curves",
@@ -330,60 +332,69 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--dt", type=parse_dt)
     p_flow.add_argument("--t-max", dest="t_max", type=float)
     p_flow.add_argument("--manifold")
-    p_flow.set_defaults(func=cmd_flow)
 
     p_den = sub.add_parser("denoise", help="smooth a sampled curve")
     p_den.add_argument("--input", required=True)
     p_den.add_argument("--out", required=True)
     p_den.add_argument("--manifold")
     p_den.add_argument("--eps", type=float, default=1e-3)
-    p_den.add_argument("--t-stop", dest="t_stop", type=float)
-    p_den.add_argument("--tv-fraction", dest="tv_fraction", type=float, default=0.5)
-    p_den.set_defaults(func=cmd_denoise)
+    stop_rule = p_den.add_mutually_exclusive_group()
+    stop_rule.add_argument("--t-stop", dest="t_stop", type=float)
+    stop_rule.add_argument("--tv-fraction", dest="tv_fraction", type=float, default=0.5)
 
     p_ver = sub.add_parser("verify", help="run invariant checks on a trajectory")
     p_ver.add_argument("--input", required=True, help="trajectory CSV")
     p_ver.add_argument("--diagnostics", help="sidecar CSV (default: alongside input)")
     p_ver.add_argument("--checks", default="energy,monotone")
     p_ver.add_argument("--out", help="write the report CSV here")
-    p_ver.set_defaults(func=cmd_verify)
 
-    p_lab = sub.add_parser("lab", help="closed-form geometry experiments")
-    p_lab.add_argument(
-        "experiment", choices=("semiconvexity", "hessian", "stability", "midpoint")
-    )
-    p_lab.add_argument("--n-max", dest="n_max", type=int, default=40)
-    p_lab.add_argument("--r", type=float, default=1.0)
-    p_lab.add_argument("--dirs", type=int, default=64)
-    p_lab.add_argument("--samples", type=int, default=1000)
-    p_lab.add_argument("--radius", type=float, default=1.0)
-    p_lab.add_argument("--side", type=float, default=0.5)
-    p_lab.add_argument("--seed", type=int, default=0)
-    p_lab.add_argument("--manifold", default="sphere:3")
-    p_lab.add_argument("--out")
-    p_lab.set_defaults(func=cmd_lab)
+    # one parser per experiment and per kind, with only the options it reads;
+    # no abbreviations, or stability would read a sibling's --r as --radius
+    def leaf(group, name, out_required, **handler):
+        p = group.add_parser(name, allow_abbrev=False)
+        p.add_argument("--out", required=out_required)
+        p.set_defaults(**handler)
+        return p
 
-    p_gen = sub.add_parser("generate", help="write synthetic curves")
-    p_gen.add_argument("kind", choices=("staircase", "noisy_field", "two_jump_square"))
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--levels")
-    p_gen.add_argument("--breakpoints")
-    p_gen.add_argument("--manifold", default="sphere:3")
-    p_gen.add_argument("--grid", type=int, default=257)
-    p_gen.add_argument("--noise", type=float, default=0.15)
-    p_gen.add_argument("--side", type=float, default=0.5)
-    p_gen.add_argument("--eps", dest="ramp_eps", type=float, default=0.1)
-    p_gen.add_argument("--variant", choices=("u", "veps", "midpoint"), default="veps")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.set_defaults(func=cmd_generate)
+    labs = sub.add_parser("lab", help="closed-form geometry experiments").add_subparsers(
+        dest="experiment", required=True)
+    p = leaf(labs, "semiconvexity", out_required=False, report=_semiconvexity_report)
+    p.add_argument("--n-max", dest="n_max", type=int, default=40)
+    p = leaf(labs, "hessian", out_required=False, report=_hessian_report)
+    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--dirs", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--manifold", default="sphere:3")
+    p = leaf(labs, "stability", out_required=False, report=_stability_report)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
+    p = leaf(labs, "midpoint", out_required=False, report=_midpoint_report)
+    p.add_argument("--side", type=float, default=0.5)
+
+    kinds = sub.add_parser("generate", help="write synthetic curves").add_subparsers(
+        dest="kind", required=True)
+    p = leaf(kinds, "staircase", out_required=True, make_curve=_staircase_curve)
+    p.add_argument("--levels")
+    p.add_argument("--breakpoints")
+    p = leaf(kinds, "noisy_field", out_required=True, make_curve=lambda a: noisy_field(
+        a.manifold, grid_n=a.grid, noise=a.noise, seed=a.seed))
+    p.add_argument("--manifold", default="sphere:3")
+    p.add_argument("--grid", type=int, default=257)
+    p.add_argument("--noise", type=float, default=0.15)
+    p.add_argument("--seed", type=int, default=0)
+    p = leaf(kinds, "two_jump_square", out_required=True, make_curve=lambda a: two_jump_square(
+        side=a.side, eps=a.ramp_eps, variant=a.variant))
+    p.add_argument("--side", type=float, default=0.5)
+    p.add_argument("--eps", dest="ramp_eps", type=float, default=0.1)
+    p.add_argument("--variant", choices=("u", "veps", "midpoint"), default="veps")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

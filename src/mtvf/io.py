@@ -301,7 +301,8 @@ def reports_to_csv(reports) -> str:
     for r in reports:
         loc = list(r.location) + ["", ""]
         at_t = fmt(loc[0]) if loc[0] != "" else ""
-        at_x = fmt(loc[1]) if isinstance(loc[1], (int, float)) else ""
+        xs = loc[1] if isinstance(loc[1], tuple) else (loc[1],)  # a point or an interval
+        at_x = ":".join(fmt(x) for x in xs if isinstance(x, (int, float)))
         lines.append(
             ",".join(
                 [r.name, str(int(r.passed)), fmt(r.worst), at_t, at_x, fmt(r.tolerance)]

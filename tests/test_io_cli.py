@@ -26,6 +26,7 @@ from mtvf.io import (
     curve_from_text,
     curve_to_text,
     flow_config_from_mapping,
+    fmt,
     parse_config_text,
     read_curve,
     read_trajectory,
@@ -131,12 +132,15 @@ def test_reports_csv_shape():
     reports = [
         CheckReport("energy", True, 1e-9, 1e-6, (0.5,)),
         CheckReport("monotone", False, 2e-3, 1e-6, (0.25, 0.5)),
+        CheckReport("monotone_variation", False, 3e-3, 1e-6, (0.75, (0.25, 0.5))),
     ]
     text = reports_to_csv(reports)
     lines = text.strip().splitlines()
     assert lines[0] == "check,pass,worst,at_t,at_x,tol"
     assert lines[1].startswith("energy,1,")
     assert lines[2].startswith("monotone,0,")
+    # a dyadic-interval location is written lo:hi
+    assert lines[3].split(",")[4] == f"{fmt(0.25)}:{fmt(0.5)}"
 
 
 def test_atomic_write_leaves_no_scraps(tmp_path):
@@ -357,6 +361,11 @@ _BAD_INPUTS = {
     "hessian_r_zero": ["lab", "hessian", "--r", "0"],
     "staircase_bad_breakpoints": ["generate", "staircase", "--levels", "0,1",
                                   "--breakpoints", "x", "--out", "{tmp}/s.csv"],
+    # a stop fraction outside (0, 1) would stop at once, run to the end, or write NaN
+    "denoise_nan_tv_fraction": ["denoise", "--input", "{tmp}/field.csv", "--out", "{tmp}/den",
+                                "--tv-fraction", "nan"],
+    "denoise_tv_fraction_above_one": ["denoise", "--input", "{tmp}/field.csv",
+                                      "--out", "{tmp}/den", "--tv-fraction", "1.5"],
     "flow_empty_curve": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/empty.csv",
                          "--out", "{tmp}/run"],
     "flow_header_only_curve": ["flow", "--config", "{tmp}/run.cfg", "--input",
@@ -498,6 +507,49 @@ def test_cli_seed_option_is_usage_error(tmp_path, capsys, command):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "--seed" in err and "Traceback" not in err
+
+
+# every option of the old flat lab and generate parsers that the experiment or
+# kind does not read, plus denoise given both stop rules
+_UNREAD = {
+    "lab semiconvexity": "--r --dirs --samples --radius --side --seed --manifold",
+    "lab hessian": "--n-max --samples --radius --side",
+    "lab stability": "--n-max --r --dirs --side --manifold",
+    "lab midpoint": "--n-max --r --dirs --samples --radius --seed --manifold",
+    "generate staircase": "--manifold --grid --noise --side --eps --variant --seed",
+    "generate noisy_field": "--levels --breakpoints --side --eps --variant",
+    "generate two_jump_square": "--levels --breakpoints --manifold --grid --noise --seed",
+    "denoise --input u0.csv --t-stop 0.01": "--tv-fraction",
+}
+_OPTION_VALUE = {
+    "--n-max": "5", "--r": "0.5", "--dirs": "3", "--samples": "5", "--radius": "0.5",
+    "--side": "0.4", "--seed": "3", "--manifold": "sphere:3", "--levels": "0,1",
+    "--breakpoints": "0.5", "--grid": "9", "--noise": "0.1", "--eps": "0.1",
+    "--variant": "u", "--tv-fraction": "0.5",
+}
+
+
+@pytest.mark.parametrize("command,option", [(c, o) for c, opts in _UNREAD.items()
+                                            for o in opts.split()])
+def test_cli_unread_option_is_usage_error(tmp_path, capsys, command, option):
+    argv = command.split() + ["--out", str(tmp_path / "out"), option, _OPTION_VALUE[option]]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
+
+
+def test_cli_denoise_manifest_records_the_stop_rule_used(tmp_path):
+    curve_path = tmp_path / "noisy.csv"
+    write_curve(str(curve_path), noisy_field("circle", grid_n=33, noise=0.1, seed=4))
+    for option, value, key, other in (("--t-stop", "0.01", "t_stop", "tv_fraction"),
+                                      ("--tv-fraction", "0.5", "tv_fraction", "t_stop")):
+        outdir = tmp_path / key
+        assert main(["denoise", "--input", str(curve_path), "--eps", "1e-2",
+                     "--out", str(outdir), option, value]) == 0
+        params = json.loads((outdir / "manifest.json").read_text())["config"]
+        assert params[key] == float(value) and other not in params
 
 
 def test_cli_flow_records_only_the_keys_read(tmp_path):
