@@ -135,6 +135,8 @@ def cmd_flow(args) -> int:
 def cmd_denoise(args) -> int:
     if not 0.0 < args.tv_fraction < 1.0:
         raise ConfigError("--tv-fraction must lie in (0, 1)")
+    if args.t_stop is not None and not 0.0 < args.t_stop < np.inf:
+        raise ConfigError("--t-stop must be positive and finite")
     curve = read_curve(args.input)
     man = curve.manifold
     if args.manifold is not None and parse_manifold(args.manifold) != man:

@@ -7,8 +7,10 @@ Three solvers share one trajectory container:
   conditions, staggered face fluxes and projection retraction;
 * :func:`run_exact_pc` — event-driven integrator for piecewise-constant
   data, evolving plateau values by the mutual pull of unit tangents while
-  the jump locations stay put; a small closing jump merges ahead at its
-  closed-form (pursuit-curve) collision time, else by bisection;
+  the jump locations stay put; two plateaus merge at their length-weighted
+  centre with the pair's closed-form (pursuit-curve) dissipation, either
+  ahead of a small isolated jump's collision or once a guarded step has
+  closed a jump to ``merge_tol``;
 * :func:`run_scalar_tv` — closed-form staircase dynamics for scalar data
   (plateau speeds are constant between merge events).
 
@@ -38,7 +40,6 @@ from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
 _TV_INCREASE_TOL = 1e-7
 # state is declared constant (flow stopped) below this variation
 _FLAT_TV_TOL = 1e-12
-_EVENT_TIME_TOL = 1e-12
 # a jump below this size and 100x smaller than every other one merges ahead
 # of its collision, at the time the pursuit-curve closed form predicts
 _MERGE_AHEAD_JUMP = 1e-5
@@ -371,41 +372,20 @@ def _pc_rk4(man, lengths, values, diss, dt):
     return man.project_point(new_vals), float(new_diss)
 
 
-def _pursuit_collision(man, lengths, rates, values, d):
-    """``(k, tau, pair dissipation)`` once the smallest jump k is below
-    ``_MERGE_AHEAD_JUMP`` and 100x smaller than every other, else None.
+def _pair_collision(man, lengths, rates, values, d, k):
+    """``(tau or None, pair dissipation)`` of the plateaus across jump k.
 
     r = u_{k+1} - u_k follows ``r' = -c r/|r| + w`` (c = ``rates[k]``, w the
     outer pull); for a frozen w (a pursuit curve) ``c|r| + <w, r>`` falls at
-    the rate ``c^2 - |w|^2`` to 0 at the collision, and the pair dissipates
-    ``|r| - <w, r>/c``.  None too if w nearly cancels c.
+    the rate ``c^2 - |w|^2`` to 0 at the collision, after tau, and the pair
+    dissipates ``|r| - <w, r>/c``.  tau is None if w nearly cancels c.
     """
-    k = int(np.argmin(d))
-    if not d[k] < _MERGE_AHEAD_JUMP or np.any(np.delete(d, k) <= 100.0 * d[k]):
-        return None
     t_minus, t_plus, _ = man._tangent_pair(values[:-1], values[1:])
     # a boundary neighbour's slice is empty and exerts no pull
     w = t_plus[k - 1:k].sum(0) / lengths[k] + t_minus[k + 1:k + 2].sum(0) / lengths[k + 1]
     c, wr = rates[k], w @ (values[k + 1] - values[k])
     slack = c * c - w @ w
-    return None if slack <= 1e-6 * c * c else (k, (c * d[k] + wr) / slack, d[k] - wr / c)
-
-
-def _merge_plateaus(man, xs, values, merge_tol):
-    """Collapse every jump at or below ``merge_tol`` to its geodesic midpoint."""
-    while values.shape[0] > 1:
-        d = np.atleast_1d(man.dist(values[:-1], values[1:]))
-        k = int(np.argmin(d))
-        if d[k] > merge_tol * (1.0 + 1e-6):
-            break
-        mid = (
-            man.geodesic_point(values[k], values[k + 1], 0.5)
-            if d[k] > 1e-15
-            else values[k]
-        )
-        values = np.vstack([values[:k], [mid], values[k + 2:]])
-        xs = np.delete(xs, k)
-    return xs, values
+    return (None if slack <= 1e-6 * c * c else (c * d[k] + wr) / slack), d[k] - wr / c
 
 
 def run_exact_pc(
@@ -419,12 +399,13 @@ def run_exact_pc(
     """Integrate the flow of a piecewise-constant datum.
 
     Jump locations never move; plateau values follow the coupled pull of
-    the jump unit tangents (RK4).  A small isolated jump merges ahead at its
-    closed-form collision time (``_pursuit_collision``) when that fits in
-    one step; otherwise, once its size decays to ``merge_tol``, the
-    collision time is located by bisection to 1e-12 and the two plateaus
-    merge at their geodesic midpoint.  Terminates at ``t_max`` or when a
-    single plateau remains.
+    the jump unit tangents (RK4).  Two plateaus merge by one rule: the pair
+    is replaced by its projected length-weighted centre and books its
+    closed-form dissipation (``_pair_collision``).  A small isolated jump
+    merges ahead of its collision, after which one step of the predicted
+    collision time follows; any other jump merges once a guarded step has
+    closed it to ``merge_tol``.  Terminates at ``t_max`` or when a single
+    plateau remains.
 
     Cadence and merge-event records are deferred while any jump sits below
     the snapshot resolution floor (the state is then mid merge-cascade and
@@ -459,6 +440,14 @@ def run_exact_pc(
         lengths = np.diff(np.concatenate([[0.0], xs, [1.0]]))
         return lengths, 1.0 / lengths[:-1] + 1.0 / lengths[1:]
 
+    def merge(k, pair_diss):
+        # the pair's mutual pull does not move its length-weighted centre
+        nonlocal xs, vals, diss, lengths, rates
+        centre = man.project_point(lengths[k:k + 2] @ vals[k:k + 2] / lengths[k:k + 2].sum())
+        xs, vals = np.delete(xs, k), np.vstack([vals[:k], centre, vals[k + 2:]])
+        diss += pair_diss
+        lengths, rates = plateau_rates()
+
     def record(stopped_flag):
         rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, stopped_flag)
 
@@ -467,60 +456,45 @@ def run_exact_pc(
 
     record(vals.shape[0] == 1)
     steps = 0
-    # lengths and rates change only at merges; an accepted step's jump sizes
-    # are those of its trial
+    # lengths and rates change only at merges
     lengths, rates = plateau_rates()
     d = man.dist(vals[:-1], vals[1:])
     while t < t_max - 1e-14 and vals.shape[0] > 1:
         if float(np.max(d)) >= bound:
             raise ConvexityRadiusExceeded("a jump reached twice the convexity radius")
+        plateaus = vals.shape[0]
         # cap the step so no jump can close much more than a quarter of its
-        # remaining gap
+        # remaining gap: at closing speed at most 2 * rates a guarded step
+        # leaves every jump above half its gap, so none crosses zero
         guards = 0.25 * ((d - 0.5 * merge_tol) / rates)
         dt_step = min(dt_base, t_max - t, wanted[0] - t if wanted else math.inf)
-        ahead = _pursuit_collision(man, lengths, rates, vals, d)
-        if ahead and ahead[1] < min(dt_step, np.delete(guards, ahead[0]).min(initial=np.inf)):
-            # merge at the projected length-weighted centre, which the pair's
-            # mutual pull does not move, and step to the collision time
-            k, tau, pair_diss = ahead
-            centre = man.project_point(lengths[k:k + 2] @ vals[k:k + 2] / lengths[k:k + 2].sum())
-            xs, vals = np.delete(xs, k), np.vstack([vals[:k], centre, vals[k + 2:]])
-            lengths, rates = plateau_rates()
-            vals, diss = _pc_rk4(man, lengths, vals, diss + pair_diss, tau)
-            t += tau
+        k = int(np.argmin(d))
+        tau = None
+        if d[k] < _MERGE_AHEAD_JUMP and np.all(np.delete(d, k) > 100.0 * d[k]):
+            tau, pair_diss = _pair_collision(man, lengths, rates, vals, d, k)
+        if tau is not None and tau < min(dt_step, np.delete(guards, k).min(initial=np.inf)):
+            # merge ahead, then step to the collision time
+            merge(k, pair_diss)
+            dt_step = tau
         else:
             dt_step = min(dt_step, max(float(guards.min()), 1e-12))
             if dt_step < 1e-15:
                 raise StepUnderflow(f"step size underflow at t={t}")
-            trial_vals, trial_diss = _pc_rk4(man, lengths, vals, diss, dt_step)
-            trial_d = man.dist(trial_vals[:-1], trial_vals[1:])
-            if float(np.min(trial_d)) > merge_tol:
-                vals, diss, d = trial_vals, trial_diss, trial_d
-                t += dt_step
-                steps += 1
-                if wanted and t >= wanted[0] - 1e-14:
-                    wanted.pop(0)
-                    record(False)
-                elif wanted is None and steps % snapshot_every == 0 and resolved_state():
-                    record(False)
-                continue
-            # bisection in time for the first crossing of merge_tol
-            lo, hi = 0.0, dt_step
-            while hi - lo > _EVENT_TIME_TOL:
-                midt = 0.5 * (lo + hi)
-                mv, _ = _pc_rk4(man, lengths, vals, diss, midt)
-                if float(np.min(man.dist(mv[:-1], mv[1:]))) <= merge_tol:
-                    hi = midt
-                else:
-                    lo = midt
-            vals, diss = _pc_rk4(man, lengths, vals, diss, hi)
-            t += hi
-            xs, vals = _merge_plateaus(man, xs, vals, merge_tol)
-            lengths, rates = plateau_rates()
+        vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
+        t += dt_step
         d = man.dist(vals[:-1], vals[1:])
-        if resolved_state():
-            record(vals.shape[0] == 1)
+        # merge every jump the step closed to merge_tol, smallest first
+        while vals.shape[0] > 1 and float(np.min(d)) <= merge_tol:
+            k = int(np.argmin(d))
+            merge(k, _pair_collision(man, lengths, rates, vals, d, k)[1])
+            d = man.dist(vals[:-1], vals[1:])
         steps += 1
+        due = bool(wanted) and t >= wanted[0] - 1e-14
+        if due:
+            wanted.pop(0)
+        merged = vals.shape[0] < plateaus
+        if due or (merged or wanted is None and steps % snapshot_every == 0) and resolved_state():
+            record(vals.shape[0] == 1)
     record(vals.shape[0] == 1)
     return rec.build(man, "exact_pc", dt_base)
 

@@ -158,7 +158,8 @@ def check_monotone_variation(
         kt, ki = np.unravel_index(np.argmax(mass_viol), mass_viol.shape)
         where = (float(traj.times[kt + 1]), intervals[ki])
     worst = float(worst) if np.isfinite(worst) else 0.0
-    return CheckReport("monotone_variation", worst <= tol, worst, tol, where)
+    # nothing grew: there is no violation to locate
+    return CheckReport("monotone_variation", worst <= tol, worst, tol, where if worst > 0 else ())
 
 
 def check_variational_inequality(

@@ -1,9 +1,10 @@
 """Piecewise-constant manifold flow: immobile jumps, merges, closed forms.
 
 The solver integrates plateau values only; breakpoints are fixed until two
-plateau values collide.  A small isolated jump merges ahead of its collision
-at the length-weighted centre; otherwise the plateaus merge at the geodesic
-midpoint once the jump has closed to merge_tol.
+plateau values collide.  Every merge puts the pair at its length-weighted
+centre and books its closed-form dissipation: a small isolated jump merges
+ahead of its collision, any other once a guarded step has closed it to
+merge_tol.
 """
 import warnings
 
@@ -172,8 +173,8 @@ def test_pc_velocity_coincident_neighbours_exert_no_pull(man):
 
 
 def test_pc_velocity_call_count_pinned(monkeypatch):
-    # the step sequence of the solver (step guard, RK4 stages, merge ahead,
-    # bisection) on one fixed datum; any change to it changes this count.
+    # the step sequence of the solver (step guard, RK4 stages, merge ahead)
+    # on one fixed datum; any change to it changes this count.
     # 3,436 before merge ahead; lower it with the solver, never raise it
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([91, 0])), n_jumps=4)
     calls = []
@@ -267,7 +268,8 @@ def test_two_plateaus_merge_ahead_in_closed_form(man):
 
 
 def _guarded_run(monkeypatch, u0, **kw):
-    # the same run with merge ahead switched off: step guard and bisection only
+    # the same run with merge ahead switched off: every jump closes under the
+    # step guard and merges at merge_tol
     with monkeypatch.context() as m:
         m.setattr(mtvf.flows, "_MERGE_AHEAD_JUMP", 0.0)
         return run_exact_pc(u0, **kw)
@@ -304,7 +306,7 @@ def test_merge_ahead_falls_back_for_t_max_inside_the_collision_time(monkeypatch)
 def test_merge_ahead_falls_back_when_outer_pulls_cancel_the_closing_rate(monkeypatch):
     # a backward step inside a rising staircase: both outer pulls point along
     # the rise, so |w| = c exactly and the closed form is 0/0; the pair still
-    # closes (at 2c), found by the guard and bisection
+    # closes (at 2c), under the step guard
     u0 = scalar_curve([0.25, 0.5, 0.75], [0.0, 1.0, 1.0 - 1e-6, 2.0])
     traj = run_exact_pc(u0, t_max=1e-3, snapshot_every=1)
     assert traj.final_curve.num_jumps == 2
@@ -326,6 +328,33 @@ def test_merge_ahead_falls_back_when_another_jump_closes_first():
         bp, vals = exact.state_at(t)
         assert l2_distance(snap, scalar_curve(bp, vals)) <= 1e-9
         assert abs(traj.dissipation[traj.index_at(t)] - exact.dissipation_at(t)) <= 1e-9
+
+
+def test_simultaneous_collisions_match_the_scalar_flow():
+    # jump 1 closes first and merges ahead; then the two outer jumps close at
+    # the same rate and meet at t = 1/8, so neither is isolated and both merge
+    # after a guarded step, each at its centre with its closed-form dissipation
+    u0 = scalar_curve([0.25, 0.5, 0.75], [0.0, 1.0, 0.0, 1.0])
+    wanted = np.linspace(0.0, 0.15, 41)[1:]
+    traj = run_exact_pc(u0, t_max=0.15, snapshot_times=wanted)
+    exact = run_scalar_tv(u0, t_max=0.15)
+    assert traj.final_curve.num_jumps == 0
+    for t in wanted:
+        k = traj.index_at(t)
+        bp, vals = exact.state_at(t)
+        assert l2_distance(traj.snapshots[k], scalar_curve(bp, vals)) <= 1e-12, t
+        assert abs(traj.dissipation[k] - exact.dissipation_at(t)) <= 1e-12, t
+
+
+def test_guarded_merge_books_the_whole_dissipation(monkeypatch):
+    # without merge ahead the jump merges once a guarded step closes it to
+    # merge_tol; the merge still books the pair's remaining dissipation, so
+    # the run loses exactly its variation 1 and ends at the mean 0.7
+    u0 = scalar_curve([0.3], [0.0, 1.0])
+    traj = _guarded_run(monkeypatch, u0, t_max=0.5)
+    assert traj.final_curve.num_jumps == 0
+    assert abs(traj.dissipation[-1] - 1.0) <= 1e-12
+    assert abs(traj.final_curve.values[0, 0] - 0.7) <= 1e-12
 
 
 def test_merge_reduces_jump_count_by_one():

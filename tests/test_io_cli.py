@@ -193,6 +193,10 @@ def test_cli_generate_flow_verify_pipeline(tmp_path):
                  "--checks", "energy,monotone,stopping",
                  "--out", str(report)]) == 0
     assert "stopping,1," in report.read_text()
+    # nothing grew, so the passing monotone check locates nothing
+    monotone = next(line for line in report.read_text().splitlines()
+                    if line.startswith("monotone_variation,"))
+    assert monotone.split(",")[1] == "1" and monotone.split(",")[3:5] == ["", ""]
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["inputs"]["stairs.csv"] == sha256_of(str(curve_path))
 
@@ -366,6 +370,13 @@ _BAD_INPUTS = {
                                 "--tv-fraction", "nan"],
     "denoise_tv_fraction_above_one": ["denoise", "--input", "{tmp}/field.csv",
                                       "--out", "{tmp}/den", "--tv-fraction", "1.5"],
+    # a stop time must be positive and finite; inf would ask for an unbounded run
+    "denoise_nan_t_stop": ["denoise", "--input", "{tmp}/field.csv", "--out", "{tmp}/den",
+                           "--t-stop", "nan"],
+    "denoise_zero_t_stop": ["denoise", "--input", "{tmp}/field.csv", "--out", "{tmp}/den",
+                            "--t-stop", "0"],
+    "denoise_inf_t_stop": ["denoise", "--input", "{tmp}/field.csv", "--out", "{tmp}/den",
+                           "--t-stop", "inf"],
     "flow_empty_curve": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/empty.csv",
                          "--out", "{tmp}/run"],
     "flow_header_only_curve": ["flow", "--config", "{tmp}/run.cfg", "--input",
@@ -486,6 +497,9 @@ def test_cli_bad_input_is_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    if case.startswith("denoise_"):
+        # the message names the option given, not the config key it feeds
+        assert argv[-2] in err
 
 
 def test_cli_bad_dt_option_is_usage_error(tmp_path, capsys):

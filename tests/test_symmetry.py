@@ -11,6 +11,10 @@ the solver they check:
 * cylinder data lifted to (unwrapped angle, z) on euclidean:2 flow as on
   the cylinder, and circle data lifted to R flow as the scalar staircase
   of ``run_scalar_tv``.
+
+The reflection and the circle lift run once more with merge ahead switched
+off, so that every merge waits for a guarded step to close its jump to
+``merge_tol``.
 """
 from functools import lru_cache
 
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtvf.flows
 from mtvf import (
     Euclidean,
     PiecewiseConstantCurve,
@@ -37,6 +42,8 @@ LIFT_TOL = 1e-8
 TIME_FRACTIONS = np.arange(1, 13) / 12.0
 
 CASES = settings(max_examples=6, derandomize=True, deadline=None, database=None)
+# without merge ahead a run creeps toward each collision, several times slower
+GUARDED_CASES = settings(max_examples=3, derandomize=True, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
 jump_counts = st.integers(1, 5)
 
@@ -51,16 +58,19 @@ def _times(u0):
     return t_max, t_max * TIME_FRACTIONS
 
 
-def _flow(u0, t_max, times):
-    return run_exact_pc(u0, t_max=t_max, snapshot_times=times)
+def _flow(u0, t_max, times, merge_ahead=True):
+    with pytest.MonkeyPatch.context() as patch:
+        if not merge_ahead:
+            patch.setattr(mtvf.flows, "_MERGE_AHEAD_JUMP", 0.0)
+        return run_exact_pc(u0, t_max=t_max, snapshot_times=times)
 
 
 @lru_cache(maxsize=None)
-def _base_run(name, seed, n_jumps):
+def _base_run(name, seed, n_jumps, merge_ahead=True):
     # shared by the isometry and reflection tests, which draw the same data
     u0 = _datum(name, seed, n_jumps)
     t_max, times = _times(u0)
-    return u0, t_max, times, _flow(u0, t_max, times)
+    return u0, t_max, times, _flow(u0, t_max, times, merge_ahead)
 
 
 def _state_at(traj, t):
@@ -132,17 +142,28 @@ def test_isometry_commutes_with_flow(name, seed, n_jumps):
         assert _l2_gap(bp_a, move(vals_a), bp_b, vals_b) <= SYMMETRY_TOL, t
 
 
-@pytest.mark.parametrize("name", TARGETS)
-@settings(CASES)
-@given(seed=seeds, n_jumps=jump_counts)
-def test_reflection_commutes_with_flow(name, seed, n_jumps):
-    u0, t_max, times, base = _base_run(name, seed, n_jumps)
+def _check_reflection(name, seed, n_jumps, merge_ahead=True):
+    u0, t_max, times, base = _base_run(name, seed, n_jumps, merge_ahead)
     mirror = PiecewiseConstantCurve(u0.manifold, 1.0 - u0.breakpoints[::-1], u0.values[::-1])
-    mirrored = _flow(mirror, t_max, times)
+    mirrored = _flow(mirror, t_max, times, merge_ahead)
     for t in times:
         bp_a, vals_a = _state_at(base, t)
         bp_b, vals_b = _state_at(mirrored, t)
         assert _l2_gap(bp_a, vals_a, 1.0 - bp_b[::-1], vals_b[::-1]) <= SYMMETRY_TOL, t
+
+
+@pytest.mark.parametrize("name", TARGETS)
+@settings(CASES)
+@given(seed=seeds, n_jumps=jump_counts)
+def test_reflection_commutes_with_flow(name, seed, n_jumps):
+    _check_reflection(name, seed, n_jumps)
+
+
+@pytest.mark.parametrize("name", TARGETS)
+@settings(GUARDED_CASES)
+@given(seed=seeds, n_jumps=jump_counts)
+def test_reflection_commutes_with_guarded_flow(name, seed, n_jumps):
+    _check_reflection(name, seed, n_jumps, merge_ahead=False)
 
 
 @settings(CASES)
@@ -160,14 +181,24 @@ def test_cylinder_flows_as_its_angle_height_chart(seed, n_jumps):
         assert _l2_gap(bp_a, vals_a, bp_b, back) <= LIFT_TOL, t
 
 
-@settings(CASES)
-@given(seed=seeds, n_jumps=jump_counts)
-def test_circle_flows_as_its_scalar_lift(seed, n_jumps):
+def _check_circle_lift(seed, n_jumps, merge_ahead=True):
     u0 = _datum("circle", seed, n_jumps)
     t_max, times = _times(u0)
-    on_circle = _flow(u0, t_max, times)
+    on_circle = _flow(u0, t_max, times, merge_ahead)
     lifted = run_scalar_tv(scalar_curve(u0.breakpoints, _unwrap(u0.values)), t_max)
     for t in times:
         bp_a, vals_a = _state_at(on_circle, t)
         bp_b, angles = lifted.state_at(t)
         assert _l2_gap(bp_a, vals_a, bp_b, _on_circle(angles)) <= LIFT_TOL, t
+
+
+@settings(CASES)
+@given(seed=seeds, n_jumps=jump_counts)
+def test_circle_flows_as_its_scalar_lift(seed, n_jumps):
+    _check_circle_lift(seed, n_jumps)
+
+
+@settings(GUARDED_CASES)
+@given(seed=seeds, n_jumps=jump_counts)
+def test_circle_flows_as_its_scalar_lift_when_guarded(seed, n_jumps):
+    _check_circle_lift(seed, n_jumps, merge_ahead=False)
