@@ -236,10 +236,13 @@ def compose_with_geodesic(
 ) -> PiecewiseConstantCurve:
     """Map a scalar step curve through the geodesic from p to q.
 
-    ``sigma`` must take values in [0, 1]; plateau value ``s`` becomes the
-    geodesic point at parameter ``s``.  The composed curve has total
-    variation ``dist(p, q) * TV(sigma)`` as long as sigma is monotone.
+    ``sigma`` must be a curve on euclidean:1 with values in [0, 1]; plateau
+    value ``s`` becomes the geodesic point at parameter ``s``.  The composed
+    curve has total variation ``dist(p, q) * TV(sigma)`` as long as sigma is
+    monotone.
     """
+    if sigma.manifold.spec_id != "euclidean:1":
+        raise ConfigError(f"geodesic parameters must lie on euclidean:1, not {sigma.manifold.spec_id}")
     svals = sigma.values[:, 0]
     if np.any(svals < -1e-12) or np.any(svals > 1.0 + 1e-12):
         raise ConfigError("geodesic parameters must lie in [0, 1]")

@@ -11,12 +11,14 @@ Three solvers share one trajectory container:
   centre with the pair's closed-form (pursuit-curve) dissipation, either
   ahead of a small isolated jump's collision or once a guarded step has
   closed a jump to ``merge_tol``;
-* :func:`run_scalar_tv` — closed-form staircase dynamics for scalar data
-  (plateau speeds are constant between merge events).
+* :func:`run_scalar_tv` — closed-form staircase dynamics for scalar data:
+  plateau speeds are constant between merge events, so the solution is a
+  table of segments, one per merge, and a constant terminal one from
+  extinction on.
 
-``flow_on_geodesic`` transports the scalar dynamics along a geodesic and
-yields trajectories identical to ``run_exact_pc`` for data on a single
-geodesic.
+``scalar_trajectory`` records that table as euclidean:1 snapshots;
+``flow_on_geodesic`` records it transported along a geodesic, which for
+data on a single geodesic is the trajectory ``run_exact_pc`` follows.
 """
 from __future__ import annotations
 
@@ -26,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .curves import PiecewiseConstantCurve, SampledCurve, chord_sizes, jump_admissibility
+from .curves import (
+    PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, jump_admissibility
+)
 from .errors import (
     CflViolation,
     ConfigError,
@@ -517,49 +521,40 @@ class _ScalarSegment:
 
 @dataclass
 class ScalarStaircaseFlow:
-    """Piecewise-linear-in-time solution of the scalar staircase flow."""
+    """Piecewise-linear-in-time solution of the scalar staircase flow: one
+    segment per merge, the last ending at ``t_max``, and from extinction on a
+    constant terminal segment (one plateau, zero speed, zero dissipation)."""
 
     segments: list
     extinction_time: float | None
     final_value: float
     t_max: float
 
+    def _at(self, t: float):
+        """The segment holding time t and the clamped time into it.  A segment
+        holds its closed interval, so a merge time reads the state just before
+        the merge; the terminal segment holds every time from extinction on."""
+        seg = self.segments[-1]
+        if self.extinction_time is None or t < self.extinction_time:
+            seg = next((s for s in self.segments if t <= s.t1 + 1e-15), seg)
+        return seg, min(max(t - seg.t0, 0.0), seg.t1 - seg.t0)
+
     def state_at(self, t: float):
         """Breakpoints and plateau values at time t (exact)."""
-        if self.extinction_time is not None and t >= self.extinction_time:
-            return np.zeros(0), np.array([self.final_value])
-        for seg in self.segments:
-            if t <= seg.t1 + 1e-15:
-                tau = min(max(t - seg.t0, 0.0), seg.t1 - seg.t0)
-                return np.array(seg.breakpoints, copy=True), seg.values + tau * seg.speeds
-        last = self.segments[-1]
-        return np.array(last.breakpoints, copy=True), last.values + (last.t1 - last.t0) * last.speeds
+        seg, tau = self._at(t)
+        return np.array(seg.breakpoints, copy=True), seg.values + tau * seg.speeds
 
     def dissipation_at(self, t: float) -> float:
-        if self.extinction_time is not None and t >= self.extinction_time:
-            last = self.segments[-1]
-            return last.diss0 + last.diss_rate * (last.t1 - last.t0)
-        for seg in self.segments:
-            if t <= seg.t1 + 1e-15:
-                return seg.diss0 + seg.diss_rate * min(max(t - seg.t0, 0.0), seg.t1 - seg.t0)
-        last = self.segments[-1]
-        return last.diss0 + last.diss_rate * (last.t1 - last.t0)
+        seg, tau = self._at(t)
+        return seg.diss0 + seg.diss_rate * tau
 
     def event_times(self):
+        """Times of every merge, the last one the extinction when it comes
+        before ``t_max``."""
         return [seg.t1 for seg in self.segments[:-1]]
 
 
-def _staircase_speeds(breakpoints, values):
-    lengths = np.diff(np.concatenate([[0.0], breakpoints, [1.0]]))
-    zeta = np.sign(np.diff(values))          # slope indicator at each jump
-    zright = np.concatenate([zeta, [0.0]])   # boundary carries zero flux
-    zleft = np.concatenate([[0.0], zeta])
-    return (zright - zleft) / lengths
-
-
-def run_scalar_tv(
-    sigma0: PiecewiseConstantCurve, t_max: float
-) -> ScalarStaircaseFlow:
+def run_scalar_tv(sigma0: PiecewiseConstantCurve, t_max: float) -> ScalarStaircaseFlow:
     """Exact scalar staircase flow (values move, breakpoints do not).
 
     Plateau speeds are ``(zeta_right - zeta_left) / length`` with zeta = +-1
@@ -573,59 +568,35 @@ def run_scalar_tv(
         raise ConfigError("t_max must be positive")
     bp = np.array(sigma0.breakpoints, dtype=float)
     vals = np.array(sigma0.values[:, 0], dtype=float)
-    t = 0.0
-    diss = 0.0
+    t = diss = 0.0
     segments = []
-    extinction = None
-    while True:
-        if vals.size == 1:
-            extinction = t
-            if not segments:
-                segments.append(
-                    _ScalarSegment(t, t_max, bp, vals.copy(), np.zeros(1), diss, 0.0)
-                )
-            break
+    while vals.size > 1:
         lengths = np.diff(np.concatenate([[0.0], bp, [1.0]]))
-        speeds = _staircase_speeds(bp, vals)
-        rate = float(np.sum(lengths * speeds * speeds))
         gaps = np.diff(vals)
+        # slope indicator at each jump; the boundary carries zero flux
+        zeta = np.concatenate([[0.0], np.sign(gaps), [0.0]])
+        speeds = np.diff(zeta) / lengths
+        rate = float(np.sum(lengths * speeds * speeds))
         closing = np.diff(speeds)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_coll = np.where(gaps * closing < 0, -gaps / closing, np.inf)
-        dt_next = float(np.min(t_coll))
-        if not math.isfinite(dt_next) or t + dt_next >= t_max:
-            end = t_max
-            segments.append(
-                _ScalarSegment(t, end, bp.copy(), vals.copy(), speeds, diss, rate)
-            )
-            diss += rate * (end - t)
-            t = end
+        dt = float(np.min(t_coll))
+        end = min(t + dt, t_max)
+        segments.append(_ScalarSegment(t, end, bp, vals, speeds, diss, rate))
+        if end == t_max:
             break
-        segments.append(
-            _ScalarSegment(t, t + dt_next, bp.copy(), vals.copy(), speeds, diss, rate)
-        )
-        diss += rate * dt_next
-        vals = vals + dt_next * speeds
-        t += dt_next
-        # merge every pair that collided (simultaneous collisions allowed)
-        hit = np.isclose(t_coll, dt_next, rtol=1e-12, atol=1e-15)
-        keep_bp = ~hit
-        new_vals = []
-        group_start = 0
-        lengths = np.diff(np.concatenate([[0.0], bp, [1.0]]))
-        for i in range(vals.size):
-            if i < vals.size - 1 and hit[i]:
-                continue
-            group = slice(group_start, i + 1)
-            w = lengths[group]
-            new_vals.append(float(np.sum(w * vals[group]) / np.sum(w)))
-            group_start = i + 1
-        bp = bp[keep_bp]
-        vals = np.array(new_vals)
-    mean = float(vals[-1]) if vals.size == 1 else float(np.sum(
-        np.diff(np.concatenate([[0.0], bp, [1.0]])) * vals
-    ))
-    return ScalarStaircaseFlow(segments, extinction, mean, t_max)
+        diss += rate * dt
+        t = end
+        # merge every collided group (simultaneous collisions allowed) at its
+        # length-weighted mean; bincount sums each group left to right
+        hit = np.isclose(t_coll, dt, rtol=1e-12, atol=1e-15)
+        group = np.concatenate([[0], np.cumsum(~hit)])
+        vals = np.bincount(group, lengths * (vals + dt * speeds)) / np.bincount(group, lengths)
+        bp = bp[~hit]
+    if vals.size > 1:
+        return ScalarStaircaseFlow(segments, None, float(np.sum(lengths * vals)), t_max)
+    segments.append(_ScalarSegment(t, t_max, bp, vals, np.zeros(1), diss, 0.0))
+    return ScalarStaircaseFlow(segments, t, float(vals[0]), t_max)
 
 
 def scalar_curve(breakpoints, values) -> PiecewiseConstantCurve:
@@ -635,26 +606,24 @@ def scalar_curve(breakpoints, values) -> PiecewiseConstantCurve:
     )
 
 
-def scalar_trajectory(
-    flow: ScalarStaircaseFlow, sample_times=None
-) -> FlowTrajectory:
-    """Materialize a scalar flow as a trajectory of euclidean:1 snapshots."""
-    man = Euclidean(1)
-    times = set(flow.event_times())
-    times.add(0.0)
-    end = flow.t_max if flow.extinction_time is None else min(
-        flow.t_max, flow.extinction_time
-    )
-    times.add(end)
+def _staircase_trajectory(flow, sample_times, manifold, solver, curve_at) -> FlowTrajectory:
+    """Record ``curve_at(breakpoints, values)`` at time 0, every merge, the
+    end of the flow and the sample times within ``[0, t_max]``."""
+    times = {0.0, *flow.event_times()}
+    if flow.extinction_time is None:
+        times.add(flow.t_max)
     if sample_times is not None:
         times.update(float(t) for t in sample_times if 0.0 <= t <= flow.t_max)
     rec = _Recorder()
     for t in sorted(times):
-        bp, vals = flow.state_at(t)
         stopped = flow.extinction_time is not None and t >= flow.extinction_time - 1e-15
-        rec.add(t, PiecewiseConstantCurve(man, bp, vals[:, None]), flow.dissipation_at(t),
-                stopped)
-    return rec.build(man, "scalar_tv", dt_nominal=0.0)
+        rec.add(t, curve_at(*flow.state_at(t)), flow.dissipation_at(t), stopped)
+    return rec.build(manifold, solver, dt_nominal=0.0)
+
+
+def scalar_trajectory(flow: ScalarStaircaseFlow, sample_times=None) -> FlowTrajectory:
+    """Materialize a scalar flow as a trajectory of euclidean:1 snapshots."""
+    return _staircase_trajectory(flow, sample_times, Euclidean(1), "scalar_tv", scalar_curve)
 
 
 def flow_on_geodesic(
@@ -667,26 +636,17 @@ def flow_on_geodesic(
 ) -> FlowTrajectory:
     """Flow of a datum supported on the geodesic from p to q.
 
-    ``sigma0`` holds geodesic parameters in [0, 1].  The dynamics is the
-    scalar staircase flow in arclength units transported through
-    ``compose_with_geodesic``; for such data this coincides with the full
-    solver.
+    ``sigma0`` is a curve on euclidean:1 holding geodesic parameters in
+    [0, 1].  The dynamics is the scalar staircase flow in arclength units
+    transported through ``compose_with_geodesic``; for such data this
+    coincides with the full solver.
     """
-    from .curves import compose_with_geodesic
-
     dist_pq = float(manifold.dist(p, q))
     if dist_pq < 1e-15:
         raise DegenerateJump("geodesic endpoints coincide")
-    svals = sigma0.values[:, 0]
-    if np.any(svals < -1e-12) or np.any(svals > 1 + 1e-12):
-        raise ConfigError("geodesic parameters must lie in [0, 1]")
-    arc = scalar_curve(sigma0.breakpoints, svals * dist_pq)
-    flow = run_scalar_tv(arc, t_max)
-    base = scalar_trajectory(flow, sample_times)
-    rec = _Recorder()
-    for k, t in enumerate(base.times):
-        s_curve = base.snapshots[k]
-        sigma_unit = scalar_curve(s_curve.breakpoints, s_curve.values[:, 0] / dist_pq)
-        rec.add(float(t), compose_with_geodesic(manifold, p, q, sigma_unit),
-                float(base.dissipation[k]), bool(base.stopped[k]))
-    return rec.build(manifold, "geodesic_graph", dt_nominal=0.0)
+    compose_with_geodesic(manifold, p, q, sigma0)  # refuses sigma0 off euclidean:1 or [0, 1]
+    flow = run_scalar_tv(scalar_curve(sigma0.breakpoints, sigma0.values[:, 0] * dist_pq), t_max)
+    return _staircase_trajectory(
+        flow, sample_times, manifold, "geodesic_graph",
+        lambda bp, vals: compose_with_geodesic(manifold, p, q, scalar_curve(bp, vals / dist_pq)),
+    )

@@ -13,6 +13,7 @@ from mtvf import (
     Sphere,
     auto_ramp,
     compose_with_geodesic,
+    flow_on_geodesic,
     jump_admissibility,
     l2_distance,
     mollify,
@@ -246,6 +247,22 @@ def test_compose_with_geodesic_hits_endpoint_values():
     assert np.allclose(c.values[0], p)
     assert np.allclose(c.values[1], q)
     assert c.breakpoints[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [PiecewiseConstantCurve(SPH, [0.5], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+     PiecewiseConstantCurve(EU2, [0.5], [[0.2, 5.0], [0.8, -3.0]])],
+    ids=["sphere3", "euclidean2"],
+)
+def test_geodesic_parameters_off_the_line_are_refused(sigma):
+    # such a sigma used to run as its first coordinate alone
+    p = np.array([1.0, 0, 0])
+    q = np.array([0.0, 1.0, 0])
+    with pytest.raises(ConfigError, match="euclidean:1"):
+        compose_with_geodesic(SPH, p, q, sigma)
+    with pytest.raises(ConfigError, match="euclidean:1"):
+        flow_on_geodesic(SPH, p, q, sigma, 1.0)
 
 
 def test_compose_with_geodesic_interior_parameter():

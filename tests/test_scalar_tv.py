@@ -81,6 +81,7 @@ def test_event_times_are_increasing():
     flow = run_scalar_tv(sigma0, t_max=4.0)
     ev = flow.event_times()
     assert all(b > a for a, b in zip(ev, ev[1:]))
+    assert ev[-1] == flow.extinction_time
 
 
 def test_rejects_non_scalar_curve():
@@ -112,6 +113,35 @@ def test_mean_conserved_and_stops_at_mean(levels, seed):
     assert flow.extinction_time is not None
     assert flow.extinction_time <= 4.0 * tv0 + 1e-12
     assert flow.final_value == pytest.approx(_mean(sigma0), abs=1e-8)
+
+
+@given(
+    levels=st.lists(st.one_of(st.integers(-2, 2).map(float), st.floats(-1.5, 1.5)),
+                    min_size=1, max_size=7),
+    equal_lengths=st.booleans(),
+    seed=st.integers(0, 100_000),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_variation_lost_equals_dissipation(levels, equal_lengths, seed):
+    # TV(u(t)) + int_0^t int |u_t|^2 = TV(u(0)) in closed form; integer levels
+    # on equal plateaus make several jumps close at once
+    n = len(levels) - 1
+    if equal_lengths:
+        bp = np.arange(1, n + 1) / (n + 1)
+    else:
+        bp = np.sort(np.random.Generator(np.random.Philox([seed])).uniform(0.05, 0.95, n))
+        if np.any(np.diff(bp) < 5e-3):
+            return
+    sigma0 = scalar_curve(bp, levels)
+    tv0 = tv_measure(sigma0).total
+    flow = run_scalar_tv(sigma0, t_max=4.0 * tv0 + 1.0)
+    ext = flow.extinction_time
+    assert ext is not None
+    fixed = np.linspace(0.0, 1.5 * ext, 13)
+    for t in [*fixed, *flow.event_times(), ext, ext + 0.5, flow.t_max, 2.0 * flow.t_max]:
+        _, vals = flow.state_at(t)
+        tv = float(np.sum(np.abs(np.diff(vals))))
+        assert abs(tv + flow.dissipation_at(t) - tv0) <= 1e-12, t
 
 
 def test_tv_decreases_along_flow():
