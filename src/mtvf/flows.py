@@ -7,10 +7,11 @@ Three solvers share one trajectory container:
   conditions, staggered face fluxes and projection retraction;
 * :func:`run_exact_pc` — event-driven integrator for piecewise-constant
   data, evolving plateau values by the mutual pull of unit tangents while
-  the jump locations stay put; two plateaus merge at their length-weighted
-  centre with the pair's closed-form (pursuit-curve) dissipation, either
-  ahead of a small isolated jump's collision or once a guarded step has
-  closed a jump to ``merge_tol``;
+  the jump locations stay put.  A small isolated jump closes in pair
+  coordinates, its offset on the pursuit curve in closed form, and merges at
+  its collision time; any other jump closes under a step guard and merges
+  at ``merge_tol``.  Either way the pair merges at its length-weighted
+  centre with its closed-form (pursuit-curve) dissipation;
 * :func:`run_scalar_tv` — closed-form staircase dynamics for scalar data:
   plateau speeds are constant between merge events, so the solution is a
   table of segments, one per merge, and a constant terminal one from
@@ -44,9 +45,17 @@ from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
 _TV_INCREASE_TOL = 1e-7
 # state is declared constant (flow stopped) below this variation
 _FLAT_TV_TOL = 1e-12
-# a jump below this size and 100x smaller than every other one merges ahead
-# of its collision, at the time the pursuit-curve closed form predicts
-_MERGE_AHEAD_JUMP = 1e-5
+# a jump below this size and _PAIR_ISOLATION times smaller than every other
+# one takes pair steps (``_pair_rk4``), which its own guard no longer limits;
+# setting it to 0 switches pair steps off (the name predates them)
+_MERGE_AHEAD_JUMP = 1e-3
+_PAIR_ISOLATION = 10.0
+# the other plateaus' RK4 stages see the pair's turning offset at three times
+# only, and it turns fastest just before the collision: a pair step ends at
+# the collision only from a jump below _PAIR_CLOSE, and from above it spans
+# at most _PAIR_SPAN closing times d / c and stops near _PAIR_CLOSE / 2
+_PAIR_CLOSE = 3e-4
+_PAIR_SPAN = 3.0
 # resolution floor for cadence-recorded piecewise-constant snapshots: while
 # any jump sits below this size the state is mid merge-cascade, and unit
 # tangent directions at separation d carry O(eps_mach/d) rounding noise that
@@ -157,6 +166,19 @@ class FlowTrajectory:
         return idx
 
 
+def _requested_times(snapshot_times, t_max):
+    """Requested snapshot times in (0, t_max], sorted, or None.  A time within
+    1e-14 of the one before it is the same snapshot: a solver reaches each
+    time by a step of its own and takes one time per step."""
+    if snapshot_times is None:
+        return None
+    times = []
+    for s in sorted(float(s) for s in snapshot_times if 0.0 < s <= t_max):
+        if not times or s - times[-1] > 1e-14:
+            times.append(s)
+    return times
+
+
 class _Recorder:
     """Snapshots of a run; each one's variation and largest jump are
     measured from the snapshot itself when the trajectory is built."""
@@ -265,9 +287,7 @@ def run_regularized(
     # the face count, so the flat-state detector must scale with the grid
     flat_tol = max(_FLAT_TV_TOL, 1e-14 * (u0.grid_n - 1))
 
-    wanted = None
-    if snapshot_times is not None:
-        wanted = sorted(float(t) for t in snapshot_times if 0.0 < t <= config.t_max)
+    wanted = _requested_times(snapshot_times, config.t_max)
 
     u = np.array(u0.values, dtype=float)
     t = 0.0
@@ -376,6 +396,107 @@ def _pc_rk4(man, lengths, values, diss, dt):
     return man.project_point(new_vals), float(new_diss)
 
 
+def _pursuit(r0, w, c, tau):
+    """``r(tau)`` of ``r' = -c r/|r| + w`` from r0 for a frozen w, and the
+    pair's dissipation ``|r'|^2/c`` over it; None unless |w| < c.
+
+    In the plane of r0 and w, with x along w and y across it and
+    kappa = |w|/c, ``|r| - x`` and ``|r| + x`` scale as ``y^(1+kappa)`` and
+    ``y^(1-kappa)``, while ``c|r| + <w, r>`` falls at the rate ``c^2 - |w|^2``;
+    so r(tau) is one monotone root in log y.  r stays 0 once it has closed.
+    While the pair is apart, ``|r'|^2/c = (|w|^2 - c^2)/c - 2 |r|'``.
+    """
+    rho0, slack = math.sqrt(r0 @ r0), c * c - w @ w
+    if slack <= 0.0:
+        return None
+    s_end = c * rho0 + w @ r0 - slack * tau
+    if s_end <= 0.0:
+        return np.zeros_like(r0), (rho0 - (w @ r0) / c if rho0 > 0.0 else 0.0)
+    big_w = math.sqrt(w @ w)
+    w_hat = w / big_w if big_w > 0.0 else w
+    x0 = r0 @ w_hat
+    across = r0 - x0 * w_hat
+    y2 = across @ across
+    # rho0 - x0 and rho0 + x0, the smaller one from their product y0^2
+    lo, hi = (y2 / (rho0 + x0), rho0 + x0) if x0 >= 0.0 else (rho0 - x0, y2 / (rho0 - x0))
+    kappa = big_w / c
+    coef_a, coef_b = lo * (c - big_w), hi * (c + big_w)
+    # log(coef_a e^{(1+kappa)s} + coef_b e^{(1-kappa)s}) is convex and rises
+    # with s = log(y/y0): Newton from s = 0 falls monotonically onto the root
+    target, s = math.log(2.0 * s_end), 0.0
+    for _ in range(50):
+        ga, gb = coef_a * math.exp((1.0 + kappa) * s), coef_b * math.exp((1.0 - kappa) * s)
+        step = (math.log(ga + gb) - target) * (ga + gb) / ((1.0 + kappa) * ga + (1.0 - kappa) * gb)
+        s -= step
+        if step <= 1e-15 * max(1.0, -s):
+            break
+    x = 0.5 * (hi * math.exp((1.0 - kappa) * s) - lo * math.exp((1.0 + kappa) * s))
+    r = x * w_hat + math.exp(s) * across
+    return r, 2.0 * (rho0 - math.sqrt(r @ r)) - slack * tau / c
+
+
+def _pair_rk4(man, lengths, values, diss, dt, k, d):
+    """RK4 step of the state as (pair centre m, pair offset r, other plateaus).
+
+    The pair is the two plateaus across the small jump k, of size d.  Its
+    mutual pull, the pair's unit tangents from one more kernel call per
+    stage, is taken out of their velocities: m moves by the rest, and r, the
+    chord scaled to the jump size, by ``r' = -c r/|r| + w`` with c the
+    closing rate and w the rest of r'.  The pair is flat, as the merge rule
+    treats it, to O(d^3).  m and the other plateaus take classical RK4
+    stages; r takes the commutator-free fourth-order stages of Celledoni,
+    Marthinsen and Owren (2003) on frozen-w pursuit flows (``_pursuit``),
+    which are the classical ones with no mutual pull, and the pair's share
+    of the dissipation is that of the step's two flows.  Returns None if a
+    frozen w reaches c.
+    """
+    lo, hi = lengths[k], lengths[k + 1]
+    c = 1.0 / lo + 1.0 / hi
+    chord = values[k + 1] - values[k]
+    scale = math.sqrt(chord @ chord) / d
+    r0, m0 = chord / scale, (lo * values[k] + hi * values[k + 1]) / (lo + hi)
+
+    def stage(vals):
+        vel = pc_velocity(man, lengths, vals)
+        t_minus, t_plus, gap = man._tangent_pair(vals[k], vals[k + 1])
+        if gap <= COINCIDENT_TOL:  # pc_velocity drops the pull too
+            t_minus = t_plus = 0.0
+        m_vel = (lo * vel[k] + hi * vel[k + 1] - t_minus + t_plus) / (lo + hi)
+        w = vel[k + 1] - vel[k] + t_minus / lo + t_plus / hi
+        rate = lengths @ _dot(vel, vel) - lo * vel[k] @ vel[k] - hi * vel[k + 1] @ vel[k + 1]
+        return vel, m_vel, w, rate + (lo + hi) * (m_vel @ m_vel)
+
+    def at(vals, centre, flowed):
+        r = scale * flowed[0]
+        vals[k], vals[k + 1] = centre - (hi / (lo + hi)) * r, centre + (lo / (lo + hi)) * r
+        return vals
+
+    k1, m1, w1, e1 = stage(values)
+    half = _pursuit(r0, w1, c, 0.5 * dt)
+    if half is None:
+        return None
+    k2, m2, w2, e2 = stage(at(values + 0.5 * dt * k1, m0 + 0.5 * dt * m1, half))
+    flowed = _pursuit(r0, w2, c, 0.5 * dt)
+    if flowed is None:
+        return None
+    k3, m3, w3, e3 = stage(at(values + 0.5 * dt * k2, m0 + 0.5 * dt * m2, flowed))
+    flowed = _pursuit(half[0], 2.0 * w3 - w1, c, 0.5 * dt)
+    if flowed is None:
+        return None
+    k4, m4, w4, e4 = stage(at(values + dt * k3, m0 + dt * m3, flowed))
+    mid = (w2 + w3) / 3.0
+    first = _pursuit(r0, 0.5 * w1 + mid - w4 / 6.0, c, 0.5 * dt)
+    if first is None:
+        return None
+    second = _pursuit(first[0], 0.5 * w4 + mid - w1 / 6.0, c, 0.5 * dt)
+    if second is None:
+        return None
+    new_vals = at(values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                  m0 + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4), second)
+    new_diss = diss + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4) + first[1] + second[1]
+    return man.project_point(new_vals), float(new_diss)
+
+
 def _pair_collision(man, lengths, rates, values, d, k):
     """``(tau or None, pair dissipation)`` of the plateaus across jump k.
 
@@ -403,13 +524,20 @@ def run_exact_pc(
     """Integrate the flow of a piecewise-constant datum.
 
     Jump locations never move; plateau values follow the coupled pull of
-    the jump unit tangents (RK4).  Two plateaus merge by one rule: the pair
-    is replaced by its projected length-weighted centre and books its
-    closed-form dissipation (``_pair_collision``).  A small isolated jump
-    merges ahead of its collision, after which one step of the predicted
-    collision time follows; any other jump merges once a guarded step has
-    closed it to ``merge_tol``.  Terminates at ``t_max`` or when a single
-    plateau remains.
+    the jump unit tangents (RK4).  A step is at most ``dt`` (default
+    ``min(1e-3, t_max / 32)``) and ends at the next requested snapshot time
+    and at ``t_max``.  While the smallest jump is below 1e-3 and ten times
+    smaller than every other one, and the run goes on past its pursuit
+    collision time tau*, the step is a pair step (``_pair_rk4``): the pair's
+    offset follows the pursuit curve in closed form, so the step is limited
+    by tau* and the guard of every other jump, not by the jump's own guard.
+    Otherwise every jump's guard (a quarter of its gap over its closing
+    rate) limits the step.  Two plateaus merge by one rule: the pair is
+    replaced by its projected length-weighted centre and books its
+    closed-form dissipation (``_pair_collision``), at the end of a pair step
+    that reaches tau* and for every jump a step closes to ``merge_tol``.
+    Terminates at ``t_max`` or when a single plateau remains.  Arguments
+    follow ``FlowConfig``'s rules and raise ``ConfigError`` otherwise.
 
     Cadence and merge-event records are deferred while any jump sits below
     the snapshot resolution floor (the state is then mid merge-cascade and
@@ -417,15 +545,15 @@ def run_exact_pc(
     requested ``snapshot_times`` and the final state are always recorded.
     """
     man = u0.manifold
+    config = FlowConfig(man, t_max=t_max, merge_tol=merge_tol, snapshot_every=snapshot_every,
+                        dt="auto" if dt is None else dt)
     ok, worst, loc = jump_admissibility(u0)
     if not ok:
         raise ConvexityRadiusExceeded(
             f"jump of size {worst:.6g} at x={loc:.6g} reaches twice the "
             f"convexity radius {man.convexity_radius:.6g}"
         )
-    if not t_max > 0:
-        raise ConfigError("t_max must be positive")
-    dt_base = float(dt) if dt is not None else min(1e-3, t_max / 32.0)
+    dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
     bound = 2.0 * man.convexity_radius
 
     xs = np.array(u0.breakpoints, dtype=float)
@@ -434,9 +562,7 @@ def run_exact_pc(
     diss = 0.0
     rec = _Recorder()
 
-    wanted = None
-    if snapshot_times is not None:
-        wanted = sorted(float(s) for s in snapshot_times if 0.0 < s <= t_max)
+    wanted = _requested_times(snapshot_times, t_max)
 
     def plateau_rates():
         # lengths and the closing-rate bound of each jump: the sum of the two
@@ -471,20 +597,28 @@ def run_exact_pc(
         # remaining gap: at closing speed at most 2 * rates a guarded step
         # leaves every jump above half its gap, so none crosses zero
         guards = 0.25 * ((d - 0.5 * merge_tol) / rates)
-        dt_step = min(dt_base, t_max - t, wanted[0] - t if wanted else math.inf)
+        dt_step = min(dt_base, wanted[0] - t if wanted else math.inf)
         k = int(np.argmin(d))
-        tau = None
-        if d[k] < _MERGE_AHEAD_JUMP and np.all(np.delete(d, k) > 100.0 * d[k]):
-            tau, pair_diss = _pair_collision(man, lengths, rates, vals, d, k)
-        if tau is not None and tau < min(dt_step, np.delete(guards, k).min(initial=np.inf)):
-            # merge ahead, then step to the collision time
-            merge(k, pair_diss)
-            dt_step = tau
-        else:
-            dt_step = min(dt_step, max(float(guards.min()), 1e-12))
+        stepped = None
+        if d[k] < _MERGE_AHEAD_JUMP and np.all(np.delete(d, k) > _PAIR_ISOLATION * d[k]):
+            tau = _pair_collision(man, lengths, rates, vals, d, k)[0]
+            # a run that ends before the pair collides ends on guarded steps
+            if tau is not None and tau < t_max - t:
+                dt_step = min(dt_step, np.delete(guards, k).min(initial=np.inf), tau)
+                if d[k] >= _PAIR_CLOSE:
+                    dt_step = min(dt_step, tau * (1.0 - 0.5 * _PAIR_CLOSE / d[k]),
+                                  _PAIR_SPAN * d[k] / rates[k])
+                stepped = _pair_rk4(man, lengths, vals, diss, dt_step, k, d[k])
+        if stepped is None:
+            dt_step = min(dt_step, t_max - t, max(float(guards.min()), 1e-12))
             if dt_step < 1e-15:
                 raise StepUnderflow(f"step size underflow at t={t}")
-        vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
+            vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
+        else:
+            vals, diss = stepped
+            if dt_step == tau:
+                d = man.dist(vals[:-1], vals[1:])
+                merge(k, _pair_collision(man, lengths, rates, vals, d, k)[1])
         t += dt_step
         d = man.dist(vals[:-1], vals[1:])
         # merge every jump the step closed to merge_tol, smallest first

@@ -126,31 +126,34 @@ def check_monotone_variation(
             ]
         )
     else:
-        # jumps are identified by their (fixed) breakpoint; sets only shrink
-        sizes_per_time = []
-        for s in traj.snapshots:
-            if not isinstance(s, PiecewiseConstantCurve):
-                raise IncompatibleSnapshots("mixed snapshot kinds")
-            sizes_per_time.append(dict(zip(s.breakpoints.tolist(), s.jump_sizes())))
-        running: dict = {}
-        for k, sizes in enumerate(sizes_per_time):
-            extra = set(sizes) - set(sizes_per_time[0])
-            if extra:
+        if any(not isinstance(s, PiecewiseConstantCurve) for s in traj.snapshots):
+            raise IncompatibleSnapshots("mixed snapshot kinds")
+        # jumps are identified by their (fixed) breakpoint; sets only shrink.
+        # sizes[k, j] is the size of the j-th initial jump at time k, NaN once
+        # it has merged
+        xs = first.breakpoints
+        sizes = np.full((len(traj.snapshots), xs.size), np.nan)
+        for k, s in enumerate(traj.snapshots):
+            col = np.searchsorted(xs, s.breakpoints)
+            if np.any(col == xs.size) or np.any(xs[np.minimum(col, xs.size - 1)] != s.breakpoints):
                 raise IncompatibleSnapshots(f"jump set grew at t={traj.times[k]}")
-            for x, val in sizes.items():
-                if x in running and val - running[x] > worst:
-                    worst = float(val - running[x])
-                    where = (float(traj.times[k]), float(x))
-                running[x] = min(running.get(x, np.inf), val)
-        masses = np.stack(
-            [
-                [
-                    sum(v for x, v in sizes.items() if a <= x < b)
-                    for (a, b) in intervals
-                ]
-                for sizes in sizes_per_time
-            ]
-        )
+            sizes[k, col] = s.jump_sizes()
+        # growth over each jump's smallest earlier size; the first largest
+        # in time-then-breakpoint order is reported
+        grown = sizes[1:] - np.fmin.accumulate(sizes, axis=0)[:-1]
+        if not np.all(np.isnan(grown)):
+            kt, kx = np.unravel_index(np.nanargmax(grown), grown.shape)
+            worst = float(grown[kt, kx])
+            where = (float(traj.times[kt + 1]), float(xs[kx]))
+        # interval i of level l holds the jumps with floor(x 2^l) = i, exact
+        # for powers of two; bincount adds them in breakpoint order
+        present = np.nan_to_num(sizes).ravel()
+        rows = np.repeat(np.arange(len(traj.snapshots)), xs.size)
+        masses = np.hstack([
+            np.bincount(rows * m + np.tile(np.floor(xs * m).astype(int), len(traj.snapshots)),
+                        present, minlength=len(traj.snapshots) * m).reshape(-1, m)
+            for m in (2 ** level for level in range(dyadic_depth + 1))
+        ])
     mass_mins = np.minimum.accumulate(masses, axis=0)
     mass_viol = masses[1:] - mass_mins[:-1]
     if mass_viol.size and float(np.max(mass_viol)) > worst:

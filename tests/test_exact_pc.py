@@ -2,9 +2,9 @@
 
 The solver integrates plateau values only; breakpoints are fixed until two
 plateau values collide.  Every merge puts the pair at its length-weighted
-centre and books its closed-form dissipation: a small isolated jump merges
-ahead of its collision, any other once a guarded step has closed it to
-merge_tol.
+centre and books its closed-form dissipation: a small isolated jump at the
+end of the pair step that reaches its collision, any other once a guarded
+step has closed it to merge_tol.
 """
 import warnings
 
@@ -14,6 +14,7 @@ import pytest
 import mtvf.flows
 from mtvf import (
     Circle,
+    ConfigError,
     ConvexityRadiusExceeded,
     Cylinder,
     Euclidean,
@@ -172,22 +173,40 @@ def test_pc_velocity_coincident_neighbours_exert_no_pull(man):
     assert np.array_equal(pc_velocity(man, lengths[:3], all_same), np.zeros_like(all_same))
 
 
-def test_pc_velocity_call_count_pinned(monkeypatch):
-    # the step sequence of the solver (step guard, RK4 stages, merge ahead)
-    # on one fixed datum; any change to it changes this count.
-    # 3,436 before merge ahead; lower it with the solver, never raise it
+def _counted_run(monkeypatch):
+    # one fixed datum flowed to rest; each pc_velocity call is logged with
+    # the smallest jump of the state it was given
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([91, 0])), n_jumps=4)
     calls = []
     real = mtvf.flows.pc_velocity
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(man, lengths, values):
+        calls.append(float(np.min(man.dist(values[:-1], values[1:]), initial=np.inf)))
+        return real(man, lengths, values)
 
     monkeypatch.setattr(mtvf.flows, "pc_velocity", counted)
     traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
-    assert len(calls) == 1768
+    return u0, traj, np.array(calls)
+
+
+def test_pc_velocity_call_count_pinned(monkeypatch):
+    # the step sequence of the solver (step guards, RK4 stages, pair steps)
+    # on one fixed datum; any change to it changes this count.
+    # 3,436 before merge ahead, 1,768 with it; lower it with the solver,
+    # never raise it
+    _, traj, calls = _counted_run(monkeypatch)
+    assert len(calls) == 1040
     assert traj.final_curve.num_jumps == 0
+
+
+def test_few_velocity_calls_per_merge_below_a_small_jump(monkeypatch):
+    # a closing jump no longer creeps under its own step guard: at most 15
+    # pc_velocity calls per merge see a jump below 1e-3 (36 of 1,040 calls
+    # for 4 merges here; 748 of 1,768 with merge ahead below 1e-5)
+    u0, traj, calls = _counted_run(monkeypatch)
+    merges = u0.num_jumps - traj.final_curve.num_jumps
+    assert merges == 4
+    assert np.sum(calls < 1e-3) <= 15 * merges
 
 
 def test_first_jump_vanishes_before_coupling_bound():
@@ -268,7 +287,7 @@ def test_two_plateaus_merge_ahead_in_closed_form(man):
 
 
 def _guarded_run(monkeypatch, u0, **kw):
-    # the same run with merge ahead switched off: every jump closes under the
+    # the same run with pair steps switched off: every jump closes under the
     # step guard and merges at merge_tol
     with monkeypatch.context() as m:
         m.setattr(mtvf.flows, "_MERGE_AHEAD_JUMP", 0.0)
@@ -282,8 +301,8 @@ def _assert_same_trajectory(a, b, tol=1e-9):
     assert max(l2_distance(s, r) for s, r in zip(a.snapshots, b.snapshots)) <= tol
 
 
-# a unit jump at x0 = 0.3 on the line collides at x0 (1 - x0) = 0.21; merge
-# ahead starts from a gap of about 1e-5, more than 1e-6 before that
+# a unit jump at x0 = 0.3 on the line collides at x0 (1 - x0) = 0.21; pair
+# steps start from a gap below 1e-3, more than 1e-4 before that
 _LINE_COLLISION = 0.21
 
 
@@ -346,8 +365,24 @@ def test_simultaneous_collisions_match_the_scalar_flow():
         assert abs(traj.dissipation[k] - exact.dissipation_at(t)) <= 1e-12, t
 
 
+def test_pair_step_falls_back_when_a_frozen_pull_reaches_the_closing_rate(monkeypatch):
+    # the pursuit closed form needs |w| < c for every frozen w of a step; a
+    # step where one reaches c is taken under the step guard instead, the
+    # same step the run without pair steps takes
+    u0 = random_rad_curve(EU2, np.random.Generator(np.random.Philox([22, 0])))
+    kw = dict(t_max=4 * tv_measure(u0).total, snapshot_every=1)
+    with monkeypatch.context() as m:
+        m.setattr(mtvf.flows, "_pursuit", lambda r0, w, c, tau: None)
+        traj = run_exact_pc(u0, **kw)
+    guarded = _guarded_run(monkeypatch, u0, **kw)
+    assert np.array_equal(traj.times, guarded.times)
+    assert np.array_equal(traj.dissipation, guarded.dissipation)
+    for s, r in zip(traj.snapshots, guarded.snapshots):
+        assert np.array_equal(s.values, r.values)
+
+
 def test_guarded_merge_books_the_whole_dissipation(monkeypatch):
-    # without merge ahead the jump merges once a guarded step closes it to
+    # without pair steps the jump merges once a guarded step closes it to
     # merge_tol; the merge still books the pair's remaining dissipation, so
     # the run loses exactly its variation 1 and ends at the mean 0.7
     u0 = scalar_curve([0.3], [0.0, 1.0])
@@ -407,6 +442,34 @@ def test_z_field_reconstruction_structure():
     tm, tp = SPH.unit_tangent_pair(u0.values[:-1], u0.values[1:])
     assert np.allclose(z.right_values[:-1], tm, atol=1e-12)
     assert np.allclose(z.left_values[1:], tp, atol=1e-12)
+
+
+def test_repeated_snapshot_times_record_one_snapshot_each():
+    # requested times closer than 1e-14 are one snapshot, reached by one step
+    u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([83, 0])))
+    wanted = [0.01, 0.02, 0.01, 0.01 + 5e-15, 0.02]
+    traj = run_exact_pc(u0, t_max=0.03, snapshot_times=wanted)
+    for t in (0.01, 0.02):
+        assert np.sum(np.abs(traj.times - t) <= 1e-14) == 1
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"dt": float("nan")},
+        {"dt": 0.0},
+        {"dt": -1e-3},
+        {"merge_tol": float("nan")},
+        {"merge_tol": -1.0},
+        {"snapshot_every": 0},
+        {"snapshot_every": -1},
+    ],
+    ids=lambda o: "{}={}".format(*next(iter(o.items()))),
+)
+def test_bad_options_are_config_errors(option):
+    u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([83, 0])))
+    with pytest.raises(ConfigError, match=next(iter(option))):
+        run_exact_pc(u0, t_max=0.1, **option)
 
 
 def test_snapshot_times_strictly_increase():

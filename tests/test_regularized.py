@@ -158,3 +158,13 @@ def test_requested_snapshot_times_are_hit():
     for t in wanted:
         k = traj.index_at(t)
         assert abs(traj.times[k] - t) <= traj.dt_nominal
+
+
+def test_repeated_snapshot_times_record_one_snapshot_each():
+    # requested times closer than 1e-14 are one snapshot, reached by one step
+    u0 = scalar_curve([0.5], [-1.0, 1.0])
+    moll = mollify(u0, 101, auto_ramp(u0, 101))
+    cfg = FlowConfig(manifold=EU, epsilon=1e-3, grid_n=101, t_max=0.03)
+    traj = run_regularized(moll, cfg, snapshot_times=[0.01, 0.02, 0.01, 0.01 + 5e-15, 0.02])
+    for t in (0.01, 0.02):
+        assert np.sum(np.abs(traj.times - t) <= 1e-14) == 1
