@@ -2,8 +2,8 @@
 parses only the options its handler reads and refuses any other (exit 2).
 
 Exit codes: 0 success, 2 configuration/usage errors, 3 geometry violations
-(inadmissible jumps, out-of-range constructions), 4 failed verification
-checks.
+(inadmissible jumps, out-of-range constructions), 4 verification checks
+that fail or do not apply to the trajectory.
 """
 from __future__ import annotations
 
@@ -307,6 +307,23 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``, else exit 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+# every --seed keys a Philox generator, which takes no negative key
+_SEED = _int_at_least(0)
+
+
 # looked up per call rather than bound into the cached parser, so that a wrapper
 # installed on a command later (as the benchmark's tracer does) is the one run
 _COMMANDS = {"flow": cmd_flow, "denoise": cmd_denoise, "verify": cmd_verify,
@@ -361,16 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     labs = sub.add_parser("lab", help="closed-form geometry experiments").add_subparsers(
         dest="experiment", required=True)
     p = leaf(labs, "semiconvexity", out_required=False, report=_semiconvexity_report)
-    p.add_argument("--n-max", dest="n_max", type=int, default=40)
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(1), default=40)
     p = leaf(labs, "hessian", out_required=False, report=_hessian_report)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--dirs", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--manifold", default="sphere:3")
     p = leaf(labs, "stability", out_required=False, report=_stability_report)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p = leaf(labs, "midpoint", out_required=False, report=_midpoint_report)
     p.add_argument("--side", type=float, default=0.5)
 
@@ -384,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifold", default="sphere:3")
     p.add_argument("--grid", type=int, default=257)
     p.add_argument("--noise", type=float, default=0.15)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p = leaf(kinds, "two_jump_square", out_required=True, make_curve=lambda a: two_jump_square(
         side=a.side, eps=a.ramp_eps, variant=a.variant))
     p.add_argument("--side", type=float, default=0.5)

@@ -12,7 +12,6 @@ of geodesic jump sizes.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,16 +87,11 @@ class PiecewiseConstantCurve:
         return chord_sizes(self)
 
     def value_at(self, x: float) -> np.ndarray:
-        idx = bisect.bisect_right(self.breakpoints.tolist(), float(x))
-        return self.values[idx]
+        return self.eval_grid(float(x))
 
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, np.asarray(xs, float), side="right")
         return self.values[idx]
-
-    def mean(self) -> np.ndarray:
-        """Length-weighted ambient average of the plateau values."""
-        return self.plateau_lengths() @ self.values
 
 
 @dataclass(frozen=True)
@@ -203,8 +197,7 @@ def mollify(curve: PiecewiseConstantCurve, grid_n: int, ramp_width: float) -> Sa
     w = float(ramp_width)
     if w <= 0:
         raise ConfigError("ramp width must be positive")
-    edges = np.concatenate([[0.0], curve.breakpoints, [1.0]])
-    min_gap = float(np.min(np.diff(edges))) if curve.num_jumps else 1.0
+    min_gap = float(curve.plateau_lengths().min())
     if w >= 0.5 * min_gap:
         raise RampTooWide(
             f"ramp width {w} does not fit: half the smallest plateau is {0.5 * min_gap}"
@@ -222,13 +215,10 @@ def mollify(curve: PiecewiseConstantCurve, grid_n: int, ramp_width: float) -> Sa
     return SampledCurve(curve.manifold, vals)
 
 
-def auto_ramp(curve: PiecewiseConstantCurve, grid_n: int, ramp_cells: int = 8) -> float:
-    """Widest safe mollification ramp: ``ramp_cells`` grid cells, capped so
-    it always fits inside the narrowest plateau."""
-    h = 1.0 / (grid_n - 1)
-    edges = np.concatenate([[0.0], curve.breakpoints, [1.0]])
-    min_gap = float(np.min(np.diff(edges))) if curve.num_jumps else 1.0
-    return min(ramp_cells * h, 0.45 * min_gap)
+def auto_ramp(curve: PiecewiseConstantCurve, grid_n: int) -> float:
+    """Widest safe mollification ramp: eight grid cells, capped so it
+    always fits inside the narrowest plateau."""
+    return min(8 / (grid_n - 1), 0.45 * float(curve.plateau_lengths().min()))
 
 
 def compose_with_geodesic(
@@ -254,13 +244,12 @@ def compose_with_geodesic(
     return PiecewiseConstantCurve(manifold, sigma.breakpoints, new_vals)
 
 
-def l2_distance(a, b, grid_n: int = 2049) -> float:
+def l2_distance(a, b) -> float:
     """L2(0,1) distance between two curves using geodesic pointwise distance.
 
     Piecewise-constant pairs are integrated exactly on their merged
     breakpoint partition; any pair involving a sampled curve is integrated
-    with the trapezoid rule on ``grid_n`` nodes (or the sampled grid if
-    finer).
+    with the trapezoid rule on 2049 nodes (or the sampled grid if finer).
     """
     if a.manifold != b.manifold:
         raise ConfigError("curves live on different manifolds")
@@ -270,9 +259,7 @@ def l2_distance(a, b, grid_n: int = 2049) -> float:
         mids = 0.5 * (edges[:-1] + edges[1:])
         d = man.dist(a.eval_grid(mids), b.eval_grid(mids))
         return float(np.sqrt(np.sum(d * d * np.diff(edges))))
-    for c in (a, b):
-        if isinstance(c, SampledCurve):
-            grid_n = max(grid_n, c.grid_n)
+    grid_n = max([2049] + [c.grid_n for c in (a, b) if isinstance(c, SampledCurve)])
     xs = np.linspace(0.0, 1.0, grid_n)
     va = a.eval_grid(xs) if isinstance(a, PiecewiseConstantCurve) else _resample(a, xs)
     vb = b.eval_grid(xs) if isinstance(b, PiecewiseConstantCurve) else _resample(b, xs)

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Geometry errors signal bad inputs to closed-form kernels; solver errors
-signal integrator breakdown; verification errors signal misuse of a check.
-The CLI maps these onto exit codes (config 2, geometry 3, failed check 4).
+signal integrator breakdown; verification errors signal failed checks and
+checks that do not apply.  The CLI exits 2 (config), 3 (geometry) or 4 (verify).
 """
 
 
@@ -63,7 +63,7 @@ class StepUnderflow(SolverError):
 
 
 class VerificationError(MtvfError):
-    """Base class for invalid verifier invocations (not failed checks)."""
+    """A check that failed (``mtvf verify``), or one that does not apply (subclasses)."""
 
 
 class IncompatibleSnapshots(VerificationError):

@@ -78,20 +78,12 @@ class SphericalTriangle:
             raise DegenerateTriangle(f"triangle inequality fails: {sides}")
 
     @classmethod
-    def from_points(cls, p, q, r, manifold: Manifold = _SPHERE3) -> "SphericalTriangle":
+    def from_points(cls, p, q, r) -> "SphericalTriangle":
         return cls(
-            float(manifold.dist(q, r)),
-            float(manifold.dist(p, r)),
-            float(manifold.dist(p, q)),
+            float(_SPHERE3.dist(q, r)),
+            float(_SPHERE3.dist(p, r)),
+            float(_SPHERE3.dist(p, q)),
         )
-
-    def angles(self) -> tuple[float, float, float]:
-        """Interior angles (opposite a, b, c) via the spherical law of cosines."""
-        out = []
-        for x, y, z in ((self.a, self.b, self.c), (self.b, self.c, self.a), (self.c, self.a, self.b)):
-            cosang = (np.cos(x) - np.cos(y) * np.cos(z)) / (np.sin(y) * np.sin(z))
-            out.append(float(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return tuple(out)
 
     def planar_angles(self) -> tuple[float, float, float]:
         """Angles of the flat triangle with the same side lengths."""
@@ -184,10 +176,11 @@ def first_positive_gap(n_max: int = 100) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def second_difference(manifold: Manifold, p0, p, direction, step: float = 1e-4):
+def second_difference(manifold: Manifold, p0, p, direction):
     """Richardson-extrapolated second difference of s -> 0.5*dist(exp_p(s X), p0)^2
-    along a unit tangent direction X at p; directions of shape (k, N) give
-    (k,) values from one ``exp`` and one ``dist`` call."""
+    along a unit tangent direction X at p, with step 1e-4; directions of shape
+    (k, N) give (k,) values from one ``exp`` and one ``dist`` call."""
+    step = 1e-4
     x = np.asarray(direction, dtype=float)
     s = np.array([0.0, step, -step, 0.5 * step, -0.5 * step]).reshape((5,) + (1,) * x.ndim)
     pts = manifold.exp(np.asarray(p, dtype=float), s * x)
@@ -214,23 +207,20 @@ def hessian_comparison_check(
     p0,
     p,
     n_dirs: int = 16,
-    rng: np.random.Generator | None = None,
-    step: float = 1e-4,
-    tolerance: float = 1e-4,
+    *,
+    rng: np.random.Generator,
 ) -> HessianComparison:
     """Directional second derivatives of half the squared distance to p0,
     sampled over random unit tangent directions at p, against the curvature
-    comparison lower bound.
+    comparison lower bound, with tolerance 1e-4.
     """
     if n_dirs < 1:
         raise ConfigError(f"need at least one direction, got n_dirs={n_dirs}")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))
     r = float(manifold.dist(p, p0))
     bound = manifold.hessian_comparison_bound(r)
     dirs = np.array([_unit_tangent(manifold, p, rng) for _ in range(n_dirs)])
-    best = np.min(second_difference(manifold, p0, p, dirs, step))
-    return HessianComparison(r, float(best), float(bound), tolerance)
+    best = np.min(second_difference(manifold, p0, p, dirs))
+    return HessianComparison(r, float(best), float(bound), 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +241,23 @@ class AngleComparison:
         return self.worst <= self.tolerance
 
 
-def alexandrov_angle_check(p, q, r, manifold: Manifold = _SPHERE3,
-                           tolerance: float = 1e-9) -> AngleComparison:
-    """Each vertex angle of a spherical geodesic triangle dominates the
-    corresponding angle of the flat triangle with equal side lengths.
+def alexandrov_angle_check(p, q, r) -> AngleComparison:
+    """Each vertex angle of a geodesic triangle on the unit 2-sphere
+    dominates the corresponding angle of the flat triangle with equal side
+    lengths, to within 1e-9.
     """
     pts = np.array([p, q, r], dtype=float)
-    tri = SphericalTriangle.from_points(*pts, manifold=manifold)
+    tri = SphericalTriangle.from_points(*pts)
     # angles at the vertices (p, q, r) between the tangents toward the other
     # two: the order of SphericalTriangle, opposite (a, b, c).  The edge
     # from vertex i to i+1 gives the tangent toward i+1 at i and, reversed,
     # the tangent toward i at i+1.
-    t_next, t_away = manifold.unit_tangent_pair(pts, np.roll(pts, -1, axis=0))
+    t_next, t_away = _SPHERE3.unit_tangent_pair(pts, np.roll(pts, -1, axis=0))
     t_prev = -np.roll(t_away, 1, axis=0)
     sph = tuple(float(a) for a in np.arccos(np.clip(_dot(t_next, t_prev), -1.0, 1.0)))
     planar = tri.planar_angles()
     worst = float(max(pl - s for s, pl in zip(sph, planar)))
-    return AngleComparison((tri.a, tri.b, tri.c), sph, planar, worst, tolerance)
+    return AngleComparison((tri.a, tri.b, tri.c), sph, planar, worst, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +265,12 @@ def alexandrov_angle_check(p, q, r, manifold: Manifold = _SPHERE3,
 # ---------------------------------------------------------------------------
 
 
-def distance_to_geodesic(manifold: Manifold, x, p, q, samples: int = 257) -> np.ndarray:
+def distance_to_geodesic(manifold: Manifold, x, p, q) -> np.ndarray:
     """Distance from points to the geodesic segment joining p and q.
 
     ``x``, ``p`` and ``q`` broadcast over leading axes: points of shape
     ``(k, N)`` against one segment give ``(k,)`` distances.  Closed form on
-    the 2-sphere; elsewhere the minimum over ``samples`` segment points.
+    the 2-sphere; elsewhere the minimum over 257 segment points.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -303,25 +293,25 @@ def distance_to_geodesic(manifold: Manifold, x, p, q, samples: int = 257) -> np.
         return np.where(on_arc, np.abs(np.arcsin(np.clip(off, -1.0, 1.0))), to_ends)
     # running minimum over the segment samples keeps memory linear in the batch
     best = np.inf
-    for s in np.linspace(0.0, 1.0, samples):
+    for s in np.linspace(0.0, 1.0, 257):
         best = np.minimum(best, manifold.dist(manifold.geodesic_point(p, q, s), x))
     return best
 
 
-def hausdorff_one_sided(manifold: Manifold, p1, q1, p2, q2, samples: int = 33):
-    """sup over the first segment of the distance to the second segment,
-    the first segment sampled densely; endpoints broadcast over leading axes."""
+def hausdorff_one_sided(manifold: Manifold, p1, q1, p2, q2):
+    """sup over the first segment, sampled at 33 points, of the distance to
+    the second segment; endpoints broadcast over leading axes."""
     p1, q1, p2, q2 = (np.asarray(a, dtype=float)[..., None, :] for a in (p1, q1, p2, q2))
-    pts = manifold.geodesic_point(p1, q1, np.linspace(0.0, 1.0, samples))
+    pts = manifold.geodesic_point(p1, q1, np.linspace(0.0, 1.0, 33))
     return np.max(distance_to_geodesic(manifold, pts, p2, q2), axis=-1)
 
 
-def endpoint_stability_ratio(manifold: Manifold, p1, q1, p2, q2, samples: int = 33):
+def endpoint_stability_ratio(manifold: Manifold, p1, q1, p2, q2):
     """One-sided Hausdorff distance between two geodesic segments divided by
     the larger endpoint displacement; 0 when the endpoints coincide.
     Endpoints broadcast: four (n, N) arrays give (n,) ratios."""
     denom = np.maximum(manifold.dist(p1, p2), manifold.dist(q1, q2))
-    haus = hausdorff_one_sided(manifold, p1, q1, p2, q2, samples)
+    haus = hausdorff_one_sided(manifold, p1, q1, p2, q2)
     return np.where(denom == 0.0, 0.0, haus / np.where(denom == 0.0, 1.0, denom))[()]
 
 
@@ -338,11 +328,10 @@ def geodesic_endpoint_stability(
     n_samples: int,
     radius: float = 1.0,
     seed: int = 0,
-    manifold: Manifold = _SPHERE3,
-    samples: int = 33,
 ) -> StabilityScan:
     """Empirical stability constant: max ratio of segment Hausdorff distance
-    to endpoint displacement over random quadruples in a geodesic ball.
+    to endpoint displacement over random quadruples in a geodesic ball of
+    the unit 2-sphere.
 
     The quadruples come from a counter-based generator keyed by ``seed``,
     drawn sequentially, so a scan is reproducible and its stream can be
@@ -350,6 +339,7 @@ def geodesic_endpoint_stability(
     """
     if n_samples < 1 or not radius > 0.0:
         raise ConfigError(f"need n_samples >= 1 and radius > 0, got {n_samples} and {radius}")
+    manifold = _SPHERE3
     if radius >= manifold.convexity_radius:
         raise BeyondInjectivityRadius(
             f"ball radius {radius} reaches the convexity radius"
@@ -362,7 +352,7 @@ def geodesic_endpoint_stability(
     steps = np.array([_unit_tangent(manifold, center, rng) * (radius * rng.uniform() ** 0.5)
                       for _ in range(4 * n_samples)])
     quads = manifold.exp(center, steps).reshape(n_samples, 4, -1)
-    ratios = endpoint_stability_ratio(manifold, *quads.transpose(1, 0, 2), samples)
+    ratios = endpoint_stability_ratio(manifold, *quads.transpose(1, 0, 2))
     ratios.flags.writeable = False
     return StabilityScan(radius, n_samples, seed, float(np.max(ratios)), ratios)
 
@@ -383,11 +373,10 @@ class SliceResidual:
         return self.sup_distance <= self.constant * self.rhs_integral + 1e-12
 
 
-def one_harmonic_residual_bound(
-    w: SampledCurve, f: np.ndarray, constant: float = ONE_HARMONIC_C
-) -> SliceResidual:
+def one_harmonic_residual_bound(w: SampledCurve, f: np.ndarray) -> SliceResidual:
     """Sup distance from a sampled window to the geodesic joining its
-    endpoint values, against the window integral of the driving term.
+    endpoint values, against ``ONE_HARMONIC_C`` times the window integral
+    of the driving term.
 
     The window must carry less variation than twice the convexity radius.
     """
@@ -399,4 +388,4 @@ def one_harmonic_residual_bound(
         raise ValueError("driving term must match the sampled values in shape")
     sup = np.max(distance_to_geodesic(man, w.values, w.values[0], w.values[-1]))
     rhs = float(np.sum(_norm(f)) * w.h)
-    return SliceResidual(float(sup), rhs, float(constant))
+    return SliceResidual(float(sup), rhs, ONE_HARMONIC_C)

@@ -159,20 +159,10 @@ class Manifold:
 
     def geodesic_point(self, p: np.ndarray, q: np.ndarray, s) -> np.ndarray:
         """Point at parameter ``s`` of the constant-speed geodesic p -> q."""
-        s_arr = np.asarray(s, dtype=float)
-        v = self.log(p, q)
-        out = self.exp(p, s_arr[..., None] * v if s_arr.ndim else s_arr * v)
+        s = np.asarray(s, dtype=float)[..., None]
+        out = self.exp(p, s * self.log(p, q))
         # pin the endpoints exactly
-        if s_arr.ndim == 0:
-            if s_arr == 0.0:
-                return np.array(p, dtype=float, copy=True)
-            if s_arr == 1.0:
-                return np.array(q, dtype=float, copy=True)
-            return out
-        p_b, q_b = np.broadcast_arrays(p, out)[0], np.broadcast_arrays(q, out)[0]
-        out = np.where((s_arr == 0.0)[..., None], p_b, out)
-        out = np.where((s_arr == 1.0)[..., None], q_b, out)
-        return out
+        return np.where(s == 0.0, p, np.where(s == 1.0, q, out))
 
     def unit_tangent_pair(self, p: np.ndarray, q: np.ndarray):
         """Unit tangents of the jump p -> q at each endpoint.

@@ -86,10 +86,10 @@ def noisy_field(
     grid_n: int = 257,
     noise: float = 0.15,
     seed: int = 0,
-    span: float = 1.0,
 ) -> SampledCurve:
-    """Smooth geodesic sweep perturbed by tangent-space Gaussian noise
-    pushed back to the manifold with exp — data stay on-manifold exactly."""
+    """Smooth geodesic sweep, of length min(1, 0.9 * convexity radius),
+    perturbed by tangent-space Gaussian noise pushed back to the manifold
+    with exp — data stay on-manifold exactly."""
     man = parse_manifold(manifold) if isinstance(manifold, str) else manifold
     if grid_n < 2:
         raise ConfigError("grid_n must be at least 2")
@@ -99,7 +99,7 @@ def noisy_field(
     nd = float(np.linalg.norm(direction))
     if nd > 1e-12:
         direction = direction / nd
-    reach = min(span, 0.9 * man.convexity_radius)
+    reach = min(1.0, 0.9 * man.convexity_radius)
     q = man.exp(p, reach * direction)
     base = man.geodesic_point(p, q, np.linspace(0.0, 1.0, grid_n))
     xi = np.stack([man.random_tangent(rng, b) for b in base])
@@ -110,16 +110,15 @@ def random_rad_curve(
     manifold: Manifold | str,
     rng: np.random.Generator,
     n_jumps: int | None = None,
-    max_jump: float | None = None,
     min_gap: float = 0.06,
 ) -> PiecewiseConstantCurve:
     """Random piecewise-constant datum with every jump well inside the
-    admissible range (strictly below twice the convexity radius)."""
+    admissible range: at most 0.8 * min(convexity radius, 1), strictly below
+    twice the convexity radius."""
     man = parse_manifold(manifold) if isinstance(manifold, str) else manifold
     if n_jumps is None:
         n_jumps = int(rng.integers(1, 5))
-    if max_jump is None:
-        max_jump = 0.8 * min(man.convexity_radius, 1.0)
+    max_jump = 0.8 * min(man.convexity_radius, 1.0)
     while True:
         b = np.sort(rng.uniform(0.08, 0.92, n_jumps))
         gaps = np.diff(np.concatenate([[0.0], b, [1.0]]))

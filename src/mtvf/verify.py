@@ -14,7 +14,7 @@ import numpy as np
 
 from .curves import (
     PiecewiseConstantCurve,
-    SampledCurve,
+    auto_ramp,
     l2_distance,
     mollify,
     tv_measure,
@@ -33,6 +33,8 @@ from .flows import (
 from .manifolds import _dot, _norm
 
 STOP_TV_TOL = 1e-10
+# finest level of the dyadic subintervals the monotone check restricts to
+DYADIC_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -74,92 +76,63 @@ def check_energy(traj: FlowTrajectory, tol: float | None = None) -> CheckReport:
     )
 
 
-def _dyadic_intervals(depth: int):
+def _dyadic_intervals():
     out = []
-    for level in range(depth + 1):
+    for level in range(DYADIC_DEPTH + 1):
         m = 2 ** level
         for i in range(m):
             out.append((i / m, (i + 1) / m))
     return out
 
 
-def check_monotone_variation(
-    traj: FlowTrajectory, tol: float | None = None, dyadic_depth: int = 6
-) -> CheckReport:
+def check_monotone_variation(traj: FlowTrajectory, tol: float | None = None) -> CheckReport:
     """Local variation can only decay.
 
-    For grid trajectories the per-face gradient magnitudes must be
-    nonincreasing in time; for piecewise-constant trajectories the
-    individual jump sizes are tracked across merge events.  Additionally
-    the variation measure restricted to every dyadic subinterval up to the
-    given depth must be nonincreasing.  The default tolerance is 1e-6,
-    widened by twice epsilon for regularized runs whose flat regions carry
-    an O(epsilon) gradient by design.
+    The individual jump sizes of a piecewise-constant trajectory are tracked
+    across merge events, and the variation measure restricted to every
+    dyadic subinterval up to depth ``DYADIC_DEPTH``; both must be
+    nonincreasing.  The default tolerance is 1e-6.  Sampled snapshots raise
+    :class:`IncompatibleSnapshots`: at fixed resolution the grid solver does
+    not obey this law; its monotone quantity is the regularized energy.
     """
     if tol is None:
-        tol = 1e-6 + (2.0 * traj.epsilon if traj.epsilon else 0.0)
-    man = traj.manifold
-    intervals = _dyadic_intervals(dyadic_depth)
+        tol = 1e-6
+    if any(not isinstance(s, PiecewiseConstantCurve) for s in traj.snapshots):
+        raise IncompatibleSnapshots("the monotone check needs piecewise-constant snapshots")
     worst = -np.inf
     where: tuple = ()
-
-    first = traj.snapshots[0]
-    if isinstance(first, SampledCurve):
-        n = first.grid_n
-        if any(not isinstance(s, SampledCurve) or s.grid_n != n for s in traj.snapshots):
-            raise IncompatibleSnapshots("snapshots do not share one grid")
-        h = first.h
-        grads = np.stack(
-            [man.dist(s.values[:-1], s.values[1:]) / h for s in traj.snapshots]
-        )  # (T, n-1)
-        face_mins = np.minimum.accumulate(grads, axis=0)
-        face_viol = grads[1:] - face_mins[:-1]
-        if face_viol.size:
-            worst = float(np.max(face_viol))
-            kt, kf = np.unravel_index(np.argmax(face_viol), face_viol.shape)
-            where = (float(traj.times[kt + 1]), float((kf + 0.5) * h))
-        mids = (np.arange(n - 1) + 0.5) * h
-        masses = np.stack(
-            [
-                [float(np.sum(g[(mids >= a) & (mids < b)]) * h) for (a, b) in intervals]
-                for g in grads
-            ]
-        )
-    else:
-        if any(not isinstance(s, PiecewiseConstantCurve) for s in traj.snapshots):
-            raise IncompatibleSnapshots("mixed snapshot kinds")
-        # jumps are identified by their (fixed) breakpoint; sets only shrink.
-        # sizes[k, j] is the size of the j-th initial jump at time k, NaN once
-        # it has merged
-        xs = first.breakpoints
-        sizes = np.full((len(traj.snapshots), xs.size), np.nan)
-        for k, s in enumerate(traj.snapshots):
-            col = np.searchsorted(xs, s.breakpoints)
-            if np.any(col == xs.size) or np.any(xs[np.minimum(col, xs.size - 1)] != s.breakpoints):
-                raise IncompatibleSnapshots(f"jump set grew at t={traj.times[k]}")
-            sizes[k, col] = s.jump_sizes()
-        # growth over each jump's smallest earlier size; the first largest
-        # in time-then-breakpoint order is reported
-        grown = sizes[1:] - np.fmin.accumulate(sizes, axis=0)[:-1]
-        if not np.all(np.isnan(grown)):
-            kt, kx = np.unravel_index(np.nanargmax(grown), grown.shape)
-            worst = float(grown[kt, kx])
-            where = (float(traj.times[kt + 1]), float(xs[kx]))
-        # interval i of level l holds the jumps with floor(x 2^l) = i, exact
-        # for powers of two; bincount adds them in breakpoint order
-        present = np.nan_to_num(sizes).ravel()
-        rows = np.repeat(np.arange(len(traj.snapshots)), xs.size)
-        masses = np.hstack([
-            np.bincount(rows * m + np.tile(np.floor(xs * m).astype(int), len(traj.snapshots)),
-                        present, minlength=len(traj.snapshots) * m).reshape(-1, m)
-            for m in (2 ** level for level in range(dyadic_depth + 1))
-        ])
+    # jumps are identified by their (fixed) breakpoint; sets only shrink.
+    # sizes[k, j] is the size of the j-th initial jump at time k, NaN once
+    # it has merged
+    xs = traj.snapshots[0].breakpoints
+    sizes = np.full((len(traj.snapshots), xs.size), np.nan)
+    for k, s in enumerate(traj.snapshots):
+        col = np.searchsorted(xs, s.breakpoints)
+        if np.any(col == xs.size) or np.any(xs[np.minimum(col, xs.size - 1)] != s.breakpoints):
+            raise IncompatibleSnapshots(f"jump set grew at t={traj.times[k]}")
+        sizes[k, col] = s.jump_sizes()
+    # growth over each jump's smallest earlier size; the first largest
+    # in time-then-breakpoint order is reported
+    grown = sizes[1:] - np.fmin.accumulate(sizes, axis=0)[:-1]
+    if not np.all(np.isnan(grown)):
+        kt, kx = np.unravel_index(np.nanargmax(grown), grown.shape)
+        worst = float(grown[kt, kx])
+        where = (float(traj.times[kt + 1]), float(xs[kx]))
+    # interval i of level l holds the jumps with floor(x 2^l) = i, exact
+    # for powers of two; bincount adds them in breakpoint order
+    present = np.nan_to_num(sizes).ravel()
+    rows = np.repeat(np.arange(len(traj.snapshots)), xs.size)
+    masses = np.hstack([
+        np.bincount(rows * m + np.tile(np.floor(xs * m).astype(int), len(traj.snapshots)),
+                    present, minlength=len(traj.snapshots) * m).reshape(-1, m)
+        for m in (2 ** level for level in range(DYADIC_DEPTH + 1))
+    ])
     mass_mins = np.minimum.accumulate(masses, axis=0)
     mass_viol = masses[1:] - mass_mins[:-1]
     if mass_viol.size and float(np.max(mass_viol)) > worst:
         worst = float(np.max(mass_viol))
         kt, ki = np.unravel_index(np.argmax(mass_viol), mass_viol.shape)
-        where = (float(traj.times[kt + 1]), intervals[ki])
+        where = (float(traj.times[kt + 1]), _dyadic_intervals()[ki])
     worst = float(worst) if np.isfinite(worst) else 0.0
     # nothing grew: there is no violation to locate
     return CheckReport("monotone_variation", worst <= tol, worst, tol, where if worst > 0 else ())
@@ -184,15 +157,7 @@ def check_variational_inequality(
         tol = 1e-4 + 10.0 * traj.dt_nominal
     tv_v = tv_measure(competitor).total
     tvs = _recomputed_tv(traj)
-
-    def dist_sq(snapshot) -> float:
-        if isinstance(snapshot, PiecewiseConstantCurve):
-            return l2_distance(snapshot, competitor) ** 2
-        xs = snapshot.xs
-        d = man.dist(snapshot.values, competitor.eval_grid(xs))
-        return float(np.trapezoid(d * d, xs))
-
-    dsq = np.array([dist_sq(s) for s in traj.snapshots])
+    dsq = np.array([l2_distance(s, competitor) ** 2 for s in traj.snapshots])
     times = traj.times
     # Difference quotients need windows of at least half a nominal step:
     # merge events deposit snapshot pairs ~1e-10 apart, and dividing the
@@ -346,31 +311,26 @@ def cross_solver_compare(
     u0: PiecewiseConstantCurve,
     eps_list,
     grid_list,
-    ramp_cells: int = 8,
     n_times: int = 33,
-    merge_tol: float = 1e-9,
     pairing: str = "product",
 ) -> list[CrossSolverRow]:
     """Distance between the grid solver and the event-driven solver.
 
     Runs the exact solver once, then the regularized solver for every
-    ``(epsilon, grid_n)`` pair (mollification ramp spans ``ramp_cells``
-    grid cells), comparing states at shared snapshot times.  ``sup_l2`` is
-    the largest L2 distance over the time grid; ``final_l2`` compares the
-    terminal states.  Along a simultaneous refinement both columns should
-    decrease.
+    ``(epsilon, grid_n)`` pair on the datum mollified with ``auto_ramp``,
+    comparing states at shared snapshot times.  ``sup_l2`` is the largest L2
+    distance over the time grid; ``final_l2`` compares the terminal states.
+    Along a simultaneous refinement both columns should decrease.
     """
-    exact = run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total, merge_tol=merge_tol)
+    exact = run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total)
     stop = detect_stopping(exact)
     t_end = stop[0] * 1.05 if stop else float(exact.times[-1])
     t_grid = np.linspace(0.0, t_end, n_times)
-    exact = run_exact_pc(u0, t_max=t_end * 1.001, merge_tol=merge_tol,
-                         snapshot_times=t_grid[1:])
+    exact = run_exact_pc(u0, t_max=t_end * 1.001, snapshot_times=t_grid[1:])
 
     def one(job):
         eps, n = job
-        ramp = ramp_cells / (n - 1)
-        moll = mollify(u0, n, ramp)
+        moll = mollify(u0, n, auto_ramp(u0, n))
         cfg = FlowConfig(
             manifold=u0.manifold, epsilon=eps, grid_n=n, t_max=t_end * 1.001
         )

@@ -248,6 +248,24 @@ def test_cli_flow_dt_sets_exact_solver_base_step(tmp_path):
     assert not np.array_equal(runs[0.5].times, runs[1e-5].times[:len(runs[0.5])])
 
 
+def test_cli_verify_monotone_refuses_grid_run(tmp_path, capsys):
+    # a correct regularized run: the law face by face is not its guarantee, so the
+    # monotone check does not apply (exit 4) while the energy check passes
+    assert main(["generate", "staircase", "--levels", "0,1,0.4", "--breakpoints", "0.3,0.6",
+                 "--out", str(tmp_path / "u0.csv")]) == 0
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", epsilon=1e-3, grid_n=201,
+                  t_max=0.3)
+    assert main(["flow", "--solver", "regularized", "--config", str(tmp_path / "run.cfg"),
+                 "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run")]) == 0
+    trajectory = str(tmp_path / "run" / "trajectory.csv")
+    capsys.readouterr()
+    assert main(["verify", "--input", trajectory, "--checks", "monotone"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed:") and "piecewise-constant" in err
+    assert "Traceback" not in err
+    assert main(["verify", "--input", trajectory, "--checks", "energy"]) == 0
+
+
 def test_cli_verify_unknown_check_is_config_error(tmp_path):
     u0 = scalar_curve([0.5], [0.0, 1.0])
     traj = run_exact_pc(u0, t_max=1.0)
@@ -510,6 +528,28 @@ def test_cli_bad_dt_option_is_usage_error(tmp_path, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "--dt" in err and "Traceback" not in err
+
+
+# option values argparse refuses: a Philox seed cannot be negative, and a
+# semiconvexity table needs at least one row
+_BAD_OPTION_VALUES = {
+    "hessian_negative_seed": ("--seed", ["lab", "hessian", "--seed", "-1"]),
+    "stability_negative_seed": ("--seed", ["lab", "stability", "--samples", "5", "--seed", "-1"]),
+    "noisy_field_negative_seed": ("--seed", ["generate", "noisy_field", "--grid", "9",
+                                             "--seed", "-1", "--out", "{tmp}/u.csv"]),
+    "semiconvexity_zero_n_max": ("--n-max", ["lab", "semiconvexity", "--n-max", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OPTION_VALUES))
+def test_cli_bad_option_value_is_usage_error(tmp_path, capsys, case):
+    option, argv = _BAD_OPTION_VALUES[case]
+    with pytest.raises(SystemExit) as exit_info:
+        main([a.format(tmp=tmp_path) for a in argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and "Traceback" not in err
+    assert not (tmp_path / "u.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["flow", "denoise"])

@@ -402,7 +402,7 @@ def test_stability_scan_rejects_empty_scan():
     with pytest.raises(ConfigError):
         geodesic_endpoint_stability(5, radius=0.0)
     with pytest.raises(ConfigError):
-        hessian_comparison_check(SPH, EQ0, EQ90, n_dirs=0)
+        hessian_comparison_check(SPH, EQ0, EQ90, n_dirs=0, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from mtvf import (
     scalar_curve,
     tv_measure,
 )
-from mtvf.synth import random_rad_curve
+from mtvf.curves import auto_ramp, mollify
+from mtvf.flows import FlowConfig, run_regularized
+from mtvf.synth import noisy_field, random_rad_curve, two_jump_sphere_example
 
 EU1 = Euclidean(1)
 EU2 = Euclidean(2)
@@ -62,6 +64,14 @@ def test_monotone_check_rejects_grown_jump_set():
     traj = _sphere_run()
     richer = random_rad_curve(SPH, np.random.Generator(np.random.Philox([6, 0])), n_jumps=6)
     traj.snapshots[-1] = richer
+    with pytest.raises(IncompatibleSnapshots):
+        check_monotone_variation(traj)
+
+
+def test_monotone_check_refuses_sampled_trajectory():
+    # the grid solver's monotone quantity is the p-energy, not the per-face law
+    w = noisy_field(EU2, grid_n=33, noise=0.05, seed=1)
+    traj = run_regularized(w, FlowConfig(manifold=EU2, epsilon=1e-2, grid_n=33, t_max=0.01))
     with pytest.raises(IncompatibleSnapshots):
         check_monotone_variation(traj)
 
@@ -122,6 +132,43 @@ def test_sphere_equivalence_constant_trajectory_is_exact():
     rep = check_sphere_equivalence(traj)
     assert rep.passed
     assert rep.worst <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# grid trajectories
+# ---------------------------------------------------------------------------
+
+
+def _corrupted(traj, k, values):
+    traj.snapshots[k] = SampledCurve(traj.manifold, values)
+    return traj
+
+
+def test_sphere_equivalence_grid_run_passes_then_fails_after_corruption():
+    # the mollified cross-solver datum, as criterion 8 flows it
+    u0 = two_jump_sphere_example()
+    moll = mollify(u0, 401, auto_ramp(u0, 401))
+    traj = run_regularized(moll, FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=401, t_max=0.2))
+    rep = check_sphere_equivalence(traj)
+    assert rep.passed, rep
+    assert rep.tolerance == 1e-3 and rep.worst < 1e-4
+    k = len(traj) // 2
+    values = np.array(traj.snapshots[k].values)
+    values[200] = traj.snapshots[0].values[100]  # one node sent elsewhere
+    assert not check_sphere_equivalence(_corrupted(traj, k, values)).passed
+
+
+def test_variational_inequality_grid_run_passes_then_fails_after_corruption():
+    w = noisy_field(EU2, grid_n=201, noise=0.15, seed=0)
+    traj = run_regularized(w, FlowConfig(manifold=EU2, epsilon=1e-2, grid_n=201, t_max=0.05))
+    mean = w.values.mean(axis=0)
+    v = PiecewiseConstantCurve(EU2, [0.5], np.stack([mean, mean + [0.1, 0.0]]))
+    rep = check_variational_inequality(traj, v)
+    assert rep.passed, rep
+    assert rep.worst < 0
+    # a last state carried away from the competitor grows the distance too fast
+    far = traj.snapshots[-1].values + [1.0, 0.0]
+    assert not check_variational_inequality(_corrupted(traj, len(traj) - 1, far), v).passed
 
 
 # ---------------------------------------------------------------------------
