@@ -128,7 +128,8 @@ def cmd_flow(args) -> int:
     )
     stop = detect_stopping(traj)
     status = f"stopped at t={fmt(stop[0])}" if stop else "not stopped"
-    print(f"{solver} run: {len(traj)} snapshots, final TV {fmt(traj.tv[-1])}, {status}")
+    final_tv = tv_measure(traj.final_curve).total
+    print(f"{solver} run: {len(traj)} snapshots, final TV {fmt(final_tv)}, {status}")
     return 0
 
 
@@ -174,9 +175,8 @@ def cmd_denoise(args) -> int:
         [args.input],
         [out_path],
     )
-    print(
-        f"denoised at t={fmt(traj.times[pick])}: TV {fmt(tv0)} -> {fmt(traj.tv[pick])}"
-    )
+    print(f"denoised at t={fmt(traj.times[pick])}: TV {fmt(tv0)} -> "
+          f"{fmt(tv_measure(out_curve).total)}")
     return 0
 
 
@@ -206,7 +206,11 @@ def cmd_verify(args) -> int:
     if diag is None:
         diag = os.path.join(os.path.dirname(args.input), "diagnostics.csv")
     traj = read_trajectory(args.input, diag)
-    names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    checks = args.checks
+    if checks is None:  # monotone takes piecewise-constant snapshots only
+        pc = isinstance(traj.final_curve, PiecewiseConstantCurve)
+        checks = "energy,monotone" if pc else "energy"
+    names = [c.strip() for c in checks.split(",") if c.strip()]
     if not names:
         raise ConfigError("no checks requested")
     unknown = [c for c in names if c not in _CHECKS]
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run invariant checks on a trajectory")
     p_ver.add_argument("--input", required=True, help="trajectory CSV")
     p_ver.add_argument("--diagnostics", help="sidecar CSV (default: alongside input)")
-    p_ver.add_argument("--checks", default="energy,monotone")
+    p_ver.add_argument("--checks", help="default: energy,monotone; energy for sampled snapshots")
     p_ver.add_argument("--out", help="write the report CSV here")
 
     # one parser per experiment and per kind, with only the options it reads;
@@ -421,7 +425,9 @@ def main(argv=None) -> int:
         print(f"geometry error: {exc}", file=sys.stderr)
         return 3
     except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
+        # its subclasses are checks that do not apply to the trajectory
+        what = "verification failed" if type(exc) is VerificationError else "check does not apply"
+        print(f"{what}: {exc}", file=sys.stderr)
         return 4
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

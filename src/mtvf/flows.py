@@ -30,7 +30,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .curves import (
-    PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, jump_admissibility
+    PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, jump_admissibility,
+    tv_measure,
 )
 from .errors import (
     CflViolation,
@@ -140,16 +141,16 @@ class PiecewiseLinearFluxField:
 
 @dataclass
 class FlowTrajectory:
-    """Recorded snapshots plus per-snapshot diagnostics of one run; flux
-    fields are functions of the snapshots and are not stored."""
+    """Recorded snapshots of one run, with what they cannot give: the
+    cumulative dissipation and the stop flags.  Flux fields, variation and
+    largest jumps are functions of the snapshots; the last two are measured
+    from them on each read."""
 
     manifold: Manifold
     solver: str
     times: np.ndarray
     snapshots: list
-    tv: np.ndarray
     dissipation: np.ndarray      # cumulative space-time integral of |u_t|^2
-    max_jump: np.ndarray
     stopped: np.ndarray
     dt_nominal: float
     epsilon: float | None = None
@@ -165,26 +166,60 @@ class FlowTrajectory:
         idx = int(np.argmin(np.abs(self.times - t)))
         return idx
 
+    def variation(self):
+        """Variation and largest jump of every snapshot, each measured once: a
+        sampled snapshot by its chords, a step snapshot by ``tv_measure``,
+        which refuses a jump across the cut locus."""
+        sizes = [chord_sizes(s) if isinstance(s, SampledCurve) else tv_measure(s).jump_sizes
+                 for s in self.snapshots]
+        return (np.array([float(np.sum(z)) for z in sizes]),
+                np.array([float(np.max(z, initial=0.0)) for z in sizes]))
 
-def _requested_times(snapshot_times, t_max):
-    """Requested snapshot times in (0, t_max], sorted, or None.  A time within
-    1e-14 of the one before it is the same snapshot: a solver reaches each
-    time by a step of its own and takes one time per step."""
-    if snapshot_times is None:
-        return None
-    times = []
-    for s in sorted(float(s) for s in snapshot_times if 0.0 < s <= t_max):
-        if not times or s - times[-1] > 1e-14:
-            times.append(s)
-    return times
+    @property
+    def tv(self) -> np.ndarray:
+        return self.variation()[0]
+
+    @property
+    def max_jump(self) -> np.ndarray:
+        return self.variation()[1]
 
 
 class _Recorder:
-    """Snapshots of a run; each one's variation and largest jump are
-    measured from the snapshot itself when the trajectory is built."""
+    """The snapshot schedule of a run and the snapshots it recorded.
 
-    def __init__(self):
+    Requested ``snapshot_times`` in (0, t_max] are recorded when a step
+    reaches them; each ends a step of its own, so a time within 1e-14 of the
+    one before it is the same snapshot.  Without requested times every ``snapshot_every``-th step is
+    recorded.  A step ending in an event (a merge, a state going flat) is
+    recorded too.  Cadence and event records wait until the state is
+    resolved; requested times do not.  Time 0 and the end go through
+    ``add``, which skips a time already recorded.
+    """
+
+    def __init__(self, snapshot_times, t_max, snapshot_every=1):
+        self.t_max = t_max
+        self.every = snapshot_every
+        self.steps = 0
+        self.wanted = None
+        if snapshot_times is not None:
+            self.wanted = []
+            for s in sorted(float(s) for s in snapshot_times if 0.0 < s <= t_max):
+                if not self.wanted or s - self.wanted[-1] > 1e-14:
+                    self.wanted.append(s)
         self.rows = []  # (t, snapshot, cumulative dissipation, stopped)
+
+    def horizon(self, t):
+        """Longest step from t: to the next requested time, else to t_max."""
+        return (self.wanted[0] if self.wanted else self.t_max) - t
+
+    def step(self, t, event=False, resolved=lambda: True) -> bool:
+        """Count a step that ended at t; whether to record its state."""
+        self.steps += 1
+        if self.wanted and t >= self.wanted[0] - 1e-14:
+            self.wanted.pop(0)
+            return True
+        cadence = self.wanted is None and self.steps % self.every == 0
+        return (event or cadence) and resolved()
 
     def add(self, t, snapshot, dissipation, stopped):
         """Record a snapshot unless one is already recorded at time t."""
@@ -193,15 +228,12 @@ class _Recorder:
 
     def build(self, manifold, solver, dt_nominal, epsilon=None) -> FlowTrajectory:
         times, snapshots, dissipation, stopped = zip(*self.rows)
-        sizes = [chord_sizes(s) for s in snapshots]
         return FlowTrajectory(
             manifold=manifold,
             solver=solver,
             times=np.array(times),
             snapshots=list(snapshots),
-            tv=np.array([float(np.sum(z)) for z in sizes]),
             dissipation=np.array(dissipation),
-            max_jump=np.array([float(np.max(z, initial=0.0)) for z in sizes]),
             stopped=np.array(stopped, dtype=bool),
             dt_nominal=dt_nominal,
             epsilon=epsilon,
@@ -287,27 +319,16 @@ def run_regularized(
     # the face count, so the flat-state detector must scale with the grid
     flat_tol = max(_FLAT_TV_TOL, 1e-14 * (u0.grid_n - 1))
 
-    wanted = _requested_times(snapshot_times, config.t_max)
-
     u = np.array(u0.values, dtype=float)
     t = 0.0
     diss = 0.0
-    rec = _Recorder()
-
-    def record(stopped_flag):
-        rec.add(t, SampledCurve(man, u), diss, stopped_flag)
-
+    rec = _Recorder(snapshot_times, config.t_max, config.snapshot_every)
     tv_prev = float(np.sum(chord_sizes(u0)))
-    record(tv_prev < flat_tol)
-    if tv_prev < flat_tol:
-        return rec.build(man, "regularized", dt, eps)
-
-    steps = 0
+    flat = tv_prev < flat_tol
+    rec.add(t, SampledCurve(man, u), diss, flat)
     bound = 2.0 * man.convexity_radius
-    while t < config.t_max - 1e-14:
-        dt_step = min(dt, config.t_max - t)
-        if wanted:
-            dt_step = min(dt_step, wanted[0] - t)
+    while t < config.t_max - 1e-14 and not flat:
+        dt_step = min(dt, rec.horizon(t))
         if dt_step < 1e-15:
             raise StepUnderflow(f"step size underflow at t={t}")
         u_new = step(man, u, h, dt_step, eps)
@@ -323,20 +344,12 @@ def run_regularized(
         u = u_new
         t += dt_step
         tv_prev = tv_new
-        steps += 1
         if math.isfinite(bound) and float(np.max(chords)) >= bound:
             raise ConvexityRadiusExceeded("a chord reached twice the convexity radius")
         flat = tv_new < flat_tol
-        due = False
-        if wanted and t >= wanted[0] - 1e-14:
-            wanted.pop(0)
-            due = True
-        elif wanted is None and steps % config.snapshot_every == 0:
-            due = True
-        if due or flat or t >= config.t_max - 1e-14:
-            record(flat)
-        if flat:
-            break
+        if rec.step(t, flat):
+            rec.add(t, SampledCurve(man, u), diss, flat)
+    rec.add(t, SampledCurve(man, u), diss, flat)
     return rec.build(man, "regularized", dt, eps)
 
 
@@ -560,9 +573,7 @@ def run_exact_pc(
     vals = np.array(u0.values, dtype=float)
     t = 0.0
     diss = 0.0
-    rec = _Recorder()
-
-    wanted = _requested_times(snapshot_times, t_max)
+    rec = _Recorder(snapshot_times, t_max, snapshot_every)
 
     def plateau_rates():
         # lengths and the closing-rate bound of each jump: the sum of the two
@@ -578,14 +589,10 @@ def run_exact_pc(
         diss += pair_diss
         lengths, rates = plateau_rates()
 
-    def record(stopped_flag):
-        rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, stopped_flag)
-
     def resolved_state():
         return vals.shape[0] == 1 or float(np.min(d)) > _SNAPSHOT_JUMP_FLOOR
 
-    record(vals.shape[0] == 1)
-    steps = 0
+    rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, vals.shape[0] == 1)
     # lengths and rates change only at merges
     lengths, rates = plateau_rates()
     d = man.dist(vals[:-1], vals[1:])
@@ -597,7 +604,7 @@ def run_exact_pc(
         # remaining gap: at closing speed at most 2 * rates a guarded step
         # leaves every jump above half its gap, so none crosses zero
         guards = 0.25 * ((d - 0.5 * merge_tol) / rates)
-        dt_step = min(dt_base, wanted[0] - t if wanted else math.inf)
+        dt_step = min(dt_base, rec.horizon(t))
         k = int(np.argmin(d))
         stepped = None
         if d[k] < _MERGE_AHEAD_JUMP and np.all(np.delete(d, k) > _PAIR_ISOLATION * d[k]):
@@ -610,7 +617,7 @@ def run_exact_pc(
                                   _PAIR_SPAN * d[k] / rates[k])
                 stepped = _pair_rk4(man, lengths, vals, diss, dt_step, k, d[k])
         if stepped is None:
-            dt_step = min(dt_step, t_max - t, max(float(guards.min()), 1e-12))
+            dt_step = min(dt_step, max(float(guards.min()), 1e-12))
             if dt_step < 1e-15:
                 raise StepUnderflow(f"step size underflow at t={t}")
             vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
@@ -626,14 +633,9 @@ def run_exact_pc(
             k = int(np.argmin(d))
             merge(k, _pair_collision(man, lengths, rates, vals, d, k)[1])
             d = man.dist(vals[:-1], vals[1:])
-        steps += 1
-        due = bool(wanted) and t >= wanted[0] - 1e-14
-        if due:
-            wanted.pop(0)
-        merged = vals.shape[0] < plateaus
-        if due or (merged or wanted is None and steps % snapshot_every == 0) and resolved_state():
-            record(vals.shape[0] == 1)
-    record(vals.shape[0] == 1)
+        if rec.step(t, vals.shape[0] < plateaus, resolved_state):
+            rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, vals.shape[0] == 1)
+    rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, vals.shape[0] == 1)
     return rec.build(man, "exact_pc", dt_base)
 
 
@@ -743,13 +745,9 @@ def scalar_curve(breakpoints, values) -> PiecewiseConstantCurve:
 def _staircase_trajectory(flow, sample_times, manifold, solver, curve_at) -> FlowTrajectory:
     """Record ``curve_at(breakpoints, values)`` at time 0, every merge, the
     end of the flow and the sample times within ``[0, t_max]``."""
-    times = {0.0, *flow.event_times()}
-    if flow.extinction_time is None:
-        times.add(flow.t_max)
-    if sample_times is not None:
-        times.update(float(t) for t in sample_times if 0.0 <= t <= flow.t_max)
-    rec = _Recorder()
-    for t in sorted(times):
+    times = flow.event_times() + ([flow.t_max] if flow.extinction_time is None else [])
+    rec = _Recorder(times if sample_times is None else [*times, *sample_times], flow.t_max)
+    for t in [0.0, *rec.wanted]:
         stopped = flow.extinction_time is not None and t >= flow.extinction_time - 1e-15
         rec.add(t, curve_at(*flow.state_at(t)), flow.dissipation_at(t), stopped)
     return rec.build(manifold, solver, dt_nominal=0.0)

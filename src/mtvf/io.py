@@ -175,9 +175,10 @@ def write_trajectory(traj_path: str, diag_path: str, traj: FlowTrajectory) -> No
     lines += _csv_lines(np.vstack(blocks))
     _atomic_write_text(traj_path, "\n".join(lines) + "\n")
 
+    # tv and max_jump are written for readers; read_trajectory remeasures them
+    tv, max_jump = traj.variation()
     diag = ["# diagnostics", "t,tv,dissipation,max_jump,stopped"]
-    diag += _csv_lines(np.column_stack(
-        [traj.times, traj.tv, traj.dissipation, traj.max_jump, traj.stopped]))
+    diag += _csv_lines(np.column_stack([traj.times, tv, traj.dissipation, max_jump, traj.stopped]))
     _atomic_write_text(diag_path, "\n".join(diag) + "\n")
 
 
@@ -211,9 +212,7 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
         solver=meta.get("solver", "unknown"),
         times=np.array(times),
         snapshots=snapshots,
-        tv=ddata[:, 1],
         dissipation=ddata[:, 2],
-        max_jump=ddata[:, 3],
         stopped=ddata[:, 4] != 0.0,
         dt_nominal=dt_nominal,
         epsilon=epsilon,

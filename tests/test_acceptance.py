@@ -210,7 +210,7 @@ def test_criterion_08_cross_solver_consistency(acceptance_log):
     t0 = time.monotonic()
     eps_list = (1e-1, 1e-2, 1e-3)
     grid_list = (101, 401, 1601)
-    rows = cross_solver_compare(two_jump_sphere_example(), eps_list, grid_list)
+    rows = cross_solver_compare(two_jump_sphere_example(), eps_list, grid_list, pairing="zip")
     table = {(r.epsilon, r.grid_n): r for r in rows}
     diag = [table[(e, n)] for e, n in zip(eps_list, grid_list)]
     sups = [r.sup_l2 for r in diag]

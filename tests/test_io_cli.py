@@ -66,6 +66,24 @@ def test_sampled_curve_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.values, w.values)
 
 
+def test_read_trajectory_measures_tv_and_max_jump_from_the_snapshots(tmp_path):
+    # the sidecar's tv and max_jump columns are written for readers only
+    u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([63, 0])))
+    traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
+    tp, dp = tmp_path / "t.csv", tmp_path / "d.csv"
+    write_trajectory(str(tp), str(dp), traj)
+    lines = dp.read_text().splitlines()
+    for k in range(2, len(lines)):
+        cells = lines[k].split(",")
+        cells[1], cells[3] = "7", "8"
+        lines[k] = ",".join(cells)
+    dp.write_text("\n".join(lines) + "\n")
+    back = read_trajectory(str(tp), str(dp))
+    assert np.array_equal(back.tv, [tv_measure(s).total for s in traj.snapshots])
+    assert np.array_equal(back.max_jump, [tv_measure(s).max_jump for s in traj.snapshots])
+    assert np.array_equal(back.dissipation, traj.dissipation)
+
+
 def test_exact_trajectory_round_trip(tmp_path):
     u0 = random_rad_curve(Euclidean(2), np.random.Generator(np.random.Philox([61, 0])))
     traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
@@ -178,7 +196,7 @@ def _write_config(path, **kv):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_cli_generate_flow_verify_pipeline(tmp_path):
+def test_cli_generate_flow_verify_pipeline(tmp_path, capsys):
     curve_path = tmp_path / "stairs.csv"
     assert main(["generate", "staircase", "--levels", "0,0.8,0.3,1.1",
                  "--out", str(curve_path)]) == 0
@@ -199,6 +217,11 @@ def test_cli_generate_flow_verify_pipeline(tmp_path):
     assert monotone.split(",")[1] == "1" and monotone.split(",")[3:5] == ["", ""]
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["inputs"]["stairs.csv"] == sha256_of(str(curve_path))
+    # with no --checks an exact run gets energy and monotone
+    capsys.readouterr()
+    assert main(["verify", "--input", str(outdir / "trajectory.csv")]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "[pass] energy_inequality", "[pass] monotone_variation"]
 
 
 def test_cli_verify_fails_on_corrupted_trajectory(tmp_path):
@@ -250,7 +273,8 @@ def test_cli_flow_dt_sets_exact_solver_base_step(tmp_path):
 
 def test_cli_verify_monotone_refuses_grid_run(tmp_path, capsys):
     # a correct regularized run: the law face by face is not its guarantee, so the
-    # monotone check does not apply (exit 4) while the energy check passes
+    # monotone check does not apply (exit 4) while the energy check passes, and
+    # with no --checks it gets the energy check alone
     assert main(["generate", "staircase", "--levels", "0,1,0.4", "--breakpoints", "0.3,0.6",
                  "--out", str(tmp_path / "u0.csv")]) == 0
     _write_config(tmp_path / "run.cfg", manifold="euclidean:1", epsilon=1e-3, grid_n=201,
@@ -261,9 +285,14 @@ def test_cli_verify_monotone_refuses_grid_run(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--input", trajectory, "--checks", "monotone"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("verification failed:") and "piecewise-constant" in err
+    assert err.startswith("check does not apply:") and "piecewise-constant" in err
     assert "Traceback" not in err
     assert main(["verify", "--input", trajectory, "--checks", "energy"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", trajectory]) == 0
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in out.splitlines()] == ["[pass] energy_inequality"]
+    assert err == ""
 
 
 def test_cli_verify_unknown_check_is_config_error(tmp_path):
@@ -286,6 +315,17 @@ def test_cli_flow_antipodal_jump_is_geometry_error(tmp_path):
     _write_config(cfg, manifold="sphere:3", t_max=1.0)
     assert main(["flow", "--config", str(cfg), "--input", str(curve_path),
                  "--out", str(tmp_path / "out")]) == 3
+
+
+def test_cli_verify_antipodal_jump_is_geometry_error(tmp_path, capsys):
+    # measuring a step snapshot's variation refuses a jump with no unique geodesic
+    (tmp_path / "trajectory.csv").write_text(
+        "# trajectory kind=pc manifold=sphere:3 solver=exact_pc dt_nominal=0.001 epsilon=none\n"
+        "t,x,c0,c1,c2\n0,0.5,1,0,0\n0,1,-1,0,0\n")
+    (tmp_path / "diagnostics.csv").write_text(
+        "# diagnostics\nt,tv,dissipation,max_jump,stopped\n0,0,0,0,0\n")
+    assert main(["verify", "--input", str(tmp_path / "trajectory.csv")]) == 3
+    assert capsys.readouterr().err.startswith("geometry error:")
 
 
 def test_cli_regularized_needs_explicit_epsilon(tmp_path):
