@@ -1,9 +1,10 @@
 """Command-line interface: each command, lab experiment and generator kind
 parses only the options its handler reads and refuses any other (exit 2).
 
-Exit codes: 0 success, 2 configuration/usage errors, 3 geometry violations
-(inadmissible jumps, out-of-range constructions), 4 verification checks
-that fail or do not apply to the trajectory.
+Exit codes: 0 success, 2 configuration/usage errors and paths that cannot
+be read or written (a missing file, a directory, undecodable text), 3
+geometry violations (inadmissible jumps, out-of-range constructions), 4
+verification checks that fail or do not apply to the trajectory.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .io import (
     parse_config_text,
     parse_dt,
     read_curve,
+    read_text,
     read_trajectory,
     write_curve,
     write_manifest,
@@ -70,8 +72,7 @@ _OVERRIDES = {"eps": "epsilon", "grid": "grid_n", "dt": "dt", "t_max": "t_max",
 
 
 def cmd_flow(args) -> int:
-    with open(args.config) as handle:
-        given = parse_config_text(handle.read())
+    given = parse_config_text(read_text(args.config))
     given.update((field, getattr(args, opt)) for opt, field in _OVERRIDES.items()
                  if getattr(args, opt) is not None)
     cfg = flow_config_from_mapping(given)
@@ -429,8 +430,8 @@ def main(argv=None) -> int:
         what = "verification failed" if type(exc) is VerificationError else "check does not apply"
         print(f"{what}: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except MtvfError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -240,6 +240,17 @@ class _Recorder:
         )
 
 
+def _refuse_wide_jumps(u0, noun):
+    """Raise ``ConvexityRadiusExceeded`` naming the worst ``noun`` (a chord, a
+    jump) of the datum if it reaches twice the convexity radius."""
+    ok, worst, loc = jump_admissibility(u0)
+    if not ok:
+        raise ConvexityRadiusExceeded(
+            f"{noun} of size {worst:.6g} at x={loc:.6g} reaches twice the "
+            f"convexity radius {u0.manifold.convexity_radius:.6g}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # regularized grid solver
 # ---------------------------------------------------------------------------
@@ -305,12 +316,7 @@ def run_regularized(
         raise ConfigError("datum and config disagree on the manifold")
     if u0.grid_n != config.grid_n:
         raise ConfigError(f"grid_n = {config.grid_n} but the datum has {u0.grid_n} nodes")
-    ok, worst, loc = jump_admissibility(u0)
-    if not ok:
-        raise ConvexityRadiusExceeded(
-            f"chord of size {worst:.6g} at x={loc:.6g} reaches twice the "
-            f"convexity radius {man.convexity_radius:.6g}"
-        )
+    _refuse_wide_jumps(u0, "chord")
     h = u0.h
     dt = config.resolved_dt()
     eps = config.epsilon
@@ -358,21 +364,29 @@ def run_regularized(
 # ---------------------------------------------------------------------------
 
 
+def _jump_tangents(manifold: Manifold, values: np.ndarray):
+    """``(t_minus, t_plus)`` of every jump between consecutive plateau values,
+    the flux in its one-sided limits at each breakpoint, from one call of the
+    target's closed-form kernel.  Coincident neighbours (jump size at most
+    ``COINCIDENT_TOL``) have no direction and get zero rows."""
+    t_minus, t_plus, d = manifold._tangent_pair(values[:-1], values[1:])
+    if d.min() <= COINCIDENT_TOL:
+        apart = (d > COINCIDENT_TOL)[:, None]
+        t_minus, t_plus = np.where(apart, t_minus, 0.0), np.where(apart, t_plus, 0.0)
+    return t_minus, t_plus
+
+
 def reconstruct_z_pc(curve: PiecewiseConstantCurve) -> PiecewiseLinearFluxField:
     """Closed-form flux of a piecewise-constant state.
 
     Linear on every plateau, zero at both domain ends, equal to the unit
     tangents of each jump in the one-sided limits at its breakpoint.
     """
-    man = curve.manifold
     m = curve.num_jumps
-    nd = man.ambient_dim
-    left = np.zeros((m + 1, nd))
-    right = np.zeros((m + 1, nd))
+    left = np.zeros((m + 1, curve.manifold.ambient_dim))
+    right = np.zeros_like(left)
     if m:
-        t_minus, t_plus = man.unit_tangent_pair(curve.values[:-1], curve.values[1:])
-        right[:-1] = t_minus
-        left[1:] = t_plus
+        right[:-1], left[1:] = _jump_tangents(curve.manifold, curve.values)
     return PiecewiseLinearFluxField(np.array(curve.breakpoints, copy=True), left, right)
 
 
@@ -380,18 +394,12 @@ def pc_velocity(manifold: Manifold, lengths: np.ndarray, values: np.ndarray) -> 
     """Plateau velocities: mutual pull of the unit tangents at each jump.
 
     Plateau i moves with ``(t_minus[i] - t_plus[i-1]) / lengths[i]`` for the
-    ``unit_tangent_pair`` of each existing jump, all from one call of the
-    target's closed-form kernel; coincident neighbours (jump size at most
-    1e-15) exert no pull.
+    ``_jump_tangents`` of the state; coincident neighbours exert no pull.
     """
     rhs = np.zeros(values.shape)
     if values.shape[0] == 1:
         return rhs
-    t_minus, t_plus, d = manifold._tangent_pair(values[:-1], values[1:])
-    if d.min() <= COINCIDENT_TOL:
-        apart = (d > COINCIDENT_TOL)[:, None]
-        t_minus = np.where(apart, t_minus, 0.0)
-        t_plus = np.where(apart, t_plus, 0.0)
+    t_minus, t_plus = _jump_tangents(manifold, values)
     rhs[:-1] = t_minus
     rhs[1:] -= t_plus
     return rhs / lengths[:, None]
@@ -471,9 +479,7 @@ def _pair_rk4(man, lengths, values, diss, dt, k, d):
 
     def stage(vals):
         vel = pc_velocity(man, lengths, vals)
-        t_minus, t_plus, gap = man._tangent_pair(vals[k], vals[k + 1])
-        if gap <= COINCIDENT_TOL:  # pc_velocity drops the pull too
-            t_minus = t_plus = 0.0
+        (t_minus,), (t_plus,) = _jump_tangents(man, vals[k:k + 2])
         m_vel = (lo * vel[k] + hi * vel[k + 1] - t_minus + t_plus) / (lo + hi)
         w = vel[k + 1] - vel[k] + t_minus / lo + t_plus / hi
         rate = lengths @ _dot(vel, vel) - lo * vel[k] @ vel[k] - hi * vel[k + 1] @ vel[k + 1]
@@ -518,7 +524,7 @@ def _pair_collision(man, lengths, rates, values, d, k):
     the rate ``c^2 - |w|^2`` to 0 at the collision, after tau, and the pair
     dissipates ``|r| - <w, r>/c``.  tau is None if w nearly cancels c.
     """
-    t_minus, t_plus, _ = man._tangent_pair(values[:-1], values[1:])
+    t_minus, t_plus = _jump_tangents(man, values)
     # a boundary neighbour's slice is empty and exerts no pull
     w = t_plus[k - 1:k].sum(0) / lengths[k] + t_minus[k + 1:k + 2].sum(0) / lengths[k + 1]
     c, wr = rates[k], w @ (values[k + 1] - values[k])
@@ -560,12 +566,7 @@ def run_exact_pc(
     man = u0.manifold
     config = FlowConfig(man, t_max=t_max, merge_tol=merge_tol, snapshot_every=snapshot_every,
                         dt="auto" if dt is None else dt)
-    ok, worst, loc = jump_admissibility(u0)
-    if not ok:
-        raise ConvexityRadiusExceeded(
-            f"jump of size {worst:.6g} at x={loc:.6g} reaches twice the "
-            f"convexity radius {man.convexity_radius:.6g}"
-        )
+    _refuse_wide_jumps(u0, "jump")
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
     bound = 2.0 * man.convexity_radius
 
@@ -575,27 +576,27 @@ def run_exact_pc(
     diss = 0.0
     rec = _Recorder(snapshot_times, t_max, snapshot_every)
 
-    def plateau_rates():
-        # lengths and the closing-rate bound of each jump: the sum of the two
-        # inverse plateau lengths
+    def measure():
+        # plateau lengths, the closing-rate bound of each jump (the sum of the
+        # two inverse plateau lengths) and the jump sizes
         lengths = np.diff(np.concatenate([[0.0], xs, [1.0]]))
-        return lengths, 1.0 / lengths[:-1] + 1.0 / lengths[1:]
+        return lengths, 1.0 / lengths[:-1] + 1.0 / lengths[1:], man.dist(vals[:-1], vals[1:])
 
-    def merge(k, pair_diss):
-        # the pair's mutual pull does not move its length-weighted centre
-        nonlocal xs, vals, diss, lengths, rates
+    def merge(k):
+        # book the pair's closed-form dissipation and put it at its projected
+        # length-weighted centre, which its mutual pull does not move
+        nonlocal xs, vals, diss, lengths, rates, d
+        diss += _pair_collision(man, lengths, rates, vals, d, k)[1]
         centre = man.project_point(lengths[k:k + 2] @ vals[k:k + 2] / lengths[k:k + 2].sum())
         xs, vals = np.delete(xs, k), np.vstack([vals[:k], centre, vals[k + 2:]])
-        diss += pair_diss
-        lengths, rates = plateau_rates()
+        lengths, rates, d = measure()
 
     def resolved_state():
         return vals.shape[0] == 1 or float(np.min(d)) > _SNAPSHOT_JUMP_FLOOR
 
     rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, vals.shape[0] == 1)
     # lengths and rates change only at merges
-    lengths, rates = plateau_rates()
-    d = man.dist(vals[:-1], vals[1:])
+    lengths, rates, d = measure()
     while t < t_max - 1e-14 and vals.shape[0] > 1:
         if float(np.max(d)) >= bound:
             raise ConvexityRadiusExceeded("a jump reached twice the convexity radius")
@@ -623,16 +624,13 @@ def run_exact_pc(
             vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
         else:
             vals, diss = stepped
-            if dt_step == tau:
-                d = man.dist(vals[:-1], vals[1:])
-                merge(k, _pair_collision(man, lengths, rates, vals, d, k)[1])
         t += dt_step
         d = man.dist(vals[:-1], vals[1:])
+        if stepped is not None and dt_step == tau:
+            merge(k)
         # merge every jump the step closed to merge_tol, smallest first
         while vals.shape[0] > 1 and float(np.min(d)) <= merge_tol:
-            k = int(np.argmin(d))
-            merge(k, _pair_collision(man, lengths, rates, vals, d, k)[1])
-            d = man.dist(vals[:-1], vals[1:])
+            merge(int(np.argmin(d)))
         if rec.step(t, vals.shape[0] < plateaus, resolved_state):
             rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, vals.shape[0] == 1)
     rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, vals.shape[0] == 1)

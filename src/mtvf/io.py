@@ -38,6 +38,15 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def read_text(path: str) -> str:
+    """An input file as UTF-8 text; undecodable bytes are a ``ConfigError``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _meta_line(tag: str, **fields) -> str:
     parts = " ".join(f"{k}={v}" for k, v in fields.items())
     return f"# {tag} {parts}"
@@ -145,8 +154,7 @@ def curve_from_text(text: str):
 
 
 def read_curve(path: str):
-    with open(path) as handle:
-        return curve_from_text(handle.read())
+    return curve_from_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +191,7 @@ def write_trajectory(traj_path: str, diag_path: str, traj: FlowTrajectory) -> No
 
 
 def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
-    with open(traj_path) as handle:
-        meta, _, rows = _split_file(handle.read(), "trajectory")
+    meta, _, rows = _split_file(read_text(traj_path), "trajectory")
     man = parse_manifold(meta.get("manifold", ""))
     data = _read_rows(rows, 2 + man.ambient_dim)
     # split rows into snapshots at changes of t (bit-exact after round-trip)
@@ -195,8 +202,7 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
         times.append(data[a, 0])
         snapshots.append(_curve_from_columns(man, meta.get("kind"), data[a:b, 1], data[a:b, 2:]))
 
-    with open(diag_path) as handle:
-        _, _, drows = _split_file(handle.read(), "diagnostics")
+    _, _, drows = _split_file(read_text(diag_path), "diagnostics")
     ddata = _read_rows(drows, 5)
     if ddata.shape[0] != len(times) or np.any(ddata[:, 0] != np.array(times)):
         # a sidecar from another run is a bad input, not a failed check
@@ -228,16 +234,17 @@ def parse_dt(text: str):
     return "auto" if text == "auto" else float(text)
 
 
+# every FlowConfig field a config file may set: (parse its text, write its value)
 _CONFIG_KEYS = {
-    "manifold": str,
-    "epsilon": float,
-    "grid_n": int,
-    "dt": parse_dt,
-    "t_max": float,
-    "merge_tol": float,
-    "snapshot_every": int,
-    "scheme": str,
-    "cfl_factor": float,
+    "manifold": (str, lambda man: man.spec_id),
+    "epsilon": (float, fmt),
+    "grid_n": (int, str),
+    "dt": (parse_dt, lambda dt: "auto" if dt == "auto" else fmt(dt)),
+    "t_max": (float, fmt),
+    "merge_tol": (float, fmt),
+    "snapshot_every": (int, str),
+    "scheme": (str, str),
+    "cfl_factor": (float, fmt),
 }
 
 
@@ -256,7 +263,7 @@ def parse_config_text(text: str) -> dict:
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            out[key] = _CONFIG_KEYS[key](value)
+            out[key] = _CONFIG_KEYS[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return out
@@ -276,18 +283,8 @@ def flow_config_from_mapping(mapping: dict) -> FlowConfig:
 
 def config_to_text(cfg: FlowConfig, keys=tuple(_CONFIG_KEYS)) -> str:
     """``key = value`` lines for the given keys (every field by default)."""
-    pairs = [
-        ("manifold", cfg.manifold.spec_id),
-        ("epsilon", fmt(cfg.epsilon)),
-        ("grid_n", str(cfg.grid_n)),
-        ("dt", "auto" if cfg.dt == "auto" else fmt(cfg.dt)),
-        ("t_max", fmt(cfg.t_max)),
-        ("merge_tol", fmt(cfg.merge_tol)),
-        ("snapshot_every", str(cfg.snapshot_every)),
-        ("scheme", cfg.scheme),
-        ("cfl_factor", fmt(cfg.cfl_factor)),
-    ]
-    return "".join(f"{k} = {v}\n" for k, v in pairs if k in keys)
+    return "".join(f"{key} = {text(getattr(cfg, key))}\n"
+                   for key, (_, text) in _CONFIG_KEYS.items() if key in keys)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ class Manifold:
         Returns ``(t_minus, t_plus)``: ``t_minus`` sits in T_p and points
         toward q, ``t_plus`` sits in T_q and points away from p; both have
         unit length.  Both come from the target's one closed-form kernel,
-        ``_tangent_pair``, which ``flows.pc_velocity`` calls as well.
+        ``_tangent_pair``, which ``flows._jump_tangents`` calls as well.
         Raises ``DegenerateJump`` if p and q coincide.
         """
         t_minus, t_plus, d = self._tangent_pair(np.asarray(p, float), np.asarray(q, float))

@@ -23,8 +23,8 @@ from .errors import ConfigError, IncompatibleSnapshots, NotNPC, WrongManifold
 from .flows import (
     FlowConfig,
     FlowTrajectory,
+    _jump_tangents,
     face_flux,
-    reconstruct_z_pc,
     regularized_velocity,
     run_exact_pc,
     run_regularized,
@@ -190,11 +190,11 @@ def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> 
     solution, (ii) the wedge form of the evolution law — ``u_t ^ u`` equals
     the spatial derivative of ``z ^ u`` with no atoms at jumps, (iii) the
     pairing of the flux with the variation measure equals ``|u*| |u_x|``
-    with ``u*`` the ambient midpoint average.  On a piecewise-constant
-    snapshot (ii) is the no-atoms part: ``z ^ u`` is continuous across each
-    jump.  Its plateau part holds by construction there, since the plateau
-    velocities and the flux slopes are the same unit tangents over the same
-    lengths.
+    with ``u*`` the ambient midpoint average and, at a jump, the flux the
+    mean of its two one-sided limits.  On a piecewise-constant snapshot (ii)
+    is the no-atoms part: ``z ^ u`` is continuous across each jump.  Its
+    plateau part holds by construction there, since the plateau velocities
+    and the flux slopes are the same unit tangents over the same lengths.
     """
     man = traj.manifold
     if man.kind not in ("sphere", "circle"):
@@ -206,29 +206,24 @@ def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> 
             tol = 1e-8
     r_tan = r_wedge = r_pair = 0.0
     for snap in traj.snapshots:
+        vals = snap.values
+        du = vals[1:] - vals[:-1]
+        u_star = 0.5 * (vals[1:] + vals[:-1])
         if isinstance(snap, PiecewiseConstantCurve):
-            vals = snap.values
-            flux = reconstruct_z_pc(snap)
+            if not snap.num_jumps:
+                continue
+            # the flux in its one-sided limits at each jump
+            t_minus, t_plus = _jump_tangents(man, vals)
             # (i) tangency at both ends of every linear piece
-            for endp in (flux.left_values, flux.right_values):
-                r_tan = max(r_tan, float(np.max(np.abs(_dot(endp, vals)), initial=0.0)))
+            r_tan = max(r_tan, float(np.max(np.abs(_dot(t_minus, vals[:-1])))),
+                        float(np.max(np.abs(_dot(t_plus, vals[1:])))))
             # (ii) no atoms: z ^ u continuous across each jump
-            if snap.num_jumps:
-                left = _wedge(flux.right_values[:-1], vals[:-1])
-                right = _wedge(flux.left_values[1:], vals[1:])
-                r_wedge = max(r_wedge, float(np.max(_wedge_norm(left - right), initial=0.0)))
-                # (iii) pairing with the jump part of the variation measure
-                du = vals[1:] - vals[:-1]
-                z_star = 0.5 * (flux.right_values[:-1] + flux.left_values[1:])
-                u_star = 0.5 * (vals[1:] + vals[:-1])
-                lhs = _dot(du, z_star)
-                rhs = _norm(u_star) * _norm(du)
-                r_pair = max(r_pair, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+            jump = _wedge(t_minus, vals[:-1]) - _wedge(t_plus, vals[1:])
+            r_wedge = max(r_wedge, float(np.max(_wedge_norm(jump))))
+            z = 0.5 * (t_minus + t_plus)
         else:
-            vals = snap.values
             h = snap.h
             z = face_flux(vals, h, traj.epsilon)
-            u_star = 0.5 * (vals[1:] + vals[:-1])
             r_tan = max(r_tan, float(np.max(np.abs(_dot(z, u_star)), initial=0.0)))
             vel = regularized_velocity(man, vals, h, traj.epsilon)
             w_face = _wedge(z, u_star)
@@ -238,10 +233,8 @@ def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> 
                 r_wedge,
                 float(np.max(_wedge_norm(_wedge(vel, vals) - w_div), initial=0.0)),
             )
-            du = vals[1:] - vals[:-1]
-            lhs = _dot(du, z)
-            rhs = _norm(u_star) * _norm(du)
-            r_pair = max(r_pair, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+        # (iii) pairing of the flux with the variation measure
+        r_pair = max(r_pair, float(np.max(np.abs(_dot(du, z) - _norm(u_star) * _norm(du)))))
     worst = max(r_tan, r_wedge, r_pair)
     return CheckReport(
         "sphere_equivalence",

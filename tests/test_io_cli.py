@@ -365,6 +365,16 @@ def test_cli_denoise_reduces_variation(tmp_path):
                  "--out", str(tmp_path / "den2")]) == 2
 
 
+@pytest.mark.parametrize("variant", ["u", "veps"])
+def test_cli_generate_two_jump_square_variant(tmp_path, variant):
+    path = tmp_path / "sq.csv"
+    assert main(["generate", "two_jump_square", "--variant", variant, "--out", str(path)]) == 0
+    ref = two_jump_square(variant=variant)
+    curve = read_curve(str(path))
+    assert np.array_equal(curve.breakpoints, ref.breakpoints)
+    assert np.array_equal(curve.values, ref.values)
+
+
 def test_cli_generate_two_jump_square_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -392,11 +402,15 @@ def test_cli_lab_semiconvexity_table(tmp_path):
     assert flagged[0].startswith("19,")
 
 
-def test_cli_lab_midpoint_and_stability(tmp_path):
+def test_cli_lab_midpoint_and_stability(tmp_path, capsys):
     mid = tmp_path / "mid.csv"
     assert main(["lab", "midpoint", "--side", "0.5", "--out", str(mid)]) == 0
     row = mid.read_text().strip().splitlines()[1].split(",")
     assert float(row[2]) > 0
+    # without --out the report goes to stdout
+    capsys.readouterr()
+    assert main(["lab", "midpoint", "--side", "0.5"]) == 0
+    assert capsys.readouterr().out == mid.read_text()
     stab = tmp_path / "stab.csv"
     assert main(["lab", "stability", "--samples", "50", "--radius", "0.8",
                  "--out", str(stab)]) == 0
@@ -497,6 +511,18 @@ _BAD_INPUTS = {
                         "--out", "{tmp}/run"],
     "flow_nan_sampled_x": ["flow", "--config", "{tmp}/reg.cfg", "--input", "{tmp}/nan_x.csv",
                            "--out", "{tmp}/run"],
+    "flow_exact_solver_on_sampled_input": ["flow", "--solver", "exact", "--config",
+                                           "{tmp}/run.cfg", "--input", "{tmp}/field.csv",
+                                           "--out", "{tmp}/run"],
+    "flow_grid_n_two_in_config": ["flow", "--config", "{tmp}/grid_two.cfg", "--input",
+                                  "{tmp}/ok.csv", "--out", "{tmp}/run"],
+    "flow_unknown_scheme_in_config": ["flow", "--config", "{tmp}/bogus_scheme.cfg", "--input",
+                                      "{tmp}/field.csv", "--out", "{tmp}/run"],
+    "verify_no_checks": ["verify", "--input", "{tmp}/run/trajectory.csv", "--checks", ","],
+    "verify_unknown_check": ["verify", "--input", "{tmp}/run/trajectory.csv",
+                             "--checks", "bogus"],
+    "denoise_manifold_mismatch": ["denoise", "--input", "{tmp}/sphere_field.csv",
+                                  "--out", "{tmp}/den", "--manifold", "circle"],
 }
 
 # curve files the non-finite and singular cases read
@@ -508,6 +534,7 @@ _BAD_CURVES = {
     "nan_breakpoint": "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\nnan,0\n1,1\n",
     "nan_end": "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\nnan,0\n",
     "nan_x": "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\nnan,1\n1,0\n",
+    "sphere_field": "# curve kind=sampled manifold=sphere:3\nx,c0,c1,c2\n0,1,0,0\n1,0,1,0\n",
 }
 
 # config files the bad-input cases read, beside run.cfg
@@ -527,6 +554,9 @@ _BAD_CONFIGS = {
     "sphere": {"manifold": "sphere:3", "t_max": 1.0},
     "plane": {"manifold": "euclidean:2", "t_max": 1.0},
     "cylinder": {"manifold": "cylinder", "t_max": 1.0, "epsilon": 0.1},
+    "grid_two": {"manifold": "euclidean:1", "t_max": 1.0, "grid_n": 2},
+    "bogus_scheme": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
+                     "scheme": "bogus"},
 }
 
 
@@ -558,6 +588,87 @@ def test_cli_bad_input_is_config_error(tmp_path, capsys, case):
     if case.startswith("denoise_"):
         # the message names the option given, not the config key it feeds
         assert argv[-2] in err
+
+
+# paths that cannot be read or written, and input bytes that are not UTF-8:
+# case -> (error prefix, argv)
+_UNUSABLE_PATHS = {
+    "generate_out_is_directory": ("file error:", ["generate", "staircase", "--levels", "0,1",
+                                                  "--out", "{tmp}/dir"]),
+    "lab_out_is_directory": ("file error:", ["lab", "midpoint", "--out", "{tmp}/dir"]),
+    "verify_out_is_directory": ("file error:", ["verify", "--input", "{tmp}/run/trajectory.csv",
+                                                "--out", "{tmp}/dir"]),
+    "flow_out_is_file": ("file error:", ["flow", "--config", "{tmp}/run.cfg", "--input",
+                                         "{tmp}/ok.csv", "--out", "{tmp}/ok.csv"]),
+    "denoise_out_is_file": ("file error:", ["denoise", "--input", "{tmp}/field.csv",
+                                            "--out", "{tmp}/field.csv"]),
+    "flow_config_is_directory": ("file error:", ["flow", "--config", "{tmp}/dir", "--input",
+                                                 "{tmp}/ok.csv", "--out", "{tmp}/out"]),
+    "flow_input_is_directory": ("file error:", ["flow", "--config", "{tmp}/run.cfg",
+                                                "--input", "{tmp}/dir", "--out", "{tmp}/out"]),
+    "denoise_input_is_directory": ("file error:", ["denoise", "--input", "{tmp}/dir",
+                                                   "--out", "{tmp}/out"]),
+    "verify_input_is_directory": ("file error:", ["verify", "--input", "{tmp}/dir"]),
+    "flow_curve_not_utf8": ("config error:", ["flow", "--config", "{tmp}/run.cfg", "--input",
+                                              "{tmp}/latin1.csv", "--out", "{tmp}/out"]),
+    "flow_config_not_utf8": ("config error:", ["flow", "--config", "{tmp}/latin1.cfg",
+                                               "--input", "{tmp}/ok.csv", "--out", "{tmp}/out"]),
+    "verify_trajectory_not_utf8": ("config error:", ["verify", "--input", "{tmp}/latin1.traj",
+                                                     "--diagnostics",
+                                                     "{tmp}/run/diagnostics.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNUSABLE_PATHS))
+def test_cli_unusable_path_exits_2(tmp_path, capsys, case):
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0)
+    (tmp_path / "ok.csv").write_text("# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n1,0\n")
+    (tmp_path / "field.csv").write_text(
+        "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\n0.5,1\n1,0\n")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.csv").write_bytes(
+        b"# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n1,0\xe9\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"manifold = euclidean:1  # caf\xe9\n")
+    (tmp_path / "latin1.traj").write_bytes(
+        b"# trajectory kind=pc manifold=euclidean:1\nt,x,c0\n0,1,0\xe9\n")
+    assert main(["flow", "--config", str(tmp_path / "run.cfg"),
+                 "--input", str(tmp_path / "ok.csv"), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    prefix, argv = _UNUSABLE_PATHS[case]
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+    # an atomic write that cannot land leaves no temporary file behind
+    assert not glob.glob(str(tmp_path / ".tmp-*"))
+
+
+def test_cli_step_too_large_for_the_explicit_scheme_exits_2(tmp_path, capsys):
+    assert main(["generate", "staircase", "--levels", "0,1",
+                 "--out", str(tmp_path / "u0.csv")]) == 0
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", epsilon=1e-3, grid_n=201,
+                  t_max=0.01, scheme="explicit")
+    capsys.readouterr()
+    assert main(["flow", "--solver", "regularized", "--config", str(tmp_path / "run.cfg"),
+                 "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run"),
+                 "--dt", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: variation increased") and "reduce the step size" in err
+    assert "Traceback" not in err
+
+
+def test_cli_verify_stopping_fails_on_an_unstopped_run(tmp_path, capsys):
+    assert main(["generate", "staircase", "--levels", "0,1",
+                 "--out", str(tmp_path / "u0.csv")]) == 0
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=0.01)
+    assert main(["flow", "--config", str(tmp_path / "run.cfg"), "--input",
+                 str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", str(tmp_path / "run" / "trajectory.csv"),
+                 "--checks", "stopping"]) == 4
+    out, err = capsys.readouterr()
+    assert out.startswith("[FAIL] stopping")
+    assert err.startswith("verification failed:")
 
 
 def test_cli_bad_dt_option_is_usage_error(tmp_path, capsys):
