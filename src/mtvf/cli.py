@@ -9,6 +9,7 @@ verification checks that fail or do not apply to the trajectory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -71,6 +72,20 @@ _OVERRIDES = {"eps": "epsilon", "grid": "grid_n", "dt": "dt", "t_max": "t_max",
               "manifold": "manifold"}
 
 
+@contextlib.contextmanager
+def _out_dir(path):
+    """Create the run directory before the solve, so an unusable path is refused
+    first; if the solve raises, remove a directory made here that is still empty."""
+    made = not os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if made and not os.listdir(path):
+            os.rmdir(path)
+        raise
+
+
 def cmd_flow(args) -> int:
     given = parse_config_text(read_text(args.config))
     given.update((field, getattr(args, opt)) for opt, field in _OVERRIDES.items()
@@ -90,9 +105,7 @@ def cmd_flow(args) -> int:
         if not isinstance(curve, PiecewiseConstantCurve):
             raise ConfigError("the exact solver needs piecewise-constant input")
     else:
-        # cfl_factor only sets the explicit scheme's automatic step
-        explicit_auto = cfg.scheme == "explicit" and cfg.dt == "auto"
-        read = _REGULARIZED_KEYS + (("cfl_factor",) if explicit_auto else ())
+        read = _REGULARIZED_KEYS
         if "epsilon" not in given:
             raise ConfigError(
                 "the regularized solver needs 'epsilon' in the config file or --eps"
@@ -100,21 +113,21 @@ def cmd_flow(args) -> int:
     unread = sorted(set(given) - set(read))
     if unread:
         raise ConfigError(f"the {solver} solver does not read {', '.join(unread)}")
-    if solver == "exact":
-        traj = run_exact_pc(
-            curve,
-            t_max=cfg.t_max,
-            merge_tol=cfg.merge_tol,
-            dt=None if cfg.dt == "auto" else cfg.dt,
-            snapshot_every=cfg.snapshot_every,
-        )
-    else:
-        if isinstance(curve, PiecewiseConstantCurve):
-            curve = mollify(curve, cfg.grid_n, auto_ramp(curve, cfg.grid_n))
-        elif "grid_n" not in given:  # a sampled input sets the grid
-            cfg = replace(cfg, grid_n=curve.grid_n)
-        traj = run_regularized(curve, cfg)
-    os.makedirs(args.out, exist_ok=True)
+    with _out_dir(args.out):
+        if solver == "exact":
+            traj = run_exact_pc(
+                curve,
+                t_max=cfg.t_max,
+                merge_tol=cfg.merge_tol,
+                dt=cfg.dt,
+                snapshot_every=cfg.snapshot_every,
+            )
+        else:
+            if isinstance(curve, PiecewiseConstantCurve):
+                curve = mollify(curve, cfg.grid_n, auto_ramp(curve, cfg.grid_n))
+            elif "grid_n" not in given:  # a sampled input sets the grid
+                cfg = replace(cfg, grid_n=curve.grid_n)
+            traj = run_regularized(curve, cfg)
     traj_path = os.path.join(args.out, "trajectory.csv")
     diag_path = os.path.join(args.out, "diagnostics.csv")
     cfg_path = os.path.join(args.out, "config.txt")
@@ -154,7 +167,8 @@ def cmd_denoise(args) -> int:
         grid_n=curve.grid_n,
         t_max=t_max,
     )
-    traj = run_regularized(curve, cfg)
+    with _out_dir(args.out):
+        traj = run_regularized(curve, cfg)
     pick = len(traj) - 1
     if t_stop is None:
         target = args.tv_fraction * tv0
@@ -162,7 +176,6 @@ def cmd_denoise(args) -> int:
         if below.size:
             pick = int(below[0])
     out_curve = traj.snapshots[pick]
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "denoised.csv")
     write_curve(out_path, out_curve)
     write_manifest(

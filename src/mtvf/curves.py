@@ -131,7 +131,6 @@ class TVBreakdown:
     """Total variation split into diffuse part and individual jumps."""
 
     diffuse: float
-    jump_locations: np.ndarray = field(default_factory=lambda: np.zeros(0))
     jump_sizes: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
@@ -163,7 +162,7 @@ def tv_measure(curve) -> TVBreakdown:
         if curve.num_jumps:
             # a jump across the cut locus has no unique geodesic: reject it
             curve.manifold.log(curve.values[:-1], curve.values[1:])
-        return TVBreakdown(0.0, np.array(curve.breakpoints, copy=True), chord_sizes(curve))
+        return TVBreakdown(0.0, jump_sizes=chord_sizes(curve))
     if isinstance(curve, SampledCurve):
         return TVBreakdown(float(np.sum(chord_sizes(curve))))
     raise ConfigError(f"cannot measure variation of {type(curve).__name__}")

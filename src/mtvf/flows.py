@@ -44,7 +44,7 @@ from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
 
 # one-step TV increase beyond this aborts the run as an unstable step
 _TV_INCREASE_TOL = 1e-7
-# state is declared constant (flow stopped) below this variation
+# a sampled state is constant (flow stopped) below ``_flat_floor`` of its grid
 _FLAT_TV_TOL = 1e-12
 # a jump below this size and _PAIR_ISOLATION times smaller than every other
 # one takes pair steps (``_pair_rk4``), which its own guard no longer limits;
@@ -70,10 +70,10 @@ _SNAPSHOT_JUMP_FLOOR = 1e-7
 class FlowConfig:
     """Solver parameters; ``dt='auto'`` resolves per scheme.
 
-    For the explicit scheme the automatic step is ``cfl_factor * h^2 *
-    epsilon`` (the regularized diffusion coefficient is bounded by
-    1/epsilon); the semi-implicit scheme is unconditionally stable and
-    defaults to an accuracy-driven ``h / 4``.
+    For the explicit scheme the automatic step is ``0.4 * h^2 * epsilon``
+    (the regularized diffusion coefficient is bounded by 1/epsilon); the
+    semi-implicit scheme is unconditionally stable and defaults to an
+    accuracy-driven ``h / 4``.  Any other step is set through ``dt``.
     """
 
     manifold: Manifold
@@ -84,7 +84,6 @@ class FlowConfig:
     merge_tol: float = 1e-9
     snapshot_every: int = 10
     scheme: str = "semi_implicit"
-    cfl_factor: float = 0.4
 
     def __post_init__(self):
         for name in ("epsilon", "t_max", "merge_tol"):
@@ -96,8 +95,6 @@ class FlowConfig:
             raise ConfigError("snapshot_every must be at least 1")
         if self.scheme not in ("semi_implicit", "explicit"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if not (0.0 < self.cfl_factor <= 0.5):
-            raise ConfigError("cfl_factor must lie in (0, 0.5]")
         if self.dt != "auto":
             if not isinstance(self.dt, (int, float)) or not 0 < float(self.dt) < math.inf:
                 raise ConfigError("dt must be 'auto' or a finite positive number")
@@ -108,7 +105,7 @@ class FlowConfig:
             return float(self.dt)
         h = 1.0 / (self.grid_n - 1)
         if self.scheme == "explicit":
-            return self.cfl_factor * h * h * self.epsilon
+            return 0.4 * h * h * self.epsilon
         return 0.25 * h
 
 
@@ -139,24 +136,32 @@ class PiecewiseLinearFluxField:
         return (1.0 - s) * self.left_values[i] + s * self.right_values[i]
 
 
+def _flat_floor(grid_n: int) -> float:
+    # chord sums of a constant state sit at a roundoff floor that grows with
+    # the face count, so the flat-state detector scales with the grid
+    return max(_FLAT_TV_TOL, 1e-14 * (grid_n - 1))
+
+
 @dataclass
 class FlowTrajectory:
     """Recorded snapshots of one run, with what they cannot give: the
-    cumulative dissipation and the stop flags.  Flux fields, variation and
-    largest jumps are functions of the snapshots; the last two are measured
-    from them on each read."""
+    cumulative dissipation.  The manifold, flux fields, variation, largest
+    jumps and stop flags are functions of the snapshots; the last three are
+    measured from them on each read."""
 
-    manifold: Manifold
     solver: str
     times: np.ndarray
     snapshots: list
     dissipation: np.ndarray      # cumulative space-time integral of |u_t|^2
-    stopped: np.ndarray
     dt_nominal: float
     epsilon: float | None = None
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def manifold(self) -> Manifold:
+        return self.snapshots[0].manifold
 
     @property
     def final_curve(self):
@@ -167,13 +172,18 @@ class FlowTrajectory:
         return idx
 
     def variation(self):
-        """Variation and largest jump of every snapshot, each measured once: a
-        sampled snapshot by its chords, a step snapshot by ``tv_measure``,
-        which refuses a jump across the cut locus."""
-        sizes = [chord_sizes(s) if isinstance(s, SampledCurve) else tv_measure(s).jump_sizes
-                 for s in self.snapshots]
-        return (np.array([float(np.sum(z)) for z in sizes]),
-                np.array([float(np.max(z, initial=0.0)) for z in sizes]))
+        """Variation, largest jump and stop flag of every snapshot, each
+        measured once: a step snapshot by ``tv_measure``, which refuses a jump
+        across the cut locus, and constant with one plateau; a sampled one by
+        its chords, and constant below ``_flat_floor``."""
+        rows = []
+        for s in self.snapshots:
+            sampled = isinstance(s, SampledCurve)
+            z = chord_sizes(s) if sampled else tv_measure(s).jump_sizes
+            tv = float(np.sum(z))
+            rows.append((tv, float(np.max(z, initial=0.0)),
+                         tv < _flat_floor(s.grid_n) if sampled else z.size == 0))
+        return tuple(np.array(column) for column in zip(*rows))
 
     @property
     def tv(self) -> np.ndarray:
@@ -182,6 +192,10 @@ class FlowTrajectory:
     @property
     def max_jump(self) -> np.ndarray:
         return self.variation()[1]
+
+    @property
+    def stopped(self) -> np.ndarray:
+        return self.variation()[2]
 
 
 class _Recorder:
@@ -193,7 +207,8 @@ class _Recorder:
     recorded.  A step ending in an event (a merge, a state going flat) is
     recorded too.  Cadence and event records wait until the state is
     resolved; requested times do not.  Time 0 and the end go through
-    ``add``, which skips a time already recorded.
+    ``add``, which skips a time already recorded.  A row is a time, its
+    snapshot and the cumulative dissipation.
     """
 
     def __init__(self, snapshot_times, t_max, snapshot_every=1):
@@ -206,7 +221,7 @@ class _Recorder:
             for s in sorted(float(s) for s in snapshot_times if 0.0 < s <= t_max):
                 if not self.wanted or s - self.wanted[-1] > 1e-14:
                     self.wanted.append(s)
-        self.rows = []  # (t, snapshot, cumulative dissipation, stopped)
+        self.rows = []  # (t, snapshot, cumulative dissipation)
 
     def horizon(self, t):
         """Longest step from t: to the next requested time, else to t_max."""
@@ -221,20 +236,18 @@ class _Recorder:
         cadence = self.wanted is None and self.steps % self.every == 0
         return (event or cadence) and resolved()
 
-    def add(self, t, snapshot, dissipation, stopped):
+    def add(self, t, snapshot, dissipation):
         """Record a snapshot unless one is already recorded at time t."""
         if not self.rows or abs(self.rows[-1][0] - t) >= 1e-15:
-            self.rows.append((t, snapshot, dissipation, stopped))
+            self.rows.append((t, snapshot, dissipation))
 
-    def build(self, manifold, solver, dt_nominal, epsilon=None) -> FlowTrajectory:
-        times, snapshots, dissipation, stopped = zip(*self.rows)
+    def build(self, solver, dt_nominal, epsilon=None) -> FlowTrajectory:
+        times, snapshots, dissipation = zip(*self.rows)
         return FlowTrajectory(
-            manifold=manifold,
             solver=solver,
             times=np.array(times),
             snapshots=list(snapshots),
             dissipation=np.array(dissipation),
-            stopped=np.array(stopped, dtype=bool),
             dt_nominal=dt_nominal,
             epsilon=epsilon,
         )
@@ -321,9 +334,7 @@ def run_regularized(
     dt = config.resolved_dt()
     eps = config.epsilon
     step = _semi_implicit_step if config.scheme == "semi_implicit" else _explicit_step
-    # chord sums of a constant state sit at a roundoff floor that grows with
-    # the face count, so the flat-state detector must scale with the grid
-    flat_tol = max(_FLAT_TV_TOL, 1e-14 * (u0.grid_n - 1))
+    flat_tol = _flat_floor(u0.grid_n)
 
     u = np.array(u0.values, dtype=float)
     t = 0.0
@@ -331,7 +342,7 @@ def run_regularized(
     rec = _Recorder(snapshot_times, config.t_max, config.snapshot_every)
     tv_prev = float(np.sum(chord_sizes(u0)))
     flat = tv_prev < flat_tol
-    rec.add(t, SampledCurve(man, u), diss, flat)
+    rec.add(t, SampledCurve(man, u), diss)
     bound = 2.0 * man.convexity_radius
     while t < config.t_max - 1e-14 and not flat:
         dt_step = min(dt, rec.horizon(t))
@@ -354,9 +365,9 @@ def run_regularized(
             raise ConvexityRadiusExceeded("a chord reached twice the convexity radius")
         flat = tv_new < flat_tol
         if rec.step(t, flat):
-            rec.add(t, SampledCurve(man, u), diss, flat)
-    rec.add(t, SampledCurve(man, u), diss, flat)
-    return rec.build(man, "regularized", dt, eps)
+            rec.add(t, SampledCurve(man, u), diss)
+    rec.add(t, SampledCurve(man, u), diss)
+    return rec.build("regularized", dt, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +547,14 @@ def run_exact_pc(
     u0: PiecewiseConstantCurve,
     t_max: float,
     merge_tol: float = 1e-9,
-    dt: float | None = None,
+    dt: float | str = "auto",
     snapshot_every: int = 10,
     snapshot_times=None,
 ) -> FlowTrajectory:
     """Integrate the flow of a piecewise-constant datum.
 
     Jump locations never move; plateau values follow the coupled pull of
-    the jump unit tangents (RK4).  A step is at most ``dt`` (default
+    the jump unit tangents (RK4).  A step is at most ``dt`` (``'auto'``:
     ``min(1e-3, t_max / 32)``) and ends at the next requested snapshot time
     and at ``t_max``.  While the smallest jump is below 1e-3 and ten times
     smaller than every other one, and the run goes on past its pursuit
@@ -564,8 +575,7 @@ def run_exact_pc(
     requested ``snapshot_times`` and the final state are always recorded.
     """
     man = u0.manifold
-    config = FlowConfig(man, t_max=t_max, merge_tol=merge_tol, snapshot_every=snapshot_every,
-                        dt="auto" if dt is None else dt)
+    config = FlowConfig(man, t_max=t_max, merge_tol=merge_tol, snapshot_every=snapshot_every, dt=dt)
     _refuse_wide_jumps(u0, "jump")
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
     bound = 2.0 * man.convexity_radius
@@ -594,7 +604,7 @@ def run_exact_pc(
     def resolved_state():
         return vals.shape[0] == 1 or float(np.min(d)) > _SNAPSHOT_JUMP_FLOOR
 
-    rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, vals.shape[0] == 1)
+    rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
     # lengths and rates change only at merges
     lengths, rates, d = measure()
     while t < t_max - 1e-14 and vals.shape[0] > 1:
@@ -632,9 +642,9 @@ def run_exact_pc(
         while vals.shape[0] > 1 and float(np.min(d)) <= merge_tol:
             merge(int(np.argmin(d)))
         if rec.step(t, vals.shape[0] < plateaus, resolved_state):
-            rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, vals.shape[0] == 1)
-    rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss, vals.shape[0] == 1)
-    return rec.build(man, "exact_pc", dt_base)
+            rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
+    rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
+    return rec.build("exact_pc", dt_base)
 
 
 # ---------------------------------------------------------------------------
@@ -740,20 +750,19 @@ def scalar_curve(breakpoints, values) -> PiecewiseConstantCurve:
     )
 
 
-def _staircase_trajectory(flow, sample_times, manifold, solver, curve_at) -> FlowTrajectory:
+def _staircase_trajectory(flow, sample_times, solver, curve_at) -> FlowTrajectory:
     """Record ``curve_at(breakpoints, values)`` at time 0, every merge, the
     end of the flow and the sample times within ``[0, t_max]``."""
     times = flow.event_times() + ([flow.t_max] if flow.extinction_time is None else [])
     rec = _Recorder(times if sample_times is None else [*times, *sample_times], flow.t_max)
     for t in [0.0, *rec.wanted]:
-        stopped = flow.extinction_time is not None and t >= flow.extinction_time - 1e-15
-        rec.add(t, curve_at(*flow.state_at(t)), flow.dissipation_at(t), stopped)
-    return rec.build(manifold, solver, dt_nominal=0.0)
+        rec.add(t, curve_at(*flow.state_at(t)), flow.dissipation_at(t))
+    return rec.build(solver, dt_nominal=0.0)
 
 
 def scalar_trajectory(flow: ScalarStaircaseFlow, sample_times=None) -> FlowTrajectory:
     """Materialize a scalar flow as a trajectory of euclidean:1 snapshots."""
-    return _staircase_trajectory(flow, sample_times, Euclidean(1), "scalar_tv", scalar_curve)
+    return _staircase_trajectory(flow, sample_times, "scalar_tv", scalar_curve)
 
 
 def flow_on_geodesic(
@@ -777,6 +786,6 @@ def flow_on_geodesic(
     compose_with_geodesic(manifold, p, q, sigma0)  # refuses sigma0 off euclidean:1 or [0, 1]
     flow = run_scalar_tv(scalar_curve(sigma0.breakpoints, sigma0.values[:, 0] * dist_pq), t_max)
     return _staircase_trajectory(
-        flow, sample_times, manifold, "geodesic_graph",
+        flow, sample_times, "geodesic_graph",
         lambda bp, vals: compose_with_geodesic(manifold, p, q, scalar_curve(bp, vals / dist_pq)),
     )

@@ -183,10 +183,11 @@ def write_trajectory(traj_path: str, diag_path: str, traj: FlowTrajectory) -> No
     lines += _csv_lines(np.vstack(blocks))
     _atomic_write_text(traj_path, "\n".join(lines) + "\n")
 
-    # tv and max_jump are written for readers; read_trajectory remeasures them
-    tv, max_jump = traj.variation()
+    # tv, max_jump and stopped are written for readers; read_trajectory
+    # measures them again from the snapshots
+    tv, max_jump, stopped = traj.variation()
     diag = ["# diagnostics", "t,tv,dissipation,max_jump,stopped"]
-    diag += _csv_lines(np.column_stack([traj.times, tv, traj.dissipation, max_jump, traj.stopped]))
+    diag += _csv_lines(np.column_stack([traj.times, tv, traj.dissipation, max_jump, stopped]))
     _atomic_write_text(diag_path, "\n".join(diag) + "\n")
 
 
@@ -214,12 +215,10 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
     except ValueError as exc:
         raise ConfigError(f"bad trajectory metadata: {exc}") from exc
     return FlowTrajectory(
-        manifold=man,
         solver=meta.get("solver", "unknown"),
         times=np.array(times),
         snapshots=snapshots,
         dissipation=ddata[:, 2],
-        stopped=ddata[:, 4] != 0.0,
         dt_nominal=dt_nominal,
         epsilon=epsilon,
     )
@@ -244,7 +243,6 @@ _CONFIG_KEYS = {
     "merge_tol": (float, fmt),
     "snapshot_every": (int, str),
     "scheme": (str, str),
-    "cfl_factor": (float, fmt),
 }
 
 

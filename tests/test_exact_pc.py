@@ -365,15 +365,33 @@ def test_simultaneous_collisions_match_the_scalar_flow():
         assert abs(traj.dissipation[k] - exact.dissipation_at(t)) <= 1e-12, t
 
 
-def test_pair_step_falls_back_when_a_frozen_pull_reaches_the_closing_rate(monkeypatch):
+@pytest.mark.parametrize("refused", range(1, 6))
+def test_pair_step_falls_back_when_a_frozen_pull_reaches_the_closing_rate(monkeypatch, refused):
     # the pursuit closed form needs |w| < c for every frozen w of a step; a
-    # step where one reaches c is taken under the step guard instead, the
-    # same step the run without pair steps takes
+    # step where one reaches c, at any of its five pursuit calls, is taken
+    # under the step guard instead, the same step the run without pair steps
+    # takes
     u0 = random_rad_curve(EU2, np.random.Generator(np.random.Philox([22, 0])))
     kw = dict(t_max=4 * tv_measure(u0).total, snapshot_every=1)
+    pair_rk4, pursuit = mtvf.flows._pair_rk4, mtvf.flows._pursuit
+    calls, refusals = [0], [0]
+
+    def pair_step(*args):
+        calls[0] = 0
+        return pair_rk4(*args)
+
+    def refusing_pursuit(*args):
+        calls[0] += 1
+        if calls[0] != refused:
+            return pursuit(*args)
+        refusals[0] += 1
+        return None
+
     with monkeypatch.context() as m:
-        m.setattr(mtvf.flows, "_pursuit", lambda r0, w, c, tau: None)
+        m.setattr(mtvf.flows, "_pair_rk4", pair_step)
+        m.setattr(mtvf.flows, "_pursuit", refusing_pursuit)
         traj = run_exact_pc(u0, **kw)
+    assert refusals[0] > 0
     guarded = _guarded_run(monkeypatch, u0, **kw)
     assert np.array_equal(traj.times, guarded.times)
     assert np.array_equal(traj.dissipation, guarded.dissipation)

@@ -1,4 +1,5 @@
 """Serialization round trips and the command-line surface."""
+import dataclasses
 import glob
 import json
 import os
@@ -6,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import mtvf.cli
 from mtvf import (
     Euclidean,
     PiecewiseConstantCurve,
@@ -22,6 +24,7 @@ from mtvf import (
 from mtvf.cli import main
 from mtvf.flows import FlowConfig, run_regularized
 from mtvf.io import (
+    _CONFIG_KEYS,
     config_to_text,
     curve_from_text,
     curve_to_text,
@@ -67,7 +70,7 @@ def test_sampled_curve_round_trip_bit_exact(tmp_path):
 
 
 def test_read_trajectory_measures_tv_and_max_jump_from_the_snapshots(tmp_path):
-    # the sidecar's tv and max_jump columns are written for readers only
+    # the sidecar's tv, max_jump and stopped columns are written for readers only
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([63, 0])))
     traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
     tp, dp = tmp_path / "t.csv", tmp_path / "d.csv"
@@ -75,12 +78,14 @@ def test_read_trajectory_measures_tv_and_max_jump_from_the_snapshots(tmp_path):
     lines = dp.read_text().splitlines()
     for k in range(2, len(lines)):
         cells = lines[k].split(",")
-        cells[1], cells[3] = "7", "8"
+        cells[1], cells[3], cells[4] = "7", "8", str(1 - int(cells[4]))
         lines[k] = ",".join(cells)
     dp.write_text("\n".join(lines) + "\n")
     back = read_trajectory(str(tp), str(dp))
     assert np.array_equal(back.tv, [tv_measure(s).total for s in traj.snapshots])
     assert np.array_equal(back.max_jump, [tv_measure(s).max_jump for s in traj.snapshots])
+    assert np.array_equal(back.stopped, [s.num_jumps == 0 for s in traj.snapshots])
+    assert back.stopped[-1] and not back.stopped[0]
     assert np.array_equal(back.dissipation, traj.dissipation)
 
 
@@ -119,11 +124,16 @@ def test_regularized_trajectory_round_trip_keeps_epsilon(tmp_path):
 def test_config_round_trip():
     cfg = FlowConfig(manifold=SPH, epsilon=3e-4, grid_n=129, dt=1.25e-4,
                      t_max=0.7, merge_tol=1e-10, snapshot_every=3,
-                     scheme="explicit", cfl_factor=0.3)
+                     scheme="explicit")
     back = flow_config_from_mapping(parse_config_text(config_to_text(cfg)))
     assert back == cfg
     auto = FlowConfig(manifold=Euclidean(1))
     assert flow_config_from_mapping(parse_config_text(config_to_text(auto))) == auto
+
+
+def test_config_keys_are_the_flow_config_fields():
+    # a config file may set every FlowConfig field and nothing else
+    assert set(_CONFIG_KEYS) == {f.name for f in dataclasses.fields(FlowConfig)}
 
 
 def test_parse_config_reports_line_numbers():
@@ -600,6 +610,9 @@ _UNUSABLE_PATHS = {
                                                 "--out", "{tmp}/dir"]),
     "flow_out_is_file": ("file error:", ["flow", "--config", "{tmp}/run.cfg", "--input",
                                          "{tmp}/ok.csv", "--out", "{tmp}/ok.csv"]),
+    "flow_regularized_out_is_file": ("file error:", ["flow", "--config", "{tmp}/run.cfg",
+                                                     "--input", "{tmp}/field.csv", "--eps", "0.1",
+                                                     "--out", "{tmp}/field.csv"]),
     "denoise_out_is_file": ("file error:", ["denoise", "--input", "{tmp}/field.csv",
                                             "--out", "{tmp}/field.csv"]),
     "flow_config_is_directory": ("file error:", ["flow", "--config", "{tmp}/dir", "--input",
@@ -620,7 +633,7 @@ _UNUSABLE_PATHS = {
 
 
 @pytest.mark.parametrize("case", sorted(_UNUSABLE_PATHS))
-def test_cli_unusable_path_exits_2(tmp_path, capsys, case):
+def test_cli_unusable_path_exits_2(tmp_path, capsys, monkeypatch, case):
     _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0)
     (tmp_path / "ok.csv").write_text("# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n1,0\n")
     (tmp_path / "field.csv").write_text(
@@ -634,6 +647,12 @@ def test_cli_unusable_path_exits_2(tmp_path, capsys, case):
     assert main(["flow", "--config", str(tmp_path / "run.cfg"),
                  "--input", str(tmp_path / "ok.csv"), "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
+
+    def solver(*args, **kwargs):  # an unusable path is refused before any solve
+        raise AssertionError("a solver ran before the path was refused")
+
+    monkeypatch.setattr(mtvf.cli, "run_exact_pc", solver)
+    monkeypatch.setattr(mtvf.cli, "run_regularized", solver)
     prefix, argv = _UNUSABLE_PATHS[case]
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
@@ -641,6 +660,29 @@ def test_cli_unusable_path_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
     # an atomic write that cannot land leaves no temporary file behind
     assert not glob.glob(str(tmp_path / ".tmp-*"))
+
+
+@pytest.mark.parametrize("command", ["flow", "denoise"])
+def test_cli_refused_datum_leaves_no_run_directory(tmp_path, capsys, command):
+    # an antipodal jump has no unique geodesic: the solver refuses it after
+    # --out is claimed, and the directory the command made goes again, while
+    # a directory that was there before stays
+    antipodal = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    if command == "flow":
+        write_curve(str(tmp_path / "u0.csv"), PiecewiseConstantCurve(SPH, [0.5], antipodal))
+        _write_config(tmp_path / "run.cfg", manifold="sphere:3", t_max=1.0)
+        argv = ["flow", "--config", str(tmp_path / "run.cfg"), "--input", str(tmp_path / "u0.csv")]
+    else:
+        (tmp_path / "u0.csv").write_text(
+            "# curve kind=sampled manifold=sphere:3\nx,c0,c1,c2\n0,1,0,0\n0.5,-1,0,0\n1,-1,0,0\n")
+        argv = ["denoise", "--input", str(tmp_path / "u0.csv")]
+    (tmp_path / "kept").mkdir()
+    for out in ("run", "kept"):
+        assert main(argv + ["--out", str(tmp_path / out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("geometry error:") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+    assert (tmp_path / "kept").is_dir()
 
 
 def test_cli_step_too_large_for_the_explicit_scheme_exits_2(tmp_path, capsys):
@@ -763,13 +805,13 @@ def test_cli_flow_records_only_the_keys_read(tmp_path):
     write_curve(str(tmp_path / "field.csv"),
                 noisy_field("circle", grid_n=33, noise=0.05, seed=3))
     _write_config(tmp_path / "reg.cfg", manifold="circle", t_max=1e-3, epsilon=1e-2,
-                  scheme="explicit", cfl_factor=0.3)
+                  scheme="explicit")
     expected = {
         "exact": ("exact.cfg", "stairs.csv",
                   ["manifold", "dt", "t_max", "merge_tol", "snapshot_every"]),
         "regularized": ("reg.cfg", "field.csv",
                         ["manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every",
-                         "scheme", "cfl_factor"]),
+                         "scheme"]),
     }
     for solver, (cfg, curve, keys) in expected.items():
         outdir = tmp_path / solver
