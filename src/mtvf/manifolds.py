@@ -322,14 +322,18 @@ class Cylinder(Manifold):
     _axis = np.array([0.0, 0.0, 1.0])
 
     def project_point(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.array(x, dtype=float)  # a copy in the input's memory layout
         r = np.hypot(x[..., 0], x[..., 1])
         if np.any(r < 1e-14):
             raise SingularProjection("cannot project the axis onto the cylinder")
-        return np.stack([x[..., 0] / r, x[..., 1] / r, x[..., 2]], axis=-1)
+        x[..., 0] /= r
+        x[..., 1] /= r
+        return x
 
     def _radial(self, p):
-        return np.stack([p[..., 0], p[..., 1], np.zeros_like(p[..., 2])], axis=-1)
+        n = np.array(p, dtype=float)  # a copy in p's memory layout
+        n[..., 2] = 0.0
+        return n
 
     def _circ_tangent(self, p):
         return np.stack([-p[..., 1], p[..., 0], np.zeros_like(p[..., 2])], axis=-1)

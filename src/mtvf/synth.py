@@ -102,7 +102,7 @@ def noisy_field(
     reach = min(1.0, 0.9 * man.convexity_radius)
     q = man.exp(p, reach * direction)
     base = man.geodesic_point(p, q, np.linspace(0.0, 1.0, grid_n))
-    xi = np.stack([man.random_tangent(rng, b) for b in base])
+    xi = man.random_tangent(rng, base)
     return SampledCurve(man, man.exp(base, noise * xi))
 
 

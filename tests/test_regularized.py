@@ -1,6 +1,7 @@
 """Epsilon-regularized solver: schemes, energy decay, scalar agreement."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mtvf import (
     CflViolation,
@@ -9,14 +10,18 @@ from mtvf import (
     Euclidean,
     PiecewiseConstantCurve,
     SampledCurve,
+    SolverError,
     Sphere,
     check_energy,
     detect_stopping,
     scalar_curve,
 )
 from mtvf.curves import auto_ramp, mollify
-from mtvf.flows import FlowConfig, run_regularized, run_scalar_tv
-from mtvf.synth import random_rad_curve
+from mtvf.flows import (
+    FlowConfig, _explicit_step, _semi_implicit_step, run_regularized, run_scalar_tv, solve_banded,
+)
+from mtvf.manifolds import parse_manifold
+from mtvf.synth import _rng, noisy_field, random_rad_curve
 
 EU = Euclidean(1)
 SPH = Sphere(3)
@@ -168,3 +173,99 @@ def test_repeated_snapshot_times_record_one_snapshot_each():
     traj = run_regularized(moll, cfg, snapshot_times=[0.01, 0.02, 0.01, 0.01 + 5e-15, 0.02])
     for t in (0.01, 0.02):
         assert np.sum(np.abs(traj.times - t) <= 1e-14) == 1
+
+
+TARGETS = ("sphere:3", "circle", "cylinder", "euclidean:2")
+
+
+def _spd_tridiagonal(rng, n):
+    # strictly diagonally dominant with a positive diagonal, as (I + g L_b) is
+    off = -rng.uniform(0.0, 50.0, n - 1)
+    diagonal = 1.0 + rng.uniform(0.0, 1.0, n)
+    diagonal[:-1] -= off
+    diagonal[1:] -= off
+    return diagonal, off
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("nrhs", [1, 2, 3])
+def test_solve_banded_matches_dense_solve(nrhs, order):
+    rng = np.random.default_rng(10 * nrhs + (order == "F"))
+    for n in (2, 3, 57):
+        diagonal, off = _spd_tridiagonal(rng, n)
+        rhs = np.array(rng.standard_normal((n, nrhs)), order=order)
+        args = (diagonal.copy(), off.copy(), rhs.copy(order="K"))
+        x = solve_banded(*args)
+        dense = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-14)
+        # the caller's arrays are left as they were
+        for before, after in zip((diagonal, off, rhs), args):
+            assert np.array_equal(before, after)
+
+
+def test_solve_banded_refuses_an_indefinite_system():
+    diagonal = np.array([2.0, -1.0, 2.0])
+    with pytest.raises(SolverError, match="info"):
+        solve_banded(diagonal, np.array([0.5, 0.5]), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("spec", TARGETS)
+def test_semi_implicit_step_matches_band_matrix_solve(spec):
+    # the reference assembles the 3 x n band of (I + g L_b) and solves it by
+    # the general banded LU, as the step did before it used ?ptsv
+    man = parse_manifold(spec)
+    u = noisy_field(man, grid_n=201, noise=0.15, seed=5).values
+    h, eps = 1.0 / 200, 1e-2
+    dt = h / 4
+    du = (u[1:] - u[:-1]) / h
+    gb = dt / (h * h) / np.sqrt(eps * eps + np.sum(du * du, axis=1))
+    ab = np.zeros((3, u.shape[0]))
+    ab[0, 1:] = ab[2, :-1] = -gb
+    ab[1] = 1.0
+    ab[1, :-1] += gb
+    ab[1, 1:] += gb
+    v = scipy.linalg.solve_banded((1, 1), ab, u)
+    reference = man.project_point(u + man.tangent_projection(u, v - u))
+    gap = float(np.max(np.abs(_semi_implicit_step(man, u, h, dt, eps) - reference)))
+    assert gap <= 1e-13
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
+@pytest.mark.parametrize("spec", TARGETS)
+def test_regularized_run_does_not_depend_on_memory_layout(spec, scheme):
+    # every reduction of a step must give the same bits on a row-major and a
+    # column-major state; 33 and 201 nodes take both paths of ``_dot``
+    man = parse_manifold(spec)
+    step = _semi_implicit_step if scheme == "semi_implicit" else _explicit_step
+    for grid_n in (33, 201):
+        values = noisy_field(man, grid_n=grid_n, noise=0.15, seed=6).values
+        h = 1.0 / (grid_n - 1)
+        dt = h / 4 if scheme == "semi_implicit" else 0.4 * h * h * 1e-2
+        c_step = step(man, np.ascontiguousarray(values), h, dt, 1e-2)
+        f_step = step(man, np.asfortranarray(values), h, dt, 1e-2)
+        assert np.array_equal(c_step, f_step)
+        cfg = FlowConfig(manifold=man, epsilon=1e-2, grid_n=grid_n, t_max=8 * dt, scheme=scheme)
+        runs = [run_regularized(SampledCurve(man, np.array(values, order=order)), cfg)
+                for order in ("C", "F")]
+        assert np.array_equal(runs[0].times, runs[1].times)
+        assert np.array_equal(runs[0].dissipation, runs[1].dissipation)
+        for a, b in zip(runs[0].snapshots, runs[1].snapshots):
+            assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("spec", TARGETS)
+def test_noisy_field_matches_per_node_noise(spec):
+    # one batched tangent draw gives the bits of one draw per node: the same
+    # Philox stream, and _dot adds each row in the order np.add.reduce does
+    man = parse_manifold(spec)
+    for grid_n in (2, 33, 300):
+        rng = _rng(11, 1)
+        p = man.random_point(rng)
+        direction = man.random_tangent(rng, p)
+        direction = direction / np.linalg.norm(direction)
+        q = man.exp(p, min(1.0, 0.9 * man.convexity_radius) * direction)
+        base = man.geodesic_point(p, q, np.linspace(0.0, 1.0, grid_n))
+        xi = np.stack([man.random_tangent(rng, b) for b in base])
+        looped = man.exp(base, 0.15 * xi)
+        field = noisy_field(man, grid_n=grid_n, noise=0.15, seed=11).values
+        assert np.array_equal(field, looped)
