@@ -66,7 +66,7 @@ from .verify import (
 
 # config keys each solver reads; a run given any other key is refused
 _EXACT_KEYS = ("manifold", "dt", "t_max", "merge_tol", "snapshot_every")
-_REGULARIZED_KEYS = ("manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every", "scheme")
+_REGULARIZED_KEYS = ("manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every")
 # option name -> FlowConfig field
 _OVERRIDES = {"eps": "epsilon", "grid": "grid_n", "dt": "dt", "t_max": "t_max",
               "manifold": "manifold"}

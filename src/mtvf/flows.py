@@ -69,13 +69,9 @@ _SNAPSHOT_JUMP_FLOOR = 1e-7
 
 @dataclass
 class FlowConfig:
-    """Solver parameters; ``dt='auto'`` resolves per scheme.
-
-    For the explicit scheme the automatic step is ``0.4 * h^2 * epsilon``
-    (the regularized diffusion coefficient is bounded by 1/epsilon); the
-    semi-implicit scheme is unconditionally stable and defaults to an
-    accuracy-driven ``h / 4``.  Any other step is set through ``dt``.
-    """
+    """Solver parameters, checked on construction.  ``dt='auto'`` leaves the
+    step to the solver: ``h / 4`` in ``run_regularized`` and
+    ``min(1e-3, t_max / 32)`` in ``run_exact_pc``."""
 
     manifold: Manifold
     epsilon: float = 1e-3
@@ -84,7 +80,6 @@ class FlowConfig:
     t_max: float = 1.0
     merge_tol: float = 1e-9
     snapshot_every: int = 10
-    scheme: str = "semi_implicit"
 
     def __post_init__(self):
         for name in ("epsilon", "t_max", "merge_tol"):
@@ -94,20 +89,10 @@ class FlowConfig:
             raise ConfigError("grid_n must be at least 3")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be at least 1")
-        if self.scheme not in ("semi_implicit", "explicit"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.dt != "auto":
             if not isinstance(self.dt, (int, float)) or not 0 < float(self.dt) < math.inf:
                 raise ConfigError("dt must be 'auto' or a finite positive number")
             self.dt = float(self.dt)
-
-    def resolved_dt(self) -> float:
-        if self.dt != "auto":
-            return float(self.dt)
-        h = 1.0 / (self.grid_n - 1)
-        if self.scheme == "explicit":
-            return 0.4 * h * h * self.epsilon
-        return 0.25 * h
 
 
 @dataclass(frozen=True)
@@ -314,10 +299,6 @@ def _semi_implicit_step(man, u, h, dt, epsilon):
     return man.project_point(u + man.tangent_projection(u, v - u))
 
 
-def _explicit_step(man, u, h, dt, epsilon):
-    return man.project_point(u + dt * regularized_velocity(man, u, h, epsilon))
-
-
 def run_regularized(
     u0: SampledCurve,
     config: FlowConfig,
@@ -325,6 +306,9 @@ def run_regularized(
 ) -> FlowTrajectory:
     """Integrate the epsilon-regularized flow from a sampled datum.
 
+    Each step is semi-implicit (lagged diffusivity): one symmetric positive
+    definite tridiagonal solve, then a closest-point retraction.  It is
+    unconditionally stable; ``dt='auto'`` takes ``h / 4``, for accuracy.
     ``config.grid_n`` must be the datum's node count.  Stops early once the
     state is constant; raises ``CflViolation`` if the chordal variation
     increases in a single step and ``ConvexityRadiusExceeded`` if a chord
@@ -337,9 +321,8 @@ def run_regularized(
         raise ConfigError(f"grid_n = {config.grid_n} but the datum has {u0.grid_n} nodes")
     _refuse_wide_jumps(u0, "chord")
     h = u0.h
-    dt = config.resolved_dt()
+    dt = 0.25 * h if config.dt == "auto" else config.dt
     eps = config.epsilon
-    step = _semi_implicit_step if config.scheme == "semi_implicit" else _explicit_step
     flat_tol = _flat_floor(u0.grid_n)
 
     u = np.array(u0.values, dtype=float, order="F")  # LAPACK reads it without a copy
@@ -354,7 +337,7 @@ def run_regularized(
         dt_step = min(dt, rec.horizon(t))
         if dt_step < 1e-15:
             raise StepUnderflow(f"step size underflow at t={t}")
-        u_new = step(man, u, h, dt_step, eps)
+        u_new = _semi_implicit_step(man, u, h, dt_step, eps)
         chords = man.dist(u_new[:-1], u_new[1:])
         tv_new = float(np.sum(chords))
         if tv_new > tv_prev + _TV_INCREASE_TOL:

@@ -242,7 +242,6 @@ _CONFIG_KEYS = {
     "t_max": (float, fmt),
     "merge_tol": (float, fmt),
     "snapshot_every": (int, str),
-    "scheme": (str, str),
 }
 
 
@@ -318,14 +317,14 @@ def sha256_of(path: str) -> str:
 
 
 def write_manifest(path: str, command: str, config: dict | None,
-                   inputs: list[str], outputs: list[str], seed=None) -> None:
+                   inputs: list[str], outputs: list[str]) -> None:
     from . import __version__
 
     payload = {
         "tool": "mtvf",
         "version": __version__,
         "command": command,
-        "seed": seed,
+        "seed": None,  # no solver draws random numbers
         "config": config,
         "inputs": {os.path.basename(p): sha256_of(p) for p in inputs},
         "outputs": [os.path.basename(p) for p in outputs],

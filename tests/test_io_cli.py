@@ -11,6 +11,7 @@ import mtvf.cli
 from mtvf import (
     Euclidean,
     PiecewiseConstantCurve,
+    SolverError,
     Sphere,
     auto_ramp,
     flow_on_geodesic,
@@ -123,8 +124,7 @@ def test_regularized_trajectory_round_trip_keeps_epsilon(tmp_path):
 
 def test_config_round_trip():
     cfg = FlowConfig(manifold=SPH, epsilon=3e-4, grid_n=129, dt=1.25e-4,
-                     t_max=0.7, merge_tol=1e-10, snapshot_every=3,
-                     scheme="explicit")
+                     t_max=0.7, merge_tol=1e-10, snapshot_every=3)
     back = flow_config_from_mapping(parse_config_text(config_to_text(cfg)))
     assert back == cfg
     auto = FlowConfig(manifold=Euclidean(1))
@@ -186,11 +186,11 @@ def test_manifest_digests_inputs(tmp_path):
     out = tmp_path / "out.csv"
     out.write_text("payload\n")
     mpath = tmp_path / "manifest.json"
-    write_manifest(str(mpath), "flow", {"solver": "exact"}, [str(src)], [str(out)], seed=7)
+    write_manifest(str(mpath), "flow", {"solver": "exact"}, [str(src)], [str(out)])
     payload = json.loads(mpath.read_text())
     assert payload["tool"] == "mtvf"
     assert payload["command"] == "flow"
-    assert payload["seed"] == 7
+    assert payload["seed"] is None
     assert payload["inputs"]["in.csv"] == sha256_of(str(src))
     assert payload["outputs"] == ["out.csv"]
 
@@ -486,8 +486,8 @@ _BAD_INPUTS = {
                                  "--out", "{tmp}/run"],
     "flow_exact_given_grid_n": ["flow", "--config", "{tmp}/grid.cfg", "--input", "{tmp}/ok.csv",
                                 "--out", "{tmp}/run"],
-    "flow_exact_given_scheme": ["flow", "--config", "{tmp}/scheme.cfg", "--input",
-                                "{tmp}/ok.csv", "--out", "{tmp}/run"],
+    "flow_exact_given_removed_scheme_key": ["flow", "--config", "{tmp}/scheme.cfg", "--input",
+                                            "{tmp}/ok.csv", "--out", "{tmp}/run"],
     "flow_exact_given_cfl_factor": ["flow", "--config", "{tmp}/cfl.cfg", "--input",
                                     "{tmp}/ok.csv", "--out", "{tmp}/run"],
     "flow_exact_eps_option": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/ok.csv",
@@ -498,9 +498,14 @@ _BAD_INPUTS = {
                                          "{tmp}/field.csv", "--out", "{tmp}/run"],
     "flow_regularized_cfl_without_explicit": ["flow", "--config", "{tmp}/reg_cfl.cfg",
                                               "--input", "{tmp}/field.csv", "--out", "{tmp}/run"],
-    "flow_regularized_cfl_with_fixed_dt": ["flow", "--config", "{tmp}/reg_cfl_explicit.cfg",
-                                           "--input", "{tmp}/field.csv", "--out", "{tmp}/run",
-                                           "--dt", "1e-6"],
+    "flow_regularized_removed_scheme_key_explicit": ["flow", "--config",
+                                                     "{tmp}/reg_scheme_explicit.cfg", "--input",
+                                                     "{tmp}/field.csv", "--out", "{tmp}/run",
+                                                     "--dt", "1e-6"],
+    "flow_regularized_removed_scheme_key_semi_implicit": ["flow", "--config",
+                                                          "{tmp}/reg_scheme_semi_implicit.cfg",
+                                                          "--input", "{tmp}/field.csv",
+                                                          "--out", "{tmp}/run"],
     "flow_regularized_grid_n_not_node_count": ["flow", "--config", "{tmp}/reg_grid.cfg",
                                                "--input", "{tmp}/field.csv", "--out", "{tmp}/run"],
     "flow_regularized_grid_option_not_node_count": ["flow", "--config", "{tmp}/reg.cfg",
@@ -526,8 +531,9 @@ _BAD_INPUTS = {
                                            "--out", "{tmp}/run"],
     "flow_grid_n_two_in_config": ["flow", "--config", "{tmp}/grid_two.cfg", "--input",
                                   "{tmp}/ok.csv", "--out", "{tmp}/run"],
-    "flow_unknown_scheme_in_config": ["flow", "--config", "{tmp}/bogus_scheme.cfg", "--input",
-                                      "{tmp}/field.csv", "--out", "{tmp}/run"],
+    "flow_regularized_removed_scheme_key_bogus": ["flow", "--config",
+                                                  "{tmp}/reg_scheme_bogus.cfg", "--input",
+                                                  "{tmp}/field.csv", "--out", "{tmp}/run"],
     "verify_no_checks": ["verify", "--input", "{tmp}/run/trajectory.csv", "--checks", ","],
     "verify_unknown_check": ["verify", "--input", "{tmp}/run/trajectory.csv",
                              "--checks", "bogus"],
@@ -558,15 +564,17 @@ _BAD_CONFIGS = {
     "reg_merge": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
                   "merge_tol": 1e-9},
     "reg_cfl": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1, "cfl_factor": 0.3},
-    "reg_cfl_explicit": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
-                         "scheme": "explicit", "cfl_factor": 0.3},
+    "reg_scheme_explicit": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
+                            "scheme": "explicit", "cfl_factor": 0.3},
+    "reg_scheme_semi_implicit": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
+                                 "scheme": "semi_implicit"},
     "reg_grid": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1, "grid_n": 5},
     "sphere": {"manifold": "sphere:3", "t_max": 1.0},
     "plane": {"manifold": "euclidean:2", "t_max": 1.0},
     "cylinder": {"manifold": "cylinder", "t_max": 1.0, "epsilon": 0.1},
     "grid_two": {"manifold": "euclidean:1", "t_max": 1.0, "grid_n": 2},
-    "bogus_scheme": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
-                     "scheme": "bogus"},
+    "reg_scheme_bogus": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
+                         "scheme": "bogus"},
 }
 
 
@@ -685,18 +693,22 @@ def test_cli_refused_datum_leaves_no_run_directory(tmp_path, capsys, command):
     assert (tmp_path / "kept").is_dir()
 
 
-def test_cli_step_too_large_for_the_explicit_scheme_exits_2(tmp_path, capsys):
-    assert main(["generate", "staircase", "--levels", "0,1",
-                 "--out", str(tmp_path / "u0.csv")]) == 0
-    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", epsilon=1e-3, grid_n=201,
-                  t_max=0.01, scheme="explicit")
-    capsys.readouterr()
-    assert main(["flow", "--solver", "regularized", "--config", str(tmp_path / "run.cfg"),
-                 "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run"),
-                 "--dt", "1e-3"]) == 2
+def test_cli_solver_error_exits_2_and_leaves_no_run_directory(tmp_path, capsys, monkeypatch):
+    # a failed linear solve (a non-zero LAPACK info) is a generic solver
+    # error: exit 2 with one line, and the run directory made for it goes
+    def failed_solve(diagonal, off_diagonal, rhs):
+        raise SolverError("tridiagonal solve failed: LAPACK ?ptsv info = 2")
+
+    monkeypatch.setattr(mtvf.flows, "solve_banded", failed_solve)
+    write_curve(str(tmp_path / "field.csv"),
+                noisy_field("circle", grid_n=33, noise=0.05, seed=3))
+    _write_config(tmp_path / "run.cfg", manifold="circle", t_max=0.01, epsilon=1e-2)
+    assert main(["flow", "--config", str(tmp_path / "run.cfg"), "--input",
+                 str(tmp_path / "field.csv"), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: variation increased") and "reduce the step size" in err
+    assert err.startswith("error: tridiagonal solve failed")
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_verify_stopping_fails_on_an_unstopped_run(tmp_path, capsys):
@@ -804,14 +816,12 @@ def test_cli_flow_records_only_the_keys_read(tmp_path):
     _write_config(tmp_path / "exact.cfg", manifold="euclidean:1", t_max=1.0)
     write_curve(str(tmp_path / "field.csv"),
                 noisy_field("circle", grid_n=33, noise=0.05, seed=3))
-    _write_config(tmp_path / "reg.cfg", manifold="circle", t_max=1e-3, epsilon=1e-2,
-                  scheme="explicit")
+    _write_config(tmp_path / "reg.cfg", manifold="circle", t_max=1e-3, epsilon=1e-2)
     expected = {
         "exact": ("exact.cfg", "stairs.csv",
                   ["manifold", "dt", "t_max", "merge_tol", "snapshot_every"]),
         "regularized": ("reg.cfg", "field.csv",
-                        ["manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every",
-                         "scheme"]),
+                        ["manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every"]),
     }
     for solver, (cfg, curve, keys) in expected.items():
         outdir = tmp_path / solver
@@ -845,10 +855,9 @@ def _reference_rows(curve) -> list[list]:
 def written_runs():
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([63, 0])))
     runs = {"exact": run_exact_pc(u0, t_max=4 * tv_measure(u0).total)}
-    for scheme, n, t_max in (("semi_implicit", 65, 0.05), ("explicit", 33, 2e-3)):
-        field = mollify(u0, n, auto_ramp(u0, n))
-        cfg = FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=n, t_max=t_max, scheme=scheme)
-        runs[scheme] = run_regularized(field, cfg)
+    field = mollify(u0, 65, auto_ramp(u0, 65))
+    runs["semi_implicit"] = run_regularized(
+        field, FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=65, t_max=0.05))
     flow = run_scalar_tv(scalar_curve([0.25, 0.6], [0.0, 0.9, 0.2]), 2.0)
     runs["scalar"] = scalar_trajectory(flow, np.linspace(0.0, 2.0, 9))
     runs["geodesic"] = flow_on_geodesic(
@@ -857,7 +866,7 @@ def written_runs():
     return runs
 
 
-@pytest.mark.parametrize("name", ["exact", "semi_implicit", "explicit", "scalar", "geodesic"])
+@pytest.mark.parametrize("name", ["exact", "semi_implicit", "scalar", "geodesic"])
 def test_written_files_match_per_cell_reference(tmp_path, written_runs, name):
     traj = written_runs[name]
     tp, dp = tmp_path / "t.csv", tmp_path / "d.csv"

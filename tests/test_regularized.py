@@ -1,10 +1,9 @@
-"""Epsilon-regularized solver: schemes, energy decay, scalar agreement."""
+"""Epsilon-regularized solver: the step, energy decay, scalar agreement."""
 import numpy as np
 import pytest
 import scipy.linalg
 
 from mtvf import (
-    CflViolation,
     ConfigError,
     ConvexityRadiusExceeded,
     Euclidean,
@@ -18,7 +17,7 @@ from mtvf import (
 )
 from mtvf.curves import auto_ramp, mollify
 from mtvf.flows import (
-    FlowConfig, _explicit_step, _semi_implicit_step, run_regularized, run_scalar_tv, solve_banded,
+    FlowConfig, _semi_implicit_step, run_regularized, run_scalar_tv, solve_banded,
 )
 from mtvf.manifolds import parse_manifold
 from mtvf.synth import _rng, noisy_field, random_rad_curve
@@ -30,37 +29,6 @@ SPH = Sphere(3)
 def _p_energy(snap, eps, p):
     du = snap.manifold.dist(snap.values[:-1], snap.values[1:]) / snap.h
     return float(np.sum((eps**2 + du**2) ** (p / 2)) * snap.h)
-
-
-def test_schemes_agree_at_matched_step():
-    u0 = scalar_curve([0.3, 0.7], [0.0, 1.0, 0.4])
-    moll = mollify(u0, 41, auto_ramp(u0, 41))
-    explicit = run_regularized(
-        moll, FlowConfig(manifold=EU, epsilon=1e-2, grid_n=41, t_max=0.05, scheme="explicit")
-    )
-    semi = run_regularized(
-        moll,
-        FlowConfig(
-            manifold=EU,
-            epsilon=1e-2,
-            grid_n=41,
-            t_max=0.05,
-            scheme="semi_implicit",
-            dt=10 * explicit.dt_nominal,
-        ),
-    )
-    diff = float(np.max(np.abs(semi.final_curve.values - explicit.final_curve.values)))
-    assert diff <= 1e-2  # measured 3.4e-3; both are O(dt) accurate
-
-
-def test_explicit_oversized_step_raises():
-    u0 = scalar_curve([0.5], [0.0, 1.0])
-    moll = mollify(u0, 41, auto_ramp(u0, 41))
-    cfg = FlowConfig(
-        manifold=EU, epsilon=1e-2, grid_n=41, t_max=0.05, scheme="explicit", dt=1e-3
-    )
-    with pytest.raises(CflViolation):
-        run_regularized(moll, cfg)
 
 
 def test_flat_datum_stops_at_time_zero():
@@ -95,18 +63,6 @@ def test_p_energy_nonincreasing_semi_implicit(eps, p):
     cfg = FlowConfig(manifold=SPH, epsilon=eps, grid_n=81, t_max=0.2, snapshot_every=1)
     traj = run_regularized(sharp, cfg)
     energies = np.array([_p_energy(s, eps, p) for s in traj.snapshots])
-    assert np.max(np.diff(energies), initial=-np.inf) <= 1e-7
-
-
-@pytest.mark.parametrize("p", [2, 4])
-def test_p_energy_nonincreasing_explicit(p):
-    u0 = scalar_curve([0.3, 0.7], [0.0, 1.0, 0.4])
-    moll = mollify(u0, 41, auto_ramp(u0, 41))
-    cfg = FlowConfig(
-        manifold=EU, epsilon=1e-2, grid_n=41, t_max=5e-3, scheme="explicit", snapshot_every=1
-    )
-    traj = run_regularized(moll, cfg)
-    energies = np.array([_p_energy(s, 1e-2, p) for s in traj.snapshots])
     assert np.max(np.diff(energies), initial=-np.inf) <= 1e-7
 
 
@@ -230,21 +186,20 @@ def test_semi_implicit_step_matches_band_matrix_solve(spec):
     assert gap <= 1e-13
 
 
-@pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
-@pytest.mark.parametrize("spec", TARGETS)
-def test_regularized_run_does_not_depend_on_memory_layout(spec, scheme):
+# the ids name the step under test
+@pytest.mark.parametrize("spec", TARGETS, ids=[f"{spec}-semi_implicit" for spec in TARGETS])
+def test_regularized_run_does_not_depend_on_memory_layout(spec):
     # every reduction of a step must give the same bits on a row-major and a
     # column-major state; 33 and 201 nodes take both paths of ``_dot``
     man = parse_manifold(spec)
-    step = _semi_implicit_step if scheme == "semi_implicit" else _explicit_step
     for grid_n in (33, 201):
         values = noisy_field(man, grid_n=grid_n, noise=0.15, seed=6).values
         h = 1.0 / (grid_n - 1)
-        dt = h / 4 if scheme == "semi_implicit" else 0.4 * h * h * 1e-2
-        c_step = step(man, np.ascontiguousarray(values), h, dt, 1e-2)
-        f_step = step(man, np.asfortranarray(values), h, dt, 1e-2)
+        dt = h / 4
+        c_step = _semi_implicit_step(man, np.ascontiguousarray(values), h, dt, 1e-2)
+        f_step = _semi_implicit_step(man, np.asfortranarray(values), h, dt, 1e-2)
         assert np.array_equal(c_step, f_step)
-        cfg = FlowConfig(manifold=man, epsilon=1e-2, grid_n=grid_n, t_max=8 * dt, scheme=scheme)
+        cfg = FlowConfig(manifold=man, epsilon=1e-2, grid_n=grid_n, t_max=8 * dt)
         runs = [run_regularized(SampledCurve(man, np.array(values, order=order)), cfg)
                 for order in ("C", "F")]
         assert np.array_equal(runs[0].times, runs[1].times)
