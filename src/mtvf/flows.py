@@ -45,7 +45,7 @@ from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
 
 # one-step TV increase beyond this aborts the run as an unstable step
 _TV_INCREASE_TOL = 1e-7
-# a sampled state is constant (flow stopped) below ``_flat_floor`` of its grid
+# a sampled state is constant (the flow has stopped) below this chord sum
 _FLAT_TV_TOL = 1e-12
 # a jump below this size and _PAIR_ISOLATION times smaller than every other
 # one takes pair steps (``_pair_rk4``), which its own guard no longer limits;
@@ -122,18 +122,11 @@ class PiecewiseLinearFluxField:
         return (1.0 - s) * self.left_values[i] + s * self.right_values[i]
 
 
-def _flat_floor(grid_n: int) -> float:
-    # chord sums of a constant state sit at a roundoff floor that grows with
-    # the face count, so the flat-state detector scales with the grid
-    return max(_FLAT_TV_TOL, 1e-14 * (grid_n - 1))
-
-
 @dataclass
 class FlowTrajectory:
     """Recorded snapshots of one run, with what they cannot give: the
-    cumulative dissipation.  The manifold, flux fields, variation, largest
-    jumps and stop flags are functions of the snapshots; the last three are
-    measured from them on each read."""
+    cumulative dissipation.  The manifold, flux fields and variation are
+    functions of the snapshots; the variation is measured on each read."""
 
     solver: str
     times: np.ndarray
@@ -157,31 +150,11 @@ class FlowTrajectory:
         idx = int(np.argmin(np.abs(self.times - t)))
         return idx
 
-    def variation(self):
-        """Variation, largest jump and stop flag of every snapshot, each
-        measured once: a step snapshot by ``tv_measure``, which refuses a jump
-        across the cut locus, and constant with one plateau; a sampled one by
-        its chords, and constant below ``_flat_floor``."""
-        rows = []
-        for s in self.snapshots:
-            sampled = isinstance(s, SampledCurve)
-            z = chord_sizes(s) if sampled else tv_measure(s).jump_sizes
-            tv = float(np.sum(z))
-            rows.append((tv, float(np.max(z, initial=0.0)),
-                         tv < _flat_floor(s.grid_n) if sampled else z.size == 0))
-        return tuple(np.array(column) for column in zip(*rows))
-
     @property
     def tv(self) -> np.ndarray:
-        return self.variation()[0]
-
-    @property
-    def max_jump(self) -> np.ndarray:
-        return self.variation()[1]
-
-    @property
-    def stopped(self) -> np.ndarray:
-        return self.variation()[2]
+        """Variation of every snapshot by ``tv_measure``, which refuses a jump
+        across the cut locus."""
+        return np.array([tv_measure(s).total for s in self.snapshots])
 
 
 class _Recorder:
@@ -323,7 +296,9 @@ def run_regularized(
     h = u0.h
     dt = 0.25 * h if config.dt == "auto" else config.dt
     eps = config.epsilon
-    flat_tol = _flat_floor(u0.grid_n)
+    # chord sums of a constant state sit at a roundoff floor that grows with
+    # the face count, so the flat-state detector scales with the grid
+    flat_tol = max(_FLAT_TV_TOL, 1e-14 * (u0.grid_n - 1))
 
     u = np.array(u0.values, dtype=float, order="F")  # LAPACK reads it without a copy
     t = 0.0

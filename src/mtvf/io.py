@@ -183,11 +183,9 @@ def write_trajectory(traj_path: str, diag_path: str, traj: FlowTrajectory) -> No
     lines += _csv_lines(np.vstack(blocks))
     _atomic_write_text(traj_path, "\n".join(lines) + "\n")
 
-    # tv, max_jump and stopped are written for readers; read_trajectory
-    # measures them again from the snapshots
-    tv, max_jump, stopped = traj.variation()
-    diag = ["# diagnostics", "t,tv,dissipation,max_jump,stopped"]
-    diag += _csv_lines(np.column_stack([traj.times, tv, traj.dissipation, max_jump, stopped]))
+    # the sidecar holds what the snapshots cannot give
+    diag = ["# diagnostics", "t,dissipation"]
+    diag += _csv_lines(np.column_stack([traj.times, traj.dissipation]))
     _atomic_write_text(diag_path, "\n".join(diag) + "\n")
 
 
@@ -203,9 +201,15 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
         times.append(data[a, 0])
         snapshots.append(_curve_from_columns(man, meta.get("kind"), data[a:b, 1], data[a:b, 2:]))
 
-    _, _, drows = _split_file(read_text(diag_path), "diagnostics")
-    ddata = _read_rows(drows, 5)
-    if ddata.shape[0] != len(times) or np.any(ddata[:, 0] != np.array(times)):
+    # t and dissipation by name, ignoring any other column, so that sidecars
+    # that also carry tv, max_jump and stopped still read
+    _, header, drows = _split_file(read_text(diag_path), "diagnostics")
+    missing = [name for name in ("t", "dissipation") if name not in header]
+    if missing:
+        raise ConfigError(f"diagnostics have no {' or '.join(missing)} column")
+    ddata = _read_rows(drows, len(header))
+    dtimes, dissipation = ddata[:, header.index("t")], ddata[:, header.index("dissipation")]
+    if dtimes.size != len(times) or np.any(dtimes != np.array(times)):
         # a sidecar from another run is a bad input, not a failed check
         raise ConfigError("diagnostics do not match the trajectory times")
     eps_raw = meta.get("epsilon", "none")
@@ -218,7 +222,7 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
         solver=meta.get("solver", "unknown"),
         times=np.array(times),
         snapshots=snapshots,
-        dissipation=ddata[:, 2],
+        dissipation=dissipation,
         dt_nominal=dt_nominal,
         epsilon=epsilon,
     )
@@ -324,10 +328,8 @@ def write_manifest(path: str, command: str, config: dict | None,
         "tool": "mtvf",
         "version": __version__,
         "command": command,
-        "seed": None,  # no solver draws random numbers
         "config": config,
         "inputs": {os.path.basename(p): sha256_of(p) for p in inputs},
-        "outputs": [os.path.basename(p) for p in outputs],
         "output_digests": {os.path.basename(p): sha256_of(p) for p in outputs},
     }
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -104,10 +104,7 @@ def midpoint_separation(a: float) -> float:
     """
     if not 0.0 < a <= 0.5 * np.pi:
         raise OutOfComparisonRange(f"side {a} outside (0, pi/2]")
-    t = np.tan(0.5 * a)
-    if t > 1.0:
-        raise OutOfComparisonRange(f"tan(a/2) = {t} > 1")
-    return float(2.0 * np.arcsin(t))
+    return float(2.0 * np.arcsin(np.tan(0.5 * a)))
 
 
 def square_vertices(a: float) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mtvf import (
     ConfigError,
+    DegenerateJump,
     Euclidean,
     PiecewiseConstantCurve,
     RampTooWide,
@@ -272,3 +273,29 @@ def test_compose_with_geodesic_interior_parameter():
     c = compose_with_geodesic(SPH, p, q, sigma)
     assert SPH.dist(c.values[0], p) == pytest.approx(0.25 * np.pi / 2, abs=1e-12)
     assert SPH.dist(c.values[1], q) == pytest.approx(0.25 * np.pi / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("grid_n,ramp,match", [(64, 0.0, "ramp width"), (64, -0.1, "ramp width"),
+                                               (1, 0.05, "grid_n")])
+def test_mollify_refuses_a_bad_grid_or_ramp(grid_n, ramp, match):
+    with pytest.raises(ConfigError, match=match):
+        mollify(_pc1([0.5], [0.0, 1.0]), grid_n, ramp)
+
+
+@pytest.mark.parametrize("level", [-0.1, 1.5])
+def test_compose_with_geodesic_refuses_parameters_outside_the_unit_interval(level):
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        compose_with_geodesic(SPH, np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0]),
+                              _pc1([0.5], [0.5, level]))
+
+
+def test_l2_distance_refuses_curves_on_different_manifolds():
+    on_plane = PiecewiseConstantCurve(EU2, [0.5], [[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ConfigError, match="different manifolds"):
+        l2_distance(_pc1([0.5], [0.0, 1.0]), on_plane)
+
+
+def test_flow_on_geodesic_refuses_coincident_endpoints():
+    p = np.array([1.0, 0, 0])
+    with pytest.raises(DegenerateJump, match="coincide"):
+        flow_on_geodesic(SPH, p, p.copy(), _pc1([0.5], [0.0, 1.0]), 1.0)

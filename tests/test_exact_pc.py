@@ -496,3 +496,14 @@ def test_snapshot_times_strictly_increase():
     assert np.all(np.diff(traj.times) >= 0)
     assert traj.times[0] == 0.0
     assert l2_distance(traj.snapshots[0], u0) < 1e-12
+
+
+def test_one_plateau_has_zero_velocity():
+    vals = np.array([[0.0, 0.0, 1.0]])
+    assert np.array_equal(pc_velocity(SPH, np.ones(1), vals), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("w", [[2.0, 0.0], [0.0, -3.0]])
+def test_pursuit_needs_the_outer_pull_below_the_closing_rate(w):
+    # |w| >= c: the pair need not close, and the closed form does not apply
+    assert mtvf.flows._pursuit(np.array([1e-4, 0.0]), np.array(w), 2.0, 0.1) is None

@@ -71,22 +71,22 @@ def test_sampled_curve_round_trip_bit_exact(tmp_path):
 
 
 def test_read_trajectory_measures_tv_and_max_jump_from_the_snapshots(tmp_path):
-    # the sidecar's tv, max_jump and stopped columns are written for readers only
+    # an older sidecar's tv, max_jump and stopped columns are ignored on read
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([63, 0])))
     traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
     tp, dp = tmp_path / "t.csv", tmp_path / "d.csv"
     write_trajectory(str(tp), str(dp), traj)
     lines = dp.read_text().splitlines()
+    lines[1] = "t,tv,dissipation,max_jump,stopped"
     for k in range(2, len(lines)):
-        cells = lines[k].split(",")
-        cells[1], cells[3], cells[4] = "7", "8", str(1 - int(cells[4]))
-        lines[k] = ",".join(cells)
+        t, diss = lines[k].split(",")
+        lines[k] = ",".join([t, "7", diss, "8", "1"])
     dp.write_text("\n".join(lines) + "\n")
     back = read_trajectory(str(tp), str(dp))
     assert np.array_equal(back.tv, [tv_measure(s).total for s in traj.snapshots])
-    assert np.array_equal(back.max_jump, [tv_measure(s).max_jump for s in traj.snapshots])
-    assert np.array_equal(back.stopped, [s.num_jumps == 0 for s in traj.snapshots])
-    assert back.stopped[-1] and not back.stopped[0]
+    assert np.array_equal([tv_measure(s).max_jump for s in back.snapshots],
+                          [tv_measure(s).max_jump for s in traj.snapshots])
+    assert back.final_curve.num_jumps == 0 and back.snapshots[0].num_jumps > 0
     assert np.array_equal(back.dissipation, traj.dissipation)
 
 
@@ -99,8 +99,9 @@ def test_exact_trajectory_round_trip(tmp_path):
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.tv, traj.tv)
     assert np.array_equal(back.dissipation, traj.dissipation)
-    assert np.array_equal(back.max_jump, traj.max_jump)
-    assert np.array_equal(back.stopped, traj.stopped)
+    assert np.array_equal([tv_measure(s).max_jump for s in back.snapshots],
+                          [tv_measure(s).max_jump for s in traj.snapshots])
+    assert [s.num_jumps == 0 for s in back.snapshots] == [s.num_jumps == 0 for s in traj.snapshots]
     assert back.solver == traj.solver
     assert back.dt_nominal == traj.dt_nominal
     assert back.epsilon is None
@@ -190,9 +191,9 @@ def test_manifest_digests_inputs(tmp_path):
     payload = json.loads(mpath.read_text())
     assert payload["tool"] == "mtvf"
     assert payload["command"] == "flow"
-    assert payload["seed"] is None
+    assert "seed" not in payload and "outputs" not in payload
     assert payload["inputs"]["in.csv"] == sha256_of(str(src))
-    assert payload["outputs"] == ["out.csv"]
+    assert payload["output_digests"] == {"out.csv": sha256_of(str(out))}
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +448,9 @@ _BAD_INPUTS = {
     "hessian_r_zero": ["lab", "hessian", "--r", "0"],
     "staircase_bad_breakpoints": ["generate", "staircase", "--levels", "0,1",
                                   "--breakpoints", "x", "--out", "{tmp}/s.csv"],
+    "noisy_field_grid_one": ["generate", "noisy_field", "--grid", "1", "--out", "{tmp}/g.csv"],
+    "two_jump_square_ramp_too_wide": ["generate", "two_jump_square", "--eps", "0.7",
+                                      "--out", "{tmp}/g.csv"],
     # a stop fraction outside (0, 1) would stop at once, run to the end, or write NaN
     "denoise_nan_tv_fraction": ["denoise", "--input", "{tmp}/field.csv", "--out", "{tmp}/den",
                                 "--tv-fraction", "nan"],
@@ -531,6 +535,8 @@ _BAD_INPUTS = {
                                            "--out", "{tmp}/run"],
     "flow_grid_n_two_in_config": ["flow", "--config", "{tmp}/grid_two.cfg", "--input",
                                   "{tmp}/ok.csv", "--out", "{tmp}/run"],
+    "flow_euclidean_zero_in_config": ["flow", "--config", "{tmp}/euclidean_zero.cfg", "--input",
+                                      "{tmp}/ok.csv", "--out", "{tmp}/run"],
     "flow_regularized_removed_scheme_key_bogus": ["flow", "--config",
                                                   "{tmp}/reg_scheme_bogus.cfg", "--input",
                                                   "{tmp}/field.csv", "--out", "{tmp}/run"],
@@ -573,6 +579,7 @@ _BAD_CONFIGS = {
     "plane": {"manifold": "euclidean:2", "t_max": 1.0},
     "cylinder": {"manifold": "cylinder", "t_max": 1.0, "epsilon": 0.1},
     "grid_two": {"manifold": "euclidean:1", "t_max": 1.0, "grid_n": 2},
+    "euclidean_zero": {"manifold": "euclidean:0", "t_max": 1.0},
     "reg_scheme_bogus": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
                          "scheme": "bogus"},
 }
@@ -693,6 +700,16 @@ def test_cli_refused_datum_leaves_no_run_directory(tmp_path, capsys, command):
     assert (tmp_path / "kept").is_dir()
 
 
+def test_cli_two_jump_square_side_beyond_range_is_geometry_error(tmp_path, capsys):
+    # a geodesic square of side 2 does not fit the comparison range (0, pi/2)
+    out = tmp_path / "square.csv"
+    assert main(["generate", "two_jump_square", "--side", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("geometry error: side 2.0 outside (0, pi/2)")
+    assert "Traceback" not in err
+    assert not out.exists() and not glob.glob(str(tmp_path / ".tmp-*"))
+
+
 def test_cli_solver_error_exits_2_and_leaves_no_run_directory(tmp_path, capsys, monkeypatch):
     # a failed linear solve (a non-zero LAPACK info) is a generic solver
     # error: exit 2 with one line, and the run directory made for it goes
@@ -740,6 +757,8 @@ def test_cli_bad_dt_option_is_usage_error(tmp_path, capsys):
 _BAD_OPTION_VALUES = {
     "hessian_negative_seed": ("--seed", ["lab", "hessian", "--seed", "-1"]),
     "stability_negative_seed": ("--seed", ["lab", "stability", "--samples", "5", "--seed", "-1"]),
+    "stability_non_integer_seed": ("--seed", ["lab", "stability", "--samples", "5",
+                                              "--seed", "abc"]),
     "noisy_field_negative_seed": ("--seed", ["generate", "noisy_field", "--grid", "9",
                                              "--seed", "-1", "--out", "{tmp}/u.csv"]),
     "semiconvexity_zero_n_max": ("--n-max", ["lab", "semiconvexity", "--n-max", "0"]),
@@ -830,9 +849,9 @@ def test_cli_flow_records_only_the_keys_read(tmp_path):
         lines = (outdir / "config.txt").read_text().splitlines()
         assert [ln.split(" = ")[0] for ln in lines] == keys
         manifest = json.loads((outdir / "manifest.json").read_text())
-        assert manifest["outputs"] == ["trajectory.csv", "diagnostics.csv", "config.txt"]
         assert manifest["output_digests"] == {
-            name: sha256_of(str(outdir / name)) for name in manifest["outputs"]}
+            name: sha256_of(str(outdir / name))
+            for name in ["trajectory.csv", "diagnostics.csv", "config.txt"]}
     assert "grid_n = 33" in (tmp_path / "regularized" / "config.txt").read_text()
     assert "epsilon" not in (tmp_path / "exact" / "config.txt").read_text()
 
@@ -874,10 +893,7 @@ def test_written_files_match_per_cell_reference(tmp_path, written_runs, name):
     rows = [[t] + row for t, snap in zip(traj.times, traj.snapshots)
             for row in _reference_rows(snap)]
     assert tp.read_text().splitlines()[2:] == _reference_csv_rows(rows)
-    diag = [[traj.times[k], traj.tv[k], traj.dissipation[k], traj.max_jump[k]]
-            for k in range(len(traj))]
-    expected = [ref + "," + str(int(traj.stopped[k]))
-                for k, ref in enumerate(_reference_csv_rows(diag))]
-    assert dp.read_text().splitlines()[2:] == expected
+    diag = [[traj.times[k], traj.dissipation[k]] for k in range(len(traj))]
+    assert dp.read_text().splitlines()[1:] == ["t,dissipation"] + _reference_csv_rows(diag)
     for snap in (traj.snapshots[0], traj.final_curve):
         assert curve_to_text(snap).splitlines()[2:] == _reference_csv_rows(_reference_rows(snap))

@@ -36,7 +36,8 @@ def test_flat_datum_stops_at_time_zero():
     traj = run_regularized(flat, FlowConfig(manifold=EU, epsilon=1e-3, grid_n=21))
     assert len(traj) == 1
     assert traj.times[0] == 0.0
-    assert bool(traj.stopped[-1])
+    # constant: the chord sum below the flat floor of a 21-node grid
+    assert traj.tv[-1] < 1e-12
     assert np.allclose(traj.final_curve.values, 0.37)
 
 
@@ -224,3 +225,9 @@ def test_noisy_field_matches_per_node_noise(spec):
         looped = man.exp(base, 0.15 * xi)
         field = noisy_field(man, grid_n=grid_n, noise=0.15, seed=11).values
         assert np.array_equal(field, looped)
+
+
+def test_rejects_a_config_on_another_manifold():
+    field = noisy_field("circle", grid_n=33, noise=0.05, seed=3)
+    with pytest.raises(ConfigError, match="manifold"):
+        run_regularized(field, FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=33))

@@ -169,3 +169,9 @@ def test_breakpoints_never_move():
     for t in np.linspace(0, flow.extinction_time * 0.999, 25):
         bp, _ = flow.state_at(t)
         assert set(np.round(bp, 12)).issubset({0.3, 0.7})
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0])
+def test_rejects_a_nonpositive_horizon(t_max):
+    with pytest.raises(ConfigError, match="t_max"):
+        run_scalar_tv(scalar_curve([0.5], [0.0, 1.0]), t_max)

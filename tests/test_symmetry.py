@@ -80,7 +80,7 @@ def _state_at(traj, t):
     if hits.size:
         snap = traj.snapshots[int(hits[0])]
     else:
-        assert t > traj.times[-1] and traj.stopped[-1], t
+        assert t > traj.times[-1] and traj.final_curve.num_jumps == 0, t
         snap = traj.final_curve
     return np.asarray(snap.breakpoints), np.asarray(snap.values)
 

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from mtvf import (
+    ConfigError,
     Euclidean,
+    FlowTrajectory,
     IncompatibleSnapshots,
     NotNPC,
     PiecewiseConstantCurve,
@@ -208,3 +210,19 @@ def test_cross_solver_rows_and_pairings():
     assert [r.grid_n for r in zipped] == [51, 101]
     with pytest.raises(Exception):
         cross_solver_compare(u0, [1e-2], [51, 101], pairing="zip")
+
+
+def test_stopping_skips_a_flat_snapshot_the_run_moves_away_from():
+    # the variation dips below 1e-10 at t = 1, but the state leaves that
+    # constant at t = 2; the stop is the later constant at t = 3
+    snaps = [scalar_curve([0.5], [0.0, 1.0]), scalar_curve([], [0.5]),
+             scalar_curve([0.5], [0.4, 0.6]), scalar_curve([], [0.5])]
+    traj = FlowTrajectory("exact_pc", np.arange(4.0), snaps, np.zeros(4), 1e-3)
+    assert traj.tv[1] < 1e-10
+    t_star, const = detect_stopping(traj)
+    assert t_star == 3.0 and np.array_equal(const, [0.5])
+
+
+def test_cross_solver_refuses_an_unknown_pairing():
+    with pytest.raises(ConfigError, match="unknown pairing"):
+        cross_solver_compare(scalar_curve([0.4], [0.0, 1.0]), [1e-2], [51], pairing="bogus")
