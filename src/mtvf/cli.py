@@ -31,7 +31,6 @@ from .io import (
     flow_config_from_mapping,
     fmt,
     parse_config_text,
-    parse_dt,
     read_curve,
     read_text,
     read_trajectory,
@@ -65,11 +64,8 @@ from .verify import (
 
 
 # config keys each solver reads; a run given any other key is refused
-_EXACT_KEYS = ("manifold", "dt", "t_max", "merge_tol", "snapshot_every")
+_EXACT_KEYS = ("manifold", "dt", "t_max", "snapshot_every")
 _REGULARIZED_KEYS = ("manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every")
-# option name -> FlowConfig field
-_OVERRIDES = {"eps": "epsilon", "grid": "grid_n", "dt": "dt", "t_max": "t_max",
-              "manifold": "manifold"}
 
 
 @contextlib.contextmanager
@@ -88,8 +84,6 @@ def _out_dir(path):
 
 def cmd_flow(args) -> int:
     given = parse_config_text(read_text(args.config))
-    given.update((field, getattr(args, opt)) for opt, field in _OVERRIDES.items()
-                 if getattr(args, opt) is not None)
     cfg = flow_config_from_mapping(given)
     curve = read_curve(args.input)
     if curve.manifold != cfg.manifold:
@@ -97,31 +91,19 @@ def cmd_flow(args) -> int:
             f"input curve lives on {curve.manifold.spec_id}, "
             f"config says {cfg.manifold.spec_id}"
         )
-    solver = args.solver
-    if solver == "auto":
-        solver = "exact" if isinstance(curve, PiecewiseConstantCurve) else "regularized"
-    if solver == "exact":
-        read = _EXACT_KEYS
-        if not isinstance(curve, PiecewiseConstantCurve):
-            raise ConfigError("the exact solver needs piecewise-constant input")
+    if args.solver == "auto" and isinstance(curve, PiecewiseConstantCurve):
+        solver, read = "exact", _EXACT_KEYS
     else:
-        read = _REGULARIZED_KEYS
+        solver, read = "regularized", _REGULARIZED_KEYS
         if "epsilon" not in given:
-            raise ConfigError(
-                "the regularized solver needs 'epsilon' in the config file or --eps"
-            )
+            raise ConfigError("the regularized solver needs 'epsilon' in the config file")
     unread = sorted(set(given) - set(read))
     if unread:
         raise ConfigError(f"the {solver} solver does not read {', '.join(unread)}")
     with _out_dir(args.out):
         if solver == "exact":
-            traj = run_exact_pc(
-                curve,
-                t_max=cfg.t_max,
-                merge_tol=cfg.merge_tol,
-                dt=cfg.dt,
-                snapshot_every=cfg.snapshot_every,
-            )
+            traj = run_exact_pc(curve, t_max=cfg.t_max, dt=cfg.dt,
+                                snapshot_every=cfg.snapshot_every)
         else:
             if isinstance(curve, PiecewiseConstantCurve):
                 curve = mollify(curve, cfg.grid_n, auto_ramp(curve, cfg.grid_n))
@@ -154,8 +136,6 @@ def cmd_denoise(args) -> int:
         raise ConfigError("--t-stop must be positive and finite")
     curve = read_curve(args.input)
     man = curve.manifold
-    if args.manifold is not None and parse_manifold(args.manifold) != man:
-        raise ConfigError("input curve does not match --manifold")
     if isinstance(curve, PiecewiseConstantCurve):
         raise ConfigError("denoise expects a sampled curve")
     tv0 = tv_measure(curve).total
@@ -362,18 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--config", required=True)
     p_flow.add_argument("--input", required=True)
     p_flow.add_argument("--out", required=True)
-    p_flow.add_argument("--solver", choices=("auto", "exact", "regularized"),
-                        default="auto")
-    p_flow.add_argument("--eps", type=float)
-    p_flow.add_argument("--grid", type=int)
-    p_flow.add_argument("--dt", type=parse_dt)
-    p_flow.add_argument("--t-max", dest="t_max", type=float)
-    p_flow.add_argument("--manifold")
+    p_flow.add_argument("--solver", choices=("auto", "regularized"), default="auto")
 
     p_den = sub.add_parser("denoise", help="smooth a sampled curve")
     p_den.add_argument("--input", required=True)
     p_den.add_argument("--out", required=True)
-    p_den.add_argument("--manifold")
     p_den.add_argument("--eps", type=float, default=1e-3)
     stop_rule = p_den.add_mutually_exclusive_group()
     stop_rule.add_argument("--t-stop", dest="t_stop", type=float)

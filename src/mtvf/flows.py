@@ -10,7 +10,7 @@ Three solvers share one trajectory container:
   the jump locations stay put.  A small isolated jump closes in pair
   coordinates, its offset on the pursuit curve in closed form, and merges at
   its collision time; any other jump closes under a step guard and merges
-  at ``merge_tol``.  Either way the pair merges at its length-weighted
+  at ``_MERGE_TOL``.  Either way the pair merges at its length-weighted
   centre with its closed-form (pursuit-curve) dissipation;
 * :func:`run_scalar_tv` — closed-form staircase dynamics for scalar data:
   plateau speeds are constant between merge events, so the solution is a
@@ -65,6 +65,8 @@ _PAIR_SPAN = 3.0
 # are deferred until the cascade finishes (a few steps); explicitly requested
 # snapshot times and the final record always capture the exact state.
 _SNAPSHOT_JUMP_FLOOR = 1e-7
+# a jump a guarded step closes to this size or below merges
+_MERGE_TOL = 1e-9
 
 
 @dataclass
@@ -78,11 +80,10 @@ class FlowConfig:
     grid_n: int = 201
     dt: float | str = "auto"
     t_max: float = 1.0
-    merge_tol: float = 1e-9
     snapshot_every: int = 10
 
     def __post_init__(self):
-        for name in ("epsilon", "t_max", "merge_tol"):
+        for name in ("epsilon", "t_max"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be positive")
         if self.grid_n < 3:
@@ -510,7 +511,6 @@ def _pair_collision(man, lengths, rates, values, d, k):
 def run_exact_pc(
     u0: PiecewiseConstantCurve,
     t_max: float,
-    merge_tol: float = 1e-9,
     dt: float | str = "auto",
     snapshot_every: int = 10,
     snapshot_times=None,
@@ -529,7 +529,7 @@ def run_exact_pc(
     rate) limits the step.  Two plateaus merge by one rule: the pair is
     replaced by its projected length-weighted centre and books its
     closed-form dissipation (``_pair_collision``), at the end of a pair step
-    that reaches tau* and for every jump a step closes to ``merge_tol``.
+    that reaches tau* and for every jump a step closes to ``_MERGE_TOL``.
     Terminates at ``t_max`` or when a single plateau remains.  Arguments
     follow ``FlowConfig``'s rules and raise ``ConfigError`` otherwise.
 
@@ -539,7 +539,7 @@ def run_exact_pc(
     requested ``snapshot_times`` and the final state are always recorded.
     """
     man = u0.manifold
-    config = FlowConfig(man, t_max=t_max, merge_tol=merge_tol, snapshot_every=snapshot_every, dt=dt)
+    config = FlowConfig(man, t_max=t_max, snapshot_every=snapshot_every, dt=dt)
     _refuse_wide_jumps(u0, "jump")
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
     bound = 2.0 * man.convexity_radius
@@ -578,7 +578,7 @@ def run_exact_pc(
         # cap the step so no jump can close much more than a quarter of its
         # remaining gap: at closing speed at most 2 * rates a guarded step
         # leaves every jump above half its gap, so none crosses zero
-        guards = 0.25 * ((d - 0.5 * merge_tol) / rates)
+        guards = 0.25 * ((d - 0.5 * _MERGE_TOL) / rates)
         dt_step = min(dt_base, rec.horizon(t))
         k = int(np.argmin(d))
         stepped = None
@@ -602,8 +602,8 @@ def run_exact_pc(
         d = man.dist(vals[:-1], vals[1:])
         if stepped is not None and dt_step == tau:
             merge(k)
-        # merge every jump the step closed to merge_tol, smallest first
-        while vals.shape[0] > 1 and float(np.min(d)) <= merge_tol:
+        # merge every jump the step closed to _MERGE_TOL, smallest first
+        while vals.shape[0] > 1 and float(np.min(d)) <= _MERGE_TOL:
             merge(int(np.argmin(d)))
         if rec.step(t, vals.shape[0] < plateaus, resolved_state):
             rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)

@@ -232,19 +232,15 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
 # configs
 # ---------------------------------------------------------------------------
 
-def parse_dt(text: str):
-    """A time step: a float, or ``auto`` for the solver's own choice."""
-    return "auto" if text == "auto" else float(text)
-
-
-# every FlowConfig field a config file may set: (parse its text, write its value)
+# every FlowConfig field a config file may set: (parse its text, write its value);
+# a time step is a float, or ``auto`` for the solver's own choice
 _CONFIG_KEYS = {
     "manifold": (str, lambda man: man.spec_id),
     "epsilon": (float, fmt),
     "grid_n": (int, str),
-    "dt": (parse_dt, lambda dt: "auto" if dt == "auto" else fmt(dt)),
+    "dt": (lambda text: text if text == "auto" else float(text),
+           lambda dt: "auto" if dt == "auto" else fmt(dt)),
     "t_max": (float, fmt),
-    "merge_tol": (float, fmt),
     "snapshot_every": (int, str),
 }
 
@@ -273,11 +269,9 @@ def parse_config_text(text: str) -> dict:
 def flow_config_from_mapping(mapping: dict) -> FlowConfig:
     if "manifold" not in mapping:
         raise ConfigError("config must set 'manifold'")
-    kwargs = dict(mapping)
-    kwargs["manifold"] = parse_manifold(kwargs["manifold"]) \
-        if isinstance(kwargs["manifold"], str) else kwargs["manifold"]
+    manifold = parse_manifold(mapping["manifold"])
     try:
-        return FlowConfig(**kwargs)
+        return FlowConfig(**{**mapping, "manifold": manifold})
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -170,6 +170,12 @@ def test_mollify_sphere_ramp_stays_on_manifold():
     assert tv_measure(m).total == pytest.approx(np.pi / 2, abs=1e-10)
 
 
+def test_mollify_leaves_a_jump_sharp_when_its_ramp_holds_no_node():
+    # nodes 0, 0.25, ..., 1: the ramp [0.575, 0.625] around 0.6 holds none
+    m = mollify(_pc1([0.6], [0.0, 1.0]), 5, 0.05)
+    assert np.array_equal(m.values[:, 0], [0.0, 0.0, 0.0, 1.0, 1.0])
+
+
 def test_mollify_rejects_wide_ramp():
     c = _pc1([0.1, 0.2], [0.0, 1.0, 0.0])
     with pytest.raises(RampTooWide):

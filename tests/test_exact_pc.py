@@ -4,7 +4,7 @@ The solver integrates plateau values only; breakpoints are fixed until two
 plateau values collide.  Every merge puts the pair at its length-weighted
 centre and books its closed-form dissipation: a small isolated jump at the
 end of the pair step that reaches its collision, any other once a guarded
-step has closed it to merge_tol.
+step has closed it to _MERGE_TOL.
 """
 import warnings
 
@@ -32,7 +32,7 @@ from mtvf import (
     scalar_curve,
     tv_measure,
 )
-from mtvf.synth import random_rad_curve
+from mtvf.synth import random_rad_curve, staircase
 
 SPH = Sphere(3)
 EU1 = Euclidean(1)
@@ -288,7 +288,7 @@ def test_two_plateaus_merge_ahead_in_closed_form(man):
 
 def _guarded_run(monkeypatch, u0, **kw):
     # the same run with pair steps switched off: every jump closes under the
-    # step guard and merges at merge_tol
+    # step guard and merges at _MERGE_TOL
     with monkeypatch.context() as m:
         m.setattr(mtvf.flows, "_MERGE_AHEAD_JUMP", 0.0)
         return run_exact_pc(u0, **kw)
@@ -401,7 +401,7 @@ def test_pair_step_falls_back_when_a_frozen_pull_reaches_the_closing_rate(monkey
 
 def test_guarded_merge_books_the_whole_dissipation(monkeypatch):
     # without pair steps the jump merges once a guarded step closes it to
-    # merge_tol; the merge still books the pair's remaining dissipation, so
+    # _MERGE_TOL; the merge still books the pair's remaining dissipation, so
     # the run loses exactly its variation 1 and ends at the mean 0.7
     u0 = scalar_curve([0.3], [0.0, 1.0])
     traj = _guarded_run(monkeypatch, u0, t_max=0.5)
@@ -462,6 +462,26 @@ def test_z_field_reconstruction_structure():
     assert np.allclose(z.left_values[1:], tp, atol=1e-12)
 
 
+def test_snapshot_floor_defers_cadence_records_until_the_merge(monkeypatch):
+    # the two equal jumps of staircase([0, 1, 0]) close at rate 9 and merge
+    # together at t = 1/9, so no pair step applies; the guarded approach takes
+    # twelve steps with a jump below the floor, whose records wait for the merge
+    u0 = staircase([0.0, 1.0, 0.0])
+    traj = run_exact_pc(u0, t_max=0.2, snapshot_every=1)
+    assert traj.final_curve.num_jumps == 0 and traj.times[-1] < 0.2
+    smallest = [float(np.min(np.abs(np.diff(s.values[:, 0])))) for s in traj.snapshots[:-1]]
+    assert min(smallest) > mtvf.flows._SNAPSHOT_JUMP_FLOOR
+    assert min(smallest) == pytest.approx(1.50e-7, rel=1e-2)
+    # a requested time is recorded below the floor all the same
+    t = 1.0 / 9.0 - 5e-9
+    requested = run_exact_pc(u0, t_max=0.2, snapshot_times=[t])
+    snap = requested.snapshots[list(requested.times).index(t)]
+    assert snap.num_jumps == 2
+    assert np.allclose(np.abs(np.diff(snap.values[:, 0])), 4.5e-8, rtol=1e-6, atol=0.0)
+    monkeypatch.setattr(mtvf.flows, "_SNAPSHOT_JUMP_FLOOR", 0.0)
+    assert len(run_exact_pc(u0, t_max=0.2, snapshot_every=1)) - len(traj) == 12
+
+
 def test_repeated_snapshot_times_record_one_snapshot_each():
     # requested times closer than 1e-14 are one snapshot, reached by one step
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([83, 0])))
@@ -477,8 +497,6 @@ def test_repeated_snapshot_times_record_one_snapshot_each():
         {"dt": float("nan")},
         {"dt": 0.0},
         {"dt": -1e-3},
-        {"merge_tol": float("nan")},
-        {"merge_tol": -1.0},
         {"snapshot_every": 0},
         {"snapshot_every": -1},
     ],

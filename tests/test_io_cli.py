@@ -125,7 +125,7 @@ def test_regularized_trajectory_round_trip_keeps_epsilon(tmp_path):
 
 def test_config_round_trip():
     cfg = FlowConfig(manifold=SPH, epsilon=3e-4, grid_n=129, dt=1.25e-4,
-                     t_max=0.7, merge_tol=1e-10, snapshot_every=3)
+                     t_max=0.7, snapshot_every=3)
     back = flow_config_from_mapping(parse_config_text(config_to_text(cfg)))
     assert back == cfg
     auto = FlowConfig(manifold=Euclidean(1))
@@ -265,12 +265,12 @@ def test_cli_flow_dt_sets_exact_solver_base_step(tmp_path):
     curve_path = tmp_path / "stairs.csv"
     assert main(["generate", "staircase", "--levels", "0,0.8,0.3,1.1",
                  "--out", str(curve_path)]) == 0
-    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=0.02)
     runs = {}
     for dt in (0.5, 1e-5):
+        _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=0.02, dt=repr(dt))
         outdir = tmp_path / f"run{dt}"
         assert main(["flow", "--config", str(tmp_path / "run.cfg"), "--input",
-                     str(curve_path), "--out", str(outdir), "--dt", repr(dt)]) == 0
+                     str(curve_path), "--out", str(outdir)]) == 0
         recorded = flow_config_from_mapping(
             parse_config_text((outdir / "config.txt").read_text()))
         assert recorded.dt == dt
@@ -343,12 +343,12 @@ def test_cli_regularized_needs_explicit_epsilon(tmp_path):
     field = noisy_field("sphere:3", grid_n=33, noise=0.05, seed=1)
     curve_path = tmp_path / "field.csv"
     write_curve(str(curve_path), field)
-    cfg = tmp_path / "run.cfg"
-    _write_config(cfg, manifold="sphere:3", t_max=0.01, grid_n=33)
-    args = ["flow", "--config", str(cfg), "--input", str(curve_path),
-            "--solver", "regularized", "--out", str(tmp_path / "out")]
-    assert main(args) == 2
-    assert main(args + ["--eps", "1e-3"]) == 0
+    for cfg, kv in (("run.cfg", {}), ("eps.cfg", {"epsilon": 1e-3})):
+        _write_config(tmp_path / cfg, manifold="sphere:3", t_max=0.01, grid_n=33, **kv)
+    args = ["flow", "--input", str(curve_path), "--solver", "regularized",
+            "--out", str(tmp_path / "out")]
+    assert main(args + ["--config", str(tmp_path / "run.cfg")]) == 2
+    assert main(args + ["--config", str(tmp_path / "eps.cfg")]) == 0
 
 
 def test_cli_flow_rejects_manifold_mismatch(tmp_path):
@@ -471,10 +471,10 @@ _BAD_INPUTS = {
                               "{tmp}/nan.csv", "--out", "{tmp}/run"],
     "flow_bad_dt_in_config": ["flow", "--config", "{tmp}/dt.cfg", "--input", "{tmp}/ok.csv",
                               "--out", "{tmp}/run"],
-    "flow_nan_dt_option": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/ok.csv",
-                           "--out", "{tmp}/run", "--dt", "nan"],
-    "flow_nan_t_max_option": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/ok.csv",
-                              "--out", "{tmp}/run", "--t-max", "nan"],
+    "flow_nan_dt_option": ["flow", "--config", "{tmp}/nan_dt.cfg", "--input", "{tmp}/ok.csv",
+                           "--out", "{tmp}/run"],
+    "flow_nan_t_max_option": ["flow", "--config", "{tmp}/nan_t_max.cfg", "--input",
+                              "{tmp}/ok.csv", "--out", "{tmp}/run"],
     "flow_inf_dt_in_config": ["flow", "--config", "{tmp}/inf_dt.cfg", "--input", "{tmp}/ok.csv",
                               "--out", "{tmp}/run"],
     "verify_empty_trajectory": ["verify", "--input", "{tmp}/empty.csv",
@@ -494,27 +494,21 @@ _BAD_INPUTS = {
                                             "{tmp}/ok.csv", "--out", "{tmp}/run"],
     "flow_exact_given_cfl_factor": ["flow", "--config", "{tmp}/cfl.cfg", "--input",
                                     "{tmp}/ok.csv", "--out", "{tmp}/run"],
-    "flow_exact_eps_option": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/ok.csv",
-                              "--out", "{tmp}/run", "--eps", "1e-3"],
-    "flow_exact_grid_option": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/ok.csv",
-                               "--out", "{tmp}/run", "--grid", "101"],
+    "flow_exact_given_merge_tol": ["flow", "--config", "{tmp}/merge.cfg", "--input",
+                                   "{tmp}/ok.csv", "--out", "{tmp}/run"],
     "flow_regularized_given_merge_tol": ["flow", "--config", "{tmp}/reg_merge.cfg", "--input",
                                          "{tmp}/field.csv", "--out", "{tmp}/run"],
     "flow_regularized_cfl_without_explicit": ["flow", "--config", "{tmp}/reg_cfl.cfg",
                                               "--input", "{tmp}/field.csv", "--out", "{tmp}/run"],
     "flow_regularized_removed_scheme_key_explicit": ["flow", "--config",
                                                      "{tmp}/reg_scheme_explicit.cfg", "--input",
-                                                     "{tmp}/field.csv", "--out", "{tmp}/run",
-                                                     "--dt", "1e-6"],
+                                                     "{tmp}/field.csv", "--out", "{tmp}/run"],
     "flow_regularized_removed_scheme_key_semi_implicit": ["flow", "--config",
                                                           "{tmp}/reg_scheme_semi_implicit.cfg",
                                                           "--input", "{tmp}/field.csv",
                                                           "--out", "{tmp}/run"],
     "flow_regularized_grid_n_not_node_count": ["flow", "--config", "{tmp}/reg_grid.cfg",
                                                "--input", "{tmp}/field.csv", "--out", "{tmp}/run"],
-    "flow_regularized_grid_option_not_node_count": ["flow", "--config", "{tmp}/reg.cfg",
-                                                    "--input", "{tmp}/field.csv",
-                                                    "--out", "{tmp}/run", "--grid", "7"],
     # curve values that are not finite or sit where the projection is singular
     "flow_nan_plateau_value": ["flow", "--config", "{tmp}/sphere.cfg", "--input",
                                "{tmp}/nan_plateau.csv", "--out", "{tmp}/run"],
@@ -530,9 +524,6 @@ _BAD_INPUTS = {
                         "--out", "{tmp}/run"],
     "flow_nan_sampled_x": ["flow", "--config", "{tmp}/reg.cfg", "--input", "{tmp}/nan_x.csv",
                            "--out", "{tmp}/run"],
-    "flow_exact_solver_on_sampled_input": ["flow", "--solver", "exact", "--config",
-                                           "{tmp}/run.cfg", "--input", "{tmp}/field.csv",
-                                           "--out", "{tmp}/run"],
     "flow_grid_n_two_in_config": ["flow", "--config", "{tmp}/grid_two.cfg", "--input",
                                   "{tmp}/ok.csv", "--out", "{tmp}/run"],
     "flow_euclidean_zero_in_config": ["flow", "--config", "{tmp}/euclidean_zero.cfg", "--input",
@@ -543,8 +534,6 @@ _BAD_INPUTS = {
     "verify_no_checks": ["verify", "--input", "{tmp}/run/trajectory.csv", "--checks", ","],
     "verify_unknown_check": ["verify", "--input", "{tmp}/run/trajectory.csv",
                              "--checks", "bogus"],
-    "denoise_manifold_mismatch": ["denoise", "--input", "{tmp}/sphere_field.csv",
-                                  "--out", "{tmp}/den", "--manifold", "circle"],
 }
 
 # curve files the non-finite and singular cases read
@@ -556,12 +545,14 @@ _BAD_CURVES = {
     "nan_breakpoint": "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\nnan,0\n1,1\n",
     "nan_end": "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\nnan,0\n",
     "nan_x": "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\nnan,1\n1,0\n",
-    "sphere_field": "# curve kind=sampled manifold=sphere:3\nx,c0,c1,c2\n0,1,0,0\n1,0,1,0\n",
 }
 
 # config files the bad-input cases read, beside run.cfg
 _BAD_CONFIGS = {
     "seed": {"manifold": "euclidean:1", "t_max": 1.0, "seed": 3},
+    "nan_dt": {"manifold": "euclidean:1", "t_max": 1.0, "dt": "nan"},
+    "nan_t_max": {"manifold": "euclidean:1", "t_max": "nan"},
+    "merge": {"manifold": "euclidean:1", "t_max": 1.0, "merge_tol": 1e-9},
     "eps": {"manifold": "euclidean:1", "t_max": 1.0, "epsilon": 1e-3},
     "grid": {"manifold": "euclidean:1", "t_max": 1.0, "grid_n": 101},
     "scheme": {"manifold": "euclidean:1", "t_max": 1.0, "scheme": "explicit"},
@@ -571,7 +562,7 @@ _BAD_CONFIGS = {
                   "merge_tol": 1e-9},
     "reg_cfl": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1, "cfl_factor": 0.3},
     "reg_scheme_explicit": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
-                            "scheme": "explicit", "cfl_factor": 0.3},
+                            "scheme": "explicit", "cfl_factor": 0.3, "dt": 1e-6},
     "reg_scheme_semi_implicit": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1,
                                  "scheme": "semi_implicit"},
     "reg_grid": {"manifold": "euclidean:1", "t_max": 0.01, "epsilon": 0.1, "grid_n": 5},
@@ -625,8 +616,8 @@ _UNUSABLE_PATHS = {
                                                 "--out", "{tmp}/dir"]),
     "flow_out_is_file": ("file error:", ["flow", "--config", "{tmp}/run.cfg", "--input",
                                          "{tmp}/ok.csv", "--out", "{tmp}/ok.csv"]),
-    "flow_regularized_out_is_file": ("file error:", ["flow", "--config", "{tmp}/run.cfg",
-                                                     "--input", "{tmp}/field.csv", "--eps", "0.1",
+    "flow_regularized_out_is_file": ("file error:", ["flow", "--config", "{tmp}/reg.cfg",
+                                                     "--input", "{tmp}/field.csv",
                                                      "--out", "{tmp}/field.csv"]),
     "denoise_out_is_file": ("file error:", ["denoise", "--input", "{tmp}/field.csv",
                                             "--out", "{tmp}/field.csv"]),
@@ -650,6 +641,7 @@ _UNUSABLE_PATHS = {
 @pytest.mark.parametrize("case", sorted(_UNUSABLE_PATHS))
 def test_cli_unusable_path_exits_2(tmp_path, capsys, monkeypatch, case):
     _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0)
+    _write_config(tmp_path / "reg.cfg", manifold="euclidean:1", t_max=1.0, epsilon=0.1)
     (tmp_path / "ok.csv").write_text("# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n1,0\n")
     (tmp_path / "field.csv").write_text(
         "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\n0.5,1\n1,0\n")
@@ -728,6 +720,52 @@ def test_cli_solver_error_exits_2_and_leaves_no_run_directory(tmp_path, capsys, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("solver,keys", [("auto", {}), ("regularized", {"epsilon": 0.1})])
+def test_cli_step_underflow_exits_2_and_leaves_no_run_directory(tmp_path, capsys, solver, keys):
+    # a first step below 1e-15 cannot advance time, and either solver says so
+    # (auto picks the exact solver for this step input)
+    write_curve(str(tmp_path / "u0.csv"), scalar_curve([0.5], [0.0, 1.0]))
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0, dt=1e-16, **keys)
+    assert main(["flow", "--solver", solver, "--config", str(tmp_path / "run.cfg"),
+                 "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step size underflow at t=0.0") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("solver", ["auto", "regularized"])
+def test_cli_merge_tol_in_config_is_refused_before_the_run_directory(tmp_path, capsys, solver):
+    # the exact solver's merge tolerance is a constant, so no config sets it
+    write_curve(str(tmp_path / "u0.csv"), scalar_curve([0.5], [0.0, 1.0]))
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0, epsilon=0.1,
+                  merge_tol=1e-9)
+    assert main(["flow", "--solver", solver, "--config", str(tmp_path / "run.cfg"),
+                 "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'merge_tol'" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_removed_sources_leave_no_run_directory(tmp_path, capsys):
+    # flow reads its settings from the config file and denoise from the input
+    # header; a flag that would repeat one, or names the solver auto picks,
+    # is a usage error before any directory is made
+    write_curve(str(tmp_path / "u0.csv"), scalar_curve([0.5], [0.0, 1.0]))
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0)
+    flow = ["flow", "--config", str(tmp_path / "run.cfg"), "--input", str(tmp_path / "u0.csv")]
+    denoise = ["denoise", "--input", str(tmp_path / "u0.csv")]
+    for argv, option, value in [(flow, "--eps", "0.1"), (flow, "--grid", "9"),
+                                (flow, "--dt", "1e-3"), (flow, "--t-max", "1.0"),
+                                (flow, "--manifold", "euclidean:1"), (flow, "--solver", "exact"),
+                                (denoise, "--manifold", "euclidean:1")]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(tmp_path / "run"), option, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+
 def test_cli_verify_stopping_fails_on_an_unstopped_run(tmp_path, capsys):
     assert main(["generate", "staircase", "--levels", "0,1",
                  "--out", str(tmp_path / "u0.csv")]) == 0
@@ -742,16 +780,6 @@ def test_cli_verify_stopping_fails_on_an_unstopped_run(tmp_path, capsys):
     assert err.startswith("verification failed:")
 
 
-def test_cli_bad_dt_option_is_usage_error(tmp_path, capsys):
-    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0)
-    with pytest.raises(SystemExit) as exit_info:
-        main(["flow", "--config", str(tmp_path / "run.cfg"), "--input", "u0.csv",
-              "--out", str(tmp_path / "run"), "--dt", "x"])
-    assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert "--dt" in err and "Traceback" not in err
-
-
 # option values argparse refuses: a Philox seed cannot be negative, and a
 # semiconvexity table needs at least one row
 _BAD_OPTION_VALUES = {
@@ -762,6 +790,10 @@ _BAD_OPTION_VALUES = {
     "noisy_field_negative_seed": ("--seed", ["generate", "noisy_field", "--grid", "9",
                                              "--seed", "-1", "--out", "{tmp}/u.csv"]),
     "semiconvexity_zero_n_max": ("--n-max", ["lab", "semiconvexity", "--n-max", "0"]),
+    # the solver a piecewise-constant input gets by default is not named
+    "flow_exact_solver_on_sampled_input": ("--solver", ["flow", "--solver", "exact", "--config",
+                                                        "run.cfg", "--input", "field.csv",
+                                                        "--out", "{tmp}/run"]),
 }
 
 
@@ -788,7 +820,8 @@ def test_cli_seed_option_is_usage_error(tmp_path, capsys, command):
 
 
 # every option of the old flat lab and generate parsers that the experiment or
-# kind does not read, plus denoise given both stop rules
+# kind does not read, denoise given both stop rules, and the flow and denoise
+# options that repeated a setting the config file or the input header gives
 _UNREAD = {
     "lab semiconvexity": "--r --dirs --samples --radius --side --seed --manifold",
     "lab hessian": "--n-max --samples --radius --side",
@@ -798,12 +831,14 @@ _UNREAD = {
     "generate noisy_field": "--levels --breakpoints --side --eps --variant",
     "generate two_jump_square": "--levels --breakpoints --manifold --grid --noise --seed",
     "denoise --input u0.csv --t-stop 0.01": "--tv-fraction",
+    "flow --config run.cfg --input u0.csv": "--eps --grid --dt --t-max --manifold",
+    "denoise --input u0.csv": "--manifold",
 }
 _OPTION_VALUE = {
     "--n-max": "5", "--r": "0.5", "--dirs": "3", "--samples": "5", "--radius": "0.5",
     "--side": "0.4", "--seed": "3", "--manifold": "sphere:3", "--levels": "0,1",
     "--breakpoints": "0.5", "--grid": "9", "--noise": "0.1", "--eps": "0.1",
-    "--variant": "u", "--tv-fraction": "0.5",
+    "--variant": "u", "--tv-fraction": "0.5", "--dt": "1e-3", "--t-max": "1.0",
 }
 
 
@@ -838,7 +873,7 @@ def test_cli_flow_records_only_the_keys_read(tmp_path):
     _write_config(tmp_path / "reg.cfg", manifold="circle", t_max=1e-3, epsilon=1e-2)
     expected = {
         "exact": ("exact.cfg", "stairs.csv",
-                  ["manifold", "dt", "t_max", "merge_tol", "snapshot_every"]),
+                  ["manifold", "dt", "t_max", "snapshot_every"]),
         "regularized": ("reg.cfg", "field.csv",
                         ["manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every"]),
     }

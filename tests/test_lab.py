@@ -155,6 +155,10 @@ def test_semiconvexity_gap_sign_pattern():
         semiconvexity_gap(0)
 
 
+def test_first_positive_gap_is_none_when_the_scan_stops_before_19():
+    assert first_positive_gap(18) is None
+
+
 def test_semiconvexity_asymptotic_inequality():
     # the sign for large n rests on arcsin(tan x) exceeding x + x^3/3
     for x in np.geomspace(1e-4, 0.5, 40):

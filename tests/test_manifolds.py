@@ -356,6 +356,14 @@ def test_circle_injectivity_radius_guard():
         man.log(p, q)
 
 
+def test_cylinder_log_refuses_opposite_rulings():
+    # rulings half a turn apart are joined by two geodesics of equal length,
+    # whatever the height between the points
+    man = Cylinder()
+    with pytest.raises(BeyondInjectivityRadius, match="opposite cylinder rulings"):
+        man.log(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.7]))
+
+
 # ---------------------------------------------------------------------------
 # parsing / identity
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ the solver they check:
 
 The reflection and the circle lift run once more with merge ahead switched
 off, so that every merge waits for a guarded step to close its jump to
-``merge_tol``.
+``_MERGE_TOL``.
 """
 from functools import lru_cache
 
