@@ -134,6 +134,8 @@ def cmd_denoise(args) -> int:
         raise ConfigError("--tv-fraction must lie in (0, 1)")
     if args.t_stop is not None and not 0.0 < args.t_stop < np.inf:
         raise ConfigError("--t-stop must be positive and finite")
+    if not 0.0 < args.eps < np.inf:
+        raise ConfigError("--eps must be positive and finite")
     curve = read_curve(args.input)
     man = curve.manifold
     if isinstance(curve, PiecewiseConstantCurve):

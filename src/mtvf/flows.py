@@ -83,9 +83,10 @@ class FlowConfig:
     snapshot_every: int = 10
 
     def __post_init__(self):
-        for name in ("epsilon", "t_max"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ConfigError(f"{name} must be positive")
+        if not 0 < self.epsilon < math.inf:  # NaN fails too
+            raise ConfigError("epsilon must be positive and finite")
+        if not self.t_max > 0:
+            raise ConfigError("t_max must be positive")
         if self.grid_n < 3:
             raise ConfigError("grid_n must be at least 3")
         if self.snapshot_every < 1:

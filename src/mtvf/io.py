@@ -3,11 +3,20 @@
 All floats are serialized with 17 significant digits so that write->read
 round-trips reproduce IEEE doubles bit-exactly, and every write is atomic
 (temp file in the target directory, then rename).
+
+A curve row is a plateau's right end and value (``x_right_end,c0..``) or a
+grid node's value alone (``c0..``): the nodes of a sampled curve are its
+rows' order on the uniform grid over [0, 1].  A trajectory row is ``t``
+and then a curve row.  Curve, trajectory and diagnostics files share one
+reader: the metadata line must set exactly the keys the writer writes, and
+the column header must be the one the writer writes for that kind, so a
+file in any other layout is a ``ConfigError``.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -47,23 +56,45 @@ def read_text(path: str) -> str:
             raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _meta_line(tag: str, **fields) -> str:
-    parts = " ".join(f"{k}={v}" for k, v in fields.items())
-    return f"# {tag} {parts}"
+def _table_text(tag: str, meta: dict, names, rows: np.ndarray) -> str:
+    """A '# <tag> key=value ...' line, the column header ``names``, and one
+    line per row with every cell written as ``_FMT``."""
+    row = ",".join([_FMT] * len(names))
+    lines = [" ".join([f"# {tag}", *(f"{k}={v}" for k, v in meta.items())]), ",".join(names)]
+    lines += [row % tuple(cells) for cells in rows.tolist()]
+    return "\n".join(lines) + "\n"
 
 
-def _parse_meta(line: str, tag: str) -> dict:
-    body = line.lstrip("#").strip()
-    tokens = body.split()
+def _split_file(text: str, tag: str, keys):
+    """Metadata of a '# <tag> ...' file, which must set exactly ``keys``, and
+    the lines below it."""
+    lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
+    tokens = lines[0].lstrip("#").split()
     if not tokens or tokens[0] != tag:
-        raise ConfigError(f"expected a '# {tag} ...' metadata line, got {line!r}")
-    out = {}
-    for tok in tokens[1:]:
-        if "=" not in tok:
-            raise ConfigError(f"malformed metadata token {tok!r}")
-        k, v = tok.split("=", 1)
-        out[k] = v
-    return out
+        raise ConfigError(f"expected a '# {tag} ...' metadata line, got {lines[0]!r}")
+    if any("=" not in tok for tok in tokens[1:]):
+        raise ConfigError(f"malformed metadata line {lines[0]!r}")
+    meta = dict(tok.split("=", 1) for tok in tokens[1:])
+    if sorted(meta) != sorted(keys):
+        wanted = ", ".join(keys) or "no key"
+        raise ConfigError(f"{tag} metadata must set {wanted}; got {lines[0]!r}")
+    return meta, lines[1:]
+
+
+def _read_rows(lines, names) -> np.ndarray:
+    """The rows below a column header, which must be ``names``, one cell per name."""
+    got = lines[0].strip() if lines else ""
+    if got != ",".join(names):
+        raise ConfigError(f"expected the columns {','.join(names)!r}, got {got!r}")
+    if len(lines) < 2:
+        raise ConfigError("no data rows")
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"malformed data rows: {exc}") from exc
+    if data.shape[1] != len(names):
+        raise ConfigError(f"rows have {data.shape[1]} columns, expected {len(names)}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -71,86 +102,57 @@ def _parse_meta(line: str, tag: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# abscissa column of each curve kind: plateau right ends, grid nodes
-_X_COLUMN = {"pc": "x_right_end", "sampled": "x"}
+# the columns of a curve row before its value: a plateau's right end; a grid
+# node is the row's place on the uniform grid over [0, 1], so it has none
+_X_COLUMNS = {"pc": ["x_right_end"], "sampled": []}
+
+
+def _header(kind: str, man) -> list[str]:
+    return [*_X_COLUMNS[kind], *(f"c{i}" for i in range(man.ambient_dim))]
 
 
 def _layout(curve):
-    """File kind and abscissae of a curve."""
+    """File kind and rows of a curve: (plateau right end, value) or value."""
     if isinstance(curve, PiecewiseConstantCurve):
-        return "pc", np.concatenate([curve.breakpoints, [1.0]])
+        return "pc", np.column_stack([np.append(curve.breakpoints, 1.0), curve.values])
     if isinstance(curve, SampledCurve):
-        return "sampled", curve.xs
+        return "sampled", curve.values
     raise ConfigError(f"not a curve: {type(curve).__name__}")
 
 
-def _curve_from_columns(man, kind, xs, values):
-    """Inverse of ``_layout``: one curve from its abscissae and values."""
-    if kind == "pc":
-        if not abs(xs[-1] - 1.0) <= 1e-12:
-            raise ConfigError("last plateau must end at x=1")
-        return PiecewiseConstantCurve(man, xs[:-1], values)
+def _curve_from_rows(man, kind, data):
+    """Inverse of ``_layout``: one curve from its rows."""
     if kind == "sampled":
-        expected = np.linspace(0.0, 1.0, len(xs))
-        if len(xs) < 2 or not np.max(np.abs(xs - expected)) <= 1e-9:
-            raise ConfigError("sampled curve must sit on a uniform grid over [0,1]")
-        return SampledCurve(man, values)
-    raise ConfigError(f"unknown curve kind {kind!r}")
+        return SampledCurve(man, data)
+    if not abs(data[-1, 0] - 1.0) <= 1e-12:
+        raise ConfigError("last plateau must end at x=1")
+    return PiecewiseConstantCurve(man, data[:-1, 0], data[:, 1:])
 
 
-def _csv_lines(data: np.ndarray) -> list[str]:
-    """One line per row, every cell written with ``_FMT``."""
-    row = ",".join([_FMT] * data.shape[1])
-    return [row % tuple(cells) for cells in data.tolist()]
+def _curve_rows(text: str, tag: str, keys, lead):
+    """Metadata, kind, manifold and rows of a curve or trajectory file, whose
+    columns are ``lead`` and then the curve header of its kind."""
+    meta, lines = _split_file(text, tag, keys)
+    kind = meta["kind"]
+    if kind not in _X_COLUMNS:
+        raise ConfigError(f"unknown curve kind {kind!r}")
+    man = parse_manifold(meta["manifold"])
+    return meta, kind, man, _read_rows(lines, [*lead, *_header(kind, man)])
 
 
 def curve_to_text(curve) -> str:
+    kind, rows = _layout(curve)
     man = curve.manifold
-    kind, xs = _layout(curve)
-    cols = ",".join(f"c{i}" for i in range(man.ambient_dim))
-    lines = [_meta_line("curve", kind=kind, manifold=man.spec_id), f"{_X_COLUMN[kind]},{cols}"]
-    lines += _csv_lines(np.column_stack([xs, curve.values]))
-    return "\n".join(lines) + "\n"
+    return _table_text("curve", {"kind": kind, "manifold": man.spec_id}, _header(kind, man), rows)
+
+
+def curve_from_text(text: str):
+    _, kind, man, data = _curve_rows(text, "curve", ("kind", "manifold"), ())
+    return _curve_from_rows(man, kind, data)
 
 
 def write_curve(path: str, curve) -> None:
     _atomic_write_text(path, curve_to_text(curve))
-
-
-def _read_rows(lines, n_cols: int) -> np.ndarray:
-    try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"malformed data rows: {exc}") from exc
-    if data.shape[1] != n_cols:
-        raise ConfigError(f"rows have {data.shape[1]} columns, expected {n_cols}")
-    return data
-
-
-def _split_file(text: str, tag: str):
-    """Metadata, column names and data lines of a '# <tag> ...' CSV file."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ConfigError(f"{tag} file needs a '# {tag} ...' line and a column header")
-    meta = _parse_meta(lines[0], tag)
-    if len(lines) < 3:
-        raise ConfigError(f"{tag} file has no data rows")
-    return meta, lines[1].strip().split(","), lines[2:]
-
-
-def curve_from_text(text: str):
-    meta, header, rows = _split_file(text, "curve")
-    man = parse_manifold(meta.get("manifold", ""))
-    kind = meta.get("kind")
-    if len(header) != 1 + man.ambient_dim:
-        raise ConfigError(
-            f"curve for {man.spec_id} needs {1 + man.ambient_dim} columns, "
-            f"header has {len(header)}"
-        )
-    data = _read_rows(rows, 1 + man.ambient_dim)
-    if kind in _X_COLUMN and header[0] != _X_COLUMN[kind]:
-        raise ConfigError(f"{kind} curve must use the {_X_COLUMN[kind]} column")
-    return _curve_from_columns(man, kind, data[:, 0], data[:, 1:])
 
 
 def read_curve(path: str):
@@ -161,66 +163,60 @@ def read_curve(path: str):
 # trajectories
 # ---------------------------------------------------------------------------
 
+_TRAJECTORY_KEYS = ("kind", "manifold", "solver", "dt_nominal", "epsilon")
+# the names the library's trajectory builders record
+_SOLVERS = ("exact_pc", "regularized", "scalar_tv", "geodesic_graph")
+
 
 def write_trajectory(traj_path: str, diag_path: str, traj: FlowTrajectory) -> None:
     man = traj.manifold
-    eps = "none" if traj.epsilon is None else fmt(traj.epsilon)
-    lines = [
-        _meta_line(
-            "trajectory",
-            kind=_layout(traj.snapshots[0])[0],
-            manifold=man.spec_id,
-            solver=traj.solver,
-            dt_nominal=fmt(traj.dt_nominal),
-            epsilon=eps,
-        ),
-        "t,x," + ",".join(f"c{i}" for i in range(man.ambient_dim)),
-    ]
+    kind = _layout(traj.snapshots[0])[0]
+    meta = {"kind": kind, "manifold": man.spec_id, "solver": traj.solver,
+            "dt_nominal": fmt(traj.dt_nominal),
+            "epsilon": "none" if traj.epsilon is None else fmt(traj.epsilon)}
     blocks = []
     for t, snap in zip(traj.times, traj.snapshots):
-        xs = _layout(snap)[1]
-        blocks.append(np.column_stack([np.full(xs.size, t), xs, snap.values]))
-    lines += _csv_lines(np.vstack(blocks))
-    _atomic_write_text(traj_path, "\n".join(lines) + "\n")
-
+        rows = _layout(snap)[1]
+        blocks.append(np.column_stack([np.full(len(rows), t), rows]))
+    _atomic_write_text(traj_path, _table_text("trajectory", meta, ["t", *_header(kind, man)],
+                                              np.vstack(blocks)))
     # the sidecar holds what the snapshots cannot give
-    diag = ["# diagnostics", "t,dissipation"]
-    diag += _csv_lines(np.column_stack([traj.times, traj.dissipation]))
-    _atomic_write_text(diag_path, "\n".join(diag) + "\n")
+    _atomic_write_text(diag_path, _table_text("diagnostics", {}, ["t", "dissipation"],
+                                              np.column_stack([traj.times, traj.dissipation])))
 
 
 def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
-    meta, _, rows = _split_file(read_text(traj_path), "trajectory")
-    man = parse_manifold(meta.get("manifold", ""))
-    data = _read_rows(rows, 2 + man.ambient_dim)
+    meta, kind, man, data = _curve_rows(read_text(traj_path), "trajectory",
+                                        _TRAJECTORY_KEYS, ("t",))
+    if meta["solver"] not in _SOLVERS:
+        raise ConfigError(f"unknown solver {meta['solver']!r}; the library writes {_SOLVERS}")
+    # epsilon regularizes the grid solver, whose snapshots alone are sampled
+    if (meta["epsilon"] == "none") != (kind == "pc"):
+        raise ConfigError(f"a {kind} trajectory cannot have epsilon={meta['epsilon']}")
+    try:
+        dt_nominal = float(meta["dt_nominal"])
+        epsilon = None if kind == "pc" else float(meta["epsilon"])
+    except ValueError as exc:
+        raise ConfigError(f"bad trajectory metadata: {exc}") from exc
+    if not 0.0 <= dt_nominal < math.inf:
+        raise ConfigError(f"dt_nominal={meta['dt_nominal']} is not finite and at least 0")
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon={meta['epsilon']} is not positive and finite")
     # split rows into snapshots at changes of t (bit-exact after round-trip)
     tcol = data[:, 0]
     starts = np.concatenate([[0], np.nonzero(np.diff(tcol) != 0.0)[0] + 1, [len(tcol)]])
-    times, snapshots = [], []
-    for a, b in zip(starts[:-1], starts[1:]):
-        times.append(data[a, 0])
-        snapshots.append(_curve_from_columns(man, meta.get("kind"), data[a:b, 1], data[a:b, 2:]))
+    times = tcol[starts[:-1]]
+    snapshots = [_curve_from_rows(man, kind, data[a:b, 1:])
+                 for a, b in zip(starts[:-1], starts[1:])]
 
-    # t and dissipation by name, ignoring any other column, so that sidecars
-    # that also carry tv, max_jump and stopped still read
-    _, header, drows = _split_file(read_text(diag_path), "diagnostics")
-    missing = [name for name in ("t", "dissipation") if name not in header]
-    if missing:
-        raise ConfigError(f"diagnostics have no {' or '.join(missing)} column")
-    ddata = _read_rows(drows, len(header))
-    dtimes, dissipation = ddata[:, header.index("t")], ddata[:, header.index("dissipation")]
-    if dtimes.size != len(times) or np.any(dtimes != np.array(times)):
+    _, lines = _split_file(read_text(diag_path), "diagnostics", ())
+    dtimes, dissipation = _read_rows(lines, ("t", "dissipation")).T
+    if dtimes.size != times.size or np.any(dtimes != times):
         # a sidecar from another run is a bad input, not a failed check
         raise ConfigError("diagnostics do not match the trajectory times")
-    eps_raw = meta.get("epsilon", "none")
-    try:
-        dt_nominal = float(meta.get("dt_nominal", 0.0))
-        epsilon = None if eps_raw == "none" else float(eps_raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad trajectory metadata: {exc}") from exc
     return FlowTrajectory(
-        solver=meta.get("solver", "unknown"),
-        times=np.array(times),
+        solver=meta["solver"],
+        times=times,
         snapshots=snapshots,
         dissipation=dissipation,
         dt_nominal=dt_nominal,

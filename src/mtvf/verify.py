@@ -55,12 +55,11 @@ class CheckReport:
         )
 
 
-def check_energy(traj: FlowTrajectory, tol: float | None = None) -> CheckReport:
+def check_energy(traj: FlowTrajectory) -> CheckReport:
     """Dissipation accounting: TV(u(t)) + integral of |u_t|^2 never exceeds
-    the variation at any earlier snapshot.
+    the variation at any earlier snapshot, within 1e-6 + 10 * ``dt_nominal``.
     """
-    if tol is None:
-        tol = 1e-6 + 10.0 * traj.dt_nominal
+    tol = 1e-6 + 10.0 * traj.dt_nominal
     energy = traj.tv + traj.dissipation
     running = np.minimum.accumulate(energy)
     viol = energy - np.concatenate([[energy[0]], running[:-1]])
@@ -80,18 +79,17 @@ def _dyadic_intervals():
     return out
 
 
-def check_monotone_variation(traj: FlowTrajectory, tol: float | None = None) -> CheckReport:
+def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     """Local variation can only decay.
 
     The individual jump sizes of a piecewise-constant trajectory are tracked
     across merge events, and the variation measure restricted to every
     dyadic subinterval up to depth ``DYADIC_DEPTH``; both must be
-    nonincreasing.  The default tolerance is 1e-6.  Sampled snapshots raise
+    nonincreasing, within 1e-6.  Sampled snapshots raise
     :class:`IncompatibleSnapshots`: at fixed resolution the grid solver does
     not obey this law; its monotone quantity is the regularized energy.
     """
-    if tol is None:
-        tol = 1e-6
+    tol = 1e-6
     if any(not isinstance(s, PiecewiseConstantCurve) for s in traj.snapshots):
         raise IncompatibleSnapshots("the monotone check needs piecewise-constant snapshots")
     worst = -np.inf
@@ -134,22 +132,21 @@ def check_monotone_variation(traj: FlowTrajectory, tol: float | None = None) -> 
 
 
 def check_variational_inequality(
-    traj: FlowTrajectory, competitor: PiecewiseConstantCurve, tol: float | None = None
+    traj: FlowTrajectory, competitor: PiecewiseConstantCurve
 ) -> CheckReport:
     """Evolution variational inequality against a fixed competitor curve.
 
     Requires a complete, nonpositively curved geometry (among the built-ins
     that is flat space); between consecutive snapshots the squared-distance
     difference quotient plus the endpoint variation must not exceed the
-    competitor's variation.
+    competitor's variation, within 1e-4 + 10 * ``dt_nominal``.
     """
     man = traj.manifold
     if man.curvature_bound > 0 or not np.isinf(man.injectivity_radius):
         raise NotNPC(f"{man.spec_id} is not complete with nonpositive curvature")
     if competitor.manifold != man:
         raise WrongManifold("competitor lives on a different manifold")
-    if tol is None:
-        tol = 1e-4 + 10.0 * traj.dt_nominal
+    tol = 1e-4 + 10.0 * traj.dt_nominal
     tv_v = tv_measure(competitor).total
     tvs = traj.tv
     dsq = np.array([l2_distance(s, competitor) ** 2 for s in traj.snapshots])
@@ -183,7 +180,7 @@ def _wedge_norm(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(w * w, axis=(-2, -1)))
 
 
-def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> CheckReport:
+def check_sphere_equivalence(traj: FlowTrajectory) -> CheckReport:
     """Structure identities special to the unit sphere.
 
     Verifies, snapshot by snapshot: (i) the flux is tangent along the
@@ -195,15 +192,12 @@ def check_sphere_equivalence(traj: FlowTrajectory, tol: float | None = None) -> 
     is the no-atoms part: ``z ^ u`` is continuous across each jump.  Its
     plateau part holds by construction there, since the plateau velocities
     and the flux slopes are the same unit tangents over the same lengths.
+    The tolerance is 1e-5 / epsilon for a regularized run and 1e-8 otherwise.
     """
     man = traj.manifold
     if man.kind not in ("sphere", "circle"):
         raise WrongManifold("sphere identities require sphere or circle values")
-    if tol is None:
-        if traj.solver == "regularized":
-            tol = 1e-5 / (traj.epsilon or 1.0)
-        else:
-            tol = 1e-8
+    tol = 1e-5 / (traj.epsilon or 1.0) if traj.solver == "regularized" else 1e-8
     r_tan = r_wedge = r_pair = 0.0
     for snap in traj.snapshots:
         vals = snap.values

@@ -123,7 +123,8 @@ def test_criterion_03_energy_inequality(acceptance_log, suite_runs):
     worst = -np.inf
     n_runs = 0
     for _, traj in _all_runs(suite_runs):
-        rep = check_energy(traj, tol=1e-6 + 10.0 * traj.dt_nominal)
+        rep = check_energy(traj)
+        assert rep.tolerance == 1e-6 + 10.0 * traj.dt_nominal
         assert rep.passed, rep
         worst = max(worst, rep.worst)
         n_runs += 1
@@ -147,7 +148,8 @@ def test_criterion_04_pointwise_monotonicity(acceptance_log, suite_runs):
     worst = -np.inf
     n_runs = 0
     for _, exact, _reg in _exact_runs(suite_runs):
-        rep = check_monotone_variation(exact, tol=1e-6)
+        rep = check_monotone_variation(exact)
+        assert rep.tolerance == 1e-6
         assert rep.passed, rep
         worst = max(worst, rep.worst)
         n_runs += 1
@@ -186,7 +188,8 @@ def test_criterion_05_z_field_structure(acceptance_log, suite_runs):
 def test_criterion_06_sphere_identities(acceptance_log, suite_runs):
     worst = 0.0
     for _, exact, _ in suite_runs["sphere:3"]:
-        rep = check_sphere_equivalence(exact, tol=1e-8)
+        rep = check_sphere_equivalence(exact)
+        assert rep.tolerance == 1e-8
         assert rep.passed, rep
         worst = max(worst, rep.worst)
     acceptance_log("6 sphere flux identities", True, f"worst residual {worst:.2e}")

@@ -228,7 +228,8 @@ def test_jump_sizes_nonincreasing_between_merges():
     rng = np.random.Generator(np.random.Philox([78, 0]))
     u0 = random_rad_curve(SPH, rng, n_jumps=3)
     traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total, snapshot_every=1)
-    rep = check_monotone_variation(traj, tol=1e-6)
+    rep = check_monotone_variation(traj)
+    assert rep.tolerance == 1e-6
     assert rep.passed, rep
 
 
@@ -499,13 +500,19 @@ def test_repeated_snapshot_times_record_one_snapshot_each():
         {"dt": -1e-3},
         {"snapshot_every": 0},
         {"snapshot_every": -1},
+        {"epsilon": float("inf")},
     ],
     ids=lambda o: "{}={}".format(*next(iter(o.items()))),
 )
 def test_bad_options_are_config_errors(option):
-    u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([83, 0])))
+    # run_exact_pc checks its arguments by FlowConfig's rules; epsilon, which
+    # only the grid solver reads, reaches FlowConfig alone
     with pytest.raises(ConfigError, match=next(iter(option))):
-        run_exact_pc(u0, t_max=0.1, **option)
+        mtvf.flows.FlowConfig(SPH, **option)
+    if "epsilon" not in option:
+        u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([83, 0])))
+        with pytest.raises(ConfigError, match=next(iter(option))):
+            run_exact_pc(u0, t_max=0.1, **option)
 
 
 def test_snapshot_times_strictly_increase():

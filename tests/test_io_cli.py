@@ -70,26 +70,6 @@ def test_sampled_curve_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.values, w.values)
 
 
-def test_read_trajectory_measures_tv_and_max_jump_from_the_snapshots(tmp_path):
-    # an older sidecar's tv, max_jump and stopped columns are ignored on read
-    u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([63, 0])))
-    traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
-    tp, dp = tmp_path / "t.csv", tmp_path / "d.csv"
-    write_trajectory(str(tp), str(dp), traj)
-    lines = dp.read_text().splitlines()
-    lines[1] = "t,tv,dissipation,max_jump,stopped"
-    for k in range(2, len(lines)):
-        t, diss = lines[k].split(",")
-        lines[k] = ",".join([t, "7", diss, "8", "1"])
-    dp.write_text("\n".join(lines) + "\n")
-    back = read_trajectory(str(tp), str(dp))
-    assert np.array_equal(back.tv, [tv_measure(s).total for s in traj.snapshots])
-    assert np.array_equal([tv_measure(s).max_jump for s in back.snapshots],
-                          [tv_measure(s).max_jump for s in traj.snapshots])
-    assert back.final_curve.num_jumps == 0 and back.snapshots[0].num_jumps > 0
-    assert np.array_equal(back.dissipation, traj.dissipation)
-
-
 def test_exact_trajectory_round_trip(tmp_path):
     u0 = random_rad_curve(Euclidean(2), np.random.Generator(np.random.Philox([61, 0])))
     traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
@@ -332,9 +312,8 @@ def test_cli_verify_antipodal_jump_is_geometry_error(tmp_path, capsys):
     # measuring a step snapshot's variation refuses a jump with no unique geodesic
     (tmp_path / "trajectory.csv").write_text(
         "# trajectory kind=pc manifold=sphere:3 solver=exact_pc dt_nominal=0.001 epsilon=none\n"
-        "t,x,c0,c1,c2\n0,0.5,1,0,0\n0,1,-1,0,0\n")
-    (tmp_path / "diagnostics.csv").write_text(
-        "# diagnostics\nt,tv,dissipation,max_jump,stopped\n0,0,0,0,0\n")
+        "t,x_right_end,c0,c1,c2\n0,0.5,1,0,0\n0,1,-1,0,0\n")
+    (tmp_path / "diagnostics.csv").write_text("# diagnostics\nt,dissipation\n0,0\n")
     assert main(["verify", "--input", str(tmp_path / "trajectory.csv")]) == 3
     assert capsys.readouterr().err.startswith("geometry error:")
 
@@ -463,6 +442,11 @@ _BAD_INPUTS = {
                             "--t-stop", "0"],
     "denoise_inf_t_stop": ["denoise", "--input", "{tmp}/field.csv", "--out", "{tmp}/den",
                            "--t-stop", "inf"],
+    # epsilon must be positive and finite; inf would leave the field where it is
+    "denoise_inf_eps": ["denoise", "--input", "{tmp}/field.csv", "--out", "{tmp}/den",
+                        "--eps", "inf"],
+    "denoise_nan_eps": ["denoise", "--input", "{tmp}/field.csv", "--out", "{tmp}/den",
+                        "--eps", "nan"],
     "flow_empty_curve": ["flow", "--config", "{tmp}/run.cfg", "--input", "{tmp}/empty.csv",
                          "--out", "{tmp}/run"],
     "flow_header_only_curve": ["flow", "--config", "{tmp}/run.cfg", "--input",
@@ -483,6 +467,16 @@ _BAD_INPUTS = {
                                  "--diagnostics", "{tmp}/empty.csv"],
     "verify_trajectory_without_manifold": ["verify", "--input", "{tmp}/traj.csv",
                                            "--diagnostics", "{tmp}/empty.csv"],
+    # files in the layout that wrote x on every sampled row, and a sidecar
+    # that also carries tv, max_jump and stopped
+    "flow_sampled_curve_with_x_column": ["flow", "--config", "{tmp}/reg.cfg", "--input",
+                                         "{tmp}/field_x.csv", "--out", "{tmp}/run"],
+    "verify_step_trajectory_with_x_column": ["verify", "--input", "{tmp}/step_x.csv",
+                                             "--diagnostics", "{tmp}/sidecar.csv"],
+    "verify_sampled_trajectory_with_x_column": ["verify", "--input", "{tmp}/sampled_x.csv",
+                                                "--diagnostics", "{tmp}/sidecar.csv"],
+    "verify_five_column_sidecar": ["verify", "--input", "{tmp}/run/trajectory.csv",
+                                   "--diagnostics", "{tmp}/five_column_sidecar.csv"],
     # every config key and option is read by the chosen solver or refused
     "flow_seed_in_config": ["flow", "--config", "{tmp}/seed.cfg", "--input", "{tmp}/ok.csv",
                             "--out", "{tmp}/run"],
@@ -536,15 +530,22 @@ _BAD_INPUTS = {
                              "--checks", "bogus"],
 }
 
-# curve files the non-finite and singular cases read
+# curve, trajectory and sidecar files the bad-input cases read
 _BAD_CURVES = {
     "nan_plateau": "# curve kind=pc manifold=sphere:3\nx_right_end,c0,c1,c2\n0.5,0,0,1\n1,nan,0,1\n",
     "inf": "# curve kind=pc manifold=euclidean:2\nx_right_end,c0,c1\n0.5,0,0\n1,inf,0\n",
     "origin": "# curve kind=pc manifold=sphere:3\nx_right_end,c0,c1,c2\n1,0,0,0\n",
-    "axis": "# curve kind=sampled manifold=cylinder\nx,c0,c1,c2\n0,1,0,0\n1,0,0,0.5\n",
+    "axis": "# curve kind=sampled manifold=cylinder\nc0,c1,c2\n1,0,0\n0,0,0.5\n",
     "nan_breakpoint": "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\nnan,0\n1,1\n",
     "nan_end": "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\nnan,0\n",
     "nan_x": "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\nnan,1\n1,0\n",
+    "field_x": "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\n0.5,1\n1,0\n",
+    "step_x": "# trajectory kind=pc manifold=euclidean:1 solver=exact_pc dt_nominal=0.001 "
+              "epsilon=none\nt,x,c0\n0,1,0.5\n",
+    "sampled_x": "# trajectory kind=sampled manifold=euclidean:1 solver=regularized "
+                 "dt_nominal=0.001 epsilon=0.001\nt,x,c0\n0,0,0\n0,0.5,1\n0,1,0\n",
+    "sidecar": "# diagnostics\nt,dissipation\n0,0\n",
+    "five_column_sidecar": "# diagnostics\nt,tv,dissipation,max_jump,stopped\n0,0,0,0,0\n",
 }
 
 # config files the bad-input cases read, beside run.cfg
@@ -588,7 +589,7 @@ def test_cli_bad_input_is_config_error(tmp_path, capsys, case):
     (tmp_path / "nan.csv").write_text(
         "# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n0.5,zero\n1,1\n")
     (tmp_path / "field.csv").write_text(
-        "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\n0.5,1\n1,0\n")
+        "# curve kind=sampled manifold=euclidean:1\nc0\n0\n1\n0\n")
     for name, kv in _BAD_CONFIGS.items():
         _write_config(tmp_path / f"{name}.cfg", **kv)
     for name, text in _BAD_CURVES.items():
@@ -644,13 +645,13 @@ def test_cli_unusable_path_exits_2(tmp_path, capsys, monkeypatch, case):
     _write_config(tmp_path / "reg.cfg", manifold="euclidean:1", t_max=1.0, epsilon=0.1)
     (tmp_path / "ok.csv").write_text("# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n1,0\n")
     (tmp_path / "field.csv").write_text(
-        "# curve kind=sampled manifold=euclidean:1\nx,c0\n0,0\n0.5,1\n1,0\n")
+        "# curve kind=sampled manifold=euclidean:1\nc0\n0\n1\n0\n")
     (tmp_path / "dir").mkdir()
     (tmp_path / "latin1.csv").write_bytes(
         b"# curve kind=pc manifold=euclidean:1\nx_right_end,c0\n1,0\xe9\n")
     (tmp_path / "latin1.cfg").write_bytes(b"manifold = euclidean:1  # caf\xe9\n")
     (tmp_path / "latin1.traj").write_bytes(
-        b"# trajectory kind=pc manifold=euclidean:1\nt,x,c0\n0,1,0\xe9\n")
+        b"# trajectory kind=pc manifold=euclidean:1\nt,x_right_end,c0\n0,1,0\xe9\n")
     assert main(["flow", "--config", str(tmp_path / "run.cfg"),
                  "--input", str(tmp_path / "ok.csv"), "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
@@ -681,7 +682,7 @@ def test_cli_refused_datum_leaves_no_run_directory(tmp_path, capsys, command):
         argv = ["flow", "--config", str(tmp_path / "run.cfg"), "--input", str(tmp_path / "u0.csv")]
     else:
         (tmp_path / "u0.csv").write_text(
-            "# curve kind=sampled manifold=sphere:3\nx,c0,c1,c2\n0,1,0,0\n0.5,-1,0,0\n1,-1,0,0\n")
+            "# curve kind=sampled manifold=sphere:3\nc0,c1,c2\n1,0,0\n-1,0,0\n-1,0,0\n")
         argv = ["denoise", "--input", str(tmp_path / "u0.csv")]
     (tmp_path / "kept").mkdir()
     for out in ("run", "kept"):
@@ -897,12 +898,10 @@ def _reference_csv_rows(rows) -> list[str]:
 
 
 def _reference_rows(curve) -> list[list]:
-    """Abscissa (plateau right end or grid node) and values of each row."""
+    """Plateau right end and value of each row, or a grid node's value alone."""
     if isinstance(curve, PiecewiseConstantCurve):
-        xs = list(curve.breakpoints) + [1.0]
-    else:
-        xs = list(curve.xs)
-    return [[x] + list(v) for x, v in zip(xs, curve.values)]
+        return [[x] + list(v) for x, v in zip(list(curve.breakpoints) + [1.0], curve.values)]
+    return [list(v) for v in curve.values]
 
 
 @pytest.fixture(scope="module")
@@ -932,3 +931,83 @@ def test_written_files_match_per_cell_reference(tmp_path, written_runs, name):
     assert dp.read_text().splitlines()[1:] == ["t,dissipation"] + _reference_csv_rows(diag)
     for snap in (traj.snapshots[0], traj.final_curve):
         assert curve_to_text(snap).splitlines()[2:] == _reference_csv_rows(_reference_rows(snap))
+
+
+@pytest.mark.parametrize("name", ["exact", "semi_implicit", "scalar", "geodesic"])
+def test_write_read_write_is_byte_identical(tmp_path, written_runs, name):
+    # the values read back are the doubles written, and writing them again
+    # gives the same bytes, for trajectories and for curves of either kind
+    traj = written_runs[name]
+    tp, dp = tmp_path / "t.csv", tmp_path / "d.csv"
+    write_trajectory(str(tp), str(dp), traj)
+    back = read_trajectory(str(tp), str(dp))
+    assert (back.solver, back.dt_nominal, back.epsilon) == (
+        traj.solver, traj.dt_nominal, traj.epsilon)
+    assert np.array_equal(back.times, traj.times)
+    assert np.array_equal(back.dissipation, traj.dissipation)
+    for a, b in zip(back.snapshots, traj.snapshots, strict=True):
+        assert type(a) is type(b) and np.array_equal(a.values, b.values)
+        assert not isinstance(a, PiecewiseConstantCurve) or np.array_equal(
+            a.breakpoints, b.breakpoints)
+    write_trajectory(str(tmp_path / "t2.csv"), str(tmp_path / "d2.csv"), back)
+    assert (tmp_path / "t2.csv").read_bytes() == tp.read_bytes()
+    assert (tmp_path / "d2.csv").read_bytes() == dp.read_bytes()
+    for snap in (traj.snapshots[0], traj.final_curve):
+        text = curve_to_text(snap)
+        assert curve_to_text(curve_from_text(text)) == text
+
+
+# one metadata field of a written trajectory set to a value, or dropped (None)
+_BAD_METADATA = {
+    "grid_epsilon_none": ("grid", "epsilon", "none"),
+    "grid_epsilon_inf": ("grid", "epsilon", "inf"),
+    "grid_epsilon_zero": ("grid", "epsilon", "0"),
+    "grid_no_epsilon": ("grid", "epsilon", None),
+    "step_epsilon_number": ("step", "epsilon", "0.001"),
+    "step_no_epsilon": ("step", "epsilon", None),
+    "step_dt_nominal_inf": ("step", "dt_nominal", "inf"),
+    "step_dt_nominal_nan": ("step", "dt_nominal", "nan"),
+    "step_dt_nominal_negative": ("step", "dt_nominal", "-0.001"),
+    "step_no_dt_nominal": ("step", "dt_nominal", None),
+    "step_unknown_solver": ("step", "solver", "unknown"),
+    "step_no_solver": ("step", "solver", None),
+    "step_unknown_key": ("step", "seed", "3"),
+}
+
+
+@pytest.fixture(scope="module")
+def verified_runs(tmp_path_factory):
+    """Per run: its written trajectory text, its sidecar path and the check
+    that reads the field under test.  The step run is corrupted, so that its
+    energy check fails; unedited, both files read (no exit 2)."""
+    d = tmp_path_factory.mktemp("verified")
+    u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([62, 0])))
+    step = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
+    step.snapshots[len(step) // 2] = step.snapshots[0]  # resurrect old state
+    field = noisy_field("sphere:3", grid_n=33, noise=0.05, seed=1)
+    grid = run_regularized(field, FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=33, t_max=0.01))
+    out = {}
+    for name, traj, check in (("step", step, "energy"), ("grid", grid, "sphere")):
+        tp, dp = str(d / f"{name}.t"), str(d / f"{name}.d")
+        write_trajectory(tp, dp, traj)
+        assert main(["verify", "--input", tp, "--diagnostics", dp, "--checks", check]) != 2
+        out[name] = ((d / f"{name}.t").read_text(), dp, check)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_METADATA))
+def test_cli_verify_refuses_bad_trajectory_metadata(tmp_path, capsys, verified_runs, case):
+    run, key, value = _BAD_METADATA[case]
+    text, diag, check = verified_runs[run]
+    head, rows = text.split("\n", 1)
+    fields = dict(tok.split("=", 1) for tok in head.split()[2:])
+    fields.pop(key, None)
+    if value is not None:
+        fields[key] = value
+    tp = tmp_path / "t.csv"
+    tp.write_text(" ".join(["# trajectory", *(f"{k}={v}" for k, v in fields.items())])
+                  + "\n" + rows)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(tp), "--diagnostics", diag, "--checks", check]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
