@@ -13,7 +13,6 @@ from .curves import (
     PiecewiseConstantCurve,
     SampledCurve,
     TVBreakdown,
-    auto_ramp,
     compose_with_geodesic,
     jump_admissibility,
     l2_distance,
@@ -32,7 +31,6 @@ from .errors import (
     MtvfError,
     NotNPC,
     OutOfComparisonRange,
-    RampTooWide,
     SingularProjection,
     SolverError,
     StepUnderflow,

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .curves import (
     PiecewiseConstantCurve,
-    auto_ramp,
     mollify,
     tv_measure,
 )
@@ -106,7 +105,7 @@ def cmd_flow(args) -> int:
                                 snapshot_every=cfg.snapshot_every)
         else:
             if isinstance(curve, PiecewiseConstantCurve):
-                curve = mollify(curve, cfg.grid_n, auto_ramp(curve, cfg.grid_n))
+                curve = mollify(curve, cfg.grid_n)
             elif "grid_n" not in given:  # a sampled input sets the grid
                 cfg = replace(cfg, grid_n=curve.grid_n)
             traj = run_regularized(curve, cfg)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RampTooWide, SingularProjection
+from .errors import ConfigError, SingularProjection
 from .manifolds import CONSTRAINT_TOL, Manifold
 
 # Plateaus closer than this are treated as equal and merged away.
@@ -183,24 +183,18 @@ def jump_admissibility(curve) -> tuple[bool, float, float]:
     return bool(sizes[worst] < bound), float(sizes[worst]), float(locs[worst])
 
 
-def mollify(curve: PiecewiseConstantCurve, grid_n: int, ramp_width: float) -> SampledCurve:
+def mollify(curve: PiecewiseConstantCurve, grid_n: int) -> SampledCurve:
     """Sample a step curve with each jump replaced by a geodesic ramp.
 
     The ramp at breakpoint ``x_j`` spans ``[x_j - w/2, x_j + w/2]`` and
     interpolates the two plateau values along their geodesic; elsewhere the
-    plateau value is used.  Total variation is preserved up to the chord-sum
-    discretization error.
+    plateau value is used.  The width ``w`` is eight grid cells, capped at
+    0.45 of the narrowest plateau so that neighbouring ramps never meet.
+    Total variation is preserved up to the chord-sum discretization error.
     """
     if grid_n < 2:
         raise ConfigError("grid_n must be at least 2")
-    w = float(ramp_width)
-    if w <= 0:
-        raise ConfigError("ramp width must be positive")
-    min_gap = float(curve.plateau_lengths().min())
-    if w >= 0.5 * min_gap:
-        raise RampTooWide(
-            f"ramp width {w} does not fit: half the smallest plateau is {0.5 * min_gap}"
-        )
+    w = min(8 / (grid_n - 1), 0.45 * float(curve.plateau_lengths().min()))
     xs = np.linspace(0.0, 1.0, grid_n)
     vals = curve.eval_grid(xs)
     for j, bp in enumerate(curve.breakpoints):
@@ -212,12 +206,6 @@ def mollify(curve: PiecewiseConstantCurve, grid_n: int, ramp_width: float) -> Sa
             curve.values[j], curve.values[j + 1], np.clip(s, 0.0, 1.0)
         )
     return SampledCurve(curve.manifold, vals)
-
-
-def auto_ramp(curve: PiecewiseConstantCurve, grid_n: int) -> float:
-    """Widest safe mollification ramp: eight grid cells, capped so it
-    always fits inside the narrowest plateau."""
-    return min(8 / (grid_n - 1), 0.45 * float(curve.plateau_lengths().min()))
 
 
 def compose_with_geodesic(

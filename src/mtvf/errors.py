@@ -34,10 +34,6 @@ class OutOfComparisonRange(GeometryError):
     """Comparison-theorem quantity evaluated outside its valid range."""
 
 
-class RampTooWide(GeometryError):
-    """Mollification ramp does not fit between neighbouring breakpoints."""
-
-
 class ConvexityRadiusExceeded(GeometryError):
     """A jump reaches twice the convexity radius (flow not well posed)."""
 

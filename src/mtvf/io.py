@@ -265,11 +265,7 @@ def parse_config_text(text: str) -> dict:
 def flow_config_from_mapping(mapping: dict) -> FlowConfig:
     if "manifold" not in mapping:
         raise ConfigError("config must set 'manifold'")
-    manifold = parse_manifold(mapping["manifold"])
-    try:
-        return FlowConfig(**{**mapping, "manifold": manifold})
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return FlowConfig(**{**mapping, "manifold": parse_manifold(mapping["manifold"])})
 
 
 def config_to_text(cfg: FlowConfig, keys=tuple(_CONFIG_KEYS)) -> str:

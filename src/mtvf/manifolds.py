@@ -98,26 +98,21 @@ class Manifold:
             )
         return 0.5 * self.injectivity_radius
 
-    def hessian_comparison_bound(self, sigma):
+    def hessian_comparison_bound(self, sigma: float) -> float:
         """Lower bound for eigenvalues of Hess(dist^2/2) at distance sigma.
 
         Equals 1 for nonpositively curved geometries and
         sqrt(K)*sigma*cot(sqrt(K)*sigma) when the curvature bound K is
         positive.  Valid for 0 <= sigma < 2 * convexity_radius.
         """
-        arr = np.asarray(sigma, dtype=float)
-        if np.any(arr < 0) or np.any(arr >= 2.0 * self.convexity_radius):
+        if not 0.0 <= sigma < 2.0 * self.convexity_radius:  # NaN fails too
             raise OutOfComparisonRange(
-                f"distance out of comparison range [0, {2 * self.convexity_radius})"
+                f"distance {sigma} out of comparison range [0, {2 * self.convexity_radius})"
             )
         if self.curvature_bound <= 0:
-            out = np.ones_like(arr)
-        else:
-            x = math.sqrt(self.curvature_bound) * arr
-            small = np.abs(x) < 1e-6
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.where(small, 1.0 - x * x / 3.0, x / np.tan(np.where(small, 1.0, x)))
-        return float(out) if np.isscalar(sigma) or arr.ndim == 0 else out
+            return 1.0
+        x = math.sqrt(self.curvature_bound) * sigma
+        return 1.0 - x * x / 3.0 if x < 1e-6 else float(x / np.tan(x))
 
     # -- abstract kernels ---------------------------------------------------
 

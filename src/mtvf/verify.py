@@ -14,7 +14,6 @@ import numpy as np
 
 from .curves import (
     PiecewiseConstantCurve,
-    auto_ramp,
     l2_distance,
     mollify,
     tv_measure,
@@ -292,27 +291,26 @@ def cross_solver_compare(
     u0: PiecewiseConstantCurve,
     eps_list,
     grid_list,
-    n_times: int = 33,
     pairing: str = "product",
 ) -> list[CrossSolverRow]:
     """Distance between the grid solver and the event-driven solver.
 
     Runs the exact solver once, then the regularized solver for every
-    ``(epsilon, grid_n)`` pair on the datum mollified with ``auto_ramp``,
-    comparing states at shared snapshot times.  ``sup_l2`` is the largest L2
+    ``(epsilon, grid_n)`` pair on the datum mollified onto that grid,
+    comparing states at 33 shared snapshot times.  ``sup_l2`` is the largest L2
     distance over the time grid; ``final_l2`` compares the terminal states.
     Along a simultaneous refinement both columns should decrease.
     """
     exact = run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total)
     stop = detect_stopping(exact)
     t_end = stop[0] * 1.05 if stop else float(exact.times[-1])
-    t_grid = np.linspace(0.0, t_end, n_times)
+    t_grid = np.linspace(0.0, t_end, 33)
     t_max = t_end * 1.001
     exact = run_exact_pc(u0, t_max=t_max, snapshot_times=t_grid[1:])
 
     def one(job):
         eps, n = job
-        moll = mollify(u0, n, auto_ramp(u0, n))
+        moll = mollify(u0, n)
         cfg = FlowConfig(manifold=u0.manifold, epsilon=eps, grid_n=n, t_max=t_max)
         reg = run_regularized(moll, cfg, snapshot_times=t_grid[1:])
         sup = 0.0

@@ -28,7 +28,7 @@ from mtvf import (
     scalar_curve,
     tv_measure,
 )
-from mtvf.curves import auto_ramp, mollify
+from mtvf.curves import mollify
 from mtvf.flows import FlowConfig
 from mtvf.lab import (
     first_positive_gap,
@@ -86,7 +86,7 @@ def test_criterion_01_single_jump_extinction(acceptance_log):
         worst_exact = max(worst_exact, abs(stop[0] - 2 * x0 * (1 - x0)))
 
     u0 = scalar_curve([0.5], [-1.0, 1.0])
-    moll = mollify(u0, 1601, auto_ramp(u0, 1601))
+    moll = mollify(u0, 1601)
     cfg = FlowConfig(manifold=Euclidean(1), epsilon=1e-3, grid_n=1601,
                      t_max=0.75, snapshot_every=1)
     stop = detect_stopping(run_regularized(moll, cfg))

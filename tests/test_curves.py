@@ -9,10 +9,8 @@ from mtvf import (
     DegenerateJump,
     Euclidean,
     PiecewiseConstantCurve,
-    RampTooWide,
     SampledCurve,
     Sphere,
-    auto_ramp,
     compose_with_geodesic,
     flow_on_geodesic,
     jump_admissibility,
@@ -80,6 +78,18 @@ def test_pc_rejects_off_manifold_values():
 def test_sampled_requires_two_nodes():
     with pytest.raises(ConfigError):
         SampledCurve(EU1, np.zeros((1, 1)))
+
+
+def test_curves_refuse_values_of_the_wrong_width():
+    with pytest.raises(ConfigError, match=r"shape \(m\+1, 2\)"):
+        PiecewiseConstantCurve(EU2, [0.5], np.zeros((2, 3)))
+    with pytest.raises(ConfigError, match=r"shape \(n, 3\)"):
+        SampledCurve(SPH, np.tile([1.0, 0.0], (4, 1)))
+
+
+def test_tv_measure_refuses_a_non_curve():
+    with pytest.raises(ConfigError, match="cannot measure variation of ndarray"):
+        tv_measure(np.zeros((4, 1)))
 
 
 def test_curves_are_frozen():
@@ -155,7 +165,7 @@ def test_jump_admissibility_accepts_near_antipodal():
 
 def test_mollify_preserves_tv_single_jump():
     c = _pc1([0.5], [0.0, 1.0])
-    m = mollify(c, 401, 0.05)
+    m = mollify(c, 401)
     # the ramp is a geodesic reparametrization: chord sum equals jump size
     assert tv_measure(m).total == pytest.approx(1.0, abs=1e-12)
     assert m.grid_n == 401
@@ -165,33 +175,30 @@ def test_mollify_sphere_ramp_stays_on_manifold():
     p = np.array([1.0, 0, 0])
     q = np.array([0.0, 1.0, 0])
     c = PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q]))
-    m = mollify(c, 201, 0.04)
+    m = mollify(c, 201)
     assert SPH.constraint_residual(m.values) < 1e-12
     assert tv_measure(m).total == pytest.approx(np.pi / 2, abs=1e-10)
 
 
 def test_mollify_leaves_a_jump_sharp_when_its_ramp_holds_no_node():
-    # nodes 0, 0.25, ..., 1: the ramp [0.575, 0.625] around 0.6 holds none
-    m = mollify(_pc1([0.6], [0.0, 1.0]), 5, 0.05)
+    # nodes 0, 0.25, ..., 1: the ramp [0.51, 0.69] around 0.6 holds none
+    m = mollify(_pc1([0.6], [0.0, 1.0]), 5)
     assert np.array_equal(m.values[:, 0], [0.0, 0.0, 0.0, 1.0, 1.0])
 
 
-def test_mollify_rejects_wide_ramp():
-    c = _pc1([0.1, 0.2], [0.0, 1.0, 0.0])
-    with pytest.raises(RampTooWide):
-        mollify(c, 101, 0.2)
-
-
-def test_auto_ramp_respects_gaps():
-    c = _pc1([0.1, 0.2], [0.0, 1.0, 0.0])
-    w = auto_ramp(c, 101)
-    assert w < 0.5 * 0.1
-    mollify(c, 101, w)  # must fit
-
-
-def test_auto_ramp_default_is_eight_cells():
-    c = _pc1([0.5], [0.0, 1.0])
-    assert auto_ramp(c, 401) == pytest.approx(8 / 400)
+def test_mollify_ramp_is_eight_cells_capped_inside_the_narrowest_plateau():
+    # eight cells of 1/400: the nodes strictly inside the ramp are the seven
+    # between its two ends
+    ramp = mollify(_pc1([0.5], [0.0, 1.0]), 401).values[:, 0]
+    assert np.count_nonzero((ramp > 0.0) & (ramp < 1.0)) == 7
+    # eight cells of 1/100 would span seven nodes of each ramp around the
+    # 0.1-long middle plateau; the cap, 0.045 = 4.5 cells, leaves five, and
+    # the nodes between the two ramps keep the plateau value
+    vals = mollify(_pc1([0.1, 0.2], [0.0, 1.0, 0.0]), 101).values[:, 0]
+    interior = (vals > 0.0) & (vals < 1.0)
+    assert np.count_nonzero(interior[:15]) == np.count_nonzero(interior[15:]) == 5
+    assert np.all(vals[13:18] == 1.0)
+    assert tv_measure(SampledCurve(EU1, vals[:, None])).total == pytest.approx(2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +288,9 @@ def test_compose_with_geodesic_interior_parameter():
     assert SPH.dist(c.values[1], q) == pytest.approx(0.25 * np.pi / 2, abs=1e-12)
 
 
-@pytest.mark.parametrize("grid_n,ramp,match", [(64, 0.0, "ramp width"), (64, -0.1, "ramp width"),
-                                               (1, 0.05, "grid_n")])
-def test_mollify_refuses_a_bad_grid_or_ramp(grid_n, ramp, match):
-    with pytest.raises(ConfigError, match=match):
-        mollify(_pc1([0.5], [0.0, 1.0]), grid_n, ramp)
+def test_mollify_refuses_a_one_node_grid():
+    with pytest.raises(ConfigError, match="grid_n"):
+        mollify(_pc1([0.5], [0.0, 1.0]), 1)
 
 
 @pytest.mark.parametrize("level", [-0.1, 1.5])

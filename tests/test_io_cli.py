@@ -9,11 +9,11 @@ import pytest
 
 import mtvf.cli
 from mtvf import (
+    ConfigError,
     Euclidean,
     PiecewiseConstantCurve,
     SolverError,
     Sphere,
-    auto_ramp,
     flow_on_geodesic,
     mollify,
     run_exact_pc,
@@ -363,6 +363,18 @@ def test_cli_generate_two_jump_square_variant(tmp_path, variant):
     curve = read_curve(str(path))
     assert np.array_equal(curve.breakpoints, ref.breakpoints)
     assert np.array_equal(curve.values, ref.values)
+
+
+def test_two_jump_square_refuses_an_unknown_variant():
+    with pytest.raises(ConfigError, match="unknown variant 'bogus'"):
+        two_jump_square(variant="bogus")
+
+
+def test_write_curve_refuses_a_non_curve_and_writes_nothing(tmp_path):
+    path = tmp_path / "c.csv"
+    with pytest.raises(ConfigError, match="not a curve: ndarray"):
+        write_curve(str(path), np.zeros((4, 1)))
+    assert not path.exists()
 
 
 def test_cli_generate_two_jump_square_deterministic(tmp_path):
@@ -908,7 +920,7 @@ def _reference_rows(curve) -> list[list]:
 def written_runs():
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([63, 0])))
     runs = {"exact": run_exact_pc(u0, t_max=4 * tv_measure(u0).total)}
-    field = mollify(u0, 65, auto_ramp(u0, 65))
+    field = mollify(u0, 65)
     runs["semi_implicit"] = run_regularized(
         field, FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=65, t_max=0.05))
     flow = run_scalar_tv(scalar_curve([0.25, 0.6], [0.0, 0.9, 0.2]), 2.0)

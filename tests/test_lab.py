@@ -16,7 +16,7 @@ from mtvf import (
     WindowTooLong,
     tv_measure,
 )
-from mtvf.curves import auto_ramp, mollify
+from mtvf.curves import mollify
 from mtvf.flows import FlowConfig, run_regularized
 from mtvf.lab import (
     ONE_HARMONIC_C,
@@ -415,7 +415,7 @@ def test_stability_scan_rejects_empty_scan():
 
 
 def _mid_flow_windows(u0, n, t_max, stride):
-    moll = mollify(u0, n, auto_ramp(u0, n))
+    moll = mollify(u0, n)
     cfg = FlowConfig(manifold=SPH, epsilon=1e-3, grid_n=n, t_max=t_max, snapshot_every=1)
     traj = run_regularized(moll, cfg)
     for k in range(1, len(traj) - 1, stride):

@@ -276,6 +276,12 @@ def test_hessian_comparison_bound_sphere():
         man.hessian_comparison_bound(np.pi)  # = 2*convexity radius
 
 
+@pytest.mark.parametrize("man", [Euclidean(2), Sphere(3), Circle(), Cylinder()], ids=lambda m: m.spec_id)
+def test_hessian_comparison_bound_refuses_a_nan_distance(man):
+    with pytest.raises(OutOfComparisonRange):
+        man.hessian_comparison_bound(float("nan"))
+
+
 def test_second_fundamental_form_sphere():
     # embedded unit sphere with the projection convention
     # pi_u(W_x) = W_x + A_u(W, u_x), which gives A_p(x, y) = (x . y) p

@@ -15,7 +15,7 @@ from mtvf import (
     detect_stopping,
     scalar_curve,
 )
-from mtvf.curves import auto_ramp, mollify
+from mtvf.curves import mollify
 from mtvf.flows import (
     FlowConfig, _semi_implicit_step, run_regularized, run_scalar_tv, solve_banded,
 )
@@ -76,7 +76,7 @@ def test_matches_scalar_staircase_under_refinement():
     times = np.linspace(0.05, 0.55, 11)
     errs = []
     for n, eps in ((101, 2e-3), (201, 1e-3), (401, 5e-4)):
-        moll = mollify(datum, n, auto_ramp(datum, n))
+        moll = mollify(datum, n)
         cfg = FlowConfig(manifold=EU, epsilon=eps, grid_n=n, t_max=0.6)
         traj = run_regularized(moll, cfg, snapshot_times=times)
         sup = 0.0
@@ -94,7 +94,7 @@ def test_matches_scalar_staircase_under_refinement():
 
 def test_single_jump_extinction_time_euclidean():
     u0 = scalar_curve([0.5], [-1.0, 1.0])
-    moll = mollify(u0, 401, auto_ramp(u0, 401))
+    moll = mollify(u0, 401)
     cfg = FlowConfig(manifold=EU, epsilon=1e-3, grid_n=401, t_max=0.75, snapshot_every=1)
     traj = run_regularized(moll, cfg)
     stop = detect_stopping(traj)
@@ -104,7 +104,7 @@ def test_single_jump_extinction_time_euclidean():
 
 def test_energy_balance_on_sphere_run():
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([32, 0])))
-    moll = mollify(u0, 201, auto_ramp(u0, 201))
+    moll = mollify(u0, 201)
     cfg = FlowConfig(manifold=SPH, epsilon=1e-3, grid_n=201, t_max=0.5)
     traj = run_regularized(moll, cfg)
     rep = check_energy(traj)
@@ -113,7 +113,7 @@ def test_energy_balance_on_sphere_run():
 
 def test_requested_snapshot_times_are_hit():
     u0 = scalar_curve([0.5], [-1.0, 1.0])
-    moll = mollify(u0, 101, auto_ramp(u0, 101))
+    moll = mollify(u0, 101)
     wanted = [0.05, 0.1, 0.2]
     cfg = FlowConfig(manifold=EU, epsilon=1e-3, grid_n=101, t_max=0.25)
     traj = run_regularized(moll, cfg, snapshot_times=wanted)
@@ -125,7 +125,7 @@ def test_requested_snapshot_times_are_hit():
 def test_repeated_snapshot_times_record_one_snapshot_each():
     # requested times closer than 1e-14 are one snapshot, reached by one step
     u0 = scalar_curve([0.5], [-1.0, 1.0])
-    moll = mollify(u0, 101, auto_ramp(u0, 101))
+    moll = mollify(u0, 101)
     cfg = FlowConfig(manifold=EU, epsilon=1e-3, grid_n=101, t_max=0.03)
     traj = run_regularized(moll, cfg, snapshot_times=[0.01, 0.02, 0.01, 0.01 + 5e-15, 0.02])
     for t in (0.01, 0.02):

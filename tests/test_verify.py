@@ -22,7 +22,7 @@ from mtvf import (
     scalar_curve,
     tv_measure,
 )
-from mtvf.curves import auto_ramp, mollify
+from mtvf.curves import mollify
 from mtvf.flows import FlowConfig, run_regularized
 from mtvf.synth import noisy_field, random_rad_curve, two_jump_sphere_example
 
@@ -149,7 +149,7 @@ def _corrupted(traj, k, values):
 def test_sphere_equivalence_grid_run_passes_then_fails_after_corruption():
     # the mollified cross-solver datum, as criterion 8 flows it
     u0 = two_jump_sphere_example()
-    moll = mollify(u0, 401, auto_ramp(u0, 401))
+    moll = mollify(u0, 401)
     traj = run_regularized(moll, FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=401, t_max=0.2))
     rep = check_sphere_equivalence(traj)
     assert rep.passed, rep
@@ -201,12 +201,12 @@ def test_detect_stopping_reports_first_constant_time():
 
 def test_cross_solver_rows_and_pairings():
     u0 = scalar_curve([0.4], [0.0, 1.0])
-    rows = cross_solver_compare(u0, [1e-2], [101], n_times=9)
+    rows = cross_solver_compare(u0, [1e-2], [101])
     assert len(rows) == 1
     assert rows[0].epsilon == 1e-2 and rows[0].grid_n == 101
     assert 0 < rows[0].final_l2 <= rows[0].sup_l2 < 0.5
 
-    zipped = cross_solver_compare(u0, [1e-2, 1e-2], [51, 101], n_times=9, pairing="zip")
+    zipped = cross_solver_compare(u0, [1e-2, 1e-2], [51, 101], pairing="zip")
     assert [r.grid_n for r in zipped] == [51, 101]
     with pytest.raises(Exception):
         cross_solver_compare(u0, [1e-2], [51, 101], pairing="zip")
