@@ -186,11 +186,14 @@ def test_mollify_leaves_a_jump_sharp_when_its_ramp_holds_no_node():
     assert np.array_equal(m.values[:, 0], [0.0, 0.0, 0.0, 1.0, 1.0])
 
 
-def test_mollify_ramp_is_eight_cells_capped_inside_the_narrowest_plateau():
-    # eight cells of 1/400: the nodes strictly inside the ramp are the seven
-    # between its two ends
+def test_auto_ramp_default_is_eight_cells():
+    # mollify's own ramp is eight cells of 1/400: the nodes strictly inside
+    # it are the seven between its two ends
     ramp = mollify(_pc1([0.5], [0.0, 1.0]), 401).values[:, 0]
     assert np.count_nonzero((ramp > 0.0) & (ramp < 1.0)) == 7
+
+
+def test_auto_ramp_respects_gaps():
     # eight cells of 1/100 would span seven nodes of each ramp around the
     # 0.1-long middle plateau; the cap, 0.045 = 4.5 cells, leaves five, and
     # the nodes between the two ramps keep the plateau value
