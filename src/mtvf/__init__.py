@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     ConvexityRadiusExceeded,
     DegenerateJump,
-    DegenerateTriangle,
     GeometryError,
     IncompatibleSnapshots,
     MtvfError,
@@ -35,7 +34,6 @@ from .errors import (
     SolverError,
     StepUnderflow,
     VerificationError,
-    WindowTooLong,
     WrongManifold,
 )
 from .flows import (

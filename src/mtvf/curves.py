@@ -86,9 +86,6 @@ class PiecewiseConstantCurve:
     def jump_sizes(self) -> np.ndarray:
         return chord_sizes(self)
 
-    def value_at(self, x: float) -> np.ndarray:
-        return self.eval_grid(float(x))
-
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, np.asarray(xs, float), side="right")
         return self.values[idx]

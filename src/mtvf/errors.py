@@ -38,14 +38,6 @@ class ConvexityRadiusExceeded(GeometryError):
     """A jump reaches twice the convexity radius (flow not well posed)."""
 
 
-class DegenerateTriangle(GeometryError):
-    """Triangle comparison requested for (nearly) collinear vertices."""
-
-
-class WindowTooLong(GeometryError):
-    """Variation over an estimation window exceeds the allowed bound."""
-
-
 class SolverError(MtvfError):
     """Base class for time-stepping failures."""
 

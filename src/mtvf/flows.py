@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -124,18 +125,23 @@ class PiecewiseLinearFluxField:
         return (1.0 - s) * self.left_values[i] + s * self.right_values[i]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowTrajectory:
     """Recorded snapshots of one run, with what they cannot give: the
     cumulative dissipation.  The manifold, flux fields and variation are
-    functions of the snapshots; the variation is measured on each read."""
+    functions of the snapshots; the variation is measured once, on first
+    read.  The record is frozen: a changed run is a new trajectory
+    (``dataclasses.replace``)."""
 
     solver: str
     times: np.ndarray
-    snapshots: list
+    snapshots: tuple
     dissipation: np.ndarray      # cumulative space-time integral of |u_t|^2
     dt_nominal: float
     epsilon: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "snapshots", tuple(self.snapshots))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -152,11 +158,13 @@ class FlowTrajectory:
         idx = int(np.argmin(np.abs(self.times - t)))
         return idx
 
-    @property
+    @cached_property
     def tv(self) -> np.ndarray:
         """Variation of every snapshot by ``tv_measure``, which refuses a jump
         across the cut locus."""
-        return np.array([tv_measure(s).total for s in self.snapshots])
+        tv = np.array([tv_measure(s).total for s in self.snapshots])
+        tv.setflags(write=False)
+        return tv
 
 
 class _Recorder:
@@ -207,7 +215,7 @@ class _Recorder:
         return FlowTrajectory(
             solver=solver,
             times=np.array(times),
-            snapshots=list(snapshots),
+            snapshots=snapshots,
             dissipation=np.array(dissipation),
             dt_nominal=dt_nominal,
             epsilon=epsilon,

@@ -3,8 +3,8 @@
 Numeric companions to the library's comparison-geometry guarantees: the
 geodesic-square midpoint construction that defeats semiconvexity of
 constrained variation on the sphere, Hessian lower bounds for half the
-squared distance, Alexandrov angle comparison, and empirical stability
-constants for geodesics under endpoint perturbation.
+squared distance, and empirical stability constants for geodesics under
+endpoint perturbation.
 """
 from __future__ import annotations
 
@@ -12,21 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, tv_measure
-from .errors import (
-    BeyondInjectivityRadius,
-    ConfigError,
-    DegenerateTriangle,
-    OutOfComparisonRange,
-    WindowTooLong,
-)
-from .manifolds import Manifold, Sphere, _norm
-
-#: Empirical constant for one_harmonic_residual_bound, frozen from the first
-#: refinement sweep (mollified two-jump sphere data at n = 101/201/401 plus
-#: low-noise fields): the observed sup/integral ratio peaked at 0.11 and was
-#: stable under refinement, so 0.5 leaves a 4x margin.
-ONE_HARMONIC_C = 0.5
+from .errors import BeyondInjectivityRadius, ConfigError, OutOfComparisonRange
+from .manifolds import Manifold, Sphere
 
 _SPHERE3 = Sphere(3)
 
@@ -43,55 +30,6 @@ def _dot(a, b):
     # inner products over the last axis; a (1, N) @ (N, 1) matmul rounds
     # exactly as np.dot does on one pair of vectors
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def _hav(theta):
-    s = np.sin(0.5 * np.asarray(theta))
-    return s * s
-
-
-def haversine_side(a: float, b: float, gamma: float) -> float:
-    """Third side of a spherical triangle from two sides and the included angle.
-
-    Solves hav c = hav(a-b) + sin a sin b hav gamma on the unit sphere.
-    """
-    h = _hav(a - b) + np.sin(a) * np.sin(b) * _hav(gamma)
-    return float(2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0))))
-
-
-@dataclass(frozen=True)
-class SphericalTriangle:
-    """Geodesic triangle on the unit sphere, stored by its side lengths."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        sides = (self.a, self.b, self.c)
-        if min(sides) <= 0.0 or max(sides) >= np.pi:
-            raise DegenerateTriangle(f"sides out of (0, pi): {sides}")
-        if sum(sides) >= 2.0 * np.pi:
-            raise DegenerateTriangle("perimeter reaches 2*pi")
-        a, b, c = sides
-        if a >= b + c or b >= a + c or c >= a + b:
-            raise DegenerateTriangle(f"triangle inequality fails: {sides}")
-
-    @classmethod
-    def from_points(cls, p, q, r) -> "SphericalTriangle":
-        return cls(
-            float(_SPHERE3.dist(q, r)),
-            float(_SPHERE3.dist(p, r)),
-            float(_SPHERE3.dist(p, q)),
-        )
-
-    def planar_angles(self) -> tuple[float, float, float]:
-        """Angles of the flat triangle with the same side lengths."""
-        out = []
-        for x, y, z in ((self.a, self.b, self.c), (self.b, self.c, self.a), (self.c, self.a, self.b)):
-            cosang = (y * y + z * z - x * x) / (2.0 * y * z)
-            out.append(float(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return tuple(out)
 
 
 def midpoint_separation(a: float) -> float:
@@ -127,21 +65,6 @@ def square_vertices(a: float) -> np.ndarray:
             [cr, -s, -s],  # q1
         ]
     )
-
-
-def lambda_convexity_violation(lam: float, a: float) -> float:
-    """Largest eps in (0, 1/2] witnessing failure of lambda-convexity for
-    the side-``a`` square configuration.
-
-    The midpoint curve between the one-jump and three-jump square data
-    gains at least separation - a of variation; eps below
-    4*(separation - a)/(lambda*a) defeats any lambda > 0, and for
-    lambda <= 0 every eps works (capped at 1/2).
-    """
-    sep = midpoint_separation(a)
-    if lam <= 0.0:
-        return 0.5
-    return float(min(0.5, 4.0 * (sep - a) / (lam * a)))
 
 
 def semiconvexity_gap(n: int) -> float:
@@ -221,43 +144,6 @@ def hessian_comparison_check(
 
 
 # ---------------------------------------------------------------------------
-# Alexandrov angles
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AngleComparison:
-    sides: tuple[float, float, float]
-    spherical: tuple[float, float, float]
-    planar: tuple[float, float, float]
-    worst: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst <= self.tolerance
-
-
-def alexandrov_angle_check(p, q, r) -> AngleComparison:
-    """Each vertex angle of a geodesic triangle on the unit 2-sphere
-    dominates the corresponding angle of the flat triangle with equal side
-    lengths, to within 1e-9.
-    """
-    pts = np.array([p, q, r], dtype=float)
-    tri = SphericalTriangle.from_points(*pts)
-    # angles at the vertices (p, q, r) between the tangents toward the other
-    # two: the order of SphericalTriangle, opposite (a, b, c).  The edge
-    # from vertex i to i+1 gives the tangent toward i+1 at i and, reversed,
-    # the tangent toward i at i+1.
-    t_next, t_away = _SPHERE3.unit_tangent_pair(pts, np.roll(pts, -1, axis=0))
-    t_prev = -np.roll(t_away, 1, axis=0)
-    sph = tuple(float(a) for a in np.arccos(np.clip(_dot(t_next, t_prev), -1.0, 1.0)))
-    planar = tri.planar_angles()
-    worst = float(max(pl - s for s, pl in zip(sph, planar)))
-    return AngleComparison((tri.a, tri.b, tri.c), sph, planar, worst, 1e-9)
-
-
-# ---------------------------------------------------------------------------
 # geodesic endpoint stability
 # ---------------------------------------------------------------------------
 
@@ -314,7 +200,6 @@ def endpoint_stability_ratio(manifold: Manifold, p1, q1, p2, q2):
 
 @dataclass(frozen=True)
 class StabilityScan:
-    radius: float
     n_samples: int
     seed: int
     max_ratio: float
@@ -351,38 +236,5 @@ def geodesic_endpoint_stability(
     quads = manifold.exp(center, steps).reshape(n_samples, 4, -1)
     ratios = endpoint_stability_ratio(manifold, *quads.transpose(1, 0, 2))
     ratios.flags.writeable = False
-    return StabilityScan(radius, n_samples, seed, float(np.max(ratios)), ratios)
+    return StabilityScan(n_samples, seed, float(np.max(ratios)), ratios)
 
-
-# ---------------------------------------------------------------------------
-# near-geodesic slice estimate
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SliceResidual:
-    sup_distance: float
-    rhs_integral: float
-    constant: float
-
-    @property
-    def passed(self) -> bool:
-        return self.sup_distance <= self.constant * self.rhs_integral + 1e-12
-
-
-def one_harmonic_residual_bound(w: SampledCurve, f: np.ndarray) -> SliceResidual:
-    """Sup distance from a sampled window to the geodesic joining its
-    endpoint values, against ``ONE_HARMONIC_C`` times the window integral
-    of the driving term.
-
-    The window must carry less variation than twice the convexity radius.
-    """
-    man = w.manifold
-    if tv_measure(w).total >= 2.0 * man.convexity_radius:
-        raise WindowTooLong("window variation reaches twice the convexity radius")
-    f = np.asarray(f, dtype=float)
-    if f.shape != w.values.shape:
-        raise ValueError("driving term must match the sampled values in shape")
-    sup = np.max(distance_to_geodesic(man, w.values, w.values[0], w.values[-1]))
-    rhs = float(np.sum(_norm(f)) * w.h)
-    return SliceResidual(float(sup), rhs, ONE_HARMONIC_C)

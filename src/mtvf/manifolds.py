@@ -56,7 +56,7 @@ class Manifold:
     """Geometry of an isometrically embedded manifold with closed-form maps.
 
     Subclasses provide ``project_point``, ``tangent_projection``, ``dist``,
-    ``exp``, ``log`` and ``second_fundamental_form``; derived helpers
+    ``exp`` and ``log``; derived helpers
     (geodesic interpolation, unit tangents of a jump, comparison bounds)
     live here.
     """
@@ -135,17 +135,6 @@ class Manifold:
         """``(t_minus, t_plus, jump size)`` of ``unit_tangent_pair``, no checks."""
         raise NotImplementedError
 
-    def second_fundamental_form(
-        self, p: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> np.ndarray:
-        """Normal-valued correction term A_p(X, Y) of the ambient derivative.
-
-        Defined so that the tangential part of the ambient x-derivative of a
-        tangent field W along a curve u satisfies
-        ``pi_u(W_x) = W_x + A_u(W, u_x)``.
-        """
-        raise NotImplementedError
-
     # -- derived helpers ----------------------------------------------------
 
     def constraint_residual(self, p: np.ndarray) -> float:
@@ -216,9 +205,6 @@ class Euclidean(Manifold):
         t, d = _unit_norm(q - p)
         return t, t, d
 
-    def second_fundamental_form(self, p, x, y):
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-
     def random_point(self, rng, size=()):
         return rng.standard_normal(tuple(np.atleast_1d(size)) + (self.ambient_dim,)) \
             if size != () else rng.standard_normal(self.ambient_dim)
@@ -288,10 +274,6 @@ class Sphere(Manifold):
         if d.max() >= math.pi * (1.0 - 1e-12):
             raise BeyondInjectivityRadius("antipodal points have no unique geodesic")
         return t_minus, t_plus, d
-
-    def second_fundamental_form(self, p, x, y):
-        p = np.asarray(p, float)
-        return _dot(np.asarray(x, float), np.asarray(y, float))[..., None] * p
 
     def random_point(self, rng, size=()):
         shape = (tuple(np.atleast_1d(size)) if size != () else ()) + (self.ambient_dim,)
@@ -384,12 +366,6 @@ class Cylinder(Manifold):
             t[..., 0], t[..., 1], t[..., 2] = -a * base[..., 1], a * base[..., 0], dz
         pair = _unit_norm(pair)[0]
         return pair[0], pair[1], np.hypot(a, dz)
-
-    def second_fundamental_form(self, p, x, y):
-        p = np.asarray(p, float)
-        tau = self._circ_tangent(p)
-        coeff = _dot(np.asarray(x, float), tau) * _dot(np.asarray(y, float), tau)
-        return coeff[..., None] * self._radial(p)
 
     def random_point(self, rng, size=()):
         shape = tuple(np.atleast_1d(size)) if size != () else ()

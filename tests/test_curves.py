@@ -51,8 +51,8 @@ def test_pc_basic_queries():
     assert np.allclose(c.plateau_lengths(), [0.25, 0.5, 0.25])
     assert np.allclose(c.jump_sizes(), [1.0, 0.5])
     # right-continuity at the breakpoint
-    assert c.value_at(0.25) == pytest.approx(1.0)
-    assert c.value_at(0.25 - 1e-12) == pytest.approx(0.0)
+    assert c.eval_grid(0.25) == pytest.approx(1.0)
+    assert c.eval_grid(0.25 - 1e-12) == pytest.approx(0.0)
 
 
 def test_pc_merges_spurious_plateaus():

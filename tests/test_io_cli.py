@@ -218,7 +218,9 @@ def test_cli_generate_flow_verify_pipeline(tmp_path, capsys):
 def test_cli_verify_fails_on_corrupted_trajectory(tmp_path):
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([62, 0])))
     traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
-    traj.snapshots[len(traj) // 2] = traj.snapshots[0]  # resurrect old state
+    snaps = list(traj.snapshots)
+    snaps[len(snaps) // 2] = snaps[0]  # resurrect old state
+    traj = dataclasses.replace(traj, snapshots=snaps)
     tp, dp = str(tmp_path / "t.csv"), str(tmp_path / "d.csv")
     write_trajectory(tp, dp, traj)
     assert main(["verify", "--input", tp, "--diagnostics", dp,
@@ -995,7 +997,9 @@ def verified_runs(tmp_path_factory):
     d = tmp_path_factory.mktemp("verified")
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([62, 0])))
     step = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
-    step.snapshots[len(step) // 2] = step.snapshots[0]  # resurrect old state
+    snaps = list(step.snapshots)
+    snaps[len(snaps) // 2] = snaps[0]  # resurrect old state
+    step = dataclasses.replace(step, snapshots=snaps)
     field = noisy_field("sphere:3", grid_n=33, noise=0.05, seed=1)
     grid = run_regularized(field, FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=33, t_max=0.01))
     out = {}

@@ -1,4 +1,4 @@
-"""Geometry lab: spherical trigonometry, comparison estimates, sweeps."""
+"""Geometry lab: the geodesic square, comparison estimates, sweeps."""
 import numpy as np
 import pytest
 
@@ -7,31 +7,18 @@ from mtvf import (
     Circle,
     ConfigError,
     Cylinder,
-    DegenerateTriangle,
     Euclidean,
     OutOfComparisonRange,
-    PiecewiseConstantCurve,
-    SampledCurve,
     Sphere,
-    WindowTooLong,
-    tv_measure,
 )
-from mtvf.curves import mollify
-from mtvf.flows import FlowConfig, run_regularized
 from mtvf.lab import (
-    ONE_HARMONIC_C,
-    SphericalTriangle,
-    alexandrov_angle_check,
     distance_to_geodesic,
     endpoint_stability_ratio,
     first_positive_gap,
     geodesic_endpoint_stability,
     hausdorff_one_sided,
-    haversine_side,
     hessian_comparison_check,
-    lambda_convexity_violation,
     midpoint_separation,
-    one_harmonic_residual_bound,
     second_difference,
     semiconvexity_gap,
     square_vertices,
@@ -39,47 +26,6 @@ from mtvf.lab import (
 
 SPH = Sphere(3)
 EU3 = Euclidean(3)
-
-
-# ---------------------------------------------------------------------------
-# spherical trigonometry
-# ---------------------------------------------------------------------------
-
-
-def test_haversine_octant_and_degenerate_cases():
-    assert haversine_side(np.pi / 2, np.pi / 2, np.pi / 2) == pytest.approx(np.pi / 2, abs=1e-12)
-    assert haversine_side(0.8, 0.3, 0.0) == pytest.approx(0.5, abs=1e-12)
-    assert haversine_side(0.8, 0.3, np.pi) == pytest.approx(1.1, abs=1e-12)
-
-
-def test_haversine_matches_measured_third_side():
-    rng = np.random.Generator(np.random.Philox([41, 0]))
-    for _ in range(50):
-        p, q, r = SPH.random_point(rng, size=3)
-        if max(SPH.dist(p, q), SPH.dist(p, r), SPH.dist(q, r)) > 3.0:
-            continue  # keep clear of the antipode where tangents degenerate
-        tq, _ = SPH.unit_tangent_pair(r, q)
-        tp, _ = SPH.unit_tangent_pair(r, p)
-        gamma = np.arccos(np.clip(np.dot(tq, tp), -1, 1))
-        side = haversine_side(float(SPH.dist(r, q)), float(SPH.dist(r, p)), float(gamma))
-        assert side == pytest.approx(float(SPH.dist(p, q)), abs=1e-10)
-
-
-def test_triangle_from_points_equals_sides():
-    rng = np.random.Generator(np.random.Philox([42, 0]))
-    p, q, r = SPH.random_point(rng, size=3)
-    tri = SphericalTriangle.from_points(p, q, r)
-    assert tri.a == pytest.approx(float(SPH.dist(q, r)), abs=1e-14)
-    assert tri.c == pytest.approx(float(SPH.dist(p, q)), abs=1e-14)
-
-
-def test_triangle_rejects_degenerate_inputs():
-    with pytest.raises(DegenerateTriangle):
-        SphericalTriangle(0.5, 0.2, 0.7)  # collinear: a = b + c
-    with pytest.raises(DegenerateTriangle):
-        SphericalTriangle(np.pi, 1.0, 1.0)
-    with pytest.raises(DegenerateTriangle):
-        SphericalTriangle(2.5, 2.5, 1.5)  # perimeter over 2*pi
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +73,6 @@ def test_square_vertices_geometry():
     # mirror symmetries across the two coordinate planes
     assert np.allclose(p0 * [1, 1, -1], p1)
     assert np.allclose(p0 * [1, -1, 1], q0)
-
-
-def test_lambda_convexity_violation_examples():
-    assert lambda_convexity_violation(-2.0, 0.5) == 0.5
-    assert lambda_convexity_violation(0.0, 0.5) == 0.5
-    a = 0.5
-    expected = 4 * (midpoint_separation(a) - a) / (100.0 * a)
-    assert lambda_convexity_violation(100.0, a) == pytest.approx(expected, abs=1e-15)
-    lams = [0.5, 1.0, 10.0, 100.0, 1000.0]
-    vals = [lambda_convexity_violation(l, a) for l in lams]
-    assert all(x >= y for x, y in zip(vals, vals[1:]))
-    assert all(0 < v <= 0.5 for v in vals)
 
 
 # ---------------------------------------------------------------------------
@@ -203,48 +137,6 @@ def test_hessian_comparison_check_random_configs():
         rep = hessian_comparison_check(SPH, p0, p, n_dirs=4, rng=rng)
         assert rep.passed, rep
         assert rep.bound == pytest.approx(r / np.tan(r), abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Alexandrov angle comparison
-# ---------------------------------------------------------------------------
-
-
-def test_alexandrov_octant_triangle():
-    rep = alexandrov_angle_check([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0])
-    assert rep.passed
-    assert rep.spherical == pytest.approx((np.pi / 2,) * 3, abs=1e-12)
-    assert rep.planar == pytest.approx((np.pi / 3,) * 3, abs=1e-12)
-
-
-def test_alexandrov_tiny_triangle_nearly_flat():
-    p = np.array([1.0, 0, 0])
-    q = SPH.project_point([1.0, 1e-3, 0])
-    r = SPH.project_point([1.0, 0, 1.2e-3])
-    rep = alexandrov_angle_check(p, q, r)
-    assert rep.passed
-    assert abs(rep.worst) < 1e-5
-
-
-def test_alexandrov_rejects_collinear_points():
-    p = np.array([1.0, 0, 0])
-    q = SPH.geodesic_point(p, np.array([0, 1.0, 0]), 0.4)
-    r = SPH.geodesic_point(p, np.array([0, 1.0, 0]), 0.8)
-    with pytest.raises(DegenerateTriangle):
-        alexandrov_angle_check(p, q, r)
-
-
-def test_alexandrov_dominates_on_random_triangles():
-    rng = np.random.Generator(np.random.Philox([45, 0]))
-    done = 0
-    while done < 25:
-        p, q, r = SPH.random_point(rng, size=3)
-        try:
-            rep = alexandrov_angle_check(p, q, r)
-        except DegenerateTriangle:
-            continue
-        assert rep.worst <= 1e-9
-        done += 1
 
 
 # ---------------------------------------------------------------------------
@@ -409,70 +301,9 @@ def test_stability_scan_rejects_empty_scan():
         hessian_comparison_check(SPH, EQ0, EQ90, n_dirs=0, rng=np.random.default_rng(0))
 
 
-# ---------------------------------------------------------------------------
-# near-geodesic slice estimate
-# ---------------------------------------------------------------------------
-
-
-def _mid_flow_windows(u0, n, t_max, stride):
-    moll = mollify(u0, n)
-    cfg = FlowConfig(manifold=SPH, epsilon=1e-3, grid_n=n, t_max=t_max, snapshot_every=1)
-    traj = run_regularized(moll, cfg)
-    for k in range(1, len(traj) - 1, stride):
-        w = traj.snapshots[k]
-        if tv_measure(w).total >= np.pi:
-            continue
-        dt2 = traj.times[k + 1] - traj.times[k - 1]
-        yield w, (traj.snapshots[k + 1].values - traj.snapshots[k - 1].values) / dt2
-
-
-def test_one_harmonic_zero_driving_on_geodesic():
-    from mtvf import SampledCurve
-
-    p, q = np.array([1.0, 0, 0]), np.array([0, 1.0, 0.0])
-    w = SampledCurve(SPH, SPH.geodesic_point(p, q, np.linspace(0, 1, 33)))
-    res = one_harmonic_residual_bound(w, np.zeros_like(w.values))
-    assert res.sup_distance == 0.0
-    assert res.rhs_integral == 0.0
-    assert res.passed
-
-
-def test_one_harmonic_single_jump_stays_on_geodesic():
-    p, q = np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0])
-    u0 = PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q]))
-    for n in (101, 201):
-        for w, f in _mid_flow_windows(u0, n, 0.2, 8):
-            res = one_harmonic_residual_bound(w, f)
-            assert res.passed
-            assert res.sup_distance <= 1e-10
-
-
-def test_one_harmonic_two_jump_stays_under_constant():
-    vals = np.eye(3)
-    u0 = PiecewiseConstantCurve(SPH, [0.35, 0.65], vals)
-    for w, f in _mid_flow_windows(u0, 101, 0.3, 10):
-        res = one_harmonic_residual_bound(w, f)
-        assert res.passed, res
-        assert res.constant == ONE_HARMONIC_C
-
-
-def test_one_harmonic_guards():
-    from mtvf import SampledCurve
-
-    xs = np.linspace(0, 1, 65)
-    loops = np.stack([np.cos(4 * np.pi * xs), np.sin(4 * np.pi * xs), np.zeros_like(xs)], axis=1)
-    w = SampledCurve(SPH, loops)
-    with pytest.raises(WindowTooLong):
-        one_harmonic_residual_bound(w, np.zeros_like(loops))
-    p, q = np.array([1.0, 0, 0]), np.array([0, 1.0, 0.0])
-    short = SampledCurve(SPH, SPH.geodesic_point(p, q, np.linspace(0, 1, 9)))
-    with pytest.raises(ValueError):
-        one_harmonic_residual_bound(short, np.zeros((3, 3)))
-
-
-@pytest.mark.parametrize("manifold", [Circle(), Cylinder(), Euclidean(2)])
-def test_one_harmonic_sampled_fallback(manifold):
-    # the window overshoots its end value and bulges sideways; in the chart
+@pytest.mark.parametrize("manifold", [Circle(), Cylinder(), Euclidean(2)], ids=lambda m: m.spec_id)
+def test_distance_to_geodesic_sampled_fallback(manifold):
+    # the points overshoot the segment's far end and bulge sideways; in the chart
     # (angle, height) all three targets are flat, so the exact distance to
     # the geodesic is a planar point-to-segment distance
     xs = np.linspace(0.0, 1.0, 41)
@@ -484,15 +315,13 @@ def test_one_harmonic_sampled_fallback(manifold):
         values = chart = np.stack([theta, z], 1)
     else:
         values, chart = np.stack([np.cos(theta), np.sin(theta), z], 1), np.stack([theta, z], 1)
-    w = SampledCurve(manifold, values)
-    res = one_harmonic_residual_bound(w, np.zeros_like(values))
+    batch = distance_to_geodesic(manifold, values, values[0], values[-1])
     seg = chart[-1] - chart[0]
     t = np.clip((chart - chart[0]) @ seg / (seg @ seg), 0.0, 1.0)
     exact = np.linalg.norm(chart - (chart[0] + t[:, None] * seg), axis=1)
     # the fallback samples the geodesic at 257 points, so it may overshoot
     # the exact distance by half a sample spacing
     spacing = np.linalg.norm(seg) / 256
-    assert np.max(exact) - 1e-12 <= res.sup_distance <= np.max(exact) + 0.5 * spacing
-    batch = distance_to_geodesic(manifold, values, values[0], values[-1])
+    assert np.max(exact) - 1e-12 <= np.max(batch) <= np.max(exact) + 0.5 * spacing
     single = [distance_to_geodesic(manifold, x, values[0], values[-1]) for x in values]
     np.testing.assert_allclose(batch, single, rtol=0, atol=4 * np.finfo(float).eps)

@@ -1,4 +1,6 @@
 """Verifier checks: corruption sensitivity, guards, cross-solver table."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from mtvf import (
     scalar_curve,
     tv_measure,
 )
+from mtvf import flows
 from mtvf.curves import mollify
 from mtvf.flows import FlowConfig, run_regularized
 from mtvf.synth import noisy_field, random_rad_curve, two_jump_sphere_example
@@ -36,6 +39,13 @@ def _sphere_run(seed=5, **kw):
     return run_exact_pc(u0, t_max=4 * tv_measure(u0).total, **kw)
 
 
+def _with_snapshot(traj, k, snap):
+    """A copy of the run with snapshot k replaced: trajectories are frozen."""
+    snaps = list(traj.snapshots)
+    snaps[k] = snap
+    return dataclasses.replace(traj, snapshots=snaps)
+
+
 # ---------------------------------------------------------------------------
 # corruption sensitivity: a verifier that cannot fail verifies nothing
 # ---------------------------------------------------------------------------
@@ -44,7 +54,7 @@ def _sphere_run(seed=5, **kw):
 def test_energy_check_passes_then_fails_after_corruption():
     traj = _sphere_run()
     assert check_energy(traj).passed
-    traj.snapshots[len(traj) // 2] = traj.snapshots[0]
+    traj = _with_snapshot(traj, len(traj) // 2, traj.snapshots[0])
     rep = check_energy(traj)
     assert not rep.passed
     assert rep.worst > 0
@@ -57,7 +67,7 @@ def test_monotone_check_flags_regrown_jump():
              if s.num_jumps == traj.snapshots[0].num_jumps)
     last_same = max(i for i, s in enumerate(traj.snapshots)
                     if s.num_jumps == traj.snapshots[0].num_jumps)
-    traj.snapshots[last_same] = traj.snapshots[k]
+    traj = _with_snapshot(traj, last_same, traj.snapshots[k])
     rep = check_monotone_variation(traj)
     assert not rep.passed
 
@@ -65,7 +75,7 @@ def test_monotone_check_flags_regrown_jump():
 def test_monotone_check_rejects_grown_jump_set():
     traj = _sphere_run()
     richer = random_rad_curve(SPH, np.random.Generator(np.random.Philox([6, 0])), n_jumps=6)
-    traj.snapshots[-1] = richer
+    traj = _with_snapshot(traj, -1, richer)
     with pytest.raises(IncompatibleSnapshots):
         check_monotone_variation(traj)
 
@@ -80,7 +90,8 @@ def test_monotone_check_refuses_sampled_trajectory():
 
 def test_monotone_check_rejects_mixed_snapshot_kinds():
     traj = _sphere_run()
-    traj.snapshots[-1] = SampledCurve(SPH, traj.snapshots[0].eval_grid(np.linspace(0, 1, 33)))
+    sampled = SampledCurve(SPH, traj.snapshots[0].eval_grid(np.linspace(0, 1, 33)))
+    traj = _with_snapshot(traj, -1, sampled)
     with pytest.raises(IncompatibleSnapshots):
         check_monotone_variation(traj)
 
@@ -142,8 +153,7 @@ def test_sphere_equivalence_constant_trajectory_is_exact():
 
 
 def _corrupted(traj, k, values):
-    traj.snapshots[k] = SampledCurve(traj.manifold, values)
-    return traj
+    return _with_snapshot(traj, k, SampledCurve(traj.manifold, values))
 
 
 def test_sphere_equivalence_grid_run_passes_then_fails_after_corruption():
@@ -221,6 +231,16 @@ def test_stopping_skips_a_flat_snapshot_the_run_moves_away_from():
     assert traj.tv[1] < 1e-10
     t_star, const = detect_stopping(traj)
     assert t_star == 3.0 and np.array_equal(const, [0.5])
+
+
+def test_energy_and_stopping_measure_each_snapshot_once(monkeypatch):
+    traj = _sphere_run()
+    measured = []
+    measure = flows.tv_measure
+    monkeypatch.setattr(flows, "tv_measure", lambda c: measured.append(c) or measure(c))
+    check_energy(traj)
+    detect_stopping(traj)
+    assert len(measured) == len(traj)
 
 
 def test_cross_solver_refuses_an_unknown_pairing():
