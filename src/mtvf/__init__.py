@@ -14,7 +14,6 @@ from .curves import (
     SampledCurve,
     TVBreakdown,
     compose_with_geodesic,
-    jump_admissibility,
     l2_distance,
     mollify,
     tv_measure,

@@ -49,6 +49,7 @@ from .lab import (
 from .manifolds import parse_manifold
 from .synth import noisy_field, staircase, two_jump_square
 from .verify import (
+    STOP_TV_TOL,
     CheckReport,
     check_energy,
     check_monotone_variation,
@@ -123,8 +124,7 @@ def cmd_flow(args) -> int:
     )
     stop = detect_stopping(traj)
     status = f"stopped at t={fmt(stop[0])}" if stop else "not stopped"
-    final_tv = tv_measure(traj.final_curve).total
-    print(f"{solver} run: {len(traj)} snapshots, final TV {fmt(final_tv)}, {status}")
+    print(f"{solver} run: {len(traj)} snapshots, final TV {fmt(traj.tv[-1])}, {status}")
     return 0
 
 
@@ -156,9 +156,8 @@ def cmd_denoise(args) -> int:
         below = np.nonzero(traj.tv <= target)[0]
         if below.size:
             pick = int(below[0])
-    out_curve = traj.snapshots[pick]
     out_path = os.path.join(args.out, "denoised.csv")
-    write_curve(out_path, out_curve)
+    write_curve(out_path, traj.snapshots[pick])
     write_manifest(
         os.path.join(args.out, "manifest.json"),
         "denoise",
@@ -170,8 +169,7 @@ def cmd_denoise(args) -> int:
         [args.input],
         [out_path],
     )
-    print(f"denoised at t={fmt(traj.times[pick])}: TV {fmt(tv0)} -> "
-          f"{fmt(tv_measure(out_curve).total)}")
+    print(f"denoised at t={fmt(traj.times[pick])}: TV {fmt(tv0)} -> {fmt(traj.tv[pick])}")
     return 0
 
 
@@ -182,10 +180,9 @@ def cmd_denoise(args) -> int:
 
 def _stopping_report(traj) -> CheckReport:
     stop = detect_stopping(traj)
-    final_tv = tv_measure(traj.final_curve).total
     if stop is None:
-        return CheckReport("stopping", False, float(final_tv), 1e-10, ())
-    return CheckReport("stopping", True, 0.0, 1e-10, (stop[0],))
+        return CheckReport("stopping", False, float(traj.tv[-1]), STOP_TV_TOL, ())
+    return CheckReport("stopping", True, 0.0, STOP_TV_TOL, (stop[0],))
 
 
 _CHECKS = {

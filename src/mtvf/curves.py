@@ -118,10 +118,6 @@ class SampledCurve:
     def h(self) -> float:
         return 1.0 / (self.grid_n - 1)
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.grid_n)
-
 
 @dataclass(frozen=True)
 class TVBreakdown:
@@ -165,21 +161,6 @@ def tv_measure(curve) -> TVBreakdown:
     raise ConfigError(f"cannot measure variation of {type(curve).__name__}")
 
 
-def jump_admissibility(curve) -> tuple[bool, float, float]:
-    """Check every jump against twice the manifold's convexity radius.
-
-    Returns ``(ok, worst_size, worst_location)``; for sampled curves the
-    consecutive chords play the role of jumps.
-    """
-    bound = 2.0 * curve.manifold.convexity_radius
-    sizes = chord_sizes(curve)
-    locs = curve.breakpoints if isinstance(curve, PiecewiseConstantCurve) else curve.xs[:-1]
-    if sizes.size == 0:
-        return True, 0.0, 0.0
-    worst = int(np.argmax(sizes))
-    return bool(sizes[worst] < bound), float(sizes[worst]), float(locs[worst])
-
-
 def mollify(curve: PiecewiseConstantCurve, grid_n: int) -> SampledCurve:
     """Sample a step curve with each jump replaced by a geodesic ramp.
 
@@ -210,8 +191,10 @@ def compose_with_geodesic(
 ) -> PiecewiseConstantCurve:
     """Map a scalar step curve through the geodesic from p to q.
 
-    ``sigma`` must be a curve on euclidean:1 with values in [0, 1]; plateau
-    value ``s`` becomes the geodesic point at parameter ``s``.  The composed
+    ``sigma`` must be a curve on euclidean:1 with values in [0, 1] (within
+    1e-12, then clipped); plateau value ``s`` becomes
+    ``manifold.geodesic_point(p, q, s)``, which is p and q exactly at s = 0
+    and s = 1.  The composed
     curve has total variation ``dist(p, q) * TV(sigma)`` as long as sigma is
     monotone.
     """
@@ -220,11 +203,7 @@ def compose_with_geodesic(
     svals = sigma.values[:, 0]
     if np.any(svals < -1e-12) or np.any(svals > 1.0 + 1e-12):
         raise ConfigError("geodesic parameters must lie in [0, 1]")
-    direction = manifold.log(p, q)
-    new_vals = manifold.exp(p, np.clip(svals, 0.0, 1.0)[:, None] * direction)
-    # keep the endpoints bit-exact
-    new_vals[svals == 0.0] = np.asarray(p, float)
-    new_vals[svals == 1.0] = np.asarray(q, float)
+    new_vals = manifold.geodesic_point(p, q, np.clip(svals, 0.0, 1.0))
     return PiecewiseConstantCurve(manifold, sigma.breakpoints, new_vals)
 
 
@@ -257,13 +236,6 @@ def _resample(curve: SampledCurve, xs: np.ndarray) -> np.ndarray:
     pos = np.clip(np.asarray(xs, float), 0.0, 1.0) * (n - 1)
     i0 = np.clip(np.floor(pos).astype(int), 0, n - 2)
     frac = pos - i0
-    left = curve.values[i0]
-    right = curve.values[i0 + 1]
-    out = np.empty((len(xs), curve.manifold.ambient_dim))
-    exact = frac <= 1e-12
-    if np.any(exact):
-        out[exact] = left[exact]
-    rest = ~exact
-    if np.any(rest):
-        out[rest] = curve.manifold.geodesic_point(left[rest], right[rest], frac[rest])
-    return out
+    # a node itself (to 1e-12) is read exactly: geodesic_point is p at s = 0
+    return curve.manifold.geodesic_point(curve.values[i0], curve.values[i0 + 1],
+                                         np.where(frac <= 1e-12, 0.0, frac))

@@ -31,14 +31,14 @@ import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .curves import (
-    PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, jump_admissibility,
-    tv_measure,
+    PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, tv_measure,
 )
 from .errors import (
     CflViolation,
     ConfigError,
     ConvexityRadiusExceeded,
     DegenerateJump,
+    IncompatibleSnapshots,
     SolverError,
     StepUnderflow,
 )
@@ -155,8 +155,16 @@ class FlowTrajectory:
         return self.snapshots[-1]
 
     def index_at(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        return idx
+        """Index of the snapshot recorded at time t (within 1e-9 max(1, |t|));
+        past the last snapshot, the last one, since a run ends before its
+        ``t_max`` only once its state is constant.  Any other time raises
+        ``IncompatibleSnapshots``."""
+        hits = np.nonzero(np.abs(self.times - t) <= 1e-9 * max(1.0, abs(t)))[0]
+        if hits.size:
+            return int(hits[0])
+        if t > self.times[-1]:
+            return len(self.times) - 1
+        raise IncompatibleSnapshots(f"no snapshot recorded at t={t}")
 
     @cached_property
     def tv(self) -> np.ndarray:
@@ -171,8 +179,9 @@ class _Recorder:
     """The snapshot schedule of a run and the snapshots it recorded.
 
     Requested ``snapshot_times`` in (0, t_max] are recorded when a step
-    reaches them; each ends a step of its own, so a time within 1e-14 of the
-    one before it is the same snapshot.  Without requested times every ``snapshot_every``-th step is
+    reaches them (a non-finite one is a ``ConfigError``); each ends a step
+    of its own, so a time within 1e-14 of the one before it is the same
+    snapshot.  Without requested times every ``snapshot_every``-th step is
     recorded.  A step ending in an event (a merge, a state going flat) is
     recorded too.  Cadence and event records wait until the state is
     resolved; requested times do not.  Time 0 and the end go through
@@ -186,8 +195,11 @@ class _Recorder:
         self.steps = 0
         self.wanted = None
         if snapshot_times is not None:
+            requested = [float(s) for s in snapshot_times]
+            if not all(math.isfinite(s) for s in requested):
+                raise ConfigError(f"requested snapshot times must be finite, got {requested}")
             self.wanted = []
-            for s in sorted(float(s) for s in snapshot_times if 0.0 < s <= t_max):
+            for s in sorted(s for s in requested if 0.0 < s <= t_max):
                 if not self.wanted or s - self.wanted[-1] > 1e-14:
                     self.wanted.append(s)
         self.rows = []  # (t, snapshot, cumulative dissipation)
@@ -222,14 +234,15 @@ class _Recorder:
         )
 
 
-def _refuse_wide_jumps(u0, noun):
-    """Raise ``ConvexityRadiusExceeded`` naming the worst ``noun`` (a chord, a
-    jump) of the datum if it reaches twice the convexity radius."""
-    ok, worst, loc = jump_admissibility(u0)
-    if not ok:
+def _refuse_wide(manifold, sizes, place, noun):
+    """Raise ``ConvexityRadiusExceeded`` if the largest of ``sizes`` (of a
+    chord, a jump) reaches twice the convexity radius, naming its size and
+    ``place(i)``, the x of the i-th one."""
+    if sizes.size and sizes.max() >= 2.0 * manifold.convexity_radius:
+        i = int(np.argmax(sizes))
         raise ConvexityRadiusExceeded(
-            f"{noun} of size {worst:.6g} at x={loc:.6g} reaches twice the "
-            f"convexity radius {u0.manifold.convexity_radius:.6g}"
+            f"{noun} of size {sizes[i]:.6g} at x={place(i):.6g} reaches twice the "
+            f"convexity radius {manifold.convexity_radius:.6g}"
         )
 
 
@@ -249,17 +262,6 @@ def face_flux(values: np.ndarray, h: float, epsilon: float) -> np.ndarray:
     row i on the face between nodes i and i+1."""
     du, denom = _face_slopes(values, h, epsilon)
     return du / denom[:, None]
-
-
-def regularized_velocity(
-    manifold: Manifold, values: np.ndarray, h: float, epsilon: float
-) -> np.ndarray:
-    """Instantaneous right-hand side: tangential part of the flux divergence."""
-    z = face_flux(values, h, epsilon)
-    # the phantom faces outside the domain carry zero flux (homogeneous Neumann)
-    pad = np.zeros((1, z.shape[1]))
-    padded = np.vstack([pad, z, pad])
-    return manifold.tangent_projection(values, (padded[1:] - padded[:-1]) / h)
 
 
 def solve_banded(diagonal, off_diagonal, rhs):
@@ -302,8 +304,8 @@ def run_regularized(
         raise ConfigError("datum and config disagree on the manifold")
     if u0.grid_n != config.grid_n:
         raise ConfigError(f"grid_n = {config.grid_n} but the datum has {u0.grid_n} nodes")
-    _refuse_wide_jumps(u0, "chord")
     h = u0.h
+    _refuse_wide(man, chord_sizes(u0), lambda i: i * h, "chord")
     dt = 0.25 * h if config.dt == "auto" else config.dt
     eps = config.epsilon
     # chord sums of a constant state sit at a roundoff floor that grows with
@@ -317,7 +319,6 @@ def run_regularized(
     tv_prev = float(np.sum(chord_sizes(u0)))
     flat = tv_prev < flat_tol
     rec.add(t, SampledCurve(man, u), diss)
-    bound = 2.0 * man.convexity_radius
     while t < config.t_max - 1e-14 and not flat:
         dt_step = min(dt, rec.horizon(t))
         if dt_step < 1e-15:
@@ -335,8 +336,7 @@ def run_regularized(
         u = u_new
         t += dt_step
         tv_prev = tv_new
-        if math.isfinite(bound) and float(np.max(chords)) >= bound:
-            raise ConvexityRadiusExceeded("a chord reached twice the convexity radius")
+        _refuse_wide(man, chords, lambda i: i * h, "chord")
         flat = tv_new < flat_tol
         if rec.step(t, flat):
             rec.add(t, SampledCurve(man, u), diss)
@@ -549,9 +549,8 @@ def run_exact_pc(
     """
     man = u0.manifold
     config = FlowConfig(man, t_max=t_max, snapshot_every=snapshot_every, dt=dt)
-    _refuse_wide_jumps(u0, "jump")
+    _refuse_wide(man, chord_sizes(u0), lambda i: u0.breakpoints[i], "jump")
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
-    bound = 2.0 * man.convexity_radius
 
     xs = np.array(u0.breakpoints, dtype=float)
     vals = np.array(u0.values, dtype=float)
@@ -581,8 +580,6 @@ def run_exact_pc(
     # lengths and rates change only at merges
     lengths, rates, d = measure()
     while t < t_max - 1e-14 and vals.shape[0] > 1:
-        if float(np.max(d)) >= bound:
-            raise ConvexityRadiusExceeded("a jump reached twice the convexity radius")
         plateaus = vals.shape[0]
         # cap the step so no jump can close much more than a quarter of its
         # remaining gap: at closing speed at most 2 * rates a guarded step
@@ -609,6 +606,7 @@ def run_exact_pc(
             vals, diss = stepped
         t += dt_step
         d = man.dist(vals[:-1], vals[1:])
+        _refuse_wide(man, d, lambda i: xs[i], "jump")
         if stepped is not None and dt_step == tau:
             merge(k)
         # merge every jump the step closed to _MERGE_TOL, smallest first

@@ -206,6 +206,8 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
     tcol = data[:, 0]
     starts = np.concatenate([[0], np.nonzero(np.diff(tcol) != 0.0)[0] + 1, [len(tcol)]])
     times = tcol[starts[:-1]]
+    if not (np.isfinite(times).all() and np.all(np.diff(times) > 0.0)):
+        raise ConfigError("snapshot times must be finite and strictly increasing")
     snapshots = [_curve_from_rows(man, kind, data[a:b, 1:])
                  for a, b in zip(starts[:-1], starts[1:])]
 
@@ -214,6 +216,8 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
     if dtimes.size != times.size or np.any(dtimes != times):
         # a sidecar from another run is a bad input, not a failed check
         raise ConfigError("diagnostics do not match the trajectory times")
+    if not np.isfinite(dissipation).all():
+        raise ConfigError("dissipation values must be finite")
     return FlowTrajectory(
         solver=meta["solver"],
         times=times,

@@ -22,9 +22,8 @@ from .errors import ConfigError, IncompatibleSnapshots, NotNPC, WrongManifold
 from .flows import (
     FlowConfig,
     FlowTrajectory,
-    _jump_tangents,
     face_flux,
-    regularized_velocity,
+    reconstruct_z_pc,
     run_exact_pc,
     run_regularized,
 )
@@ -67,15 +66,6 @@ def check_energy(traj: FlowTrajectory) -> CheckReport:
     return CheckReport(
         "energy_inequality", worst <= tol, worst, tol, (float(traj.times[k]),)
     )
-
-
-def _dyadic_intervals():
-    out = []
-    for level in range(DYADIC_DEPTH + 1):
-        m = 2 ** level
-        for i in range(m):
-            out.append((i / m, (i + 1) / m))
-    return out
 
 
 def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
@@ -123,8 +113,11 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     mass_viol = masses[1:] - mass_mins[:-1]
     if mass_viol.size and float(np.max(mass_viol)) > worst:
         worst = float(np.max(mass_viol))
-        kt, ki = np.unravel_index(np.argmax(mass_viol), mass_viol.shape)
-        where = (float(traj.times[kt + 1]), _dyadic_intervals()[ki])
+        kt, col = np.unravel_index(np.argmax(mass_viol), mass_viol.shape)
+        # level l's m = 2^l intervals are columns m - 1 to 2m - 2
+        m = 2 ** ((int(col) + 1).bit_length() - 1)
+        i = int(col) + 1 - m
+        where = (float(traj.times[kt + 1]), (i / m, (i + 1) / m))
     worst = float(worst) if np.isfinite(worst) else 0.0
     # nothing grew: there is no violation to locate
     return CheckReport("monotone_variation", worst <= tol, worst, tol, where if worst > 0 else ())
@@ -187,16 +180,20 @@ def check_sphere_equivalence(traj: FlowTrajectory) -> CheckReport:
     the spatial derivative of ``z ^ u`` with no atoms at jumps, (iii) the
     pairing of the flux with the variation measure equals ``|u*| |u_x|``
     with ``u*`` the ambient midpoint average and, at a jump, the flux the
-    mean of its two one-sided limits.  On a piecewise-constant snapshot (ii)
-    is the no-atoms part: ``z ^ u`` is continuous across each jump.  Its
-    plateau part holds by construction there, since the plateau velocities
-    and the flux slopes are the same unit tangents over the same lengths.
-    The tolerance is 1e-5 / epsilon for a regularized run and 1e-8 otherwise.
+    mean of its two one-sided limits.  On a piecewise-constant snapshot the
+    flux is ``reconstruct_z_pc``'s, and (ii) is the no-atoms part: ``z ^ u``
+    is continuous across each jump.  Its plateau part holds by construction
+    there, since the plateau velocities and the flux slopes are the same
+    unit tangents over the same lengths.  On a sampled snapshot ``u_t`` is
+    the tangential part ``P_u div z`` of the flux divergence, and (ii) reads
+    ``div z ^ u``: ``P_u v`` and ``v`` differ by a multiple of ``u``, whose
+    wedge with ``u`` vanishes.  The tolerance is 1e-5 / epsilon for sampled
+    snapshots and 1e-8 for step ones.
     """
     man = traj.manifold
     if man.kind not in ("sphere", "circle"):
         raise WrongManifold("sphere identities require sphere or circle values")
-    tol = 1e-5 / (traj.epsilon or 1.0) if traj.solver == "regularized" else 1e-8
+    tol = 1e-8 if traj.epsilon is None else 1e-5 / traj.epsilon
     r_tan = r_wedge = r_pair = 0.0
     for snap in traj.snapshots:
         vals = snap.values
@@ -206,7 +203,8 @@ def check_sphere_equivalence(traj: FlowTrajectory) -> CheckReport:
             if not snap.num_jumps:
                 continue
             # the flux in its one-sided limits at each jump
-            t_minus, t_plus = _jump_tangents(man, vals)
+            flux = reconstruct_z_pc(snap)
+            t_minus, t_plus = flux.right_values[:-1], flux.left_values[1:]
             # (i) tangency at both ends of every linear piece
             r_tan = max(r_tan, float(np.max(np.abs(_dot(t_minus, vals[:-1])))),
                         float(np.max(np.abs(_dot(t_plus, vals[1:])))))
@@ -218,14 +216,11 @@ def check_sphere_equivalence(traj: FlowTrajectory) -> CheckReport:
             h = snap.h
             z = face_flux(vals, h, traj.epsilon)
             r_tan = max(r_tan, float(np.max(np.abs(_dot(z, u_star)), initial=0.0)))
-            vel = regularized_velocity(man, vals, h, traj.epsilon)
-            w_face = _wedge(z, u_star)
-            pad = np.zeros((1,) + w_face.shape[1:])
-            w_div = (np.concatenate([w_face, pad]) - np.concatenate([pad, w_face])) / h
-            r_wedge = max(
-                r_wedge,
-                float(np.max(_wedge_norm(_wedge(vel, vals) - w_div), initial=0.0)),
-            )
+            # divergences of face fields: the phantom faces outside carry zero flux
+            div_z = np.diff(z, axis=0, prepend=0.0, append=0.0) / h
+            w_div = np.diff(_wedge(z, u_star), axis=0, prepend=0.0, append=0.0) / h
+            r_wedge = max(r_wedge, float(np.max(
+                _wedge_norm(_wedge(div_z, vals) - w_div), initial=0.0)))
         # (iii) pairing of the flux with the variation measure
         r_pair = max(r_pair, float(np.max(np.abs(_dot(du, z) - _norm(u_star) * _norm(du)))))
     worst = max(r_tan, r_wedge, r_pair)
@@ -275,18 +270,6 @@ class CrossSolverRow:
     final_l2: float
 
 
-def _state_at(traj: FlowTrajectory, t: float, t_max: float):
-    """The snapshot at time t; past the end of a run that ended before its
-    ``t_max``, the final one.  Both solvers end early only once the state is
-    constant."""
-    hits = np.nonzero(np.abs(traj.times - t) <= 1e-9 * max(1.0, abs(t)))[0]
-    if hits.size:
-        return traj.snapshots[int(hits[0])]
-    if t >= traj.times[-1] - 1e-12 and traj.times[-1] < t_max - 1e-14:
-        return traj.snapshots[-1]
-    raise IncompatibleSnapshots(f"no snapshot recorded at t={t}")
-
-
 def cross_solver_compare(
     u0: PiecewiseConstantCurve,
     eps_list,
@@ -315,7 +298,8 @@ def cross_solver_compare(
         reg = run_regularized(moll, cfg, snapshot_times=t_grid[1:])
         sup = 0.0
         for t in t_grid:
-            sup = max(sup, l2_distance(_state_at(reg, t, t_max), _state_at(exact, t, t_max)))
+            sup = max(sup, l2_distance(reg.snapshots[reg.index_at(t)],
+                                       exact.snapshots[exact.index_at(t)]))
         final = l2_distance(reg.final_curve, exact.final_curve)
         return CrossSolverRow(eps, n, sup, final)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mtvf import (
     ConfigError,
+    ConvexityRadiusExceeded,
     DegenerateJump,
     Euclidean,
     PiecewiseConstantCurve,
@@ -13,9 +14,9 @@ from mtvf import (
     Sphere,
     compose_with_geodesic,
     flow_on_geodesic,
-    jump_admissibility,
     l2_distance,
     mollify,
+    run_exact_pc,
     tv_measure,
 )
 
@@ -145,17 +146,19 @@ def test_tv_pc_random_matches_manual(levels, seed):
 def test_jump_admissibility_flags_antipodal_jump():
     p = np.array([1.0, 0, 0])
     q = np.array([-1.0, 0, 0.0])
-    # exactly antipodal: size pi equals twice the convexity radius, not below it
-    ok, worst, _ = jump_admissibility(PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q])))
-    assert not ok
-    assert worst == pytest.approx(np.pi, abs=1e-12)
+    # exactly antipodal: size pi equals twice the convexity radius, not below
+    # it, and the refusal names the jump's size and place
+    u0 = PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q]))
+    with pytest.raises(ConvexityRadiusExceeded, match=r"jump of size 3\.14159 at x=0\.5 "):
+        run_exact_pc(u0, t_max=0.1)
 
 
 def test_jump_admissibility_accepts_near_antipodal():
     p = np.array([1.0, 0, 0])
     q = SPH.project_point(np.array([-1.0, 1e-6, 0.0]))
-    ok, _, _ = jump_admissibility(PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q])))
-    assert ok
+    u0 = PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q]))
+    traj = run_exact_pc(u0, t_max=1e-3)
+    assert traj.times[-1] == 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from mtvf import (
     ConvexityRadiusExceeded,
     Cylinder,
     Euclidean,
+    FlowConfig,
+    IncompatibleSnapshots,
     PiecewiseConstantCurve,
     Sphere,
     check_energy,
@@ -25,11 +27,14 @@ from mtvf import (
     detect_stopping,
     flow_on_geodesic,
     l2_distance,
+    mollify,
     pc_velocity,
     reconstruct_z_pc,
     run_exact_pc,
+    run_regularized,
     run_scalar_tv,
     scalar_curve,
+    scalar_trajectory,
     tv_measure,
 )
 from mtvf.synth import random_rad_curve, staircase
@@ -490,6 +495,36 @@ def test_repeated_snapshot_times_record_one_snapshot_each():
     traj = run_exact_pc(u0, t_max=0.03, snapshot_times=wanted)
     for t in (0.01, 0.02):
         assert np.sum(np.abs(traj.times - t) <= 1e-14) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("run", ["exact", "regularized", "scalar", "geodesic"])
+def test_non_finite_requested_snapshot_time_is_a_config_error(run, bad):
+    # a non-finite time is refused, not dropped with the others outside (0, t_max]
+    u0 = scalar_curve([0.5], [0.0, 1.0])
+    wanted = [bad, 0.05]
+    runs = {
+        "exact": lambda: run_exact_pc(u0, t_max=0.1, snapshot_times=wanted),
+        "regularized": lambda: run_regularized(
+            mollify(u0, 33), FlowConfig(EU1, epsilon=0.1, grid_n=33, t_max=0.1), wanted),
+        "scalar": lambda: scalar_trajectory(run_scalar_tv(u0, 0.1), wanted),
+        "geodesic": lambda: flow_on_geodesic(SPH, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
+                                             u0, 0.1, wanted),
+    }
+    with pytest.raises(ConfigError, match="snapshot times must be finite"):
+        runs[run]()
+
+
+def test_index_at_reads_only_recorded_times_and_the_end_of_an_early_stop():
+    u0 = scalar_curve([0.5], [0.0, 1.0])
+    traj = run_exact_pc(u0, t_max=1.0, snapshot_times=[0.05, 0.1])
+    assert traj.times[-1] < 1.0  # extinct at t = 0.25, before t_max
+    assert traj.index_at(0.05 + 1e-11) == list(traj.times).index(0.05)
+    # a time between two snapshots was not recorded: no nearest one stands in
+    with pytest.raises(IncompatibleSnapshots, match="t=0.07"):
+        traj.index_at(0.07)
+    # past the last snapshot the state is constant: the last one
+    assert traj.index_at(0.9) == len(traj) - 1
 
 
 @pytest.mark.parametrize(

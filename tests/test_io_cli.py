@@ -243,6 +243,48 @@ def test_cli_verify_sidecar_from_another_run_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _swap_first_two_times(traj):
+    times = traj.times.copy()
+    times[[0, 1]] = times[[1, 0]]
+    return dataclasses.replace(traj, times=times)
+
+
+@pytest.mark.parametrize("case,match", [
+    ("swapped", "strictly increasing"),
+    ("inf_time", "finite and strictly increasing"),
+    ("nan_dissipation", "dissipation values must be finite"),
+])
+def test_read_trajectory_refuses_bad_times_and_dissipation(tmp_path, case, match):
+    # the times label the snapshots in both files, so both carry the fault
+    traj = run_exact_pc(scalar_curve([0.25, 0.5, 0.75], [0.0, 0.8, 0.3, 1.1]), t_max=4.0)
+    if case == "swapped":
+        traj = _swap_first_two_times(traj)
+    elif case == "inf_time":
+        traj = dataclasses.replace(traj, times=np.append(traj.times[:-1], np.inf))
+    else:
+        traj = dataclasses.replace(traj, dissipation=np.append(traj.dissipation[:-1], np.nan))
+    tp, dp = str(tmp_path / "t.csv"), str(tmp_path / "d.csv")
+    write_trajectory(tp, dp, traj)
+    with pytest.raises(ConfigError, match=match):
+        read_trajectory(tp, dp)
+
+
+def test_cli_verify_refuses_snapshot_times_out_of_order(tmp_path, capsys):
+    assert main(["generate", "staircase", "--levels", "0,0.8,0.3,1.1",
+                 "--out", str(tmp_path / "u0.csv")]) == 0
+    _write_config(tmp_path / "flow.cfg", manifold="euclidean:1", dt="auto", t_max=4.0)
+    run = tmp_path / "run"
+    assert main(["flow", "--config", str(tmp_path / "flow.cfg"),
+                 "--input", str(tmp_path / "u0.csv"), "--out", str(run)]) == 0
+    tp, dp = str(run / "trajectory.csv"), str(run / "diagnostics.csv")
+    write_trajectory(tp, dp, _swap_first_two_times(read_trajectory(tp, dp)))
+    capsys.readouterr()
+    assert main(["verify", "--input", tp, "--checks", "energy,monotone,stopping"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error:") and "strictly increasing" in err
+
+
 def test_cli_flow_dt_sets_exact_solver_base_step(tmp_path):
     curve_path = tmp_path / "stairs.csv"
     assert main(["generate", "staircase", "--levels", "0,0.8,0.3,1.1",
