@@ -31,7 +31,6 @@ from .errors import (
     OutOfComparisonRange,
     SingularProjection,
     SolverError,
-    StepUnderflow,
     VerificationError,
     WrongManifold,
 )

@@ -191,15 +191,15 @@ def compose_with_geodesic(
 ) -> PiecewiseConstantCurve:
     """Map a scalar step curve through the geodesic from p to q.
 
-    ``sigma`` must be a curve on euclidean:1 with values in [0, 1] (within
-    1e-12, then clipped); plateau value ``s`` becomes
+    ``sigma`` must be a step curve on euclidean:1 with values in [0, 1]
+    (within 1e-12, then clipped); plateau value ``s`` becomes
     ``manifold.geodesic_point(p, q, s)``, which is p and q exactly at s = 0
-    and s = 1.  The composed
-    curve has total variation ``dist(p, q) * TV(sigma)`` as long as sigma is
-    monotone.
+    and s = 1.  The composed curve has total variation
+    ``dist(p, q) * TV(sigma)`` as long as sigma is monotone.
     """
-    if sigma.manifold.spec_id != "euclidean:1":
-        raise ConfigError(f"geodesic parameters must lie on euclidean:1, not {sigma.manifold.spec_id}")
+    if not isinstance(sigma, PiecewiseConstantCurve) or sigma.manifold.spec_id != "euclidean:1":
+        raise ConfigError("geodesic parameters must be a step curve on euclidean:1, "
+                          f"not a {type(sigma).__name__} on {sigma.manifold.spec_id}")
     svals = sigma.values[:, 0]
     if np.any(svals < -1e-12) or np.any(svals > 1.0 + 1e-12):
         raise ConfigError("geodesic parameters must lie in [0, 1]")

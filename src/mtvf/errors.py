@@ -46,10 +46,6 @@ class CflViolation(SolverError):
     """Total variation increased during a step (unstable step size)."""
 
 
-class StepUnderflow(SolverError):
-    """Adaptive step shrank below the representable resolution."""
-
-
 class VerificationError(MtvfError):
     """A check that failed (``mtvf verify``), or one that does not apply (subclasses)."""
 

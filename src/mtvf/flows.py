@@ -40,7 +40,6 @@ from .errors import (
     DegenerateJump,
     IncompatibleSnapshots,
     SolverError,
-    StepUnderflow,
 )
 from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
 
@@ -72,9 +71,9 @@ _MERGE_TOL = 1e-9
 
 @dataclass
 class FlowConfig:
-    """Solver parameters, checked on construction.  ``dt='auto'`` leaves the
-    step to the solver: ``h / 4`` in ``run_regularized`` and
-    ``min(1e-3, t_max / 32)`` in ``run_exact_pc``."""
+    """Solver parameters, checked on construction; a set ``dt`` is at least
+    1e-15, so that a step advances the time.  ``dt='auto'`` leaves the step to
+    the solver: ``h / 4`` on a grid, ``min(1e-3, t_max / 32)`` in ``run_exact_pc``."""
 
     manifold: Manifold
     epsilon: float = 1e-3
@@ -86,15 +85,15 @@ class FlowConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:  # NaN fails too
             raise ConfigError("epsilon must be positive and finite")
-        if not self.t_max > 0:
-            raise ConfigError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:
+            raise ConfigError("t_max must be positive and finite")
         if self.grid_n < 3:
             raise ConfigError("grid_n must be at least 3")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be at least 1")
         if self.dt != "auto":
-            if not isinstance(self.dt, (int, float)) or not 0 < float(self.dt) < math.inf:
-                raise ConfigError("dt must be 'auto' or a finite positive number")
+            if not isinstance(self.dt, (int, float)) or not 1e-15 <= float(self.dt) < math.inf:
+                raise ConfigError("dt must be 'auto' or a finite number of at least 1e-15")
             self.dt = float(self.dt)
 
 
@@ -125,13 +124,18 @@ class PiecewiseLinearFluxField:
         return (1.0 - s) * self.left_values[i] + s * self.right_values[i]
 
 
+# the solver names the library's trajectory builders record
+_SOLVERS = ("exact_pc", "regularized", "scalar_tv", "geodesic_graph")
+
+
 @dataclass(frozen=True)
 class FlowTrajectory:
     """Recorded snapshots of one run, with what they cannot give: the
     cumulative dissipation.  The manifold, flux fields and variation are
     functions of the snapshots; the variation is measured once, on first
     read.  The record is frozen: a changed run is a new trajectory
-    (``dataclasses.replace``)."""
+    (``dataclasses.replace``).  Whoever builds it, a record that is not a
+    time series of one run is refused on construction (``ConfigError``)."""
 
     solver: str
     times: np.ndarray
@@ -142,6 +146,24 @@ class FlowTrajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        if self.solver not in _SOLVERS:
+            raise ConfigError(f"unknown solver {self.solver!r}; the library writes {_SOLVERS}")
+        if not len(self.times) == len(self.dissipation) == len(self.snapshots) > 0:
+            raise ConfigError("a trajectory needs one time and one dissipation per snapshot")
+        if len({(type(s), s.manifold) for s in self.snapshots}) > 1:
+            raise ConfigError("snapshots must share one kind and one manifold")
+        # epsilon regularizes the grid solver, whose snapshots alone are sampled
+        kind = "sampled" if isinstance(self.snapshots[0], SampledCurve) else "pc"
+        if (self.epsilon is None) == (kind == "sampled"):
+            raise ConfigError(f"a {kind} trajectory cannot have epsilon={self.epsilon}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon={self.epsilon} is not positive and finite")
+        if not 0.0 <= self.dt_nominal < math.inf:
+            raise ConfigError(f"dt_nominal={self.dt_nominal} is not finite and at least 0")
+        if not (np.isfinite(self.times).all() and np.all(np.diff(self.times) > 0.0)):
+            raise ConfigError("snapshot times must be finite and strictly increasing")
+        if not np.isfinite(self.dissipation).all():
+            raise ConfigError("dissipation values must be finite")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -300,6 +322,8 @@ def run_regularized(
     reaches twice the convexity radius.
     """
     man = config.manifold
+    if not isinstance(u0, SampledCurve):
+        raise ConfigError("the grid solver needs a sampled curve; mollify a step curve first")
     if u0.manifold != man:
         raise ConfigError("datum and config disagree on the manifold")
     if u0.grid_n != config.grid_n:
@@ -321,8 +345,6 @@ def run_regularized(
     rec.add(t, SampledCurve(man, u), diss)
     while t < config.t_max - 1e-14 and not flat:
         dt_step = min(dt, rec.horizon(t))
-        if dt_step < 1e-15:
-            raise StepUnderflow(f"step size underflow at t={t}")
         u_new = _semi_implicit_step(man, u, h, dt_step, eps)
         chords = man.dist(u_new[:-1], u_new[1:])
         tv_new = float(np.sum(chords))
@@ -547,6 +569,8 @@ def run_exact_pc(
     its unit tangents are numerically meaningless); snapshots at explicitly
     requested ``snapshot_times`` and the final state are always recorded.
     """
+    if not isinstance(u0, PiecewiseConstantCurve):
+        raise ConfigError("the exact solver needs a piecewise-constant curve")
     man = u0.manifold
     config = FlowConfig(man, t_max=t_max, snapshot_every=snapshot_every, dt=dt)
     _refuse_wide(man, chord_sizes(u0), lambda i: u0.breakpoints[i], "jump")
@@ -599,8 +623,6 @@ def run_exact_pc(
                 stepped = _pair_rk4(man, lengths, vals, diss, dt_step, k, d[k])
         if stepped is None:
             dt_step = min(dt_step, max(float(guards.min()), 1e-12))
-            if dt_step < 1e-15:
-                raise StepUnderflow(f"step size underflow at t={t}")
             vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
         else:
             vals, diss = stepped
@@ -677,10 +699,9 @@ def run_scalar_tv(sigma0: PiecewiseConstantCurve, t_max: float) -> ScalarStairca
     collisions, so merge times solve linear equations exactly.  The mean is
     conserved and the terminal constant equals the mean of the datum.
     """
-    if sigma0.manifold.ambient_dim != 1 or sigma0.manifold.kind != "euclidean":
-        raise ConfigError("scalar flow expects a curve on euclidean:1")
-    if not t_max > 0:
-        raise ConfigError("t_max must be positive")
+    if not isinstance(sigma0, PiecewiseConstantCurve) or sigma0.manifold != Euclidean(1):
+        raise ConfigError("scalar flow expects a step curve on euclidean:1")
+    FlowConfig(sigma0.manifold, t_max=t_max)  # refuses a t_max not positive and finite
     bp = np.array(sigma0.breakpoints, dtype=float)
     vals = np.array(sigma0.values[:, 0], dtype=float)
     t = diss = 0.0

@@ -79,7 +79,7 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     not obey this law; its monotone quantity is the regularized energy.
     """
     tol = 1e-6
-    if any(not isinstance(s, PiecewiseConstantCurve) for s in traj.snapshots):
+    if not isinstance(traj.final_curve, PiecewiseConstantCurve):
         raise IncompatibleSnapshots("the monotone check needs piecewise-constant snapshots")
     worst = -np.inf
     where: tuple = ()

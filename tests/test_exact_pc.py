@@ -533,6 +533,7 @@ def test_index_at_reads_only_recorded_times_and_the_end_of_an_early_stop():
         {"dt": float("nan")},
         {"dt": 0.0},
         {"dt": -1e-3},
+        {"dt": 1e-16},
         {"snapshot_every": 0},
         {"snapshot_every": -1},
         {"epsilon": float("inf")},
@@ -548,6 +549,25 @@ def test_bad_options_are_config_errors(option):
         u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([83, 0])))
         with pytest.raises(ConfigError, match=next(iter(option))):
             run_exact_pc(u0, t_max=0.1, **option)
+
+
+@pytest.mark.parametrize("solver", ["exact", "regularized"])
+def test_a_first_requested_time_below_1e_15_is_the_time_zero_snapshot(solver):
+    # the first step runs to 1e-20, and the recorder takes a time within
+    # 1e-15 of the last record for the same snapshot
+    u0 = scalar_curve([0.5], [0.0, 1.0])
+
+    def run(wanted):
+        if solver == "exact":
+            return run_exact_pc(u0, t_max=0.1, snapshot_times=wanted)
+        cfg = FlowConfig(EU1, epsilon=0.1, grid_n=33, t_max=0.1)
+        return run_regularized(mollify(u0, 33), cfg, wanted)
+
+    traj, reference = run([1e-20, 0.05]), run([0.05])
+    assert traj.times[0] == 0.0 and traj.times[1] > 1e-15
+    assert np.array_equal(traj.snapshots[0].values, reference.snapshots[0].values)
+    at = traj.snapshots[traj.index_at(0.05)]
+    assert l2_distance(at, reference.snapshots[reference.index_at(0.05)]) < 1e-12
 
 
 def test_snapshot_times_strictly_increase():

@@ -243,10 +243,28 @@ def test_cli_verify_sidecar_from_another_run_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def _swap_first_two_times(traj):
-    times = traj.times.copy()
-    times[[0, 1]] = times[[1, 0]]
-    return dataclasses.replace(traj, times=times)
+def _edit_rows(path, edit):
+    """Rewrite the data rows of a written trajectory or sidecar file: ``edit``
+    changes the cell texts of the rows, a list of lists, in place."""
+    head, columns, *rows = path.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    edit(cells)
+    path.write_text("\n".join([head, columns, *(",".join(row) for row in cells)]) + "\n")
+
+
+def _relabel(*paths, labels):
+    """Give every row of the files whose t cell is a key of ``labels`` its value."""
+    def edit(cells):
+        for row in cells:
+            row[0] = labels.get(row[0], row[0])
+
+    for path in paths:
+        _edit_rows(path, edit)
+
+
+def _swap_first_two_times(tp, dp):
+    a, b = (fmt(t) for t in read_trajectory(str(tp), str(dp)).times[:2])
+    _relabel(tp, dp, labels={a: b, b: a})
 
 
 @pytest.mark.parametrize("case,match", [
@@ -257,16 +275,19 @@ def _swap_first_two_times(traj):
 def test_read_trajectory_refuses_bad_times_and_dissipation(tmp_path, case, match):
     # the times label the snapshots in both files, so both carry the fault
     traj = run_exact_pc(scalar_curve([0.25, 0.5, 0.75], [0.0, 0.8, 0.3, 1.1]), t_max=4.0)
+    tp, dp = tmp_path / "t.csv", tmp_path / "d.csv"
+    write_trajectory(str(tp), str(dp), traj)
     if case == "swapped":
-        traj = _swap_first_two_times(traj)
+        _swap_first_two_times(tp, dp)
     elif case == "inf_time":
-        traj = dataclasses.replace(traj, times=np.append(traj.times[:-1], np.inf))
+        _relabel(tp, dp, labels={fmt(traj.times[-1]): "inf"})
     else:
-        traj = dataclasses.replace(traj, dissipation=np.append(traj.dissipation[:-1], np.nan))
-    tp, dp = str(tmp_path / "t.csv"), str(tmp_path / "d.csv")
-    write_trajectory(tp, dp, traj)
+        def nan_last_dissipation(cells):
+            cells[-1][1] = "nan"
+
+        _edit_rows(dp, nan_last_dissipation)
     with pytest.raises(ConfigError, match=match):
-        read_trajectory(tp, dp)
+        read_trajectory(str(tp), str(dp))
 
 
 def test_cli_verify_refuses_snapshot_times_out_of_order(tmp_path, capsys):
@@ -276,10 +297,10 @@ def test_cli_verify_refuses_snapshot_times_out_of_order(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["flow", "--config", str(tmp_path / "flow.cfg"),
                  "--input", str(tmp_path / "u0.csv"), "--out", str(run)]) == 0
-    tp, dp = str(run / "trajectory.csv"), str(run / "diagnostics.csv")
-    write_trajectory(tp, dp, _swap_first_two_times(read_trajectory(tp, dp)))
+    _swap_first_two_times(run / "trajectory.csv", run / "diagnostics.csv")
     capsys.readouterr()
-    assert main(["verify", "--input", tp, "--checks", "energy,monotone,stopping"]) == 2
+    assert main(["verify", "--input", str(run / "trajectory.csv"),
+                 "--checks", "energy,monotone,stopping"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("config error:") and "strictly increasing" in err
@@ -515,6 +536,9 @@ _BAD_INPUTS = {
                            "--out", "{tmp}/run"],
     "flow_nan_t_max_option": ["flow", "--config", "{tmp}/nan_t_max.cfg", "--input",
                               "{tmp}/ok.csv", "--out", "{tmp}/run"],
+    # t_max must be finite, as for denoise's --t-stop: inf asks for an unbounded run
+    "flow_inf_t_max_option": ["flow", "--config", "{tmp}/inf_t_max.cfg", "--input",
+                              "{tmp}/ok.csv", "--out", "{tmp}/run"],
     "flow_inf_dt_in_config": ["flow", "--config", "{tmp}/inf_dt.cfg", "--input", "{tmp}/ok.csv",
                               "--out", "{tmp}/run"],
     "verify_empty_trajectory": ["verify", "--input", "{tmp}/empty.csv",
@@ -609,6 +633,7 @@ _BAD_CONFIGS = {
     "seed": {"manifold": "euclidean:1", "t_max": 1.0, "seed": 3},
     "nan_dt": {"manifold": "euclidean:1", "t_max": 1.0, "dt": "nan"},
     "nan_t_max": {"manifold": "euclidean:1", "t_max": "nan"},
+    "inf_t_max": {"manifold": "euclidean:1", "t_max": "inf"},
     "merge": {"manifold": "euclidean:1", "t_max": 1.0, "merge_tol": 1e-9},
     "eps": {"manifold": "euclidean:1", "t_max": 1.0, "epsilon": 1e-3},
     "grid": {"manifold": "euclidean:1", "t_max": 1.0, "grid_n": 101},
@@ -779,14 +804,14 @@ def test_cli_solver_error_exits_2_and_leaves_no_run_directory(tmp_path, capsys, 
 
 @pytest.mark.parametrize("solver,keys", [("auto", {}), ("regularized", {"epsilon": 0.1})])
 def test_cli_step_underflow_exits_2_and_leaves_no_run_directory(tmp_path, capsys, solver, keys):
-    # a first step below 1e-15 cannot advance time, and either solver says so
-    # (auto picks the exact solver for this step input)
+    # a step below 1e-15 cannot advance the time, so FlowConfig refuses such a
+    # dt before either solver runs (auto picks the exact solver for this input)
     write_curve(str(tmp_path / "u0.csv"), scalar_curve([0.5], [0.0, 1.0]))
     _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0, dt=1e-16, **keys)
     assert main(["flow", "--solver", solver, "--config", str(tmp_path / "run.cfg"),
                  "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: step size underflow at t=0.0") and "Traceback" not in err
+    assert err.startswith("config error: dt must be") and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 

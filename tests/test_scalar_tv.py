@@ -175,3 +175,9 @@ def test_breakpoints_never_move():
 def test_rejects_a_nonpositive_horizon(t_max):
     with pytest.raises(ConfigError, match="t_max"):
         run_scalar_tv(scalar_curve([0.5], [0.0, 1.0]), t_max)
+
+
+def test_rejects_an_unbounded_horizon():
+    # FlowConfig's rule: t_max is positive and finite
+    with pytest.raises(ConfigError, match="t_max must be positive and finite"):
+        run_scalar_tv(scalar_curve([0.5], [0.0, 1.0]), float("inf"))

@@ -20,7 +20,9 @@ from mtvf import (
     check_variational_inequality,
     cross_solver_compare,
     detect_stopping,
+    flow_on_geodesic,
     run_exact_pc,
+    run_scalar_tv,
     scalar_curve,
     tv_measure,
 )
@@ -89,11 +91,43 @@ def test_monotone_check_refuses_sampled_trajectory():
 
 
 def test_monotone_check_rejects_mixed_snapshot_kinds():
+    # a record that mixes step and sampled snapshots is refused when it is
+    # built, so the monotone check reads the kind of one snapshot
     traj = _sphere_run()
     sampled = SampledCurve(SPH, traj.snapshots[0].eval_grid(np.linspace(0, 1, 33)))
-    traj = _with_snapshot(traj, -1, sampled)
-    with pytest.raises(IncompatibleSnapshots):
-        check_monotone_variation(traj)
+    with pytest.raises(ConfigError, match="one kind and one manifold"):
+        _with_snapshot(traj, -1, sampled)
+
+
+def _swapped(times):
+    times = times.copy()
+    times[[1, 2]] = times[[2, 1]]
+    return times
+
+
+# case -> (a field of a valid record, what breaks its value, the refusal's message)
+_BROKEN_RECORDS = {
+    "swapped_times": ("times", _swapped, "strictly increasing"),
+    "infinite_time": ("times", lambda t: np.append(t[:-1], np.inf), "finite and strictly"),
+    "nan_dissipation": ("dissipation", lambda d: np.append(d[:-1], np.nan),
+                        "dissipation values must be finite"),
+    "short_dissipation": ("dissipation", lambda d: d[:-1], "one dissipation per snapshot"),
+    "unknown_solver": ("solver", lambda _: "bogus", "unknown solver 'bogus'"),
+    "epsilon_on_step_snapshots": ("epsilon", lambda _: 1e-3, "a pc trajectory cannot have"),
+    "infinite_dt_nominal": ("dt_nominal", lambda _: np.inf, "not finite and at least 0"),
+    "mixed_manifolds": ("snapshots", lambda s: [*s[:-1], scalar_curve([0.5], [0.0, 1.0])],
+                        "one kind and one manifold"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_RECORDS))
+def test_a_broken_record_is_refused_when_built(case):
+    # the verifier's checks assume a time series; a record built in the
+    # library is held to the rules a trajectory file is read by
+    traj = _sphere_run()
+    name, spoil, match = _BROKEN_RECORDS[case]
+    with pytest.raises(ConfigError, match=match):
+        dataclasses.replace(traj, **{name: spoil(getattr(traj, name))})
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +275,21 @@ def test_energy_and_stopping_measure_each_snapshot_once(monkeypatch):
     check_energy(traj)
     detect_stopping(traj)
     assert len(measured) == len(traj)
+
+
+def test_solvers_refuse_the_other_curve_kind():
+    step = scalar_curve([0.5], [0.0, 1.0])
+    sampled = mollify(step, 33)
+    with pytest.raises(ConfigError, match="needs a piecewise-constant curve"):
+        run_exact_pc(sampled, t_max=0.1)
+    with pytest.raises(ConfigError, match="needs a sampled curve"):
+        run_regularized(step, FlowConfig(manifold=EU1, epsilon=0.1, grid_n=33, t_max=0.1))
+    with pytest.raises(ConfigError, match="needs a piecewise-constant curve"):
+        cross_solver_compare(sampled, [1e-2], [33])
+    with pytest.raises(ConfigError, match="expects a step curve"):
+        run_scalar_tv(sampled, 0.1)
+    with pytest.raises(ConfigError, match="must be a step curve"):
+        flow_on_geodesic(SPH, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), sampled, 0.1)
 
 
 def test_cross_solver_refuses_an_unknown_pairing():
