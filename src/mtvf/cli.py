@@ -63,11 +63,6 @@ from .verify import (
 # ---------------------------------------------------------------------------
 
 
-# config keys each solver reads; a run given any other key is refused
-_EXACT_KEYS = ("manifold", "dt", "t_max", "snapshot_every")
-_REGULARIZED_KEYS = ("manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every")
-
-
 @contextlib.contextmanager
 def _out_dir(path):
     """Create the run directory before the solve, so an unusable path is refused
@@ -83,38 +78,33 @@ def _out_dir(path):
 
 
 def cmd_flow(args) -> int:
-    given = parse_config_text(read_text(args.config))
-    cfg = flow_config_from_mapping(given)
+    cfg = flow_config_from_mapping(parse_config_text(read_text(args.config)))
     curve = read_curve(args.input)
     if curve.manifold != cfg.manifold:
         raise ConfigError(
             f"input curve lives on {curve.manifold.spec_id}, "
             f"config says {cfg.manifold.spec_id}"
         )
-    if args.solver == "auto" and isinstance(curve, PiecewiseConstantCurve):
-        solver, read = "exact", _EXACT_KEYS
-    else:
-        solver, read = "regularized", _REGULARIZED_KEYS
-        if "epsilon" not in given:
-            raise ConfigError("the regularized solver needs 'epsilon' in the config file")
-    unread = sorted(set(given) - set(read))
-    if unread:
-        raise ConfigError(f"the {solver} solver does not read {', '.join(unread)}")
+    # a config that sets epsilon is a grid run, one that does not an exact run
+    step = isinstance(curve, PiecewiseConstantCurve)
+    if cfg.epsilon is None and not step:
+        raise ConfigError("a sampled input runs on the regularized solver: set epsilon")
+    if cfg.epsilon is not None and cfg.grid_n is None:
+        if step:
+            raise ConfigError("a step input is mollified onto grid_n nodes: set grid_n")
+        cfg = replace(cfg, grid_n=curve.grid_n)  # a sampled input sets the grid
+    solver = "exact" if cfg.epsilon is None else "regularized"
     with _out_dir(args.out):
         if solver == "exact":
             traj = run_exact_pc(curve, t_max=cfg.t_max, dt=cfg.dt,
                                 snapshot_every=cfg.snapshot_every)
         else:
-            if isinstance(curve, PiecewiseConstantCurve):
-                curve = mollify(curve, cfg.grid_n)
-            elif "grid_n" not in given:  # a sampled input sets the grid
-                cfg = replace(cfg, grid_n=curve.grid_n)
-            traj = run_regularized(curve, cfg)
+            traj = run_regularized(mollify(curve, cfg.grid_n) if step else curve, cfg)
     traj_path = os.path.join(args.out, "trajectory.csv")
     diag_path = os.path.join(args.out, "diagnostics.csv")
     cfg_path = os.path.join(args.out, "config.txt")
     write_trajectory(traj_path, diag_path, traj)
-    _atomic_write_text(cfg_path, config_to_text(cfg, read))
+    _atomic_write_text(cfg_path, config_to_text(cfg))
     write_manifest(
         os.path.join(args.out, "manifest.json"),
         "flow",
@@ -142,12 +132,7 @@ def cmd_denoise(args) -> int:
     tv0 = tv_measure(curve).total
     t_stop = args.t_stop
     t_max = t_stop if t_stop is not None else max(4.0 * tv0, 1e-6)
-    cfg = FlowConfig(
-        manifold=man,
-        epsilon=args.eps,
-        grid_n=curve.grid_n,
-        t_max=t_max,
-    )
+    cfg = FlowConfig(manifold=man, epsilon=args.eps, t_max=t_max)
     with _out_dir(args.out):
         traj = run_regularized(curve, cfg)
     pick = len(traj) - 1
@@ -256,7 +241,7 @@ def _stability_report(args) -> str:
     )
     edges = np.linspace(0.0, max(scan.max_ratio, 1e-12), 21)
     counts, _ = np.histogram(scan.ratios, bins=edges)
-    lines = [f"# max_ratio={fmt(scan.max_ratio)} samples={scan.n_samples} seed={scan.seed}"]
+    lines = [f"# max_ratio={fmt(scan.max_ratio)} samples={args.samples} seed={args.seed}"]
     lines.append("bin_lo,bin_hi,count")
     for lo, hi, c in zip(edges[:-1], edges[1:], counts):
         lines.append(f"{fmt(lo)},{fmt(hi)},{int(c)}")
@@ -340,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--config", required=True)
     p_flow.add_argument("--input", required=True)
     p_flow.add_argument("--out", required=True)
-    p_flow.add_argument("--solver", choices=("auto", "regularized"), default="auto")
 
     p_den = sub.add_parser("denoise", help="smooth a sampled curve")
     p_den.add_argument("--input", required=True)

@@ -73,22 +73,28 @@ _MERGE_TOL = 1e-9
 class FlowConfig:
     """Solver parameters, checked on construction; a set ``dt`` is at least
     1e-15, so that a step advances the time.  ``dt='auto'`` leaves the step to
-    the solver: ``h / 4`` on a grid, ``min(1e-3, t_max / 32)`` in ``run_exact_pc``."""
+    the solver: ``h / 4`` on a grid, ``min(1e-3, t_max / 32)`` in ``run_exact_pc``.
+    ``epsilon`` and ``grid_n`` have no default: a set ``epsilon`` makes the run
+    a grid run, and ``grid_n``, the grid's node count, needs it."""
 
     manifold: Manifold
-    epsilon: float = 1e-3
-    grid_n: int = 201
+    epsilon: float | None = None
+    grid_n: int | None = None
     dt: float | str = "auto"
     t_max: float = 1.0
     snapshot_every: int = 10
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:  # NaN fails too
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:  # NaN fails too
             raise ConfigError("epsilon must be positive and finite")
         if not 0 < self.t_max < math.inf:
             raise ConfigError("t_max must be positive and finite")
-        if self.grid_n < 3:
-            raise ConfigError("grid_n must be at least 3")
+        if self.grid_n is not None:
+            if self.epsilon is None:
+                raise ConfigError("grid_n is read by the regularized solver only, "
+                                  "which runs when epsilon is set")
+            if self.grid_n < 3:
+                raise ConfigError("grid_n must be at least 3")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be at least 1")
         if self.dt != "auto":
@@ -316,17 +322,19 @@ def run_regularized(
     Each step is semi-implicit (lagged diffusivity): one symmetric positive
     definite tridiagonal solve, then a closest-point retraction.  It is
     unconditionally stable; ``dt='auto'`` takes ``h / 4``, for accuracy.
-    ``config.grid_n`` must be the datum's node count.  Stops early once the
-    state is constant; raises ``CflViolation`` if the chordal variation
-    increases in a single step and ``ConvexityRadiusExceeded`` if a chord
-    reaches twice the convexity radius.
+    ``config.epsilon`` must be set; ``config.grid_n`` is the datum's node
+    count or unset.  Stops early once the state is constant; raises
+    ``CflViolation`` if the chordal variation increases in a single step and
+    ``ConvexityRadiusExceeded`` if a chord reaches twice the convexity radius.
     """
     man = config.manifold
     if not isinstance(u0, SampledCurve):
         raise ConfigError("the grid solver needs a sampled curve; mollify a step curve first")
     if u0.manifold != man:
         raise ConfigError("datum and config disagree on the manifold")
-    if u0.grid_n != config.grid_n:
+    if config.epsilon is None:
+        raise ConfigError("the grid solver needs epsilon")
+    if config.grid_n not in (None, u0.grid_n):
         raise ConfigError(f"grid_n = {config.grid_n} but the datum has {u0.grid_n} nodes")
     h = u0.h
     _refuse_wide(man, chord_sizes(u0), lambda i: i * h, "chord")
@@ -389,6 +397,8 @@ def reconstruct_z_pc(curve: PiecewiseConstantCurve) -> PiecewiseLinearFluxField:
     Linear on every plateau, zero at both domain ends, equal to the unit
     tangents of each jump in the one-sided limits at its breakpoint.
     """
+    if not isinstance(curve, PiecewiseConstantCurve):
+        raise ConfigError("the closed-form flux needs a piecewise-constant curve")
     m = curve.num_jumps
     left = np.zeros((m + 1, curve.manifold.ambient_dim))
     right = np.zeros_like(left)

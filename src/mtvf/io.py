@@ -256,10 +256,10 @@ def flow_config_from_mapping(mapping: dict) -> FlowConfig:
     return FlowConfig(**{**mapping, "manifold": parse_manifold(mapping["manifold"])})
 
 
-def config_to_text(cfg: FlowConfig, keys=tuple(_CONFIG_KEYS)) -> str:
-    """``key = value`` lines for the given keys (every field by default)."""
+def config_to_text(cfg: FlowConfig) -> str:
+    """``key = value`` lines for every field that is set (not None)."""
     return "".join(f"{key} = {text(getattr(cfg, key))}\n"
-                   for key, (_, text) in _CONFIG_KEYS.items() if key in keys)
+                   for key, (_, text) in _CONFIG_KEYS.items() if getattr(cfg, key) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BeyondInjectivityRadius, ConfigError, OutOfComparisonRange
-from .manifolds import Manifold, Sphere
+from .manifolds import Manifold, Sphere, _dot
 
 _SPHERE3 = Sphere(3)
 
@@ -24,12 +24,6 @@ def _unit_tangent(manifold: Manifold, p, rng: np.random.Generator) -> np.ndarray
         n = float(np.linalg.norm(v))
         if n > 1e-8:
             return v / n
-
-
-def _dot(a, b):
-    # inner products over the last axis; a (1, N) @ (N, 1) matmul rounds
-    # exactly as np.dot does on one pair of vectors
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def midpoint_separation(a: float) -> float:
@@ -200,8 +194,6 @@ def endpoint_stability_ratio(manifold: Manifold, p1, q1, p2, q2):
 
 @dataclass(frozen=True)
 class StabilityScan:
-    n_samples: int
-    seed: int
     max_ratio: float
     ratios: np.ndarray
 
@@ -236,5 +228,5 @@ def geodesic_endpoint_stability(
     quads = manifold.exp(center, steps).reshape(n_samples, 4, -1)
     ratios = endpoint_stability_ratio(manifold, *quads.transpose(1, 0, 2))
     ratios.flags.writeable = False
-    return StabilityScan(n_samples, seed, float(np.max(ratios)), ratios)
+    return StabilityScan(float(np.max(ratios)), ratios)
 

@@ -294,7 +294,7 @@ def cross_solver_compare(
     def one(job):
         eps, n = job
         moll = mollify(u0, n)
-        cfg = FlowConfig(manifold=u0.manifold, epsilon=eps, grid_n=n, t_max=t_max)
+        cfg = FlowConfig(manifold=u0.manifold, epsilon=eps, t_max=t_max)
         reg = run_regularized(moll, cfg, snapshot_times=t_grid[1:])
         sup = 0.0
         for t in t_grid:

@@ -457,6 +457,11 @@ def test_euclidean_mean_conserved():
     assert np.allclose(m0, m1, atol=1e-8)
 
 
+def test_z_field_reconstruction_refuses_a_sampled_curve():
+    with pytest.raises(ConfigError, match="needs a piecewise-constant curve"):
+        reconstruct_z_pc(mollify(scalar_curve([0.5], [0.2, 0.8]), 33))
+
+
 def test_z_field_reconstruction_structure():
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([82, 0])), n_jumps=2)
     z = reconstruct_z_pc(u0)

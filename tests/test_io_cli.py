@@ -335,7 +335,7 @@ def test_cli_verify_monotone_refuses_grid_run(tmp_path, capsys):
                  "--out", str(tmp_path / "u0.csv")]) == 0
     _write_config(tmp_path / "run.cfg", manifold="euclidean:1", epsilon=1e-3, grid_n=201,
                   t_max=0.3)
-    assert main(["flow", "--solver", "regularized", "--config", str(tmp_path / "run.cfg"),
+    assert main(["flow", "--config", str(tmp_path / "run.cfg"),
                  "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run")]) == 0
     trajectory = str(tmp_path / "run" / "trajectory.csv")
     capsys.readouterr()
@@ -383,15 +383,17 @@ def test_cli_verify_antipodal_jump_is_geometry_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("geometry error:")
 
 
-def test_cli_regularized_needs_explicit_epsilon(tmp_path):
+def test_cli_regularized_needs_explicit_epsilon(tmp_path, capsys):
+    # a sampled input runs on the grid solver, which no default epsilon selects
     field = noisy_field("sphere:3", grid_n=33, noise=0.05, seed=1)
     curve_path = tmp_path / "field.csv"
     write_curve(str(curve_path), field)
-    for cfg, kv in (("run.cfg", {}), ("eps.cfg", {"epsilon": 1e-3})):
-        _write_config(tmp_path / cfg, manifold="sphere:3", t_max=0.01, grid_n=33, **kv)
-    args = ["flow", "--input", str(curve_path), "--solver", "regularized",
-            "--out", str(tmp_path / "out")]
+    for cfg, kv in (("run.cfg", {}), ("eps.cfg", {"epsilon": 1e-3, "grid_n": 33})):
+        _write_config(tmp_path / cfg, manifold="sphere:3", t_max=0.01, **kv)
+    args = ["flow", "--input", str(curve_path), "--out", str(tmp_path / "out")]
     assert main(args + ["--config", str(tmp_path / "run.cfg")]) == 2
+    assert "set epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     assert main(args + ["--config", str(tmp_path / "eps.cfg")]) == 0
 
 
@@ -802,13 +804,15 @@ def test_cli_solver_error_exits_2_and_leaves_no_run_directory(tmp_path, capsys, 
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("solver,keys", [("auto", {}), ("regularized", {"epsilon": 0.1})])
+# each case is named for the solver its config selects; "auto", with no epsilon, is the exact one
+@pytest.mark.parametrize("solver,keys", [("auto", {}),
+                                         ("regularized", {"epsilon": 0.1, "grid_n": 33})])
 def test_cli_step_underflow_exits_2_and_leaves_no_run_directory(tmp_path, capsys, solver, keys):
     # a step below 1e-15 cannot advance the time, so FlowConfig refuses such a
-    # dt before either solver runs (auto picks the exact solver for this input)
+    # dt before either solver runs
     write_curve(str(tmp_path / "u0.csv"), scalar_curve([0.5], [0.0, 1.0]))
     _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0, dt=1e-16, **keys)
-    assert main(["flow", "--solver", solver, "--config", str(tmp_path / "run.cfg"),
+    assert main(["flow", "--config", str(tmp_path / "run.cfg"),
                  "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: dt must be") and "Traceback" not in err
@@ -817,11 +821,13 @@ def test_cli_step_underflow_exits_2_and_leaves_no_run_directory(tmp_path, capsys
 
 @pytest.mark.parametrize("solver", ["auto", "regularized"])
 def test_cli_merge_tol_in_config_is_refused_before_the_run_directory(tmp_path, capsys, solver):
-    # the exact solver's merge tolerance is a constant, so no config sets it
+    # the exact solver's merge tolerance is a constant, so no config sets it,
+    # whichever solver the config selects ("auto", with no epsilon, is the exact one)
     write_curve(str(tmp_path / "u0.csv"), scalar_curve([0.5], [0.0, 1.0]))
-    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0, epsilon=0.1,
-                  merge_tol=1e-9)
-    assert main(["flow", "--solver", solver, "--config", str(tmp_path / "run.cfg"),
+    keys = {"auto": {}, "regularized": {"epsilon": 0.1, "grid_n": 33}}[solver]
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0, merge_tol=1e-9,
+                  **keys)
+    assert main(["flow", "--config", str(tmp_path / "run.cfg"),
                  "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert "unknown config key 'merge_tol'" in err and "Traceback" not in err
@@ -830,8 +836,8 @@ def test_cli_merge_tol_in_config_is_refused_before_the_run_directory(tmp_path, c
 
 def test_cli_removed_sources_leave_no_run_directory(tmp_path, capsys):
     # flow reads its settings from the config file and denoise from the input
-    # header; a flag that would repeat one, or names the solver auto picks,
-    # is a usage error before any directory is made
+    # header; a flag that would repeat one, or names a solver, is a usage
+    # error before any directory is made
     write_curve(str(tmp_path / "u0.csv"), scalar_curve([0.5], [0.0, 1.0]))
     _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0)
     flow = ["flow", "--config", str(tmp_path / "run.cfg"), "--input", str(tmp_path / "u0.csv")]
@@ -872,10 +878,6 @@ _BAD_OPTION_VALUES = {
     "noisy_field_negative_seed": ("--seed", ["generate", "noisy_field", "--grid", "9",
                                              "--seed", "-1", "--out", "{tmp}/u.csv"]),
     "semiconvexity_zero_n_max": ("--n-max", ["lab", "semiconvexity", "--n-max", "0"]),
-    # the solver a piecewise-constant input gets by default is not named
-    "flow_exact_solver_on_sampled_input": ("--solver", ["flow", "--solver", "exact", "--config",
-                                                        "run.cfg", "--input", "field.csv",
-                                                        "--out", "{tmp}/run"]),
 }
 
 
@@ -904,6 +906,7 @@ def test_cli_seed_option_is_usage_error(tmp_path, capsys, command):
 # every option of the old flat lab and generate parsers that the experiment or
 # kind does not read, denoise given both stop rules, and the flow and denoise
 # options that repeated a setting the config file or the input header gives
+# (flow's --solver among them: the config's epsilon selects the solver)
 _UNREAD = {
     "lab semiconvexity": "--r --dirs --samples --radius --side --seed --manifold",
     "lab hessian": "--n-max --samples --radius --side",
@@ -913,7 +916,7 @@ _UNREAD = {
     "generate noisy_field": "--levels --breakpoints --side --eps --variant",
     "generate two_jump_square": "--levels --breakpoints --manifold --grid --noise --seed",
     "denoise --input u0.csv --t-stop 0.01": "--tv-fraction",
-    "flow --config run.cfg --input u0.csv": "--eps --grid --dt --t-max --manifold",
+    "flow --config run.cfg --input u0.csv": "--eps --grid --dt --t-max --manifold --solver",
     "denoise --input u0.csv": "--manifold",
 }
 _OPTION_VALUE = {
@@ -921,6 +924,7 @@ _OPTION_VALUE = {
     "--side": "0.4", "--seed": "3", "--manifold": "sphere:3", "--levels": "0,1",
     "--breakpoints": "0.5", "--grid": "9", "--noise": "0.1", "--eps": "0.1",
     "--variant": "u", "--tv-fraction": "0.5", "--dt": "1e-3", "--t-max": "1.0",
+    "--solver": "regularized",
 }
 
 
@@ -971,6 +975,32 @@ def test_cli_flow_records_only_the_keys_read(tmp_path):
             for name in ["trajectory.csv", "diagnostics.csv", "config.txt"]}
     assert "grid_n = 33" in (tmp_path / "regularized" / "config.txt").read_text()
     assert "epsilon" not in (tmp_path / "exact" / "config.txt").read_text()
+
+
+# case -> (input curve, config keys): an exact run, a grid run on a sampled
+# input that leaves grid_n to the input, and a grid run on a step input
+_RERUNS = {
+    "exact_step": (lambda: scalar_curve([0.3, 0.6], [0.0, 1.0, 0.4]),
+                   {"manifold": "euclidean:1", "t_max": 0.3}),
+    "grid_sampled": (lambda: noisy_field("circle", grid_n=33, noise=0.05, seed=3),
+                     {"manifold": "circle", "epsilon": 1e-2, "t_max": 1e-3}),
+    "grid_step": (lambda: scalar_curve([0.3, 0.6], [0.0, 1.0, 0.4]),
+                  {"manifold": "euclidean:1", "epsilon": 1e-2, "grid_n": 101, "t_max": 0.05}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RERUNS))
+def test_cli_flow_reruns_from_its_recorded_config(tmp_path, case):
+    # the run directory's config.txt, given back to flow with the same input,
+    # reproduces the trajectory and its sidecar bit for bit
+    make_curve, keys = _RERUNS[case]
+    write_curve(str(tmp_path / "u0.csv"), make_curve())
+    _write_config(tmp_path / "run.cfg", **keys)
+    for cfg, out in (("run.cfg", "run"), ("run/config.txt", "again")):
+        assert main(["flow", "--config", str(tmp_path / cfg), "--input",
+                     str(tmp_path / "u0.csv"), "--out", str(tmp_path / out)]) == 0
+    for name in ("trajectory.csv", "diagnostics.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
 
 def _reference_csv_rows(rows) -> list[str]:

@@ -49,6 +49,28 @@ def test_rejects_grid_n_other_than_the_node_count():
         run_regularized(field, FlowConfig(manifold=EU, epsilon=1e-2, grid_n=201, t_max=0.01))
 
 
+def test_unset_grid_n_runs_on_the_datum_grid():
+    field = noisy_field(SPH, grid_n=33, noise=0.05, seed=1)
+    unset = run_regularized(field, FlowConfig(manifold=SPH, epsilon=1e-2, t_max=0.01))
+    given = run_regularized(field, FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=33, t_max=0.01))
+    assert np.array_equal(unset.times, given.times)
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(unset.snapshots, given.snapshots))
+
+
+def test_rejects_a_config_without_epsilon():
+    # no epsilon is the exact solver's config: FlowConfig has no default one
+    field = SampledCurve(EU, np.linspace(0.0, 1.0, 33)[:, None])
+    assert FlowConfig(manifold=EU).epsilon is None
+    with pytest.raises(ConfigError, match="needs epsilon"):
+        run_regularized(field, FlowConfig(manifold=EU, t_max=0.01))
+
+
+def test_config_refuses_grid_n_without_epsilon():
+    with pytest.raises(ConfigError, match="grid_n is read by the regularized solver only"):
+        FlowConfig(manifold=EU, grid_n=33)
+
+
 def test_rejects_chord_at_twice_convexity_radius():
     vals = np.array([[1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]])
     u0 = SampledCurve(SPH, vals)
