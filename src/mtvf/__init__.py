@@ -19,20 +19,12 @@ from .curves import (
     tv_measure,
 )
 from .errors import (
-    BeyondInjectivityRadius,
-    CflViolation,
+    CheckNotApplicable,
     ConfigError,
-    ConvexityRadiusExceeded,
-    DegenerateJump,
     GeometryError,
-    IncompatibleSnapshots,
     MtvfError,
-    NotNPC,
-    OutOfComparisonRange,
-    SingularProjection,
     SolverError,
     VerificationError,
-    WrongManifold,
 )
 from .flows import (
     FlowConfig,

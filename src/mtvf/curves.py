@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SingularProjection
+from .errors import ConfigError, GeometryError
 from .manifolds import CONSTRAINT_TOL, Manifold
 
 # Plateaus closer than this are treated as equal and merged away.
@@ -29,7 +29,7 @@ def _on_manifold(manifold: Manifold, vals: np.ndarray, what: str) -> np.ndarray:
         raise ConfigError(f"{what} values must be finite")
     try:
         residual = manifold.constraint_residual(vals)
-    except SingularProjection as exc:
+    except GeometryError as exc:
         raise ConfigError(f"{what} values are off the manifold: {exc}") from exc
     if residual > 1e-9:
         raise ConfigError(f"{what} values are off the manifold by {residual:.3g}")

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared across the package.
+"""Exception classes shared across the package: one class per outcome the CLI reports.
 
-Geometry errors signal bad inputs to closed-form kernels; solver errors
-signal integrator breakdown; verification errors signal failed checks and
-checks that do not apply.  The CLI exits 2 (config), 3 (geometry) or 4 (verify).
+No caller tells finer kinds apart, so a raise site picks the class by the
+outcome alone and says what went wrong in its message.  ``mtvf`` maps them
+to ``config error`` (exit 2), ``geometry error`` (3), ``verification
+failed`` (4), ``check does not apply`` (4) and ``error:`` (2, solver
+failures).
 """
 
 
@@ -15,48 +17,21 @@ class ConfigError(MtvfError):
 
 
 class GeometryError(MtvfError):
-    """Base class for errors raised by geometric kernels."""
-
-
-class SingularProjection(GeometryError):
-    """Closest-point projection undefined (e.g. the origin for a sphere)."""
-
-
-class BeyondInjectivityRadius(GeometryError):
-    """No unique minimizing geodesic between the two points."""
-
-
-class DegenerateJump(GeometryError):
-    """Unit tangents of a jump requested for two equal points."""
-
-
-class OutOfComparisonRange(GeometryError):
-    """Comparison-theorem quantity evaluated outside its valid range."""
-
-
-class ConvexityRadiusExceeded(GeometryError):
-    """A jump reaches twice the convexity radius (flow not well posed)."""
+    """A geometric quantity is undefined or out of range: a singular
+    projection, points beyond the injectivity radius, a degenerate jump, a
+    comparison bound outside its range, or a jump at or beyond twice the
+    convexity radius (flow not well posed)."""
 
 
 class SolverError(MtvfError):
-    """Base class for time-stepping failures."""
-
-
-class CflViolation(SolverError):
-    """Total variation increased during a step (unstable step size)."""
+    """A time-stepping failure."""
 
 
 class VerificationError(MtvfError):
-    """A check that failed (``mtvf verify``), or one that does not apply (subclasses)."""
+    """A check that failed (``mtvf verify``)."""
 
 
-class IncompatibleSnapshots(VerificationError):
-    """Trajectory snapshots do not share a grid / jump set as required."""
-
-
-class NotNPC(VerificationError):
-    """Check requires a complete manifold of nonpositive curvature."""
-
-
-class WrongManifold(VerificationError):
-    """Check applied to a trajectory on an unsupported manifold."""
+class CheckNotApplicable(VerificationError):
+    """A check that does not apply to its input: snapshots on the wrong grid
+    or jump set, a target that is not complete with nonpositive curvature, or
+    values on an unsupported manifold."""

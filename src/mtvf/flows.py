@@ -33,14 +33,7 @@ from scipy.linalg.lapack import dptsv
 from .curves import (
     PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, tv_measure,
 )
-from .errors import (
-    CflViolation,
-    ConfigError,
-    ConvexityRadiusExceeded,
-    DegenerateJump,
-    IncompatibleSnapshots,
-    SolverError,
-)
+from .errors import CheckNotApplicable, ConfigError, GeometryError, SolverError
 from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
 
 # one-step TV increase beyond this aborts the run as an unstable step
@@ -186,13 +179,13 @@ class FlowTrajectory:
         """Index of the snapshot recorded at time t (within 1e-9 max(1, |t|));
         past the last snapshot, the last one, since a run ends before its
         ``t_max`` only once its state is constant.  Any other time raises
-        ``IncompatibleSnapshots``."""
+        ``CheckNotApplicable``."""
         hits = np.nonzero(np.abs(self.times - t) <= 1e-9 * max(1.0, abs(t)))[0]
         if hits.size:
             return int(hits[0])
         if t > self.times[-1]:
             return len(self.times) - 1
-        raise IncompatibleSnapshots(f"no snapshot recorded at t={t}")
+        raise CheckNotApplicable(f"no snapshot recorded at t={t}")
 
     @cached_property
     def tv(self) -> np.ndarray:
@@ -263,12 +256,12 @@ class _Recorder:
 
 
 def _refuse_wide(manifold, sizes, place, noun):
-    """Raise ``ConvexityRadiusExceeded`` if the largest of ``sizes`` (of a
+    """Raise ``GeometryError`` if the largest of ``sizes`` (of a
     chord, a jump) reaches twice the convexity radius, naming its size and
     ``place(i)``, the x of the i-th one."""
     if sizes.size and sizes.max() >= 2.0 * manifold.convexity_radius:
         i = int(np.argmax(sizes))
-        raise ConvexityRadiusExceeded(
+        raise GeometryError(
             f"{noun} of size {sizes[i]:.6g} at x={place(i):.6g} reaches twice the "
             f"convexity radius {manifold.convexity_radius:.6g}"
         )
@@ -321,11 +314,11 @@ def run_regularized(
 
     Each step is semi-implicit (lagged diffusivity): one symmetric positive
     definite tridiagonal solve, then a closest-point retraction.  It is
-    unconditionally stable; ``dt='auto'`` takes ``h / 4``, for accuracy.
+    unconditionally stable; ``dt='auto'`` takes ``h / 4``.
     ``config.epsilon`` must be set; ``config.grid_n`` is the datum's node
     count or unset.  Stops early once the state is constant; raises
-    ``CflViolation`` if the chordal variation increases in a single step and
-    ``ConvexityRadiusExceeded`` if a chord reaches twice the convexity radius.
+    ``SolverError`` if the chordal variation increases in a single step and
+    ``GeometryError`` if a chord reaches twice the convexity radius.
     """
     man = config.manifold
     if not isinstance(u0, SampledCurve):
@@ -357,7 +350,7 @@ def run_regularized(
         chords = man.dist(u_new[:-1], u_new[1:])
         tv_new = float(np.sum(chords))
         if tv_new > tv_prev + _TV_INCREASE_TOL:
-            raise CflViolation(
+            raise SolverError(
                 f"variation increased by {tv_new - tv_prev:.3g} in one step "
                 f"(dt={dt_step:.3g}); reduce the step size"
             )
@@ -567,7 +560,8 @@ def run_exact_pc(
     offset follows the pursuit curve in closed form, so the step is limited
     by tau* and the guard of every other jump, not by the jump's own guard.
     Otherwise every jump's guard (a quarter of its gap over its closing
-    rate) limits the step.  Two plateaus merge by one rule: the pair is
+    rate; below the 1e-12 step floor, half its gap over its actual closing
+    speed) limits the step.  Two plateaus merge by one rule: the pair is
     replaced by its projected length-weighted centre and books its
     closed-form dissipation (``_pair_collision``), at the end of a pair step
     that reaches tau* and for every jump a step closes to ``_MERGE_TOL``.
@@ -632,6 +626,12 @@ def run_exact_pc(
                                   _PAIR_SPAN * d[k] / rates[k])
                 stepped = _pair_rk4(man, lengths, vals, diss, dt_step, k, d[k])
         if stepped is None:
+            if guards.min() < 1e-12:
+                # a narrow plateau's rates dwarf the closing speed of its jumps
+                # once it is pulled both ways: guard by the actual speeds
+                vel = pc_velocity(man, lengths, vals)
+                with np.errstate(divide="ignore"):
+                    guards = 0.5 * (d - 0.5 * _MERGE_TOL) / _norm(vel[1:] - vel[:-1])
             dt_step = min(dt_step, max(float(guards.min()), 1e-12))
             vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
         else:
@@ -784,7 +784,7 @@ def flow_on_geodesic(
     """
     dist_pq = float(manifold.dist(p, q))
     if dist_pq < 1e-15:
-        raise DegenerateJump("geodesic endpoints coincide")
+        raise GeometryError("geodesic endpoints coincide")
     compose_with_geodesic(manifold, p, q, sigma0)  # refuses sigma0 off euclidean:1 or [0, 1]
     flow = run_scalar_tv(scalar_curve(sigma0.breakpoints, sigma0.values[:, 0] * dist_pq), t_max)
     return _staircase_trajectory(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BeyondInjectivityRadius, ConfigError, OutOfComparisonRange
+from .errors import ConfigError, GeometryError
 from .manifolds import Manifold, Sphere, _dot
 
 _SPHERE3 = Sphere(3)
@@ -35,30 +35,8 @@ def midpoint_separation(a: float) -> float:
     counterexample.
     """
     if not 0.0 < a <= 0.5 * np.pi:
-        raise OutOfComparisonRange(f"side {a} outside (0, pi/2]")
+        raise GeometryError(f"side {a} outside (0, pi/2]")
     return float(2.0 * np.arcsin(np.tan(0.5 * a)))
-
-
-def square_vertices(a: float) -> np.ndarray:
-    """Vertices (p0, p1, q0, q1) of a geodesic square of side ``a`` on the
-    unit sphere centered at (1,0,0).
-
-    p0/q0 and p1/q1 are mirror pairs across the xz-plane; p0/p1 and q0/q1
-    across the xy-plane.  The circumradius rho satisfies cos a = cos^2 rho.
-    """
-    if not 0.0 < a < 0.5 * np.pi:
-        raise OutOfComparisonRange(f"side {a} outside (0, pi/2)")
-    rho = np.arccos(np.sqrt(np.cos(a)))
-    s = np.sin(rho) / np.sqrt(2.0)
-    cr = np.cos(rho)
-    return np.array(
-        [
-            [cr, s, s],    # p0
-            [cr, s, -s],   # p1
-            [cr, -s, s],   # q0
-            [cr, -s, -s],  # q1
-        ]
-    )
 
 
 def semiconvexity_gap(n: int) -> float:
@@ -69,7 +47,7 @@ def semiconvexity_gap(n: int) -> float:
     at small n, eventually positive.
     """
     if n < 1 or int(n) != n:
-        raise OutOfComparisonRange("n must be a positive integer")
+        raise GeometryError("n must be a positive integer")
     n = int(n)
     x = 1.0 / (8.0 * n * (n + 1))
     lhs = 2.0 * np.arcsin(np.tan(x))
@@ -215,9 +193,7 @@ def geodesic_endpoint_stability(
         raise ConfigError(f"need n_samples >= 1 and radius > 0, got {n_samples} and {radius}")
     manifold = _SPHERE3
     if radius >= manifold.convexity_radius:
-        raise BeyondInjectivityRadius(
-            f"ball radius {radius} reaches the convexity radius"
-        )
+        raise GeometryError(f"ball radius {radius} reaches the convexity radius")
     rng = np.random.Generator(np.random.Philox(seed))
     center = manifold.project_point(
         np.concatenate([[1.0], np.zeros(manifold.ambient_dim - 1)])

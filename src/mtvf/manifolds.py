@@ -13,13 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BeyondInjectivityRadius,
-    ConfigError,
-    DegenerateJump,
-    OutOfComparisonRange,
-    SingularProjection,
-)
+from .errors import ConfigError, GeometryError
 
 CONSTRAINT_TOL = 1e-12
 
@@ -106,7 +100,7 @@ class Manifold:
         positive.  Valid for 0 <= sigma < 2 * convexity_radius.
         """
         if not 0.0 <= sigma < 2.0 * self.convexity_radius:  # NaN fails too
-            raise OutOfComparisonRange(
+            raise GeometryError(
                 f"distance {sigma} out of comparison range [0, {2 * self.convexity_radius})"
             )
         if self.curvature_bound <= 0:
@@ -155,11 +149,11 @@ class Manifold:
         toward q, ``t_plus`` sits in T_q and points away from p; both have
         unit length.  Both come from the target's one closed-form kernel,
         ``_tangent_pair``, which ``flows._jump_tangents`` calls as well.
-        Raises ``DegenerateJump`` if p and q coincide.
+        Raises ``GeometryError`` if p and q coincide.
         """
         t_minus, t_plus, d = self._tangent_pair(np.asarray(p, float), np.asarray(q, float))
         if np.any(d < COINCIDENT_TOL):
-            raise DegenerateJump("unit tangents undefined for coincident points")
+            raise GeometryError("unit tangents undefined for coincident points")
         # flat targets share one array for both ends; hand out two
         return t_minus, (t_plus.copy() if t_plus is t_minus else t_plus)
 
@@ -226,7 +220,7 @@ class Sphere(Manifold):
         x = np.asarray(x, dtype=float)
         r = _norm(x)
         if np.any(r < 1e-14):
-            raise SingularProjection("cannot project the origin onto the sphere")
+            raise GeometryError("cannot project the origin onto the sphere")
         return x / r[..., None]
 
     def tangent_projection(self, p, v):
@@ -257,7 +251,7 @@ class Sphere(Manifold):
         s = _norm(w)
         theta = np.arctan2(s, c)
         if np.any(theta >= math.pi * (1.0 - 1e-12)):
-            raise BeyondInjectivityRadius("antipodal points have no unique geodesic")
+            raise GeometryError("antipodal points have no unique geodesic")
         scale = np.where(s < 1e-300, 1.0, theta / np.where(s < 1e-300, 1.0, s))
         return scale[..., None] * w
 
@@ -272,7 +266,7 @@ class Sphere(Manifold):
         (t_minus, s), (t_plus, _) = _unit_norm(w), _unit_norm(v)
         d = np.arctan2(s, c[..., 0])
         if d.max() >= math.pi * (1.0 - 1e-12):
-            raise BeyondInjectivityRadius("antipodal points have no unique geodesic")
+            raise GeometryError("antipodal points have no unique geodesic")
         return t_minus, t_plus, d
 
     def random_point(self, rng, size=()):
@@ -302,7 +296,7 @@ class Cylinder(Manifold):
         x = np.array(x, dtype=float)  # a copy in the input's memory layout
         r = np.hypot(x[..., 0], x[..., 1])
         if np.any(r < 1e-14):
-            raise SingularProjection("cannot project the axis onto the cylinder")
+            raise GeometryError("cannot project the axis onto the cylinder")
         x[..., 0] /= r
         x[..., 1] /= r
         return x
@@ -348,9 +342,7 @@ class Cylinder(Manifold):
         q = np.asarray(q, float)
         a = self._wrap_angle(p, q)
         if np.any(np.abs(a) >= math.pi * (1.0 - 1e-12)):
-            raise BeyondInjectivityRadius(
-                "opposite cylinder rulings have no unique geodesic"
-            )
+            raise GeometryError("opposite cylinder rulings have no unique geodesic")
         dz = (q[..., 2] - p[..., 2])[..., None]
         return a[..., None] * self._circ_tangent(p) + dz * self._axis
 
@@ -359,7 +351,7 @@ class Cylinder(Manifold):
         # the cylinder (RK4 stage points) the circle tangent is not unit
         a = self._wrap_angle(p, q)
         if np.abs(a).max() >= math.pi * (1.0 - 1e-12):
-            raise BeyondInjectivityRadius("opposite cylinder rulings have no unique geodesic")
+            raise GeometryError("opposite cylinder rulings have no unique geodesic")
         dz = q[..., 2] - p[..., 2]
         pair = np.empty((2,) + np.broadcast_shapes(p.shape, q.shape))
         for t, base in zip(pair, (p, q)):

@@ -9,8 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import PiecewiseConstantCurve, SampledCurve
-from .errors import ConfigError
-from .lab import square_vertices
+from .errors import ConfigError, GeometryError
 from .manifolds import Euclidean, Manifold, Sphere, parse_manifold
 
 SUITE_MANIFOLDS = ("euclidean:2", "sphere:3", "circle", "cylinder")
@@ -27,6 +26,28 @@ def staircase(values, breakpoints=None) -> PiecewiseConstantCurve:
     if breakpoints is None:
         breakpoints = np.arange(1, m) / m
     return PiecewiseConstantCurve(Euclidean(1), np.asarray(breakpoints, float), vals)
+
+
+def square_vertices(a: float) -> np.ndarray:
+    """Vertices (p0, p1, q0, q1) of a geodesic square of side ``a`` on the
+    unit sphere centered at (1,0,0).
+
+    p0/q0 and p1/q1 are mirror pairs across the xz-plane; p0/p1 and q0/q1
+    across the xy-plane.  The circumradius rho satisfies cos a = cos^2 rho.
+    """
+    if not 0.0 < a < 0.5 * np.pi:
+        raise GeometryError(f"side {a} outside (0, pi/2)")
+    rho = np.arccos(np.sqrt(np.cos(a)))
+    s = np.sin(rho) / np.sqrt(2.0)
+    cr = np.cos(rho)
+    return np.array(
+        [
+            [cr, s, s],    # p0
+            [cr, s, -s],   # p1
+            [cr, -s, s],   # q0
+            [cr, -s, -s],  # q1
+        ]
+    )
 
 
 def two_jump_square(

@@ -18,7 +18,7 @@ from .curves import (
     mollify,
     tv_measure,
 )
-from .errors import ConfigError, IncompatibleSnapshots, NotNPC, WrongManifold
+from .errors import CheckNotApplicable, ConfigError
 from .flows import (
     FlowConfig,
     FlowTrajectory,
@@ -75,12 +75,12 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     across merge events, and the variation measure restricted to every
     dyadic subinterval up to depth ``DYADIC_DEPTH``; both must be
     nonincreasing, within 1e-6.  Sampled snapshots raise
-    :class:`IncompatibleSnapshots`: at fixed resolution the grid solver does
+    :class:`CheckNotApplicable`: at fixed resolution the grid solver does
     not obey this law; its monotone quantity is the regularized energy.
     """
     tol = 1e-6
     if not isinstance(traj.final_curve, PiecewiseConstantCurve):
-        raise IncompatibleSnapshots("the monotone check needs piecewise-constant snapshots")
+        raise CheckNotApplicable("the monotone check needs piecewise-constant snapshots")
     worst = -np.inf
     where: tuple = ()
     # jumps are identified by their (fixed) breakpoint; sets only shrink.
@@ -91,7 +91,7 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     for k, s in enumerate(traj.snapshots):
         col = np.searchsorted(xs, s.breakpoints)
         if np.any(col == xs.size) or np.any(xs[np.minimum(col, xs.size - 1)] != s.breakpoints):
-            raise IncompatibleSnapshots(f"jump set grew at t={traj.times[k]}")
+            raise CheckNotApplicable(f"jump set grew at t={traj.times[k]}")
         sizes[k, col] = s.jump_sizes()
     # growth over each jump's smallest earlier size; the first largest
     # in time-then-breakpoint order is reported
@@ -135,9 +135,9 @@ def check_variational_inequality(
     """
     man = traj.manifold
     if man.curvature_bound > 0 or not np.isinf(man.injectivity_radius):
-        raise NotNPC(f"{man.spec_id} is not complete with nonpositive curvature")
+        raise CheckNotApplicable(f"{man.spec_id} is not complete with nonpositive curvature")
     if competitor.manifold != man:
-        raise WrongManifold("competitor lives on a different manifold")
+        raise CheckNotApplicable("competitor lives on a different manifold")
     tol = 1e-4 + 10.0 * traj.dt_nominal
     tv_v = tv_measure(competitor).total
     tvs = traj.tv
@@ -192,7 +192,7 @@ def check_sphere_equivalence(traj: FlowTrajectory) -> CheckReport:
     """
     man = traj.manifold
     if man.kind not in ("sphere", "circle"):
-        raise WrongManifold("sphere identities require sphere or circle values")
+        raise CheckNotApplicable("sphere identities require sphere or circle values")
     tol = 1e-8 if traj.epsilon is None else 1e-5 / traj.epsilon
     r_tan = r_wedge = r_pair = 0.0
     for snap in traj.snapshots:

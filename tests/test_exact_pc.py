@@ -13,13 +13,13 @@ import pytest
 
 import mtvf.flows
 from mtvf import (
+    CheckNotApplicable,
     Circle,
     ConfigError,
-    ConvexityRadiusExceeded,
     Cylinder,
     Euclidean,
     FlowConfig,
-    IncompatibleSnapshots,
+    GeometryError,
     PiecewiseConstantCurve,
     Sphere,
     check_energy,
@@ -371,6 +371,32 @@ def test_simultaneous_collisions_match_the_scalar_flow():
         assert abs(traj.dissipation[k] - exact.dissipation_at(t)) <= 1e-12, t
 
 
+@pytest.mark.parametrize("width", [1e-7, 1e-9, 1e-11])
+def test_narrow_middle_plateau_does_not_crawl(monkeypatch, width):
+    # the middle plateau's rate bound 2/width keeps every guard below the
+    # 1e-12 step floor; a floored step carries it just past its right
+    # neighbour, whose jump then closes at speed 2 only.  Guarded by the
+    # rates, that jump took 1e-12 steps to t_max; a call budget stops such a
+    # run instead of letting it hang
+    real, calls = pc_velocity, []
+
+    def budgeted(man, lengths, values):
+        calls.append(None)
+        if len(calls) > 20_000:
+            raise RuntimeError("pc_velocity call budget exhausted")
+        return real(man, lengths, values)
+
+    monkeypatch.setattr(mtvf.flows, "pc_velocity", budgeted)
+    u0 = scalar_curve([0.5, 0.5 + width], [0.0, 1.0, 0.3])
+    wanted = [0.01, 0.05, 0.1]
+    traj = run_exact_pc(u0, t_max=4.0, snapshot_times=wanted)
+    exact = run_scalar_tv(u0, t_max=4.0)
+    for t in wanted:
+        bp, vals = exact.state_at(t)
+        assert l2_distance(traj.snapshots[traj.index_at(t)], scalar_curve(bp, vals)) <= 1e-15, t
+    assert detect_stopping(traj)[0] == pytest.approx(exact.extinction_time, abs=1e-15)
+
+
 @pytest.mark.parametrize("refused", range(1, 6))
 def test_pair_step_falls_back_when_a_frozen_pull_reaches_the_closing_rate(monkeypatch, refused):
     # the pursuit closed form needs |w| < c for every frozen w of a step; a
@@ -429,7 +455,7 @@ def test_rejects_inadmissible_datum():
     p = np.array([1.0, 0, 0])
     q = np.array([-1.0, 0, 0.0])
     u0 = PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q]))
-    with pytest.raises(ConvexityRadiusExceeded):
+    with pytest.raises(GeometryError, match=r"jump of size 3\.14159 at x=0\.5 reaches twice"):
         run_exact_pc(u0, t_max=1.0)
 
 
@@ -526,7 +552,7 @@ def test_index_at_reads_only_recorded_times_and_the_end_of_an_early_stop():
     assert traj.times[-1] < 1.0  # extinct at t = 0.25, before t_max
     assert traj.index_at(0.05 + 1e-11) == list(traj.times).index(0.05)
     # a time between two snapshots was not recorded: no nearest one stands in
-    with pytest.raises(IncompatibleSnapshots, match="t=0.07"):
+    with pytest.raises(CheckNotApplicable, match="no snapshot recorded at t=0.07"):
         traj.index_at(0.07)
     # past the last snapshot the state is constant: the last one
     assert traj.index_at(0.9) == len(traj) - 1

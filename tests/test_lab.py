@@ -3,12 +3,11 @@ import numpy as np
 import pytest
 
 from mtvf import (
-    BeyondInjectivityRadius,
     Circle,
     ConfigError,
     Cylinder,
     Euclidean,
-    OutOfComparisonRange,
+    GeometryError,
     Sphere,
 )
 from mtvf.lab import (
@@ -21,8 +20,8 @@ from mtvf.lab import (
     midpoint_separation,
     second_difference,
     semiconvexity_gap,
-    square_vertices,
 )
+from mtvf.synth import square_vertices
 
 SPH = Sphere(3)
 EU3 = Euclidean(3)
@@ -37,9 +36,9 @@ def test_midpoint_separation_closed_form_endpoints():
     # arcsin is square-root steep at 1, so the endpoint only resolves to
     # sqrt(machine eps) even though tan(pi/4) is exact to one ulp
     assert midpoint_separation(np.pi / 2) == pytest.approx(np.pi, abs=1e-7)
-    with pytest.raises(OutOfComparisonRange):
+    with pytest.raises(GeometryError, match=r"side 0\.0 outside \(0, pi/2\]"):
         midpoint_separation(0.0)
-    with pytest.raises(OutOfComparisonRange):
+    with pytest.raises(GeometryError, match=r"outside \(0, pi/2\]"):
         midpoint_separation(np.pi / 2 + 0.1)
 
 
@@ -85,7 +84,7 @@ def test_semiconvexity_gap_sign_pattern():
     assert first_positive_gap() == 19
     for n in range(19, 101):
         assert semiconvexity_gap(n) > 0
-    with pytest.raises(OutOfComparisonRange):
+    with pytest.raises(GeometryError, match="n must be a positive integer"):
         semiconvexity_gap(0)
 
 
@@ -158,7 +157,7 @@ def test_stability_euclidean_never_exceeds_one():
 
 
 def test_stability_scan_guard_and_determinism():
-    with pytest.raises(BeyondInjectivityRadius):
+    with pytest.raises(GeometryError, match="reaches the convexity radius"):
         geodesic_endpoint_stability(10, radius=np.pi / 2)
     a = geodesic_endpoint_stability(50, radius=0.8, seed=3)
     b = geodesic_endpoint_stability(50, radius=0.8, seed=3)

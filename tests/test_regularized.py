@@ -5,8 +5,8 @@ import scipy.linalg
 
 from mtvf import (
     ConfigError,
-    ConvexityRadiusExceeded,
     Euclidean,
+    GeometryError,
     PiecewiseConstantCurve,
     SampledCurve,
     SolverError,
@@ -74,7 +74,7 @@ def test_config_refuses_grid_n_without_epsilon():
 def test_rejects_chord_at_twice_convexity_radius():
     vals = np.array([[1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]])
     u0 = SampledCurve(SPH, vals)
-    with pytest.raises(ConvexityRadiusExceeded):
+    with pytest.raises(GeometryError, match=r"chord of size 3\.14159 at x=0 reaches twice"):
         run_regularized(u0, FlowConfig(manifold=SPH, epsilon=1e-3, grid_n=3))
 
 

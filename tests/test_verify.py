@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from mtvf import (
+    CheckNotApplicable,
     ConfigError,
     Euclidean,
     FlowTrajectory,
-    IncompatibleSnapshots,
-    NotNPC,
     PiecewiseConstantCurve,
     SampledCurve,
     Sphere,
-    WrongManifold,
     check_energy,
     check_monotone_variation,
     check_sphere_equivalence,
@@ -78,7 +76,7 @@ def test_monotone_check_rejects_grown_jump_set():
     traj = _sphere_run()
     richer = random_rad_curve(SPH, np.random.Generator(np.random.Philox([6, 0])), n_jumps=6)
     traj = _with_snapshot(traj, -1, richer)
-    with pytest.raises(IncompatibleSnapshots):
+    with pytest.raises(CheckNotApplicable, match="jump set grew at t="):
         check_monotone_variation(traj)
 
 
@@ -86,7 +84,7 @@ def test_monotone_check_refuses_sampled_trajectory():
     # the grid solver's monotone quantity is the p-energy, not the per-face law
     w = noisy_field(EU2, grid_n=33, noise=0.05, seed=1)
     traj = run_regularized(w, FlowConfig(manifold=EU2, epsilon=1e-2, grid_n=33, t_max=0.01))
-    with pytest.raises(IncompatibleSnapshots):
+    with pytest.raises(CheckNotApplicable, match="monotone check needs piecewise-constant"):
         check_monotone_variation(traj)
 
 
@@ -138,7 +136,7 @@ def test_a_broken_record_is_refused_when_built(case):
 def test_variational_inequality_requires_flat_geometry():
     traj = _sphere_run()
     v = PiecewiseConstantCurve(SPH, [0.5], np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    with pytest.raises(NotNPC):
+    with pytest.raises(CheckNotApplicable, match="sphere:3 is not complete with nonpositive"):
         check_variational_inequality(traj, v)
 
 
@@ -146,7 +144,7 @@ def test_variational_inequality_rejects_foreign_competitor():
     u0 = random_rad_curve(EU2, np.random.Generator(np.random.Philox([7, 0])))
     traj = run_exact_pc(u0, t_max=1.0)
     v = scalar_curve([0.5], [0.0, 1.0])
-    with pytest.raises(WrongManifold):
+    with pytest.raises(CheckNotApplicable, match="competitor lives on a different manifold"):
         check_variational_inequality(traj, v)
 
 
@@ -162,7 +160,7 @@ def test_variational_inequality_passes_flat_run():
 def test_sphere_equivalence_rejects_flat_run():
     u0 = random_rad_curve(EU2, np.random.Generator(np.random.Philox([9, 0])))
     traj = run_exact_pc(u0, t_max=0.2)
-    with pytest.raises(WrongManifold):
+    with pytest.raises(CheckNotApplicable, match="sphere identities require sphere or circle"):
         check_sphere_equivalence(traj)
 
 
