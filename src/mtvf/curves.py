@@ -59,13 +59,13 @@ class PiecewiseConstantCurve:
             )
         if bp.size + 1 != vals.shape[0]:
             raise ConfigError("need exactly one more plateau than breakpoints")
-        if bp.size and not (np.all(bp > 0.0) and np.all(bp < 1.0) and np.all(np.diff(bp) > 0)):
+        if bp.size and not ((bp > 0.0).all() and (bp < 1.0).all() and (np.diff(bp) > 0).all()):
             raise ConfigError("breakpoints must be strictly increasing inside (0, 1)")
         vals = _on_manifold(self.manifold, vals, "plateau")
         # drop spurious breakpoints (equal neighbouring plateaus)
         if bp.size:
             keep = self.manifold.dist(vals[:-1], vals[1:]) > _SPURIOUS_TOL
-            if not np.all(keep):
+            if not keep.all():
                 bp = bp[keep]
                 vals = vals[np.concatenate([[True], keep])]
         bp.setflags(write=False)

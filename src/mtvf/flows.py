@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .curves import (
     PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, tv_measure,
@@ -80,6 +79,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:  # NaN fails too
             raise ConfigError("epsilon must be positive and finite")
+        if self.epsilon is not None and self.epsilon * self.epsilon == 0.0:
+            raise ConfigError(f"epsilon = {self.epsilon:g} is too small: its square is 0")
         if not 0 < self.t_max < math.inf:
             raise ConfigError("t_max must be positive and finite")
         if self.grid_n is not None:
@@ -288,7 +289,10 @@ def face_flux(values: np.ndarray, h: float, epsilon: float) -> np.ndarray:
 def solve_banded(diagonal, off_diagonal, rhs):
     """Solve the symmetric positive definite tridiagonal system by LAPACK
     ``?ptsv`` (LDL^T, no pivoting), leaving its arguments unchanged.  Named for
-    ``bench/spans.py``, which wraps ``flows.solve_banded`` to count solves."""
+    ``bench/spans.py``, which wraps ``flows.solve_banded`` to count solves.
+    scipy loads with the first solve: the exact solver never needs it."""
+    from scipy.linalg.lapack import dptsv
+
     x, info = dptsv(diagonal, off_diagonal, rhs)[2:]
     if info:
         raise SolverError(f"tridiagonal solve failed: LAPACK ?ptsv info = {info}")
@@ -301,7 +305,13 @@ def _semi_implicit_step(man, u, h, dt, epsilon):
     diagonal = np.ones(u.shape[0])
     diagonal[:-1] += gb
     diagonal[1:] += gb
-    v = solve_banded(diagonal, -gb, u)
+    try:
+        v = solve_banded(diagonal, -gb, u)
+    except SolverError as exc:
+        # dt / (h^2 sqrt(eps^2 + |Du|^2)) on a flat face swamps the unit
+        # diagonal, and the rounded factorization is no longer positive
+        raise SolverError(f"{exc}; epsilon = {epsilon:g} is too small for this grid "
+                          "and step") from exc
     return man.project_point(u + man.tangent_projection(u, v - u))
 
 
@@ -421,8 +431,10 @@ def _pc_rk4(man, lengths, values, diss, dt):
     k3 = pc_velocity(man, lengths, values + 0.5 * dt * k2)
     k4 = pc_velocity(man, lengths, values + dt * k3)
     new_vals = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # dissipation rate of a stage: sum of lengths * |velocity|^2
-    e1, e2, e3, e4 = (lengths @ _dot(k, k) for k in (k1, k2, k3, k4))
+    # dissipation rate of a stage: sum of lengths * |velocity|^2; one matmul
+    # per stage, as a stacked one rounds differently
+    ks = np.array((k1, k2, k3, k4))
+    e1, e2, e3, e4 = (lengths @ sq for sq in _dot(ks, ks))
     new_diss = diss + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
     return man.project_point(new_vals), float(new_diss)
 
@@ -602,7 +614,7 @@ def run_exact_pc(
         lengths, rates, d = measure()
 
     def resolved_state():
-        return vals.shape[0] == 1 or float(np.min(d)) > _SNAPSHOT_JUMP_FLOOR
+        return vals.shape[0] == 1 or d.min() > _SNAPSHOT_JUMP_FLOOR
 
     rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
     # lengths and rates change only at merges
@@ -614,9 +626,9 @@ def run_exact_pc(
         # leaves every jump above half its gap, so none crosses zero
         guards = 0.25 * ((d - 0.5 * _MERGE_TOL) / rates)
         dt_step = min(dt_base, rec.horizon(t))
-        k = int(np.argmin(d))
+        k = int(d.argmin())
         stepped = None
-        if d[k] < _MERGE_AHEAD_JUMP and np.all(np.delete(d, k) > _PAIR_ISOLATION * d[k]):
+        if d[k] < _MERGE_AHEAD_JUMP and (np.delete(d, k) > _PAIR_ISOLATION * d[k]).all():
             tau = _pair_collision(man, lengths, rates, vals, d, k)[0]
             # a run that ends before the pair collides ends on guarded steps
             if tau is not None and tau < t_max - t:
@@ -642,8 +654,8 @@ def run_exact_pc(
         if stepped is not None and dt_step == tau:
             merge(k)
         # merge every jump the step closed to _MERGE_TOL, smallest first
-        while vals.shape[0] > 1 and float(np.min(d)) <= _MERGE_TOL:
-            merge(int(np.argmin(d)))
+        while vals.shape[0] > 1 and d.min() <= _MERGE_TOL:
+            merge(int(d.argmin()))
         if rec.step(t, vals.shape[0] < plateaus, resolved_state):
             rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
     rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
@@ -734,8 +746,10 @@ def run_scalar_tv(sigma0: PiecewiseConstantCurve, t_max: float) -> ScalarStairca
         diss += rate * dt
         t = end
         # merge every collided group (simultaneous collisions allowed) at its
-        # length-weighted mean; bincount sums each group left to right
-        hit = np.isclose(t_coll, dt, rtol=1e-12, atol=1e-15)
+        # length-weighted mean; bincount sums each group left to right.  A tie
+        # is relative to dt: an absolute slack would merge a jump that closes
+        # later than a tiny dt
+        hit = t_coll <= dt * (1.0 + 1e-12)
         group = np.concatenate([[0], np.cumsum(~hit)])
         vals = np.bincount(group, lengths * (vals + dt * speeds)) / np.bincount(group, lengths)
         bp = bp[~hit]

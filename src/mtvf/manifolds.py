@@ -151,7 +151,10 @@ class Manifold:
         ``_tangent_pair``, which ``flows._jump_tangents`` calls as well.
         Raises ``GeometryError`` if p and q coincide.
         """
-        t_minus, t_plus, d = self._tangent_pair(np.asarray(p, float), np.asarray(q, float))
+        p, q = np.asarray(p, float), np.asarray(q, float)
+        if p.shape != q.shape:  # the kernels stack both ends
+            p, q = np.broadcast_arrays(p, q)
+        t_minus, t_plus, d = self._tangent_pair(p, q)
         if np.any(d < COINCIDENT_TOL):
             raise GeometryError("unit tangents undefined for coincident points")
         # flat targets share one array for both ends; hand out two
@@ -219,7 +222,7 @@ class Sphere(Manifold):
     def project_point(self, x):
         x = np.asarray(x, dtype=float)
         r = _norm(x)
-        if np.any(r < 1e-14):
+        if (r < 1e-14).any():
             raise GeometryError("cannot project the origin onto the sphere")
         return x / r[..., None]
 
@@ -258,12 +261,12 @@ class Sphere(Manifold):
     def _tangent_pair(self, p, q):
         # w = q - c p points from p toward q, v = c q - p away from p at q.
         # Each is projected once more: scaled to unit length, the O(eps)
-        # radial rounding of w would grow to O(eps/d).
+        # radial rounding of w would grow to O(eps/d).  Both ends are one
+        # stacked array, since _dot rounds each row alone.
         c = _dot(p, q)[..., None]
-        w, v = q - c * p, c * q - p
-        w -= _dot(w, p)[..., None] * p
-        v -= _dot(v, q)[..., None] * q
-        (t_minus, s), (t_plus, _) = _unit_norm(w), _unit_norm(v)
+        ends, wv = np.array((p, q)), np.array((q - c * p, c * q - p))
+        wv -= _dot(wv, ends)[..., None] * ends
+        (t_minus, t_plus), (s, _) = _unit_norm(wv)
         d = np.arctan2(s, c[..., 0])
         if d.max() >= math.pi * (1.0 - 1e-12):
             raise GeometryError("antipodal points have no unique geodesic")
@@ -295,7 +298,7 @@ class Cylinder(Manifold):
     def project_point(self, x):
         x = np.array(x, dtype=float)  # a copy in the input's memory layout
         r = np.hypot(x[..., 0], x[..., 1])
-        if np.any(r < 1e-14):
+        if (r < 1e-14).any():
             raise GeometryError("cannot project the axis onto the cylinder")
         x[..., 0] /= r
         x[..., 1] /= r
@@ -353,11 +356,11 @@ class Cylinder(Manifold):
         if np.abs(a).max() >= math.pi * (1.0 - 1e-12):
             raise GeometryError("opposite cylinder rulings have no unique geodesic")
         dz = q[..., 2] - p[..., 2]
-        pair = np.empty((2,) + np.broadcast_shapes(p.shape, q.shape))
-        for t, base in zip(pair, (p, q)):
-            t[..., 0], t[..., 1], t[..., 2] = -a * base[..., 1], a * base[..., 0], dz
-        pair = _unit_norm(pair)[0]
-        return pair[0], pair[1], np.hypot(a, dz)
+        ends = np.array((p, q))
+        pair = np.empty(ends.shape)
+        pair[..., 0], pair[..., 1], pair[..., 2] = -a * ends[..., 1], a * ends[..., 0], dz
+        t_minus, t_plus = _unit_norm(pair)[0]
+        return t_minus, t_plus, np.hypot(a, dz)
 
     def random_point(self, rng, size=()):
         shape = tuple(np.atleast_1d(size)) if size != () else ()

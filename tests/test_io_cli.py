@@ -3,6 +3,7 @@ import dataclasses
 import glob
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -802,6 +803,25 @@ def test_cli_solver_error_exits_2_and_leaves_no_run_directory(tmp_path, capsys, 
     assert err.startswith("error: tridiagonal solve failed")
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("eps,outcome", [("1e-200", "config error"), ("1e-150", "error"),
+                                         ("1e-18", "error")])
+def test_cli_denoise_refuses_a_tiny_epsilon_by_name(tmp_path, capsys, eps, outcome):
+    # epsilon^2 underflows to 0 at 1e-200, so FlowConfig refuses it before a
+    # division by zero; at 1e-150 and 1e-18 the step's ?ptsv solve fails
+    field = str(tmp_path / "field.csv")
+    assert main(["generate", "noisy_field", "--manifold", "sphere:3", "--grid", "33",
+                 "--out", field]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["denoise", "--input", field, "--eps", eps,
+                     "--out", str(tmp_path / "den")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{outcome}:") and f"epsilon = {eps} is too small" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "den").exists()
 
 
 # each case is named for the solver its config selects; "auto", with no epsilon, is the exact one

@@ -18,7 +18,7 @@ from mtvf import (
     Sphere,
     parse_manifold,
 )
-from mtvf.manifolds import _COLUMN_SUM_ROWS, _dot, _norm
+from mtvf.manifolds import _COLUMN_SUM_ROWS, COINCIDENT_TOL, _dot, _norm
 
 ALL_MANIFOLDS = [Euclidean(1), Euclidean(2), Sphere(2), Sphere(3), Circle(), Cylinder()]
 
@@ -203,6 +203,13 @@ def test_unit_tangent_pair_batch_matches_single(man):
         assert s_minus.shape == p[i].shape
         assert np.max(np.abs(s_minus - t_minus[i])) <= 4 * EPS
         assert np.max(np.abs(s_plus - t_plus[i])) <= 4 * EPS
+    # one point against the batch broadcasts as the pairs do one by one
+    near = man.exp(p[0], 0.5 * man.log(p[0], q))
+    b_minus, b_plus = man.unit_tangent_pair(p[0], near)
+    for i in range(len(p)):
+        s_minus, s_plus = man.unit_tangent_pair(p[0], near[i])
+        assert np.max(np.abs(s_minus - b_minus[i])) <= 4 * EPS
+        assert np.max(np.abs(s_plus - b_plus[i])) <= 4 * EPS
 
 
 @pytest.mark.parametrize("man", KERNEL_MANIFOLDS, ids=lambda m: m.spec_id)
@@ -234,6 +241,57 @@ def test_unit_tangent_pair_rejects_cut_locus(man):
     q = -p
     with pytest.raises(GeometryError, match="no unique geodesic"):
         man.unit_tangent_pair(p, q)
+
+
+def _plain_tangent_pair(man, p, q):
+    """Each target's ``_tangent_pair`` formulas one end at a time, with dot
+    products by ``np.add.reduce``, as ``_dot`` rounds them."""
+    def dot(a, b):
+        return np.add.reduce(a * b, axis=-1)
+
+    def unit(v):
+        n = np.sqrt(dot(v, v))
+        return v / np.maximum(n, 1e-300)[..., None], n
+
+    if man.kind == "euclidean":
+        t, d = unit(q - p)
+        return t, t, d
+    if man.kind == "cylinder":
+        a = np.arctan2(p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0],
+                       p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1])
+        dz = q[..., 2] - p[..., 2]
+        t_minus = unit(np.stack([-a * p[..., 1], a * p[..., 0], dz], axis=-1))[0]
+        t_plus = unit(np.stack([-a * q[..., 1], a * q[..., 0], dz], axis=-1))[0]
+        return t_minus, t_plus, np.hypot(a, dz)
+    c = dot(p, q)[..., None]
+    w = q - c * p
+    w = w - dot(w, p)[..., None] * p
+    v = c * q - p
+    v = v - dot(v, q)[..., None] * q
+    (t_minus, s), (t_plus, _) = unit(w), unit(v)
+    return t_minus, t_plus, np.arctan2(s, c[..., 0])
+
+
+@pytest.mark.parametrize("rows", [1, 6, 200])  # 200 rows reach _dot's column sums
+@pytest.mark.parametrize("man", KERNEL_MANIFOLDS, ids=lambda m: m.spec_id)
+def test_tangent_pair_keeps_the_bits_of_the_plain_formulas(man, rows):
+    # off the target, as RK4 stage points are; the first row is one point
+    # 1.1 times off the unit sphere twice, whose jump the sphere kernel does
+    # not see as coincident: it gets the radial tangents p/|p| and -p/|p| and
+    # a size ~(1 - 1.1^2)^2, far above COINCIDENT_TOL
+    rng = _rng(26)
+    p, q = _pairs_at_distance(man, rng, 0.7, rows)
+    p = p + 0.2 * man.random_tangent(rng, p)
+    q = q + 0.2 * man.random_tangent(rng, q)
+    q[0] = p[0] = 1.1 * man.project_point(p[0])
+    got, want = man._tangent_pair(p, q), _plain_tangent_pair(man, p, q)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    if man.kind in ("sphere", "circle"):
+        assert got[2][0] > 1e3 * COINCIDENT_TOL
+        radial = p[0] / np.linalg.norm(p[0])
+        assert np.allclose(got[0][0], radial, atol=1e-12)
+        assert np.allclose(got[1][0], -radial, atol=1e-12)
 
 
 def test_geodesic_point_pins_endpoints():

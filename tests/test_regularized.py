@@ -1,4 +1,8 @@
 """Epsilon-regularized solver: the step, energy decay, scalar agreement."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -186,6 +190,29 @@ def test_solve_banded_refuses_an_indefinite_system():
     diagonal = np.array([2.0, -1.0, 2.0])
     with pytest.raises(SolverError, match="info"):
         solve_banded(diagonal, np.array([0.5, 0.5]), np.ones((3, 2)))
+
+
+def test_scipy_loads_with_the_first_grid_step():
+    # only the grid solver's ?ptsv solve needs scipy: importing the package and
+    # its CLI leaves it out, so exact-only commands start without it
+    import mtvf
+
+    code = (
+        "import sys\n"
+        "import mtvf, mtvf.cli\n"
+        "assert 'scipy.linalg' not in sys.modules, 'loaded on import'\n"
+        "from mtvf.flows import FlowConfig, run_regularized\n"
+        "from mtvf.synth import noisy_field\n"
+        "field = noisy_field('circle', grid_n=9, noise=0.05, seed=3)\n"
+        "traj = run_regularized(field, FlowConfig(field.manifold, epsilon=0.1, t_max=1 / 32))\n"
+        "assert len(traj) == 2, 'not one step'\n"
+        "assert 'scipy.linalg' in sys.modules, 'not loaded by the step'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtvf.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("spec", TARGETS)

@@ -69,6 +69,18 @@ def test_middle_plateau_squeezed_by_neighbours():
     assert vals[2] > 0.5
 
 
+@pytest.mark.parametrize("width", [1e-15, 1e-14])
+def test_narrow_middle_plateau_merges_only_its_own_jump(width):
+    # the narrow plateau meets its left neighbour after ~3.5 width; the jump
+    # of 0.3 left between two halves closes at rate 2 + 2 much later, at 0.075,
+    # so a tie rule with an absolute slack of 1e-15 must not merge it too
+    sigma0 = scalar_curve([0.5, 0.5 + width], [0.0, 1.0, 0.3])
+    flow = run_scalar_tv(sigma0, t_max=1.0)
+    assert len(flow.event_times()) == 2
+    assert flow.extinction_time == pytest.approx(0.075, abs=1e-12)
+    assert flow.final_value == pytest.approx(_mean(sigma0), abs=1e-12)
+
+
 def test_merge_is_length_weighted():
     # symmetric configuration merging into the exact average
     sigma0 = scalar_curve([0.5], [0.0, 1.0])
