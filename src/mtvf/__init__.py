@@ -32,6 +32,7 @@ from .flows import (
     PiecewiseLinearFluxField,
     ScalarStaircaseFlow,
     face_flux,
+    flow,
     flow_on_geodesic,
     pc_velocity,
     reconstruct_z_pc,

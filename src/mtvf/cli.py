@@ -20,11 +20,10 @@ import numpy as np
 from . import __version__
 from .curves import (
     PiecewiseConstantCurve,
-    mollify,
     tv_measure,
 )
 from .errors import ConfigError, GeometryError, MtvfError, VerificationError
-from .flows import FlowConfig, run_exact_pc, run_regularized
+from .flows import FlowConfig, flow
 from .io import (
     config_to_text,
     flow_config_from_mapping,
@@ -80,26 +79,11 @@ def _out_dir(path):
 def cmd_flow(args) -> int:
     cfg = flow_config_from_mapping(parse_config_text(read_text(args.config)))
     curve = read_curve(args.input)
-    if curve.manifold != cfg.manifold:
-        raise ConfigError(
-            f"input curve lives on {curve.manifold.spec_id}, "
-            f"config says {cfg.manifold.spec_id}"
-        )
-    # a config that sets epsilon is a grid run, one that does not an exact run
-    step = isinstance(curve, PiecewiseConstantCurve)
-    if cfg.epsilon is None and not step:
-        raise ConfigError("a sampled input runs on the regularized solver: set epsilon")
-    if cfg.epsilon is not None and cfg.grid_n is None:
-        if step:
-            raise ConfigError("a step input is mollified onto grid_n nodes: set grid_n")
-        cfg = replace(cfg, grid_n=curve.grid_n)  # a sampled input sets the grid
-    solver = "exact" if cfg.epsilon is None else "regularized"
     with _out_dir(args.out):
-        if solver == "exact":
-            traj = run_exact_pc(curve, t_max=cfg.t_max, dt=cfg.dt,
-                                snapshot_every=cfg.snapshot_every)
-        else:
-            traj = run_regularized(mollify(curve, cfg.grid_n) if step else curve, cfg)
+        traj = flow(curve, cfg)
+    if cfg.epsilon is not None:  # config.txt records the grid, which a sampled input sets
+        cfg = replace(cfg, grid_n=traj.final_curve.grid_n)
+    solver = "exact" if cfg.epsilon is None else "regularized"
     traj_path = os.path.join(args.out, "trajectory.csv")
     diag_path = os.path.join(args.out, "diagnostics.csv")
     cfg_path = os.path.join(args.out, "config.txt")
@@ -134,7 +118,7 @@ def cmd_denoise(args) -> int:
     t_max = t_stop if t_stop is not None else max(4.0 * tv0, 1e-6)
     cfg = FlowConfig(manifold=man, epsilon=args.eps, t_max=t_max)
     with _out_dir(args.out):
-        traj = run_regularized(curve, cfg)
+        traj = flow(curve, cfg)
     pick = len(traj) - 1
     if t_stop is None:
         target = args.tv_fraction * tv0

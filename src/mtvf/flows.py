@@ -1,6 +1,6 @@
 """Time integrators for the constrained total variation flow of curves.
 
-Three solvers share one trajectory container:
+Three solvers share one trajectory container; :func:`flow` picks between the first two:
 
 * :func:`run_regularized` — grid solver for the epsilon-regularized flow
   ``u_t = P_u (u_x / sqrt(eps^2 + |u_x|^2))_x`` with zero-flux boundary
@@ -24,13 +24,13 @@ data on a single geodesic is the trajectory ``run_exact_pc`` follows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .curves import (
-    PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, tv_measure,
+    PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, mollify, tv_measure,
 )
 from .errors import CheckNotApplicable, ConfigError, GeometryError, SolverError
 from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
@@ -206,9 +206,9 @@ class _Recorder:
     snapshot.  Without requested times every ``snapshot_every``-th step is
     recorded.  A step ending in an event (a merge, a state going flat) is
     recorded too.  Cadence and event records wait until the state is
-    resolved; requested times do not.  Time 0 and the end go through
-    ``add``, which skips a time already recorded.  A row is a time, its
-    snapshot and the cumulative dissipation.
+    resolved; requested times do not.  Time 0 goes through ``add``, which
+    skips a time already recorded, and the last state through ``end``.  A
+    row is a time, its snapshot and the cumulative dissipation.
     """
 
     def __init__(self, snapshot_times, t_max, snapshot_every=1):
@@ -242,6 +242,12 @@ class _Recorder:
     def add(self, t, snapshot, dissipation):
         """Record a snapshot unless one is already recorded at time t."""
         if not self.rows or abs(self.rows[-1][0] - t) >= 1e-15:
+            self.rows.append((t, snapshot, dissipation))
+
+    def end(self, t, snapshot, dissipation):
+        """Record the last state unless the last row is at time t itself; unlike
+        ``add`` it keeps a state within 1e-15 of that row, which merges changed."""
+        if t > self.rows[-1][0]:
             self.rows.append((t, snapshot, dissipation))
 
     def build(self, solver, dt_nominal, epsilon=None) -> FlowTrajectory:
@@ -326,7 +332,7 @@ def run_regularized(
     definite tridiagonal solve, then a closest-point retraction.  It is
     unconditionally stable; ``dt='auto'`` takes ``h / 4``.
     ``config.epsilon`` must be set; ``config.grid_n`` is the datum's node
-    count or unset.  Stops early once the state is constant; raises
+    count, at least 3, or unset.  Stops early once the state is constant; raises
     ``SolverError`` if the chordal variation increases in a single step and
     ``GeometryError`` if a chord reaches twice the convexity radius.
     """
@@ -339,6 +345,7 @@ def run_regularized(
         raise ConfigError("the grid solver needs epsilon")
     if config.grid_n not in (None, u0.grid_n):
         raise ConfigError(f"grid_n = {config.grid_n} but the datum has {u0.grid_n} nodes")
+    config = replace(config, grid_n=u0.grid_n)  # FlowConfig refuses a grid below 3 nodes
     h = u0.h
     _refuse_wide(man, chord_sizes(u0), lambda i: i * h, "chord")
     dt = 0.25 * h if config.dt == "auto" else config.dt
@@ -576,7 +583,8 @@ def run_exact_pc(
     speed) limits the step.  Two plateaus merge by one rule: the pair is
     replaced by its projected length-weighted centre and books its
     closed-form dissipation (``_pair_collision``), at the end of a pair step
-    that reaches tau* and for every jump a step closes to ``_MERGE_TOL``.
+    that reaches tau* and for every jump a step closes to ``_MERGE_TOL``, or
+    at once for a jump that closes head-on within a floored step.
     Terminates at ``t_max`` or when a single plateau remains.  Arguments
     follow ``FlowConfig``'s rules and raise ``ConfigError`` otherwise.
 
@@ -586,7 +594,8 @@ def run_exact_pc(
     requested ``snapshot_times`` and the final state are always recorded.
     """
     if not isinstance(u0, PiecewiseConstantCurve):
-        raise ConfigError("the exact solver needs a piecewise-constant curve")
+        raise ConfigError("the exact solver needs a piecewise-constant curve: a sampled "
+                          "input runs on the regularized solver, set epsilon")
     man = u0.manifold
     config = FlowConfig(man, t_max=t_max, snapshot_every=snapshot_every, dt=dt)
     _refuse_wide(man, chord_sizes(u0), lambda i: u0.breakpoints[i], "jump")
@@ -644,6 +653,20 @@ def run_exact_pc(
                 vel = pc_velocity(man, lengths, vals)
                 with np.errstate(divide="ignore"):
                     guards = 0.5 * (d - 0.5 * _MERGE_TOL) / _norm(vel[1:] - vel[:-1])
+                # a floored step would carry such a plateau across a jump that
+                # closes head-on within it: merge the first to close now, and if
+                # it was the last, end the run at its closing time.  A plateau
+                # pulled aslant heads for the geodesic between its neighbours
+                rel = vel[1:] - vel[:-1]
+                closing = -_dot(rel, _jump_tangents(man, vals)[0])
+                pace = np.where(closing >= (1.0 - 1e-9) * _norm(rel), closing / d, 0.0)
+                if pace.max() >= 1e12:
+                    merge(int(pace.argmax()))
+                    if vals.shape[0] == 1:
+                        t += 1.0 / pace.max()
+                    if rec.step(t, True, resolved_state):
+                        rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
+                    continue
             dt_step = min(dt_step, max(float(guards.min()), 1e-12))
             vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
         else:
@@ -658,8 +681,25 @@ def run_exact_pc(
             merge(int(d.argmin()))
         if rec.step(t, vals.shape[0] < plateaus, resolved_state):
             rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
-    rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
+    rec.end(t, PiecewiseConstantCurve(man, xs, vals), diss)
     return rec.build("exact_pc", dt_base)
+
+
+def flow(curve, config: FlowConfig, snapshot_times=None) -> FlowTrajectory:
+    """Flow ``curve`` by ``config``: without ``epsilon`` on the exact solver, a step
+    curve only; with it on the grid solver, a sampled curve on its own grid or a step
+    curve mollified onto ``grid_n`` nodes.  Each refusal is a ``ConfigError``."""
+    if curve.manifold != config.manifold:
+        raise ConfigError(f"input curve lives on {curve.manifold.spec_id}, "
+                          f"config says {config.manifold.spec_id}")
+    if config.epsilon is None:
+        return run_exact_pc(curve, t_max=config.t_max, dt=config.dt,
+                            snapshot_every=config.snapshot_every, snapshot_times=snapshot_times)
+    if isinstance(curve, PiecewiseConstantCurve):
+        if config.grid_n is None:
+            raise ConfigError("a step input is mollified onto grid_n nodes: set grid_n")
+        curve = mollify(curve, config.grid_n)
+    return run_regularized(curve, config, snapshot_times)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 from .curves import (
     PiecewiseConstantCurve,
     l2_distance,
-    mollify,
     tv_measure,
 )
 from .errors import CheckNotApplicable, ConfigError
@@ -23,9 +22,8 @@ from .flows import (
     FlowConfig,
     FlowTrajectory,
     face_flux,
+    flow,
     reconstruct_z_pc,
-    run_exact_pc,
-    run_regularized,
 )
 from .manifolds import _dot, _norm
 
@@ -284,18 +282,16 @@ def cross_solver_compare(
     distance over the time grid; ``final_l2`` compares the terminal states.
     Along a simultaneous refinement both columns should decrease.
     """
-    exact = run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total)
+    exact = flow(u0, FlowConfig(u0.manifold, t_max=4.0 * tv_measure(u0).total))
     stop = detect_stopping(exact)
     t_end = stop[0] * 1.05 if stop else float(exact.times[-1])
     t_grid = np.linspace(0.0, t_end, 33)
     t_max = t_end * 1.001
-    exact = run_exact_pc(u0, t_max=t_max, snapshot_times=t_grid[1:])
+    exact = flow(u0, FlowConfig(u0.manifold, t_max=t_max), t_grid[1:])
 
     def one(job):
         eps, n = job
-        moll = mollify(u0, n)
-        cfg = FlowConfig(manifold=u0.manifold, epsilon=eps, t_max=t_max)
-        reg = run_regularized(moll, cfg, snapshot_times=t_grid[1:])
+        reg = flow(u0, FlowConfig(u0.manifold, epsilon=eps, grid_n=n, t_max=t_max), t_grid[1:])
         sup = 0.0
         for t in t_grid:
             sup = max(sup, l2_distance(reg.snapshots[reg.index_at(t)],

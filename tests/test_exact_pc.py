@@ -25,6 +25,7 @@ from mtvf import (
     check_energy,
     check_monotone_variation,
     detect_stopping,
+    flow,
     flow_on_geodesic,
     l2_distance,
     mollify,
@@ -37,7 +38,7 @@ from mtvf import (
     scalar_trajectory,
     tv_measure,
 )
-from mtvf.synth import random_rad_curve, staircase
+from mtvf.synth import noisy_field, random_rad_curve, staircase
 
 SPH = Sphere(3)
 EU1 = Euclidean(1)
@@ -397,6 +398,52 @@ def test_narrow_middle_plateau_does_not_crawl(monkeypatch, width):
     assert detect_stopping(traj)[0] == pytest.approx(exact.extinction_time, abs=1e-15)
 
 
+@pytest.mark.parametrize("width", [1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15])
+@pytest.mark.parametrize("breakpoints,levels", [
+    (lambda w: [w, 0.5], [0.0, 1.0, 0.0]),
+    (lambda w: [0.5, 0.5 + w], [0.0, 1.0, 0.3]),
+    (lambda w: [0.5, 1.0 - w], [0.0, 1.0, 0.0]),
+    (lambda w: [0.3, 0.3 + w, 0.7, 0.7 + w], [0.0, 1.0, 0.2, -1.0, 0.4]),
+    (lambda w: [0.5, 0.5 + w], [0.0, 1.0, 0.0]),
+    (lambda w: [w], [0.0, 1.0]),
+], ids=["left_boundary", "middle", "right_boundary", "two_narrow", "spike", "only_jump"])
+def test_a_plateau_narrower_than_the_floor_step_merges_at_once(monkeypatch, breakpoints, levels,
+                                                               width):
+    # below the 1e-12 step floor a narrow plateau moves about 1e-12 / width
+    # per step and overshot its jump: a boundary plateau of width 1e-11 hung,
+    # and two of width 1e-11 booked 0.4 too little dissipation.  A jump that
+    # closes within the floor step merges at once, by the merge rule; a run
+    # that such merges end within 1e-15 of time 0 still records its end
+    real, calls = pc_velocity, []
+
+    def budgeted(man, lengths, values):
+        calls.append(None)
+        if len(calls) > 2_000:
+            raise RuntimeError("pc_velocity call budget exhausted")
+        return real(man, lengths, values)
+
+    monkeypatch.setattr(mtvf.flows, "pc_velocity", budgeted)
+    u0 = scalar_curve(breakpoints(width), levels)
+    wanted = [0.01, 0.05, 0.1, 0.3]
+    traj = run_exact_pc(u0, t_max=4.0, snapshot_times=wanted)
+    exact = run_scalar_tv(u0, t_max=4.0)
+    for t in wanted:
+        bp, vals = exact.state_at(t)
+        assert l2_distance(traj.snapshots[traj.index_at(t)], scalar_curve(bp, vals)) <= 1e-12, t
+    assert np.max(np.abs(traj.dissipation + traj.tv - traj.tv[0])) <= 1e-12
+
+
+def test_a_narrow_plateau_pulled_aslant_is_not_merged():
+    # between neighbours at a right angle a narrow plateau heads for the chord
+    # joining them, and neither of its jumps closes; merged below the floor
+    # step, the run would book 0.207 too much dissipation
+    u0 = PiecewiseConstantCurve(EU2, np.array([0.5, 0.5 + 1e-13]),
+                                np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]))
+    traj = run_exact_pc(u0, t_max=2e-14)
+    assert traj.final_curve.num_jumps == 2
+    assert abs(traj.dissipation[-1] + traj.tv[-1] - traj.tv[0]) <= 1e-9
+
+
 @pytest.mark.parametrize("refused", range(1, 6))
 def test_pair_step_falls_back_when_a_frozen_pull_reaches_the_closing_rate(monkeypatch, refused):
     # the pursuit closed form needs |w| < c for every frozen w of a step; a
@@ -582,23 +629,41 @@ def test_bad_options_are_config_errors(option):
             run_exact_pc(u0, t_max=0.1, **option)
 
 
-@pytest.mark.parametrize("solver", ["exact", "regularized"])
-def test_a_first_requested_time_below_1e_15_is_the_time_zero_snapshot(solver):
+@pytest.mark.parametrize("epsilon,grid_n", [(None, None), (0.1, 33)], ids=["exact", "regularized"])
+def test_a_first_requested_time_below_1e_15_is_the_time_zero_snapshot(epsilon, grid_n):
     # the first step runs to 1e-20, and the recorder takes a time within
     # 1e-15 of the last record for the same snapshot
     u0 = scalar_curve([0.5], [0.0, 1.0])
-
-    def run(wanted):
-        if solver == "exact":
-            return run_exact_pc(u0, t_max=0.1, snapshot_times=wanted)
-        cfg = FlowConfig(EU1, epsilon=0.1, grid_n=33, t_max=0.1)
-        return run_regularized(mollify(u0, 33), cfg, wanted)
-
-    traj, reference = run([1e-20, 0.05]), run([0.05])
+    cfg = FlowConfig(EU1, epsilon=epsilon, grid_n=grid_n, t_max=0.1)
+    traj, reference = flow(u0, cfg, [1e-20, 0.05]), flow(u0, cfg, [0.05])
     assert traj.times[0] == 0.0 and traj.times[1] > 1e-15
     assert np.array_equal(traj.snapshots[0].values, reference.snapshots[0].values)
     at = traj.snapshots[traj.index_at(0.05)]
     assert l2_distance(at, reference.snapshots[reference.index_at(0.05)]) < 1e-12
+
+
+_STEP = scalar_curve([0.3, 0.6], [0.0, 1.0, 0.4])
+_SAMPLED = noisy_field("circle", grid_n=33, noise=0.05, seed=3)
+
+
+@pytest.mark.parametrize("snapshot_times", [None, [0.01, 0.03]], ids=["cadence", "requested"])
+@pytest.mark.parametrize("curve,config,direct", [
+    (_STEP, FlowConfig(EU1, t_max=0.05, dt=2e-3),
+     lambda u, cfg, times: run_exact_pc(u, cfg.t_max, cfg.dt, cfg.snapshot_every, times)),
+    (_STEP, FlowConfig(EU1, epsilon=0.1, grid_n=41, t_max=0.05),
+     lambda u, cfg, times: run_regularized(mollify(u, 41), cfg, times)),
+    (_SAMPLED, FlowConfig(_SAMPLED.manifold, epsilon=0.05, t_max=0.05, snapshot_every=3),
+     lambda u, cfg, times: run_regularized(u, cfg, times)),
+], ids=["step_exact", "step_mollified", "sampled"])
+def test_flow_is_the_half_its_config_picks(curve, config, direct, snapshot_times):
+    # flow adds no arithmetic: its trajectory is the direct call's, bit for bit
+    got, want = flow(curve, config, snapshot_times), direct(curve, config, snapshot_times)
+    assert got.solver == want.solver and got.dt_nominal == want.dt_nominal
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.dissipation, want.dissipation)
+    for a, b in zip(got.snapshots, want.snapshots, strict=True):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(getattr(a, "breakpoints", ()), getattr(b, "breakpoints", ()))
 
 
 def test_snapshot_times_strictly_increase():

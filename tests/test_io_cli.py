@@ -13,6 +13,7 @@ from mtvf import (
     ConfigError,
     Euclidean,
     PiecewiseConstantCurve,
+    SampledCurve,
     SolverError,
     Sphere,
     flow_on_geodesic,
@@ -743,8 +744,7 @@ def test_cli_unusable_path_exits_2(tmp_path, capsys, monkeypatch, case):
     def solver(*args, **kwargs):  # an unusable path is refused before any solve
         raise AssertionError("a solver ran before the path was refused")
 
-    monkeypatch.setattr(mtvf.cli, "run_exact_pc", solver)
-    monkeypatch.setattr(mtvf.cli, "run_regularized", solver)
+    monkeypatch.setattr(mtvf.cli, "flow", solver)
     prefix, argv = _UNUSABLE_PATHS[case]
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
@@ -752,6 +752,28 @@ def test_cli_unusable_path_exits_2(tmp_path, capsys, monkeypatch, case):
     assert "Traceback" not in err
     # an atomic write that cannot land leaves no temporary file behind
     assert not glob.glob(str(tmp_path / ".tmp-*"))
+
+
+def test_every_path_refuses_a_grid_below_3_nodes_before_the_solve(tmp_path, capsys, monkeypatch):
+    # a 2-node sampled input sets a grid that FlowConfig refuses, whether the
+    # config names it or not: mtvf denoise and run_regularized flowed it
+    def solve(*args):
+        raise AssertionError("a grid below 3 nodes reached the solve")
+
+    monkeypatch.setattr(mtvf.flows, "solve_banded", solve)
+    two = SampledCurve(Euclidean(1), [[0.0], [1.0]])
+    cfg = FlowConfig(Euclidean(1), epsilon=0.1, t_max=0.01)
+    with pytest.raises(ConfigError, match="grid_n must be at least 3"):
+        run_regularized(two, cfg)
+    with pytest.raises(ConfigError, match="grid_n must be at least 3"):
+        mtvf.flows.flow(two, cfg)
+    write_curve(str(tmp_path / "two.csv"), two)
+    _write_config(tmp_path / "reg.cfg", manifold="euclidean:1", t_max=0.01, epsilon=0.1)
+    for argv in (["flow", "--config", str(tmp_path / "reg.cfg")], ["denoise"]):
+        assert main(argv + ["--input", str(tmp_path / "two.csv"),
+                            "--out", str(tmp_path / "run")]) == 2
+        assert "config error: grid_n must be at least 3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["flow", "denoise"])

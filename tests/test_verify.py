@@ -284,6 +284,16 @@ def test_solvers_refuse_the_other_curve_kind():
         run_regularized(step, FlowConfig(manifold=EU1, epsilon=0.1, grid_n=33, t_max=0.1))
     with pytest.raises(ConfigError, match="needs a piecewise-constant curve"):
         cross_solver_compare(sampled, [1e-2], [33])
+    # the one entry point: the exact solver's refusal also says what to set
+    for curve, config, message in [
+        (sampled, FlowConfig(EU1, t_max=0.1), "needs a piecewise-constant curve.*set epsilon"),
+        (step, FlowConfig(EU1, epsilon=0.1, t_max=0.1), "set grid_n"),
+        (step, FlowConfig(EU2, t_max=0.1), "lives on euclidean:1, config says euclidean:2"),
+        (sampled, FlowConfig(EU1, epsilon=0.1, grid_n=17, t_max=0.1),
+         "grid_n = 17 but the datum has 33 nodes"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            flows.flow(curve, config)
     with pytest.raises(ConfigError, match="expects a step curve"):
         run_scalar_tv(sampled, 0.1)
     with pytest.raises(ConfigError, match="must be a step curve"):
