@@ -208,10 +208,7 @@ def _hessian_report(args) -> str:
         raise ConfigError(f"--r must lie in (0, {man.injectivity_radius:g}) on {man.spec_id}")
     rng = np.random.Generator(np.random.Philox([args.seed, 2]))
     center = man.random_point(rng)
-    direction = man.random_tangent(rng, center)
-    nd = float(np.linalg.norm(direction))
-    if nd < 1e-12:
-        raise GeometryError("degenerate direction draw")
+    direction, nd = man.random_direction(rng, center)
     p = man.exp(center, (args.r / nd) * direction)
     res = hessian_comparison_check(man, center, p, n_dirs=args.dirs, rng=rng)
     return "r,min_estimate,bound,passed\n" + ",".join(

@@ -83,9 +83,6 @@ class PiecewiseConstantCurve:
         edges = np.concatenate([[0.0], self.breakpoints, [1.0]])
         return np.diff(edges)
 
-    def jump_sizes(self) -> np.ndarray:
-        return chord_sizes(self)
-
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, np.asarray(xs, float), side="right")
         return self.values[idx]
@@ -130,10 +127,6 @@ class TVBreakdown:
     def total(self) -> float:
         return float(self.diffuse + np.sum(self.jump_sizes))
 
-    @property
-    def max_jump(self) -> float:
-        return float(np.max(self.jump_sizes, initial=0.0))
-
 
 def chord_sizes(curve) -> np.ndarray:
     """Geodesic distances between consecutive values: the jump sizes of a
@@ -144,20 +137,34 @@ def chord_sizes(curve) -> np.ndarray:
     return np.atleast_1d(curve.manifold.dist(vals[:-1], vals[1:]))
 
 
+def _refuse_wide(manifold, sizes, place, noun):
+    """Raise ``GeometryError`` if the largest of ``sizes`` (of a
+    chord, a jump) reaches twice the convexity radius, naming its size and
+    ``place(i)``, the x of the i-th one."""
+    if sizes.size and sizes.max() >= 2.0 * manifold.convexity_radius:
+        i = int(np.argmax(sizes))
+        raise GeometryError(
+            f"{noun} of size {sizes[i]:.6g} at x={place(i):.6g} reaches twice the "
+            f"convexity radius {manifold.convexity_radius:.6g}"
+        )
+
+
 def tv_measure(curve) -> TVBreakdown:
     """Total variation of a curve, split into diffuse and jump parts.
 
     Piecewise-constant curves carry only jumps (geodesic sizes); sampled
     curves carry only a diffuse chord-sum part, which converges to the
-    geodesic length from below under grid refinement.
+    geodesic length from below under grid refinement.  A jump or chord of
+    twice the convexity radius or more is refused, as the solvers refuse it.
     """
     if isinstance(curve, PiecewiseConstantCurve):
-        if curve.num_jumps:
-            # a jump across the cut locus has no unique geodesic: reject it
-            curve.manifold.log(curve.values[:-1], curve.values[1:])
-        return TVBreakdown(0.0, jump_sizes=chord_sizes(curve))
+        sizes = chord_sizes(curve)
+        _refuse_wide(curve.manifold, sizes, lambda i: curve.breakpoints[i], "jump")
+        return TVBreakdown(0.0, jump_sizes=sizes)
     if isinstance(curve, SampledCurve):
-        return TVBreakdown(float(np.sum(chord_sizes(curve))))
+        sizes = chord_sizes(curve)
+        _refuse_wide(curve.manifold, sizes, lambda i: i * curve.h, "chord")
+        return TVBreakdown(float(np.sum(sizes)))
     raise ConfigError(f"cannot measure variation of {type(curve).__name__}")
 
 

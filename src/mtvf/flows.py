@@ -30,7 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .curves import (
-    PiecewiseConstantCurve, SampledCurve, chord_sizes, compose_with_geodesic, mollify, tv_measure,
+    PiecewiseConstantCurve, SampledCurve, _refuse_wide, chord_sizes, compose_with_geodesic, mollify,
+    tv_measure,
 )
 from .errors import CheckNotApplicable, ConfigError, GeometryError, SolverError
 from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
@@ -191,7 +192,7 @@ class FlowTrajectory:
     @cached_property
     def tv(self) -> np.ndarray:
         """Variation of every snapshot by ``tv_measure``, which refuses a jump
-        across the cut locus."""
+        or chord of twice the convexity radius."""
         tv = np.array([tv_measure(s).total for s in self.snapshots])
         tv.setflags(write=False)
         return tv
@@ -259,18 +260,6 @@ class _Recorder:
             dissipation=np.array(dissipation),
             dt_nominal=dt_nominal,
             epsilon=epsilon,
-        )
-
-
-def _refuse_wide(manifold, sizes, place, noun):
-    """Raise ``GeometryError`` if the largest of ``sizes`` (of a
-    chord, a jump) reaches twice the convexity radius, naming its size and
-    ``place(i)``, the x of the i-th one."""
-    if sizes.size and sizes.max() >= 2.0 * manifold.convexity_radius:
-        i = int(np.argmax(sizes))
-        raise GeometryError(
-            f"{noun} of size {sizes[i]:.6g} at x={place(i):.6g} reaches twice the "
-            f"convexity radius {manifold.convexity_radius:.6g}"
         )
 
 
@@ -485,23 +474,22 @@ def _pursuit(r0, w, c, tau):
     return r, 2.0 * (rho0 - math.sqrt(r @ r)) - slack * tau / c
 
 
-def _pair_rk4(man, lengths, values, diss, dt, k, d):
+def _pair_rk4(man, lengths, values, diss, dt, k, d, c):
     """RK4 step of the state as (pair centre m, pair offset r, other plateaus).
 
-    The pair is the two plateaus across the small jump k, of size d.  Its
-    mutual pull, the pair's unit tangents from one more kernel call per
-    stage, is taken out of their velocities: m moves by the rest, and r, the
-    chord scaled to the jump size, by ``r' = -c r/|r| + w`` with c the
-    closing rate and w the rest of r'.  The pair is flat, as the merge rule
-    treats it, to O(d^3).  m and the other plateaus take classical RK4
-    stages; r takes the commutator-free fourth-order stages of Celledoni,
-    Marthinsen and Owren (2003) on frozen-w pursuit flows (``_pursuit``),
-    which are the classical ones with no mutual pull, and the pair's share
-    of the dissipation is that of the step's two flows.  Returns None if a
-    frozen w reaches c.
+    The pair is the two plateaus across the small jump k, of size d and
+    closing rate c (``run_exact_pc``'s ``rates[k]``).  Its mutual pull, the
+    pair's unit tangents from one more kernel call per stage, is taken out
+    of their velocities: m moves by the rest, and r, the chord scaled to the
+    jump size, by ``r' = -c r/|r| + w`` with w the rest of r'.  The pair is
+    flat, as the merge rule treats it, to O(d^3).  m and the other plateaus
+    take classical RK4 stages; r takes the commutator-free fourth-order
+    stages of Celledoni, Marthinsen and Owren (2003) on frozen-w pursuit
+    flows (``_pursuit``), which are the classical ones with no mutual pull,
+    and the pair's share of the dissipation is that of the step's two flows.
+    Returns None if a frozen w reaches c.
     """
     lo, hi = lengths[k], lengths[k + 1]
-    c = 1.0 / lo + 1.0 / hi
     chord = values[k + 1] - values[k]
     scale = math.sqrt(chord @ chord) / d
     r0, m0 = chord / scale, (lo * values[k] + hi * values[k + 1]) / (lo + hi)
@@ -584,7 +572,8 @@ def run_exact_pc(
     replaced by its projected length-weighted centre and books its
     closed-form dissipation (``_pair_collision``), at the end of a pair step
     that reaches tau* and for every jump a step closes to ``_MERGE_TOL``, or
-    at once for a jump that closes head-on within a floored step.
+    at once for a jump that closes head-on with its actual-speed guard below
+    the floor.
     Terminates at ``t_max`` or when a single plateau remains.  Arguments
     follow ``FlowConfig``'s rules and raise ``ConfigError`` otherwise.
 
@@ -645,22 +634,25 @@ def run_exact_pc(
                 if d[k] >= _PAIR_CLOSE:
                     dt_step = min(dt_step, tau * (1.0 - 0.5 * _PAIR_CLOSE / d[k]),
                                   _PAIR_SPAN * d[k] / rates[k])
-                stepped = _pair_rk4(man, lengths, vals, diss, dt_step, k, d[k])
+                stepped = _pair_rk4(man, lengths, vals, diss, dt_step, k, d[k], rates[k])
         if stepped is None:
             if guards.min() < 1e-12:
                 # a narrow plateau's rates dwarf the closing speed of its jumps
                 # once it is pulled both ways: guard by the actual speeds
                 vel = pc_velocity(man, lengths, vals)
-                with np.errstate(divide="ignore"):
-                    guards = 0.5 * (d - 0.5 * _MERGE_TOL) / _norm(vel[1:] - vel[:-1])
-                # a floored step would carry such a plateau across a jump that
-                # closes head-on within it: merge the first to close now, and if
-                # it was the last, end the run at its closing time.  A plateau
-                # pulled aslant heads for the geodesic between its neighbours
                 rel = vel[1:] - vel[:-1]
+                speed = _norm(rel)
+                with np.errstate(divide="ignore"):
+                    guards = 0.5 * (d - 0.5 * _MERGE_TOL) / speed
+                # a floored step would carry such a plateau across a jump that
+                # closes head-on and is guarded below the floor: merge the first
+                # to close now, and if it was the last, end the run at its
+                # closing time.  A plateau pulled aslant heads for the geodesic
+                # between its neighbours
                 closing = -_dot(rel, _jump_tangents(man, vals)[0])
-                pace = np.where(closing >= (1.0 - 1e-9) * _norm(rel), closing / d, 0.0)
-                if pace.max() >= 1e12:
+                head_on = (closing >= (1.0 - 1e-9) * speed) & (guards < 1e-12)
+                pace = np.where(head_on, closing / d, 0.0)
+                if head_on.any():
                     merge(int(pace.argmax()))
                     if vals.shape[0] == 1:
                         t += 1.0 / pace.max()
@@ -800,10 +792,9 @@ def run_scalar_tv(sigma0: PiecewiseConstantCurve, t_max: float) -> ScalarStairca
 
 
 def scalar_curve(breakpoints, values) -> PiecewiseConstantCurve:
-    """Convenience constructor for scalar staircases on euclidean:1."""
-    return PiecewiseConstantCurve(
-        Euclidean(1), np.asarray(breakpoints, float), np.asarray(values, float)[:, None]
-    )
+    """Step curve on euclidean:1 with these breakpoints and plateau values,
+    the body of ``synth.staircase`` too."""
+    return PiecewiseConstantCurve(Euclidean(1), breakpoints, np.reshape(values, (-1, 1)))
 
 
 def _staircase_trajectory(flow, sample_times, solver, curve_at) -> FlowTrajectory:

@@ -18,14 +18,6 @@ from .manifolds import Manifold, Sphere, _dot
 _SPHERE3 = Sphere(3)
 
 
-def _unit_tangent(manifold: Manifold, p, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = manifold.random_tangent(rng, p)
-        n = float(np.linalg.norm(v))
-        if n > 1e-8:
-            return v / n
-
-
 def midpoint_separation(a: float) -> float:
     """Distance between geodesic midpoints of opposite sides of a geodesic
     square of side ``a`` on the unit sphere.
@@ -110,7 +102,7 @@ def hessian_comparison_check(
         raise ConfigError(f"need at least one direction, got n_dirs={n_dirs}")
     r = float(manifold.dist(p, p0))
     bound = manifold.hessian_comparison_bound(r)
-    dirs = np.array([_unit_tangent(manifold, p, rng) for _ in range(n_dirs)])
+    dirs = np.array([v / n for v, n in (manifold.random_direction(rng, p) for _ in range(n_dirs))])
     best = np.min(second_difference(manifold, p0, p, dirs))
     return HessianComparison(r, float(best), float(bound), 1e-4)
 
@@ -199,8 +191,8 @@ def geodesic_endpoint_stability(
         np.concatenate([[1.0], np.zeros(manifold.ambient_dim - 1)])
     )
     # per point: its unit tangent is drawn before its radius (left operand first)
-    steps = np.array([_unit_tangent(manifold, center, rng) * (radius * rng.uniform() ** 0.5)
-                      for _ in range(4 * n_samples)])
+    draws = (manifold.random_direction(rng, center) for _ in range(4 * n_samples))
+    steps = np.array([(v / n) * (radius * rng.uniform() ** 0.5) for v, n in draws])
     quads = manifold.exp(center, steps).reshape(n_samples, 4, -1)
     ratios = endpoint_stability_ratio(manifold, *quads.transpose(1, 0, 2))
     ratios.flags.writeable = False

@@ -19,6 +19,8 @@ CONSTRAINT_TOL = 1e-12
 
 # Two points are considered coincident (no jump direction) below this.
 COINCIDENT_TOL = 1e-15
+# points this far apart around a great circle have no unique geodesic
+_CUT_ANGLE = math.pi * (1.0 - 1e-12)
 
 # rows from which _dot sums columns (measured crossover ~70 at N = 2, ~200 at N = 7)
 _COLUMN_SUM_ROWS = 128
@@ -169,6 +171,14 @@ class Manifold:
         v = rng.standard_normal(np.shape(p))
         return self.tangent_projection(p, v)
 
+    def random_direction(self, rng: np.random.Generator, p: np.ndarray):
+        """``(v, |v|)`` for a ``random_tangent`` v at p, redrawn while |v| <= 1e-8."""
+        while True:
+            v = self.random_tangent(rng, p)
+            n = float(np.linalg.norm(v))
+            if n > 1e-8:
+                return v, n
+
 
 class Euclidean(Manifold):
     """Flat ambient space R^N; every map is linear."""
@@ -253,7 +263,7 @@ class Sphere(Manifold):
         w = q - c[..., None] * p
         s = _norm(w)
         theta = np.arctan2(s, c)
-        if np.any(theta >= math.pi * (1.0 - 1e-12)):
+        if np.any(theta >= _CUT_ANGLE):
             raise GeometryError("antipodal points have no unique geodesic")
         scale = np.where(s < 1e-300, 1.0, theta / np.where(s < 1e-300, 1.0, s))
         return scale[..., None] * w
@@ -268,7 +278,7 @@ class Sphere(Manifold):
         wv -= _dot(wv, ends)[..., None] * ends
         (t_minus, t_plus), (s, _) = _unit_norm(wv)
         d = np.arctan2(s, c[..., 0])
-        if d.max() >= math.pi * (1.0 - 1e-12):
+        if d.max() >= _CUT_ANGLE:
             raise GeometryError("antipodal points have no unique geodesic")
         return t_minus, t_plus, d
 
@@ -344,7 +354,7 @@ class Cylinder(Manifold):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
         a = self._wrap_angle(p, q)
-        if np.any(np.abs(a) >= math.pi * (1.0 - 1e-12)):
+        if np.any(np.abs(a) >= _CUT_ANGLE):
             raise GeometryError("opposite cylinder rulings have no unique geodesic")
         dz = (q[..., 2] - p[..., 2])[..., None]
         return a[..., None] * self._circ_tangent(p) + dz * self._axis
@@ -353,7 +363,7 @@ class Cylinder(Manifold):
         # a * (circle tangent) + dz * axis at each end, normalised there: off
         # the cylinder (RK4 stage points) the circle tangent is not unit
         a = self._wrap_angle(p, q)
-        if np.abs(a).max() >= math.pi * (1.0 - 1e-12):
+        if np.abs(a).max() >= _CUT_ANGLE:
             raise GeometryError("opposite cylinder rulings have no unique geodesic")
         dz = q[..., 2] - p[..., 2]
         ends = np.array((p, q))

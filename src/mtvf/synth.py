@@ -10,7 +10,8 @@ import numpy as np
 
 from .curves import PiecewiseConstantCurve, SampledCurve
 from .errors import ConfigError, GeometryError
-from .manifolds import Euclidean, Manifold, Sphere, parse_manifold
+from .flows import scalar_curve
+from .manifolds import Manifold, Sphere, parse_manifold
 
 SUITE_MANIFOLDS = ("euclidean:2", "sphere:3", "circle", "cylinder")
 
@@ -20,12 +21,9 @@ def _rng(seed, stream: int = 0) -> np.random.Generator:
 
 
 def staircase(values, breakpoints=None) -> PiecewiseConstantCurve:
-    """Scalar staircase on the line; plateaus evenly spaced by default."""
-    vals = np.asarray(values, dtype=float).reshape(-1, 1)
-    m = vals.shape[0]
-    if breakpoints is None:
-        breakpoints = np.arange(1, m) / m
-    return PiecewiseConstantCurve(Euclidean(1), np.asarray(breakpoints, float), vals)
+    """``flows.scalar_curve`` with its plateaus evenly spaced by default."""
+    m = np.size(values)
+    return scalar_curve(np.arange(1, m) / m if breakpoints is None else breakpoints, values)
 
 
 def square_vertices(a: float) -> np.ndarray:
@@ -116,12 +114,9 @@ def noisy_field(
         raise ConfigError("grid_n must be at least 2")
     rng = _rng(seed, 1)
     p = man.random_point(rng)
-    direction = man.random_tangent(rng, p)
-    nd = float(np.linalg.norm(direction))
-    if nd > 1e-12:
-        direction = direction / nd
+    direction, nd = man.random_direction(rng, p)
     reach = min(1.0, 0.9 * man.convexity_radius)
-    q = man.exp(p, reach * direction)
+    q = man.exp(p, reach * (direction / nd))
     base = man.geodesic_point(p, q, np.linspace(0.0, 1.0, grid_n))
     xi = man.random_tangent(rng, base)
     return SampledCurve(man, man.exp(base, noise * xi))
@@ -147,11 +142,7 @@ def random_rad_curve(
             break
     vals = [man.random_point(rng)]
     for _ in range(n_jumps):
-        v = man.random_tangent(rng, vals[-1])
-        nv = float(np.linalg.norm(v))
-        if nv < 1e-12:
-            v = man.random_tangent(rng, vals[-1])
-            nv = float(np.linalg.norm(v))
+        v, nv = man.random_direction(rng, vals[-1])
         step = max_jump * rng.uniform(0.3, 1.0)
         vals.append(man.exp(vals[-1], (step / nv) * v))
     return PiecewiseConstantCurve(man, b, np.stack(vals))

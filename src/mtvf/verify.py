@@ -12,11 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (
-    PiecewiseConstantCurve,
-    l2_distance,
-    tv_measure,
-)
+from .curves import PiecewiseConstantCurve, chord_sizes, l2_distance, tv_measure
 from .errors import CheckNotApplicable, ConfigError
 from .flows import (
     FlowConfig,
@@ -90,7 +86,7 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
         col = np.searchsorted(xs, s.breakpoints)
         if np.any(col == xs.size) or np.any(xs[np.minimum(col, xs.size - 1)] != s.breakpoints):
             raise CheckNotApplicable(f"jump set grew at t={traj.times[k]}")
-        sizes[k, col] = s.jump_sizes()
+        sizes[k, col] = chord_sizes(s)
     # growth over each jump's smallest earlier size; the first largest
     # in time-then-breakpoint order is reported
     grown = sizes[1:] - np.fmin.accumulate(sizes, axis=0)[:-1]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mtvf import (
     ConfigError,
+    Cylinder,
     Euclidean,
     GeometryError,
     PiecewiseConstantCurve,
@@ -18,6 +19,7 @@ from mtvf import (
     run_exact_pc,
     tv_measure,
 )
+from mtvf.curves import chord_sizes
 
 EU1 = Euclidean(1)
 EU2 = Euclidean(2)
@@ -49,7 +51,7 @@ def test_pc_basic_queries():
     c = _pc1([0.25, 0.75], [0.0, 1.0, 0.5])
     assert c.num_jumps == 2
     assert np.allclose(c.plateau_lengths(), [0.25, 0.5, 0.25])
-    assert np.allclose(c.jump_sizes(), [1.0, 0.5])
+    assert np.allclose(chord_sizes(c), [1.0, 0.5])
     # right-continuity at the breakpoint
     assert c.eval_grid(0.25) == pytest.approx(1.0)
     assert c.eval_grid(0.25 - 1e-12) == pytest.approx(0.0)
@@ -108,7 +110,7 @@ def test_tv_pc_is_sum_of_jumps():
     tv = tv_measure(c)
     assert tv.total == pytest.approx(1.0 + 0.75 + 0.5)
     assert tv.diffuse == 0.0
-    assert tv.max_jump == pytest.approx(1.0)
+    assert chord_sizes(c).max() == pytest.approx(1.0)
 
 
 def test_tv_sampled_is_chord_sum():
@@ -150,6 +152,26 @@ def test_jump_admissibility_flags_antipodal_jump():
     u0 = PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q]))
     with pytest.raises(GeometryError, match=r"jump of size 3\.14159 at x=0\.5 "):
         run_exact_pc(u0, t_max=0.1)
+
+
+def test_tv_measure_refuses_twice_the_convexity_radius_as_the_solvers_do():
+    # on the cylinder 2 * convexity radius is pi, reached by a purely axial
+    # jump of height pi, which has a unique geodesic: the refusal is the
+    # admissibility rule, not the cut locus, and names size and place
+    cyl = Cylinder()
+    low, high = [1.0, 0.0, 0.0], [1.0, 0.0, np.pi]
+    step = PiecewiseConstantCurve(cyl, [0.75], [low, high])
+    with pytest.raises(GeometryError, match=r"^jump of size 3\.14159 at x=0\.75 reaches twice "
+                                            r"the convexity radius 1\.5708$"):
+        tv_measure(step)
+    sampled = SampledCurve(cyl, [low, low, high])
+    with pytest.raises(GeometryError, match=r"^chord of size 3\.14159 at x=0\.5 reaches twice "
+                                            r"the convexity radius 1\.5708$"):
+        tv_measure(sampled)
+    # just below it both are measured
+    below = [1.0, 0.0, np.nextafter(np.pi, 0.0)]
+    assert tv_measure(PiecewiseConstantCurve(cyl, [0.5], [low, below])).total < np.pi
+    assert tv_measure(SampledCurve(cyl, [low, below])).total < np.pi
 
 
 def test_jump_admissibility_accepts_near_antipodal():

@@ -38,6 +38,7 @@ from mtvf import (
     scalar_trajectory,
     tv_measure,
 )
+from mtvf.curves import chord_sizes
 from mtvf.synth import noisy_field, random_rad_curve, staircase
 
 SPH = Sphere(3)
@@ -92,7 +93,7 @@ def test_plateau_values_move_toward_each_other():
     p, q = _sphere_pair()
     u0 = PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q]))
     traj = run_exact_pc(u0, t_max=0.1, snapshot_every=5)
-    sizes = [s.jump_sizes()[0] for s in traj.snapshots if s.num_jumps]
+    sizes = [chord_sizes(s)[0] for s in traj.snapshots if s.num_jumps]
     assert all(b < a for a, b in zip(sizes, sizes[1:]))
 
 
@@ -221,7 +222,7 @@ def test_first_jump_vanishes_before_coupling_bound():
     rng = np.random.Generator(np.random.Philox([77, 0]))
     for _ in range(5):
         u0 = random_rad_curve(SPH, rng, n_jumps=2)
-        d = u0.jump_sizes()
+        d = chord_sizes(u0)
         lengths = u0.plateau_lengths()
         bound = 2 * min(lengths[0] * d[0], lengths[-1] * d[-1])
         traj = run_exact_pc(u0, t_max=1.5 * bound, snapshot_every=1)
@@ -250,7 +251,7 @@ def test_jump_distance_decay_rate():
         dt = traj.times[k + 1] - traj.times[k]
         if a.num_jumps != b.num_jumps or a.num_jumps == 0 or dt < 1e-9:
             continue
-        da, db = a.jump_sizes(), b.jump_sizes()
+        da, db = chord_sizes(a), chord_sizes(b)
         lb = b.plateau_lengths()
         for idx, ell in ((0, lb[0]), (b.num_jumps - 1, lb[-1])):
             fd = (db[idx] ** 2 - da[idx] ** 2) / dt
@@ -282,7 +283,7 @@ def test_two_plateaus_merge_ahead_in_closed_form(man):
     u0 = PiecewiseConstantCurve(man, [0.3], np.stack([p, q]))
     traj = run_exact_pc(u0, t_max=1.0, snapshot_every=1)
     before, after = traj.snapshots[-2], traj.final_curve
-    d = before.jump_sizes()[0]
+    d = chord_sizes(before)[0]
     c = 1 / 0.3 + 1 / 0.7
     assert 0 < d < mtvf.flows._MERGE_AHEAD_JUMP and after.num_jumps == 0
     assert abs(traj.times[-1] - traj.times[-2] - d / c) <= 4 * EPS * traj.times[-1]
@@ -406,7 +407,9 @@ def test_narrow_middle_plateau_does_not_crawl(monkeypatch, width):
     (lambda w: [0.3, 0.3 + w, 0.7, 0.7 + w], [0.0, 1.0, 0.2, -1.0, 0.4]),
     (lambda w: [0.5, 0.5 + w], [0.0, 1.0, 0.0]),
     (lambda w: [w], [0.0, 1.0]),
-], ids=["left_boundary", "middle", "right_boundary", "two_narrow", "spike", "only_jump"])
+    (lambda w: [1e-7, 1e-7 + w], [-1e-5, 0.0, 1.0]),
+], ids=["left_boundary", "middle", "right_boundary", "two_narrow", "spike", "only_jump",
+        "closing_past_the_floor"])
 def test_a_plateau_narrower_than_the_floor_step_merges_at_once(monkeypatch, breakpoints, levels,
                                                                width):
     # below the 1e-12 step floor a narrow plateau moves about 1e-12 / width

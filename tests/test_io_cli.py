@@ -25,6 +25,7 @@ from mtvf import (
     tv_measure,
 )
 from mtvf.cli import main
+from mtvf.curves import chord_sizes
 from mtvf.flows import FlowConfig, run_regularized
 from mtvf.io import (
     _CONFIG_KEYS,
@@ -81,8 +82,8 @@ def test_exact_trajectory_round_trip(tmp_path):
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.tv, traj.tv)
     assert np.array_equal(back.dissipation, traj.dissipation)
-    assert np.array_equal([tv_measure(s).max_jump for s in back.snapshots],
-                          [tv_measure(s).max_jump for s in traj.snapshots])
+    assert np.array_equal([chord_sizes(s).max(initial=0.0) for s in back.snapshots],
+                          [chord_sizes(s).max(initial=0.0) for s in traj.snapshots])
     assert [s.num_jumps == 0 for s in back.snapshots] == [s.num_jumps == 0 for s in traj.snapshots]
     assert back.solver == traj.solver
     assert back.dt_nominal == traj.dt_nominal
@@ -376,13 +377,15 @@ def test_cli_flow_antipodal_jump_is_geometry_error(tmp_path):
 
 
 def test_cli_verify_antipodal_jump_is_geometry_error(tmp_path, capsys):
-    # measuring a step snapshot's variation refuses a jump with no unique geodesic
+    # measuring a step snapshot's variation refuses a jump of twice the convexity
+    # radius, by the solvers' rule, and names its size and place
     (tmp_path / "trajectory.csv").write_text(
         "# trajectory kind=pc manifold=sphere:3 solver=exact_pc dt_nominal=0.001 epsilon=none\n"
         "t,x_right_end,c0,c1,c2\n0,0.5,1,0,0\n0,1,-1,0,0\n")
     (tmp_path / "diagnostics.csv").write_text("# diagnostics\nt,dissipation\n0,0\n")
     assert main(["verify", "--input", str(tmp_path / "trajectory.csv")]) == 3
-    assert capsys.readouterr().err.startswith("geometry error:")
+    assert capsys.readouterr().err == ("geometry error: jump of size 3.14159 at x=0.5 reaches "
+                                       "twice the convexity radius 1.5708\n")
 
 
 def test_cli_regularized_needs_explicit_epsilon(tmp_path, capsys):

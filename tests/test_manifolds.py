@@ -424,6 +424,26 @@ def test_random_point_lands_on_manifold():
         assert man.constraint_residual(pts) < 1e-12
 
 
+def test_random_direction_redraws_a_tangent_of_length_at_most_1e_8():
+    # the first two draws are too short, the second one exactly 1e-8 long
+    class ShortDraws(Euclidean):
+        draws = iter([[1e-9, 0.0], [0.0, 1e-8], [3.0, 4.0]])
+
+        def random_tangent(self, rng, p):
+            return np.array(next(self.draws))
+
+    v, n = ShortDraws(2).random_direction(_rng(0), np.zeros(2))
+    assert v.tolist() == [3.0, 4.0] and n == 5.0
+
+
+def test_random_direction_is_a_random_tangent_and_its_length():
+    for man in ALL_MANIFOLDS:
+        p = man.random_point(_rng(13))
+        v, n = man.random_direction(_rng(14), p)
+        assert np.array_equal(v, man.random_tangent(_rng(14), p))
+        assert n == float(np.linalg.norm(v)) > 1e-8
+
+
 # ---------------------------------------------------------------------------
 # row kernels: _dot and _norm round as one np.add.reduce call, bit for bit
 # ---------------------------------------------------------------------------
