@@ -24,6 +24,7 @@ data on a single geodesic is the trajectory ``run_exact_pc`` follows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -84,6 +85,14 @@ class FlowConfig:
             raise ConfigError(f"epsilon = {self.epsilon:g} is too small: its square is 0")
         if not 0 < self.t_max < math.inf:
             raise ConfigError("t_max must be positive and finite")
+        for name in ("grid_n", "snapshot_every"):
+            value = getattr(self, name)
+            if value is None and name == "grid_n":
+                continue
+            try:  # numpy integers are integers too
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.grid_n is not None:
             if self.epsilon is None:
                 raise ConfigError("grid_n is read by the regularized solver only, "
@@ -253,14 +262,9 @@ class _Recorder:
 
     def build(self, solver, dt_nominal, epsilon=None) -> FlowTrajectory:
         times, snapshots, dissipation = zip(*self.rows)
-        return FlowTrajectory(
-            solver=solver,
-            times=np.array(times),
-            snapshots=snapshots,
-            dissipation=np.array(dissipation),
-            dt_nominal=dt_nominal,
-            epsilon=epsilon,
-        )
+        return FlowTrajectory(solver=solver, times=np.array(times), snapshots=snapshots,
+                              dissipation=np.array(dissipation), dt_nominal=dt_nominal,
+                              epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """File formats: curve/trajectory CSV, config files, manifests, reports.
 
-All floats are serialized with 17 significant digits so that write->read
-round-trips reproduce IEEE doubles bit-exactly, and every write is atomic
-(temp file in the target directory, then rename).
+Every cell is written as ``%.17g``, so write->read round-trips reproduce IEEE
+doubles bit-exactly.  A table is written block by block, each by one line
+template filled by one ``%``; a trajectory's blocks are its snapshots, so a
+snapshot's time is formatted once and repeated on its rows.  Every write is
+atomic (temp file in the target directory, then rename).
 
 A curve row is a plateau's right end and value (``x_right_end,c0..``) or a
 grid node's value alone (``c0..``): the nodes of a sampled curve are its
@@ -55,13 +57,17 @@ def read_text(path: str) -> str:
             raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _table_text(tag: str, meta: dict, names, rows: np.ndarray) -> str:
-    """A '# <tag> key=value ...' line, the column header ``names``, and one
-    line per row with every cell written as ``_FMT``."""
-    row = ",".join([_FMT] * len(names))
-    lines = [" ".join([f"# {tag}", *(f"{k}={v}" for k, v in meta.items())]), ",".join(names)]
-    lines += [row % tuple(cells) for cells in rows.tolist()]
-    return "\n".join(lines) + "\n"
+def _table_text(tag: str, meta: dict, names, blocks) -> str:
+    """A '# <tag> key=value ...' line, the column header ``names``, and a line
+    per row of each block ``(lead, rows)``: the lead's cells, then the row's."""
+    parts = [" ".join([f"# {tag}", *(f"{k}={v}" for k, v in meta.items())]) + "\n"
+             + ",".join(names) + "\n"]
+    for lead, rows in blocks:
+        # the lead text is fmt output, which holds no '%', so the template
+        # keeps exactly one conversion per cell of ``rows``
+        line = "".join(fmt(x) + "," for x in lead) + ",".join([_FMT] * rows.shape[1]) + "\n"
+        parts.append((line * len(rows)) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def _split_file(text: str, tag: str, keys):
@@ -142,7 +148,8 @@ def _curve_rows(text: str, tag: str, keys, lead):
 def curve_to_text(curve) -> str:
     kind, rows = _layout(curve)
     man = curve.manifold
-    return _table_text("curve", {"kind": kind, "manifold": man.spec_id}, _header(kind, man), rows)
+    return _table_text("curve", {"kind": kind, "manifold": man.spec_id}, _header(kind, man),
+                       [((), rows)])
 
 
 def curve_from_text(text: str):
@@ -171,15 +178,12 @@ def write_trajectory(traj_path: str, diag_path: str, traj: FlowTrajectory) -> No
     meta = {"kind": kind, "manifold": man.spec_id, "solver": traj.solver,
             "dt_nominal": fmt(traj.dt_nominal),
             "epsilon": "none" if traj.epsilon is None else fmt(traj.epsilon)}
-    blocks = []
-    for t, snap in zip(traj.times, traj.snapshots):
-        rows = _layout(snap)[1]
-        blocks.append(np.column_stack([np.full(len(rows), t), rows]))
-    _atomic_write_text(traj_path, _table_text("trajectory", meta, ["t", *_header(kind, man)],
-                                              np.vstack(blocks)))
+    blocks = [((t,), _layout(snap)[1]) for t, snap in zip(traj.times, traj.snapshots)]
+    text = _table_text("trajectory", meta, ["t", *_header(kind, man)], blocks)
+    _atomic_write_text(traj_path, text)
     # the sidecar holds what the snapshots cannot give
-    _atomic_write_text(diag_path, _table_text("diagnostics", {}, ["t", "dissipation"],
-                                              np.column_stack([traj.times, traj.dissipation])))
+    diag = [((), np.column_stack([traj.times, traj.dissipation]))]
+    _atomic_write_text(diag_path, _table_text("diagnostics", {}, ["t", "dissipation"], diag))
 
 
 def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
@@ -202,14 +206,8 @@ def read_trajectory(traj_path: str, diag_path: str) -> FlowTrajectory:
     if not np.array_equal(dtimes, times, equal_nan=True):
         # a sidecar from another run is a bad input, not a failed check
         raise ConfigError("diagnostics do not match the trajectory times")
-    return FlowTrajectory(
-        solver=meta["solver"],
-        times=times,
-        snapshots=snapshots,
-        dissipation=dissipation,
-        dt_nominal=dt_nominal,
-        epsilon=epsilon,
-    )
+    return FlowTrajectory(solver=meta["solver"], times=times, snapshots=snapshots,
+                          dissipation=dissipation, dt_nominal=dt_nominal, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +272,8 @@ def reports_to_csv(reports) -> str:
         at_t = fmt(loc[0]) if loc[0] != "" else ""
         xs = loc[1] if isinstance(loc[1], tuple) else (loc[1],)  # a point or an interval
         at_x = ":".join(fmt(x) for x in xs if isinstance(x, (int, float)))
-        lines.append(
-            ",".join(
-                [r.name, str(int(r.passed)), fmt(r.worst), at_t, at_x, fmt(r.tolerance)]
-            )
-        )
+        lines.append(",".join([r.name, str(int(r.passed)), fmt(r.worst), at_t, at_x,
+                               fmt(r.tolerance)]))
     return "\n".join(lines) + "\n"
 
 

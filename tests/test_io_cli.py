@@ -26,7 +26,7 @@ from mtvf import (
 )
 from mtvf.cli import main
 from mtvf.curves import chord_sizes
-from mtvf.flows import FlowConfig, run_regularized
+from mtvf.flows import FlowConfig, FlowTrajectory, run_regularized
 from mtvf.io import (
     _CONFIG_KEYS,
     config_to_text,
@@ -1072,10 +1072,28 @@ def written_runs():
     runs["geodesic"] = flow_on_geodesic(
         SPH, np.array([1.0, 0, 0]), np.array([0, 0.6, 0.8]),
         scalar_curve([0.3, 0.7], [0.0, 0.8, 0.3]), 2.0, np.linspace(0.0, 2.0, 5))
+    # 3-cell trajectory rows: t and two coordinates
+    field = noisy_field("euclidean:2", grid_n=65, seed=5)
+    runs["semi_implicit_euclidean2"] = run_regularized(
+        field, FlowConfig(manifold=field.manifold, epsilon=1e-2, t_max=0.05))
+    u0 = random_rad_curve("cylinder", np.random.Generator(np.random.Philox([64, 0])))
+    runs["exact_cylinder"] = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
+    # cells whose shortest round-trip text is unusual: a negative zero, the
+    # smallest subnormal, a power of ten past 2**53 and an inexact decimal
+    odd = [-0.0, 5e-324, 0.1, 1e16]
+    step = PiecewiseConstantCurve(Euclidean(2), [5e-324, 0.1], [[-0.0, 5e-324], [1e16, 0.1],
+                                                                 [0.1, -0.0]])
+    runs["odd_cells"] = FlowTrajectory(solver="exact_pc", times=np.array(odd),
+                                       snapshots=[step] * 4, dissipation=np.array(odd),
+                                       dt_nominal=0.1)
     return runs
 
 
-@pytest.mark.parametrize("name", ["exact", "semi_implicit", "scalar", "geodesic"])
+_WRITTEN = ["exact", "semi_implicit", "scalar", "geodesic", "semi_implicit_euclidean2",
+            "exact_cylinder", "odd_cells"]
+
+
+@pytest.mark.parametrize("name", _WRITTEN)
 def test_written_files_match_per_cell_reference(tmp_path, written_runs, name):
     traj = written_runs[name]
     tp, dp = tmp_path / "t.csv", tmp_path / "d.csv"
@@ -1089,7 +1107,7 @@ def test_written_files_match_per_cell_reference(tmp_path, written_runs, name):
         assert curve_to_text(snap).splitlines()[2:] == _reference_csv_rows(_reference_rows(snap))
 
 
-@pytest.mark.parametrize("name", ["exact", "semi_implicit", "scalar", "geodesic"])
+@pytest.mark.parametrize("name", _WRITTEN)
 def test_write_read_write_is_byte_identical(tmp_path, written_runs, name):
     # the values read back are the doubles written, and writing them again
     # gives the same bytes, for trajectories and for curves of either kind

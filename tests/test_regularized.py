@@ -75,6 +75,23 @@ def test_config_refuses_grid_n_without_epsilon():
         FlowConfig(manifold=EU, grid_n=33)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grid_n", 33.5), ("grid_n", 33.0), ("grid_n", "33"),
+    ("snapshot_every", 2.5), ("snapshot_every", 2.0), ("snapshot_every", None),
+])
+def test_config_refuses_a_non_integer_count(field, value):
+    # a float grid_n would reach np.linspace as a TypeError, and a float
+    # snapshot_every would silently change the recording cadence
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        FlowConfig(manifold=SPH, epsilon=1e-2, **{field: value})
+
+
+def test_config_takes_numpy_integer_counts_as_ints():
+    cfg = FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=np.int64(33), snapshot_every=np.int32(2))
+    assert (cfg.grid_n, cfg.snapshot_every) == (33, 2)
+    assert type(cfg.grid_n) is int and type(cfg.snapshot_every) is int
+
+
 def test_rejects_chord_at_twice_convexity_radius():
     vals = np.array([[1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]])
     u0 = SampledCurve(SPH, vals)
