@@ -272,10 +272,14 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-def _face_slopes(values: np.ndarray, h: float, epsilon: float):
-    """Difference quotients ``Du`` on interior faces and ``sqrt(eps^2 + |Du|^2)``."""
-    du = (values[1:] - values[:-1]) / h
-    return du, np.sqrt(epsilon * epsilon + _dot(du, du))
+def _face_slopes(values: np.ndarray, h: float, epsilon: float, out=(None, None)):
+    """Difference quotients ``Du`` on interior faces and ``sqrt(eps^2 + |Du|^2)``,
+    written into the two arrays of ``out`` where given."""
+    du = np.subtract(values[1:], values[:-1], out=out[0])
+    du /= h
+    g = _dot(du, du, out=out[1])
+    g += epsilon * epsilon
+    return du, np.sqrt(g, out=g)
 
 
 def face_flux(values: np.ndarray, h: float, epsilon: float) -> np.ndarray:
@@ -298,20 +302,34 @@ def solve_banded(diagonal, off_diagonal, rhs):
     return x
 
 
-def _semi_implicit_step(man, u, h, dt, epsilon):
-    # (I + g L_b) v = u: every row is strictly diagonally dominant, so SPD
-    gb = dt / (h * h) * (1.0 / _face_slopes(u, h, epsilon)[1])
-    diagonal = np.ones(u.shape[0])
+def _step_arrays(n, dim):
+    """Work arrays of the semi-implicit step on an n-node state: face slopes,
+    diffusivities, and the diagonal and off-diagonal of its ``?ptsv`` system."""
+    return np.empty((n - 1, dim), order="F"), np.empty(n - 1), np.empty(n), np.empty(n - 1)
+
+
+def _semi_implicit_step(man, u, h, dt, epsilon, out=None, work=None):
+    # (I + g L_b) v = u: every row is strictly diagonally dominant, so SPD.
+    # The new state goes to out, and every other node-sized array but the
+    # solution of the solve to work (``_step_arrays``); both are new if not given.
+    du, gb, diagonal, off = work or _step_arrays(*u.shape)
+    _face_slopes(u, h, epsilon, (du, gb))
+    np.divide(1.0, gb, out=gb)
+    gb *= dt / (h * h)
+    diagonal.fill(1.0)
     diagonal[:-1] += gb
     diagonal[1:] += gb
     try:
-        v = solve_banded(diagonal, -gb, u)
+        v = solve_banded(diagonal, np.negative(gb, out=off), u)
     except SolverError as exc:
         # dt / (h^2 sqrt(eps^2 + |Du|^2)) on a flat face swamps the unit
         # diagonal, and the rounded factorization is no longer positive
         raise SolverError(f"{exc}; epsilon = {epsilon:g} is too small for this grid "
                           "and step") from exc
-    return man.project_point(u + man.tangent_projection(u, v - u))
+    # project_point(u + tangent_projection(u, v - u)); v is the solve's own array
+    out = man.tangent_projection(u, np.subtract(v, u, out=v), out=out)
+    out += u
+    return man.project_point(out, out=out)
 
 
 def run_regularized(
@@ -340,33 +358,40 @@ def run_regularized(
         raise ConfigError(f"grid_n = {config.grid_n} but the datum has {u0.grid_n} nodes")
     config = replace(config, grid_n=u0.grid_n)  # FlowConfig refuses a grid below 3 nodes
     h = u0.h
-    _refuse_wide(man, chord_sizes(u0), lambda i: i * h, "chord")
+    chords = chord_sizes(u0)
+    _refuse_wide(man, chords, lambda i: i * h, "chord")
     dt = 0.25 * h if config.dt == "auto" else config.dt
     eps = config.epsilon
     # chord sums of a constant state sit at a roundoff floor that grows with
     # the face count, so the flat-state detector scales with the grid
     flat_tol = max(_FLAT_TV_TOL, 1e-14 * (u0.grid_n - 1))
 
-    u = np.array(u0.values, dtype=float, order="F")  # LAPACK reads it without a copy
+    # the run's arrays, allocated once: the state and the next one, column-major
+    # as LAPACK reads them without a copy, the step's work arrays, and the
+    # chords (the datum's until the first step) and step distances
+    u = np.array(u0.values, dtype=float, order="F")
+    u_new = np.empty_like(u)
+    work = _step_arrays(*u.shape)
+    d_step = np.empty(u.shape[0])
     t = 0.0
     diss = 0.0
     rec = _Recorder(snapshot_times, config.t_max, config.snapshot_every)
-    tv_prev = float(np.sum(chord_sizes(u0)))
+    tv_prev = float(np.sum(chords))
     flat = tv_prev < flat_tol
     rec.add(t, SampledCurve(man, u), diss)
     while t < config.t_max - 1e-14 and not flat:
         dt_step = min(dt, rec.horizon(t))
-        u_new = _semi_implicit_step(man, u, h, dt_step, eps)
-        chords = man.dist(u_new[:-1], u_new[1:])
+        _semi_implicit_step(man, u, h, dt_step, eps, u_new, work)
+        man.dist(u_new[:-1], u_new[1:], out=chords)
         tv_new = float(np.sum(chords))
         if tv_new > tv_prev + _TV_INCREASE_TOL:
             raise SolverError(
                 f"variation increased by {tv_new - tv_prev:.3g} in one step "
                 f"(dt={dt_step:.3g}); reduce the step size"
             )
-        d_step = man.dist(u, u_new)
-        diss += h * float(np.sum(d_step * d_step)) / dt_step
-        u = u_new
+        man.dist(u, u_new, out=d_step)
+        diss += h * float(np.sum(np.square(d_step, out=d_step))) / dt_step
+        u, u_new = u_new, u
         t += dt_step
         tv_prev = tv_new
         _refuse_wide(man, chords, lambda i: i * h, "chord")

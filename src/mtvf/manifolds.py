@@ -6,6 +6,12 @@ their results so the constraint residual stays at the 1e-12 level.
 
 Built-in geometries: ``euclidean:<N>``, ``sphere:<N>`` (unit sphere in R^N,
 N >= 2), ``circle`` (unit circle in R^2) and ``cylinder`` (S^1 x R in R^3).
+
+The kernels a grid step calls (``_dot``, ``_norm``, ``project_point``,
+``tangent_projection`` and ``dist``) take an optional numpy-style ``out=``:
+an array of the result's shape that receives the result and is returned.
+Given or not, the result has the same bits.  ``out`` must not share memory
+with an argument, except that ``project_point`` may project in place.
 """
 from __future__ import annotations
 
@@ -26,20 +32,31 @@ _CUT_ANGLE = math.pi * (1.0 - 1e-12)
 _COLUMN_SUM_ROWS = 128
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # bit for bit np.add.reduce(a * b, axis=-1): it adds rows of <= 7 entries in order onto +0.0
-    p = a * b
-    n = p.shape[-1] if p.size >= _COLUMN_SUM_ROWS else 0  # 0: reduce, no shape lookup
-    if not 0 < n < 8 or p.size < _COLUMN_SUM_ROWS * n:
-        return np.add.reduce(p, axis=-1)
-    s = p[..., 0] + 0.0
-    for j in range(1, n):
-        s += p[..., j]
+def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    # bit for bit np.add.reduce(a * b, axis=-1): it adds rows of <= 7 entries in
+    # order onto +0.0; the column sum adds one column's products at a time
+    n = a.shape[-1] if a.size >= _COLUMN_SUM_ROWS else 0  # 0: reduce, no shape lookup
+    if not 0 < n < 8 or a.size < _COLUMN_SUM_ROWS * n or a.shape != b.shape:
+        return np.add.reduce(a * b, axis=-1, out=out)
+    s = np.multiply(a[..., 0], b[..., 0], out=out)
+    s += 0.0
+    if n > 1:
+        column = np.empty_like(s)
+        for j in range(1, n):
+            s += np.multiply(a[..., j], b[..., j], out=column)
     return s
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(v, v))
+def _norm(v: np.ndarray, out=None) -> np.ndarray:
+    return np.sqrt(_dot(v, v, out=out), out=out)
+
+
+def _copy(x, out=None) -> np.ndarray:
+    """A float copy of ``x`` in its own memory layout, or ``x`` copied into ``out``."""
+    if out is None:
+        return np.array(x, dtype=float)
+    np.copyto(out, x)
+    return out
 
 
 def _unit_norm(v: np.ndarray):
@@ -112,13 +129,13 @@ class Manifold:
 
     # -- abstract kernels ---------------------------------------------------
 
-    def project_point(self, x: np.ndarray) -> np.ndarray:
+    def project_point(self, x: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
 
-    def tangent_projection(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def tangent_projection(self, p: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
 
-    def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def dist(self, p: np.ndarray, q: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
 
     def exp(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -192,14 +209,14 @@ class Euclidean(Manifold):
             raise ConfigError("euclidean manifold needs ambient dimension >= 1")
         self.ambient_dim = int(ambient_dim)
 
-    def project_point(self, x):
-        return np.asarray(x, dtype=float)
+    def project_point(self, x, out=None):
+        return np.asarray(x, dtype=float) if out is None else _copy(x, out)
 
-    def tangent_projection(self, p, v):
-        return np.asarray(v, dtype=float)
+    def tangent_projection(self, p, v, out=None):
+        return np.asarray(v, dtype=float) if out is None else _copy(v, out)
 
-    def dist(self, p, q):
-        return _norm(np.asarray(q, float) - np.asarray(p, float))
+    def dist(self, p, q, out=None):
+        return _norm(np.subtract(q, p, dtype=float), out=out)
 
     def exp(self, p, v):
         return np.asarray(p, float) + np.asarray(v, float)
@@ -229,24 +246,25 @@ class Sphere(Manifold):
             raise ConfigError("sphere needs ambient dimension >= 2")
         self.ambient_dim = int(ambient_dim)
 
-    def project_point(self, x):
+    def project_point(self, x, out=None):
         x = np.asarray(x, dtype=float)
         r = _norm(x)
         if (r < 1e-14).any():
             raise GeometryError("cannot project the origin onto the sphere")
-        return x / r[..., None]
+        return np.divide(x, r[..., None], out=out)
 
-    def tangent_projection(self, p, v):
+    def tangent_projection(self, p, v, out=None):
         p = np.asarray(p, float)
         v = np.asarray(v, float)
-        return v - _dot(v, p)[..., None] * p
+        return np.subtract(v, np.multiply(_dot(v, p)[..., None], p, out=out), out=out)
 
-    def dist(self, p, q):
+    def dist(self, p, q, out=None):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
         c = _dot(p, q)
-        w = q - c[..., None] * p
-        return np.arctan2(_norm(w), c)
+        w = np.multiply(c[..., None], p)
+        w = np.subtract(q, w, out=w)  # q - c p
+        return np.arctan2(_norm(w, out=out), c, out=out)
 
     def exp(self, p, v):
         p = np.asarray(p, float)
@@ -305,8 +323,8 @@ class Cylinder(Manifold):
     injectivity_radius = math.pi
     _axis = np.array([0.0, 0.0, 1.0])
 
-    def project_point(self, x):
-        x = np.array(x, dtype=float)  # a copy in the input's memory layout
+    def project_point(self, x, out=None):
+        x = _copy(x, out)
         r = np.hypot(x[..., 0], x[..., 1])
         if (r < 1e-14).any():
             raise GeometryError("cannot project the axis onto the cylinder")
@@ -314,30 +332,31 @@ class Cylinder(Manifold):
         x[..., 1] /= r
         return x
 
-    def _radial(self, p):
-        n = np.array(p, dtype=float)  # a copy in p's memory layout
+    def _radial(self, p, out=None):
+        n = _copy(p, out)
         n[..., 2] = 0.0
         return n
 
     def _circ_tangent(self, p):
         return np.stack([-p[..., 1], p[..., 0], np.zeros_like(p[..., 2])], axis=-1)
 
-    def tangent_projection(self, p, v):
-        p = np.asarray(p, float)
+    def tangent_projection(self, p, v, out=None):
         v = np.asarray(v, float)
-        n = self._radial(p)
-        return v - _dot(v, n)[..., None] * n
+        n = self._radial(p, out)
+        return np.subtract(v, np.multiply(_dot(v, n)[..., None], n, out=out), out=out)
 
-    def _wrap_angle(self, p, q):
+    def _wrap_angle(self, p, q, out=None):
         # signed circular angle from p to q in (-pi, pi]
-        s = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
-        c = p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1]
-        return np.arctan2(s, c)
+        s = p[..., 0] * q[..., 1]
+        s -= p[..., 1] * q[..., 0]
+        c = p[..., 0] * q[..., 0]
+        c += p[..., 1] * q[..., 1]
+        return np.arctan2(s, c, out=out)
 
-    def dist(self, p, q):
+    def dist(self, p, q, out=None):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        return np.hypot(self._wrap_angle(p, q), q[..., 2] - p[..., 2])
+        return np.hypot(self._wrap_angle(p, q, out), q[..., 2] - p[..., 2], out=out)
 
     def exp(self, p, v):
         p = np.asarray(p, float)

@@ -468,6 +468,14 @@ def _assert_same_bits(got, want):
                           np.ascontiguousarray(want).view(np.int64))
 
 
+def _layouts(x, y):
+    """``(x, y)`` as C-ordered and F-ordered arrays and as column slices of one array."""
+    wide = np.concatenate((x, y), axis=-1)
+    n = x.shape[-1]
+    return [(np.ascontiguousarray(x), np.ascontiguousarray(y)),
+            (np.asfortranarray(x), np.asfortranarray(y)), (wide[..., :n], wide[..., n:])]
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 @pytest.mark.parametrize(
     "shape",
@@ -484,10 +492,42 @@ def test_row_kernels_round_as_add_reduce(shape, n):
     b.reshape(-1, n)[:2] = 1.0
     c = _extreme_rows(shape + (n,), 2 * n + 1)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # with out= too, on C-ordered, F-ordered and column-sliced inputs
         for x, y in ((a, b), (a, c), (b, b)):
-            _assert_same_bits(_dot(x, y), np.add.reduce(x * y, axis=-1))
+            for x_in, y_in in _layouts(x, y):
+                want = np.add.reduce(x_in * y_in, axis=-1)
+                _assert_same_bits(_dot(x_in, y_in), want)
+                out = np.full(want.shape, np.nan)
+                assert _dot(x_in, y_in, out=out) is out
+                _assert_same_bits(out, want)
         for v in (a, b):
-            _assert_same_bits(_norm(v), np.sqrt(np.add.reduce(v * v, axis=-1)))
+            for v_in, _ in _layouts(v, v):
+                want = np.sqrt(np.add.reduce(v_in * v_in, axis=-1))
+                _assert_same_bits(_norm(v_in), want)
+                out = np.full(want.shape, np.nan)
+                assert _norm(v_in, out=out) is out
+                _assert_same_bits(out, want)
     # the signed-zero rows sum to +0, as reduce does
     zero = _dot(a, b).reshape(-1)[:2]
     assert not zero.any() and not np.signbit(zero).any()
+
+
+@pytest.mark.parametrize("batch", [1, 13, 10_000])
+@pytest.mark.parametrize("man", ALL_MANIFOLDS, ids=repr)
+def test_grid_kernels_with_out_give_the_bits_of_the_plain_call(man, batch):
+    # the grid step writes dist, tangent_projection and project_point into
+    # arrays of its own, column-major, and projects its state in place
+    rng = _rng(27)
+    p, q = man.random_point(rng, batch), man.random_point(rng, batch)
+    v = rng.standard_normal(p.shape)
+    x = p + 0.3 * v  # off the target
+    for kernel, args in ((man.dist, (p, q)), (man.tangent_projection, (p, v)),
+                         (man.project_point, (x,))):
+        want = kernel(*args)
+        for order in "CF":
+            out = np.full(want.shape, np.nan, order=order)
+            assert kernel(*(np.array(a, order=order) for a in args), out=out) is out
+            _assert_same_bits(out, want)
+    y = np.array(x, order="F")
+    assert man.project_point(y, out=y) is y
+    _assert_same_bits(y, man.project_point(x))

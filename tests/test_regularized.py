@@ -275,6 +275,75 @@ def test_regularized_run_does_not_depend_on_memory_layout(spec):
             assert np.array_equal(a.values, b.values)
 
 
+def _plain_grid_run(man, values, dt, eps, t_max, stops=()):
+    # every state of a grid run as (t, cumulative dissipation, values): the
+    # step written out from the public kernels and solve_banded, one fresh
+    # array per result
+    u = np.array(values)
+    h = 1.0 / (len(u) - 1)
+    flat_tol = max(1e-12, 1e-14 * (len(u) - 1))
+    stops = list(stops)
+    t, diss, tv = 0.0, 0.0, float(np.sum(man.dist(u[:-1], u[1:])))
+    rows = [(t, diss, u)]
+    while t < t_max - 1e-14 and tv >= flat_tol:
+        dt_step = min(dt, (stops[0] if stops else t_max) - t)
+        du = (u[1:] - u[:-1]) / h
+        gb = dt_step / (h * h) * (1.0 / np.sqrt(eps * eps + np.sum(du * du, axis=1)))
+        diagonal = np.ones(len(u))
+        diagonal[:-1] += gb
+        diagonal[1:] += gb
+        v = solve_banded(diagonal, -gb, u)
+        new = man.project_point(u + man.tangent_projection(u, v - u))
+        tv = float(np.sum(man.dist(new[:-1], new[1:])))
+        d = man.dist(u, new)
+        diss += h * float(np.sum(d * d)) / dt_step
+        t += dt_step
+        if stops and t >= stops[0] - 1e-14:
+            stops.pop(0)
+        u = new
+        rows.append((t, diss, u))
+    return rows
+
+
+@pytest.mark.parametrize("spec", TARGETS)
+def test_grid_run_is_the_plain_loop_bit_for_bit(spec):
+    # the run's arrays, allocated once and reused by every step, change no
+    # bit; 33 and 201 nodes take both paths of ``_dot``
+    man = parse_manifold(spec)
+    for grid_n in (33, 201):
+        u0 = noisy_field(man, grid_n=grid_n, noise=0.15, seed=7)
+        before = u0.values.copy()
+        dt = u0.h / 4
+        asked = [2.5 * dt, 4 * dt, 7.25 * dt]
+        # (config, requested times, the reference states the run records)
+        cases = [
+            # every 3rd of 10 steps, then the last
+            (FlowConfig(man, epsilon=1e-2, t_max=10 * dt, snapshot_every=3), (), [0, 3, 6, 9, 10]),
+            # steps end at dt, 2 dt, 2.5 dt, 3.5 dt, 4 dt, ..., 7 dt, 7.25 dt, 8 dt
+            (FlowConfig(man, epsilon=1e-2, t_max=8 * dt), asked, [0, 3, 5, 9, 10]),
+            # long steps: every 10th (the default cadence), and the state goes
+            # flat at the 13th, long before t_max, where the run stops
+            (FlowConfig(man, epsilon=1.0, dt=1.0, t_max=40.0), (), [0, 10, -1]),
+        ]
+        runs = []
+        for _ in range(2):  # twice in one process: nothing of one run leaks into the next
+            for cfg, stops, recorded in cases:
+                step = dt if cfg.dt == "auto" else cfg.dt
+                rows = _plain_grid_run(man, u0.values, step, cfg.epsilon, cfg.t_max, stops)
+                traj = run_regularized(u0, cfg, snapshot_times=stops or None)
+                want = [rows[k] for k in recorded]
+                assert np.array_equal(traj.times, [t for t, _, _ in want])
+                assert np.array_equal(traj.dissipation, [d for _, d, _ in want])
+                for snap, (_, _, values) in zip(traj.snapshots, want):
+                    assert np.array_equal(snap.values, values)
+                runs.append(traj)
+        assert rows[-1][0] < 40.0 and len(rows) > 11  # the flat exit
+        assert np.array_equal(u0.values, before)
+        snaps = [u0.values] + [s.values for traj in runs for s in traj.snapshots]
+        for i, a in enumerate(snaps):
+            assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
+
+
 @pytest.mark.parametrize("spec", TARGETS)
 def test_noisy_field_matches_per_node_noise(spec):
     # one batched tangent draw gives the bits of one draw per node: the same
