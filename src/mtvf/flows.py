@@ -310,8 +310,8 @@ def _step_arrays(n, dim):
 
 def _semi_implicit_step(man, u, h, dt, epsilon, out=None, work=None):
     # (I + g L_b) v = u: every row is strictly diagonally dominant, so SPD.
-    # The new state goes to out, and every other node-sized array but the
-    # solution of the solve to work (``_step_arrays``); both are new if not given.
+    # Writes the new state into out and its work into work (``_step_arrays``),
+    # new arrays where not given; only the solve returns an array of its own.
     du, gb, diagonal, off = work or _step_arrays(*u.shape)
     _face_slopes(u, h, epsilon, (du, gb))
     np.divide(1.0, gb, out=gb)

@@ -4,6 +4,8 @@ The exp/log pair is the foundation everything else (flows, verifier, lab)
 builds on, so the roundtrip identities are exercised in bulk and with
 hypothesis-generated edge cases.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -531,3 +533,28 @@ def test_grid_kernels_with_out_give_the_bits_of_the_plain_call(man, batch):
     y = np.array(x, order="F")
     assert man.project_point(y, out=y) is y
     _assert_same_bits(y, man.project_point(x))
+
+
+def test_cylinder_sqrt_forms_stay_within_2_ulp_of_hypot():
+    # dist and project_point take sqrt(a^2 + b^2), not np.hypot; checked
+    # against the correctly rounded math.hypot of the same two coordinates
+    man, rng, k = Cylinder(), _rng(28), 10_000
+    size = 10.0 ** rng.uniform(-12.0, math.log10(math.pi), k)  # chord sizes
+    turn = rng.uniform(0.0, 2.0 * math.pi, k)
+    ang, dz = size * np.cos(turn), size * np.sin(turn)
+    a0 = rng.uniform(-math.pi, math.pi, k)
+    z = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 6.0, k)
+    p = np.stack([np.cos(a0), np.sin(a0), z], axis=-1)
+    q = np.stack([np.cos(a0 + ang), np.sin(a0 + ang), z + dz], axis=-1)
+    a, dz = man._wrap_angle(p, q), q[:, 2] - p[:, 2]
+    want = np.array([math.hypot(x, y) for x, y in zip(a.tolist(), dz.tolist())])
+    assert np.all(np.abs(man.dist(p, q) - want) <= 2 * np.spacing(want))
+    # radii from 1e-13 to 1e6 around the axis
+    x = p * np.stack([10.0 ** rng.uniform(-13.0, 6.0, k)] * 2 + [np.ones(k)], axis=-1)
+    r = np.array([math.hypot(x0, x1) for x0, x1 in x[:, :2].tolist()])
+    want = np.stack([x[:, 0] / r, x[:, 1] / r, x[:, 2]], axis=-1)
+    assert np.all(np.abs(man.project_point(x) - want) <= 2 * np.spacing(np.abs(want)))
+    # within 1e-14 of the axis there is no closest point
+    for radius in (0.0, 5e-15, 9.9e-15):
+        with pytest.raises(GeometryError, match="axis"):
+            man.project_point(np.array([[1.0, 0.0, 3.0], [radius, 0.0, 1e6]]))
