@@ -29,7 +29,6 @@ from .errors import (
 from .flows import (
     FlowConfig,
     FlowTrajectory,
-    PiecewiseLinearFluxField,
     ScalarStaircaseFlow,
     face_flux,
     flow,

@@ -43,8 +43,8 @@ _TV_INCREASE_TOL = 1e-7
 _FLAT_TV_TOL = 1e-12
 # a jump below this size and _PAIR_ISOLATION times smaller than every other
 # one takes pair steps (``_pair_rk4``), which its own guard no longer limits;
-# setting it to 0 switches pair steps off (the name predates them)
-_MERGE_AHEAD_JUMP = 1e-3
+# setting it to 0 switches pair steps off
+_PAIR_JUMP = 1e-3
 _PAIR_ISOLATION = 10.0
 # the other plateaus' RK4 stages see the pair's turning offset at three times
 # only, and it turns fastest just before the collision: a pair step ends at
@@ -105,33 +105,6 @@ class FlowConfig:
             if not isinstance(self.dt, (int, float)) or not 1e-15 <= float(self.dt) < math.inf:
                 raise ConfigError("dt must be 'auto' or a finite number of at least 1e-15")
             self.dt = float(self.dt)
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearFluxField:
-    """Flux field linear on each plateau of a piecewise-constant curve.
-
-    Piece ``i`` spans the i-th plateau; its endpoint values are tangent
-    vectors at that plateau's value.  The one-sided limits at breakpoint
-    ``x_i`` are ``right_values[i]`` (from the left) and ``left_values[i+1]``
-    (from the right); the field vanishes at both ends of [0, 1].
-    """
-
-    breakpoints: np.ndarray      # (m,)
-    left_values: np.ndarray      # (m+1, N) value at the left end of each piece
-    right_values: np.ndarray     # (m+1, N) value at the right end of each piece
-
-    def max_norm(self) -> float:
-        # within a piece the field is a convex-combination path between the
-        # endpoint vectors, so endpoint norms dominate
-        return float(np.max(_norm(np.vstack([self.left_values, self.right_values])), initial=0.0))
-
-    def value_at(self, x: float) -> np.ndarray:
-        edges = np.concatenate([[0.0], self.breakpoints, [1.0]])
-        i = min(max(np.searchsorted(edges, x, side="right") - 1, 0), len(edges) - 2)
-        a, b = edges[i], edges[i + 1]
-        s = 0.0 if b == a else (x - a) / (b - a)
-        return (1.0 - s) * self.left_values[i] + s * self.right_values[i]
 
 
 # the solver names the library's trajectory builders record
@@ -419,11 +392,15 @@ def _jump_tangents(manifold: Manifold, values: np.ndarray):
     return t_minus, t_plus
 
 
-def reconstruct_z_pc(curve: PiecewiseConstantCurve) -> PiecewiseLinearFluxField:
-    """Closed-form flux of a piecewise-constant state.
+def reconstruct_z_pc(curve: PiecewiseConstantCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form flux of a piecewise-constant state, as two ``(m+1, N)``
+    arrays ``(left, right)``: its values at the left and right end of every
+    plateau, tangent at that plateau's value.
 
-    Linear on every plateau, zero at both domain ends, equal to the unit
-    tangents of each jump in the one-sided limits at its breakpoint.
+    The flux is linear on every plateau, so these are all of it.  It is zero at
+    both domain ends (``left[0]``, ``right[-1]``), and at breakpoint ``i`` its
+    one-sided limits ``right[i]`` and ``left[i + 1]`` are the unit tangents of
+    that jump.
     """
     if not isinstance(curve, PiecewiseConstantCurve):
         raise ConfigError("the closed-form flux needs a piecewise-constant curve")
@@ -432,7 +409,7 @@ def reconstruct_z_pc(curve: PiecewiseConstantCurve) -> PiecewiseLinearFluxField:
     right = np.zeros_like(left)
     if m:
         right[:-1], left[1:] = _jump_tangents(curve.manifold, curve.values)
-    return PiecewiseLinearFluxField(np.array(curve.breakpoints, copy=True), left, right)
+    return left, right
 
 
 def pc_velocity(manifold: Manifold, lengths: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -655,7 +632,7 @@ def run_exact_pc(
         dt_step = min(dt_base, rec.horizon(t))
         k = int(d.argmin())
         stepped = None
-        if d[k] < _MERGE_AHEAD_JUMP and (np.delete(d, k) > _PAIR_ISOLATION * d[k]).all():
+        if d[k] < _PAIR_JUMP and (np.delete(d, k) > _PAIR_ISOLATION * d[k]).all():
             tau = _pair_collision(man, lengths, rates, vals, d, k)[0]
             # a run that ends before the pair collides ends on guarded steps
             if tau is not None and tau < t_max - t:

@@ -117,46 +117,44 @@ def distance_to_geodesic(manifold: Manifold, x, p, q) -> np.ndarray:
 
     ``x``, ``p`` and ``q`` broadcast over leading axes: points of shape
     ``(k, N)`` against one segment give ``(k,)`` distances.  Closed form on
-    the 2-sphere; elsewhere the minimum over 257 segment points.
+    ``sphere:3``, the one target it accepts; any other raises ``ConfigError``.
     """
+    if not (manifold.kind == "sphere" and manifold.ambient_dim == 3):
+        raise ConfigError(f"the distance to a geodesic is computed on sphere:3 only, "
+                          f"not on {manifold.spec_id}")
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if manifold.kind == "sphere" and manifold.ambient_dim == 3:
-        # the foot on the great circle through p and q if it lies on the arc,
-        # else (p == q, x at a pole of the circle, foot past an end) an end
-        nvec = np.cross(p, q)
-        nn = np.sqrt(_dot(nvec, nvec))
-        nhat = nvec / np.where(nn > 1e-14, nn, 1.0)[..., None]
-        off = _dot(x, nhat)
-        foot = x - off[..., None] * nhat
-        fn = np.sqrt(_dot(foot, foot))
-        w = foot / np.where(fn > 1e-14, fn, 1.0)[..., None]
-        # w splits the arc p -> q, not its complement: for arcs longer than
-        # 2*pi/3 both distances can stay below the arc length off the arc
-        reach = manifold.dist(p, q) + 2e-12
-        on_arc = (nn > 1e-14) & (fn > 1e-14) & (manifold.dist(p, w) + manifold.dist(w, q) <= reach)
-        to_ends = np.minimum(manifold.dist(x, p), manifold.dist(x, q))
-        return np.where(on_arc, np.abs(np.arcsin(np.clip(off, -1.0, 1.0))), to_ends)
-    # running minimum over the segment samples keeps memory linear in the batch
-    best = np.inf
-    for s in np.linspace(0.0, 1.0, 257):
-        best = np.minimum(best, manifold.dist(manifold.geodesic_point(p, q, s), x))
-    return best
+    # the foot on the great circle through p and q if it lies on the arc,
+    # else (p == q, x at a pole of the circle, foot past an end) an end
+    nvec = np.cross(p, q)
+    nn = np.sqrt(_dot(nvec, nvec))
+    nhat = nvec / np.where(nn > 1e-14, nn, 1.0)[..., None]
+    off = _dot(x, nhat)
+    foot = x - off[..., None] * nhat
+    fn = np.sqrt(_dot(foot, foot))
+    w = foot / np.where(fn > 1e-14, fn, 1.0)[..., None]
+    # w splits the arc p -> q, not its complement: for arcs longer than
+    # 2*pi/3 both distances can stay below the arc length off the arc
+    reach = manifold.dist(p, q) + 2e-12
+    on_arc = (nn > 1e-14) & (fn > 1e-14) & (manifold.dist(p, w) + manifold.dist(w, q) <= reach)
+    to_ends = np.minimum(manifold.dist(x, p), manifold.dist(x, q))
+    return np.where(on_arc, np.abs(np.arcsin(np.clip(off, -1.0, 1.0))), to_ends)
 
 
 def hausdorff_one_sided(manifold: Manifold, p1, q1, p2, q2):
     """sup over the first segment, sampled at 33 points, of the distance to
-    the second segment; endpoints broadcast over leading axes."""
+    the second segment on ``sphere:3``; endpoints broadcast over leading axes."""
     p1, q1, p2, q2 = (np.asarray(a, dtype=float)[..., None, :] for a in (p1, q1, p2, q2))
     pts = manifold.geodesic_point(p1, q1, np.linspace(0.0, 1.0, 33))
     return np.max(distance_to_geodesic(manifold, pts, p2, q2), axis=-1)
 
 
 def endpoint_stability_ratio(manifold: Manifold, p1, q1, p2, q2):
-    """One-sided Hausdorff distance between two geodesic segments divided by
-    the larger endpoint displacement; 0 when the endpoints coincide.
-    Endpoints broadcast: four (n, N) arrays give (n,) ratios."""
+    """One-sided Hausdorff distance between two geodesic segments on
+    ``sphere:3`` divided by the larger endpoint displacement; 0 when the
+    endpoints coincide.  Endpoints broadcast: four (n, 3) arrays give (n,)
+    ratios.  Other targets raise ``ConfigError``."""
     denom = np.maximum(manifold.dist(p1, p2), manifold.dist(q1, q2))
     haus = hausdorff_one_sided(manifold, p1, q1, p2, q2)
     return np.where(denom == 0.0, 0.0, haus / np.where(denom == 0.0, 1.0, denom))[()]

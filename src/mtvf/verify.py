@@ -197,8 +197,8 @@ def check_sphere_equivalence(traj: FlowTrajectory) -> CheckReport:
             if not snap.num_jumps:
                 continue
             # the flux in its one-sided limits at each jump
-            flux = reconstruct_z_pc(snap)
-            t_minus, t_plus = flux.right_values[:-1], flux.left_values[1:]
+            left, right = reconstruct_z_pc(snap)
+            t_minus, t_plus = right[:-1], left[1:]
             # (i) tangency at both ends of every linear piece
             r_tan = max(r_tan, float(np.max(np.abs(_dot(t_minus, vals[:-1])))),
                         float(np.max(np.abs(_dot(t_plus, vals[1:])))))

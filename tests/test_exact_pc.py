@@ -285,7 +285,7 @@ def test_two_plateaus_merge_ahead_in_closed_form(man):
     before, after = traj.snapshots[-2], traj.final_curve
     d = chord_sizes(before)[0]
     c = 1 / 0.3 + 1 / 0.7
-    assert 0 < d < mtvf.flows._MERGE_AHEAD_JUMP and after.num_jumps == 0
+    assert 0 < d < mtvf.flows._PAIR_JUMP and after.num_jumps == 0
     assert abs(traj.times[-1] - traj.times[-2] - d / c) <= 4 * EPS * traj.times[-1]
     assert abs(traj.dissipation[-1] - traj.dissipation[-2] - d) <= 4 * EPS * traj.dissipation[-1]
     centre = man.project_point(before.plateau_lengths() @ before.values)
@@ -298,7 +298,7 @@ def _guarded_run(monkeypatch, u0, **kw):
     # the same run with pair steps switched off: every jump closes under the
     # step guard and merges at _MERGE_TOL
     with monkeypatch.context() as m:
-        m.setattr(mtvf.flows, "_MERGE_AHEAD_JUMP", 0.0)
+        m.setattr(mtvf.flows, "_PAIR_JUMP", 0.0)
         return run_exact_pc(u0, **kw)
 
 
@@ -373,6 +373,20 @@ def test_simultaneous_collisions_match_the_scalar_flow():
         assert abs(traj.dissipation[k] - exact.dissipation_at(t)) <= 1e-12, t
 
 
+def _budget_pc_velocity(monkeypatch, limit):
+    """Make the solver's pc_velocity raise on its call past ``limit``, so a
+    run that crawls fails instead of hanging."""
+    real, calls = pc_velocity, []
+
+    def budgeted(man, lengths, values):
+        calls.append(None)
+        if len(calls) > limit:
+            raise RuntimeError("pc_velocity call budget exhausted")
+        return real(man, lengths, values)
+
+    monkeypatch.setattr(mtvf.flows, "pc_velocity", budgeted)
+
+
 @pytest.mark.parametrize("width", [1e-7, 1e-9, 1e-11])
 def test_narrow_middle_plateau_does_not_crawl(monkeypatch, width):
     # the middle plateau's rate bound 2/width keeps every guard below the
@@ -380,15 +394,7 @@ def test_narrow_middle_plateau_does_not_crawl(monkeypatch, width):
     # neighbour, whose jump then closes at speed 2 only.  Guarded by the
     # rates, that jump took 1e-12 steps to t_max; a call budget stops such a
     # run instead of letting it hang
-    real, calls = pc_velocity, []
-
-    def budgeted(man, lengths, values):
-        calls.append(None)
-        if len(calls) > 20_000:
-            raise RuntimeError("pc_velocity call budget exhausted")
-        return real(man, lengths, values)
-
-    monkeypatch.setattr(mtvf.flows, "pc_velocity", budgeted)
+    _budget_pc_velocity(monkeypatch, 20_000)
     u0 = scalar_curve([0.5, 0.5 + width], [0.0, 1.0, 0.3])
     wanted = [0.01, 0.05, 0.1]
     traj = run_exact_pc(u0, t_max=4.0, snapshot_times=wanted)
@@ -417,15 +423,7 @@ def test_a_plateau_narrower_than_the_floor_step_merges_at_once(monkeypatch, brea
     # and two of width 1e-11 booked 0.4 too little dissipation.  A jump that
     # closes within the floor step merges at once, by the merge rule; a run
     # that such merges end within 1e-15 of time 0 still records its end
-    real, calls = pc_velocity, []
-
-    def budgeted(man, lengths, values):
-        calls.append(None)
-        if len(calls) > 2_000:
-            raise RuntimeError("pc_velocity call budget exhausted")
-        return real(man, lengths, values)
-
-    monkeypatch.setattr(mtvf.flows, "pc_velocity", budgeted)
+    _budget_pc_velocity(monkeypatch, 2_000)
     u0 = scalar_curve(breakpoints(width), levels)
     wanted = [0.01, 0.05, 0.1, 0.3]
     traj = run_exact_pc(u0, t_max=4.0, snapshot_times=wanted)
@@ -445,6 +443,34 @@ def test_a_narrow_plateau_pulled_aslant_is_not_merged():
     traj = run_exact_pc(u0, t_max=2e-14)
     assert traj.final_curve.num_jumps == 2
     assert abs(traj.dissipation[-1] + traj.tv[-1] - traj.tv[0]) <= 1e-9
+
+
+def _on_circle(angles):
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+_ASLANT = [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]
+
+
+@pytest.mark.xfail(raises=(RuntimeError, AssertionError), strict=True,
+                   reason="RK4 with a step floor cannot follow a stiff narrow plateau")
+@pytest.mark.parametrize("manifold,breakpoints,values,t_max", [
+    (EU2, [0.5, 0.5 + 1e-10], _ASLANT, 4.0),
+    (EU2, [0.5, 0.5 + 1e-11], _ASLANT, 4.0),
+    (EU2, [0.5, 0.5 + 1e-13], _ASLANT, 4.0),
+    (Circle(), [0.5, 0.5 + 1e-15], _on_circle([-0.261, -0.761, -1.261]), 0.01),
+    (Circle(), [0.5, 0.5 + 1e-13], _on_circle([-1.144, -1.644, -1.144]), 4.0),
+], ids=["aslant_1e-10", "aslant_1e-11", "aslant_1e-13", "circle_staircase", "circle_spike"])
+def test_a_stiff_narrow_plateau_keeps_the_energy_identity(monkeypatch, manifold, breakpoints,
+                                                          values, t_max):
+    # a plateau of width W relaxes onto the geodesic between its neighbours in
+    # a time of about W * d.  The aslant plateau never closes a jump, and
+    # floored steps carry it back and forth past the budget; the staircase's
+    # two tangents cancel to rounding, which the width divides (off by 1.7e13);
+    # the spike's merge takes the chord, not the arc (off by 2.1e-2)
+    _budget_pc_velocity(monkeypatch, 5_000)
+    traj = run_exact_pc(PiecewiseConstantCurve(manifold, breakpoints, values), t_max=t_max)
+    assert np.max(np.abs(traj.dissipation + traj.tv - traj.tv[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("refused", range(1, 6))
@@ -540,13 +566,13 @@ def test_z_field_reconstruction_refuses_a_sampled_curve():
 
 def test_z_field_reconstruction_structure():
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([82, 0])), n_jumps=2)
-    z = reconstruct_z_pc(u0)
-    assert np.all(z.value_at(0.0) == 0.0)
-    assert np.all(z.value_at(1.0) == 0.0)
-    assert z.max_norm() <= 1 + 1e-12
+    left, right = reconstruct_z_pc(u0)
+    assert left.shape == right.shape == (3, 3)
+    assert np.all(left[0] == 0.0) and np.all(right[-1] == 0.0)
+    assert np.max(np.linalg.norm(np.vstack([left, right]), axis=1)) <= 1 + 1e-12
     tm, tp = SPH.unit_tangent_pair(u0.values[:-1], u0.values[1:])
-    assert np.allclose(z.right_values[:-1], tm, atol=1e-12)
-    assert np.allclose(z.left_values[1:], tp, atol=1e-12)
+    assert np.allclose(right[:-1], tm, atol=1e-12)
+    assert np.allclose(left[1:], tp, atol=1e-12)
 
 
 def test_snapshot_floor_defers_cadence_records_until_the_merge(monkeypatch):

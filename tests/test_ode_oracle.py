@@ -67,7 +67,7 @@ def test_state_and_dissipation_match_the_plateau_ode(name, pair_steps, monkeypat
     if pair_steps:
         state_tol = diss_tol = PAIR_TOL
     else:
-        monkeypatch.setattr(mtvf.flows, "_MERGE_AHEAD_JUMP", 0.0)
+        monkeypatch.setattr(mtvf.flows, "_PAIR_JUMP", 0.0)
     u0 = PiecewiseConstantCurve(Euclidean(2), breakpoints, values)
     traj = run_exact_pc(u0, t_max=2.0 * first, snapshot_times=[t_end])
     k = traj.index_at(t_end)

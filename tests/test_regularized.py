@@ -19,10 +19,12 @@ from mtvf import (
     detect_stopping,
     scalar_curve,
 )
+from mtvf.cli import main
 from mtvf.curves import mollify
 from mtvf.flows import (
     FlowConfig, _semi_implicit_step, run_regularized, run_scalar_tv, solve_banded,
 )
+from mtvf.io import write_curve
 from mtvf.manifolds import parse_manifold
 from mtvf.synth import _rng, noisy_field, random_rad_curve
 
@@ -207,6 +209,23 @@ def test_solve_banded_refuses_an_indefinite_system():
     diagonal = np.array([2.0, -1.0, 2.0])
     with pytest.raises(SolverError, match="info"):
         solve_banded(diagonal, np.array([0.5, 0.5]), np.ones((3, 2)))
+
+
+def test_a_step_that_raises_the_variation_is_refused(monkeypatch, tmp_path, capsys):
+    # no step of the real run raises the chord sum; a solve that reflects its
+    # result about the right-hand side raises it on the first step
+    monkeypatch.setattr("mtvf.flows.solve_banded",
+                        lambda diagonal, off, rhs: 2.0 * rhs - solve_banded(diagonal, off, rhs))
+    field = noisy_field("sphere:3", 33, noise=0.05, seed=1)
+    with pytest.raises(SolverError, match=r"variation increased by .* in one step \(dt="):
+        run_regularized(field, FlowConfig(SPH, epsilon=1e-2))
+    curve_path, cfg = tmp_path / "field.csv", tmp_path / "run.cfg"
+    write_curve(str(curve_path), field)
+    cfg.write_text("manifold = sphere:3\nepsilon = 0.01\n")
+    assert main(["flow", "--config", str(cfg), "--input", str(curve_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: variation increased")
+    assert not (tmp_path / "out").exists()
 
 
 def test_scipy_loads_with_the_first_grid_step():

@@ -61,7 +61,7 @@ def _times(u0):
 def _flow(u0, t_max, times, merge_ahead=True):
     with pytest.MonkeyPatch.context() as patch:
         if not merge_ahead:
-            patch.setattr(mtvf.flows, "_MERGE_AHEAD_JUMP", 0.0)
+            patch.setattr(mtvf.flows, "_PAIR_JUMP", 0.0)
         return run_exact_pc(u0, t_max=t_max, snapshot_times=times)
 
 
