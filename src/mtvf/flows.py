@@ -61,6 +61,8 @@ _PAIR_SPAN = 3.0
 _SNAPSHOT_JUMP_FLOOR = 1e-7
 # a jump a guarded step closes to this size or below merges
 _MERGE_TOL = 1e-9
+# a run without requested snapshot times records every this many steps
+_SNAPSHOT_EVERY = 10
 
 
 @dataclass
@@ -69,14 +71,14 @@ class FlowConfig:
     1e-15, so that a step advances the time.  ``dt='auto'`` leaves the step to
     the solver: ``h / 4`` on a grid, ``min(1e-3, t_max / 32)`` in ``run_exact_pc``.
     ``epsilon`` and ``grid_n`` have no default: a set ``epsilon`` makes the run
-    a grid run, and ``grid_n``, the grid's node count, needs it."""
+    a grid run, and ``grid_n``, the grid's node count, needs it.  What a run
+    records is not a setting: see ``_Recorder``."""
 
     manifold: Manifold
     epsilon: float | None = None
     grid_n: int | None = None
     dt: float | str = "auto"
     t_max: float = 1.0
-    snapshot_every: int = 10
 
     def __post_init__(self):
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:  # NaN fails too
@@ -85,22 +87,16 @@ class FlowConfig:
             raise ConfigError(f"epsilon = {self.epsilon:g} is too small: its square is 0")
         if not 0 < self.t_max < math.inf:
             raise ConfigError("t_max must be positive and finite")
-        for name in ("grid_n", "snapshot_every"):
-            value = getattr(self, name)
-            if value is None and name == "grid_n":
-                continue
-            try:  # numpy integers are integers too
-                setattr(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.grid_n is not None:
+            try:  # numpy integers are integers too
+                self.grid_n = operator.index(self.grid_n)
+            except TypeError:
+                raise ConfigError(f"grid_n must be an integer, got {self.grid_n!r}") from None
             if self.epsilon is None:
                 raise ConfigError("grid_n is read by the regularized solver only, "
                                   "which runs when epsilon is set")
             if self.grid_n < 3:
                 raise ConfigError("grid_n must be at least 3")
-        if self.snapshot_every < 1:
-            raise ConfigError("snapshot_every must be at least 1")
         if self.dt != "auto":
             if not isinstance(self.dt, (int, float)) or not 1e-15 <= float(self.dt) < math.inf:
                 raise ConfigError("dt must be 'auto' or a finite number of at least 1e-15")
@@ -186,7 +182,7 @@ class _Recorder:
     Requested ``snapshot_times`` in (0, t_max] are recorded when a step
     reaches them (a non-finite one is a ``ConfigError``); each ends a step
     of its own, so a time within 1e-14 of the one before it is the same
-    snapshot.  Without requested times every ``snapshot_every``-th step is
+    snapshot.  Without requested times every ``_SNAPSHOT_EVERY``-th step is
     recorded.  A step ending in an event (a merge, a state going flat) is
     recorded too.  Cadence and event records wait until the state is
     resolved; requested times do not.  Time 0 goes through ``add``, which
@@ -194,9 +190,8 @@ class _Recorder:
     row is a time, its snapshot and the cumulative dissipation.
     """
 
-    def __init__(self, snapshot_times, t_max, snapshot_every=1):
+    def __init__(self, snapshot_times, t_max):
         self.t_max = t_max
-        self.every = snapshot_every
         self.steps = 0
         self.wanted = None
         if snapshot_times is not None:
@@ -219,7 +214,7 @@ class _Recorder:
         if self.wanted and t >= self.wanted[0] - 1e-14:
             self.wanted.pop(0)
             return True
-        cadence = self.wanted is None and self.steps % self.every == 0
+        cadence = self.wanted is None and self.steps % _SNAPSHOT_EVERY == 0
         return (event or cadence) and resolved()
 
     def add(self, t, snapshot, dissipation):
@@ -281,11 +276,11 @@ def _step_arrays(n, dim):
     return np.empty((n - 1, dim), order="F"), np.empty(n - 1), np.empty(n), np.empty(n - 1)
 
 
-def _semi_implicit_step(man, u, h, dt, epsilon, out=None, work=None):
+def _semi_implicit_step(man, u, h, dt, epsilon, out, work):
     # (I + g L_b) v = u: every row is strictly diagonally dominant, so SPD.
-    # Writes the new state into out and its work into work (``_step_arrays``),
-    # new arrays where not given; only the solve returns an array of its own.
-    du, gb, diagonal, off = work or _step_arrays(*u.shape)
+    # Writes the new state into out and its work into work (``_step_arrays``);
+    # only the solve returns an array of its own.
+    du, gb, diagonal, off = work
     _face_slopes(u, h, epsilon, (du, gb))
     np.divide(1.0, gb, out=gb)
     gb *= dt / (h * h)
@@ -348,7 +343,7 @@ def run_regularized(
     d_step = np.empty(u.shape[0])
     t = 0.0
     diss = 0.0
-    rec = _Recorder(snapshot_times, config.t_max, config.snapshot_every)
+    rec = _Recorder(snapshot_times, config.t_max)
     tv_prev = float(np.sum(chords))
     flat = tv_prev < flat_tol
     rec.add(t, SampledCurve(man, u), diss)
@@ -559,7 +554,6 @@ def run_exact_pc(
     u0: PiecewiseConstantCurve,
     t_max: float,
     dt: float | str = "auto",
-    snapshot_every: int = 10,
     snapshot_times=None,
 ) -> FlowTrajectory:
     """Integrate the flow of a piecewise-constant datum.
@@ -583,16 +577,17 @@ def run_exact_pc(
     Terminates at ``t_max`` or when a single plateau remains.  Arguments
     follow ``FlowConfig``'s rules and raise ``ConfigError`` otherwise.
 
-    Cadence and merge-event records are deferred while any jump sits below
-    the snapshot resolution floor (the state is then mid merge-cascade and
-    its unit tangents are numerically meaningless); snapshots at explicitly
+    A run records its merges and, without ``snapshot_times``, every
+    ``_SNAPSHOT_EVERY``-th step.  Those records are deferred while any jump
+    sits below the snapshot resolution floor (the state is then mid
+    merge-cascade and its unit tangents are numerically meaningless);
     requested ``snapshot_times`` and the final state are always recorded.
     """
     if not isinstance(u0, PiecewiseConstantCurve):
         raise ConfigError("the exact solver needs a piecewise-constant curve: a sampled "
                           "input runs on the regularized solver, set epsilon")
     man = u0.manifold
-    config = FlowConfig(man, t_max=t_max, snapshot_every=snapshot_every, dt=dt)
+    config = FlowConfig(man, t_max=t_max, dt=dt)
     _refuse_wide(man, chord_sizes(u0), lambda i: u0.breakpoints[i], "jump")
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
 
@@ -600,7 +595,7 @@ def run_exact_pc(
     vals = np.array(u0.values, dtype=float)
     t = 0.0
     diss = 0.0
-    rec = _Recorder(snapshot_times, t_max, snapshot_every)
+    rec = _Recorder(snapshot_times, t_max)
 
     def measure():
         # plateau lengths, the closing-rate bound of each jump (the sum of the
@@ -691,8 +686,7 @@ def flow(curve, config: FlowConfig, snapshot_times=None) -> FlowTrajectory:
         raise ConfigError(f"input curve lives on {curve.manifold.spec_id}, "
                           f"config says {config.manifold.spec_id}")
     if config.epsilon is None:
-        return run_exact_pc(curve, t_max=config.t_max, dt=config.dt,
-                            snapshot_every=config.snapshot_every, snapshot_times=snapshot_times)
+        return run_exact_pc(curve, t_max=config.t_max, dt=config.dt, snapshot_times=snapshot_times)
     if isinstance(curve, PiecewiseConstantCurve):
         if config.grid_n is None:
             raise ConfigError("a step input is mollified onto grid_n nodes: set grid_n")

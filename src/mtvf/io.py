@@ -223,7 +223,6 @@ _CONFIG_KEYS = {
     "dt": (lambda text: text if text == "auto" else float(text),
            lambda dt: "auto" if dt == "auto" else fmt(dt)),
     "t_max": (float, fmt),
-    "snapshot_every": (int, str),
 }
 
 

@@ -15,6 +15,13 @@ def acceptance_log():
     return record
 
 
+@pytest.fixture
+def cadence(monkeypatch):
+    """``cadence(n)``: for the rest of the test, a run without requested
+    snapshot times records every n-th step, not every ``_SNAPSHOT_EVERY``-th."""
+    return lambda every: monkeypatch.setattr("mtvf.flows._SNAPSHOT_EVERY", every)
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

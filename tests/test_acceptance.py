@@ -13,7 +13,6 @@ import pytest
 
 from mtvf import (
     Euclidean,
-    PiecewiseConstantCurve,
     SampledCurve,
     Sphere,
     check_energy,
@@ -76,19 +75,19 @@ def _exact_runs(suite_runs):
         yield from rows
 
 
-def test_criterion_01_single_jump_extinction(acceptance_log):
+def test_criterion_01_single_jump_extinction(acceptance_log, cadence):
+    cadence(1)
     t0 = time.monotonic()
     worst_exact = 0.0
     for x0 in (0.25, 0.5, 0.75):
         u0 = scalar_curve([x0], [-1.0, 1.0])
-        stop = detect_stopping(run_exact_pc(u0, t_max=1.0, snapshot_every=1))
+        stop = detect_stopping(run_exact_pc(u0, t_max=1.0))
         assert stop is not None
         worst_exact = max(worst_exact, abs(stop[0] - 2 * x0 * (1 - x0)))
 
     u0 = scalar_curve([0.5], [-1.0, 1.0])
     moll = mollify(u0, 1601)
-    cfg = FlowConfig(manifold=Euclidean(1), epsilon=1e-3, grid_n=1601,
-                     t_max=0.75, snapshot_every=1)
+    cfg = FlowConfig(manifold=Euclidean(1), epsilon=1e-3, grid_n=1601, t_max=0.75)
     stop = detect_stopping(run_regularized(moll, cfg))
     assert stop is not None
     rel = abs(stop[0] - 0.5) / 0.5
@@ -103,12 +102,13 @@ def test_criterion_01_single_jump_extinction(acceptance_log):
     assert elapsed < 30.0
 
 
-def test_criterion_02_jump_immobility(acceptance_log):
+def test_criterion_02_jump_immobility(acceptance_log, cadence):
+    cadence(1)
     rng = np.random.Generator(np.random.Philox([2, 0]))
     moved = 0
     for _ in range(10):
         u0 = random_rad_curve(SPH, rng)
-        traj = run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total, snapshot_every=1)
+        traj = run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total)
         initial = set(u0.breakpoints.tolist())
         for snap in traj.snapshots:
             if not set(snap.breakpoints.tolist()) <= initial:

@@ -55,10 +55,11 @@ def _sphere_pair():
 # ---------------------------------------------------------------------------
 
 
-def test_single_jump_breakpoint_immobile():
+def test_single_jump_breakpoint_immobile(cadence):
+    cadence(1)
     p, q = _sphere_pair()
     u0 = PiecewiseConstantCurve(SPH, [0.3], np.stack([p, q]))
-    traj = run_exact_pc(u0, t_max=0.2, snapshot_every=1)
+    traj = run_exact_pc(u0, t_max=0.2)
     for snap in traj.snapshots:
         if snap.num_jumps:
             assert snap.breakpoints[0] == 0.3  # exact, not approximate
@@ -74,13 +75,14 @@ def test_single_jump_extinction_euclidean_line():
     assert stop[1][0] == pytest.approx(-s0 * x0 + s0 * (1 - x0), abs=1e-8)
 
 
-def test_single_jump_sphere_matches_geodesic_flow():
+def test_single_jump_sphere_matches_geodesic_flow(cadence):
     # the full solver restricted to a single jump must agree with the scalar
     # flow transported along the connecting geodesic, snapshot by snapshot
+    cadence(1)
     p, q = _sphere_pair()
     u0 = PiecewiseConstantCurve(SPH, [0.3], np.stack([p, q]))
     t_end = 1.2 * 2 * (np.pi / 2) * 0.3 * 0.7
-    traj = run_exact_pc(u0, t_max=t_end, snapshot_every=1)
+    traj = run_exact_pc(u0, t_max=t_end)
     sigma0 = scalar_curve([0.3], [0.0, 1.0])
     ref = flow_on_geodesic(SPH, p, q, sigma0, t_end, sample_times=traj.times)
     xs = np.linspace(0, 1, 1025)
@@ -89,10 +91,11 @@ def test_single_jump_sphere_matches_geodesic_flow():
         assert sup <= 1e-8
 
 
-def test_plateau_values_move_toward_each_other():
+def test_plateau_values_move_toward_each_other(cadence):
+    cadence(5)
     p, q = _sphere_pair()
     u0 = PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q]))
-    traj = run_exact_pc(u0, t_max=0.1, snapshot_every=5)
+    traj = run_exact_pc(u0, t_max=0.1)
     sizes = [chord_sizes(s)[0] for s in traj.snapshots if s.num_jumps]
     assert all(b < a for a, b in zip(sizes, sizes[1:]))
 
@@ -216,35 +219,38 @@ def test_few_velocity_calls_per_merge_below_a_small_jump(monkeypatch):
     assert np.sum(calls < 1e-3) <= 15 * merges
 
 
-def test_first_jump_vanishes_before_coupling_bound():
+def test_first_jump_vanishes_before_coupling_bound(cadence):
     # solving d/dt dist^2 <= -(2/l_outer) dist shows the first merge happens
     # before 2*min(l_left*d01, l_right*d12)
+    cadence(1)
     rng = np.random.Generator(np.random.Philox([77, 0]))
     for _ in range(5):
         u0 = random_rad_curve(SPH, rng, n_jumps=2)
         d = chord_sizes(u0)
         lengths = u0.plateau_lengths()
         bound = 2 * min(lengths[0] * d[0], lengths[-1] * d[-1])
-        traj = run_exact_pc(u0, t_max=1.5 * bound, snapshot_every=1)
+        traj = run_exact_pc(u0, t_max=1.5 * bound)
         njumps = np.array([s.num_jumps for s in traj.snapshots])
         first_merge = traj.times[np.argmax(njumps < njumps[0])]
         assert first_merge < bound + 1e-9
 
 
-def test_jump_sizes_nonincreasing_between_merges():
+def test_jump_sizes_nonincreasing_between_merges(cadence):
+    cadence(1)
     rng = np.random.Generator(np.random.Philox([78, 0]))
     u0 = random_rad_curve(SPH, rng, n_jumps=3)
-    traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total, snapshot_every=1)
+    traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
     rep = check_monotone_variation(traj)
     assert rep.tolerance == 1e-6
     assert rep.passed, rep
 
 
-def test_jump_distance_decay_rate():
+def test_jump_distance_decay_rate(cadence):
     # finite differences of the recorded outer-jump distances against the
     # closed-form decay bound d/dt dist^2 <= -(2/l_outer) * dist
+    cadence(1)
     u0 = random_rad_curve(EU2, np.random.Generator(np.random.Philox([22, 0])))
-    traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total, snapshot_every=1)
+    traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
     tol = 1e-4 + 10 * traj.dt_nominal
     for k in range(len(traj) - 1):
         a, b = traj.snapshots[k], traj.snapshots[k + 1]
@@ -276,12 +282,13 @@ def test_symmetric_collision_merges_at_midpoint():
 
 
 @pytest.mark.parametrize("man", [EU1, SPH], ids=lambda m: m.spec_id)
-def test_two_plateaus_merge_ahead_in_closed_form(man):
+def test_two_plateaus_merge_ahead_in_closed_form(cadence, man):
     # one jump: no outer pull (w = 0), so the pair closes at the constant rate
     # c = 1/l0 + 1/l1, collides after d/c and dissipates exactly d
+    cadence(1)
     p, q = (np.zeros(1), np.ones(1)) if man is EU1 else _sphere_pair()
     u0 = PiecewiseConstantCurve(man, [0.3], np.stack([p, q]))
-    traj = run_exact_pc(u0, t_max=1.0, snapshot_every=1)
+    traj = run_exact_pc(u0, t_max=1.0)
     before, after = traj.snapshots[-2], traj.final_curve
     d = chord_sizes(before)[0]
     c = 1 / 0.3 + 1 / 0.7
@@ -322,22 +329,24 @@ def test_merge_ahead_falls_back_for_a_snapshot_inside_the_collision_time(monkeyp
     _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=0.5, snapshot_times=wanted))
 
 
-def test_merge_ahead_falls_back_for_t_max_inside_the_collision_time(monkeypatch):
+def test_merge_ahead_falls_back_for_t_max_inside_the_collision_time(monkeypatch, cadence):
+    cadence(1)
     u0 = scalar_curve([0.3], [0.0, 1.0])
     t_max = _LINE_COLLISION - 1e-7
-    traj = run_exact_pc(u0, t_max=t_max, snapshot_every=1)
+    traj = run_exact_pc(u0, t_max=t_max)
     assert traj.times[-1] == t_max and traj.final_curve.num_jumps == 1
-    _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=t_max, snapshot_every=1))
+    _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=t_max))
 
 
-def test_merge_ahead_falls_back_when_outer_pulls_cancel_the_closing_rate(monkeypatch):
+def test_merge_ahead_falls_back_when_outer_pulls_cancel_the_closing_rate(monkeypatch, cadence):
     # a backward step inside a rising staircase: both outer pulls point along
     # the rise, so |w| = c exactly and the closed form is 0/0; the pair still
     # closes (at 2c), under the step guard
+    cadence(1)
     u0 = scalar_curve([0.25, 0.5, 0.75], [0.0, 1.0, 1.0 - 1e-6, 2.0])
-    traj = run_exact_pc(u0, t_max=1e-3, snapshot_every=1)
+    traj = run_exact_pc(u0, t_max=1e-3)
     assert traj.final_curve.num_jumps == 2
-    _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=1e-3, snapshot_every=1))
+    _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=1e-3))
 
 
 def test_merge_ahead_falls_back_when_another_jump_closes_first():
@@ -474,13 +483,15 @@ def test_a_stiff_narrow_plateau_keeps_the_energy_identity(monkeypatch, manifold,
 
 
 @pytest.mark.parametrize("refused", range(1, 6))
-def test_pair_step_falls_back_when_a_frozen_pull_reaches_the_closing_rate(monkeypatch, refused):
+def test_pair_step_falls_back_when_a_frozen_pull_reaches_the_closing_rate(monkeypatch, cadence,
+                                                                        refused):
     # the pursuit closed form needs |w| < c for every frozen w of a step; a
     # step where one reaches c, at any of its five pursuit calls, is taken
     # under the step guard instead, the same step the run without pair steps
     # takes
+    cadence(1)
     u0 = random_rad_curve(EU2, np.random.Generator(np.random.Philox([22, 0])))
-    kw = dict(t_max=4 * tv_measure(u0).total, snapshot_every=1)
+    kw = dict(t_max=4 * tv_measure(u0).total)
     pair_rk4, pursuit = mtvf.flows._pair_rk4, mtvf.flows._pursuit
     calls, refusals = [0], [0]
 
@@ -575,12 +586,13 @@ def test_z_field_reconstruction_structure():
     assert np.allclose(left[1:], tp, atol=1e-12)
 
 
-def test_snapshot_floor_defers_cadence_records_until_the_merge(monkeypatch):
+def test_snapshot_floor_defers_cadence_records_until_the_merge(monkeypatch, cadence):
     # the two equal jumps of staircase([0, 1, 0]) close at rate 9 and merge
     # together at t = 1/9, so no pair step applies; the guarded approach takes
     # twelve steps with a jump below the floor, whose records wait for the merge
+    cadence(1)
     u0 = staircase([0.0, 1.0, 0.0])
-    traj = run_exact_pc(u0, t_max=0.2, snapshot_every=1)
+    traj = run_exact_pc(u0, t_max=0.2)
     assert traj.final_curve.num_jumps == 0 and traj.times[-1] < 0.2
     smallest = [float(np.min(np.abs(np.diff(s.values[:, 0])))) for s in traj.snapshots[:-1]]
     assert min(smallest) > mtvf.flows._SNAPSHOT_JUMP_FLOOR
@@ -592,7 +604,7 @@ def test_snapshot_floor_defers_cadence_records_until_the_merge(monkeypatch):
     assert snap.num_jumps == 2
     assert np.allclose(np.abs(np.diff(snap.values[:, 0])), 4.5e-8, rtol=1e-6, atol=0.0)
     monkeypatch.setattr(mtvf.flows, "_SNAPSHOT_JUMP_FLOOR", 0.0)
-    assert len(run_exact_pc(u0, t_max=0.2, snapshot_every=1)) - len(traj) == 12
+    assert len(run_exact_pc(u0, t_max=0.2)) - len(traj) == 12
 
 
 def test_repeated_snapshot_times_record_one_snapshot_each():
@@ -641,8 +653,6 @@ def test_index_at_reads_only_recorded_times_and_the_end_of_an_early_stop():
         {"dt": 0.0},
         {"dt": -1e-3},
         {"dt": 1e-16},
-        {"snapshot_every": 0},
-        {"snapshot_every": -1},
         {"epsilon": float("inf")},
     ],
     ids=lambda o: "{}={}".format(*next(iter(o.items()))),
@@ -676,16 +686,17 @@ _SAMPLED = noisy_field("circle", grid_n=33, noise=0.05, seed=3)
 
 
 @pytest.mark.parametrize("snapshot_times", [None, [0.01, 0.03]], ids=["cadence", "requested"])
-@pytest.mark.parametrize("curve,config,direct", [
-    (_STEP, FlowConfig(EU1, t_max=0.05, dt=2e-3),
-     lambda u, cfg, times: run_exact_pc(u, cfg.t_max, cfg.dt, cfg.snapshot_every, times)),
-    (_STEP, FlowConfig(EU1, epsilon=0.1, grid_n=41, t_max=0.05),
+@pytest.mark.parametrize("curve,config,every,direct", [
+    (_STEP, FlowConfig(EU1, t_max=0.05, dt=2e-3), 10,
+     lambda u, cfg, times: run_exact_pc(u, cfg.t_max, cfg.dt, times)),
+    (_STEP, FlowConfig(EU1, epsilon=0.1, grid_n=41, t_max=0.05), 10,
      lambda u, cfg, times: run_regularized(mollify(u, 41), cfg, times)),
-    (_SAMPLED, FlowConfig(_SAMPLED.manifold, epsilon=0.05, t_max=0.05, snapshot_every=3),
+    (_SAMPLED, FlowConfig(_SAMPLED.manifold, epsilon=0.05, t_max=0.05), 3,
      lambda u, cfg, times: run_regularized(u, cfg, times)),
 ], ids=["step_exact", "step_mollified", "sampled"])
-def test_flow_is_the_half_its_config_picks(curve, config, direct, snapshot_times):
+def test_flow_is_the_half_its_config_picks(cadence, curve, config, every, direct, snapshot_times):
     # flow adds no arithmetic: its trajectory is the direct call's, bit for bit
+    cadence(every)
     got, want = flow(curve, config, snapshot_times), direct(curve, config, snapshot_times)
     assert got.solver == want.solver and got.dt_nominal == want.dt_nominal
     assert np.array_equal(got.times, want.times)

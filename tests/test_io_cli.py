@@ -2,7 +2,6 @@
 import dataclasses
 import glob
 import json
-import os
 import warnings
 
 import numpy as np
@@ -107,8 +106,7 @@ def test_regularized_trajectory_round_trip_keeps_epsilon(tmp_path):
 
 
 def test_config_round_trip():
-    cfg = FlowConfig(manifold=SPH, epsilon=3e-4, grid_n=129, dt=1.25e-4,
-                     t_max=0.7, snapshot_every=3)
+    cfg = FlowConfig(manifold=SPH, epsilon=3e-4, grid_n=129, dt=1.25e-4, t_max=0.7)
     back = flow_config_from_mapping(parse_config_text(config_to_text(cfg)))
     assert back == cfg
     auto = FlowConfig(manifold=Euclidean(1))
@@ -864,18 +862,28 @@ def test_cli_step_underflow_exits_2_and_leaves_no_run_directory(tmp_path, capsys
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("solver", ["auto", "regularized"])
-def test_cli_merge_tol_in_config_is_refused_before_the_run_directory(tmp_path, capsys, solver):
-    # the exact solver's merge tolerance is a constant, so no config sets it,
-    # whichever solver the config selects ("auto", with no epsilon, is the exact one)
+# case -> (config file, the key refused): the exact solver's merge tolerance
+# is a constant, so no config sets it, whichever solver the config selects
+# ("auto", with no epsilon, is the exact one); nor does one set the recording
+# cadence, which a config.txt written while it was a setting still holds
+_UNKNOWN_KEYS = {
+    "auto": ("manifold = euclidean:1\nt_max = 1.0\nmerge_tol = 1e-9\n", "merge_tol"),
+    "regularized": ("manifold = euclidean:1\nt_max = 1.0\nmerge_tol = 1e-9\n"
+                    "epsilon = 0.1\ngrid_n = 33\n", "merge_tol"),
+    "old_config_txt": ("manifold = euclidean:1\ndt = auto\nt_max = 1\nsnapshot_every = 10\n",
+                       "snapshot_every"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNKNOWN_KEYS))
+def test_cli_unknown_config_key_is_refused_before_the_run_directory(tmp_path, capsys, case):
+    text, key = _UNKNOWN_KEYS[case]
     write_curve(str(tmp_path / "u0.csv"), scalar_curve([0.5], [0.0, 1.0]))
-    keys = {"auto": {}, "regularized": {"epsilon": 0.1, "grid_n": 33}}[solver]
-    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=1.0, merge_tol=1e-9,
-                  **keys)
+    (tmp_path / "run.cfg").write_text(text)
     assert main(["flow", "--config", str(tmp_path / "run.cfg"),
                  "--input", str(tmp_path / "u0.csv"), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert "unknown config key 'merge_tol'" in err and "Traceback" not in err
+    assert f"unknown config key '{key}'" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -1004,9 +1012,9 @@ def test_cli_flow_records_only_the_keys_read(tmp_path):
     _write_config(tmp_path / "reg.cfg", manifold="circle", t_max=1e-3, epsilon=1e-2)
     expected = {
         "exact": ("exact.cfg", "stairs.csv",
-                  ["manifold", "dt", "t_max", "snapshot_every"]),
+                  ["manifold", "dt", "t_max"]),
         "regularized": ("reg.cfg", "field.csv",
-                        ["manifold", "epsilon", "grid_n", "dt", "t_max", "snapshot_every"]),
+                        ["manifold", "epsilon", "grid_n", "dt", "t_max"]),
     }
     for solver, (cfg, curve, keys) in expected.items():
         outdir = tmp_path / solver

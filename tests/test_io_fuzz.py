@@ -62,8 +62,7 @@ def intact(tmp_path_factory):
     d = tmp_path_factory.mktemp("intact")
     u0 = random_rad_curve(Euclidean(2), np.random.Generator(np.random.Philox([64, 0])))
     field = noisy_field("sphere:3", grid_n=9, noise=0.1, seed=5)
-    cfg = FlowConfig(manifold=Sphere(3), epsilon=1e-2, grid_n=9, t_max=0.01,
-                     snapshot_every=50)
+    cfg = FlowConfig(manifold=Sphere(3), epsilon=1e-2, grid_n=9, t_max=0.01)
     out = {"curve": [curve_to_text(u0), curve_to_text(field)],
            "config": [config_to_text(cfg)], "trajectory": [], "diagnostics": []}
     for name, traj in (("exact", run_exact_pc(u0, t_max=0.05 * tv_measure(u0).total)),

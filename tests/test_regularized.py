@@ -11,7 +11,6 @@ from mtvf import (
     ConfigError,
     Euclidean,
     GeometryError,
-    PiecewiseConstantCurve,
     SampledCurve,
     SolverError,
     Sphere,
@@ -22,7 +21,7 @@ from mtvf import (
 from mtvf.cli import main
 from mtvf.curves import mollify
 from mtvf.flows import (
-    FlowConfig, _semi_implicit_step, run_regularized, run_scalar_tv, solve_banded,
+    FlowConfig, _semi_implicit_step, _step_arrays, run_regularized, run_scalar_tv, solve_banded,
 )
 from mtvf.io import write_curve
 from mtvf.manifolds import parse_manifold
@@ -77,21 +76,16 @@ def test_config_refuses_grid_n_without_epsilon():
         FlowConfig(manifold=EU, grid_n=33)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("grid_n", 33.5), ("grid_n", 33.0), ("grid_n", "33"),
-    ("snapshot_every", 2.5), ("snapshot_every", 2.0), ("snapshot_every", None),
-])
+@pytest.mark.parametrize("field, value", [("grid_n", 33.5), ("grid_n", 33.0), ("grid_n", "33")])
 def test_config_refuses_a_non_integer_count(field, value):
-    # a float grid_n would reach np.linspace as a TypeError, and a float
-    # snapshot_every would silently change the recording cadence
+    # a float grid_n would reach np.linspace as a TypeError
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         FlowConfig(manifold=SPH, epsilon=1e-2, **{field: value})
 
 
 def test_config_takes_numpy_integer_counts_as_ints():
-    cfg = FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=np.int64(33), snapshot_every=np.int32(2))
-    assert (cfg.grid_n, cfg.snapshot_every) == (33, 2)
-    assert type(cfg.grid_n) is int and type(cfg.snapshot_every) is int
+    cfg = FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=np.int64(33))
+    assert cfg.grid_n == 33 and type(cfg.grid_n) is int
 
 
 def test_rejects_chord_at_twice_convexity_radius():
@@ -103,10 +97,11 @@ def test_rejects_chord_at_twice_convexity_radius():
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-3])
 @pytest.mark.parametrize("p", [2, 4])
-def test_p_energy_nonincreasing_semi_implicit(eps, p):
+def test_p_energy_nonincreasing_semi_implicit(cadence, eps, p):
+    cadence(1)
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([31, 0])), n_jumps=3)
     sharp = SampledCurve(SPH, u0.eval_grid(np.linspace(0, 1, 81)))
-    cfg = FlowConfig(manifold=SPH, epsilon=eps, grid_n=81, t_max=0.2, snapshot_every=1)
+    cfg = FlowConfig(manifold=SPH, epsilon=eps, grid_n=81, t_max=0.2)
     traj = run_regularized(sharp, cfg)
     energies = np.array([_p_energy(s, eps, p) for s in traj.snapshots])
     assert np.max(np.diff(energies), initial=-np.inf) <= 1e-7
@@ -137,10 +132,11 @@ def test_matches_scalar_staircase_under_refinement():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_single_jump_extinction_time_euclidean():
+def test_single_jump_extinction_time_euclidean(cadence):
+    cadence(1)
     u0 = scalar_curve([0.5], [-1.0, 1.0])
     moll = mollify(u0, 401)
-    cfg = FlowConfig(manifold=EU, epsilon=1e-3, grid_n=401, t_max=0.75, snapshot_every=1)
+    cfg = FlowConfig(manifold=EU, epsilon=1e-3, grid_n=401, t_max=0.75)
     traj = run_regularized(moll, cfg)
     stop = detect_stopping(traj)
     assert stop is not None
@@ -251,6 +247,11 @@ def test_scipy_loads_with_the_first_grid_step():
     assert proc.returncode == 0, proc.stderr
 
 
+def _step(man, u, h, dt, eps):
+    # one semi-implicit step into arrays of its own
+    return _semi_implicit_step(man, u, h, dt, eps, np.empty_like(u), _step_arrays(*u.shape))
+
+
 @pytest.mark.parametrize("spec", TARGETS)
 def test_semi_implicit_step_matches_band_matrix_solve(spec):
     # the reference assembles the 3 x n band of (I + g L_b) and solves it by
@@ -268,7 +269,7 @@ def test_semi_implicit_step_matches_band_matrix_solve(spec):
     ab[1, 1:] += gb
     v = scipy.linalg.solve_banded((1, 1), ab, u)
     reference = man.project_point(u + man.tangent_projection(u, v - u))
-    gap = float(np.max(np.abs(_semi_implicit_step(man, u, h, dt, eps) - reference)))
+    gap = float(np.max(np.abs(_step(man, u, h, dt, eps) - reference)))
     assert gap <= 1e-13
 
 
@@ -282,8 +283,8 @@ def test_regularized_run_does_not_depend_on_memory_layout(spec):
         values = noisy_field(man, grid_n=grid_n, noise=0.15, seed=6).values
         h = 1.0 / (grid_n - 1)
         dt = h / 4
-        c_step = _semi_implicit_step(man, np.ascontiguousarray(values), h, dt, 1e-2)
-        f_step = _semi_implicit_step(man, np.asfortranarray(values), h, dt, 1e-2)
+        c_step = _step(man, np.ascontiguousarray(values), h, dt, 1e-2)
+        f_step = _step(man, np.asfortranarray(values), h, dt, 1e-2)
         assert np.array_equal(c_step, f_step)
         cfg = FlowConfig(manifold=man, epsilon=1e-2, grid_n=grid_n, t_max=8 * dt)
         runs = [run_regularized(SampledCurve(man, np.array(values, order=order)), cfg)
@@ -325,7 +326,7 @@ def _plain_grid_run(man, values, dt, eps, t_max, stops=()):
 
 
 @pytest.mark.parametrize("spec", TARGETS)
-def test_grid_run_is_the_plain_loop_bit_for_bit(spec):
+def test_grid_run_is_the_plain_loop_bit_for_bit(cadence, spec):
     # the run's arrays, allocated once and reused by every step, change no
     # bit; 33 and 201 nodes take both paths of ``_dot``
     man = parse_manifold(spec)
@@ -334,19 +335,20 @@ def test_grid_run_is_the_plain_loop_bit_for_bit(spec):
         before = u0.values.copy()
         dt = u0.h / 4
         asked = [2.5 * dt, 4 * dt, 7.25 * dt]
-        # (config, requested times, the reference states the run records)
+        # (config, cadence, requested times, the reference states the run records)
         cases = [
             # every 3rd of 10 steps, then the last
-            (FlowConfig(man, epsilon=1e-2, t_max=10 * dt, snapshot_every=3), (), [0, 3, 6, 9, 10]),
+            (FlowConfig(man, epsilon=1e-2, t_max=10 * dt), 3, (), [0, 3, 6, 9, 10]),
             # steps end at dt, 2 dt, 2.5 dt, 3.5 dt, 4 dt, ..., 7 dt, 7.25 dt, 8 dt
-            (FlowConfig(man, epsilon=1e-2, t_max=8 * dt), asked, [0, 3, 5, 9, 10]),
+            (FlowConfig(man, epsilon=1e-2, t_max=8 * dt), 10, asked, [0, 3, 5, 9, 10]),
             # long steps: every 10th (the default cadence), and the state goes
             # flat at the 13th, long before t_max, where the run stops
-            (FlowConfig(man, epsilon=1.0, dt=1.0, t_max=40.0), (), [0, 10, -1]),
+            (FlowConfig(man, epsilon=1.0, dt=1.0, t_max=40.0), 10, (), [0, 10, -1]),
         ]
         runs = []
         for _ in range(2):  # twice in one process: nothing of one run leaks into the next
-            for cfg, stops, recorded in cases:
+            for cfg, every, stops, recorded in cases:
+                cadence(every)
                 step = dt if cfg.dt == "auto" else cfg.dt
                 rows = _plain_grid_run(man, u0.values, step, cfg.epsilon, cfg.t_max, stops)
                 traj = run_regularized(u0, cfg, snapshot_times=stops or None)

@@ -34,9 +34,9 @@ EU2 = Euclidean(2)
 SPH = Sphere(3)
 
 
-def _sphere_run(seed=5, **kw):
+def _sphere_run(seed=5):
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([seed, 0])))
-    return run_exact_pc(u0, t_max=4 * tv_measure(u0).total, **kw)
+    return run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
 
 
 def _with_snapshot(traj, k, snap):
@@ -164,8 +164,9 @@ def test_sphere_equivalence_rejects_flat_run():
         check_sphere_equivalence(traj)
 
 
-def test_sphere_equivalence_passes_exact_run():
-    traj = _sphere_run(seed=10, snapshot_every=5)
+def test_sphere_equivalence_passes_exact_run(cadence):
+    cadence(5)
+    traj = _sphere_run(seed=10)
     rep = check_sphere_equivalence(traj)
     assert rep.passed, rep
 
@@ -226,9 +227,10 @@ def test_detect_stopping_none_before_extinction():
     assert detect_stopping(traj) is None
 
 
-def test_detect_stopping_reports_first_constant_time():
+def test_detect_stopping_reports_first_constant_time(cadence):
+    cadence(1)
     u0 = scalar_curve([0.5], [-1.0, 1.0])
-    traj = run_exact_pc(u0, t_max=2.0, snapshot_every=1)
+    traj = run_exact_pc(u0, t_max=2.0)
     stop = detect_stopping(traj)
     assert stop is not None
     t_star, c = stop
