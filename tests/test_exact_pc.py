@@ -653,7 +653,13 @@ def test_index_at_reads_only_recorded_times_and_the_end_of_an_early_stop():
         {"dt": 0.0},
         {"dt": -1e-3},
         {"dt": 1e-16},
+        {"dt": "fast"},
+        {"t_max": float("nan")},
+        {"t_max": 0.0},
         {"epsilon": float("inf")},
+        {"epsilon": float("nan")},
+        {"epsilon": 0.0},
+        {"epsilon": 1e-200},  # positive, but its square underflows to 0
     ],
     ids=lambda o: "{}={}".format(*next(iter(o.items()))),
 )
@@ -665,7 +671,7 @@ def test_bad_options_are_config_errors(option):
     if "epsilon" not in option:
         u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([83, 0])))
         with pytest.raises(ConfigError, match=next(iter(option))):
-            run_exact_pc(u0, t_max=0.1, **option)
+            run_exact_pc(u0, **{"t_max": 0.1, **option})
 
 
 @pytest.mark.parametrize("epsilon,grid_n", [(None, None), (0.1, 33)], ids=["exact", "regularized"])
