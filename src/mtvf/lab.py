@@ -8,6 +8,7 @@ endpoint perturbation.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,13 @@ from .errors import ConfigError, GeometryError
 from .manifolds import Manifold, Sphere, _dot
 
 _SPHERE3 = Sphere(3)
+
+
+def _integer(name: str, value) -> int:
+    try:  # numpy integers are integers too, as in FlowConfig's grid_n
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def midpoint_separation(a: float) -> float:
@@ -49,7 +57,7 @@ def semiconvexity_gap(n: int) -> float:
 
 def first_positive_gap(n_max: int = 100) -> int | None:
     """Smallest n <= n_max with a positive semiconvexity gap (brute force)."""
-    for n in range(1, n_max + 1):
+    for n in range(1, _integer("n_max", n_max) + 1):
         if semiconvexity_gap(n) > 0.0:
             return n
     return None
@@ -60,17 +68,21 @@ def first_positive_gap(n_max: int = 100) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+_STEP = 1e-4
+_OFFSETS = np.array([0.0, _STEP, -_STEP, 0.5 * _STEP, -0.5 * _STEP])
+_OFFSETS.flags.writeable = False
+
+
 def second_difference(manifold: Manifold, p0, p, direction):
     """Richardson-extrapolated second difference of s -> 0.5*dist(exp_p(s X), p0)^2
     along a unit tangent direction X at p, with step 1e-4; directions of shape
     (k, N) give (k,) values from one ``exp`` and one ``dist`` call."""
-    step = 1e-4
     x = np.asarray(direction, dtype=float)
-    s = np.array([0.0, step, -step, 0.5 * step, -0.5 * step]).reshape((5,) + (1,) * x.ndim)
+    s = _OFFSETS.reshape((5,) + (1,) * x.ndim)
     pts = manifold.exp(np.asarray(p, dtype=float), s * x)
     base, f_h, f_mh, f_h2, f_mh2 = 0.5 * manifold.dist(pts, np.asarray(p0, dtype=float)) ** 2
-    dd_h = (f_h - 2.0 * base + f_mh) / (step * step)
-    dd_h2 = (f_h2 - 2.0 * base + f_mh2) / ((0.5 * step) * (0.5 * step))
+    dd_h = (f_h - 2.0 * base + f_mh) / (_STEP * _STEP)
+    dd_h2 = (f_h2 - 2.0 * base + f_mh2) / ((0.5 * _STEP) * (0.5 * _STEP))
     return ((4.0 * dd_h2 - dd_h) / 3.0)[()]
 
 
@@ -98,12 +110,15 @@ def hessian_comparison_check(
     sampled over random unit tangent directions at p, against the curvature
     comparison lower bound, with tolerance 1e-4.
     """
+    n_dirs = _integer("n_dirs", n_dirs)
     if n_dirs < 1:
         raise ConfigError(f"need at least one direction, got n_dirs={n_dirs}")
     r = float(manifold.dist(p, p0))
     bound = manifold.hessian_comparison_bound(r)
-    dirs = np.array([v / n for v, n in (manifold.random_direction(rng, p) for _ in range(n_dirs))])
-    best = np.min(second_difference(manifold, p0, p, dirs))
+    dirs, norms = np.empty((n_dirs, manifold.ambient_dim)), np.empty(n_dirs)
+    for k in range(n_dirs):
+        dirs[k], norms[k] = manifold.random_direction(rng, p)
+    best = np.min(second_difference(manifold, p0, p, dirs / norms[:, None]))
     return HessianComparison(r, float(best), float(bound), 1e-4)
 
 
@@ -177,20 +192,24 @@ def geodesic_endpoint_stability(
 
     The quadruples come from a counter-based generator keyed by ``seed``,
     drawn sequentially, so a scan is reproducible and its stream can be
-    replayed; the ratios of all quadruples are then evaluated in one batch.
+    replayed; the steps and ratios of all quadruples are then evaluated in one batch.
     """
+    n_samples = _integer("n_samples", n_samples)
     if n_samples < 1 or not radius > 0.0:
         raise ConfigError(f"need n_samples >= 1 and radius > 0, got {n_samples} and {radius}")
     manifold = _SPHERE3
     if radius >= manifold.convexity_radius:
         raise GeometryError(f"ball radius {radius} reaches the convexity radius")
     rng = np.random.Generator(np.random.Philox(seed))
-    center = manifold.project_point(
-        np.concatenate([[1.0], np.zeros(manifold.ambient_dim - 1)])
-    )
-    # per point: its unit tangent is drawn before its radius (left operand first)
-    draws = (manifold.random_direction(rng, center) for _ in range(4 * n_samples))
-    steps = np.array([(v / n) * (radius * rng.uniform() ** 0.5) for v, n in draws])
+    center = np.eye(manifold.ambient_dim)[0]
+    # per point its tangent is drawn before its radius; random() is the draw
+    # uniform() returns (0.0 + 1.0 * U) without its argument handling
+    n_points = 4 * n_samples
+    dirs, (norms, scales) = np.empty((n_points, manifold.ambient_dim)), np.empty((2, n_points))
+    for k in range(n_points):
+        dirs[k], norms[k] = manifold.random_direction(rng, center)
+        scales[k] = radius * rng.random() ** 0.5
+    steps = (dirs / norms[:, None]) * scales[:, None]
     quads = manifold.exp(center, steps).reshape(n_samples, 4, -1)
     ratios = endpoint_stability_ratio(manifold, *quads.transpose(1, 0, 2))
     ratios.flags.writeable = False

@@ -199,10 +199,11 @@ class Manifold:
         return self.tangent_projection(p, v)
 
     def random_direction(self, rng: np.random.Generator, p: np.ndarray):
-        """``(v, |v|)`` for a ``random_tangent`` v at p, redrawn while |v| <= 1e-8."""
+        """``(v, |v|)`` for a ``random_tangent`` v at p, redrawn while |v| <= 1e-8; |v| is
+        ``float(np.linalg.norm(v))``, computed as that function does for one point."""
         while True:
             v = self.random_tangent(rng, p)
-            n = float(np.linalg.norm(v))
+            n = math.sqrt(v.dot(v))
             if n > 1e-8:
                 return v, n
 

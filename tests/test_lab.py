@@ -1,4 +1,6 @@
 """Geometry lab: the geodesic square, comparison estimates, sweeps."""
+import re
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,41 @@ def test_stability_batch_equals_batch_of_one():
                                rtol=0, atol=ulps)
 
 
+def _scan_one_draw_at_a_time(n, radius, seed):
+    """The scan's ratios with each step formed as it is drawn, public kernels only."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    center = np.array([1.0, 0.0, 0.0])
+    steps = []
+    for _ in range(4 * n):
+        v, nv = SPH.random_direction(rng, center)
+        steps.append((v / nv) * (radius * rng.uniform() ** 0.5))
+    quads = SPH.exp(center, np.array(steps)).reshape(n, 4, 3)
+    return endpoint_stability_ratio(SPH, *quads.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("seed,radius", [(3, 0.8), (5, 0.3), (7, 1.2)])
+def test_stability_scan_keeps_the_bits_of_one_draw_at_a_time(seed, radius):
+    scan = geodesic_endpoint_stability(300, radius=radius, seed=seed)
+    assert np.array_equal(scan.ratios, _scan_one_draw_at_a_time(300, radius, seed))
+
+
+@pytest.mark.parametrize("manifold", [SPH, Sphere(4), Cylinder(), Circle(), Euclidean(2)],
+                         ids=lambda m: m.spec_id)
+def test_hessian_sweep_keeps_the_bits_of_one_draw_at_a_time(manifold):
+    configs = np.random.Generator(np.random.Philox([21, 1]))
+    lib, ref = (np.random.Generator(np.random.Philox([21, 2])) for _ in range(2))
+    got, want = [], []
+    for n_dirs in (1, 4, 7, 16):
+        p0 = manifold.random_point(configs)
+        v, nv = manifold.random_direction(configs, p0)
+        p = manifold.exp(p0, (0.6 / nv) * v)
+        got.append(hessian_comparison_check(manifold, p0, p, n_dirs, rng=lib).min_estimate)
+        dirs = np.array([d / nd for d, nd in (manifold.random_direction(ref, p) for _ in range(n_dirs))])
+        want.append(np.min(second_difference(manifold, p0, p, dirs)))
+    assert np.array_equal(got, want)
+    assert lib.uniform() == ref.uniform()  # both drew the same numbers
+
+
 def _on_sphere(lon, lat):
     return np.array([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
 
@@ -291,6 +328,14 @@ def test_stability_scan_rejects_empty_scan():
         geodesic_endpoint_stability(5, radius=0.0)
     with pytest.raises(ConfigError):
         hessian_comparison_check(SPH, EQ0, EQ90, n_dirs=0, rng=np.random.default_rng(0))
+    # a count that is not an integer is refused by name, as FlowConfig's grid_n
+    for count in (2.5, np.float64(3.0)):
+        with pytest.raises(ConfigError, match=re.escape(f"n_samples must be an integer, got {count!r}")):
+            geodesic_endpoint_stability(count)
+    with pytest.raises(ConfigError, match=re.escape("n_dirs must be an integer, got 2.5")):
+        hessian_comparison_check(SPH, EQ0, EQ90, n_dirs=2.5, rng=np.random.default_rng(0))
+    with pytest.raises(ConfigError, match=re.escape("n_max must be an integer, got 20.5")):
+        first_positive_gap(20.5)
 
 
 @pytest.mark.parametrize("manifold", [Circle(), Cylinder(), Euclidean(2), Euclidean(3), Sphere(4)],
