@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -81,6 +81,9 @@ class FlowConfig:
     t_max: float = 1.0
 
     def __post_init__(self):
+        for name in ("epsilon", "dt", "t_max"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):  # True would pass as 1
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:  # NaN fails too
             raise ConfigError("epsilon must be positive and finite")
         if self.epsilon is not None and self.epsilon * self.epsilon == 0.0:
@@ -113,8 +116,10 @@ class FlowTrajectory:
     cumulative dissipation.  The manifold, flux fields and variation are
     functions of the snapshots; the variation is measured once, on first
     read.  The record is frozen: a changed run is a new trajectory
-    (``dataclasses.replace``).  Whoever builds it, a record that is not a
-    time series of one run is refused on construction (``ConfigError``)."""
+    (``dataclasses.replace``).  A solver's snapshot 0 is its input curve
+    itself, not a copy; every later snapshot is a copy of the run's state,
+    made only when it is recorded.  Whoever builds it, a record that is not
+    a time series of one run is refused on construction (``ConfigError``)."""
 
     solver: str
     times: np.ndarray
@@ -185,12 +190,14 @@ class _Recorder:
     snapshot.  Without requested times every ``_SNAPSHOT_EVERY``-th step is
     recorded.  A step ending in an event (a merge, a state going flat) is
     recorded too.  Cadence and event records wait until the state is
-    resolved; requested times do not.  Time 0 goes through ``add``, which
-    skips a time already recorded, and the last state through ``end``.  A
-    row is a time, its snapshot and the cumulative dissipation.
+    resolved; requested times do not.  A row is a time, its snapshot and
+    the cumulative dissipation; the first is ``start`` (a solver's input
+    itself) at time 0.  ``add`` skips a time already recorded and ``end``
+    takes the last state; each builds a snapshot by calling ``state()``
+    only for a row it keeps, so a run copies a state only to record it.
     """
 
-    def __init__(self, snapshot_times, t_max):
+    def __init__(self, snapshot_times, t_max, start):
         self.t_max = t_max
         self.steps = 0
         self.wanted = None
@@ -202,7 +209,7 @@ class _Recorder:
             for s in sorted(s for s in requested if 0.0 < s <= t_max):
                 if not self.wanted or s - self.wanted[-1] > 1e-14:
                     self.wanted.append(s)
-        self.rows = []  # (t, snapshot, cumulative dissipation)
+        self.rows = [(0.0, start, 0.0)]  # (t, snapshot, cumulative dissipation)
 
     def horizon(self, t):
         """Longest step from t: to the next requested time, else to t_max."""
@@ -217,16 +224,16 @@ class _Recorder:
         cadence = self.wanted is None and self.steps % _SNAPSHOT_EVERY == 0
         return (event or cadence) and resolved()
 
-    def add(self, t, snapshot, dissipation):
-        """Record a snapshot unless one is already recorded at time t."""
-        if not self.rows or abs(self.rows[-1][0] - t) >= 1e-15:
-            self.rows.append((t, snapshot, dissipation))
+    def add(self, t, state, dissipation):
+        """Record ``state()`` unless a snapshot is already recorded at time t."""
+        if abs(self.rows[-1][0] - t) >= 1e-15:
+            self.rows.append((t, state(), dissipation))
 
-    def end(self, t, snapshot, dissipation):
+    def end(self, t, state, dissipation):
         """Record the last state unless the last row is at time t itself; unlike
         ``add`` it keeps a state within 1e-15 of that row, which merges changed."""
         if t > self.rows[-1][0]:
-            self.rows.append((t, snapshot, dissipation))
+            self.rows.append((t, state(), dissipation))
 
     def build(self, solver, dt_nominal, epsilon=None) -> FlowTrajectory:
         times, snapshots, dissipation = zip(*self.rows)
@@ -343,10 +350,9 @@ def run_regularized(
     d_step = np.empty(u.shape[0])
     t = 0.0
     diss = 0.0
-    rec = _Recorder(snapshot_times, config.t_max)
+    rec = _Recorder(snapshot_times, config.t_max, u0)
     tv_prev = float(np.sum(chords))
     flat = tv_prev < flat_tol
-    rec.add(t, SampledCurve(man, u), diss)
     while t < config.t_max - 1e-14 and not flat:
         dt_step = min(dt, rec.horizon(t))
         _semi_implicit_step(man, u, h, dt_step, eps, u_new, work)
@@ -365,8 +371,8 @@ def run_regularized(
         _refuse_wide(man, chords, lambda i: i * h, "chord")
         flat = tv_new < flat_tol
         if rec.step(t, flat):
-            rec.add(t, SampledCurve(man, u), diss)
-    rec.add(t, SampledCurve(man, u), diss)
+            rec.add(t, lambda: SampledCurve(man, u), diss)
+    rec.add(t, lambda: SampledCurve(man, u), diss)
     return rec.build("regularized", dt, eps)
 
 
@@ -595,7 +601,7 @@ def run_exact_pc(
     vals = np.array(u0.values, dtype=float)
     t = 0.0
     diss = 0.0
-    rec = _Recorder(snapshot_times, t_max)
+    rec = _Recorder(snapshot_times, t_max, u0)
 
     def measure():
         # plateau lengths, the closing-rate bound of each jump (the sum of the
@@ -615,7 +621,6 @@ def run_exact_pc(
     def resolved_state():
         return vals.shape[0] == 1 or d.min() > _SNAPSHOT_JUMP_FLOOR
 
-    rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
     # lengths and rates change only at merges
     lengths, rates, d = measure()
     while t < t_max - 1e-14 and vals.shape[0] > 1:
@@ -658,7 +663,7 @@ def run_exact_pc(
                     if vals.shape[0] == 1:
                         t += 1.0 / pace.max()
                     if rec.step(t, True, resolved_state):
-                        rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
+                        rec.add(t, lambda: PiecewiseConstantCurve(man, xs, vals), diss)
                     continue
             dt_step = min(dt_step, max(float(guards.min()), 1e-12))
             vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
@@ -673,8 +678,8 @@ def run_exact_pc(
         while vals.shape[0] > 1 and d.min() <= _MERGE_TOL:
             merge(int(d.argmin()))
         if rec.step(t, vals.shape[0] < plateaus, resolved_state):
-            rec.add(t, PiecewiseConstantCurve(man, xs, vals), diss)
-    rec.end(t, PiecewiseConstantCurve(man, xs, vals), diss)
+            rec.add(t, lambda: PiecewiseConstantCurve(man, xs, vals), diss)
+    rec.end(t, lambda: PiecewiseConstantCurve(man, xs, vals), diss)
     return rec.build("exact_pc", dt_base)
 
 
@@ -801,9 +806,10 @@ def _staircase_trajectory(flow, sample_times, solver, curve_at) -> FlowTrajector
     """Record ``curve_at(breakpoints, values)`` at time 0, every merge, the
     end of the flow and the sample times within ``[0, t_max]``."""
     times = flow.event_times() + ([flow.t_max] if flow.extinction_time is None else [])
-    rec = _Recorder(times if sample_times is None else [*times, *sample_times], flow.t_max)
-    for t in [0.0, *rec.wanted]:
-        rec.add(t, curve_at(*flow.state_at(t)), flow.dissipation_at(t))
+    rec = _Recorder(times if sample_times is None else [*times, *sample_times], flow.t_max,
+                    curve_at(*flow.state_at(0.0)))
+    for t in rec.wanted:
+        rec.add(t, partial(curve_at, *flow.state_at(t)), flow.dissipation_at(t))
     return rec.build(solver, dt_nominal=0.0)
 
 

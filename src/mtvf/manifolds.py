@@ -38,6 +38,9 @@ COINCIDENT_TOL = 1e-15
 # points this far apart around a great circle have no unique geodesic
 _CUT_ANGLE = math.pi * (1.0 - 1e-12)
 
+# Sphere.exp's sin(y)/y takes y = _EPS at t = 0, where it rounds to 1
+_EPS = float(np.finfo(float).eps)
+
 # rows from which _dot sums columns (measured crossover ~70 at N = 2, ~200 at N = 7)
 _COLUMN_SUM_ROWS = 128
 
@@ -281,8 +284,10 @@ class Sphere(Manifold):
         p = np.asarray(p, float)
         v = np.asarray(v, float)
         t = _norm(v)
-        # sinc is sin(pi x)/(pi x): exact and smooth at 0
-        out = np.cos(t)[..., None] * p + np.sinc(t / math.pi)[..., None] * v
+        # sin(t)/t by the steps of np.sinc(t / pi), same bits, less overhead
+        x = math.pi * (t / math.pi)
+        y = np.where(x, x, _EPS)
+        out = np.cos(t)[..., None] * p + (np.sin(y) / y)[..., None] * v
         return self.project_point(out)
 
     def log(self, p, q):

@@ -660,6 +660,11 @@ def test_index_at_reads_only_recorded_times_and_the_end_of_an_early_stop():
         {"epsilon": float("nan")},
         {"epsilon": 0.0},
         {"epsilon": 1e-200},  # positive, but its square underflows to 0
+        # a bool is an int to Python, and would run as 1 or 0
+        {"dt": True},
+        {"t_max": True},
+        {"epsilon": True},
+        pytest.param({"t_max": np.True_}, id="t_max=np.True_"),
     ],
     ids=lambda o: "{}={}".format(*next(iter(o.items()))),
 )

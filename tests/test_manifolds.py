@@ -67,6 +67,25 @@ def test_exp_of_zero_is_identity(man):
     assert np.allclose(man.exp(p, np.zeros_like(p)), p, atol=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(), (7,), (5, 4), (1000,)], ids=str)
+def test_sphere_exp_has_the_bits_of_np_sinc(shape):
+    # exp computes sin(t)/t inline by np.sinc's steps; the step sizes run from
+    # 0 through 1e-300 (|v| underflows to 0 or a subnormal below 1e-154) to 3
+    man = Sphere(3)
+    p = man.random_point(_rng(5), size=shape)
+    direction = man.tangent_projection(p, _rng(6).normal(size=p.shape))
+    direction /= _norm(direction)[..., None]
+    n = math.prod(shape)
+    sizes = np.concatenate([[0.0], np.geomspace(1e-300, 3.0, max(n - 1, 5))])
+    # shape () takes one size at a time
+    for t in sizes if shape == () else [sizes[:n].reshape(shape)]:
+        v = np.asarray(t)[..., None] * direction
+        norm = _norm(v)
+        assert norm.shape == shape
+        want = np.cos(norm)[..., None] * p + np.sinc(norm / math.pi)[..., None] * v
+        assert np.array_equal(man.exp(p, v), man.project_point(want))
+
+
 @given(theta=st.floats(-3.0, 3.0), scale=st.floats(0.01, 1.5))
 @settings(max_examples=50, deadline=None)
 def test_circle_roundtrip_hypothesis(theta, scale):

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from mtvf import (
 from mtvf.cli import main
 from mtvf.curves import mollify
 from mtvf.flows import (
-    FlowConfig, _semi_implicit_step, _step_arrays, run_regularized, run_scalar_tv, solve_banded,
+    FlowConfig, _semi_implicit_step, _step_arrays, flow, run_exact_pc, run_regularized,
+    run_scalar_tv, solve_banded,
 )
 from mtvf.io import write_curve
 from mtvf.manifolds import parse_manifold
@@ -360,9 +362,45 @@ def test_grid_run_is_the_plain_loop_bit_for_bit(cadence, spec):
                 runs.append(traj)
         assert rows[-1][0] < 40.0 and len(rows) > 11  # the flat exit
         assert np.array_equal(u0.values, before)
-        snaps = [u0.values] + [s.values for traj in runs for s in traj.snapshots]
+        # snapshot 0 is the datum itself; every later record is an array of its
+        # own, so no work array of one step leaks into a record
+        assert all(traj.snapshots[0] is u0 for traj in runs)
+        snaps = [u0.values] + [s.values for traj in runs for s in traj.snapshots[1:]]
         for i, a in enumerate(snaps):
             assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
+
+
+def test_a_run_holds_its_input_as_snapshot_0_and_copies_only_what_it_records(monkeypatch):
+    u0 = noisy_field("sphere:3", grid_n=2001, noise=0.05, seed=5)
+    cfg = FlowConfig(u0.manifold, epsilon=1e-2, t_max=0.005)
+    times = [cfg.t_max / 2, cfg.t_max]
+    run_regularized(u0, cfg, times)  # scipy loads with the first solve, before the baseline
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = run_regularized(u0, cfg, times)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # numpy reports its arrays to tracemalloc: the run keeps the two states it
+    # recorded and a few small objects, and no copy of its input
+    assert len(traj) == 3 and held <= 2 * u0.values.nbytes + 16_384, held
+    assert traj.snapshots[0] is u0
+
+    step = random_rad_curve(SPH, _rng(3, 0))
+    assert run_exact_pc(step, t_max=0.01).snapshots[0] is step
+    # flow's snapshot 0 is the curve it mollified, not a copy of it
+    made = []
+
+    def mollify_kept(*args):
+        made.append(mollify(*args))
+        return made[-1]
+
+    monkeypatch.setattr("mtvf.flows.mollify", mollify_kept)
+    traj = flow(step, FlowConfig(SPH, epsilon=1e-2, grid_n=41, t_max=0.01))
+    assert len(made) == 1 and traj.snapshots[0] is made[0]
 
 
 @pytest.mark.parametrize("spec", TARGETS)
