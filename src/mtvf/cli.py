@@ -118,7 +118,8 @@ def cmd_denoise(args) -> int:
     t_max = t_stop if t_stop is not None else max(4.0 * tv0, 1e-6)
     cfg = FlowConfig(manifold=man, epsilon=args.eps, t_max=t_max)
     with _out_dir(args.out):
-        traj = flow(curve, cfg)
+        # a fixed stop records only the state it writes; the steps are the same
+        traj = flow(curve, cfg, None if t_stop is None else [t_max])
     pick = len(traj) - 1
     if t_stop is None:
         target = args.tv_fraction * tv0

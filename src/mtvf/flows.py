@@ -24,6 +24,7 @@ data on a single geodesic is the trajectory ``run_exact_pc`` follows.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -82,8 +83,16 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "dt", "t_max"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):  # True would pass as 1
-                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if value is None or (name == "dt" and isinstance(value, str) and value == "auto"):
+                continue
+            # numpy scalars are real numbers too; True would pass as 1
+            if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            try:  # the run computes with the double that config.txt records
+                setattr(self, name, float(value))
+            except OverflowError:
+                raise ConfigError(f"{name} must be finite, got {value!r}") from None
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:  # NaN fails too
             raise ConfigError("epsilon must be positive and finite")
         if self.epsilon is not None and self.epsilon * self.epsilon == 0.0:
@@ -100,10 +109,8 @@ class FlowConfig:
                                   "which runs when epsilon is set")
             if self.grid_n < 3:
                 raise ConfigError("grid_n must be at least 3")
-        if self.dt != "auto":
-            if not isinstance(self.dt, (int, float)) or not 1e-15 <= float(self.dt) < math.inf:
-                raise ConfigError("dt must be 'auto' or a finite number of at least 1e-15")
-            self.dt = float(self.dt)
+        if self.dt != "auto" and not 1e-15 <= self.dt < math.inf:
+            raise ConfigError("dt must be 'auto' or a finite number of at least 1e-15")
 
 
 # the solver names the library's trajectory builders record
@@ -594,6 +601,7 @@ def run_exact_pc(
                           "input runs on the regularized solver, set epsilon")
     man = u0.manifold
     config = FlowConfig(man, t_max=t_max, dt=dt)
+    t_max = config.t_max
     _refuse_wide(man, chord_sizes(u0), lambda i: u0.breakpoints[i], "jump")
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
 
@@ -760,7 +768,7 @@ def run_scalar_tv(sigma0: PiecewiseConstantCurve, t_max: float) -> ScalarStairca
     """
     if not isinstance(sigma0, PiecewiseConstantCurve) or sigma0.manifold != Euclidean(1):
         raise ConfigError("scalar flow expects a step curve on euclidean:1")
-    FlowConfig(sigma0.manifold, t_max=t_max)  # refuses a t_max not positive and finite
+    t_max = FlowConfig(sigma0.manifold, t_max=t_max).t_max  # refuses one not positive and finite
     bp = np.array(sigma0.breakpoints, dtype=float)
     vals = np.array(sigma0.values[:, 0], dtype=float)
     t = diss = 0.0

@@ -115,9 +115,7 @@ def hessian_comparison_check(
         raise ConfigError(f"need at least one direction, got n_dirs={n_dirs}")
     r = float(manifold.dist(p, p0))
     bound = manifold.hessian_comparison_bound(r)
-    dirs, norms = np.empty((n_dirs, manifold.ambient_dim)), np.empty(n_dirs)
-    for k in range(n_dirs):
-        dirs[k], norms[k] = manifold.random_direction(rng, p)
+    dirs, norms = manifold.random_directions(rng, p, n_dirs)
     best = np.min(second_difference(manifold, p0, p, dirs / norms[:, None]))
     return HessianComparison(r, float(best), float(bound), 1e-4)
 
@@ -192,7 +190,12 @@ def geodesic_endpoint_stability(
 
     The quadruples come from a counter-based generator keyed by ``seed``,
     drawn sequentially, so a scan is reproducible and its stream can be
-    replayed; the steps and ratios of all quadruples are then evaluated in one batch.
+    replayed.  The loop makes only the generator calls, per point a Gaussian
+    draw and then its radius; the tangents, their norms, the steps and the
+    ratios of all quadruples are then evaluated in one batch, with the bits
+    of ``random_direction`` and one point at a time.  A draw ``random_direction``
+    would redraw shifts the stream after it, so then the points are drawn again
+    one at a time from the generator's state before the loop.
     """
     n_samples = _integer("n_samples", n_samples)
     if n_samples < 1 or not radius > 0.0:
@@ -201,17 +204,23 @@ def geodesic_endpoint_stability(
     if radius >= manifold.convexity_radius:
         raise GeometryError(f"ball radius {radius} reaches the convexity radius")
     rng = np.random.Generator(np.random.Philox(seed))
+    start = rng.bit_generator.state
     center = np.eye(manifold.ambient_dim)[0]
-    # per point its tangent is drawn before its radius; random() is the draw
-    # uniform() returns (0.0 + 1.0 * U) without its argument handling
+    # random() is the draw uniform() returns (0.0 + 1.0 * U) without its argument handling
     n_points = 4 * n_samples
-    dirs, (norms, scales) = np.empty((n_points, manifold.ambient_dim)), np.empty((2, n_points))
+    raw, scales = np.empty((n_points, manifold.ambient_dim)), np.empty(n_points)
+    normal, uniform = rng.standard_normal, rng.random
     for k in range(n_points):
-        dirs[k], norms[k] = manifold.random_direction(rng, center)
-        scales[k] = radius * rng.random() ** 0.5
+        normal(out=raw[k])
+        scales[k] = radius * uniform() ** 0.5
+    dirs, norms, kept = manifold._measured_tangents(center, raw)
+    if not kept.all():  # about 5e-17 per draw
+        rng.bit_generator.state = start
+        for k in range(n_points):
+            dirs[k], norms[k] = manifold.random_direction(rng, center)
+            scales[k] = radius * rng.random() ** 0.5
     steps = (dirs / norms[:, None]) * scales[:, None]
     quads = manifold.exp(center, steps).reshape(n_samples, 4, -1)
     ratios = endpoint_stability_ratio(manifold, *quads.transpose(1, 0, 2))
     ratios.flags.writeable = False
     return StabilityScan(float(np.max(ratios)), ratios)
-

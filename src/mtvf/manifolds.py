@@ -41,6 +41,9 @@ _CUT_ANGLE = math.pi * (1.0 - 1e-12)
 # Sphere.exp's sin(y)/y takes y = _EPS at t = 0, where it rounds to 1
 _EPS = float(np.finfo(float).eps)
 
+# a random tangent this short or shorter has no reliable direction and is drawn again
+SHORT_DRAW = 1e-8
+
 # rows from which _dot sums columns (measured crossover ~70 at N = 2, ~200 at N = 7)
 _COLUMN_SUM_ROWS = 128
 
@@ -202,13 +205,33 @@ class Manifold:
         return self.tangent_projection(p, v)
 
     def random_direction(self, rng: np.random.Generator, p: np.ndarray):
-        """``(v, |v|)`` for a ``random_tangent`` v at p, redrawn while |v| <= 1e-8; |v| is
-        ``float(np.linalg.norm(v))``, computed as that function does for one point."""
+        """``(v, |v|)`` for a ``random_tangent`` v at p, redrawn while |v| <= ``SHORT_DRAW``;
+        |v| is ``float(np.linalg.norm(v))``, computed as that function does for one point.
+        This defines a direction draw; ``random_directions`` makes many of them at once."""
         while True:
             v = self.random_tangent(rng, p)
             n = math.sqrt(v.dot(v))
-            if n > 1e-8:
+            if n > SHORT_DRAW:
                 return v, n
+
+    def _measured_tangents(self, p: np.ndarray, raw: np.ndarray):
+        """``(v, |v|, kept)`` for the Gaussian rows ``raw`` at p: each row's tangent
+        projection and its norm, with the bits ``random_direction`` gives one draw, and
+        whether that norm is above ``SHORT_DRAW``, so that ``random_direction`` keeps it."""
+        v = self.tangent_projection(p, raw)
+        # vecdot takes each row's dot with the routine ndarray.dot calls for one vector
+        n = np.sqrt(np.vecdot(v, v))
+        return v, n, n > SHORT_DRAW
+
+    def random_directions(self, rng: np.random.Generator, p: np.ndarray, count: int):
+        """``count`` draws of ``random_direction`` at p as ``(k, N)`` tangents and ``(k,)``
+        norms: the same stream and bits from one ``standard_normal`` call.  A short draw
+        is skipped and one more drawn, as one draw at a time would draw it."""
+        v, n, kept = self._measured_tangents(p, rng.standard_normal((count,) + np.shape(p)))
+        if kept.all():
+            return v, n
+        more_v, more_n = self.random_directions(rng, p, count - np.count_nonzero(kept))
+        return np.concatenate((v[kept], more_v)), np.concatenate((n[kept], more_n))
 
 
 class Euclidean(Manifold):

@@ -665,6 +665,12 @@ def test_index_at_reads_only_recorded_times_and_the_end_of_an_early_stop():
         {"t_max": True},
         {"epsilon": True},
         pytest.param({"t_max": np.True_}, id="t_max=np.True_"),
+        # a number is taken as a number, not parsed from text
+        {"epsilon": "0.01"},
+        {"t_max": "1"},
+        # a float cannot hold it
+        pytest.param({"t_max": 10**400}, id="t_max=10**400"),
+        pytest.param({"dt": -10**400}, id="dt=-10**400"),
     ],
     ids=lambda o: "{}={}".format(*next(iter(o.items()))),
 )

@@ -113,6 +113,19 @@ def test_config_round_trip():
     assert flow_config_from_mapping(parse_config_text(config_to_text(auto))) == auto
 
 
+def test_a_float32_config_reruns_bit_for_bit_from_its_config_text():
+    # the run computes with the doubles config.txt records, not in float32
+    field = noisy_field("sphere:3", grid_n=65, seed=1)
+    cfg = FlowConfig(manifold=SPH, epsilon=np.float32(0.01), t_max=np.float32(0.01))
+    rerun = flow_config_from_mapping(parse_config_text(config_to_text(cfg)))
+    assert rerun == cfg
+    first, second = run_regularized(field, cfg), run_regularized(field, rerun)
+    assert first.times.tobytes() == second.times.tobytes()
+    assert first.dissipation.tobytes() == second.dissipation.tobytes()
+    assert all(a.values.tobytes() == b.values.tobytes()
+               for a, b in zip(first.snapshots, second.snapshots, strict=True))
+
+
 def test_config_keys_are_the_flow_config_fields():
     # a config file may set every FlowConfig field and nothing else
     assert set(_CONFIG_KEYS) == {f.name for f in dataclasses.fields(FlowConfig)}
@@ -1002,6 +1015,31 @@ def test_cli_denoise_manifest_records_the_stop_rule_used(tmp_path):
                      "--out", str(outdir), option, value]) == 0
         params = json.loads((outdir / "manifest.json").read_text())["config"]
         assert params[key] == float(value) and other not in params
+
+
+@pytest.mark.parametrize("manifold", ["sphere:3", "cylinder", "euclidean:2"])
+def test_cli_denoise_t_stop_records_only_the_state_it_writes(tmp_path, capsys, monkeypatch,
+                                                             manifold):
+    # the steps run to t_max either way, so recording only the final state
+    # writes the bytes and prints the line a cadence-recorded run gives
+    write_curve(str(tmp_path / "noisy.csv"), noisy_field(manifold, grid_n=1001, seed=2))
+    argv = ["denoise", "--input", str(tmp_path / "noisy.csv"), "--eps", "1e-2",
+            "--t-stop", "0.003"]
+    flow, lengths = mtvf.cli.flow, []
+
+    def recorded(curve, cfg, snapshot_times=None):
+        traj = flow(curve, cfg, snapshot_times)
+        lengths.append(len(traj))
+        return traj
+
+    monkeypatch.setattr(mtvf.cli, "flow", recorded)
+    assert main(argv + ["--out", str(tmp_path / "final")]) == 0
+    monkeypatch.setattr(mtvf.cli, "flow", lambda curve, cfg, snapshot_times=None: recorded(curve, cfg))
+    assert main(argv + ["--out", str(tmp_path / "cadence")]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second and lengths[0] == 2 < lengths[1]
+    for name in ("denoised.csv", "manifest.json"):
+        assert (tmp_path / "final" / name).read_bytes() == (tmp_path / "cadence" / name).read_bytes()
 
 
 def test_cli_flow_records_only_the_keys_read(tmp_path):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import mtvf.manifolds
 from mtvf import (
     Circle,
     ConfigError,
@@ -264,6 +265,16 @@ def _scan_one_draw_at_a_time(n, radius, seed):
 def test_stability_scan_keeps_the_bits_of_one_draw_at_a_time(seed, radius):
     scan = geodesic_endpoint_stability(300, radius=radius, seed=seed)
     assert np.array_equal(scan.ratios, _scan_one_draw_at_a_time(300, radius, seed))
+
+
+def test_stability_scan_replays_its_points_after_a_short_draw(monkeypatch):
+    # a short draw shifts the stream after it: with the bound raised to 0.3,
+    # about 4 % of the tangents are short and the scan draws them again
+    unpatched = geodesic_endpoint_stability(300, radius=0.8, seed=3)
+    monkeypatch.setattr(mtvf.manifolds, "SHORT_DRAW", 0.3)
+    scan = geodesic_endpoint_stability(300, radius=0.8, seed=3)
+    assert not np.array_equal(scan.ratios, unpatched.ratios)
+    assert np.array_equal(scan.ratios, _scan_one_draw_at_a_time(300, 0.8, 3))
 
 
 @pytest.mark.parametrize("manifold", [SPH, Sphere(4), Cylinder(), Circle(), Euclidean(2)],

@@ -4,6 +4,7 @@ The exp/log pair is the foundation everything else (flows, verifier, lab)
 builds on, so the roundtrip identities are exercised in bulk and with
 hypothesis-generated edge cases.
 """
+import copy
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtvf.manifolds
 from mtvf import (
     Circle,
     ConfigError,
@@ -463,6 +465,45 @@ def test_random_direction_is_a_random_tangent_and_its_length():
         v, n = man.random_direction(_rng(14), p)
         assert np.array_equal(v, man.random_tangent(_rng(14), p))
         assert n == float(np.linalg.norm(v)) > 1e-8
+
+
+# the four suite targets and one of higher dimension
+DRAW_TARGETS = [Euclidean(2), Sphere(3), Circle(), Cylinder(), Sphere(4)]
+
+
+def _one_at_a_time(man, rng, p, count):
+    draws = [man.random_direction(rng, p) for _ in range(count)]
+    return np.array([v for v, _ in draws]), np.array([n for _, n in draws])
+
+
+def _draws_agree(man, p):
+    # count draws in one batch and one at a time, for counts 1-64, from two
+    # generators on one stream: the same bits, and the same next number;
+    # returns how many of the batches' first draws were short
+    lib, ref = _rng(16), _rng(16)
+    shorts = 0
+    for count in range(1, 65):
+        raw = copy.deepcopy(lib).standard_normal((count,) + p.shape)
+        shorts += np.count_nonzero(~man._measured_tangents(p, raw)[2])
+        dirs, norms = man.random_directions(lib, p, count)
+        want_dirs, want_norms = _one_at_a_time(man, ref, p, count)
+        assert dirs.shape == (count, man.ambient_dim) and norms.shape == (count,)
+        assert dirs.tobytes() == want_dirs.tobytes() and norms.tobytes() == want_norms.tobytes()
+        assert lib.random() == ref.random()
+    return shorts
+
+
+@pytest.mark.parametrize("man", DRAW_TARGETS, ids=lambda m: m.spec_id)
+def test_random_directions_are_random_direction_draws_bit_for_bit(man):
+    assert _draws_agree(man, man.random_point(_rng(15))) == 0
+
+
+@pytest.mark.parametrize("man", DRAW_TARGETS, ids=lambda m: m.spec_id)
+def test_random_directions_skip_a_short_draw_and_draw_one_more(man, monkeypatch):
+    # with the bound raised, a fifth to two thirds of the draws are short; each
+    # is skipped and one more drawn, as random_direction redraws it
+    monkeypatch.setattr(mtvf.manifolds, "SHORT_DRAW", 1.0)
+    assert _draws_agree(man, man.random_point(_rng(15))) > 100
 
 
 # ---------------------------------------------------------------------------

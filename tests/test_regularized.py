@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +89,24 @@ def test_config_refuses_a_non_integer_count(field, value):
 def test_config_takes_numpy_integer_counts_as_ints():
     cfg = FlowConfig(manifold=SPH, epsilon=1e-2, grid_n=np.int64(33))
     assert cfg.grid_n == 33 and type(cfg.grid_n) is int
+
+
+@pytest.mark.parametrize("value", [np.float32(0.01), np.float64(0.01), np.int64(1), 1,
+                                   Fraction(1, 64)], ids=repr)
+@pytest.mark.parametrize("name", ["epsilon", "dt", "t_max"])
+def test_config_stores_real_numbers_as_floats(name, value):
+    # numpy scalars are real numbers too; a float32 kept as float32 would
+    # run in float32 while config.txt records the double
+    cfg = FlowConfig(manifold=SPH, **{"epsilon": 1e-2, name: value})
+    assert type(getattr(cfg, name)) is float and getattr(cfg, name) == float(value)
+
+
+def test_exact_runs_take_real_numbers_as_floats():
+    u0 = scalar_curve([0.5], [0.0, 1.0])
+    want = run_exact_pc(u0, t_max=float(np.float32(0.1)), dt=float(np.float32(1e-3)))
+    got = run_exact_pc(u0, t_max=np.float32(0.1), dt=np.float32(1e-3))
+    assert got.times.dtype == float and np.array_equal(got.times, want.times)
+    assert run_scalar_tv(u0, np.float32(0.1)).segments[-1].t1 == float(np.float32(0.1))
 
 
 def test_rejects_chord_at_twice_convexity_radius():
