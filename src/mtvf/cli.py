@@ -83,7 +83,6 @@ def cmd_flow(args) -> int:
         traj = flow(curve, cfg)
     if cfg.epsilon is not None:  # config.txt records the grid, which a sampled input sets
         cfg = replace(cfg, grid_n=traj.final_curve.grid_n)
-    solver = "exact" if cfg.epsilon is None else "regularized"
     traj_path = os.path.join(args.out, "trajectory.csv")
     diag_path = os.path.join(args.out, "diagnostics.csv")
     cfg_path = os.path.join(args.out, "config.txt")
@@ -92,13 +91,13 @@ def cmd_flow(args) -> int:
     write_manifest(
         os.path.join(args.out, "manifest.json"),
         "flow",
-        {"solver": solver, "config_file": os.path.basename(args.config)},
+        {"solver": traj.solver, "config_file": os.path.basename(args.config)},
         [args.config, args.input],
         [traj_path, diag_path, cfg_path],
     )
     stop = detect_stopping(traj)
     status = f"stopped at t={fmt(stop[0])}" if stop else "not stopped"
-    print(f"{solver} run: {len(traj)} snapshots, final TV {fmt(traj.tv[-1])}, {status}")
+    print(f"{traj.solver} run: {len(traj)} snapshots, final TV {fmt(traj.tv[-1])}, {status}")
     return 0
 
 

@@ -7,16 +7,16 @@ Two concrete representations are used throughout the package:
 * :class:`SampledCurve` — values on a uniform grid, variation measured by
   chord sums.
 
-Total variation of a manifold-valued curve is the diffuse part plus the sum
-of geodesic jump sizes.
+Total variation of a manifold-valued curve is the sum of its geodesic jump
+sizes, or of its chord sizes on a grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, integer
 from .manifolds import CONSTRAINT_TOL, Manifold
 
 # Plateaus closer than this are treated as equal and merged away.
@@ -34,6 +34,11 @@ def _on_manifold(manifold: Manifold, vals: np.ndarray, what: str) -> np.ndarray:
     if residual > 1e-9:
         raise ConfigError(f"{what} values are off the manifold by {residual:.3g}")
     return manifold.project_point(vals) if residual > CONSTRAINT_TOL else vals
+
+
+def plateau_lengths(breakpoints) -> np.ndarray:
+    """Lengths of the plateaus that increasing ``breakpoints`` cut [0, 1] into."""
+    return np.diff(np.concatenate([[0.0], breakpoints, [1.0]]))
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,7 @@ class PiecewiseConstantCurve:
         return int(self.breakpoints.size)
 
     def plateau_lengths(self) -> np.ndarray:
-        edges = np.concatenate([[0.0], self.breakpoints, [1.0]])
-        return np.diff(edges)
+        return plateau_lengths(self.breakpoints)
 
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, np.asarray(xs, float), side="right")
@@ -118,14 +122,9 @@ class SampledCurve:
 
 @dataclass(frozen=True)
 class TVBreakdown:
-    """Total variation split into diffuse part and individual jumps."""
+    """Total variation of a curve, as ``tv_measure`` measures it."""
 
-    diffuse: float
-    jump_sizes: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def total(self) -> float:
-        return float(self.diffuse + np.sum(self.jump_sizes))
+    total: float
 
 
 def chord_sizes(curve) -> np.ndarray:
@@ -150,22 +149,22 @@ def _refuse_wide(manifold, sizes, place, noun):
 
 
 def tv_measure(curve) -> TVBreakdown:
-    """Total variation of a curve, split into diffuse and jump parts.
+    """Total variation of a curve: the sum of its ``chord_sizes``.
 
-    Piecewise-constant curves carry only jumps (geodesic sizes); sampled
-    curves carry only a diffuse chord-sum part, which converges to the
-    geodesic length from below under grid refinement.  A jump or chord of
-    twice the convexity radius or more is refused, as the solvers refuse it.
+    Those are the geodesic jump sizes of a piecewise-constant curve and the
+    chords of a sampled one, whose sum converges to the geodesic length from
+    below under grid refinement.  A jump or chord of twice the convexity
+    radius or more is refused, as the solvers refuse it.
     """
     if isinstance(curve, PiecewiseConstantCurve):
-        sizes = chord_sizes(curve)
-        _refuse_wide(curve.manifold, sizes, lambda i: curve.breakpoints[i], "jump")
-        return TVBreakdown(0.0, jump_sizes=sizes)
-    if isinstance(curve, SampledCurve):
-        sizes = chord_sizes(curve)
-        _refuse_wide(curve.manifold, sizes, lambda i: i * curve.h, "chord")
-        return TVBreakdown(float(np.sum(sizes)))
-    raise ConfigError(f"cannot measure variation of {type(curve).__name__}")
+        noun, place = "jump", lambda i: curve.breakpoints[i]
+    elif isinstance(curve, SampledCurve):
+        noun, place = "chord", lambda i: i * curve.h
+    else:
+        raise ConfigError(f"cannot measure variation of {type(curve).__name__}")
+    sizes = chord_sizes(curve)
+    _refuse_wide(curve.manifold, sizes, place, noun)
+    return TVBreakdown(float(np.sum(sizes)))
 
 
 def mollify(curve: PiecewiseConstantCurve, grid_n: int) -> SampledCurve:
@@ -176,7 +175,9 @@ def mollify(curve: PiecewiseConstantCurve, grid_n: int) -> SampledCurve:
     plateau value is used.  The width ``w`` is eight grid cells, capped at
     0.45 of the narrowest plateau so that neighbouring ramps never meet.
     Total variation is preserved up to the chord-sum discretization error.
+    ``grid_n`` is an integer of at least 2, else ``ConfigError``.
     """
+    grid_n = integer("grid_n", grid_n)
     if grid_n < 2:
         raise ConfigError("grid_n must be at least 2")
     w = min(8 / (grid_n - 1), 0.45 * float(curve.plateau_lengths().min()))

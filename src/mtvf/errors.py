@@ -4,8 +4,9 @@ No caller tells finer kinds apart, so a raise site picks the class by the
 outcome alone and says what went wrong in its message.  ``mtvf`` maps them
 to ``config error`` (exit 2), ``geometry error`` (3), ``verification
 failed`` (4), ``check does not apply`` (4) and ``error:`` (2, solver
-failures).
+failures).  ``integer`` is the one rule for a count argument.
 """
+import operator
 
 
 class MtvfError(Exception):
@@ -35,3 +36,11 @@ class CheckNotApplicable(VerificationError):
     """A check that does not apply to its input: snapshots on the wrong grid
     or jump set, a target that is not complete with nonpositive curvature, or
     values on an unsupported manifold."""
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int (numpy integers too); else a ``ConfigError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None

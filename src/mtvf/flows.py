@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -33,9 +32,9 @@ import numpy as np
 
 from .curves import (
     PiecewiseConstantCurve, SampledCurve, _refuse_wide, chord_sizes, compose_with_geodesic, mollify,
-    tv_measure,
+    plateau_lengths, tv_measure,
 )
-from .errors import CheckNotApplicable, ConfigError, GeometryError, SolverError
+from .errors import CheckNotApplicable, ConfigError, GeometryError, SolverError, integer
 from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
 
 # one-step TV increase beyond this aborts the run as an unstable step
@@ -100,10 +99,7 @@ class FlowConfig:
         if not 0 < self.t_max < math.inf:
             raise ConfigError("t_max must be positive and finite")
         if self.grid_n is not None:
-            try:  # numpy integers are integers too
-                self.grid_n = operator.index(self.grid_n)
-            except TypeError:
-                raise ConfigError(f"grid_n must be an integer, got {self.grid_n!r}") from None
+            self.grid_n = integer("grid_n", self.grid_n)
             if self.epsilon is None:
                 raise ConfigError("grid_n is read by the regularized solver only, "
                                   "which runs when epsilon is set")
@@ -614,7 +610,7 @@ def run_exact_pc(
     def measure():
         # plateau lengths, the closing-rate bound of each jump (the sum of the
         # two inverse plateau lengths) and the jump sizes
-        lengths = np.diff(np.concatenate([[0.0], xs, [1.0]]))
+        lengths = plateau_lengths(xs)
         return lengths, 1.0 / lengths[:-1] + 1.0 / lengths[1:], man.dist(vals[:-1], vals[1:])
 
     def merge(k):

@@ -8,22 +8,14 @@ endpoint perturbation.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, integer
 from .manifolds import Manifold, Sphere, _dot
 
 _SPHERE3 = Sphere(3)
-
-
-def _integer(name: str, value) -> int:
-    try:  # numpy integers are integers too, as in FlowConfig's grid_n
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def midpoint_separation(a: float) -> float:
@@ -57,7 +49,7 @@ def semiconvexity_gap(n: int) -> float:
 
 def first_positive_gap(n_max: int = 100) -> int | None:
     """Smallest n <= n_max with a positive semiconvexity gap (brute force)."""
-    for n in range(1, _integer("n_max", n_max) + 1):
+    for n in range(1, integer("n_max", n_max) + 1):
         if semiconvexity_gap(n) > 0.0:
             return n
     return None
@@ -110,7 +102,7 @@ def hessian_comparison_check(
     sampled over random unit tangent directions at p, against the curvature
     comparison lower bound, with tolerance 1e-4.
     """
-    n_dirs = _integer("n_dirs", n_dirs)
+    n_dirs = integer("n_dirs", n_dirs)
     if n_dirs < 1:
         raise ConfigError(f"need at least one direction, got n_dirs={n_dirs}")
     r = float(manifold.dist(p, p0))
@@ -197,7 +189,7 @@ def geodesic_endpoint_stability(
     would redraw shifts the stream after it, so then the points are drawn again
     one at a time from the generator's state before the loop.
     """
-    n_samples = _integer("n_samples", n_samples)
+    n_samples = integer("n_samples", n_samples)
     if n_samples < 1 or not radius > 0.0:
         raise ConfigError(f"need n_samples >= 1 and radius > 0, got {n_samples} and {radius}")
     manifold = _SPHERE3

@@ -164,6 +164,10 @@ class Manifold:
         """``(t_minus, t_plus, jump size)`` of ``unit_tangent_pair``, no checks."""
         raise NotImplementedError
 
+    def _random_points(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+        """``random_point`` draws with leading axes ``shape``."""
+        raise NotImplementedError
+
     # -- derived helpers ----------------------------------------------------
 
     def constraint_residual(self, p: np.ndarray) -> float:
@@ -198,7 +202,7 @@ class Manifold:
     # -- sampling helpers (used by tests and synthetic data) ----------------
 
     def random_point(self, rng: np.random.Generator, size=()) -> np.ndarray:
-        raise NotImplementedError
+        return self._random_points(rng, tuple(np.atleast_1d(size)))  # size () is one point
 
     def random_tangent(self, rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
         v = rng.standard_normal(np.shape(p))
@@ -266,9 +270,8 @@ class Euclidean(Manifold):
         t, d = _unit_norm(q - p)
         return t, t, d
 
-    def random_point(self, rng, size=()):
-        return rng.standard_normal(tuple(np.atleast_1d(size)) + (self.ambient_dim,)) \
-            if size != () else rng.standard_normal(self.ambient_dim)
+    def _random_points(self, rng, shape):
+        return rng.standard_normal(shape + (self.ambient_dim,))
 
 
 class Sphere(Manifold):
@@ -339,9 +342,8 @@ class Sphere(Manifold):
             raise GeometryError("antipodal points have no unique geodesic")
         return t_minus, t_plus, d
 
-    def random_point(self, rng, size=()):
-        shape = (tuple(np.atleast_1d(size)) if size != () else ()) + (self.ambient_dim,)
-        return self.project_point(rng.standard_normal(shape))
+    def _random_points(self, rng, shape):
+        return self.project_point(rng.standard_normal(shape + (self.ambient_dim,)))
 
 
 class Circle(Sphere):
@@ -435,8 +437,7 @@ class Cylinder(Manifold):
         t_minus, t_plus = _unit_norm(pair)[0]
         return t_minus, t_plus, np.hypot(a, dz)
 
-    def random_point(self, rng, size=()):
-        shape = tuple(np.atleast_1d(size)) if size != () else ()
+    def _random_points(self, rng, shape):
         a = rng.uniform(-math.pi, math.pi, shape)
         z = rng.standard_normal(shape)
         return np.stack([np.cos(a), np.sin(a), z], axis=-1)

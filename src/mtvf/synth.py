@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import PiecewiseConstantCurve, SampledCurve
-from .errors import ConfigError, GeometryError
+from .curves import PiecewiseConstantCurve, SampledCurve, plateau_lengths
+from .errors import ConfigError, GeometryError, integer
 from .flows import scalar_curve
 from .manifolds import Manifold, Sphere, parse_manifold
 
@@ -108,8 +108,9 @@ def noisy_field(
 ) -> SampledCurve:
     """Smooth geodesic sweep, of length min(1, 0.9 * convexity radius),
     perturbed by tangent-space Gaussian noise pushed back to the manifold
-    with exp — data stay on-manifold exactly."""
+    with exp — data stay on-manifold exactly.  ``grid_n`` is an integer of at least 2."""
     man = parse_manifold(manifold) if isinstance(manifold, str) else manifold
+    grid_n = integer("grid_n", grid_n)
     if grid_n < 2:
         raise ConfigError("grid_n must be at least 2")
     rng = _rng(seed, 1)
@@ -137,8 +138,7 @@ def random_rad_curve(
     max_jump = 0.8 * min(man.convexity_radius, 1.0)
     while True:
         b = np.sort(rng.uniform(0.08, 0.92, n_jumps))
-        gaps = np.diff(np.concatenate([[0.0], b, [1.0]]))
-        if np.all(gaps >= min_gap):
+        if np.all(plateau_lengths(b) >= min_gap):
             break
     vals = [man.random_point(rng)]
     for _ in range(n_jumps):

@@ -17,9 +17,9 @@ from .errors import CheckNotApplicable, ConfigError
 from .flows import (
     FlowConfig,
     FlowTrajectory,
+    _jump_tangents,
     face_flux,
     flow,
-    reconstruct_z_pc,
 )
 from .manifolds import _dot, _norm
 
@@ -47,14 +47,18 @@ class CheckReport:
         )
 
 
+def _rises(series: np.ndarray) -> np.ndarray:
+    """Each later entry's growth over the smallest earlier one on axis 0, NaNs skipped."""
+    return series[1:] - np.fmin.accumulate(series, axis=0)[:-1]
+
+
 def check_energy(traj: FlowTrajectory) -> CheckReport:
     """Dissipation accounting: TV(u(t)) + integral of |u_t|^2 never exceeds
     the variation at any earlier snapshot, within 1e-6 + 10 * ``dt_nominal``.
     """
     tol = 1e-6 + 10.0 * traj.dt_nominal
-    energy = traj.tv + traj.dissipation
-    running = np.minimum.accumulate(energy)
-    viol = energy - np.concatenate([[energy[0]], running[:-1]])
+    # the first snapshot rises by 0, so a run that never rises reports it
+    viol = np.concatenate([[0.0], _rises(traj.tv + traj.dissipation)])
     worst = float(np.max(viol))
     k = int(np.argmax(viol))
     return CheckReport(
@@ -89,7 +93,7 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
         sizes[k, col] = chord_sizes(s)
     # growth over each jump's smallest earlier size; the first largest
     # in time-then-breakpoint order is reported
-    grown = sizes[1:] - np.fmin.accumulate(sizes, axis=0)[:-1]
+    grown = _rises(sizes)
     if not np.all(np.isnan(grown)):
         kt, kx = np.unravel_index(np.nanargmax(grown), grown.shape)
         worst = float(grown[kt, kx])
@@ -103,8 +107,7 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
                     present, minlength=len(traj.snapshots) * m).reshape(-1, m)
         for m in (2 ** level for level in range(DYADIC_DEPTH + 1))
     ])
-    mass_mins = np.minimum.accumulate(masses, axis=0)
-    mass_viol = masses[1:] - mass_mins[:-1]
+    mass_viol = _rises(masses)
     if mass_viol.size and float(np.max(mass_viol)) > worst:
         worst = float(np.max(mass_viol))
         kt, col = np.unravel_index(np.argmax(mass_viol), mass_viol.shape)
@@ -197,8 +200,7 @@ def check_sphere_equivalence(traj: FlowTrajectory) -> CheckReport:
             if not snap.num_jumps:
                 continue
             # the flux in its one-sided limits at each jump
-            left, right = reconstruct_z_pc(snap)
-            t_minus, t_plus = right[:-1], left[1:]
+            t_minus, t_plus = _jump_tangents(man, vals)
             # (i) tangency at both ends of every linear piece
             r_tan = max(r_tan, float(np.max(np.abs(_dot(t_minus, vals[:-1])))),
                         float(np.max(np.abs(_dot(t_plus, vals[1:])))))

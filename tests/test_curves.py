@@ -109,7 +109,6 @@ def test_tv_pc_is_sum_of_jumps():
     c = _pc1([0.2, 0.5, 0.8], [0.0, 1.0, 0.25, 0.75])
     tv = tv_measure(c)
     assert tv.total == pytest.approx(1.0 + 0.75 + 0.5)
-    assert tv.diffuse == 0.0
     assert chord_sizes(c).max() == pytest.approx(1.0)
 
 

@@ -229,6 +229,23 @@ def test_cli_generate_flow_verify_pipeline(tmp_path, capsys):
         "[pass] energy_inequality", "[pass] monotone_variation"]
 
 
+@pytest.mark.parametrize("keys", [{}, {"epsilon": 1e-2, "grid_n": 65}], ids=["exact", "grid"])
+def test_cli_flow_names_its_solver_as_the_trajectory_does(tmp_path, capsys, keys):
+    # one name per solver: the manifest and the printed line use the header's
+    curve_path = tmp_path / "stairs.csv"
+    assert main(["generate", "staircase", "--levels", "0,0.8,0.3,1.1",
+                 "--out", str(curve_path)]) == 0
+    _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=0.05, **keys)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["flow", "--config", str(tmp_path / "run.cfg"), "--input", str(curve_path),
+                 "--out", str(run)]) == 0
+    solver = read_trajectory(str(run / "trajectory.csv"), str(run / "diagnostics.csv")).solver
+    assert solver == ("regularized" if keys else "exact_pc")
+    assert json.loads((run / "manifest.json").read_text())["config"]["solver"] == solver
+    assert capsys.readouterr().out.startswith(f"{solver} run: ")
+
+
 def test_cli_verify_fails_on_corrupted_trajectory(tmp_path):
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([62, 0])))
     traj = run_exact_pc(u0, t_max=4 * tv_measure(u0).total)

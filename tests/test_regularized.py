@@ -1,5 +1,6 @@
 """Epsilon-regularized solver: the step, energy decay, scalar agreement."""
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -84,6 +85,17 @@ def test_config_refuses_a_non_integer_count(field, value):
     # a float grid_n would reach np.linspace as a TypeError
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         FlowConfig(manifold=SPH, epsilon=1e-2, **{field: value})
+
+
+@pytest.mark.parametrize("make", [lambda n: mollify(scalar_curve([0.5], [0.0, 1.0]), n),
+                                  lambda n: noisy_field("sphere:3", grid_n=n)],
+                         ids=["mollify", "noisy_field"])
+@pytest.mark.parametrize("value", [33.0, 33.5, "33"], ids=repr)
+def test_grid_builders_refuse_a_non_integer_grid_n(make, value):
+    # by the rule FlowConfig's grid_n follows, not as np.linspace's TypeError
+    with pytest.raises(ConfigError, match=re.escape(f"grid_n must be an integer, got {value!r}")):
+        make(value)
+    assert make(np.int64(33)).grid_n == 33
 
 
 def test_config_takes_numpy_integer_counts_as_ints():

@@ -1,5 +1,6 @@
 """Verifier checks: corruption sensitivity, guards, cross-solver table."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -305,3 +306,129 @@ def test_solvers_refuse_the_other_curve_kind():
 def test_cross_solver_refuses_an_unknown_pairing():
     with pytest.raises(ConfigError, match="unknown pairing"):
         cross_solver_compare(scalar_curve([0.4], [0.0, 1.0]), [1e-2], [51], pairing="bogus")
+
+
+# ---------------------------------------------------------------------------
+# the rise rules against plain loops that share no code with the verifier
+# ---------------------------------------------------------------------------
+
+
+def _energy_reference(traj):
+    """(worst, location) of ``check_energy``: each snapshot's energy over the
+    smallest one before it, by a running minimum; the first snapshot rises
+    by 0, and the first largest rise is reported."""
+    energy = [float(tv) + float(d) for tv, d in zip(traj.tv, traj.dissipation)]
+    worst, at, low = 0.0, 0, energy[0]
+    for k in range(1, len(energy)):
+        if energy[k] - low > worst:
+            worst, at = energy[k] - low, k
+        low = min(low, energy[k])
+    return worst, (float(traj.times[at]),)
+
+
+def _monotone_reference(traj):
+    """(worst, location) of ``check_monotone_variation``: each jump's size
+    over its smallest earlier size, skipping snapshots where it has merged,
+    then each dyadic interval's mass over its smallest earlier mass, the
+    masses summed jump by jump in breakpoint order.  The first largest rise
+    in time-then-place order is reported; a dyadic rise replaces a jump's
+    only if it is larger."""
+    man = traj.manifold
+    xs = [float(x) for x in traj.snapshots[0].breakpoints]
+    sizes = []  # per snapshot, {breakpoint: jump size} of the jumps still there
+    for snap in traj.snapshots:
+        d = man.dist(snap.values[:-1], snap.values[1:]) if snap.num_jumps else []
+        sizes.append({float(x): float(s) for x, s in zip(snap.breakpoints, np.atleast_1d(d))})
+    worst, where, low = -np.inf, (), {}
+    for k, row in enumerate(sizes):
+        for x in xs:
+            if x not in row:
+                continue
+            if x in low and row[x] - low[x] > worst:
+                worst, where = row[x] - low[x], (float(traj.times[k]), x)
+            low[x] = min(low.get(x, np.inf), row[x])
+    cells = []  # per snapshot, (mass, interval) of every dyadic interval of levels 0 to 6
+    for row in sizes:
+        cells.append([])
+        for level in range(7):
+            m = 2 ** level
+            mass = [0.0] * m
+            for x in xs:
+                if x in row:
+                    mass[math.floor(x * m)] += row[x]
+            cells[-1] += [(mass[i], (i / m, (i + 1) / m)) for i in range(m)]
+    mass_worst, mass_where = -np.inf, ()
+    low_mass = [mass for mass, _ in cells[0]]
+    for k in range(1, len(cells)):
+        for c, (mass, interval) in enumerate(cells[k]):
+            if mass - low_mass[c] > mass_worst:
+                mass_worst, mass_where = mass - low_mass[c], (float(traj.times[k]), interval)
+            low_mass[c] = min(low_mass[c], mass)
+    if mass_worst > worst:
+        worst, where = mass_worst, mass_where
+    worst = float(worst) if np.isfinite(worst) else 0.0
+    return worst, where if worst > 0 else ()
+
+
+def _hand_built(rows, dissipation):
+    """A step-curve record on euclidean:1 at times 0, 1, 2, ...: one
+    (breakpoints, values) row per snapshot."""
+    snaps = [scalar_curve(bp, vals) for bp, vals in rows]
+    return FlowTrajectory("exact_pc", np.arange(float(len(rows))), snaps,
+                          np.array(dissipation, dtype=float), 1e-3)
+
+
+_STEADY = ([0.25, 0.75], [0.0, 1.0, 2.0])
+_HAND_BUILT = {
+    # one snapshot: nothing rises, and the energy reports the first one
+    "single": ([_STEADY], [0.0]),
+    # every size and the energy fall: nothing grows
+    "falling": ([_STEADY, ([0.25, 0.75], [0.0, 0.75, 1.25]), ([0.25, 0.75], [0.5, 0.75, 1.0])],
+                [0.0, 0.25, 0.5]),
+    # both jumps, both halves and the energy rise at the first snapshot after the input
+    "rise_first": ([_STEADY, ([0.25, 0.75], [0.0, 1.5, 3.0]), _STEADY], [0.0, 0.0, 0.5]),
+    # a rise at the last snapshot, of one jump and by as much of the intervals holding it
+    "rise_last": ([_STEADY, ([0.25, 0.75], [0.0, 0.5, 1.0]), ([0.25, 0.75], [0.0, 0.5, 1.25])],
+                  [0.0, 1.0, 1.0]),
+    # four jumps rise by 0.5, two at each time, and the energy by 1 at both
+    # times; each jump shares its finest interval with one that falls by as
+    # much, so that no interval rises
+    "ties": ([([0.25, 0.26, 0.75, 0.76], [0.0, 1.0, 2.0, 3.0, 4.0]),
+              ([0.25, 0.26, 0.75, 0.76], [0.0, 1.5, 2.0, 3.5, 4.0]),
+              ([0.25, 0.26, 0.75, 0.76], [0.0, 1.0, 2.0, 3.0, 4.0])], [0.0, 1.0, 1.0]),
+    # the jump at 0.25 merges and comes back larger, and its rise over its
+    # size before the merge is the largest; the intervals holding it rise by
+    # as much, and then the jumps at 0.25 and 0.26 merge for good
+    "merged": ([([0.25, 0.26, 0.75], [0.0, 1.0, 2.0, 3.0]), ([0.26, 0.75], [0.0, 1.25, 2.25]),
+                ([0.25, 0.26, 0.75], [0.0, 1.5, 1.75, 2.75]), ([0.75], [0.0, 0.5])],
+               [0.0, 0.5, 0.5, 3.0]),
+}
+
+
+def _euclidean_run():
+    u0 = random_rad_curve(EU2, np.random.Generator(np.random.Philox([8, 0])))
+    return run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
+
+
+def _reset_middle(traj):
+    # the middle snapshot set back to the input, so that both checks see a rise
+    return _with_snapshot(traj, len(traj) // 2, traj.snapshots[0])
+
+
+_REFERENCE_RUNS = {
+    "sphere_5": lambda: _sphere_run(5),
+    "sphere_10": lambda: _sphere_run(10),
+    "euclidean": _euclidean_run,
+    "sphere_5_reset": lambda: _reset_middle(_sphere_run(5)),
+    **{case: (lambda data=data: _hand_built(*data)) for case, data in _HAND_BUILT.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_RUNS))
+def test_rise_rules_match_plain_loops(case):
+    traj = _REFERENCE_RUNS[case]()
+    for check, reference in ((check_energy, _energy_reference),
+                             (check_monotone_variation, _monotone_reference)):
+        report = check(traj)
+        # repr tells every double apart, the sign of a zero included
+        assert repr((report.worst, report.location)) == repr(reference(traj)), check.__name__
