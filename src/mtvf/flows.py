@@ -250,21 +250,20 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-def _face_slopes(values: np.ndarray, h: float, epsilon: float, out=(None, None)):
-    """Difference quotients ``Du`` on interior faces and ``sqrt(eps^2 + |Du|^2)``,
-    written into the two arrays of ``out`` where given."""
+def _face_slopes(values: np.ndarray, h: float, out=(None, None)):
+    """Difference quotients ``Du`` on interior faces and ``|Du|^2``, written
+    into the two arrays of ``out`` where given."""
     du = np.subtract(values[1:], values[:-1], out=out[0])
     du /= h
-    g = _dot(du, du, out=out[1])
-    g += epsilon * epsilon
-    return du, np.sqrt(g, out=g)
+    return du, _dot(du, du, out=out[1])
 
 
 def face_flux(values: np.ndarray, h: float, epsilon: float) -> np.ndarray:
     """Regularized flux ``Du / sqrt(eps^2 + |Du|^2)`` on interior faces,
     row i on the face between nodes i and i+1."""
-    du, denom = _face_slopes(values, h, epsilon)
-    return du / denom[:, None]
+    du, g = _face_slopes(values, h)
+    g += epsilon * epsilon
+    return du / np.sqrt(g, out=g)[:, None]
 
 
 def solve_banded(diagonal, off_diagonal, rhs):
@@ -282,20 +281,28 @@ def solve_banded(diagonal, off_diagonal, rhs):
 
 def _step_arrays(n, dim):
     """Work arrays of the semi-implicit step on an n-node state: face slopes,
-    diffusivities, and the diagonal and off-diagonal of its ``?ptsv`` system."""
+    their squared norms and then diffusivities, and the diagonal and
+    off-diagonal of its ``?ptsv`` system."""
     return np.empty((n - 1, dim), order="F"), np.empty(n - 1), np.empty(n), np.empty(n - 1)
 
 
 def _semi_implicit_step(man, u, h, dt, epsilon, out, work):
-    # (I + g L_b) v = u: every row is strictly diagonally dominant, so SPD.
     # Writes the new state into out and its work into work (``_step_arrays``);
     # only the solve returns an array of its own.
-    du, gb, diagonal, off = work
-    _face_slopes(u, h, epsilon, (du, gb))
-    np.divide(1.0, gb, out=gb)
+    _face_slopes(u, h, work[:2])
+    return _implicit_solve(man, u, h, dt, epsilon, out, work)
+
+
+def _implicit_solve(man, u, h, dt, epsilon, out, work):
+    # the step once work holds the face slopes of u, whose |Du|^2 the
+    # diffusivities overwrite.  (I + g L_b) v = u: every row is strictly
+    # diagonally dominant, so SPD.
+    _, gb, diagonal, off = work
+    gb += epsilon * epsilon
+    np.divide(1.0, np.sqrt(gb, out=gb), out=gb)
     gb *= dt / (h * h)
-    diagonal.fill(1.0)
-    diagonal[:-1] += gb
+    np.add(gb, 1.0, out=diagonal[:-1])
+    diagonal[-1] = 1.0
     diagonal[1:] += gb
     try:
         v = solve_banded(diagonal, np.negative(gb, out=off), u)
@@ -323,7 +330,9 @@ def run_regularized(
     ``config.epsilon`` must be set; ``config.grid_n`` is the datum's node
     count, at least 3, or unset.  Stops early once the state is constant; raises
     ``SolverError`` if the chordal variation increases in a single step and
-    ``GeometryError`` if a chord reaches twice the convexity radius.
+    ``GeometryError`` if a chord reaches twice the convexity radius.  These
+    rules read chords taken from the face slopes; dissipation and ``tv`` use
+    ``dist``.
     """
     man = config.manifold
     if not isinstance(u0, SampledCurve):
@@ -336,8 +345,6 @@ def run_regularized(
         raise ConfigError(f"grid_n = {config.grid_n} but the datum has {u0.grid_n} nodes")
     config = replace(config, grid_n=u0.grid_n)  # FlowConfig refuses a grid below 3 nodes
     h = u0.h
-    chords = chord_sizes(u0)
-    _refuse_wide(man, chords, lambda i: i * h, "chord")
     dt = 0.25 * h if config.dt == "auto" else config.dt
     eps = config.epsilon
     # chord sums of a constant state sit at a roundoff floor that grows with
@@ -345,22 +352,30 @@ def run_regularized(
     flat_tol = max(_FLAT_TV_TOL, 1e-14 * (u0.grid_n - 1))
 
     # the run's arrays, allocated once: the state and the next one, column-major
-    # as LAPACK reads them without a copy, the step's work arrays, and the
-    # chords (the datum's until the first step) and step distances
+    # as LAPACK reads them without a copy, the step's work arrays, the chords
+    # and the step distances
     u = np.array(u0.values, dtype=float, order="F")
     u_new = np.empty_like(u)
     work = _step_arrays(*u.shape)
+    chords = np.empty(u.shape[0] - 1)
     d_step = np.empty(u.shape[0])
+
+    def chord_sum(state):
+        # the state's face slopes, which its next step's solve reads, give its
+        # chords in closed form, in place of a dist pass over the nodes
+        man._secant_chords(*_face_slopes(state, h, work[:2]), h, chords)
+        return float(np.sum(chords))
+
     t = 0.0
     diss = 0.0
     rec = _Recorder(snapshot_times, config.t_max, u0)
-    tv_prev = float(np.sum(chords))
+    tv_prev = chord_sum(u)
+    _refuse_wide(man, chords, lambda i: i * h, "chord")
     flat = tv_prev < flat_tol
     while t < config.t_max - 1e-14 and not flat:
         dt_step = min(dt, rec.horizon(t))
-        _semi_implicit_step(man, u, h, dt_step, eps, u_new, work)
-        man.dist(u_new[:-1], u_new[1:], out=chords)
-        tv_new = float(np.sum(chords))
+        _implicit_solve(man, u, h, dt_step, eps, u_new, work)
+        tv_new = chord_sum(u_new)
         if tv_new > tv_prev + _TV_INCREASE_TOL:
             raise SolverError(
                 f"variation increased by {tv_new - tv_prev:.3g} in one step "

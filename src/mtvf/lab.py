@@ -38,9 +38,9 @@ def semiconvexity_gap(n: int) -> float:
     Positive gap = the obstruction survives the correction term; negative
     at small n, eventually positive.
     """
-    if n < 1 or int(n) != n:
+    n = integer("n", n)
+    if n < 1:
         raise GeometryError("n must be a positive integer")
-    n = int(n)
     x = 1.0 / (8.0 * n * (n + 1))
     lhs = 2.0 * np.arcsin(np.tan(x))
     rhs = 1.0 / (4.0 * n * (n + 1)) + 3.0 / (2.0 ** (n + 5) * n * (n + 1) ** 2)

@@ -17,7 +17,11 @@ SUITE_MANIFOLDS = ("euclidean:2", "sphere:3", "circle", "cylinder")
 
 
 def _rng(seed, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox([int(seed), int(stream)]))
+    # a Philox key is a non-negative integer
+    seed = integer("seed", seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return np.random.Generator(np.random.Philox([seed, stream]))
 
 
 def staircase(values, breakpoints=None) -> PiecewiseConstantCurve:

@@ -91,6 +91,13 @@ def test_semiconvexity_gap_sign_pattern():
         semiconvexity_gap(0)
 
 
+@pytest.mark.parametrize("n", [2.5, np.float64(3.0)], ids=repr)
+def test_semiconvexity_gap_refuses_a_non_integer_n(n):
+    # by the one integer rule, as a ConfigError naming n
+    with pytest.raises(ConfigError, match=re.escape(f"n must be an integer, got {n!r}")):
+        semiconvexity_gap(n)
+
+
 def test_first_positive_gap_is_none_when_the_scan_stops_before_19():
     assert first_positive_gap(18) is None
 

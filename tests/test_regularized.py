@@ -1,9 +1,11 @@
 """Epsilon-regularized solver: the step, energy decay, scalar agreement."""
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,14 +24,14 @@ from mtvf import (
     scalar_curve,
 )
 from mtvf.cli import main
-from mtvf.curves import mollify
+from mtvf.curves import chord_sizes, mollify
 from mtvf.flows import (
-    FlowConfig, _semi_implicit_step, _step_arrays, flow, run_exact_pc, run_regularized,
-    run_scalar_tv, solve_banded,
+    FlowConfig, _face_slopes, _semi_implicit_step, _step_arrays, flow, run_exact_pc,
+    run_regularized, run_scalar_tv, solve_banded,
 )
 from mtvf.io import write_curve
 from mtvf.manifolds import parse_manifold
-from mtvf.synth import _rng, noisy_field, random_rad_curve
+from mtvf.synth import _rng, noisy_field, random_rad_curve, suite
 
 EU = Euclidean(1)
 SPH = Sphere(3)
@@ -96,6 +98,17 @@ def test_grid_builders_refuse_a_non_integer_grid_n(make, value):
     with pytest.raises(ConfigError, match=re.escape(f"grid_n must be an integer, got {value!r}")):
         make(value)
     assert make(np.int64(33)).grid_n == 33
+
+
+@pytest.mark.parametrize("make", [lambda seed: noisy_field("sphere:3", grid_n=9, seed=seed),
+                                  lambda seed: suite(seed=seed, per_manifold=1)],
+                         ids=["noisy_field", "suite"])
+@pytest.mark.parametrize("seed", [1.5, np.float64(7.0), -1], ids=repr)
+def test_synth_refuses_a_seed_that_is_no_philox_key(make, seed):
+    # not truncated to another seed's data, nor Philox's bare ValueError
+    rule = "non-negative" if seed == -1 else "an integer"
+    with pytest.raises(ConfigError, match=re.escape(f"seed must be {rule}, got {seed!r}")):
+        make(seed)
 
 
 def test_config_takes_numpy_integer_counts_as_ints():
@@ -399,6 +412,51 @@ def test_grid_run_is_the_plain_loop_bit_for_bit(cadence, spec):
         snaps = [u0.values] + [s.values for traj in runs for s in traj.snapshots[1:]]
         for i, a in enumerate(snaps):
             assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
+
+
+# the largest relative gap of a run's chords from chord_sizes on the fields
+# below, 1.37e-11, rounded up; it is dist's: on circle's 10001-node field at
+# noise 0.15, a chord of 1.4e-6 where dist's q - (p.q) p cancels, the closed
+# form agrees with a 50-digit reference to the last digit
+_SECANT_CHORD_RTOL = 2e-11
+
+
+@pytest.mark.parametrize("spec", TARGETS)
+def test_chords_from_face_slopes_are_the_geodesic_chords(spec):
+    # the chords a run takes from its face slopes are chord_sizes, which
+    # tv_measure and the verifier take from dist
+    man = parse_manifold(spec)
+    for grid_n in (33, 201, 10001):
+        for noise in (0.15, 0.5):
+            u = noisy_field(man, grid_n=grid_n, noise=noise, seed=0)
+            chords = man._secant_chords(*_face_slopes(u.values, u.h), u.h, np.empty(grid_n - 1))
+            exact = chord_sizes(u)
+            assert np.all(np.abs(chords - exact) <= _SECANT_CHORD_RTOL * exact), (grid_n, noise)
+
+
+@pytest.mark.parametrize("spec, seed", [("sphere:3", 132), ("circle", 60), ("cylinder", 60)])
+def test_an_antipodal_neighbour_pair_is_refused_without_a_warning(spec, seed):
+    # p and -p (on the cylinder a quarter up the axis) as the middle pair of
+    # five nodes: the secant's circle part rounds to a half-length above 1,
+    # where an unclipped asin warns and gives a NaN chord that no size check
+    # refuses
+    man = parse_manifold(spec)
+    rng = np.random.Generator(np.random.Philox(seed))
+    p = man.project_point(rng.standard_normal(man.ambient_dim))
+    q, rise = -p, 0.0
+    if man.kind == "cylinder":
+        rise = 0.25
+        q[2] = p[2] + rise
+    u = SampledCurve(man, np.array([p, p, p, q, q]))
+    du, sq = _face_slopes(u.values, u.h)
+    circle_part = du[2, :2] if man.kind == "cylinder" else du[2]
+    assert 0.5 * u.h * math.sqrt(np.add.reduce(circle_part * circle_part)) > 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chords = man._secant_chords(du, sq, u.h, np.empty(4))
+        with pytest.raises(GeometryError, match=r"chord of size 3\.1\d* at x=0\.5 reaches twice"):
+            run_regularized(u, FlowConfig(man, epsilon=1e-2))
+    assert chords[2] == pytest.approx(math.hypot(math.pi, rise), rel=1e-15)
 
 
 def test_a_run_holds_its_input_as_snapshot_0_and_copies_only_what_it_records(monkeypatch):
