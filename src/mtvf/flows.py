@@ -41,6 +41,11 @@ from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
 _TV_INCREASE_TOL = 1e-7
 # a sampled state is constant (the flow has stopped) below this chord sum
 _FLAT_TV_TOL = 1e-12
+# a grid run's chords within this of twice the convexity radius are measured
+# again with dist: there the asin of the closed form reads an antipodal pair
+# up to 5.2e-8 short of the half turn (measured), as a few ulps of s / 2
+# below 1 move it
+_WIDE_REMEASURE = 1e-6
 # a jump below this size and _PAIR_ISOLATION times smaller than every other
 # one takes pair steps (``_pair_rk4``), which its own guard no longer limits;
 # setting it to 0 switches pair steps off
@@ -266,6 +271,18 @@ def face_flux(values: np.ndarray, h: float, epsilon: float) -> np.ndarray:
     return du / np.sqrt(g, out=g)[:, None]
 
 
+def _state_chords(man, state, h, work, out):
+    """The chords of a state, into ``out``, from its face slopes, which stay in
+    ``work`` for its next step's solve.  Chords near twice the convexity
+    radius are ``dist``'s, so the wide-chord refusal reads ``dist``."""
+    man._secant_chords(*_face_slopes(state, h, work[:2]), h, out)
+    near = 2.0 * man.convexity_radius - _WIDE_REMEASURE
+    if out.max() >= near:
+        i = np.flatnonzero(out >= near)
+        out[i] = man.dist(state[i], state[i + 1])
+    return out
+
+
 def solve_banded(diagonal, off_diagonal, rhs):
     """Solve the symmetric positive definite tridiagonal system by LAPACK
     ``?ptsv`` (LDL^T, no pivoting), leaving its arguments unchanged.  Named for
@@ -331,8 +348,8 @@ def run_regularized(
     count, at least 3, or unset.  Stops early once the state is constant; raises
     ``SolverError`` if the chordal variation increases in a single step and
     ``GeometryError`` if a chord reaches twice the convexity radius.  These
-    rules read chords taken from the face slopes; dissipation and ``tv`` use
-    ``dist``.
+    rules read chords taken from the face slopes, and ``dist``'s near twice
+    the convexity radius; dissipation and ``tv`` use ``dist``.
     """
     man = config.manifold
     if not isinstance(u0, SampledCurve):
@@ -360,22 +377,16 @@ def run_regularized(
     chords = np.empty(u.shape[0] - 1)
     d_step = np.empty(u.shape[0])
 
-    def chord_sum(state):
-        # the state's face slopes, which its next step's solve reads, give its
-        # chords in closed form, in place of a dist pass over the nodes
-        man._secant_chords(*_face_slopes(state, h, work[:2]), h, chords)
-        return float(np.sum(chords))
-
     t = 0.0
     diss = 0.0
     rec = _Recorder(snapshot_times, config.t_max, u0)
-    tv_prev = chord_sum(u)
+    tv_prev = float(np.sum(_state_chords(man, u, h, work, chords)))
     _refuse_wide(man, chords, lambda i: i * h, "chord")
     flat = tv_prev < flat_tol
     while t < config.t_max - 1e-14 and not flat:
         dt_step = min(dt, rec.horizon(t))
         _implicit_solve(man, u, h, dt_step, eps, u_new, work)
-        tv_new = chord_sum(u_new)
+        tv_new = float(np.sum(_state_chords(man, u_new, h, work, chords)))
         if tv_new > tv_prev + _TV_INCREASE_TOL:
             raise SolverError(
                 f"variation increased by {tv_new - tv_prev:.3g} in one step "

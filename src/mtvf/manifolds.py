@@ -26,17 +26,8 @@ the cheaper form, and the tests pin its bits to the plain formulas.
 A grid run takes its chords from the face slopes its next step reads:
 ``_secant_chords`` turns the secant of length s between two nodes on the
 target into their ``dist``, 2 asin(s / 2) on a sphere and on the cylinder's
-circle part, s itself on Euclidean space.  s / 2 is clipped at 1, past which
-rounding takes it at an antipode, so a chord within about 4e-8 of the half
-turn reads as the half turn.  ``tv_measure`` and the verifier keep ``dist``.
-
-Passes that change no bit are skipped.  ``_dot(a, a)`` adds no +0.0 to its
-first products, which turns only -0.0 into +0.0, and a square is never -0.0.
-``_copy`` leaves an array copied onto itself as it is.  The origin and axis
-checks of ``project_point`` take the least radius in one reduction that skips
-NaN (``fmin``), below 1e-14 exactly when some radius is.  The cylinder's
-``tangent_projection`` works on the two circle columns: v_z less the radial
-part's 0 is v_z, except that a -0.0 there could turn into +0.0 and now stays.
+circle part, s itself on Euclidean space.  ``tv_measure`` and the verifier
+keep ``dist``.
 """
 from __future__ import annotations
 
@@ -66,7 +57,7 @@ _COLUMN_SUM_ROWS = 128
 def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     # bit for bit np.add.reduce(a * b, axis=-1): it adds rows of <= 7 entries in
     # order onto +0.0; the column sum adds one column's products at a time.
-    # That +0.0 only turns -0.0 into +0.0, and _dot(a, a) skips it: no square is -0.0
+    # _dot(a, a) skips the +0.0, which only turns -0.0 into +0.0: no square is -0.0
     n = a.shape[-1] if a.size >= _COLUMN_SUM_ROWS else 0  # 0: reduce, no shape lookup
     if not 0 < n < 8 or a.size < _COLUMN_SUM_ROWS * n or a.shape != b.shape:
         return np.add.reduce(a * b, axis=-1, out=out)
@@ -88,14 +79,14 @@ def _copy(x, out=None) -> np.ndarray:
     """A float copy of ``x`` in its own memory layout, or ``x`` copied into ``out``."""
     if out is None:
         return np.array(x, dtype=float)
-    if out is not x:
-        np.copyto(out, x)
+    np.copyto(out, x)
     return out
 
 
 def _secant_arc(sq: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     # the arc 2 asin(s / 2) of the unit circle that a secant of length s = h sqrt(sq)
-    # spans; s / 2 is clipped at 1, past which rounding takes it at an antipode
+    # spans; s / 2 is clipped at 1, past which rounding takes it at an antipode,
+    # where asin would warn and give a NaN chord that no size check refuses
     np.sqrt(sq, out=out)
     out *= 0.5 * h
     np.minimum(out, 1.0, out=out)
@@ -326,7 +317,7 @@ class Sphere(Manifold):
     def project_point(self, x, out=None):
         x = np.asarray(x, dtype=float)
         r = _norm(x)
-        if np.fmin.reduce(r, axis=None, initial=math.inf) < 1e-14:
+        if (r < 1e-14).any():
             raise GeometryError("cannot project the origin onto the sphere")
         return np.divide(x, r[..., None], out=out)
 
@@ -407,27 +398,24 @@ class Cylinder(Manifold):
     def project_point(self, x, out=None):
         x = _copy(x, out)
         r = _norm(x[..., :2])
-        if np.fmin.reduce(r, axis=None, initial=math.inf) < 1e-14:
+        if (r < 1e-14).any():
             raise GeometryError("cannot project the axis onto the cylinder")
         x[..., 0] /= r
         x[..., 1] /= r
         return x
 
+    def _radial(self, p, out=None):
+        n = _copy(p, out)
+        n[..., 2] = 0.0
+        return n
+
     def _circ_tangent(self, p):
         return np.stack([-p[..., 1], p[..., 0], np.zeros_like(p[..., 2])], axis=-1)
 
     def tangent_projection(self, p, v, out=None):
-        # v less its part along the radial direction (p_x, p_y, 0), taken on the
-        # circle columns: v_z keeps its bits, as it does less that part's 0
-        p = np.asarray(p, float)
         v = np.asarray(v, float)
-        c = _dot(v[..., :2], p[..., :2])
-        if v.shape[:-1] != c.shape:  # p has the longer leading axes
-            v = np.broadcast_to(v, c.shape + (3,))
-        out = _copy(v, out)
-        out[..., 0] -= c * p[..., 0]
-        out[..., 1] -= c * p[..., 1]
-        return out
+        n = self._radial(p, out)
+        return np.subtract(v, np.multiply(_dot(v, n)[..., None], n, out=out), out=out)
 
     def _wrap_angle(self, p, q, out=None):
         # signed circular angle from p to q in (-pi, pi]

@@ -123,35 +123,6 @@ def test_sphere_tangent_projection_kills_radial():
     assert np.max(np.abs(np.sum(w * p, axis=-1))) < 1e-13
 
 
-@pytest.mark.parametrize("batch", [(), (13,), (10_000,)], ids=repr)
-def test_cylinder_tangent_projection_has_the_bits_of_the_radial_formula(batch):
-    # v - (v . n) n with n = (p_x, p_y, 0) and the dot product by np.add.reduce:
-    # the kernel takes only the circle columns, and v_z less 0 is v_z
-    man, rng = Cylinder(), _rng(29)
-    p = man.random_point(rng, batch)
-    v = rng.standard_normal(p.shape)
-
-    def radial_formula(p, v):
-        n = p * [1.0, 1.0, 0.0]
-        return v - np.add.reduce(v * n, axis=-1)[..., None] * n
-
-    assert np.array_equal(man.tangent_projection(p, v), radial_formula(p, v))
-    if batch:  # one vector at every point, and every vector at one point
-        for args in ((p, v[0]), (p[0], v)):
-            assert np.array_equal(man.tangent_projection(*args), radial_formula(*args))
-
-
-@pytest.mark.parametrize("man", [Sphere(3), Cylinder()], ids=lambda m: m.spec_id)
-def test_project_point_refuses_the_origin_or_axis_beside_a_nan_row(man):
-    # as (r < 1e-14).any() does: a NaN radius neither refuses nor hides the row
-    # that has no closest point
-    x = np.array([[np.nan, 1.0, 2.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(GeometryError, match="cannot project"):
-        man.project_point(x)
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(man.project_point(x[:1])).any()
-
-
 def test_cylinder_tangent_projection_kills_radial():
     man = Cylinder()
     rng = _rng(6)

@@ -24,10 +24,10 @@ from mtvf import (
     scalar_curve,
 )
 from mtvf.cli import main
-from mtvf.curves import chord_sizes, mollify
+from mtvf.curves import chord_sizes, mollify, tv_measure
 from mtvf.flows import (
-    FlowConfig, _face_slopes, _semi_implicit_step, _step_arrays, flow, run_exact_pc,
-    run_regularized, run_scalar_tv, solve_banded,
+    FlowConfig, _face_slopes, _semi_implicit_step, _state_chords, _step_arrays, flow,
+    run_exact_pc, run_regularized, run_scalar_tv, solve_banded,
 )
 from mtvf.io import write_curve
 from mtvf.manifolds import parse_manifold
@@ -434,29 +434,41 @@ def test_chords_from_face_slopes_are_the_geodesic_chords(spec):
             assert np.all(np.abs(chords - exact) <= _SECANT_CHORD_RTOL * exact), (grid_n, noise)
 
 
-@pytest.mark.parametrize("spec, seed", [("sphere:3", 132), ("circle", 60), ("cylinder", 60)])
-def test_an_antipodal_neighbour_pair_is_refused_without_a_warning(spec, seed):
-    # p and -p (on the cylinder a quarter up the axis) as the middle pair of
-    # five nodes: the secant's circle part rounds to a half-length above 1,
-    # where an unclipped asin warns and gives a NaN chord that no size check
-    # refuses
+@pytest.mark.parametrize("spec", ["sphere:3", "circle", "cylinder"])
+def test_a_near_antipodal_neighbour_pair_is_refused_as_dist_refuses_it(spec):
+    # p and its antipode, or a point pi - delta from p around the circle, as one
+    # neighbour pair of a 3- to 33-node datum (on the cylinder at p's height).
+    # Rounding takes the secant's half-length past 1, where an unclipped asin
+    # warns and gives a NaN chord, or an ulp below it, where the asin reads up
+    # to 5e-8 short of pi; the run refuses exactly when tv_measure (dist) does
     man = parse_manifold(spec)
-    rng = np.random.Generator(np.random.Philox(seed))
-    p = man.project_point(rng.standard_normal(man.ambient_dim))
-    q, rise = -p, 0.0
-    if man.kind == "cylinder":
-        rise = 0.25
-        q[2] = p[2] + rise
-    u = SampledCurve(man, np.array([p, p, p, q, q]))
-    du, sq = _face_slopes(u.values, u.h)
-    circle_part = du[2, :2] if man.kind == "cylinder" else du[2]
-    assert 0.5 * u.h * math.sqrt(np.add.reduce(circle_part * circle_part)) > 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        chords = man._secant_chords(du, sq, u.h, np.empty(4))
-        with pytest.raises(GeometryError, match=r"chord of size 3\.1\d* at x=0\.5 reaches twice"):
-            run_regularized(u, FlowConfig(man, epsilon=1e-2))
-    assert chords[2] == pytest.approx(math.hypot(math.pi, rise), rel=1e-15)
+    refused = 0
+    for seed in range(40):
+        rng = np.random.Generator(np.random.Philox([seed, 9]))
+        for grid_n in (3, 5, 8, 33):
+            for delta in (0.0, 1e-12, 1e-9, 3e-8):
+                p = man.project_point(rng.standard_normal(man.ambient_dim))
+                v, _ = man.random_direction(rng, p)
+                if man.kind == "cylinder":
+                    v[2] = 0.0
+                q = man.exp(p, (math.pi - delta) / np.linalg.norm(v) * v) if delta else -p
+                if man.kind == "cylinder":
+                    q[2] = p[2]
+                k = int(rng.integers(grid_n - 1))
+                u = SampledCurve(man, np.array([p] * (k + 1) + [q] * (grid_n - k - 1)))
+                exact = chord_sizes(u)
+                work = _step_arrays(*u.values.shape)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    chords = _state_chords(man, u.values, u.h, work, np.empty(grid_n - 1))
+                    assert chords[k] == exact[k], (seed, grid_n, delta)
+                    try:
+                        tv_measure(u)
+                    except GeometryError as exc:
+                        refused += 1
+                        with pytest.raises(GeometryError, match=re.escape(str(exc))):
+                            run_regularized(u, FlowConfig(man, epsilon=1e-2))
+    assert refused
 
 
 def test_a_run_holds_its_input_as_snapshot_0_and_copies_only_what_it_records(monkeypatch):
