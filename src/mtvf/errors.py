@@ -8,6 +8,8 @@ failures).  ``integer`` is the one rule for a count argument.
 """
 import operator
 
+import numpy as np
+
 
 class MtvfError(Exception):
     """Base class for all package-specific errors."""
@@ -39,8 +41,10 @@ class CheckNotApplicable(VerificationError):
 
 
 def integer(name: str, value) -> int:
-    """``value`` as an int (numpy integers too); else a ``ConfigError`` naming ``name``."""
+    """``value`` as an int (numpy integers too, no bool); else a ``ConfigError`` naming ``name``."""
     try:
-        return operator.index(value)
+        if not isinstance(value, (bool, np.bool_)):  # operator.index takes True as 1
+            return operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")

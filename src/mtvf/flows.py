@@ -255,27 +255,20 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-def _face_slopes(values: np.ndarray, h: float, out=(None, None)):
-    """Difference quotients ``Du`` on interior faces and ``|Du|^2``, written
-    into the two arrays of ``out`` where given."""
-    du = np.subtract(values[1:], values[:-1], out=out[0])
-    du /= h
-    return du, _dot(du, du, out=out[1])
-
-
 def face_flux(values: np.ndarray, h: float, epsilon: float) -> np.ndarray:
     """Regularized flux ``Du / sqrt(eps^2 + |Du|^2)`` on interior faces,
     row i on the face between nodes i and i+1."""
-    du, g = _face_slopes(values, h)
-    g += epsilon * epsilon
+    du = (values[1:] - values[:-1]) / h
+    g = _dot(du, du) + epsilon * epsilon
     return du / np.sqrt(g, out=g)[:, None]
 
 
-def _state_chords(man, state, h, work, out):
-    """The chords of a state, into ``out``, from its face slopes, which stay in
-    ``work`` for its next step's solve.  Chords near twice the convexity
-    radius are ``dist``'s, so the wide-chord refusal reads ``dist``."""
-    man._secant_chords(*_face_slopes(state, h, work[:2]), h, out)
+def _state_chords(man, state, work, out):
+    """The chords of a state, into ``out``, from its node differences, which stay in
+    ``work`` with their squared norms for its next step's solve; those near twice
+    the convexity radius are ``dist``'s, so the wide-chord refusal reads ``dist``."""
+    d = np.subtract(state[1:], state[:-1], out=work[0])
+    man._secant_chords(d, _dot(d, d, out=work[1]), out)
     near = 2.0 * man.convexity_radius - _WIDE_REMEASURE
     if out.max() >= near:
         i = np.flatnonzero(out >= near)
@@ -297,27 +290,20 @@ def solve_banded(diagonal, off_diagonal, rhs):
 
 
 def _step_arrays(n, dim):
-    """Work arrays of the semi-implicit step on an n-node state: face slopes,
-    their squared norms and then diffusivities, and the diagonal and
-    off-diagonal of its ``?ptsv`` system."""
+    """Work arrays of the semi-implicit step on an n-node state: node
+    differences, their squared norms and then diffusivities, and the diagonal
+    and off-diagonal of its ``?ptsv`` system."""
     return np.empty((n - 1, dim), order="F"), np.empty(n - 1), np.empty(n), np.empty(n - 1)
 
 
-def _semi_implicit_step(man, u, h, dt, epsilon, out, work):
-    # Writes the new state into out and its work into work (``_step_arrays``);
-    # only the solve returns an array of its own.
-    _face_slopes(u, h, work[:2])
-    return _implicit_solve(man, u, h, dt, epsilon, out, work)
-
-
 def _implicit_solve(man, u, h, dt, epsilon, out, work):
-    # the step once work holds the face slopes of u, whose |Du|^2 the
-    # diffusivities overwrite.  (I + g L_b) v = u: every row is strictly
-    # diagonally dominant, so SPD.
+    # the step once work holds u's node differences D, whose |D|^2 the diffusivities
+    # overwrite; it writes the next state into out and returns the sum of the squared
+    # step lengths.  (I + g L_b) v = u: every row is strictly diagonally dominant, so SPD.
     _, gb, diagonal, off = work
+    gb /= h * h
     gb += epsilon * epsilon
-    np.divide(1.0, np.sqrt(gb, out=gb), out=gb)
-    gb *= dt / (h * h)
+    np.divide(dt / (h * h), np.sqrt(gb, out=gb), out=gb)
     np.add(gb, 1.0, out=diagonal[:-1])
     diagonal[-1] = 1.0
     diagonal[1:] += gb
@@ -328,10 +314,7 @@ def _implicit_solve(man, u, h, dt, epsilon, out, work):
         # diagonal, and the rounded factorization is no longer positive
         raise SolverError(f"{exc}; epsilon = {epsilon:g} is too small for this grid "
                           "and step") from exc
-    # project_point(u + tangent_projection(u, v - u)); v is the solve's own array
-    out = man.tangent_projection(u, np.subtract(v, u, out=v), out=out)
-    out += u
-    return man.project_point(out, out=out)
+    return man._retract(u, v, out)  # v is the solve's own array
 
 
 def run_regularized(
@@ -348,8 +331,10 @@ def run_regularized(
     count, at least 3, or unset.  Stops early once the state is constant; raises
     ``SolverError`` if the chordal variation increases in a single step and
     ``GeometryError`` if a chord reaches twice the convexity radius.  These
-    rules read chords taken from the face slopes, and ``dist``'s near twice
-    the convexity radius; dissipation and ``tv`` use ``dist``.
+    rules read chords taken from the node differences, and ``dist``'s near
+    twice the convexity radius; dissipation takes step lengths from the
+    retraction, ``tv`` uses ``dist``.  dt / (h^2 epsilon) >= 2^52, where a flat
+    face's row loses its unit diagonal, is a ``SolverError`` before any solve.
     """
     man = config.manifold
     if not isinstance(u0, SampledCurve):
@@ -364,36 +349,36 @@ def run_regularized(
     h = u0.h
     dt = 0.25 * h if config.dt == "auto" else config.dt
     eps = config.epsilon
+    if dt / (h * h) >= 2.0 ** 52 * eps:
+        raise SolverError(f"epsilon = {eps:g} is too small for this grid and step: "
+                          f"dt / (h^2 epsilon) = {dt / (h * h) / eps:.3g} reaches 2^52")
     # chord sums of a constant state sit at a roundoff floor that grows with
     # the face count, so the flat-state detector scales with the grid
     flat_tol = max(_FLAT_TV_TOL, 1e-14 * (u0.grid_n - 1))
 
     # the run's arrays, allocated once: the state and the next one, column-major
-    # as LAPACK reads them without a copy, the step's work arrays, the chords
-    # and the step distances
+    # as LAPACK reads them without a copy, the step's work arrays and the chords
     u = np.array(u0.values, dtype=float, order="F")
     u_new = np.empty_like(u)
     work = _step_arrays(*u.shape)
     chords = np.empty(u.shape[0] - 1)
-    d_step = np.empty(u.shape[0])
 
     t = 0.0
     diss = 0.0
     rec = _Recorder(snapshot_times, config.t_max, u0)
-    tv_prev = float(np.sum(_state_chords(man, u, h, work, chords)))
+    tv_prev = float(np.sum(_state_chords(man, u, work, chords)))
     _refuse_wide(man, chords, lambda i: i * h, "chord")
     flat = tv_prev < flat_tol
     while t < config.t_max - 1e-14 and not flat:
         dt_step = min(dt, rec.horizon(t))
-        _implicit_solve(man, u, h, dt_step, eps, u_new, work)
-        tv_new = float(np.sum(_state_chords(man, u_new, h, work, chords)))
+        step_sq = _implicit_solve(man, u, h, dt_step, eps, u_new, work)
+        tv_new = float(np.sum(_state_chords(man, u_new, work, chords)))
         if tv_new > tv_prev + _TV_INCREASE_TOL:
             raise SolverError(
                 f"variation increased by {tv_new - tv_prev:.3g} in one step "
                 f"(dt={dt_step:.3g}); reduce the step size"
             )
-        man.dist(u, u_new, out=d_step)
-        diss += h * float(np.sum(np.square(d_step, out=d_step))) / dt_step
+        diss += h * step_sq / dt_step
         u, u_new = u_new, u
         t += dt_step
         tv_prev = tv_new

@@ -7,12 +7,6 @@ their results so the constraint residual stays at the 1e-12 level.
 Built-in geometries: ``euclidean:<N>``, ``sphere:<N>`` (unit sphere in R^N,
 N >= 2), ``circle`` (unit circle in R^2) and ``cylinder`` (S^1 x R in R^3).
 
-The kernels a grid step calls (``_dot``, ``_norm``, ``project_point``,
-``tangent_projection`` and ``dist``) take an optional numpy-style ``out=``:
-an array of the result's shape that receives the result and is returned.
-Given or not, the result has the same bits.  ``out`` must not share memory
-with an argument, except that ``project_point`` may project in place.
-
 The cylinder's ``dist`` is ``sqrt(a^2 + dz^2)`` and its ``project_point``
 divides by ``_norm`` of the circle coordinates: on 1e4 rows ``np.hypot``
 takes about six times as long, and the sqrt form stays within 2 ulp of it.
@@ -23,11 +17,13 @@ axis distance that ``project_point`` refuses.  ``_tangent_pair`` keeps
 ``np.hypot``: at the exact solver's batches of a few rows one ufunc call is
 the cheaper form, and the tests pin its bits to the plain formulas.
 
-A grid run takes its chords from the face slopes its next step reads:
+A grid run takes its chords from the node differences its next step reads:
 ``_secant_chords`` turns the secant of length s between two nodes on the
 target into their ``dist``, 2 asin(s / 2) on a sphere and on the cylinder's
-circle part, s itself on Euclidean space.  ``tv_measure`` and the verifier
-keep ``dist``.
+circle part, s itself on Euclidean space.  Its step ends at ``_retract``'s
+(u + xi) / |u + xi|, with |u + xi| measured: sqrt(1 + |xi|^2) assumes |u| = 1
+and lets the constraint residual grow.  ``tv_measure`` and the verifier keep
+``dist``.
 """
 from __future__ import annotations
 
@@ -75,24 +71,25 @@ def _norm(v: np.ndarray, out=None) -> np.ndarray:
     return np.sqrt(_dot(v, v, out=out), out=out)
 
 
-def _copy(x, out=None) -> np.ndarray:
-    """A float copy of ``x`` in its own memory layout, or ``x`` copied into ``out``."""
-    if out is None:
-        return np.array(x, dtype=float)
-    np.copyto(out, x)
-    return out
-
-
-def _secant_arc(sq: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    # the arc 2 asin(s / 2) of the unit circle that a secant of length s = h sqrt(sq)
+def _secant_arc(sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # the arc 2 asin(s / 2) of the unit circle that a secant of length s = sqrt(sq)
     # spans; s / 2 is clipped at 1, past which rounding takes it at an antipode,
     # where asin would warn and give a NaN chord that no size check refuses
     np.sqrt(sq, out=out)
-    out *= 0.5 * h
+    out *= 0.5
     np.minimum(out, 1.0, out=out)
     np.arcsin(out, out=out)
     out *= 2.0
     return out
+
+
+def _circle_retract(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # out = (u + xi) / |u + xi| for xi = v - (v.u) u, left in v; returns atan |xi|
+    np.multiply(_dot(v, u)[..., None], u, out=out)
+    v -= out
+    np.add(u, v, out=out)
+    out /= _norm(out)[..., None]
+    return np.arctan(_norm(v))
 
 
 def _unit_norm(v: np.ndarray):
@@ -165,13 +162,13 @@ class Manifold:
 
     # -- abstract kernels ---------------------------------------------------
 
-    def project_point(self, x: np.ndarray, out=None) -> np.ndarray:
+    def project_point(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def tangent_projection(self, p: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    def tangent_projection(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def dist(self, p: np.ndarray, q: np.ndarray, out=None) -> np.ndarray:
+    def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def exp(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -184,9 +181,15 @@ class Manifold:
         """``(t_minus, t_plus, jump size)`` of ``unit_tangent_pair``, no checks."""
         raise NotImplementedError
 
-    def _secant_chords(self, du: np.ndarray, sq: np.ndarray, h: float, out: np.ndarray):
-        """``dist`` of nodes h apart on the target, into ``out``, from their difference
-        quotients ``du`` and its squared norms ``sq``."""
+    def _secant_chords(self, d: np.ndarray, sq: np.ndarray, out: np.ndarray):
+        """``dist`` of neighbouring nodes on the target, into ``out``, from their
+        differences ``d`` and its squared norms ``sq``."""
+        raise NotImplementedError
+
+    def _retract(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> float:
+        """Write the closest point to u + xi on the target, xi the tangent part of
+        v - u, into ``out``, overwriting ``v``; return the sum of the squared
+        geodesic step lengths, atan |xi| on a sphere and the cylinder's circle."""
         raise NotImplementedError
 
     def _random_points(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -275,14 +278,14 @@ class Euclidean(Manifold):
             raise ConfigError("euclidean manifold needs ambient dimension >= 1")
         self.ambient_dim = int(ambient_dim)
 
-    def project_point(self, x, out=None):
-        return np.asarray(x, dtype=float) if out is None else _copy(x, out)
+    def project_point(self, x):
+        return np.asarray(x, dtype=float)
 
-    def tangent_projection(self, p, v, out=None):
-        return np.asarray(v, dtype=float) if out is None else _copy(v, out)
+    def tangent_projection(self, p, v):
+        return np.asarray(v, dtype=float)
 
-    def dist(self, p, q, out=None):
-        return _norm(np.subtract(q, p, dtype=float), out=out)
+    def dist(self, p, q):
+        return _norm(np.subtract(q, p, dtype=float))
 
     def exp(self, p, v):
         return np.asarray(p, float) + np.asarray(v, float)
@@ -290,8 +293,13 @@ class Euclidean(Manifold):
     def log(self, p, q):
         return np.asarray(q, float) - np.asarray(p, float)
 
-    def _secant_chords(self, du, sq, h, out):
-        return np.multiply(np.sqrt(sq, out=out), h, out=out)
+    def _secant_chords(self, d, sq, out):
+        return np.sqrt(sq, out=out)
+
+    def _retract(self, u, v, out):
+        np.copyto(out, v)
+        v -= u
+        return float(np.sum(np.square(v, out=v)))
 
     def _tangent_pair(self, p, q):
         # the chord direction is tangent everywhere and the same at both ends
@@ -314,25 +322,25 @@ class Sphere(Manifold):
             raise ConfigError("sphere needs ambient dimension >= 2")
         self.ambient_dim = int(ambient_dim)
 
-    def project_point(self, x, out=None):
+    def project_point(self, x):
         x = np.asarray(x, dtype=float)
         r = _norm(x)
         if (r < 1e-14).any():
             raise GeometryError("cannot project the origin onto the sphere")
-        return np.divide(x, r[..., None], out=out)
+        return x / r[..., None]
 
-    def tangent_projection(self, p, v, out=None):
+    def tangent_projection(self, p, v):
         p = np.asarray(p, float)
         v = np.asarray(v, float)
-        return np.subtract(v, np.multiply(_dot(v, p)[..., None], p, out=out), out=out)
+        return v - _dot(v, p)[..., None] * p
 
-    def dist(self, p, q, out=None):
+    def dist(self, p, q):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
         c = _dot(p, q)
         w = np.multiply(c[..., None], p)
         w = np.subtract(q, w, out=w)  # q - c p
-        return np.arctan2(_norm(w, out=out), c, out=out)
+        return np.arctan2(_norm(w), c)
 
     def exp(self, p, v):
         p = np.asarray(p, float)
@@ -356,8 +364,11 @@ class Sphere(Manifold):
         scale = np.where(s < 1e-300, 1.0, theta / np.where(s < 1e-300, 1.0, s))
         return scale[..., None] * w
 
-    def _secant_chords(self, du, sq, h, out):
-        return _secant_arc(sq, h, out)
+    def _secant_chords(self, d, sq, out):
+        return _secant_arc(sq, out)
+
+    def _retract(self, u, v, out):
+        return float(np.sum(np.square(_circle_retract(u, v, out))))
 
     def _tangent_pair(self, p, q):
         # w = q - c p points from p toward q, v = c q - p away from p at q.
@@ -395,8 +406,8 @@ class Cylinder(Manifold):
     injectivity_radius = math.pi
     _axis = np.array([0.0, 0.0, 1.0])
 
-    def project_point(self, x, out=None):
-        x = _copy(x, out)
+    def project_point(self, x):
+        x = np.array(x, dtype=float)
         r = _norm(x[..., :2])
         if (r < 1e-14).any():
             raise GeometryError("cannot project the axis onto the cylinder")
@@ -404,46 +415,46 @@ class Cylinder(Manifold):
         x[..., 1] /= r
         return x
 
-    def _radial(self, p, out=None):
-        n = _copy(p, out)
-        n[..., 2] = 0.0
-        return n
-
     def _circ_tangent(self, p):
         return np.stack([-p[..., 1], p[..., 0], np.zeros_like(p[..., 2])], axis=-1)
 
-    def tangent_projection(self, p, v, out=None):
+    def tangent_projection(self, p, v):
         v = np.asarray(v, float)
-        n = self._radial(p, out)
-        return np.subtract(v, np.multiply(_dot(v, n)[..., None], n, out=out), out=out)
+        n = np.array(p, dtype=float)  # the radial direction
+        n[..., 2] = 0.0
+        return v - _dot(v, n)[..., None] * n
 
-    def _wrap_angle(self, p, q, out=None):
+    def _wrap_angle(self, p, q):
         # signed circular angle from p to q in (-pi, pi]
         s = p[..., 0] * q[..., 1]
         s -= p[..., 1] * q[..., 0]
         c = p[..., 0] * q[..., 0]
         c += p[..., 1] * q[..., 1]
-        return np.arctan2(s, c, out=out)
+        return np.arctan2(s, c)
 
-    def dist(self, p, q, out=None):
+    def dist(self, p, q):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        a = self._wrap_angle(p, q, out)
+        a = self._wrap_angle(p, q)
         dz = q[..., 2] - p[..., 2]
         a *= a
         dz *= dz
         a += dz
-        return np.sqrt(a, out=out)
+        return np.sqrt(a)
 
-    def _secant_chords(self, du, sq, h, out):
+    def _secant_chords(self, d, sq, out):
         # the secant's circle part spans an arc; its axial part is its own length
-        xy = du[..., :2]
-        a = _secant_arc(_dot(xy, xy, out=out), h, out)
-        dz = np.multiply(du[..., 2], h)
+        xy = d[..., :2]
+        a = _secant_arc(_dot(xy, xy, out=out), out)
         a *= a
-        dz *= dz
-        a += dz
+        a += np.square(d[..., 2])
         return np.sqrt(a, out=a)
+
+    def _retract(self, u, v, out):
+        # the circle's rule on the circle part; the axial part is v's own
+        a = _circle_retract(u[..., :2], v[..., :2], out[..., :2])
+        out[..., 2] = v[..., 2]
+        return float(np.sum(a * a + np.square(v[..., 2] - u[..., 2])))
 
     def exp(self, p, v):
         p = np.asarray(p, float)

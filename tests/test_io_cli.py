@@ -25,7 +25,7 @@ from mtvf import (
 )
 from mtvf.cli import main
 from mtvf.curves import chord_sizes
-from mtvf.flows import FlowConfig, FlowTrajectory, run_regularized
+from mtvf.flows import FlowConfig, FlowTrajectory, run_regularized, solve_banded
 from mtvf.io import (
     _CONFIG_KEYS,
     config_to_text,
@@ -860,9 +860,18 @@ def test_cli_solver_error_exits_2_and_leaves_no_run_directory(tmp_path, capsys, 
 
 @pytest.mark.parametrize("eps,outcome", [("1e-200", "config error"), ("1e-150", "error"),
                                          ("1e-18", "error")])
-def test_cli_denoise_refuses_a_tiny_epsilon_by_name(tmp_path, capsys, eps, outcome):
+def test_cli_denoise_refuses_a_tiny_epsilon_by_name(tmp_path, capsys, monkeypatch, eps, outcome):
     # epsilon^2 underflows to 0 at 1e-200, so FlowConfig refuses it before a
-    # division by zero; at 1e-150 and 1e-18 the step's ?ptsv solve fails
+    # division by zero; at 1e-150 and 1e-18, dt / (h^2 epsilon) reaches 2^52,
+    # where a flat face's row loses its unit diagonal, and the run is refused
+    # by that rule before any solve, not when a rounded factorization fails
+    solves = []
+
+    def counted(*args):
+        solves.append(1)
+        return solve_banded(*args)
+
+    monkeypatch.setattr("mtvf.flows.solve_banded", counted)
     field = str(tmp_path / "field.csv")
     assert main(["generate", "noisy_field", "--manifold", "sphere:3", "--grid", "33",
                  "--out", field]) == 0
@@ -875,6 +884,11 @@ def test_cli_denoise_refuses_a_tiny_epsilon_by_name(tmp_path, capsys, eps, outco
     assert err.startswith(f"{outcome}:") and f"epsilon = {eps} is too small" in err
     assert "Traceback" not in err
     assert not (tmp_path / "den").exists()
+    assert not solves
+    # dt / (h^2 epsilon) = 8e13 on this 33-node grid: the run goes on to the end
+    assert main(["denoise", "--input", field, "--eps", "1e-13",
+                 "--out", str(tmp_path / "den")]) == 0
+    assert solves
 
 
 # each case is named for the solver its config selects; "auto", with no epsilon, is the exact one

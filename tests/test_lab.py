@@ -91,7 +91,7 @@ def test_semiconvexity_gap_sign_pattern():
         semiconvexity_gap(0)
 
 
-@pytest.mark.parametrize("n", [2.5, np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize("n", [2.5, np.float64(3.0), True], ids=repr)
 def test_semiconvexity_gap_refuses_a_non_integer_n(n):
     # by the one integer rule, as a ConfigError naming n
     with pytest.raises(ConfigError, match=re.escape(f"n must be an integer, got {n!r}")):
@@ -347,11 +347,12 @@ def test_stability_scan_rejects_empty_scan():
     with pytest.raises(ConfigError):
         hessian_comparison_check(SPH, EQ0, EQ90, n_dirs=0, rng=np.random.default_rng(0))
     # a count that is not an integer is refused by name, as FlowConfig's grid_n
-    for count in (2.5, np.float64(3.0)):
+    for count in (2.5, np.float64(3.0), True):
         with pytest.raises(ConfigError, match=re.escape(f"n_samples must be an integer, got {count!r}")):
             geodesic_endpoint_stability(count)
-    with pytest.raises(ConfigError, match=re.escape("n_dirs must be an integer, got 2.5")):
-        hessian_comparison_check(SPH, EQ0, EQ90, n_dirs=2.5, rng=np.random.default_rng(0))
+    for count in (2.5, np.True_):
+        with pytest.raises(ConfigError, match=re.escape(f"n_dirs must be an integer, got {count!r}")):
+            hessian_comparison_check(SPH, EQ0, EQ90, n_dirs=count, rng=np.random.default_rng(0))
     with pytest.raises(ConfigError, match=re.escape("n_max must be an integer, got 20.5")):
         first_positive_gap(20.5)
 

@@ -574,27 +574,6 @@ def test_row_kernels_round_as_add_reduce(shape, n):
     assert not zero.any() and not np.signbit(zero).any()
 
 
-@pytest.mark.parametrize("batch", [1, 13, 10_000])
-@pytest.mark.parametrize("man", ALL_MANIFOLDS, ids=repr)
-def test_grid_kernels_with_out_give_the_bits_of_the_plain_call(man, batch):
-    # the grid step writes dist, tangent_projection and project_point into
-    # arrays of its own, column-major, and projects its state in place
-    rng = _rng(27)
-    p, q = man.random_point(rng, batch), man.random_point(rng, batch)
-    v = rng.standard_normal(p.shape)
-    x = p + 0.3 * v  # off the target
-    for kernel, args in ((man.dist, (p, q)), (man.tangent_projection, (p, v)),
-                         (man.project_point, (x,))):
-        want = kernel(*args)
-        for order in "CF":
-            out = np.full(want.shape, np.nan, order=order)
-            assert kernel(*(np.array(a, order=order) for a in args), out=out) is out
-            _assert_same_bits(out, want)
-    y = np.array(x, order="F")
-    assert man.project_point(y, out=y) is y
-    _assert_same_bits(y, man.project_point(x))
-
-
 def test_cylinder_sqrt_forms_stay_within_2_ulp_of_hypot():
     # dist and project_point take sqrt(a^2 + b^2), not np.hypot; checked
     # against the correctly rounded math.hypot of the same two coordinates

@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,7 +27,7 @@ from mtvf import (
 from mtvf.cli import main
 from mtvf.curves import chord_sizes, mollify, tv_measure
 from mtvf.flows import (
-    FlowConfig, _face_slopes, _semi_implicit_step, _state_chords, _step_arrays, flow,
+    FlowConfig, _implicit_solve, _state_chords, _step_arrays, flow,
     run_exact_pc, run_regularized, run_scalar_tv, solve_banded,
 )
 from mtvf.io import write_curve
@@ -82,7 +83,8 @@ def test_config_refuses_grid_n_without_epsilon():
         FlowConfig(manifold=EU, grid_n=33)
 
 
-@pytest.mark.parametrize("field, value", [("grid_n", 33.5), ("grid_n", 33.0), ("grid_n", "33")])
+@pytest.mark.parametrize("field, value", [("grid_n", 33.5), ("grid_n", 33.0), ("grid_n", "33"),
+                                          ("grid_n", True)])
 def test_config_refuses_a_non_integer_count(field, value):
     # a float grid_n would reach np.linspace as a TypeError
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
@@ -92,7 +94,7 @@ def test_config_refuses_a_non_integer_count(field, value):
 @pytest.mark.parametrize("make", [lambda n: mollify(scalar_curve([0.5], [0.0, 1.0]), n),
                                   lambda n: noisy_field("sphere:3", grid_n=n)],
                          ids=["mollify", "noisy_field"])
-@pytest.mark.parametrize("value", [33.0, 33.5, "33"], ids=repr)
+@pytest.mark.parametrize("value", [33.0, 33.5, "33", True], ids=repr)
 def test_grid_builders_refuse_a_non_integer_grid_n(make, value):
     # by the rule FlowConfig's grid_n follows, not as np.linspace's TypeError
     with pytest.raises(ConfigError, match=re.escape(f"grid_n must be an integer, got {value!r}")):
@@ -103,7 +105,7 @@ def test_grid_builders_refuse_a_non_integer_grid_n(make, value):
 @pytest.mark.parametrize("make", [lambda seed: noisy_field("sphere:3", grid_n=9, seed=seed),
                                   lambda seed: suite(seed=seed, per_manifold=1)],
                          ids=["noisy_field", "suite"])
-@pytest.mark.parametrize("seed", [1.5, np.float64(7.0), -1], ids=repr)
+@pytest.mark.parametrize("seed", [1.5, np.float64(7.0), -1, True], ids=repr)
 def test_synth_refuses_a_seed_that_is_no_philox_key(make, seed):
     # not truncated to another seed's data, nor Philox's bare ValueError
     rule = "non-negative" if seed == -1 else "an integer"
@@ -295,7 +297,10 @@ def test_scipy_loads_with_the_first_grid_step():
 
 def _step(man, u, h, dt, eps):
     # one semi-implicit step into arrays of its own
-    return _semi_implicit_step(man, u, h, dt, eps, np.empty_like(u), _step_arrays(*u.shape))
+    work, out = _step_arrays(*u.shape), np.empty_like(u)
+    _state_chords(man, u, work, np.empty(len(u) - 1))
+    _implicit_solve(man, u, h, dt, eps, out, work)
+    return out
 
 
 @pytest.mark.parametrize("spec", TARGETS)
@@ -341,10 +346,21 @@ def test_regularized_run_does_not_depend_on_memory_layout(spec):
             assert np.array_equal(a.values, b.values)
 
 
+def _plain_solve(u, dt, eps):
+    # the ?ptsv solve of a step from u, assembled from the plain formulas
+    h = 1.0 / (len(u) - 1)
+    d = u[1:] - u[:-1]
+    gb = dt / (h * h) / np.sqrt(eps * eps + np.sum(d * d, axis=1) / (h * h))
+    diagonal = np.ones(len(u))
+    diagonal[:-1] += gb
+    diagonal[1:] += gb
+    return solve_banded(diagonal, -gb, u)
+
+
 def _plain_grid_run(man, values, dt, eps, t_max, stops=()):
     # every state of a grid run as (t, cumulative dissipation, values): the
-    # step written out from the public kernels and solve_banded, one fresh
-    # array per result
+    # step written out from the plain formulas, solve_banded and the target's
+    # _retract, one fresh array per result
     u = np.array(values)
     h = 1.0 / (len(u) - 1)
     flat_tol = max(1e-12, 1e-14 * (len(u) - 1))
@@ -353,16 +369,10 @@ def _plain_grid_run(man, values, dt, eps, t_max, stops=()):
     rows = [(t, diss, u)]
     while t < t_max - 1e-14 and tv >= flat_tol:
         dt_step = min(dt, (stops[0] if stops else t_max) - t)
-        du = (u[1:] - u[:-1]) / h
-        gb = dt_step / (h * h) * (1.0 / np.sqrt(eps * eps + np.sum(du * du, axis=1)))
-        diagonal = np.ones(len(u))
-        diagonal[:-1] += gb
-        diagonal[1:] += gb
-        v = solve_banded(diagonal, -gb, u)
-        new = man.project_point(u + man.tangent_projection(u, v - u))
+        v = _plain_solve(u, dt_step, eps)
+        new = np.empty_like(u)
+        diss += h * man._retract(u, v, new) / dt_step
         tv = float(np.sum(man.dist(new[:-1], new[1:])))
-        d = man.dist(u, new)
-        diss += h * float(np.sum(d * d)) / dt_step
         t += dt_step
         if stops and t >= stops[0] - 1e-14:
             stops.pop(0)
@@ -423,15 +433,72 @@ _SECANT_CHORD_RTOL = 2e-11
 
 @pytest.mark.parametrize("spec", TARGETS)
 def test_chords_from_face_slopes_are_the_geodesic_chords(spec):
-    # the chords a run takes from its face slopes are chord_sizes, which
+    # the chords a run takes from its node differences are chord_sizes, which
     # tv_measure and the verifier take from dist
     man = parse_manifold(spec)
     for grid_n in (33, 201, 10001):
         for noise in (0.15, 0.5):
             u = noisy_field(man, grid_n=grid_n, noise=noise, seed=0)
-            chords = man._secant_chords(*_face_slopes(u.values, u.h), u.h, np.empty(grid_n - 1))
+            d = np.diff(u.values, axis=0)
+            chords = man._secant_chords(d, np.sum(d * d, axis=1), np.empty(grid_n - 1))
             exact = chord_sizes(u)
             assert np.all(np.abs(chords - exact) <= _SECANT_CHORD_RTOL * exact), (grid_n, noise)
+
+
+def _mp_arc(p, q):
+    # the angle between p and q, each scaled to unit length, at 50 digits
+    with mpmath.workdps(50):
+        p, q = ([mpmath.mpf(x) for x in point] for point in (p, q))
+        n_p, n_q = (mpmath.sqrt(mpmath.fsum(x * x for x in point)) for point in (p, q))
+        chord = mpmath.sqrt(mpmath.fsum((x / n_p - y / n_q) ** 2 for x, y in zip(p, q)))
+        return 2 * mpmath.asin(chord / 2)
+
+
+def _mp_dist(kind, p, q):
+    if kind == "cylinder":
+        with mpmath.workdps(50):
+            dz = mpmath.mpf(q[2]) - mpmath.mpf(p[2])
+            return mpmath.sqrt(_mp_arc(p[:2], q[:2]) ** 2 + dz ** 2)
+    return _mp_arc(p, q)
+
+
+# the largest relative gap of a step's length, as _retract returns it, from the
+# 50-digit distance between its two states on the fields below, rounded up;
+# dist's largest gap at the same points is 1.5e-14, 1.4e-12 and 2.6e-14
+_STEP_LENGTH_RTOL = {"sphere:3": 2e-14, "circle": 2e-12, "cylinder": 9e-14}
+
+
+@pytest.mark.parametrize("spec", ["sphere:3", "circle", "cylinder"])
+def test_step_lengths_are_the_geodesic_distances_the_retraction_moves(spec):
+    # one row at a time, on the first step of 10^4-node fields, as a grid_solve
+    # item takes it; steps reach 0.38, where atan |xi| and |xi| differ by 5 %
+    man = parse_manifold(spec)
+    for noise in (0.15, 0.5):
+        u = noisy_field(man, grid_n=10001, noise=noise, seed=3).values
+        v = _plain_solve(u, 0.25e-4, 1e-3)
+        worst = 0.0
+        for i in range(len(u)):
+            new = np.empty((1, man.ambient_dim))
+            length = math.sqrt(man._retract(u[i:i + 1], v[i:i + 1].copy(), new))
+            exact = _mp_dist(man.kind, u[i], new[0])
+            worst = max(worst, float(abs(length - exact) / exact))
+        assert worst <= _STEP_LENGTH_RTOL[spec], (noise, worst)
+
+
+@pytest.mark.parametrize("spec", ["sphere:3", "cylinder"])
+def test_the_constraint_residual_stays_at_one_ulp_over_3000_steps(spec):
+    # the retraction divides by the measured norm: | |u| - 1 | (of the circle
+    # part on the cylinder) stays within an ulp of 1, where dividing by
+    # sqrt(1 + |xi|^2) reaches 1e-14.  At epsilon = 3 the state is far from
+    # flat after 3000 steps (variation 4e-6)
+    u0 = noisy_field(spec, grid_n=201, noise=0.15, seed=3)
+    dt = u0.h / 4
+    traj = run_regularized(u0, FlowConfig(u0.manifold, epsilon=3.0, t_max=3000 * dt),
+                           snapshot_times=[1000 * dt, 2000 * dt, 3000 * dt])
+    assert len(traj) == 4 and traj.tv[-1] > 1e-6
+    for snap in traj.snapshots[1:]:
+        radius = np.linalg.norm(snap.values[:, :2] if spec == "cylinder" else snap.values, axis=1)
+        assert np.max(np.abs(radius - 1.0)) <= 2.3e-16
 
 
 @pytest.mark.parametrize("spec", ["sphere:3", "circle", "cylinder"])
@@ -460,7 +527,7 @@ def test_a_near_antipodal_neighbour_pair_is_refused_as_dist_refuses_it(spec):
                 work = _step_arrays(*u.values.shape)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    chords = _state_chords(man, u.values, u.h, work, np.empty(grid_n - 1))
+                    chords = _state_chords(man, u.values, work, np.empty(grid_n - 1))
                     assert chords[k] == exact[k], (seed, grid_n, delta)
                     try:
                         tv_measure(u)
