@@ -574,6 +574,39 @@ def test_row_kernels_round_as_add_reduce(shape, n):
     assert not zero.any() and not np.signbit(zero).any()
 
 
+def _plain_retract(man, u, v):
+    # (next state, sum of squared step lengths) by the retraction's formulas,
+    # on fresh arrays: the circle rule on a sphere and the cylinder's circle part
+    if man.kind == "euclidean":
+        return v.copy(), float(np.sum(np.square(v - u)))
+    k = 2 if man.kind == "cylinder" else u.shape[-1]
+    xi = v[..., :k] - np.add.reduce(v[..., :k] * u[..., :k], axis=-1)[..., None] * u[..., :k]
+    w = u[..., :k] + xi
+    state = np.concatenate((w / np.sqrt(np.add.reduce(w * w, axis=-1))[..., None],
+                            v[..., k:]), axis=-1)
+    sq = np.square(np.arctan(np.sqrt(np.add.reduce(xi * xi, axis=-1))))
+    if man.kind == "cylinder":
+        sq = sq + np.square(v[..., 2] - u[..., 2])
+    return state, float(np.sum(sq))
+
+
+@pytest.mark.parametrize("batch", [1, 13, 10_000])
+@pytest.mark.parametrize("man", ALL_MANIFOLDS, ids=repr)
+def test_retract_gives_the_bits_of_the_plain_formulas(man, batch):
+    # the grid step retracts the ?ptsv solution v into the other array of its
+    # column-major state pair, reads u and may overwrite v
+    rng = _rng(27)
+    u = man.random_point(rng, batch)
+    v = u + 0.3 * rng.standard_normal(u.shape)  # off the target
+    want, want_sq = _plain_retract(man, u, v)
+    for order in "CF":
+        u_in = np.array(u, order=order)
+        out = np.full(u.shape, np.nan, order=order)
+        assert man._retract(u_in, np.array(v, order=order), out) == want_sq
+        _assert_same_bits(out, want)
+        _assert_same_bits(u_in, u)
+
+
 def test_cylinder_sqrt_forms_stay_within_2_ulp_of_hypot():
     # dist and project_point take sqrt(a^2 + b^2), not np.hypot; checked
     # against the correctly rounded math.hypot of the same two coordinates
