@@ -570,6 +570,22 @@ def _pair_collision(man, lengths, rates, values, d, k):
     return (None if slack <= 1e-6 * c * c else (c * d[k] + wr) / slack), d[k] - wr / c
 
 
+def _angle_chart(curve: PiecewiseConstantCurve):
+    """A circle or cylinder step curve in its flat chart, each angle unwrapped the short way
+    across its jump and z kept (an isometry on jumps below pi, which the solvers refuse), and
+    the map ``back(breakpoints, chart values)`` onto the target."""
+    man, v = curve.manifold, curve.values
+    turn = np.arctan2(v[:-1, 0] * v[1:, 1] - v[:-1, 1] * v[1:, 0], _dot(v[:-1, :2], v[1:, :2]))
+    chart = np.column_stack([np.cumsum(np.append(math.atan2(v[0, 1], v[0, 0]), turn)), v[:, 2:]])
+
+    def back(breakpoints, values):
+        w = np.reshape(values, (len(values), -1))  # the circle's staircase values are 1-D
+        a = w[:, :1]
+        return PiecewiseConstantCurve(man, breakpoints, np.hstack((np.cos(a), np.sin(a), w[:, 1:])))
+
+    return PiecewiseConstantCurve(Euclidean(chart.shape[1]), curve.breakpoints, chart), back
+
+
 def run_exact_pc(
     u0: PiecewiseConstantCurve,
     t_max: float,
@@ -596,9 +612,11 @@ def run_exact_pc(
     the floor.
     Terminates at ``t_max`` or when a single plateau remains.  Arguments
     follow ``FlowConfig``'s rules and raise ``ConfigError`` otherwise.
+    Circle and cylinder data flow in their ``_angle_chart`` once the wide-jump
+    refusal has passed: the circle in closed form (``run_scalar_tv``), the cylinder by these steps.
 
     A run records its merges and, without ``snapshot_times``, every
-    ``_SNAPSHOT_EVERY``-th step.  Those records are deferred while any jump
+    ``_SNAPSHOT_EVERY``-th step (a circle run its end).  Those records are deferred while any jump
     sits below the snapshot resolution floor (the state is then mid
     merge-cascade and its unit tangents are numerically meaningless);
     requested ``snapshot_times`` and the final state are always recorded.
@@ -611,9 +629,16 @@ def run_exact_pc(
     t_max = config.t_max
     _refuse_wide(man, chord_sizes(u0), lambda i: u0.breakpoints[i], "jump")
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
+    u, curve_at = u0, partial(PiecewiseConstantCurve, man)
+    if man.kind in ("circle", "cylinder"):
+        u, curve_at = _angle_chart(u0)
+    if man.kind == "circle":
+        traj = _staircase_trajectory(run_scalar_tv(u, t_max), snapshot_times, "exact_pc", curve_at)
+        return replace(traj, snapshots=(u0, *traj.snapshots[1:]), dt_nominal=dt_base)
+    man = u.manifold
 
-    xs = np.array(u0.breakpoints, dtype=float)
-    vals = np.array(u0.values, dtype=float)
+    xs = np.array(u.breakpoints, dtype=float)
+    vals = np.array(u.values, dtype=float)
     t = 0.0
     diss = 0.0
     rec = _Recorder(snapshot_times, t_max, u0)
@@ -678,7 +703,7 @@ def run_exact_pc(
                     if vals.shape[0] == 1:
                         t += 1.0 / pace.max()
                     if rec.step(t, True, resolved_state):
-                        rec.add(t, lambda: PiecewiseConstantCurve(man, xs, vals), diss)
+                        rec.add(t, lambda: curve_at(xs, vals), diss)
                     continue
             dt_step = min(dt_step, max(float(guards.min()), 1e-12))
             vals, diss = _pc_rk4(man, lengths, vals, diss, dt_step)
@@ -693,8 +718,8 @@ def run_exact_pc(
         while vals.shape[0] > 1 and d.min() <= _MERGE_TOL:
             merge(int(d.argmin()))
         if rec.step(t, vals.shape[0] < plateaus, resolved_state):
-            rec.add(t, lambda: PiecewiseConstantCurve(man, xs, vals), diss)
-    rec.end(t, lambda: PiecewiseConstantCurve(man, xs, vals), diss)
+            rec.add(t, lambda: curve_at(xs, vals), diss)
+    rec.end(t, lambda: curve_at(xs, vals), diss)
     return rec.build("exact_pc", dt_base)
 
 

@@ -67,8 +67,8 @@ def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return s
 
 
-def _norm(v: np.ndarray, out=None) -> np.ndarray:
-    return np.sqrt(_dot(v, v, out=out), out=out)
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(v, v))
 
 
 def _secant_arc(sq: np.ndarray, out: np.ndarray) -> np.ndarray:

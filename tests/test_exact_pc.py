@@ -459,6 +459,12 @@ def _on_circle(angles):
 
 
 _ASLANT = [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]
+# a staircase whose narrow plateau's two tangents cancel to rounding, and a
+# spike whose narrow plateau closes both jumps at once: (breakpoints, angles, t_max)
+_STIFF_ARCS = {
+    "staircase": ([0.5, 0.5 + 1e-15], [-0.261, -0.761, -1.261], 0.01),
+    "spike": ([0.5, 0.5 + 1e-13], [-1.144, -1.644, -1.144], 4.0),
+}
 
 
 @pytest.mark.xfail(raises=(RuntimeError, AssertionError), strict=True,
@@ -467,18 +473,30 @@ _ASLANT = [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]
     (EU2, [0.5, 0.5 + 1e-10], _ASLANT, 4.0),
     (EU2, [0.5, 0.5 + 1e-11], _ASLANT, 4.0),
     (EU2, [0.5, 0.5 + 1e-13], _ASLANT, 4.0),
-    (Circle(), [0.5, 0.5 + 1e-15], _on_circle([-0.261, -0.761, -1.261]), 0.01),
-    (Circle(), [0.5, 0.5 + 1e-13], _on_circle([-1.144, -1.644, -1.144]), 4.0),
-], ids=["aslant_1e-10", "aslant_1e-11", "aslant_1e-13", "circle_staircase", "circle_spike"])
+    *((Sphere(3), bp, np.column_stack([_on_circle(angles), np.zeros(3)]), t_max)
+      for bp, angles, t_max in _STIFF_ARCS.values()),
+], ids=["aslant_1e-10", "aslant_1e-11", "aslant_1e-13", "great_circle_staircase",
+        "great_circle_spike"])
 def test_a_stiff_narrow_plateau_keeps_the_energy_identity(monkeypatch, manifold, breakpoints,
                                                           values, t_max):
     # a plateau of width W relaxes onto the geodesic between its neighbours in
     # a time of about W * d.  The aslant plateau never closes a jump, and
-    # floored steps carry it back and forth past the budget; the staircase's
-    # two tangents cancel to rounding, which the width divides (off by 1.7e13);
-    # the spike's merge takes the chord, not the arc (off by 2.1e-2)
+    # floored steps carry it back and forth past the budget; on a great circle
+    # the staircase's two tangents cancel to rounding, which the width divides
+    # (off by 1.7e13), and the spike's merge takes the chord, not the arc (off
+    # by 2.1e-2)
     _budget_pc_velocity(monkeypatch, 5_000)
     traj = run_exact_pc(PiecewiseConstantCurve(manifold, breakpoints, values), t_max=t_max)
+    assert np.max(np.abs(traj.dissipation + traj.tv - traj.tv[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_STIFF_ARCS))
+def test_a_stiff_narrow_plateau_on_the_circle_keeps_the_energy_identity(monkeypatch, name):
+    # the same arcs on the circle flow in its angle chart, in closed form
+    breakpoints, angles, t_max = _STIFF_ARCS[name]
+    _budget_pc_velocity(monkeypatch, 5_000)
+    traj = run_exact_pc(PiecewiseConstantCurve(Circle(), breakpoints, _on_circle(angles)),
+                        t_max=t_max)
     assert np.max(np.abs(traj.dissipation + traj.tv - traj.tv[0])) <= 1e-12
 
 

@@ -19,13 +19,25 @@ A many-plateau datum runs through merges: there the reference is scipy's
 DOP853 on the same ODE, stopped when a jump closes to 1e-8, the pair merged
 at its length-weighted centre, and restarted.  Only the states are compared,
 in L2: the reference books no dissipation at a merge.
+
+The circle and the cylinder get the same two checks in ambient coordinates,
+on their embedded plateau ODE ``u_i' = (n(log_i u_{i+1}) + n(log_i u_{i-1})) / l_i``
+with n(v) = v / |v|.  The log direction is P_i u_{i+1} (P_i = I - u_i u_i^T)
+on the circle, and on the cylinder the wrapped angle step along e_theta
+with the height step; both are written here, with nothing from
+``mtvf.manifolds``.  The solver flows these targets in their angle chart
+(closed form on the circle, euclidean:2 steps on the cylinder), so this is
+the check of their dynamics that does not go through that chart.  DATA is
+embedded at angle x (and height y); measured, the circle came within
+1.5e-12 and the cylinder within DATA's and PAIR_TOL's bounds, as on
+euclidean:2.
 """
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import mtvf.flows
-from mtvf import Euclidean, PiecewiseConstantCurve, l2_distance, run_exact_pc
+from mtvf import PiecewiseConstantCurve, parse_manifold, run_exact_pc
 from mtvf.synth import noisy_field
 
 DATA = {
@@ -36,50 +48,114 @@ DATA = {
 PAIR_TOL = 1e-11
 
 
-def _plateau_ode(lengths, n):
+def _euclidean_log(p, q):
+    return q - p
+
+
+def _circle_log(p, q):
+    # the tangent at p towards q, of length sin(angle): P_p q, with P_p = I - p p^T
+    return q - np.sum(p * q, axis=1)[:, None] * p
+
+
+def _cylinder_log(p, q):
+    # the angle from p to q taken the short way, along e_theta = (-p_y, p_x, 0),
+    # and the height step
+    turn = np.arctan2(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0], p[:, 0] * q[:, 0] + p[:, 1] * q[:, 1])
+    return np.column_stack([-turn * p[:, 1], turn * p[:, 0], q[:, 2] - p[:, 2]])
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+# per target: its dimension, the direction of its geodesic from p to q, and
+# the nearest point of the target (the merge reference's centre goes there)
+TARGETS = {
+    "euclidean:2": (2, _euclidean_log, lambda v: v),
+    "circle": (2, _circle_log, lambda v: v / np.linalg.norm(v)),
+    "cylinder": (3, _cylinder_log, lambda v: np.append(v[:2] / np.linalg.norm(v[:2]), v[2])),
+}
+
+
+def _plateau_ode(lengths, n, log=_euclidean_log):
+    """u_i' = (n(log_i u_{i+1}) + n(log_i u_{i-1})) / l_i, with n(v) = v / |v|,
+    on the (n, dim) plateau values, and the dissipation rate as a last entry."""
     def rhs(t, y):
-        u = y[:-1].reshape(n, 2)
-        jumps = np.diff(u, axis=0)
-        unit = jumps / np.linalg.norm(jumps, axis=1)[:, None]
+        u = y[:-1].reshape(n, -1)
         v = np.zeros_like(u)
-        v[:-1] += unit
-        v[1:] -= unit
+        v[:-1] += _unit(log(u[:-1], u[1:]))
+        v[1:] += _unit(log(u[1:], u[:-1]))
         v /= lengths[:, None]
         return np.append(v.ravel(), lengths @ np.sum(v * v, axis=1))
 
     return rhs
 
 
-def _first_merge_time(rhs, y0):
+def _smallest_chord(y, dim):
+    return np.min(np.linalg.norm(np.diff(y[:-1].reshape(-1, dim), axis=0), axis=1))
+
+
+def _first_merge_time(rhs, y0, dim=2):
     def gap(t, y):
-        return np.min(np.linalg.norm(np.diff(y[:-1].reshape(-1, 2), axis=0), axis=1)) - 1e-7
+        return _smallest_chord(y, dim) - 1e-7
 
     gap.terminal = True
     return solve_ivp(rhs, (0.0, 1.0), y0, rtol=1e-12, atol=1e-15, events=gap).t_events[0][0]
 
 
-@pytest.mark.parametrize("pair_steps", [True, False], ids=["pair", "guarded"])
-@pytest.mark.parametrize("name", sorted(DATA))
-def test_state_and_dissipation_match_the_plateau_ode(name, pair_steps, monkeypatch):
-    breakpoints, values, state_tol, diss_tol = DATA[name]
-    values = np.array(values)
+def _embed(target, values):
+    """DATA's (x, y) plateaus as given on euclidean:2, and on the circle and the
+    cylinder at angle x, with height y on the cylinder."""
+    if target == "euclidean:2":
+        return values
+    on_circle = np.column_stack([np.cos(values[:, 0]), np.sin(values[:, 0])])
+    return on_circle if target == "circle" else np.column_stack([on_circle, values[:, 1]])
+
+
+def _check_before_first_merge(target, name, state_tol, diss_tol):
+    breakpoints = DATA[name][0]
+    values = _embed(target, np.array(DATA[name][1]))
+    dim, log, _ = TARGETS[target]
     lengths = np.diff(np.concatenate([[0.0], breakpoints, [1.0]]))
-    rhs = _plateau_ode(lengths, len(values))
+    rhs = _plateau_ode(lengths, len(values), log)
     y0 = np.append(values.ravel(), 0.0)
-    first = _first_merge_time(rhs, y0)
+    first = _first_merge_time(rhs, y0, dim)
     t_end = 0.9 * first
     ref = solve_ivp(rhs, (0.0, t_end), y0, rtol=1e-12, atol=1e-15).y[:, -1]
 
-    if pair_steps:
-        state_tol = diss_tol = PAIR_TOL
-    else:
-        monkeypatch.setattr(mtvf.flows, "_PAIR_JUMP", 0.0)
-    u0 = PiecewiseConstantCurve(Euclidean(2), breakpoints, values)
+    u0 = PiecewiseConstantCurve(parse_manifold(target), breakpoints, values)
     traj = run_exact_pc(u0, t_max=2.0 * first, snapshot_times=[t_end])
     k = traj.index_at(t_end)
     assert traj.times[k] == t_end and traj.snapshots[k].num_jumps == len(values) - 1
-    assert np.max(np.abs(traj.snapshots[k].values - ref[:-1].reshape(-1, 2))) <= state_tol
+    assert np.max(np.abs(traj.snapshots[k].values - ref[:-1].reshape(-1, dim))) <= state_tol
     assert abs(traj.dissipation[k] - ref[-1]) <= diss_tol
+
+
+def _step_tols(name, pair_steps, monkeypatch):
+    """PAIR_TOL with pair steps; else DATA's bounds, with pair steps switched off."""
+    if pair_steps:
+        return PAIR_TOL, PAIR_TOL
+    monkeypatch.setattr(mtvf.flows, "_PAIR_JUMP", 0.0)
+    return DATA[name][2:]
+
+
+@pytest.mark.parametrize("pair_steps", [True, False], ids=["pair", "guarded"])
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_state_and_dissipation_match_the_plateau_ode(name, pair_steps, monkeypatch):
+    _check_before_first_merge("euclidean:2", name, *_step_tols(name, pair_steps, monkeypatch))
+
+
+@pytest.mark.parametrize("pair_steps", [True, False], ids=["pair", "guarded"])
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_cylinder_matches_its_embedded_plateau_ode(name, pair_steps, monkeypatch):
+    # the cylinder steps in its chart, where DATA is the euclidean:2 datum
+    _check_before_first_merge("cylinder", name, *_step_tols(name, pair_steps, monkeypatch))
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_circle_matches_its_embedded_plateau_ode(name):
+    # the circle flows in closed form: within PAIR_TOL of the reference
+    _check_before_first_merge("circle", name, PAIR_TOL, PAIR_TOL)
 
 
 # the 33-cell view of a noisy euclidean:2 field: its nodes as plateaus, with
@@ -88,43 +164,71 @@ CELL_BREAKPOINTS = (np.arange(32) + 0.5) / 32
 CELL_TIMES = [0.005, 0.01, 0.015, 0.02]
 # the solver's worst gap to the reference, measured as 7.26e-9
 CELL_TOL = 1e-8
+# the same on the circle and the cylinder, measured as 9.8e-14 and 5.52e-8.
+# The circle's is the reference's own: its merges at a chord of 1e-8 leave
+# 1.1e-14 at 1e-9; the cylinder's stays at 5.52e-8 there
+FLAT_CELL_TOLS = {"circle": 2e-13, "cylinder": 6e-8}
 
 
-def _merged_reference(breakpoints, values, times):
-    """Plateau states at the given increasing times: DOP853 on the plateau
-    ODE until a jump closes to 1e-8, then that pair merged at its
-    length-weighted centre and the integration restarted."""
+def _merged_reference(name, breakpoints, values, times):
+    """(breakpoints, plateau values) at the given increasing times: DOP853 on
+    the target's plateau ODE until a jump closes to a chord of 1e-8, then that
+    pair merged at its length-weighted centre, put back on the target, and the
+    integration restarted."""
+    dim, log, project = TARGETS[name]
+
     def closing(t, y):
-        return np.min(np.linalg.norm(np.diff(y[:-1].reshape(-1, 2), axis=0), axis=1)) - 1e-8
+        return _smallest_chord(y, dim) - 1e-8
 
     closing.terminal, closing.direction = True, -1
     breakpoints, values, t, states = list(breakpoints), np.array(values), 0.0, []
     while True:
         lengths = np.diff(np.concatenate([[0.0], breakpoints, [1.0]]))
         wanted = times[len(states):]
-        sol = solve_ivp(_plateau_ode(lengths, len(values)), (t, wanted[-1]),
+        sol = solve_ivp(_plateau_ode(lengths, len(values), log), (t, wanted[-1]),
                         np.append(values.ravel(), 0.0), method="DOP853", t_eval=wanted,
                         rtol=1e-11, atol=1e-14, events=closing)
-        states += [PiecewiseConstantCurve(Euclidean(2), breakpoints, sol.y[:-1, j].reshape(-1, 2))
+        states += [(np.array(breakpoints), sol.y[:-1, j].reshape(-1, dim))
                    for j in range(len(sol.t))]
         if sol.status == 0:
             return states
         assert sol.status == 1, sol.message
         # the closed jump sits at 1e-8 to rounding, so it is found by size
-        t, values = sol.t_events[0][0], sol.y_events[0][0][:-1].reshape(-1, 2)
+        t, values = sol.t_events[0][0], sol.y_events[0][0][:-1].reshape(-1, dim)
         k = int(np.argmin(np.linalg.norm(np.diff(values, axis=0), axis=1)))
         pair = lengths[k:k + 2]
-        values = np.vstack([values[:k], pair @ values[k:k + 2] / pair.sum(), values[k + 2:]])
+        values = np.vstack([values[:k], project(pair @ values[k:k + 2] / pair.sum()),
+                            values[k + 2:]])
         del breakpoints[k]
 
 
-def test_many_plateaus_through_merges_match_the_plateau_ode():
-    values = noisy_field("euclidean:2", 33, noise=0.15, seed=0).values
-    u0 = PiecewiseConstantCurve(Euclidean(2), CELL_BREAKPOINTS, values)
+def _l2_gap(bp_a, vals_a, bp_b, vals_b):
+    """L2(0, 1) distance of two step curves in ambient coordinates, cell by
+    cell of the joint partition."""
+    edges = np.unique(np.concatenate([[0.0, 1.0], bp_a, bp_b]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    diff = (vals_a[np.searchsorted(bp_a, mids, side="right")]
+            - vals_b[np.searchsorted(bp_b, mids, side="right")])
+    return float(np.sqrt(np.diff(edges) @ np.sum(diff * diff, axis=1)))
+
+
+def _check_cells(name, tol):
+    values = noisy_field(name, 33, noise=0.15, seed=0).values
+    u0 = PiecewiseConstantCurve(parse_manifold(name), CELL_BREAKPOINTS, values)
     traj = run_exact_pc(u0, t_max=CELL_TIMES[-1], snapshot_times=CELL_TIMES)
-    reference = _merged_reference(CELL_BREAKPOINTS, values, CELL_TIMES)
-    assert len(reference[-1].values) < len(values)  # the run merges
-    for t, ref in zip(CELL_TIMES, reference):
+    reference = _merged_reference(name, CELL_BREAKPOINTS, values, CELL_TIMES)
+    assert len(reference[-1][1]) < len(values)  # the run merges
+    for t, (bp, ref) in zip(CELL_TIMES, reference):
         k = traj.index_at(t)
-        assert traj.times[k] == t and traj.snapshots[k].num_jumps == ref.num_jumps, t
-        assert l2_distance(traj.snapshots[k], ref) <= CELL_TOL, t
+        snap = traj.snapshots[k]
+        assert traj.times[k] == t and snap.num_jumps == len(bp), t
+        assert _l2_gap(snap.breakpoints, snap.values, bp, ref) <= tol, t
+
+
+def test_many_plateaus_through_merges_match_the_plateau_ode():
+    _check_cells("euclidean:2", CELL_TOL)
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_CELL_TOLS))
+def test_flat_targets_through_merges_match_their_embedded_plateau_ode(name):
+    _check_cells(name, FLAT_CELL_TOLS[name])

@@ -10,11 +10,13 @@ the solver they check:
   with it;
 * cylinder data lifted to (unwrapped angle, z) on euclidean:2 flow as on
   the cylinder, and circle data lifted to R flow as the scalar staircase
-  of ``run_scalar_tv``.
+  of ``run_scalar_tv``.  The solver flows these two targets in that chart
+  itself, so these lifts check its chart map, not the dynamics;
+  ``tests/test_ode_oracle.py`` checks those against the embedded plateau ODE.
 
 The reflection and the circle lift run once more with merge ahead switched
 off, so that every merge waits for a guarded step to close its jump to
-``_MERGE_TOL``.
+``_MERGE_TOL`` (the circle flows in closed form, which takes no steps).
 """
 from functools import lru_cache
 
