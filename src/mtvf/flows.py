@@ -4,7 +4,8 @@ Three solvers share one trajectory container; :func:`flow` picks between the fir
 
 * :func:`run_regularized` — grid solver for the epsilon-regularized flow
   ``u_t = P_u (u_x / sqrt(eps^2 + |u_x|^2))_x`` with zero-flux boundary
-  conditions, staggered face fluxes and projection retraction;
+  conditions, staggered face fluxes and projection retraction (circle and
+  cylinder data step in their flat angle chart);
 * :func:`run_exact_pc` — event-driven integrator for piecewise-constant
   data, evolving plateau values by the mutual pull of unit tangents while
   the jump locations stay put.  A small isolated jump closes in pair
@@ -325,15 +326,17 @@ def run_regularized(
     """Integrate the epsilon-regularized flow from a sampled datum.
 
     Each step is semi-implicit (lagged diffusivity): one symmetric positive
-    definite tridiagonal solve, then a closest-point retraction.  It is
+    definite tridiagonal solve, then a closest-point retraction; circle and
+    cylinder data step, with no retraction, as the euclidean:1 / euclidean:2
+    data of their ``_angle_chart``, and recorded states are mapped back.  It is
     unconditionally stable; ``dt='auto'`` takes ``h / 4``.
     ``config.epsilon`` must be set; ``config.grid_n`` is the datum's node
     count, at least 3, or unset.  Stops early once the state is constant; raises
     ``SolverError`` if the chordal variation increases in a single step and
-    ``GeometryError`` if a chord reaches twice the convexity radius.  These
-    rules read chords taken from the node differences, and ``dist``'s near
-    twice the convexity radius; dissipation takes step lengths from the
-    retraction, ``tv`` uses ``dist``.  dt / (h^2 epsilon) >= 2^52, where a flat
+    ``GeometryError`` if a chord reaches twice the target's convexity radius.
+    These rules read chords from node differences (the chart's after the
+    datum's) and ``dist``'s near that bound; dissipation takes step lengths from
+    the step, ``tv`` uses ``dist``.  dt / (h^2 epsilon) >= 2^52, where a flat
     face's row loses its unit diagonal, is a ``SolverError`` before any solve.
     """
     man = config.manifold
@@ -362,17 +365,28 @@ def run_regularized(
     u_new = np.empty_like(u)
     work = _step_arrays(*u.shape)
     chords = np.empty(u.shape[0] - 1)
+    tv_prev = float(np.sum(_state_chords(man, u, work, chords)))
+    _refuse_wide(man, chords, lambda i: i * h, "chord")
+    grid, state = man, lambda: SampledCurve(man, u)
+    if man.kind in ("circle", "cylinder"):
+        # once the target's chords pass the refusal, the run steps the flat chart
+        # in the leading columns of the same arrays
+        chart, back = _angle_chart(u0.values)
+        k = chart.shape[1]
+        u[:, :k] = chart
+        u, u_new, work = u[:, :k], u_new[:, :k], (work[0][:, :k], *work[1:])
+        grid = Euclidean(k)
+        tv_prev = float(np.sum(_state_chords(grid, u, work, chords)))
+        state = lambda: SampledCurve(man, back(u))
 
     t = 0.0
     diss = 0.0
     rec = _Recorder(snapshot_times, config.t_max, u0)
-    tv_prev = float(np.sum(_state_chords(man, u, work, chords)))
-    _refuse_wide(man, chords, lambda i: i * h, "chord")
     flat = tv_prev < flat_tol
     while t < config.t_max - 1e-14 and not flat:
         dt_step = min(dt, rec.horizon(t))
-        step_sq = _implicit_solve(man, u, h, dt_step, eps, u_new, work)
-        tv_new = float(np.sum(_state_chords(man, u_new, work, chords)))
+        step_sq = _implicit_solve(grid, u, h, dt_step, eps, u_new, work)
+        tv_new = float(np.sum(_state_chords(grid, u_new, work, chords)))
         if tv_new > tv_prev + _TV_INCREASE_TOL:
             raise SolverError(
                 f"variation increased by {tv_new - tv_prev:.3g} in one step "
@@ -385,8 +399,8 @@ def run_regularized(
         _refuse_wide(man, chords, lambda i: i * h, "chord")
         flat = tv_new < flat_tol
         if rec.step(t, flat):
-            rec.add(t, lambda: SampledCurve(man, u), diss)
-    rec.add(t, lambda: SampledCurve(man, u), diss)
+            rec.add(t, state, diss)
+    rec.add(t, state, diss)
     return rec.build("regularized", dt, eps)
 
 
@@ -570,20 +584,19 @@ def _pair_collision(man, lengths, rates, values, d, k):
     return (None if slack <= 1e-6 * c * c else (c * d[k] + wr) / slack), d[k] - wr / c
 
 
-def _angle_chart(curve: PiecewiseConstantCurve):
-    """A circle or cylinder step curve in its flat chart, each angle unwrapped the short way
-    across its jump and z kept (an isometry on jumps below pi, which the solvers refuse), and
-    the map ``back(breakpoints, chart values)`` onto the target."""
-    man, v = curve.manifold, curve.values
+def _angle_chart(v: np.ndarray):
+    """Circle or cylinder values (rows in curve order) in their flat chart, each angle
+    unwrapped the short way from the row before and z kept (an isometry on steps below pi,
+    which the solvers refuse), and the map ``back(chart values)`` onto the target."""
     turn = np.arctan2(v[:-1, 0] * v[1:, 1] - v[:-1, 1] * v[1:, 0], _dot(v[:-1, :2], v[1:, :2]))
     chart = np.column_stack([np.cumsum(np.append(math.atan2(v[0, 1], v[0, 0]), turn)), v[:, 2:]])
 
-    def back(breakpoints, values):
+    def back(values):
         w = np.reshape(values, (len(values), -1))  # the circle's staircase values are 1-D
         a = w[:, :1]
-        return PiecewiseConstantCurve(man, breakpoints, np.hstack((np.cos(a), np.sin(a), w[:, 1:])))
+        return np.hstack((np.cos(a), np.sin(a), w[:, 1:]))
 
-    return PiecewiseConstantCurve(Euclidean(chart.shape[1]), curve.breakpoints, chart), back
+    return chart, back
 
 
 def run_exact_pc(
@@ -631,7 +644,9 @@ def run_exact_pc(
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
     u, curve_at = u0, partial(PiecewiseConstantCurve, man)
     if man.kind in ("circle", "cylinder"):
-        u, curve_at = _angle_chart(u0)
+        chart, back = _angle_chart(u0.values)
+        u = PiecewiseConstantCurve(Euclidean(chart.shape[1]), u0.breakpoints, chart)
+        curve_at = lambda xs, vals: PiecewiseConstantCurve(u0.manifold, xs, back(vals))
     if man.kind == "circle":
         traj = _staircase_trajectory(run_scalar_tv(u, t_max), snapshot_times, "exact_pc", curve_at)
         return replace(traj, snapshots=(u0, *traj.snapshots[1:]), dt_nominal=dt_base)

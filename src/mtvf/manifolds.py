@@ -22,8 +22,9 @@ A grid run takes its chords from the node differences its next step reads:
 target into their ``dist``, 2 asin(s / 2) on a sphere and on the cylinder's
 circle part, s itself on Euclidean space.  Its step ends at ``_retract``'s
 (u + xi) / |u + xi|, with |u + xi| measured: sqrt(1 + |xi|^2) assumes |u| = 1
-and lets the constraint residual grow.  ``tv_measure`` and the verifier keep
-``dist``.
+and lets the constraint residual grow.  Circle and cylinder runs read their
+datum's chords so, then step in their flat angle chart, where the Euclidean
+kernels serve.  ``tv_measure`` and the verifier keep ``dist``.
 """
 from __future__ import annotations
 
@@ -189,7 +190,7 @@ class Manifold:
     def _retract(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> float:
         """Write the closest point to u + xi on the target, xi the tangent part of
         v - u, into ``out``, overwriting ``v``; return the sum of the squared
-        geodesic step lengths, atan |xi| on a sphere and the cylinder's circle."""
+        geodesic step lengths, atan |xi| on a sphere (the cylinder has none)."""
         raise NotImplementedError
 
     def _random_points(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -449,12 +450,6 @@ class Cylinder(Manifold):
         a *= a
         a += np.square(d[..., 2])
         return np.sqrt(a, out=a)
-
-    def _retract(self, u, v, out):
-        # the circle's rule on the circle part; the axial part is v's own
-        a = _circle_retract(u[..., :2], v[..., :2], out[..., :2])
-        out[..., 2] = v[..., 2]
-        return float(np.sum(a * a + np.square(v[..., 2] - u[..., 2])))
 
     def exp(self, p, v):
         p = np.asarray(p, float)

@@ -573,25 +573,21 @@ def test_row_kernels_round_as_add_reduce(shape, n):
 
 def _plain_retract(man, u, v):
     # (next state, sum of squared step lengths) by the retraction's formulas,
-    # on fresh arrays: the circle rule on a sphere and the cylinder's circle part
+    # on fresh arrays: the circle rule on a sphere
     if man.kind == "euclidean":
         return v.copy(), float(np.sum(np.square(v - u)))
-    k = 2 if man.kind == "cylinder" else u.shape[-1]
-    xi = v[..., :k] - np.add.reduce(v[..., :k] * u[..., :k], axis=-1)[..., None] * u[..., :k]
-    w = u[..., :k] + xi
-    state = np.concatenate((w / np.sqrt(np.add.reduce(w * w, axis=-1))[..., None],
-                            v[..., k:]), axis=-1)
-    sq = np.square(np.arctan(np.sqrt(np.add.reduce(xi * xi, axis=-1))))
-    if man.kind == "cylinder":
-        sq = sq + np.square(v[..., 2] - u[..., 2])
-    return state, float(np.sum(sq))
+    xi = v - np.add.reduce(v * u, axis=-1)[..., None] * u
+    w = u + xi
+    state = w / np.sqrt(np.add.reduce(w * w, axis=-1))[..., None]
+    return state, float(np.sum(np.square(np.arctan(np.sqrt(np.add.reduce(xi * xi, axis=-1))))))
 
 
 @pytest.mark.parametrize("batch", [1, 13, 10_000])
-@pytest.mark.parametrize("man", ALL_MANIFOLDS, ids=repr)
+@pytest.mark.parametrize("man", [m for m in ALL_MANIFOLDS if m.kind != "cylinder"], ids=repr)
 def test_retract_gives_the_bits_of_the_plain_formulas(man, batch):
     # the grid step retracts the ?ptsv solution v into the other array of its
-    # column-major state pair, reads u and may overwrite v
+    # column-major state pair, reads u and may overwrite v (the cylinder steps
+    # in its flat angle chart and has no retraction)
     rng = _rng(27)
     u = man.random_point(rng, batch)
     v = u + 0.3 * rng.standard_normal(u.shape)  # off the target

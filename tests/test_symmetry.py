@@ -16,7 +16,8 @@ the solver they check:
 
 The reflection and the circle lift run once more with merge ahead switched
 off, so that every merge waits for a guarded step to close its jump to
-``_MERGE_TOL`` (the circle flows in closed form, which takes no steps).
+``_MERGE_TOL``.  The circle flows in closed form and takes no steps, so the
+guarded lift runs its angles on a great circle of sphere:3.
 """
 from functools import lru_cache
 
@@ -183,15 +184,21 @@ def test_cylinder_flows_as_its_angle_height_chart(seed, n_jumps):
         assert _l2_gap(bp_a, vals_a, bp_b, back) <= LIFT_TOL, t
 
 
-def _check_circle_lift(seed, n_jumps, merge_ahead=True):
+def _check_circle_lift(seed, n_jumps, name="circle", merge_ahead=True):
+    # on sphere:3 the circle's points lie on the great circle of its first
+    # two coordinates, the third one 0
     u0 = _datum("circle", seed, n_jumps)
     t_max, times = _times(u0)
-    on_circle = _flow(u0, t_max, times, merge_ahead)
+    pad = np.zeros((len(u0.values), parse_manifold(name).ambient_dim - 2))
+    datum = PiecewiseConstantCurve(parse_manifold(name), u0.breakpoints,
+                                   np.column_stack([u0.values, pad]))
+    on_target = _flow(datum, t_max, times, merge_ahead)
     lifted = run_scalar_tv(scalar_curve(u0.breakpoints, _unwrap(u0.values)), t_max)
     for t in times:
-        bp_a, vals_a = _state_at(on_circle, t)
+        bp_a, vals_a = _state_at(on_target, t)
         bp_b, angles = lifted.state_at(t)
-        assert _l2_gap(bp_a, vals_a, bp_b, _on_circle(angles)) <= LIFT_TOL, t
+        back = np.column_stack([_on_circle(angles), np.zeros((len(angles), pad.shape[1]))])
+        assert _l2_gap(bp_a, vals_a, bp_b, back) <= LIFT_TOL, t
 
 
 @settings(CASES)
@@ -203,4 +210,6 @@ def test_circle_flows_as_its_scalar_lift(seed, n_jumps):
 @settings(GUARDED_CASES)
 @given(seed=seeds, n_jumps=jump_counts)
 def test_circle_flows_as_its_scalar_lift_when_guarded(seed, n_jumps):
-    _check_circle_lift(seed, n_jumps, merge_ahead=False)
+    # a circle run takes no steps: its angles flow guarded as great-circle data
+    # of sphere:3, which the solver steps in the embedding
+    _check_circle_lift(seed, n_jumps, "sphere:3", merge_ahead=False)
