@@ -36,7 +36,7 @@ from .curves import (
     plateau_lengths, tv_measure,
 )
 from .errors import CheckNotApplicable, ConfigError, GeometryError, SolverError, integer
-from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _dot, _norm
+from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _CUT_ANGLE, _dot, _norm
 
 # one-step TV increase beyond this aborts the run as an unstable step
 _TV_INCREASE_TOL = 1e-7
@@ -371,7 +371,7 @@ def run_regularized(
     if man.kind in ("circle", "cylinder"):
         # once the target's chords pass the refusal, the run steps the flat chart
         # in the leading columns of the same arrays
-        chart, back = _angle_chart(u0.values)
+        chart, back = _angle_chart(man, u0.values, lambda i: i * h, "chord")
         k = chart.shape[1]
         u[:, :k] = chart
         u, u_new, work = u[:, :k], u_new[:, :k], (work[0][:, :k], *work[1:])
@@ -584,17 +584,18 @@ def _pair_collision(man, lengths, rates, values, d, k):
     return (None if slack <= 1e-6 * c * c else (c * d[k] + wr) / slack), d[k] - wr / c
 
 
-def _angle_chart(v: np.ndarray):
+def _angle_chart(man, v: np.ndarray, place, noun):
     """Circle or cylinder values (rows in curve order) in their flat chart, each angle
     unwrapped the short way from the row before and z kept (an isometry on steps below pi,
-    which the solvers refuse), and the map ``back(chart values)`` onto the target."""
+    which the solvers refuse), and the map ``back(chart values)`` onto the target.  A turn
+    of ``_CUT_ANGLE`` or more turns by a rounding's sign: it is refused as a ``noun`` of size pi."""
     turn = np.arctan2(v[:-1, 0] * v[1:, 1] - v[:-1, 1] * v[1:, 0], _dot(v[:-1, :2], v[1:, :2]))
+    _refuse_wide(man, np.where(np.abs(turn) < _CUT_ANGLE, 0.0, math.pi), place, noun)
     chart = np.column_stack([np.cumsum(np.append(math.atan2(v[0, 1], v[0, 0]), turn)), v[:, 2:]])
 
     def back(values):
-        w = np.reshape(values, (len(values), -1))  # the circle's staircase values are 1-D
-        a = w[:, :1]
-        return np.hstack((np.cos(a), np.sin(a), w[:, 1:]))
+        a = values[:, :1]
+        return np.hstack((np.cos(a), np.sin(a), values[:, 1:]))
 
     return chart, back
 
@@ -625,11 +626,13 @@ def run_exact_pc(
     the floor.
     Terminates at ``t_max`` or when a single plateau remains.  Arguments
     follow ``FlowConfig``'s rules and raise ``ConfigError`` otherwise.
-    Circle and cylinder data flow in their ``_angle_chart`` once the wide-jump
-    refusal has passed: the circle in closed form (``run_scalar_tv``), the cylinder by these steps.
+    Circle and cylinder data flow in their ``_angle_chart`` once the wide-jump refusal has
+    passed.  Data whose flat chart is one-dimensional (euclidean:1, the circle) flow in closed
+    form (``run_scalar_tv``): ``dt`` bounds no step, and a run records its merges, requested
+    times and end.  Cylinder data take the steps above in their chart.
 
-    A run records its merges and, without ``snapshot_times``, every
-    ``_SNAPSHOT_EVERY``-th step (a circle run its end).  Those records are deferred while any jump
+    A stepped run records its merges and, without ``snapshot_times``, every
+    ``_SNAPSHOT_EVERY``-th step.  Those records are deferred while any jump
     sits below the snapshot resolution floor (the state is then mid
     merge-cascade and its unit tangents are numerically meaningless);
     requested ``snapshot_times`` and the final state are always recorded.
@@ -644,11 +647,12 @@ def run_exact_pc(
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
     u, curve_at = u0, partial(PiecewiseConstantCurve, man)
     if man.kind in ("circle", "cylinder"):
-        chart, back = _angle_chart(u0.values)
+        chart, back = _angle_chart(man, u0.values, lambda i: u0.breakpoints[i], "jump")
         u = PiecewiseConstantCurve(Euclidean(chart.shape[1]), u0.breakpoints, chart)
         curve_at = lambda xs, vals: PiecewiseConstantCurve(u0.manifold, xs, back(vals))
-    if man.kind == "circle":
-        traj = _staircase_trajectory(run_scalar_tv(u, t_max), snapshot_times, "exact_pc", curve_at)
+    if u.manifold == Euclidean(1):  # run_scalar_tv's staircase values are 1-D
+        traj = _staircase_trajectory(run_scalar_tv(u, t_max), snapshot_times, "exact_pc",
+                                     lambda xs, vals: curve_at(xs, vals[:, None]))
         return replace(traj, snapshots=(u0, *traj.snapshots[1:]), dt_nominal=dt_base)
     man = u.manifold
 

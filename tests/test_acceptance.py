@@ -75,15 +75,18 @@ def _exact_runs(suite_runs):
         yield from rows
 
 
-def test_criterion_01_single_jump_extinction(acceptance_log, cadence):
+def test_criterion_01_single_jump_extinction(acceptance_log, cadence, x_axis):
+    # each jump on euclidean:1, which flows in closed form, and on the x-axis
+    # of euclidean:2, which the exact solver steps
     cadence(1)
     t0 = time.monotonic()
     worst_exact = 0.0
     for x0 in (0.25, 0.5, 0.75):
         u0 = scalar_curve([x0], [-1.0, 1.0])
-        stop = detect_stopping(run_exact_pc(u0, t_max=1.0))
-        assert stop is not None
-        worst_exact = max(worst_exact, abs(stop[0] - 2 * x0 * (1 - x0)))
+        for datum in (u0, x_axis(u0)):
+            stop = detect_stopping(run_exact_pc(datum, t_max=1.0))
+            assert stop is not None
+            worst_exact = max(worst_exact, abs(stop[0] - 2 * x0 * (1 - x0)))
 
     u0 = scalar_curve([0.5], [-1.0, 1.0])
     moll = mollify(u0, 1601)

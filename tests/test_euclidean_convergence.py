@@ -49,6 +49,16 @@ the bound, the same before the solver flowed these targets in their chart;
 the constant within 8.0e-15, 4.4e-16 and 1.2e-14 of ubar (3.7e-11 and
 2.1e-10 on the circle and cylinder before), so it is asserted against the
 euclidean drift bound.
+
+The identity itself is bracketed at every recorded time: TV does not rise, so
+int_0^t_k TV lies between the right and the left Riemann sums of TV over the
+record.  The 20 euclidean:2 suite data and 20 euclidean:1 staircases (flowed
+in closed form) are flowed to the extinction bound |u0 - ubar|_2 / 2 with 200
+requested times, fine enough that a 1 % fault in the speeds leaves the
+bracket (velocities scaled by 1.01 fall 4.3e-4 outside it on euclidean:2,
+scalar speeds scaled by 0.99 1.6e-3 on euclidean:1).  Measured, no snapshot
+fell outside; the closest were 2.6e-7 and 5.9e-7 inside, so only rounding
+(1e-12) is allowed.
 """
 import numpy as np
 import pytest
@@ -131,6 +141,33 @@ def test_flat_targets_stop_at_their_mean_by_half_the_l2_gap(name):
         stop = detect_stopping(run_exact_pc(u0, t_max=4.0 * tv0))
         assert stop is not None and stop[0] <= 0.5 * gap0 <= 0.25 * tv0, (index, stop, gap0, tv0)
         assert np.max(np.abs(stop[1] - _on_target(name, mean0))) <= MEAN_TOL, (index, stop)
+
+
+# 20 staircases of 2 to 7 plateaus on euclidean:1, which the solver flows in
+# closed form
+LINE_RNG = np.random.Generator(np.random.Philox([11, 0]))
+LINE_DATA = [random_rad_curve(parse_manifold("euclidean:1"), LINE_RNG,
+                              n_jumps=int(LINE_RNG.integers(1, 7))) for _ in range(20)]
+BRACKET_TIMES = np.arange(1, 201) / 200.0  # fractions of the extinction bound
+BRACKET_TOL = 1e-12
+
+
+@pytest.mark.parametrize("name", ["euclidean:1", "euclidean:2"])
+def test_the_l2_identity_lies_between_the_riemann_sums_of_the_variation(name):
+    # 1/2 |u(t_k) - ubar|^2 = 1/2 |u0 - ubar|^2 - int_0^t_k TV, and TV does not
+    # rise, so the integral lies between the right and the left Riemann sums of
+    # TV over the recorded times, 200 of them up to the bound |u0 - ubar|_2 / 2
+    for index, u0 in enumerate(SUITE[name] if name in SUITE else LINE_DATA):
+        times = 0.5 * _moments(u0.breakpoints, u0.values)[1] * BRACKET_TIMES
+        traj = run_exact_pc(u0, t_max=times[-1], snapshot_times=times)
+        # the mean is conserved (MEAN_TOL): each snapshot's own is ubar
+        half_sq = np.array([0.5 * _moments(s.breakpoints, s.values)[1] ** 2
+                            for s in traj.snapshots])
+        tv = np.array([_flat_tv(name, s.values) for s in traj.snapshots])
+        dt = np.diff(traj.times)
+        left, right = np.cumsum(dt * tv[:-1]), np.cumsum(dt * tv[1:])
+        assert np.all(half_sq[1:] >= half_sq[0] - left - BRACKET_TOL), index
+        assert np.all(half_sq[1:] <= half_sq[0] - right + BRACKET_TOL), index
 
 
 def _state_at(traj, t):

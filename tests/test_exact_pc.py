@@ -21,6 +21,7 @@ from mtvf import (
     FlowConfig,
     GeometryError,
     PiecewiseConstantCurve,
+    SampledCurve,
     Sphere,
     check_energy,
     check_monotone_variation,
@@ -65,9 +66,9 @@ def test_single_jump_breakpoint_immobile(cadence):
             assert snap.breakpoints[0] == 0.3  # exact, not approximate
 
 
-def test_single_jump_extinction_euclidean_line():
+def test_single_jump_extinction_euclidean_line(x_axis):
     x0, s0 = 0.25, 1.0
-    u0 = scalar_curve([x0], [-s0, s0])
+    u0 = x_axis(scalar_curve([x0], [-s0, s0]))
     traj = run_exact_pc(u0, t_max=1.0)
     stop = detect_stopping(traj)
     assert stop is not None
@@ -281,13 +282,16 @@ def test_symmetric_collision_merges_at_midpoint():
     assert float(SPH.dist(stop[1], mid)) < 1e-8
 
 
-@pytest.mark.parametrize("man", [EU1, SPH], ids=lambda m: m.spec_id)
-def test_two_plateaus_merge_ahead_in_closed_form(cadence, man):
+@pytest.mark.parametrize("man", [EU2, SPH], ids=lambda m: m.spec_id)
+def test_two_plateaus_merge_ahead_in_closed_form(cadence, x_axis, man):
     # one jump: no outer pull (w = 0), so the pair closes at the constant rate
-    # c = 1/l0 + 1/l1, collides after d/c and dissipates exactly d
+    # c = 1/l0 + 1/l1, collides after d/c and dissipates exactly d; on
+    # euclidean:2 the unit jump lies on the x-axis
     cadence(1)
-    p, q = (np.zeros(1), np.ones(1)) if man is EU1 else _sphere_pair()
-    u0 = PiecewiseConstantCurve(man, [0.3], np.stack([p, q]))
+    if man is EU2:
+        u0 = x_axis(scalar_curve([0.3], [0.0, 1.0]))
+    else:
+        u0 = PiecewiseConstantCurve(man, [0.3], np.stack(_sphere_pair()))
     traj = run_exact_pc(u0, t_max=1.0)
     before, after = traj.snapshots[-2], traj.final_curve
     d = chord_sizes(before)[0]
@@ -297,7 +301,7 @@ def test_two_plateaus_merge_ahead_in_closed_form(cadence, man):
     assert abs(traj.dissipation[-1] - traj.dissipation[-2] - d) <= 4 * EPS * traj.dissipation[-1]
     centre = man.project_point(before.plateau_lengths() @ before.values)
     assert np.max(np.abs(after.values[0] - centre)) <= 4 * EPS
-    if man is EU1:
+    if man is EU2:
         assert traj.times[-1] == pytest.approx(0.3 * 0.7, abs=1e-14)
 
 
@@ -317,68 +321,71 @@ def _assert_same_trajectory(a, b, tol=1e-9):
 
 
 # a unit jump at x0 = 0.3 on the line collides at x0 (1 - x0) = 0.21; pair
-# steps start from a gap below 1e-3, more than 1e-4 before that
+# steps start from a gap below 1e-3, more than 1e-4 before that.  The line
+# data below lie on the x-axis of euclidean:2, which the solver steps
 _LINE_COLLISION = 0.21
 
 
-def test_merge_ahead_falls_back_for_a_snapshot_inside_the_collision_time(monkeypatch):
-    u0 = scalar_curve([0.3], [0.0, 1.0])
+def test_merge_ahead_falls_back_for_a_snapshot_inside_the_collision_time(monkeypatch, x_axis):
+    u0 = x_axis(scalar_curve([0.3], [0.0, 1.0]))
     wanted = [_LINE_COLLISION - 1e-7]
     traj = run_exact_pc(u0, t_max=0.5, snapshot_times=wanted)
     assert wanted[0] in traj.times
     _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=0.5, snapshot_times=wanted))
 
 
-def test_merge_ahead_falls_back_for_t_max_inside_the_collision_time(monkeypatch, cadence):
+def test_merge_ahead_falls_back_for_t_max_inside_the_collision_time(monkeypatch, cadence,
+                                                                    x_axis):
     cadence(1)
-    u0 = scalar_curve([0.3], [0.0, 1.0])
+    u0 = x_axis(scalar_curve([0.3], [0.0, 1.0]))
     t_max = _LINE_COLLISION - 1e-7
     traj = run_exact_pc(u0, t_max=t_max)
     assert traj.times[-1] == t_max and traj.final_curve.num_jumps == 1
     _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=t_max))
 
 
-def test_merge_ahead_falls_back_when_outer_pulls_cancel_the_closing_rate(monkeypatch, cadence):
+def test_merge_ahead_falls_back_when_outer_pulls_cancel_the_closing_rate(monkeypatch, cadence,
+                                                                        x_axis):
     # a backward step inside a rising staircase: both outer pulls point along
     # the rise, so |w| = c exactly and the closed form is 0/0; the pair still
     # closes (at 2c), under the step guard
     cadence(1)
-    u0 = scalar_curve([0.25, 0.5, 0.75], [0.0, 1.0, 1.0 - 1e-6, 2.0])
+    u0 = x_axis(scalar_curve([0.25, 0.5, 0.75], [0.0, 1.0, 1.0 - 1e-6, 2.0]))
     traj = run_exact_pc(u0, t_max=1e-3)
     assert traj.final_curve.num_jumps == 2
     _assert_same_trajectory(traj, _guarded_run(monkeypatch, u0, t_max=1e-3))
 
 
-def test_merge_ahead_falls_back_when_another_jump_closes_first():
+def test_merge_ahead_falls_back_when_another_jump_closes_first(x_axis):
     # the small jump 0 would collide after 3.9e-6, but jump 2 (137x larger,
     # between two short plateaus) closes at rate 300 and collides after 3.7e-6:
     # one step of length tau* would carry it through its collision.  Jump 0
     # merges ahead later; on the line the scalar staircase flow is exact
     u0 = scalar_curve([0.49, 0.98, 0.99], [0.0, 8e-6, 1.0, 1.0 - 1.1e-3])
     wanted = np.linspace(0.0, 1e-3, 21)[1:]
-    traj = run_exact_pc(u0, t_max=1e-3, snapshot_times=wanted)
+    traj = run_exact_pc(x_axis(u0), t_max=1e-3, snapshot_times=wanted)
     exact = run_scalar_tv(u0, t_max=1e-3)
     assert traj.final_curve.num_jumps == 1
     for t in wanted:
         snap = traj.snapshots[traj.index_at(t)]
         bp, vals = exact.state_at(t)
-        assert l2_distance(snap, scalar_curve(bp, vals)) <= 1e-9
+        assert l2_distance(snap, x_axis(scalar_curve(bp, vals))) <= 1e-9
         assert abs(traj.dissipation[traj.index_at(t)] - exact.dissipation_at(t)) <= 1e-9
 
 
-def test_simultaneous_collisions_match_the_scalar_flow():
+def test_simultaneous_collisions_match_the_scalar_flow(x_axis):
     # jump 1 closes first and merges ahead; then the two outer jumps close at
     # the same rate and meet at t = 1/8, so neither is isolated and both merge
     # after a guarded step, each at its centre with its closed-form dissipation
     u0 = scalar_curve([0.25, 0.5, 0.75], [0.0, 1.0, 0.0, 1.0])
     wanted = np.linspace(0.0, 0.15, 41)[1:]
-    traj = run_exact_pc(u0, t_max=0.15, snapshot_times=wanted)
+    traj = run_exact_pc(x_axis(u0), t_max=0.15, snapshot_times=wanted)
     exact = run_scalar_tv(u0, t_max=0.15)
     assert traj.final_curve.num_jumps == 0
     for t in wanted:
         k = traj.index_at(t)
         bp, vals = exact.state_at(t)
-        assert l2_distance(traj.snapshots[k], scalar_curve(bp, vals)) <= 1e-12, t
+        assert l2_distance(traj.snapshots[k], x_axis(scalar_curve(bp, vals))) <= 1e-12, t
         assert abs(traj.dissipation[k] - exact.dissipation_at(t)) <= 1e-12, t
 
 
@@ -397,7 +404,7 @@ def _budget_pc_velocity(monkeypatch, limit):
 
 
 @pytest.mark.parametrize("width", [1e-7, 1e-9, 1e-11])
-def test_narrow_middle_plateau_does_not_crawl(monkeypatch, width):
+def test_narrow_middle_plateau_does_not_crawl(monkeypatch, x_axis, width):
     # the middle plateau's rate bound 2/width keeps every guard below the
     # 1e-12 step floor; a floored step carries it just past its right
     # neighbour, whose jump then closes at speed 2 only.  Guarded by the
@@ -406,11 +413,12 @@ def test_narrow_middle_plateau_does_not_crawl(monkeypatch, width):
     _budget_pc_velocity(monkeypatch, 20_000)
     u0 = scalar_curve([0.5, 0.5 + width], [0.0, 1.0, 0.3])
     wanted = [0.01, 0.05, 0.1]
-    traj = run_exact_pc(u0, t_max=4.0, snapshot_times=wanted)
+    traj = run_exact_pc(x_axis(u0), t_max=4.0, snapshot_times=wanted)
     exact = run_scalar_tv(u0, t_max=4.0)
     for t in wanted:
         bp, vals = exact.state_at(t)
-        assert l2_distance(traj.snapshots[traj.index_at(t)], scalar_curve(bp, vals)) <= 1e-15, t
+        snap = traj.snapshots[traj.index_at(t)]
+        assert l2_distance(snap, x_axis(scalar_curve(bp, vals))) <= 1e-15, t
     assert detect_stopping(traj)[0] == pytest.approx(exact.extinction_time, abs=1e-15)
 
 
@@ -425,8 +433,8 @@ def test_narrow_middle_plateau_does_not_crawl(monkeypatch, width):
     (lambda w: [1e-7, 1e-7 + w], [-1e-5, 0.0, 1.0]),
 ], ids=["left_boundary", "middle", "right_boundary", "two_narrow", "spike", "only_jump",
         "closing_past_the_floor"])
-def test_a_plateau_narrower_than_the_floor_step_merges_at_once(monkeypatch, breakpoints, levels,
-                                                               width):
+def test_a_plateau_narrower_than_the_floor_step_merges_at_once(monkeypatch, x_axis, breakpoints,
+                                                               levels, width):
     # below the 1e-12 step floor a narrow plateau moves about 1e-12 / width
     # per step and overshot its jump: a boundary plateau of width 1e-11 hung,
     # and two of width 1e-11 booked 0.4 too little dissipation.  A jump that
@@ -435,12 +443,35 @@ def test_a_plateau_narrower_than_the_floor_step_merges_at_once(monkeypatch, brea
     _budget_pc_velocity(monkeypatch, 2_000)
     u0 = scalar_curve(breakpoints(width), levels)
     wanted = [0.01, 0.05, 0.1, 0.3]
-    traj = run_exact_pc(u0, t_max=4.0, snapshot_times=wanted)
+    traj = run_exact_pc(x_axis(u0), t_max=4.0, snapshot_times=wanted)
     exact = run_scalar_tv(u0, t_max=4.0)
     for t in wanted:
         bp, vals = exact.state_at(t)
-        assert l2_distance(traj.snapshots[traj.index_at(t)], scalar_curve(bp, vals)) <= 1e-12, t
+        snap = traj.snapshots[traj.index_at(t)]
+        assert l2_distance(snap, x_axis(scalar_curve(bp, vals))) <= 1e-12, t
     assert np.max(np.abs(traj.dissipation + traj.tv - traj.tv[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("dt", ["auto", 0.5])
+def test_a_line_datum_flows_as_the_scalar_staircase(monkeypatch, dt):
+    # euclidean:1 data flow in closed form, with no RK4 step: the run records
+    # the scalar flow's merges, requested times and end, states and dissipation
+    # bit for bit; snapshot 0 is the datum and dt_nominal the base step
+    _budget_pc_velocity(monkeypatch, 0)
+    rng = np.random.Generator(np.random.Philox([86, 0]))
+    for _ in range(10):
+        u0 = random_rad_curve(EU1, rng, n_jumps=int(rng.integers(1, 7)))
+        t_max = float(rng.uniform(0.05, 1.0))
+        wanted = np.sort(rng.uniform(0.0, 1.2 * t_max, 5))
+        traj = run_exact_pc(u0, t_max=t_max, dt=dt, snapshot_times=wanted)
+        ref = scalar_trajectory(run_scalar_tv(u0, t_max), wanted)
+        assert traj.solver == "exact_pc" and traj.snapshots[0] is u0
+        assert traj.dt_nominal == (min(1e-3, t_max / 32) if dt == "auto" else dt)
+        assert np.array_equal(traj.times, ref.times)
+        assert np.array_equal(traj.dissipation, ref.dissipation)
+        for a, b in zip(traj.snapshots[1:], ref.snapshots[1:], strict=True):
+            assert np.array_equal(a.breakpoints, b.breakpoints)
+            assert np.array_equal(a.values, b.values)
 
 
 def test_a_narrow_plateau_pulled_aslant_is_not_merged():
@@ -536,11 +567,11 @@ def test_pair_step_falls_back_when_a_frozen_pull_reaches_the_closing_rate(monkey
         assert np.array_equal(s.values, r.values)
 
 
-def test_guarded_merge_books_the_whole_dissipation(monkeypatch):
+def test_guarded_merge_books_the_whole_dissipation(monkeypatch, x_axis):
     # without pair steps the jump merges once a guarded step closes it to
     # _MERGE_TOL; the merge still books the pair's remaining dissipation, so
     # the run loses exactly its variation 1 and ends at the mean 0.7
-    u0 = scalar_curve([0.3], [0.0, 1.0])
+    u0 = x_axis(scalar_curve([0.3], [0.0, 1.0]))
     traj = _guarded_run(monkeypatch, u0, t_max=0.5)
     assert traj.final_curve.num_jumps == 0
     assert abs(traj.dissipation[-1] - 1.0) <= 1e-12
@@ -562,6 +593,33 @@ def test_rejects_inadmissible_datum():
     u0 = PiecewiseConstantCurve(SPH, [0.5], np.stack([p, q]))
     with pytest.raises(GeometryError, match=r"jump of size 3\.14159 at x=0\.5 reaches twice"):
         run_exact_pc(u0, t_max=1.0)
+
+
+@pytest.mark.parametrize("man", [Circle(), Cylinder()], ids=lambda m: m.spec_id)
+def test_an_antipodal_neighbour_pair_is_refused_by_both_solvers(man):
+    # (p, q, p) with q the antipode of p round the circle (on the cylinder at
+    # p's height; there every other q is pi - 1e-13 round from p).  dist reads
+    # 26 of the circle's exact antipodes just short of pi and the cylinder's
+    # near ones short of it, so they pass the refusal in dist; the angle chart
+    # would then turn them by the sign of a rounding-level cross product, or by
+    # a turn past _CUT_ANGLE, which the targets' log refuses.  Both solvers
+    # refuse every datum as a wide jump or chord of size pi
+    rng = np.random.Generator(np.random.Philox([43, 1]))
+    reach_chart = 0
+    for i in range(1_500):
+        p = man.project_point(rng.standard_normal(man.ambient_dim))
+        q = np.append(-p[:2], p[2:])
+        if i % 2 and man.kind == "cylinder":
+            turn = np.pi - 1e-13
+            c, s = np.cos(turn), np.sin(turn)
+            q[:2] = c * p[0] - s * p[1], s * p[0] + c * p[1]
+        values = np.array([p, q, p])
+        reach_chart += bool(man.dist(p, q) < np.pi)
+        with pytest.raises(GeometryError, match=r"^jump of size 3\.14159 at x=0\.333333 "):
+            run_exact_pc(PiecewiseConstantCurve(man, [1 / 3, 2 / 3], values), t_max=0.1)
+        with pytest.raises(GeometryError, match=r"^chord of size 3\.14159 at x=0 "):
+            run_regularized(SampledCurve(man, values), FlowConfig(man, epsilon=1e-2, t_max=0.1))
+    assert reach_chart == (26 if man.kind == "circle" else 750)
 
 
 # ---------------------------------------------------------------------------
@@ -604,12 +662,12 @@ def test_z_field_reconstruction_structure():
     assert np.allclose(left[1:], tp, atol=1e-12)
 
 
-def test_snapshot_floor_defers_cadence_records_until_the_merge(monkeypatch, cadence):
+def test_snapshot_floor_defers_cadence_records_until_the_merge(monkeypatch, cadence, x_axis):
     # the two equal jumps of staircase([0, 1, 0]) close at rate 9 and merge
     # together at t = 1/9, so no pair step applies; the guarded approach takes
     # twelve steps with a jump below the floor, whose records wait for the merge
     cadence(1)
-    u0 = staircase([0.0, 1.0, 0.0])
+    u0 = x_axis(staircase([0.0, 1.0, 0.0]))
     traj = run_exact_pc(u0, t_max=0.2)
     assert traj.final_curve.num_jumps == 0 and traj.times[-1] < 0.2
     smallest = [float(np.min(np.abs(np.diff(s.values[:, 0])))) for s in traj.snapshots[:-1]]
@@ -704,11 +762,13 @@ def test_bad_options_are_config_errors(option):
 
 
 @pytest.mark.parametrize("epsilon,grid_n", [(None, None), (0.1, 33)], ids=["exact", "regularized"])
-def test_a_first_requested_time_below_1e_15_is_the_time_zero_snapshot(epsilon, grid_n):
+def test_a_first_requested_time_below_1e_15_is_the_time_zero_snapshot(x_axis, epsilon, grid_n):
     # the first step runs to 1e-20, and the recorder takes a time within
-    # 1e-15 of the last record for the same snapshot
+    # 1e-15 of the last record for the same snapshot (the exact solver steps
+    # the datum on the x-axis)
     u0 = scalar_curve([0.5], [0.0, 1.0])
-    cfg = FlowConfig(EU1, epsilon=epsilon, grid_n=grid_n, t_max=0.1)
+    u0 = u0 if epsilon else x_axis(u0)
+    cfg = FlowConfig(u0.manifold, epsilon=epsilon, grid_n=grid_n, t_max=0.1)
     traj, reference = flow(u0, cfg, [1e-20, 0.05]), flow(u0, cfg, [0.05])
     assert traj.times[0] == 0.0 and traj.times[1] > 1e-15
     assert np.array_equal(traj.snapshots[0].values, reference.snapshots[0].values)

@@ -201,12 +201,21 @@ def _write_config(path, **kv):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_cli_generate_flow_verify_pipeline(tmp_path, capsys):
-    curve_path = tmp_path / "stairs.csv"
+def _staircase_on_x_axis(tmp_path, x_axis):
+    """The file of ``generate staircase --levels 0,0.8,0.3,1.1``, rewritten as the
+    same steps on the x-axis of euclidean:2, which the exact solver steps (it flows
+    euclidean:1 data in closed form)."""
+    generated, curve_path = tmp_path / "generated.csv", tmp_path / "stairs.csv"
     assert main(["generate", "staircase", "--levels", "0,0.8,0.3,1.1",
-                 "--out", str(curve_path)]) == 0
+                 "--out", str(generated)]) == 0
+    write_curve(str(curve_path), x_axis(read_curve(str(generated))))
+    return curve_path
+
+
+def test_cli_generate_flow_verify_pipeline(tmp_path, capsys, x_axis):
+    curve_path = _staircase_on_x_axis(tmp_path, x_axis)
     cfg = tmp_path / "run.cfg"
-    _write_config(cfg, manifold="euclidean:1", t_max=4.0)
+    _write_config(cfg, manifold="euclidean:2", t_max=4.0)
     outdir = tmp_path / "run"
     assert main(["flow", "--config", str(cfg), "--input", str(curve_path),
                  "--out", str(outdir)]) == 0
@@ -337,13 +346,11 @@ def test_cli_verify_refuses_snapshot_times_out_of_order(tmp_path, capsys):
     assert err.startswith("config error:") and "strictly increasing" in err
 
 
-def test_cli_flow_dt_sets_exact_solver_base_step(tmp_path):
-    curve_path = tmp_path / "stairs.csv"
-    assert main(["generate", "staircase", "--levels", "0,0.8,0.3,1.1",
-                 "--out", str(curve_path)]) == 0
+def test_cli_flow_dt_sets_exact_solver_base_step(tmp_path, x_axis):
+    curve_path = _staircase_on_x_axis(tmp_path, x_axis)
     runs = {}
     for dt in (0.5, 1e-5):
-        _write_config(tmp_path / "run.cfg", manifold="euclidean:1", t_max=0.02, dt=repr(dt))
+        _write_config(tmp_path / "run.cfg", manifold="euclidean:2", t_max=0.02, dt=repr(dt))
         outdir = tmp_path / f"run{dt}"
         assert main(["flow", "--config", str(tmp_path / "run.cfg"), "--input",
                      str(curve_path), "--out", str(outdir)]) == 0

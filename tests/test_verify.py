@@ -228,9 +228,9 @@ def test_detect_stopping_none_before_extinction():
     assert detect_stopping(traj) is None
 
 
-def test_detect_stopping_reports_first_constant_time(cadence):
+def test_detect_stopping_reports_first_constant_time(cadence, x_axis):
     cadence(1)
-    u0 = scalar_curve([0.5], [-1.0, 1.0])
+    u0 = x_axis(scalar_curve([0.5], [-1.0, 1.0]))
     traj = run_exact_pc(u0, t_max=2.0)
     stop = detect_stopping(traj)
     assert stop is not None
