@@ -4,8 +4,7 @@ Three solvers share one trajectory container; :func:`flow` picks between the fir
 
 * :func:`run_regularized` — grid solver for the epsilon-regularized flow
   ``u_t = P_u (u_x / sqrt(eps^2 + |u_x|^2))_x`` with zero-flux boundary
-  conditions, staggered face fluxes and projection retraction (circle and
-  cylinder data step in their flat angle chart);
+  conditions, staggered face fluxes and projection retraction;
 * :func:`run_exact_pc` — event-driven integrator for piecewise-constant
   data, evolving plateau values by the mutual pull of unit tangents while
   the jump locations stay put.  A small isolated jump closes in pair
@@ -21,6 +20,8 @@ Three solvers share one trajectory container; :func:`flow` picks between the fir
 ``scalar_trajectory`` records that table as euclidean:1 snapshots;
 ``flow_on_geodesic`` records it transported along a geodesic, which for
 data on a single geodesic is the trajectory ``run_exact_pc`` follows.
+Both solvers lift circle and cylinder data to their flat angle chart first
+(``_flat_chart``), so every step of theirs takes the Euclidean kernels.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .curves import (
     plateau_lengths, tv_measure,
 )
 from .errors import CheckNotApplicable, ConfigError, GeometryError, SolverError, integer
-from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _CUT_ANGLE, _dot, _norm
+from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _CUT_ANGLE, _dot, _norm, _turn
 
 # one-step TV increase beyond this aborts the run as an unstable step
 _TV_INCREASE_TOL = 1e-7
@@ -328,16 +329,17 @@ def run_regularized(
     Each step is semi-implicit (lagged diffusivity): one symmetric positive
     definite tridiagonal solve, then a closest-point retraction; circle and
     cylinder data step, with no retraction, as the euclidean:1 / euclidean:2
-    data of their ``_angle_chart``, and recorded states are mapped back.  It is
+    data of their ``_flat_chart``, and recorded states are mapped back.  It is
     unconditionally stable; ``dt='auto'`` takes ``h / 4``.
     ``config.epsilon`` must be set; ``config.grid_n`` is the datum's node
     count, at least 3, or unset.  Stops early once the state is constant; raises
     ``SolverError`` if the chordal variation increases in a single step and
     ``GeometryError`` if a chord reaches twice the target's convexity radius.
-    These rules read chords from node differences (the chart's after the
-    datum's) and ``dist``'s near that bound; dissipation takes step lengths from
-    the step, ``tv`` uses ``dist``.  dt / (h^2 epsilon) >= 2^52, where a flat
-    face's row loses its unit diagonal, is a ``SolverError`` before any solve.
+    These rules read chords from the node differences of the stepped state, the
+    chart's from the datum on, and ``dist``'s near that bound; dissipation takes
+    step lengths from the step, ``tv`` uses ``dist``.  dt / (h^2 epsilon) >= 2^52,
+    where a flat face's row loses its unit diagonal, is a ``SolverError`` before
+    any solve.
     """
     man = config.manifold
     if not isinstance(u0, SampledCurve):
@@ -359,25 +361,16 @@ def run_regularized(
     # the face count, so the flat-state detector scales with the grid
     flat_tol = max(_FLAT_TV_TOL, 1e-14 * (u0.grid_n - 1))
 
+    grid, values, back = _flat_chart(man, u0.values, lambda i: i * h, "chord")
     # the run's arrays, allocated once: the state and the next one, column-major
     # as LAPACK reads them without a copy, the step's work arrays and the chords
-    u = np.array(u0.values, dtype=float, order="F")
+    u = np.array(values, dtype=float, order="F")
     u_new = np.empty_like(u)
     work = _step_arrays(*u.shape)
     chords = np.empty(u.shape[0] - 1)
-    tv_prev = float(np.sum(_state_chords(man, u, work, chords)))
+    tv_prev = float(np.sum(_state_chords(grid, u, work, chords)))
     _refuse_wide(man, chords, lambda i: i * h, "chord")
-    grid, state = man, lambda: SampledCurve(man, u)
-    if man.kind in ("circle", "cylinder"):
-        # once the target's chords pass the refusal, the run steps the flat chart
-        # in the leading columns of the same arrays
-        chart, back = _angle_chart(man, u0.values, lambda i: i * h, "chord")
-        k = chart.shape[1]
-        u[:, :k] = chart
-        u, u_new, work = u[:, :k], u_new[:, :k], (work[0][:, :k], *work[1:])
-        grid = Euclidean(k)
-        tv_prev = float(np.sum(_state_chords(grid, u, work, chords)))
-        state = lambda: SampledCurve(man, back(u))
+    state = lambda: SampledCurve(man, back(u))
 
     t = 0.0
     diss = 0.0
@@ -584,12 +577,16 @@ def _pair_collision(man, lengths, rates, values, d, k):
     return (None if slack <= 1e-6 * c * c else (c * d[k] + wr) / slack), d[k] - wr / c
 
 
-def _angle_chart(man, v: np.ndarray, place, noun):
-    """Circle or cylinder values (rows in curve order) in their flat chart, each angle
-    unwrapped the short way from the row before and z kept (an isometry on steps below pi,
-    which the solvers refuse), and the map ``back(chart values)`` onto the target.  A turn
-    of ``_CUT_ANGLE`` or more turns by a rounding's sign: it is refused as a ``noun`` of size pi."""
-    turn = np.arctan2(v[:-1, 0] * v[1:, 1] - v[:-1, 1] * v[1:, 0], _dot(v[:-1, :2], v[1:, :2]))
+def _flat_chart(man, v: np.ndarray, place, noun):
+    """``(grid, values there, back)``: the manifold a solver steps the values ``v`` (rows in
+    curve order) of ``man`` on, and the map ``back`` of values there onto ``man``.  Circle and
+    cylinder values step as Euclidean data of their flat chart, each angle unwrapped the short
+    way from the row before and z kept (an isometry on steps below pi, which the solvers
+    refuse); a turn of ``_CUT_ANGLE`` or more turns by a rounding's sign: it is refused as a
+    ``noun`` of size pi.  Every other target steps ``v`` itself."""
+    if man.kind not in ("circle", "cylinder"):
+        return man, v, lambda values: values
+    turn = _turn(v[:-1], v[1:])
     _refuse_wide(man, np.where(np.abs(turn) < _CUT_ANGLE, 0.0, math.pi), place, noun)
     chart = np.column_stack([np.cumsum(np.append(math.atan2(v[0, 1], v[0, 0]), turn)), v[:, 2:]])
 
@@ -597,7 +594,7 @@ def _angle_chart(man, v: np.ndarray, place, noun):
         a = values[:, :1]
         return np.hstack((np.cos(a), np.sin(a), values[:, 1:]))
 
-    return chart, back
+    return Euclidean(chart.shape[1]), chart, back
 
 
 def run_exact_pc(
@@ -626,7 +623,7 @@ def run_exact_pc(
     the floor.
     Terminates at ``t_max`` or when a single plateau remains.  Arguments
     follow ``FlowConfig``'s rules and raise ``ConfigError`` otherwise.
-    Circle and cylinder data flow in their ``_angle_chart`` once the wide-jump refusal has
+    Circle and cylinder data flow in their ``_flat_chart`` once the wide-jump refusal has
     passed.  Data whose flat chart is one-dimensional (euclidean:1, the circle) flow in closed
     form (``run_scalar_tv``): ``dt`` bounds no step, and a run records its merges, requested
     times and end.  Cylinder data take the steps above in their chart.
@@ -645,19 +642,17 @@ def run_exact_pc(
     t_max = config.t_max
     _refuse_wide(man, chord_sizes(u0), lambda i: u0.breakpoints[i], "jump")
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
-    u, curve_at = u0, partial(PiecewiseConstantCurve, man)
-    if man.kind in ("circle", "cylinder"):
-        chart, back = _angle_chart(man, u0.values, lambda i: u0.breakpoints[i], "jump")
-        u = PiecewiseConstantCurve(Euclidean(chart.shape[1]), u0.breakpoints, chart)
-        curve_at = lambda xs, vals: PiecewiseConstantCurve(u0.manifold, xs, back(vals))
-    if u.manifold == Euclidean(1):  # run_scalar_tv's staircase values are 1-D
-        traj = _staircase_trajectory(run_scalar_tv(u, t_max), snapshot_times, "exact_pc",
+    grid, chart, back = _flat_chart(man, u0.values, lambda i: u0.breakpoints[i], "jump")
+    curve_at = lambda xs, vals: PiecewiseConstantCurve(u0.manifold, xs, back(vals))
+    if grid == Euclidean(1):  # run_scalar_tv's staircase values are 1-D
+        scalar = run_scalar_tv(PiecewiseConstantCurve(grid, u0.breakpoints, chart), t_max)
+        traj = _staircase_trajectory(scalar, snapshot_times, "exact_pc",
                                      lambda xs, vals: curve_at(xs, vals[:, None]))
         return replace(traj, snapshots=(u0, *traj.snapshots[1:]), dt_nominal=dt_base)
-    man = u.manifold
+    man = grid
 
-    xs = np.array(u.breakpoints, dtype=float)
-    vals = np.array(u.values, dtype=float)
+    xs = np.array(u0.breakpoints, dtype=float)
+    vals = np.array(chart, dtype=float)
     t = 0.0
     diss = 0.0
     rec = _Recorder(snapshot_times, t_max, u0)

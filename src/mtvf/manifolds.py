@@ -19,12 +19,12 @@ the cheaper form, and the tests pin its bits to the plain formulas.
 
 A grid run takes its chords from the node differences its next step reads:
 ``_secant_chords`` turns the secant of length s between two nodes on the
-target into their ``dist``, 2 asin(s / 2) on a sphere and on the cylinder's
-circle part, s itself on Euclidean space.  Its step ends at ``_retract``'s
-(u + xi) / |u + xi|, with |u + xi| measured: sqrt(1 + |xi|^2) assumes |u| = 1
-and lets the constraint residual grow.  Circle and cylinder runs read their
-datum's chords so, then step in their flat angle chart, where the Euclidean
-kernels serve.  ``tv_measure`` and the verifier keep ``dist``.
+target into their ``dist``, 2 asin(s / 2) on a sphere, s itself on Euclidean
+space.  Its step ends at ``_retract``'s (u + xi) / |u + xi|, with |u + xi|
+measured: sqrt(1 + |xi|^2) assumes |u| = 1 and lets the constraint residual
+grow.  Circle and cylinder runs step in their flat angle chart from the datum
+on, so only the Euclidean kernels serve them.  ``tv_measure`` and the
+verifier keep ``dist``.
 """
 from __future__ import annotations
 
@@ -72,18 +72,6 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(v, v))
 
 
-def _secant_arc(sq: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # the arc 2 asin(s / 2) of the unit circle that a secant of length s = sqrt(sq)
-    # spans; s / 2 is clipped at 1, past which rounding takes it at an antipode,
-    # where asin would warn and give a NaN chord that no size check refuses
-    np.sqrt(sq, out=out)
-    out *= 0.5
-    np.minimum(out, 1.0, out=out)
-    np.arcsin(out, out=out)
-    out *= 2.0
-    return out
-
-
 def _circle_retract(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     # out = (u + xi) / |u + xi| for xi = v - (v.u) u, left in v; returns atan |xi|
     np.multiply(_dot(v, u)[..., None], u, out=out)
@@ -91,6 +79,15 @@ def _circle_retract(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray
     np.add(u, v, out=out)
     out /= _norm(out)[..., None]
     return np.arctan(_norm(v))
+
+
+def _turn(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # signed angle from p to q around the circle of their first two coordinates, in (-pi, pi]
+    s = p[..., 0] * q[..., 1]
+    s -= p[..., 1] * q[..., 0]
+    c = p[..., 0] * q[..., 0]
+    c += p[..., 1] * q[..., 1]
+    return np.arctan2(s, c)
 
 
 def _unit_norm(v: np.ndarray):
@@ -366,7 +363,15 @@ class Sphere(Manifold):
         return scale[..., None] * w
 
     def _secant_chords(self, d, sq, out):
-        return _secant_arc(sq, out)
+        # the arc 2 asin(s / 2) that a secant of length s = sqrt(sq) spans; s / 2 is
+        # clipped at 1, past which rounding takes it at an antipode, where asin
+        # would warn and give a NaN chord that no size check refuses
+        np.sqrt(sq, out=out)
+        out *= 0.5
+        np.minimum(out, 1.0, out=out)
+        np.arcsin(out, out=out)
+        out *= 2.0
+        return out
 
     def _retract(self, u, v, out):
         return float(np.sum(np.square(_circle_retract(u, v, out))))
@@ -425,31 +430,15 @@ class Cylinder(Manifold):
         n[..., 2] = 0.0
         return v - _dot(v, n)[..., None] * n
 
-    def _wrap_angle(self, p, q):
-        # signed circular angle from p to q in (-pi, pi]
-        s = p[..., 0] * q[..., 1]
-        s -= p[..., 1] * q[..., 0]
-        c = p[..., 0] * q[..., 0]
-        c += p[..., 1] * q[..., 1]
-        return np.arctan2(s, c)
-
     def dist(self, p, q):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        a = self._wrap_angle(p, q)
+        a = _turn(p, q)
         dz = q[..., 2] - p[..., 2]
         a *= a
         dz *= dz
         a += dz
         return np.sqrt(a)
-
-    def _secant_chords(self, d, sq, out):
-        # the secant's circle part spans an arc; its axial part is its own length
-        xy = d[..., :2]
-        a = _secant_arc(_dot(xy, xy, out=out), out)
-        a *= a
-        a += np.square(d[..., 2])
-        return np.sqrt(a, out=a)
 
     def exp(self, p, v):
         p = np.asarray(p, float)
@@ -465,7 +454,7 @@ class Cylinder(Manifold):
     def log(self, p, q):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        a = self._wrap_angle(p, q)
+        a = _turn(p, q)
         if np.any(np.abs(a) >= _CUT_ANGLE):
             raise GeometryError("opposite cylinder rulings have no unique geodesic")
         dz = (q[..., 2] - p[..., 2])[..., None]
@@ -473,8 +462,8 @@ class Cylinder(Manifold):
 
     def _tangent_pair(self, p, q):
         # a * (circle tangent) + dz * axis at each end, normalised there: off
-        # the cylinder (RK4 stage points) the circle tangent is not unit
-        a = self._wrap_angle(p, q)
+        # the cylinder the circle tangent is not unit
+        a = _turn(p, q)
         if np.abs(a).max() >= _CUT_ANGLE:
             raise GeometryError("opposite cylinder rulings have no unique geodesic")
         dz = q[..., 2] - p[..., 2]

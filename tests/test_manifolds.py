@@ -611,7 +611,7 @@ def test_cylinder_sqrt_forms_stay_within_2_ulp_of_hypot():
     z = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 6.0, k)
     p = np.stack([np.cos(a0), np.sin(a0), z], axis=-1)
     q = np.stack([np.cos(a0 + ang), np.sin(a0 + ang), z + dz], axis=-1)
-    a, dz = man._wrap_angle(p, q), q[:, 2] - p[:, 2]
+    a, dz = mtvf.manifolds._turn(p, q), q[:, 2] - p[:, 2]
     want = np.array([math.hypot(x, y) for x, y in zip(a.tolist(), dz.tolist())])
     assert np.all(np.abs(man.dist(p, q) - want) <= 2 * np.spacing(want))
     # radii from 1e-13 to 1e6 around the axis

@@ -14,7 +14,9 @@ import pytest
 import scipy.linalg
 
 from mtvf import (
+    Circle,
     ConfigError,
+    Cylinder,
     Euclidean,
     GeometryError,
     SampledCurve,
@@ -463,13 +465,17 @@ _SECANT_CHORD_RTOL = 2e-11
 @pytest.mark.parametrize("spec", TARGETS)
 def test_chords_from_face_slopes_are_the_geodesic_chords(spec):
     # the chords a run takes from its node differences are chord_sizes, which
-    # tv_measure and the verifier take from dist
+    # tv_measure and the verifier take from dist.  A cylinder run takes them in
+    # its (angle, z) chart (largest gap 1.3e-14); circle data read the kernel of
+    # sphere:2, since the angle differences of a circle run's chart round with
+    # the angles, not with the chords (largest gap 1.4e-10)
     man = parse_manifold(spec)
     for grid_n in (33, 201, 10001):
         for noise in (0.15, 0.5):
             u = noisy_field(man, grid_n=grid_n, noise=noise, seed=0)
-            d = np.diff(u.values, axis=0)
-            chords = man._secant_chords(d, np.sum(d * d, axis=1), np.empty(grid_n - 1))
+            grid, values = _stepped(man, u.values) if spec == "cylinder" else (man, u.values)
+            d = np.diff(values, axis=0)
+            chords = grid._secant_chords(d, np.sum(d * d, axis=1), np.empty(grid_n - 1))
             exact = chord_sizes(u)
             assert np.all(np.abs(chords - exact) <= _SECANT_CHORD_RTOL * exact), (grid_n, noise)
 
@@ -530,7 +536,9 @@ def test_a_near_antipodal_neighbour_pair_is_refused_as_dist_refuses_it(spec):
     # neighbour pair of a 3- to 33-node datum (on the cylinder at p's height).
     # Rounding takes the secant's half-length past 1, where an unclipped asin
     # warns and gives a NaN chord, or an ulp below it, where the asin reads up
-    # to 5e-8 short of pi; the run refuses exactly when tv_measure (dist) does
+    # to 5e-8 short of pi; the run refuses exactly when tv_measure (dist) does.
+    # A cylinder run reads its chart's chords from the datum on: no target
+    # kernel of the cylinder measures a secant
     man = parse_manifold(spec)
     refused = 0
     for seed in range(40):
@@ -550,8 +558,9 @@ def test_a_near_antipodal_neighbour_pair_is_refused_as_dist_refuses_it(spec):
                 work = _step_arrays(*u.values.shape)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    chords = _state_chords(man, u.values, work, np.empty(grid_n - 1))
-                    assert chords[k] == exact[k], (seed, grid_n, delta)
+                    if man.kind != "cylinder":
+                        chords = _state_chords(man, u.values, work, np.empty(grid_n - 1))
+                        assert chords[k] == exact[k], (seed, grid_n, delta)
                     try:
                         tv_measure(u)
                     except GeometryError as exc:
@@ -559,6 +568,23 @@ def test_a_near_antipodal_neighbour_pair_is_refused_as_dist_refuses_it(spec):
                         with pytest.raises(GeometryError, match=re.escape(str(exc))):
                             run_regularized(u, FlowConfig(man, epsilon=1e-2))
     assert refused
+
+
+@pytest.mark.parametrize("spec", ["circle", "cylinder"])
+def test_charted_runs_reach_no_target_step_kernel(spec, monkeypatch):
+    # both solvers lift circle and cylinder data to their flat chart before any
+    # step: a grid run and the suite's exact runs finish with the targets'
+    # chord, retraction and tangent kernels raising
+    def unreachable(*args):
+        raise AssertionError("a charted run reached a target step kernel")
+
+    for cls in (Circle, Cylinder):
+        for name in ("_secant_chords", "_retract", "_tangent_pair"):
+            monkeypatch.setattr(cls, name, unreachable)
+    u0 = noisy_field(spec, grid_n=201, noise=0.15, seed=0)
+    assert len(run_regularized(u0, FlowConfig(u0.manifold, epsilon=1e-2, t_max=0.01))) > 1
+    for u0 in suite(seed=7)[spec]:
+        assert len(run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total)) > 1
 
 
 def test_a_run_holds_its_input_as_snapshot_0_and_copies_only_what_it_records(monkeypatch):
