@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError, integer
-from .manifolds import CONSTRAINT_TOL, Manifold
+from .manifolds import CONSTRAINT_TOL, Manifold, Sphere, _CUT_ANGLE
 
 # Plateaus closer than this are treated as equal and merged away.
 _SPURIOUS_TOL = 1e-14
@@ -139,8 +139,12 @@ def chord_sizes(curve) -> np.ndarray:
 def _refuse_wide(manifold, sizes, place, noun):
     """Raise ``GeometryError`` if the largest of ``sizes`` (of a
     chord, a jump) reaches twice the convexity radius, naming its size and
-    ``place(i)``, the x of the i-th one."""
-    if sizes.size and sizes.max() >= 2.0 * manifold.convexity_radius:
+    ``place(i)``, the x of the i-th one.  On a sphere or the circle that is
+    the half turn pi, reached from ``_CUT_ANGLE`` on, the turn at which the
+    angle chart refuses too: ``dist`` reads an exact antipode up to 4.4e-16
+    short of pi, and ``log`` refuses a pair from ``_CUT_ANGLE`` on."""
+    bound = _CUT_ANGLE if isinstance(manifold, Sphere) else 2.0 * manifold.convexity_radius
+    if sizes.size and sizes.max() >= bound:
         i = int(np.argmax(sizes))
         raise GeometryError(
             f"{noun} of size {sizes[i]:.6g} at x={place(i):.6g} reaches twice the "

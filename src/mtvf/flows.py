@@ -11,7 +11,9 @@ Three solvers share one trajectory container; :func:`flow` picks between the fir
   coordinates, its offset on the pursuit curve in closed form, and merges at
   its collision time; any other jump closes under a step guard and merges
   at ``_MERGE_TOL``.  Either way the pair merges at its length-weighted
-  centre with its closed-form (pursuit-curve) dissipation;
+  centre with its closed-form (pursuit-curve) dissipation.  The last jump,
+  between two plateaus with no outer pull, closes in closed form along its
+  geodesic;
 * :func:`run_scalar_tv` — closed-form staircase dynamics for scalar data:
   plateau speeds are constant between merge events, so the solution is a
   table of segments, one per merge, and a constant terminal one from
@@ -605,14 +607,15 @@ def run_exact_pc(
 ) -> FlowTrajectory:
     """Integrate the flow of a piecewise-constant datum.
 
-    Jump locations never move; plateau values follow the coupled pull of
-    the jump unit tangents (RK4).  A step is at most ``dt`` (``'auto'``:
-    ``min(1e-3, t_max / 32)``) and ends at the next requested snapshot time
-    and at ``t_max``.  While the smallest jump is below 1e-3 and ten times
-    smaller than every other one, and the run goes on past its pursuit
-    collision time tau*, the step is a pair step (``_pair_rk4``): the pair's
-    offset follows the pursuit curve in closed form, so the step is limited
-    by tau* and the guard of every other jump, not by the jump's own guard.
+    Jump locations never move; while three or more plateaus remain, plateau
+    values follow the coupled pull of the jump unit tangents (RK4).  A step
+    is at most ``dt`` (``'auto'``: ``min(1e-3, t_max / 32)``) and ends at the
+    next requested snapshot time and at ``t_max``.  While the smallest jump
+    is below 1e-3 and ten times smaller than every other one, and the run
+    goes on past its pursuit collision time tau*, the step is a pair step
+    (``_pair_rk4``): the pair's offset follows the pursuit curve in closed
+    form, so the step is limited by tau* and the guard of every other jump,
+    not by the jump's own guard.
     Otherwise every jump's guard (a quarter of its gap over its closing
     rate; below the 1e-12 step floor, half its gap over its actual closing
     speed) limits the step.  Two plateaus merge by one rule: the pair is
@@ -621,12 +624,18 @@ def run_exact_pc(
     that reaches tau* and for every jump a step closes to ``_MERGE_TOL``, or
     at once for a jump that closes head-on with its actual-speed guard below
     the floor.
+    Once two plateaus remain, from the datum or after a merge, the run ends in
+    closed form, recording its requested times and its end: with no outer pull
+    each moves along their geodesic toward the other at speed 1/l_i, so the
+    jump d closes and dissipates at the rate c = 1/l0 + 1/l1, and the pair
+    meets after d/c at the point l1/(l0 + l1) of the way from the left.
     Terminates at ``t_max`` or when a single plateau remains.  Arguments
     follow ``FlowConfig``'s rules and raise ``ConfigError`` otherwise.
     Circle and cylinder data flow in their ``_flat_chart`` once the wide-jump refusal has
     passed.  Data whose flat chart is one-dimensional (euclidean:1, the circle) flow in closed
     form (``run_scalar_tv``): ``dt`` bounds no step, and a run records its merges, requested
-    times and end.  Cylinder data take the steps above in their chart.
+    times and end.  Cylinder data take the steps above in their chart, where the geodesic
+    of the last jump is a straight line.
 
     A stepped run records its merges and, without ``snapshot_times``, every
     ``_SNAPSHOT_EVERY``-th step.  Those records are deferred while any jump
@@ -677,7 +686,7 @@ def run_exact_pc(
 
     # lengths and rates change only at merges
     lengths, rates, d = measure()
-    while t < t_max - 1e-14 and vals.shape[0] > 1:
+    while t < t_max - 1e-14 and vals.shape[0] > 2:
         plateaus = vals.shape[0]
         # cap the step so no jump can close much more than a quarter of its
         # remaining gap: at closing speed at most 2 * rates a guarded step
@@ -706,16 +715,13 @@ def run_exact_pc(
                     guards = 0.5 * (d - 0.5 * _MERGE_TOL) / speed
                 # a floored step would carry such a plateau across a jump that
                 # closes head-on and is guarded below the floor: merge the first
-                # to close now, and if it was the last, end the run at its
-                # closing time.  A plateau pulled aslant heads for the geodesic
+                # to close now.  A plateau pulled aslant heads for the geodesic
                 # between its neighbours
                 closing = -_dot(rel, _jump_tangents(man, vals)[0])
                 head_on = (closing >= (1.0 - 1e-9) * speed) & (guards < 1e-12)
                 pace = np.where(head_on, closing / d, 0.0)
                 if head_on.any():
                     merge(int(pace.argmax()))
-                    if vals.shape[0] == 1:
-                        t += 1.0 / pace.max()
                     if rec.step(t, True, resolved_state):
                         rec.add(t, lambda: curve_at(xs, vals), diss)
                     continue
@@ -733,6 +739,19 @@ def run_exact_pc(
             merge(int(d.argmin()))
         if rec.step(t, vals.shape[0] < plateaus, resolved_state):
             rec.add(t, lambda: curve_at(xs, vals), diss)
+    if vals.shape[0] == 2 and t < t_max - 1e-14:
+        # the last jump closes in closed form on its geodesic, at the rate c
+        (l0, l1), (c,), (gap,) = lengths, rates, d
+        start, (p, q) = t, vals
+        t = min(start + gap / c, t_max)
+        pair_at = lambda s: man.geodesic_point(
+            p, q, np.array([(s - start) / (l0 * gap), 1.0 - (s - start) / (l1 * gap)]))
+        for s in (s for s in rec.wanted or () if s < t - 1e-14):
+            rec.add(s, lambda: curve_at(xs, pair_at(s)), diss + c * (s - start))
+        if start + gap / c <= t_max:
+            xs, vals, diss = xs[:0], man.geodesic_point(p, q, l1 / (l0 + l1))[None], diss + gap
+        else:
+            vals, diss = pair_at(t), diss + c * (t - start)
     rec.end(t, lambda: curve_at(xs, vals), diss)
     return rec.build("exact_pc", dt_base)
 

@@ -4,7 +4,8 @@ The solver integrates plateau values only; breakpoints are fixed until two
 plateau values collide.  Every merge puts the pair at its length-weighted
 centre and books its closed-form dissipation: a small isolated jump at the
 end of the pair step that reaches its collision, any other once a guarded
-step has closed it to _MERGE_TOL.
+step has closed it to _MERGE_TOL.  The last jump, between two plateaus,
+closes in closed form on its geodesic.
 """
 import warnings
 
@@ -203,17 +204,18 @@ def _counted_run(monkeypatch):
 def test_pc_velocity_call_count_pinned(monkeypatch):
     # the step sequence of the solver (step guards, RK4 stages, pair steps)
     # on one fixed datum; any change to it changes this count.
-    # 3,436 before merge ahead, 1,768 with it; lower it with the solver,
-    # never raise it
+    # 3,436 before merge ahead, 1,768 with it, 1,040 before the last jump
+    # closed in closed form; lower it with the solver, never raise it
     _, traj, calls = _counted_run(monkeypatch)
-    assert len(calls) == 1040
+    assert len(calls) == 752
     assert traj.final_curve.num_jumps == 0
 
 
 def test_few_velocity_calls_per_merge_below_a_small_jump(monkeypatch):
     # a closing jump no longer creeps under its own step guard: at most 15
-    # pc_velocity calls per merge see a jump below 1e-3 (36 of 1,040 calls
-    # for 4 merges here; 748 of 1,768 with merge ahead below 1e-5)
+    # pc_velocity calls per merge see a jump below 1e-3 (27 of 752 calls for
+    # 4 merges here, the last in closed form with no call; 36 of 1,040 when
+    # the last one was stepped; 748 of 1,768 with merge ahead below 1e-5)
     u0, traj, calls = _counted_run(monkeypatch)
     merges = u0.num_jumps - traj.final_curve.num_jumps
     assert merges == 4
@@ -283,26 +285,78 @@ def test_symmetric_collision_merges_at_midpoint():
 
 
 @pytest.mark.parametrize("man", [EU2, SPH], ids=lambda m: m.spec_id)
-def test_two_plateaus_merge_ahead_in_closed_form(cadence, x_axis, man):
-    # one jump: no outer pull (w = 0), so the pair closes at the constant rate
-    # c = 1/l0 + 1/l1, collides after d/c and dissipates exactly d; on
+def test_two_plateaus_merge_ahead_in_closed_form(monkeypatch, cadence, x_axis, man):
+    # one jump: no outer pull, so each plateau moves along the geodesic toward
+    # the other at speed 1/l_i and the pair closes at the constant rate
+    # c = 1/l0 + 1/l1; it collides after d/c at the point l1/(l0 + l1) of the
+    # way from the left and dissipates exactly d, with no step taken.  On
     # euclidean:2 the unit jump lies on the x-axis
     cadence(1)
+    _budget_pc_velocity(monkeypatch, 0)
     if man is EU2:
         u0 = x_axis(scalar_curve([0.3], [0.0, 1.0]))
     else:
         u0 = PiecewiseConstantCurve(man, [0.3], np.stack(_sphere_pair()))
     traj = run_exact_pc(u0, t_max=1.0)
-    before, after = traj.snapshots[-2], traj.final_curve
-    d = chord_sizes(before)[0]
+    d = chord_sizes(u0)[0]
     c = 1 / 0.3 + 1 / 0.7
-    assert 0 < d < mtvf.flows._PAIR_JUMP and after.num_jumps == 0
-    assert abs(traj.times[-1] - traj.times[-2] - d / c) <= 4 * EPS * traj.times[-1]
-    assert abs(traj.dissipation[-1] - traj.dissipation[-2] - d) <= 4 * EPS * traj.dissipation[-1]
-    centre = man.project_point(before.plateau_lengths() @ before.values)
-    assert np.max(np.abs(after.values[0] - centre)) <= 4 * EPS
+    assert len(traj) == 2 and traj.final_curve.num_jumps == 0
+    assert abs(traj.times[-1] - d / c) <= 4 * EPS * traj.times[-1]
+    assert abs(traj.dissipation[-1] - d) <= 4 * EPS * d
+    meet = man.geodesic_point(u0.values[0], u0.values[1], 0.7)
+    assert np.max(np.abs(traj.final_curve.values[0] - meet)) <= 4 * EPS
     if man is EU2:
         assert traj.times[-1] == pytest.approx(0.3 * 0.7, abs=1e-14)
+
+
+def test_an_isolated_small_jump_merges_ahead_in_closed_form(monkeypatch, cadence, x_axis):
+    # three plateaus on the line, the left jump 5e-4 high and isolated: the
+    # middle plateau stays put, the left one closes on it at speed 1/0.3, and
+    # pair steps carry the jump to its collision at t = 0.3 * 5e-4, where the
+    # pair merges at 5e-4.  The last pair step ends at the pursuit collision
+    # time tau of its start, which on the line is 0.3 times its gap
+    cadence(1)
+    pair_steps, real = [], mtvf.flows._pair_rk4
+    monkeypatch.setattr(mtvf.flows, "_pair_rk4", lambda *a: pair_steps.append(1) or real(*a))
+    traj = run_exact_pc(x_axis(scalar_curve([0.3, 0.6], [0.0, 5e-4, 1.0])), t_max=1e-3)
+    k = [s.num_jumps for s in traj.snapshots].index(1)
+    before, after = traj.snapshots[k - 1], traj.snapshots[k]
+    d = chord_sizes(before)
+    lengths = before.plateau_lengths()
+    tau = mtvf.flows._pair_collision(EU2, lengths, 1 / lengths[:-1] + 1 / lengths[1:],
+                                     before.values, d, 0)[0]
+    assert pair_steps and before.num_jumps == 2 and 0 < d[0] < mtvf.flows._PAIR_JUMP
+    step = traj.times[k] - traj.times[k - 1]
+    assert abs(step - tau) <= 4 * EPS * traj.times[k]
+    assert abs(step - 0.3 * d[0]) <= 4 * EPS * traj.times[k]
+    assert abs(traj.times[k] - 1.5e-4) <= 4 * EPS * traj.times[k]
+    assert abs(after.values[0, 0] - 5e-4) <= 4 * EPS * 5e-4 and after.values[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("man", [EU2, SPH], ids=lambda m: m.spec_id)
+def test_two_plateaus_follow_the_scalar_flow_on_their_geodesic(man):
+    # the oracle: run_scalar_tv carried along the geodesic by flow_on_geodesic,
+    # which shares only geodesic_point with the solver, on random single jumps
+    # of size 0.05-1.2 at a breakpoint in 0.1-0.9, read at 12 times to 1.2 T*
+    rng = np.random.Generator(np.random.Philox([46, 2]))
+    for _ in range(20):
+        p = man.random_point(rng)
+        v, nv = man.random_direction(rng, p)
+        q = man.exp(p, (rng.uniform(0.05, 1.2) / nv) * v)
+        x0 = rng.uniform(0.1, 0.9)
+        dist_pq = float(man.dist(p, q))
+        stop = dist_pq * x0 * (1.0 - x0)
+        wanted = np.linspace(0.0, 1.2 * stop, 13)[1:]
+        traj = run_exact_pc(PiecewiseConstantCurve(man, [x0], [p, q]), t_max=wanted[-1],
+                            snapshot_times=wanted)
+        ref = flow_on_geodesic(man, p, q, scalar_curve([x0], [0.0, 1.0]), wanted[-1], wanted)
+        for t in wanted:
+            k, r = traj.index_at(t), ref.index_at(t)
+            assert l2_distance(traj.snapshots[k], ref.snapshots[r]) <= 1e-14, t
+            assert abs(traj.dissipation[k] - ref.dissipation[r]) <= 1e-14, t
+        assert traj.final_curve.num_jumps == 0
+        extinction = run_scalar_tv(scalar_curve([x0], [0.0, dist_pq]), wanted[-1]).extinction_time
+        assert abs(traj.times[-1] - extinction) <= 4 * EPS * extinction
 
 
 def _guarded_run(monkeypatch, u0, **kw):
@@ -595,31 +649,36 @@ def test_rejects_inadmissible_datum():
         run_exact_pc(u0, t_max=1.0)
 
 
-@pytest.mark.parametrize("man", [Circle(), Cylinder()], ids=lambda m: m.spec_id)
+@pytest.mark.parametrize("man", [SPH, Circle(), Cylinder()], ids=lambda m: m.spec_id)
 def test_an_antipodal_neighbour_pair_is_refused_by_both_solvers(man):
-    # (p, q, p) with q the antipode of p round the circle (on the cylinder at
-    # p's height; there every other q is pi - 1e-13 round from p).  dist reads
-    # 26 of the circle's exact antipodes just short of pi and the cylinder's
-    # near ones short of it, so they pass the refusal in dist; the angle chart
-    # would then turn them by the sign of a rounding-level cross product, or by
-    # a turn past _CUT_ANGLE, which the targets' log refuses.  Both solvers
-    # refuse every datum as a wide jump or chord of size pi
+    # (p, q, p) with q the antipode of p (on the cylinder at p's height); every
+    # other q on the sphere and the cylinder is pi - 1e-13 round from p, along a
+    # great circle or at p's height.  dist reads 15 of the sphere's and 26 of
+    # the circle's exact antipodes just short of pi, and the near ones short of
+    # it, so a refusal at pi lets them through: the angle chart would then turn
+    # them by the sign of a rounding-level cross product, or by a turn past
+    # _CUT_ANGLE, which the targets' log refuses, and on the sphere the run
+    # would reach log with no place named.  Both solvers refuse every datum as
+    # a wide jump or chord of size pi
     rng = np.random.Generator(np.random.Philox([43, 1]))
-    reach_chart = 0
+    below_pi = 0
     for i in range(1_500):
         p = man.project_point(rng.standard_normal(man.ambient_dim))
-        q = np.append(-p[:2], p[2:])
+        q = np.append(-p[:2], p[2:]) if man.kind == "cylinder" else -p
         if i % 2 and man.kind == "cylinder":
             turn = np.pi - 1e-13
             c, s = np.cos(turn), np.sin(turn)
             q[:2] = c * p[0] - s * p[1], s * p[0] + c * p[1]
+        if i % 2 and man.kind == "sphere":
+            v, nv = man.random_direction(rng, p)
+            q = man.exp(p, ((np.pi - 1e-13) / nv) * v)
         values = np.array([p, q, p])
-        reach_chart += bool(man.dist(p, q) < np.pi)
+        below_pi += bool(man.dist(p, q) < np.pi)
         with pytest.raises(GeometryError, match=r"^jump of size 3\.14159 at x=0\.333333 "):
             run_exact_pc(PiecewiseConstantCurve(man, [1 / 3, 2 / 3], values), t_max=0.1)
         with pytest.raises(GeometryError, match=r"^chord of size 3\.14159 at x=0 "):
             run_regularized(SampledCurve(man, values), FlowConfig(man, epsilon=1e-2, t_max=0.1))
-    assert reach_chart == (26 if man.kind == "circle" else 750)
+    assert below_pi == {"sphere": 765, "circle": 26, "cylinder": 750}[man.kind]
 
 
 # ---------------------------------------------------------------------------
