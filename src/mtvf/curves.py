@@ -58,6 +58,8 @@ class PiecewiseConstantCurve:
     def __post_init__(self):
         bp = np.array(self.breakpoints, dtype=float, ndmin=1)  # copies: the caller's
         vals = np.array(self.values, dtype=float)  # arrays stay writable
+        if bp.ndim != 1:
+            raise ConfigError(f"breakpoints must be one-dimensional, got shape {bp.shape}")
         if vals.ndim != 2 or vals.shape[1] != self.manifold.ambient_dim:
             raise ConfigError(
                 f"plateau values must have shape (m+1, {self.manifold.ambient_dim})"

@@ -79,9 +79,9 @@ class FlowConfig:
     """Solver parameters, checked on construction; a set ``dt`` is at least
     1e-15, so that a step advances the time.  ``dt='auto'`` leaves the step to
     the solver: ``h / 4`` on a grid, ``min(1e-3, t_max / 32)`` in ``run_exact_pc``.
-    ``epsilon`` and ``grid_n`` have no default: a set ``epsilon`` makes the run
-    a grid run, and ``grid_n``, the grid's node count, needs it.  What a run
-    records is not a setting: see ``_Recorder``."""
+    ``epsilon`` and ``grid_n`` have no default, and only they may be None: a set
+    ``epsilon`` makes the run a grid run, and ``grid_n``, the grid's node count,
+    needs it.  What a run records is not a setting: see ``_Recorder``."""
 
     manifold: Manifold
     epsilon: float | None = None
@@ -92,7 +92,8 @@ class FlowConfig:
     def __post_init__(self):
         for name in ("epsilon", "dt", "t_max"):
             value = getattr(self, name)
-            if value is None or (name == "dt" and isinstance(value, str) and value == "auto"):
+            if (name == "epsilon" and value is None) or (
+                    name == "dt" and isinstance(value, str) and value == "auto"):
                 continue
             # numpy scalars are real numbers too; True would pass as 1
             if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
@@ -197,7 +198,7 @@ class _Recorder:
     """The snapshot schedule of a run and the snapshots it recorded.
 
     Requested ``snapshot_times`` in (0, t_max] are recorded when a step
-    reaches them (a non-finite one is a ``ConfigError``); each ends a step
+    reaches them (see ``requested`` for what is refused); each ends a step
     of its own, so a time within 1e-14 of the one before it is the same
     snapshot.  Without requested times every ``_SNAPSHOT_EVERY``-th step is
     recorded.  A step ending in an event (a merge, a state going flat) is
@@ -214,14 +215,29 @@ class _Recorder:
         self.steps = 0
         self.wanted = None
         if snapshot_times is not None:
-            requested = [float(s) for s in snapshot_times]
-            if not all(math.isfinite(s) for s in requested):
-                raise ConfigError(f"requested snapshot times must be finite, got {requested}")
             self.wanted = []
-            for s in sorted(s for s in requested if 0.0 < s <= t_max):
+            for s in sorted(s for s in self.requested(snapshot_times) if 0.0 < s <= t_max):
                 if not self.wanted or s - self.wanted[-1] > 1e-14:
                     self.wanted.append(s)
         self.rows = [(0.0, start, 0.0)]  # (t, snapshot, cumulative dissipation)
+
+    @staticmethod
+    def requested(snapshot_times) -> list:
+        """Requested times as floats; a ``ConfigError`` unless they are a 1-D
+        sequence or array of finite real numbers (a bool is not one)."""
+        try:  # a ragged nest of arrays, or an int beyond the doubles, raises here
+            times = np.asarray(snapshot_times, dtype=object)
+            reals = times.ndim == 1 and all(
+                isinstance(s, numbers.Real) and not isinstance(s, (bool, np.bool_)) for s in times)
+            requested = [float(s) for s in times] if reals else None
+        except (ValueError, OverflowError):
+            requested = None
+        if requested is None:
+            raise ConfigError(f"snapshot_times must be a 1-D sequence of real numbers, "
+                              f"got {snapshot_times!r}")
+        if not all(math.isfinite(s) for s in requested):
+            raise ConfigError(f"requested snapshot times must be finite, got {requested}")
+        return requested
 
     def horizon(self, t):
         """Longest step from t: to the next requested time, else to t_max."""
@@ -879,8 +895,9 @@ def _staircase_trajectory(flow, sample_times, solver, curve_at) -> FlowTrajector
     """Record ``curve_at(breakpoints, values)`` at time 0, every merge, the
     end of the flow and the sample times within ``[0, t_max]``."""
     times = flow.event_times() + ([flow.t_max] if flow.extinction_time is None else [])
-    rec = _Recorder(times if sample_times is None else [*times, *sample_times], flow.t_max,
-                    curve_at(*flow.state_at(0.0)))
+    if sample_times is not None:
+        times += _Recorder.requested(sample_times)
+    rec = _Recorder(times, flow.t_max, curve_at(*flow.state_at(0.0)))
     for t in rec.wanted:
         rec.add(t, partial(curve_at, *flow.state_at(t)), flow.dissipation_at(t))
     return rec.build(solver, dt_nominal=0.0)

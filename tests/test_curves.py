@@ -89,6 +89,14 @@ def test_curves_refuse_values_of_the_wrong_width():
         SampledCurve(SPH, np.tile([1.0, 0.0], (4, 1)))
 
 
+@pytest.mark.parametrize("man", [EU1, EU2], ids=lambda m: m.spec_id)
+def test_step_curves_refuse_breakpoints_that_are_not_one_dimensional(man):
+    # a column of breakpoints constructed, and the solvers and mollify then
+    # raised numpy's "same number of dimensions" ValueError
+    with pytest.raises(ConfigError, match=r"breakpoints must be one-dimensional, got shape \(2, 1\)"):
+        PiecewiseConstantCurve(man, [[0.3], [0.6]], np.eye(3, man.ambient_dim))
+
+
 def test_tv_measure_refuses_a_non_curve():
     with pytest.raises(ConfigError, match="cannot measure variation of ndarray"):
         tv_measure(np.zeros((4, 1)))

@@ -26,6 +26,7 @@ from mtvf import (
     Sphere,
     check_energy,
     check_monotone_variation,
+    check_sphere_equivalence,
     detect_stopping,
     flow,
     flow_on_geodesic,
@@ -742,6 +743,22 @@ def test_snapshot_floor_defers_cadence_records_until_the_merge(monkeypatch, cade
     assert len(run_exact_pc(u0, t_max=0.2)) - len(traj) == 12
 
 
+def test_snapshot_floor_keeps_unresolved_tangents_out_of_the_sphere_identities(monkeypatch, cadence):
+    # the datum's two jumps of size 1, at an angle on sphere:3, close together,
+    # so no pair step applies.  Below the floor a jump's unit tangents carry O(eps_mach / d)
+    # rounding, which a record mid-cascade hands to the no-atoms identity: with
+    # the floor at 0 the same run fails it (4.1e-8 against 1e-8, measured)
+    cadence(1)
+    c, s = np.cos(1.0), np.sin(1.0)
+    p, q = np.array([1.0, 0.0, 0.0]), np.array([c, s, 0.0])
+    r = np.array([c, 0.3 * s, np.sqrt(1.0 - c * c - 0.09 * s * s)])
+    u0 = PiecewiseConstantCurve(SPH, [1.0 / 3.0, 2.0 / 3.0], [q, p, r])
+    report = check_sphere_equivalence(run_exact_pc(u0, t_max=3.0))
+    assert report.passed and report.worst < 2e-9  # 9.1e-10 here
+    monkeypatch.setattr(mtvf.flows, "_SNAPSHOT_JUMP_FLOOR", 0.0)
+    assert not check_sphere_equivalence(run_exact_pc(u0, t_max=3.0)).passed
+
+
 def test_repeated_snapshot_times_record_one_snapshot_each():
     # requested times closer than 1e-14 are one snapshot, reached by one step
     u0 = random_rad_curve(SPH, np.random.Generator(np.random.Philox([83, 0])))
@@ -751,12 +768,18 @@ def test_repeated_snapshot_times_record_one_snapshot_each():
         assert np.sum(np.abs(traj.times - t) <= 1e-14) == 1
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("run", ["exact", "regularized", "scalar", "geodesic"])
-def test_non_finite_requested_snapshot_time_is_a_config_error(run, bad):
+@pytest.mark.parametrize("wanted,match", [
     # a non-finite time is refused, not dropped with the others outside (0, t_max]
+    *(pytest.param([bad, 0.05], "snapshot times must be finite", id=str(bad))
+      for bad in (float("nan"), float("inf"), -float("inf"))),
+    # so is anything but a 1-D sequence or array of real numbers, which a string
+    # would be character by character
+    *(pytest.param(bad, "snapshot_times must be a 1-D sequence", id=name) for name, bad in [
+        ("string", "0.1"), ("int", 1), ("nested", [[0.05]]), ("bool", [True, 0.05])]),
+])
+@pytest.mark.parametrize("run", ["exact", "regularized", "scalar", "geodesic"])
+def test_non_finite_requested_snapshot_time_is_a_config_error(run, wanted, match):
     u0 = scalar_curve([0.5], [0.0, 1.0])
-    wanted = [bad, 0.05]
     runs = {
         "exact": lambda: run_exact_pc(u0, t_max=0.1, snapshot_times=wanted),
         "regularized": lambda: run_regularized(
@@ -765,7 +788,7 @@ def test_non_finite_requested_snapshot_time_is_a_config_error(run, bad):
         "geodesic": lambda: flow_on_geodesic(SPH, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
                                              u0, 0.1, wanted),
     }
-    with pytest.raises(ConfigError, match="snapshot times must be finite"):
+    with pytest.raises(ConfigError, match=match):
         runs[run]()
 
 
@@ -806,6 +829,9 @@ def test_index_at_reads_only_recorded_times_and_the_end_of_an_early_stop():
         # a float cannot hold it
         pytest.param({"t_max": 10**400}, id="t_max=10**400"),
         pytest.param({"dt": -10**400}, id="dt=-10**400"),
+        # only epsilon and grid_n may be None
+        {"dt": None},
+        {"t_max": None},
     ],
     ids=lambda o: "{}={}".format(*next(iter(o.items()))),
 )
