@@ -214,11 +214,17 @@ def compose_with_geodesic(
     if not isinstance(sigma, PiecewiseConstantCurve) or sigma.manifold.spec_id != "euclidean:1":
         raise ConfigError("geodesic parameters must be a step curve on euclidean:1, "
                           f"not a {type(sigma).__name__} on {sigma.manifold.spec_id}")
-    svals = sigma.values[:, 0]
-    if np.any(svals < -1e-12) or np.any(svals > 1.0 + 1e-12):
+    return PiecewiseConstantCurve(manifold, sigma.breakpoints,
+                                  _geodesic_values(manifold, p, q, sigma.values[:, 0]))
+
+
+def _geodesic_values(manifold, p, q, s: np.ndarray) -> np.ndarray:
+    """The points at parameters ``s`` of the geodesic from p to q, rows in the order of
+    ``s``: one ``geodesic_point`` call for any number of them.  A parameter outside
+    [0, 1] by more than 1e-12 is a ``ConfigError``; the others are clipped to it."""
+    if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
         raise ConfigError("geodesic parameters must lie in [0, 1]")
-    new_vals = manifold.geodesic_point(p, q, np.clip(svals, 0.0, 1.0))
-    return PiecewiseConstantCurve(manifold, sigma.breakpoints, new_vals)
+    return manifold.geodesic_point(p, q, np.clip(s, 0.0, 1.0))
 
 
 def l2_distance(a, b) -> float:

@@ -35,8 +35,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .curves import (
-    PiecewiseConstantCurve, SampledCurve, _refuse_wide, chord_sizes, compose_with_geodesic, mollify,
-    plateau_lengths, tv_measure,
+    PiecewiseConstantCurve, SampledCurve, _geodesic_values, _refuse_wide, chord_sizes,
+    compose_with_geodesic, mollify, plateau_lengths, tv_measure,
 )
 from .errors import CheckNotApplicable, ConfigError, GeometryError, SolverError, integer
 from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _CUT_ANGLE, _dot, _norm, _turn
@@ -206,8 +206,8 @@ class _Recorder:
     resolved; requested times do not.  A row is a time, its snapshot and
     the cumulative dissipation; the first is ``start`` (a solver's input
     itself) at time 0.  ``add`` skips a time already recorded and ``end``
-    takes the last state; each builds a snapshot by calling ``state()``
-    only for a row it keeps, so a run copies a state only to record it.
+    takes the last state; each calls ``state()`` only for a row it keeps,
+    so a run copies a state only to record it.
     """
 
     def __init__(self, snapshot_times, t_max, start):
@@ -650,8 +650,9 @@ def run_exact_pc(
     Circle and cylinder data flow in their ``_flat_chart`` once the wide-jump refusal has
     passed.  Data whose flat chart is one-dimensional (euclidean:1, the circle) flow in closed
     form (``run_scalar_tv``): ``dt`` bounds no step, and a run records its merges, requested
-    times and end.  Cylinder data take the steps above in their chart, where the geodesic
-    of the last jump is a straight line.
+    times and end, whose chart values one call of the chart's map takes back for all of them
+    (``_staircase_trajectory``).  Cylinder data take the steps above in their chart, where the
+    geodesic of the last jump is a straight line.
 
     A stepped run records its merges and, without ``snapshot_times``, every
     ``_SNAPSHOT_EVERY``-th step.  Those records are deferred while any jump
@@ -668,13 +669,12 @@ def run_exact_pc(
     _refuse_wide(man, chord_sizes(u0), lambda i: u0.breakpoints[i], "jump")
     dt_base = min(1e-3, t_max / 32.0) if config.dt == "auto" else config.dt
     grid, chart, back = _flat_chart(man, u0.values, lambda i: u0.breakpoints[i], "jump")
-    curve_at = lambda xs, vals: PiecewiseConstantCurve(u0.manifold, xs, back(vals))
     if grid == Euclidean(1):  # run_scalar_tv's staircase values are 1-D
         scalar = run_scalar_tv(PiecewiseConstantCurve(grid, u0.breakpoints, chart), t_max)
-        traj = _staircase_trajectory(scalar, snapshot_times, "exact_pc",
-                                     lambda xs, vals: curve_at(xs, vals[:, None]))
-        return replace(traj, snapshots=(u0, *traj.snapshots[1:]), dt_nominal=dt_base)
+        return _staircase_trajectory(scalar, snapshot_times, "exact_pc", u0,
+                                     lambda vals: back(vals[:, None]), dt_base)
     man = grid
+    curve_at = lambda xs, vals: PiecewiseConstantCurve(u0.manifold, xs, back(vals))
 
     xs = np.array(u0.breakpoints, dtype=float)
     vals = np.array(chart, dtype=float)
@@ -891,21 +891,33 @@ def scalar_curve(breakpoints, values) -> PiecewiseConstantCurve:
     return PiecewiseConstantCurve(Euclidean(1), breakpoints, np.reshape(values, (-1, 1)))
 
 
-def _staircase_trajectory(flow, sample_times, solver, curve_at) -> FlowTrajectory:
-    """Record ``curve_at(breakpoints, values)`` at time 0, every merge, the
-    end of the flow and the sample times within ``[0, t_max]``."""
+def _staircase_trajectory(flow, sample_times, solver, start, to_values,
+                          dt_nominal=0.0) -> FlowTrajectory:
+    """Record ``start``, the datum, at time 0, and the flow's state at every
+    merge, the end of the flow and the sample times within ``[0, t_max]``.
+    The plateau values of those later states are stacked and mapped onto
+    ``start``'s manifold by one call of ``to_values``; then each state is
+    built once, by the step curve's validating constructor."""
     times = flow.event_times() + ([flow.t_max] if flow.extinction_time is None else [])
     if sample_times is not None:
         times += _Recorder.requested(sample_times)
-    rec = _Recorder(times, flow.t_max, curve_at(*flow.state_at(0.0)))
+    rec = _Recorder(times, flow.t_max, start)
     for t in rec.wanted:
-        rec.add(t, partial(curve_at, *flow.state_at(t)), flow.dissipation_at(t))
-    return rec.build(solver, dt_nominal=0.0)
+        rec.add(t, partial(flow.state_at, t), flow.dissipation_at(t))
+    later = rec.rows[1:]  # (t, (breakpoints, plateau values), dissipation)
+    if later:
+        values = to_values(np.concatenate([vals for _, (_, vals), _ in later]))
+        cuts = np.cumsum([0] + [len(vals) for _, (_, vals), _ in later]).tolist()
+        rec.rows[1:] = [(t, PiecewiseConstantCurve(start.manifold, bp, values[a:b]), d)
+                        for (t, (bp, _), d), a, b in zip(later, cuts, cuts[1:])]
+    return rec.build(solver, dt_nominal)
 
 
 def scalar_trajectory(flow: ScalarStaircaseFlow, sample_times=None) -> FlowTrajectory:
-    """Materialize a scalar flow as a trajectory of euclidean:1 snapshots."""
-    return _staircase_trajectory(flow, sample_times, "scalar_tv", scalar_curve)
+    """Materialize a scalar flow as a trajectory of euclidean:1 snapshots;
+    snapshot 0 is the flow's datum."""
+    return _staircase_trajectory(flow, sample_times, "scalar_tv", scalar_curve(*flow.state_at(0.0)),
+                                 lambda vals: vals[:, None])
 
 
 def flow_on_geodesic(
@@ -920,15 +932,15 @@ def flow_on_geodesic(
 
     ``sigma0`` is a curve on euclidean:1 holding geodesic parameters in
     [0, 1].  The dynamics is the scalar staircase flow in arclength units
-    transported through ``compose_with_geodesic``; for such data this
-    coincides with the full solver.
+    transported along the geodesic; for such data this coincides with the
+    full solver.  Snapshot 0 is ``compose_with_geodesic`` of ``sigma0``; the
+    parameters of every later snapshot are checked and carried onto the
+    geodesic together, by one ``geodesic_point`` call.
     """
     dist_pq = float(manifold.dist(p, q))
     if dist_pq < 1e-15:
         raise GeometryError("geodesic endpoints coincide")
-    compose_with_geodesic(manifold, p, q, sigma0)  # refuses sigma0 off euclidean:1 or [0, 1]
+    start = compose_with_geodesic(manifold, p, q, sigma0)  # refuses one off euclidean:1 or [0, 1]
     flow = run_scalar_tv(scalar_curve(sigma0.breakpoints, sigma0.values[:, 0] * dist_pq), t_max)
-    return _staircase_trajectory(
-        flow, sample_times, "geodesic_graph",
-        lambda bp, vals: compose_with_geodesic(manifold, p, q, scalar_curve(bp, vals / dist_pq)),
-    )
+    return _staircase_trajectory(flow, sample_times, "geodesic_graph", start,
+                                 lambda vals: _geodesic_values(manifold, p, q, vals / dist_pq))

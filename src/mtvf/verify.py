@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PiecewiseConstantCurve, chord_sizes, l2_distance, tv_measure
+from .curves import PiecewiseConstantCurve, l2_distance, tv_measure
 from .errors import CheckNotApplicable, ConfigError
 from .flows import (
     FlowConfig,
@@ -72,9 +72,11 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     The individual jump sizes of a piecewise-constant trajectory are tracked
     across merge events, and the variation measure restricted to every
     dyadic subinterval up to depth ``DYADIC_DEPTH``; both must be
-    nonincreasing, within 1e-6.  Sampled snapshots raise
-    :class:`CheckNotApplicable`: at fixed resolution the grid solver does
-    not obey this law; its monotone quantity is the regularized energy.
+    nonincreasing, within 1e-6.  Every snapshot's jump sizes come from one
+    ``dist`` call, and every interval's mass from one ``bincount``.  Sampled
+    snapshots raise :class:`CheckNotApplicable`: at fixed resolution the
+    grid solver does not obey this law; its monotone quantity is the
+    regularized energy.
     """
     tol = 1e-6
     if not isinstance(traj.final_curve, PiecewiseConstantCurve):
@@ -83,14 +85,21 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     where: tuple = ()
     # jumps are identified by their (fixed) breakpoint; sets only shrink.
     # sizes[k, j] is the size of the j-th initial jump at time k, NaN once
-    # it has merged
+    # it has merged.  Each snapshot's jumps are its own value pairs: inner
+    # drops the pair across two snapshots of the stacked values
     xs = traj.snapshots[0].breakpoints
-    sizes = np.full((len(traj.snapshots), xs.size), np.nan)
-    for k, s in enumerate(traj.snapshots):
-        col = np.searchsorted(xs, s.breakpoints)
-        if np.any(col == xs.size) or np.any(xs[np.minimum(col, xs.size - 1)] != s.breakpoints):
-            raise CheckNotApplicable(f"jump set grew at t={traj.times[k]}")
-        sizes[k, col] = chord_sizes(s)
+    n = len(traj.snapshots)
+    bps = np.concatenate([s.breakpoints for s in traj.snapshots])
+    row = np.repeat(np.arange(n), [s.num_jumps for s in traj.snapshots])
+    col = np.searchsorted(xs, bps)
+    grew = np.append(xs, np.nan)[col] != bps  # a breakpoint not in xs
+    if grew.any():
+        raise CheckNotApplicable(f"jump set grew at t={traj.times[row[np.argmax(grew)]]}")
+    vals = np.concatenate([s.values for s in traj.snapshots])
+    inner = np.ones(len(vals) - 1, dtype=bool)
+    inner[np.cumsum([len(s.values) for s in traj.snapshots])[:-1] - 1] = False
+    sizes = np.full((n, xs.size), np.nan)
+    sizes[row, col] = traj.manifold.dist(vals[:-1][inner], vals[1:][inner])
     # growth over each jump's smallest earlier size; the first largest
     # in time-then-breakpoint order is reported
     grown = _rises(sizes)
@@ -98,15 +107,14 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
         kt, kx = np.unravel_index(np.nanargmax(grown), grown.shape)
         worst = float(grown[kt, kx])
         where = (float(traj.times[kt + 1]), float(xs[kx]))
-    # interval i of level l holds the jumps with floor(x 2^l) = i, exact
-    # for powers of two; bincount adds them in breakpoint order
-    present = np.nan_to_num(sizes).ravel()
-    rows = np.repeat(np.arange(len(traj.snapshots)), xs.size)
-    masses = np.hstack([
-        np.bincount(rows * m + np.tile(np.floor(xs * m).astype(int), len(traj.snapshots)),
-                    present, minlength=len(traj.snapshots) * m).reshape(-1, m)
-        for m in (2 ** level for level in range(DYADIC_DEPTH + 1))
-    ])
+    # interval i of level l (m = 2^l intervals) holds the jumps with
+    # floor(x m) = i, exact for powers of two, and is column m - 1 + i of
+    # masses; one bincount over every level adds them in breakpoint order
+    ms = 2 ** np.arange(DYADIC_DEPTH + 1)[:, None]
+    cols = 2 ** (DYADIC_DEPTH + 1) - 1
+    bins = np.arange(n)[:, None, None] * cols + (ms - 1 + np.floor(xs * ms).astype(int))
+    present = np.broadcast_to(np.nan_to_num(sizes)[:, None, :], bins.shape)
+    masses = np.bincount(bins.ravel(), present.ravel(), minlength=n * cols).reshape(n, cols)
     mass_viol = _rises(masses)
     if mass_viol.size and float(np.max(mass_viol)) > worst:
         worst = float(np.max(mass_viol))

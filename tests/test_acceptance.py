@@ -7,10 +7,12 @@ and sampled sharply onto a 101-node grid for the nearly-degenerate
 regularized solver (epsilon = 1e-8), so both solvers face the same data.
 """
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import mtvf.flows
 from mtvf import (
     Euclidean,
     SampledCurve,
@@ -46,20 +48,34 @@ STABILITY_MAX_RATIO = 1.2958826528622467
 
 
 @pytest.fixture(scope="module")
-def suite_runs():
+def suite_work():
+    """Per manifold, a count of the ``pc_velocity`` calls of ``suite_runs``' exact
+    runs and of the ``?ptsv`` solves (``flows.solve_banded``) of its grid runs."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def suite_runs(suite_work):
     """(datum, exact trajectory, regularized trajectory) per manifold."""
     runs = {}
-    for spec_id, curves in suite(seed=7, per_manifold=20).items():
-        man = curves[0].manifold
-        rows = []
-        for u0 in curves:
-            t_max = 4.0 * tv_measure(u0).total
-            exact = run_exact_pc(u0, t_max=t_max)
-            sharp = SampledCurve(man, u0.eval_grid(np.linspace(0.0, 1.0, 101)))
-            cfg = FlowConfig(manifold=man, epsilon=1e-8, grid_n=101, t_max=t_max)
-            reg = run_regularized(sharp, cfg)
-            rows.append((u0, exact, reg))
-        runs[spec_id] = rows
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("pc_velocity", "solve_banded"):  # where the solvers look them up
+            real = getattr(mtvf.flows, name)
+            # each call counts for the manifold the loop below is on
+            patch.setattr(mtvf.flows, name, lambda *args, name=name, real=real:
+                          suite_work[spec_id].update((name,)) or real(*args))
+        for spec_id, curves in suite(seed=7, per_manifold=20).items():
+            suite_work[spec_id] = Counter()
+            man = curves[0].manifold
+            rows = []
+            for u0 in curves:
+                t_max = 4.0 * tv_measure(u0).total
+                exact = run_exact_pc(u0, t_max=t_max)
+                sharp = SampledCurve(man, u0.eval_grid(np.linspace(0.0, 1.0, 101)))
+                cfg = FlowConfig(manifold=man, epsilon=1e-8, grid_n=101, t_max=t_max)
+                reg = run_regularized(sharp, cfg)
+                rows.append((u0, exact, reg))
+            runs[spec_id] = rows
     return runs
 
 
@@ -136,6 +152,20 @@ def test_criterion_03_energy_inequality(acceptance_log, suite_runs):
     acceptance_log("3 energy inequality", ok,
                    f"{n_runs} runs, worst {worst:.2e}, {elapsed:.1f}s")
     assert ok
+
+
+# (pc_velocity calls, ?ptsv solves) per target of the runs above: work that
+# does not depend on the machine.  The circle's exact runs are closed form.
+# Lower a pin with the solver, never raise one; a change that raises one on
+# purpose says so, with what it buys
+SUITE_WORK = {"euclidean:2": (8728, 1232), "sphere:3": (9516, 1289),
+              "circle": (0, 1331), "cylinder": (10460, 1309)}
+
+
+def test_suite_work_per_target_is_pinned(suite_runs, suite_work):
+    work = {spec_id: (count["pc_velocity"], count["solve_banded"])
+            for spec_id, count in suite_work.items()}
+    assert work == SUITE_WORK
 
 
 def test_criterion_04_pointwise_monotonicity(acceptance_log, suite_runs):

@@ -45,6 +45,14 @@ def test_a_tree_compared_with_a_copy_of_itself_reads_identical_with_every_gap_ze
     assert set(table.values()) == {("0", "0")}
 
 
+def test_the_closed_form_runs_are_on_the_clock_with_every_gap_zero(self_comparison):
+    # scalar_trajectory and flow_on_geodesic, each on ten staircases
+    lines, out = self_comparison
+    assert {"| scalar_tv | euclidean:1 | 0 | 0 |", "| geodesic_graph | sphere:3 | 0 | 0 |"} <= set(lines)
+    kinds = [str(v) for key, v in np.load(out / "head.npz").items() if key.endswith(".kind")]
+    assert (kinds.count("scalar_tv euclidean:1"), kinds.count("geodesic_graph sphere:3")) == (10, 10)
+
+
 def test_a_saved_value_moved_by_1e_9_reads_as_a_difference_and_as_its_gap(self_comparison, tmp_path):
     # the compare step alone, on the self-comparison's head output and a copy of
     # it with one plateau value of one sphere:3 exact run moved: no tree runs

@@ -1,12 +1,25 @@
-"""Exact scalar staircase flow: conservation, collisions, extinction."""
+"""Exact scalar staircase flow: conservation, collisions, extinction, and the
+trajectories that record it: ``scalar_trajectory``, ``flow_on_geodesic`` and
+``run_exact_pc`` on one-dimensional charts."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtvf.flows
 from mtvf import (
+    Circle,
     ConfigError,
+    Euclidean,
+    MtvfError,
+    PiecewiseConstantCurve,
+    Sphere,
+    compose_with_geodesic,
     detect_stopping,
+    flow_on_geodesic,
+    run_exact_pc,
     run_scalar_tv,
     scalar_curve,
     scalar_trajectory,
@@ -193,3 +206,147 @@ def test_rejects_an_unbounded_horizon():
     # FlowConfig's rule: t_max is positive and finite
     with pytest.raises(ConfigError, match="t_max must be positive and finite"):
         run_scalar_tv(scalar_curve([0.5], [0.0, 1.0]), float("inf"))
+
+
+# ---------------------------------------------------------------------------
+# closed-form trajectories: one value map per run, one construction per snapshot
+# ---------------------------------------------------------------------------
+
+SPH = Sphere(3)
+P, Q = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+# geodesic parameters of a staircase that goes up and down, with jumps in
+# several dyadic cells
+_BP = [0.1, 0.2, 0.35, 0.5, 0.6, 0.8, 0.9]
+_LEVELS = [0.3, 0.9, 0.1, 0.7, 0.2, 1.0, 0.0, 0.55]
+
+
+def _circle_values(angles):
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _closed_form_run(route, wanted):
+    """``(trajectory, datum, flow, map)``: the route's run, its datum, the scalar
+    flow it records and, in plain numpy, the map of that flow's plateau values
+    onto the datum's target."""
+    sigma = scalar_curve(_BP, _LEVELS)
+    if route in ("scalar", "euclidean:1"):
+        flow = run_scalar_tv(sigma, 4.0)
+        traj = (scalar_trajectory(flow, wanted) if route == "scalar"
+                else run_exact_pc(sigma, 4.0, snapshot_times=wanted))
+        return traj, sigma, flow, lambda v: v[:, None]
+    if route == "geodesic":
+        d = float(SPH.dist(P, Q))
+        flow = run_scalar_tv(scalar_curve(_BP, np.multiply(_LEVELS, d)), 4.0)
+        to_sphere = lambda v: SPH.geodesic_point(P, Q, np.clip(v / d, 0.0, 1.0))
+        return (flow_on_geodesic(SPH, P, Q, sigma, 4.0, wanted),
+                compose_with_geodesic(SPH, P, Q, sigma), flow, to_sphere)
+    # the circle's angle chart: the first angle, then each turn the short way
+    u0 = PiecewiseConstantCurve(Circle(), _BP, _circle_values(np.multiply(_LEVELS, 2.5)))
+    x, y = u0.values[:, 0], u0.values[:, 1]
+    turns = np.arctan2(x[:-1] * y[1:] - y[:-1] * x[1:], x[:-1] * x[1:] + y[:-1] * y[1:])
+    chart = np.cumsum(np.append(math.atan2(y[0], x[0]), turns))
+    flow = run_scalar_tv(scalar_curve(_BP, chart), 4.0)
+    return run_exact_pc(u0, 4.0, snapshot_times=wanted), u0, flow, _circle_values
+
+
+_ROUTES = ["euclidean:1", "circle", "scalar", "geodesic"]
+_WANTED = {"none": None, "7": [3.0, 0.01, 0.2, 0.01, 0.5, 9.0, 0.07],
+           "1000": np.linspace(0.0, 1.5, 1000)}
+
+
+@pytest.mark.parametrize("wanted", sorted(_WANTED))
+@pytest.mark.parametrize("route", _ROUTES)
+def test_closed_form_snapshots_match_a_per_snapshot_reference(route, wanted):
+    # every later snapshot, bit for bit: the flow's state at its time, that
+    # state's values mapped on their own, then the step curve's constructor;
+    # snapshot 0 is the datum (on the geodesic, its composition) itself
+    traj, datum, flow, to_target = _closed_form_run(route, _WANTED[wanted])
+    assert len(traj) >= 8 and traj.final_curve.num_jumps == 0
+    first = traj.snapshots[0]
+    assert first is datum or (first.breakpoints.tobytes() == datum.breakpoints.tobytes()
+                              and first.values.tobytes() == datum.values.tobytes())
+    for t, snap, diss in zip(traj.times[1:], traj.snapshots[1:], traj.dissipation[1:]):
+        bp, vals = flow.state_at(t)
+        ref = PiecewiseConstantCurve(datum.manifold, bp, to_target(vals))
+        assert snap.breakpoints.tobytes() == ref.breakpoints.tobytes(), (route, t)
+        assert snap.values.tobytes() == ref.values.tobytes(), (route, t)
+        assert diss == flow.dissipation_at(t)
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_closed_form_runs_map_once_and_build_each_snapshot_once(route, monkeypatch):
+    # whatever the number of requested times: one geodesic_point call for the
+    # later snapshots (and one for the geodesic datum), one chart map, and one
+    # validated construction per snapshot beside the run's datum curves
+    maps, built = [], []
+    geodesic_point, flat_chart = Sphere.geodesic_point, mtvf.flows._flat_chart
+    post_init = PiecewiseConstantCurve.__post_init__
+
+    def chart(*args):
+        grid, values, back = flat_chart(*args)
+        return grid, values, lambda v: maps.append("back") or back(v)
+
+    monkeypatch.setattr(Sphere, "geodesic_point",
+                        lambda *args: maps.append("geodesic_point") or geodesic_point(*args))
+    monkeypatch.setattr(mtvf.flows, "_flat_chart", chart)
+    monkeypatch.setattr(PiecewiseConstantCurve, "__post_init__",
+                        lambda curve: built.append(1) or post_init(curve))
+    for wanted in _WANTED.values():
+        sigma = scalar_curve(_BP, _LEVELS)
+        u0 = PiecewiseConstantCurve(Circle(), _BP, _circle_values(np.multiply(_LEVELS, 2.5)))
+        del maps[:], built[:]
+        if route == "scalar":
+            traj = scalar_trajectory(run_scalar_tv(sigma, 4.0), wanted)
+            assert (maps, len(built)) == ([], len(traj))  # snapshot 0 is built too
+        elif route == "geodesic":
+            traj = flow_on_geodesic(SPH, P, Q, sigma, 4.0, wanted)
+            # the scalar datum, its composition (snapshot 0) and the later snapshots
+            assert (maps, len(built)) == (["geodesic_point"] * 2, len(traj) + 1)
+        else:
+            traj = run_exact_pc(sigma if route == "euclidean:1" else u0, 4.0, snapshot_times=wanted)
+            # the chart's datum and the later snapshots
+            assert (maps, len(built)) == (["back"], len(traj))
+        assert len(traj) >= (1000 if wanted is not None and len(wanted) == 1000 else 8)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form entry points take any snapshot_times and geodesic parameters
+# and either run or raise an MtvfError
+# ---------------------------------------------------------------------------
+
+_ELEMENT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    st.text(max_size=3), st.none(), st.lists(st.floats(-1.0, 2.0), max_size=2),
+    st.sampled_from([0.0, 1e-15, 0.05, 0.05 + 1e-15, 0.1, 4.0, 4.0 + 1e-13]))
+_SNAPSHOT_TIMES = st.one_of(
+    st.none(), st.text(max_size=4), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True), st.lists(_ELEMENT, max_size=6),
+    # unsorted, duplicated, outside [0, t_max], as lists and as arrays
+    st.lists(st.sampled_from([-0.1, 0.0, 0.05, 0.05 + 1e-15, 0.05 - 1e-15, 0.3, 2.0, 4.0, 9.0]),
+             max_size=10),
+    st.lists(st.floats(-1.0, 6.0), max_size=10).map(np.array),
+    st.lists(st.lists(st.floats(0.0, 1.0), max_size=3), max_size=3))
+# geodesic parameters at, inside and just outside the 1e-12 slack around [0, 1]
+_PARAMETER = st.sampled_from([
+    0.0, 1.0, 0.5, -5e-13, 1.0 + 5e-13, -1e-12, 1.0 + 1e-12, np.nextafter(-1e-12, -1.0),
+    np.nextafter(1.0 + 1e-12, 2.0), -1.0000001e-12, 1.0 + 1.0000001e-12, -1e-9, 1.0 + 1e-9])
+
+
+@given(route=st.sampled_from(_ROUTES), wanted=_SNAPSHOT_TIMES,
+       levels=st.lists(_PARAMETER, min_size=1, max_size=5), t_max=st.sampled_from([0.1, 4.0]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_closed_form_entry_points_run_or_raise_an_mtvf_error(route, wanted, levels, t_max):
+    bp = np.linspace(0.0, 1.0, len(levels) + 1)[1:-1]
+    sigma = scalar_curve(bp, levels)
+    try:
+        if route == "scalar":
+            traj = scalar_trajectory(run_scalar_tv(sigma, t_max), wanted)
+        elif route == "geodesic":
+            traj = flow_on_geodesic(SPH, P, Q, sigma, t_max, wanted)
+        else:
+            u0 = sigma if route == "euclidean:1" else PiecewiseConstantCurve(
+                Circle(), bp, _circle_values(np.multiply(levels, 2.5)))
+            traj = run_exact_pc(u0, t_max, snapshot_times=wanted)
+    except MtvfError:
+        return
+    assert traj.times[0] == 0.0 and traj.times[-1] <= t_max

@@ -410,6 +410,20 @@ def _euclidean_run():
     return run_exact_pc(u0, t_max=4 * tv_measure(u0).total)
 
 
+def _geodesic_run():
+    # a closed-form run: a staircase up and down a sphere:3 geodesic, flowed to rest
+    sigma = scalar_curve([0.1, 0.2, 0.35, 0.5, 0.6, 0.8, 0.9],
+                         [0.3, 0.9, 0.1, 0.7, 0.2, 1.0, 0.0, 0.55])
+    return flow_on_geodesic(SPH, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), sigma, 4.0)
+
+
+def test_the_closed_form_reference_run_merges_to_rest_across_the_dyadic_cells():
+    traj = _geodesic_run()
+    xs = traj.snapshots[0].breakpoints
+    assert len(traj) >= 8 and traj.final_curve.num_jumps == 0
+    assert np.unique(np.floor(xs * 4)).size == 4  # jumps in every quarter
+
+
 def _reset_middle(traj):
     # the middle snapshot set back to the input, so that both checks see a rise
     return _with_snapshot(traj, len(traj) // 2, traj.snapshots[0])
@@ -419,6 +433,7 @@ _REFERENCE_RUNS = {
     "sphere_5": lambda: _sphere_run(5),
     "sphere_10": lambda: _sphere_run(10),
     "euclidean": _euclidean_run,
+    "geodesic": _geodesic_run,
     "sphere_5_reset": lambda: _reset_middle(_sphere_run(5)),
     **{case: (lambda data=data: _hand_built(*data)) for case, data in _HAND_BUILT.items()},
 }

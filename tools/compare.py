@@ -5,7 +5,8 @@
 Each tree runs the lists below in a child process (one process cannot import two
 ``mtvf``) and saves to ``base.npz`` or ``head.npz`` in the existing OUT_DIR a sha256
 per item, the ``pc_velocity`` calls of the 80 exact runs, and each exact and grid run
-again at 24 requested times, a fixed clock.  README.md says what each line means.
+again at 24 requested times, a fixed clock, with 20 closed-form runs on that clock
+(``scalar_trajectory`` and ``flow_on_geodesic``).  README.md says what each line means.
 """
 import hashlib
 import os
@@ -24,11 +25,12 @@ def run_tree(src, out):
     import mtvf.flows
     from mtvf import (CheckNotApplicable, FlowConfig, GeometryError, SampledCurve, SolverError,
                       check_energy, check_monotone_variation, check_sphere_equivalence,
-                      detect_stopping, mollify, parse_manifold, run_exact_pc, run_regularized,
-                      tv_measure)
+                      compose_with_geodesic, detect_stopping, flow_on_geodesic, mollify,
+                      parse_manifold, run_exact_pc, run_regularized, run_scalar_tv,
+                      scalar_trajectory, tv_measure)
     from mtvf.io import curve_to_text, write_trajectory
     from mtvf.lab import geodesic_endpoint_stability, hessian_comparison_check
-    from mtvf.synth import SUITE_MANIFOLDS, noisy_field, suite, two_jump_sphere_example
+    from mtvf.synth import SUITE_MANIFOLDS, noisy_field, staircase, suite, two_jump_sphere_example
     np.set_printoptions(floatmode="unique", threshold=sys.maxsize)  # reprs keep every bit
     items, clock, real, calls = [], {}, mtvf.flows.pc_velocity, []
     mtvf.flows.pc_velocity = lambda *args: calls.append(1) or real(*args)  # where run_exact_pc looks
@@ -54,13 +56,14 @@ def run_tree(src, out):
                 h.update(repr(exc).encode())
         item("verify", h)
     def on_clock(j, traj, t_max):
-        # item j's run at t_max * CLOCK; past its last record a run's state is constant
+        # item j's run (or closed-form run j) at t_max * CLOCK; past its last
+        # record a run's state is constant
         rows = np.searchsorted(traj.times, t_max * CLOCK + 1e-12, side="right") - 1
         clock[f"{j}.kind"] = np.array(f"{traj.solver} {traj.manifold.spec_id}")
         clock[f"{j}.dissipation"] = traj.dissipation[rows]
         for i, r in enumerate(rows):
             clock[f"{j}.values.{i}"] = traj.snapshots[r].values
-            if traj.solver == "exact_pc":
+            if traj.epsilon is None:  # a step curve
                 clock[f"{j}.breakpoints.{i}"] = traj.snapshots[r].breakpoints
     def hessians(rngs, radii, directions):
         h = hashlib.sha256()
@@ -81,6 +84,19 @@ def run_tree(src, out):
     for j, u0 in exact:  # the clock spans a quarter of the datum's jump sum
         quarter = 0.25 * tv_measure(u0).total
         on_clock(j, run_exact_pc(u0, quarter, snapshot_times=quarter * CLOCK), quarter)
+    # ten seeded staircases, each flowed in closed form and carried along a sphere:3
+    # geodesic of its own, on the clock of a quarter of the datum's jump sum
+    sphere = parse_manifold("sphere:3")
+    for seed in range(10):
+        rng = np.random.Generator(np.random.Philox([seed, 48]))
+        sigma = staircase(rng.uniform(0.0, 1.0, 3 + seed % 6))
+        p = sphere.random_point(rng)
+        v, nv = sphere.random_direction(rng, p)
+        q = sphere.exp(p, rng.uniform(0.2, 3.0) / nv * v)
+        quarter = 0.25 * tv_measure(sigma).total
+        on_clock(f"s{seed}", scalar_trajectory(run_scalar_tv(sigma, quarter), quarter * CLOCK), quarter)
+        quarter = 0.25 * tv_measure(compose_with_geodesic(sphere, p, q, sigma)).total
+        on_clock(f"g{seed}", flow_on_geodesic(sphere, p, q, sigma, quarter, quarter * CLOCK), quarter)
     # a noisy field on each target (three seeds) and the mollified criterion-8 datum
     fields = [noisy_field(m, grid_n=201, seed=s) for m in SUITE_MANIFOLDS for s in range(3)]
     for u in fields + [mollify(two_jump_sphere_example(), 201)]:
@@ -97,7 +113,6 @@ def run_tree(src, out):
             config = FlowConfig(u.manifold, epsilon=1.0, dt=1.0, t_max=40.0)
             j = outputs("rules", run_regularized(u, config))
             on_clock(j, run_regularized(u, config, 40.0 * CLOCK), 40.0)
-    sphere = parse_manifold("sphere:3")
     p = sphere.random_point(np.random.Generator(np.random.Philox(12)))
     try:
         run_regularized(SampledCurve(sphere, np.array([p, p, -p, -p])), FlowConfig(sphere, epsilon=1e-2))
@@ -158,7 +173,7 @@ def report(base_path, head_path):
         k = sum(base["digests"][j] != head["digests"][j] or str(j) in moved for j in js)
         lines.append(f"{label}: " + (f"differs in {k} of {len(js)}" if k else "identical"))
     lines.append(f"pc_velocity calls: base {base['calls']}, head {head['calls']}")
-    for j in (j for j in range(len(head["labels"])) if f"{j}.kind" in head):
+    for j in (key[:-len(".kind")] for key in head if key.endswith(".kind")):
         gaps = worst.setdefault(str(head[f"{j}.kind"]), ([0.0], [0.0]))
         gaps[0].extend(l2_gap(base, head, j, i) for i in range(len(CLOCK)))
         gaps[1].extend(np.abs(head[f"{j}.dissipation"] - base[f"{j}.dissipation"]))
