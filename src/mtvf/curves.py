@@ -36,6 +36,15 @@ def _on_manifold(manifold: Manifold, vals: np.ndarray, what: str) -> np.ndarray:
     return manifold.project_point(vals) if residual > CONSTRAINT_TOL else vals
 
 
+def _real_array(x, what: str, ndmin: int = 0) -> np.ndarray:
+    """A new float array of ``x``; a ragged nest or an entry that is not a real
+    number is a ``ConfigError`` naming ``what``."""
+    try:
+        return np.array(x, dtype=float, ndmin=ndmin)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an array of real numbers: {exc}") from None
+
+
 def plateau_lengths(breakpoints) -> np.ndarray:
     """Lengths of the plateaus that increasing ``breakpoints`` cut [0, 1] into."""
     return np.diff(np.concatenate([[0.0], breakpoints, [1.0]]))
@@ -56,8 +65,8 @@ class PiecewiseConstantCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=float, ndmin=1)  # copies: the caller's
-        vals = np.array(self.values, dtype=float)  # arrays stay writable
+        bp = _real_array(self.breakpoints, "breakpoints", 1)  # copies: the caller's
+        vals = _real_array(self.values, "plateau values")  # arrays stay writable
         if bp.ndim != 1:
             raise ConfigError(f"breakpoints must be one-dimensional, got shape {bp.shape}")
         if vals.ndim != 2 or vals.shape[1] != self.manifold.ambient_dim:
@@ -66,7 +75,8 @@ class PiecewiseConstantCurve:
             )
         if bp.size + 1 != vals.shape[0]:
             raise ConfigError("need exactly one more plateau than breakpoints")
-        if bp.size and not ((bp > 0.0).all() and (bp < 1.0).all() and (np.diff(bp) > 0).all()):
+        # a NaN fails a comparison, so it is refused too
+        if bp.size and not (bp[0] > 0.0 and bp[-1] < 1.0 and (bp[1:] > bp[:-1]).all()):
             raise ConfigError("breakpoints must be strictly increasing inside (0, 1)")
         vals = _on_manifold(self.manifold, vals, "plateau")
         # drop spurious breakpoints (equal neighbouring plateaus)
@@ -102,7 +112,8 @@ class SampledCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)  # a copy: the caller's array stays writable
+        # a copy: the caller's array stays writable
+        vals = _real_array(self.values, "sampled values")
         if vals.ndim != 2 or vals.shape[1] != self.manifold.ambient_dim:
             raise ConfigError(
                 f"sampled values must have shape (n, {self.manifold.ambient_dim})"
@@ -138,15 +149,33 @@ def chord_sizes(curve) -> np.ndarray:
     return np.atleast_1d(curve.manifold.dist(vals[:-1], vals[1:]))
 
 
+def _stacked_jump_sizes(curves):
+    """``(sizes, cuts)``: the jump sizes of step curves on one manifold, curve
+    after curve, from one ``dist`` call over their stacked values, and the
+    offsets of each curve's: curve k's are ``sizes[cuts[k]:cuts[k + 1]]``, its
+    ``chord_sizes`` bit for bit, since ``dist`` measures each pair on its own."""
+    vals = np.concatenate([c.values for c in curves])
+    rows = np.cumsum([len(c.values) for c in curves])
+    inner = np.ones(len(vals) - 1, dtype=bool)
+    inner[rows[:-1] - 1] = False  # the pairs across two curves
+    sizes = curves[0].manifold.dist(vals[:-1][inner], vals[1:][inner])
+    return sizes, np.cumsum([0] + [c.num_jumps for c in curves]).tolist()
+
+
+def _wide_bound(manifold) -> float:
+    """The size from which a jump or chord is refused: twice the convexity
+    radius.  On a sphere or the circle that is the half turn pi, reached from
+    ``_CUT_ANGLE`` on, the turn at which the angle chart refuses too: ``dist``
+    reads an exact antipode up to 4.4e-16 short of pi, and ``log`` refuses a
+    pair from ``_CUT_ANGLE`` on."""
+    return _CUT_ANGLE if isinstance(manifold, Sphere) else 2.0 * manifold.convexity_radius
+
+
 def _refuse_wide(manifold, sizes, place, noun):
-    """Raise ``GeometryError`` if the largest of ``sizes`` (of a
-    chord, a jump) reaches twice the convexity radius, naming its size and
-    ``place(i)``, the x of the i-th one.  On a sphere or the circle that is
-    the half turn pi, reached from ``_CUT_ANGLE`` on, the turn at which the
-    angle chart refuses too: ``dist`` reads an exact antipode up to 4.4e-16
-    short of pi, and ``log`` refuses a pair from ``_CUT_ANGLE`` on."""
-    bound = _CUT_ANGLE if isinstance(manifold, Sphere) else 2.0 * manifold.convexity_radius
-    if sizes.size and sizes.max() >= bound:
+    """Raise ``GeometryError`` if the largest of ``sizes`` (of a chord, a jump)
+    reaches ``_wide_bound``, naming its size and ``place(i)``, the x of the
+    i-th one."""
+    if sizes.size and sizes.max() >= _wide_bound(manifold):
         i = int(np.argmax(sizes))
         raise GeometryError(
             f"{noun} of size {sizes[i]:.6g} at x={place(i):.6g} reaches twice the "
@@ -170,7 +199,7 @@ def tv_measure(curve) -> TVBreakdown:
         raise ConfigError(f"cannot measure variation of {type(curve).__name__}")
     sizes = chord_sizes(curve)
     _refuse_wide(curve.manifold, sizes, place, noun)
-    return TVBreakdown(float(np.sum(sizes)))
+    return TVBreakdown(float(sizes.sum()))
 
 
 def mollify(curve: PiecewiseConstantCurve, grid_n: int) -> SampledCurve:
@@ -211,20 +240,31 @@ def compose_with_geodesic(
     and s = 1.  The composed curve has total variation
     ``dist(p, q) * TV(sigma)`` as long as sigma is monotone.
     """
+    return PiecewiseConstantCurve(manifold, sigma.breakpoints,
+                                  _geodesic_values(manifold, p, q, _geodesic_parameters(sigma)))
+
+
+def _geodesic_parameters(sigma) -> np.ndarray:
+    """The plateau values of ``sigma`` as geodesic parameters; a ``ConfigError``
+    unless ``sigma`` is a step curve on euclidean:1."""
     if not isinstance(sigma, PiecewiseConstantCurve) or sigma.manifold.spec_id != "euclidean:1":
         raise ConfigError("geodesic parameters must be a step curve on euclidean:1, "
                           f"not a {type(sigma).__name__} on {sigma.manifold.spec_id}")
-    return PiecewiseConstantCurve(manifold, sigma.breakpoints,
-                                  _geodesic_values(manifold, p, q, sigma.values[:, 0]))
+    return sigma.values[:, 0]
+
+
+def _unit_parameters(s: np.ndarray) -> np.ndarray:
+    """``s``, unless a parameter lies outside [0, 1] by more than 1e-12: a ``ConfigError``."""
+    if (s < -1e-12).any() or (s > 1.0 + 1e-12).any():
+        raise ConfigError("geodesic parameters must lie in [0, 1]")
+    return s
 
 
 def _geodesic_values(manifold, p, q, s: np.ndarray) -> np.ndarray:
     """The points at parameters ``s`` of the geodesic from p to q, rows in the order of
     ``s``: one ``geodesic_point`` call for any number of them.  A parameter outside
     [0, 1] by more than 1e-12 is a ``ConfigError``; the others are clipped to it."""
-    if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
-        raise ConfigError("geodesic parameters must lie in [0, 1]")
-    return manifold.geodesic_point(p, q, np.clip(s, 0.0, 1.0))
+    return manifold.geodesic_point(p, q, _unit_parameters(s).clip(0.0, 1.0))
 
 
 def l2_distance(a, b) -> float:
@@ -238,7 +278,9 @@ def l2_distance(a, b) -> float:
         raise ConfigError("curves live on different manifolds")
     man = a.manifold
     if isinstance(a, PiecewiseConstantCurve) and isinstance(b, PiecewiseConstantCurve):
-        edges = np.unique(np.concatenate([[0.0], a.breakpoints, b.breakpoints, [1.0]]))
+        # the merged partition: np.unique's edges, without its import of numpy.ma
+        edges = np.sort(np.concatenate([[0.0], a.breakpoints, b.breakpoints, [1.0]]))
+        edges = edges[np.append(True, edges[1:] > edges[:-1])]
         mids = 0.5 * (edges[:-1] + edges[1:])
         d = man.dist(a.eval_grid(mids), b.eval_grid(mids))
         return float(np.sqrt(np.sum(d * d * np.diff(edges))))

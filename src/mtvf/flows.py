@@ -35,8 +35,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .curves import (
-    PiecewiseConstantCurve, SampledCurve, _geodesic_values, _refuse_wide, chord_sizes,
-    compose_with_geodesic, mollify, plateau_lengths, tv_measure,
+    PiecewiseConstantCurve, SampledCurve, _geodesic_parameters, _geodesic_values, _refuse_wide,
+    _stacked_jump_sizes, _unit_parameters, _wide_bound, chord_sizes, mollify, plateau_lengths,
+    tv_measure,
 )
 from .errors import CheckNotApplicable, ConfigError, GeometryError, SolverError, integer
 from .manifolds import COINCIDENT_TOL, Euclidean, Manifold, _CUT_ANGLE, _dot, _norm, _turn
@@ -187,9 +188,20 @@ class FlowTrajectory:
 
     @cached_property
     def tv(self) -> np.ndarray:
-        """Variation of every snapshot by ``tv_measure``, which refuses a jump
-        or chord of twice the convexity radius."""
-        tv = np.array([tv_measure(s).total for s in self.snapshots])
+        """Variation of every snapshot as ``tv_measure`` gives it, bit for bit,
+        refusal included: the first snapshot with a jump or chord of twice the
+        convexity radius is refused, by its largest one.  A step trajectory
+        takes every jump size from one ``dist`` call (``_stacked_jump_sizes``)
+        and sums each snapshot's as ``np.sum`` does; a sampled one is measured
+        snapshot by snapshot, so that no stacked copy of its values is made."""
+        if isinstance(self.snapshots[0], SampledCurve):
+            tv = np.array([tv_measure(s).total for s in self.snapshots])
+        else:
+            sizes, cuts = _stacked_jump_sizes(self.snapshots)
+            if sizes.size and sizes.max() >= _wide_bound(self.manifold):
+                for snap in self.snapshots:  # the first wide one raises
+                    tv_measure(snap)
+            tv = np.array([sizes[a:b].sum() for a, b in zip(cuts, cuts[1:])])
         tv.setflags(write=False)
         return tv
 
@@ -215,11 +227,18 @@ class _Recorder:
         self.steps = 0
         self.wanted = None
         if snapshot_times is not None:
-            self.wanted = []
-            for s in sorted(s for s in self.requested(snapshot_times) if 0.0 < s <= t_max):
-                if not self.wanted or s - self.wanted[-1] > 1e-14:
-                    self.wanted.append(s)
+            self.wanted = self.schedule(self.requested(snapshot_times), t_max)
         self.rows = [(0.0, start, 0.0)]  # (t, snapshot, cumulative dissipation)
+
+    @staticmethod
+    def schedule(times, t_max) -> list:
+        """The floats ``times`` in (0, t_max], sorted, with each one within
+        1e-14 of the one before it dropped."""
+        wanted = []
+        for s in sorted(s for s in times if 0.0 < s <= t_max):
+            if not wanted or s - wanted[-1] > 1e-14:
+                wanted.append(s)
+        return wanted
 
     @staticmethod
     def requested(snapshot_times) -> list:
@@ -671,8 +690,8 @@ def run_exact_pc(
     grid, chart, back = _flat_chart(man, u0.values, lambda i: u0.breakpoints[i], "jump")
     if grid == Euclidean(1):  # run_scalar_tv's staircase values are 1-D
         scalar = run_scalar_tv(PiecewiseConstantCurve(grid, u0.breakpoints, chart), t_max)
-        return _staircase_trajectory(scalar, snapshot_times, "exact_pc", u0,
-                                     lambda vals: back(vals[:, None]), dt_base)
+        return _staircase_trajectory(scalar, snapshot_times, "exact_pc",
+                                     lambda vals: (u0, back(vals[:, None])), dt_base)
     man = grid
     curve_at = lambda xs, vals: PiecewiseConstantCurve(u0.manifold, xs, back(vals))
 
@@ -846,27 +865,30 @@ def run_scalar_tv(sigma0: PiecewiseConstantCurve, t_max: float) -> ScalarStairca
     by neighbour ordering and 0 at the boundary; speeds are constant between
     collisions, so merge times solve linear equations exactly.  The mean is
     conserved and the terminal constant equals the mean of the datum.
+    Each event takes its differences as slices (``a[1:] - a[:-1]``, which is
+    ``np.diff``) and fills preallocated rows, so a merge costs a fixed
+    handful of array operations.
     """
     if not isinstance(sigma0, PiecewiseConstantCurve) or sigma0.manifold != Euclidean(1):
         raise ConfigError("scalar flow expects a step curve on euclidean:1")
     t_max = FlowConfig(sigma0.manifold, t_max=t_max).t_max  # refuses one not positive and finite
-    bp = np.array(sigma0.breakpoints, dtype=float)
+    edges = np.concatenate([[0.0], sigma0.breakpoints, [1.0]])
     vals = np.array(sigma0.values[:, 0], dtype=float)
     t = diss = 0.0
     segments = []
     while vals.size > 1:
-        lengths = np.diff(np.concatenate([[0.0], bp, [1.0]]))
-        gaps = np.diff(vals)
+        lengths = edges[1:] - edges[:-1]
+        gaps = vals[1:] - vals[:-1]
         # slope indicator at each jump; the boundary carries zero flux
-        zeta = np.concatenate([[0.0], np.sign(gaps), [0.0]])
-        speeds = np.diff(zeta) / lengths
-        rate = float(np.sum(lengths * speeds * speeds))
-        closing = np.diff(speeds)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_coll = np.where(gaps * closing < 0, -gaps / closing, np.inf)
-        dt = float(np.min(t_coll))
+        zeta = np.zeros(vals.size + 1)
+        np.sign(gaps, out=zeta[1:-1])
+        speeds = (zeta[1:] - zeta[:-1]) / lengths
+        rate = float((lengths * speeds * speeds).sum())
+        closing = speeds[1:] - speeds[:-1]
+        t_coll = np.divide(-gaps, closing, out=np.full(gaps.size, np.inf), where=gaps * closing < 0)
+        dt = float(t_coll.min())
         end = min(t + dt, t_max)
-        segments.append(_ScalarSegment(t, end, bp, vals, speeds, diss, rate))
+        segments.append(_ScalarSegment(t, end, edges[1:-1], vals, speeds, diss, rate))
         if end == t_max:
             break
         diss += rate * dt
@@ -875,13 +897,15 @@ def run_scalar_tv(sigma0: PiecewiseConstantCurve, t_max: float) -> ScalarStairca
         # length-weighted mean; bincount sums each group left to right.  A tie
         # is relative to dt: an absolute slack would merge a jump that closes
         # later than a tiny dt
-        hit = t_coll <= dt * (1.0 + 1e-12)
-        group = np.concatenate([[0], np.cumsum(~hit)])
+        keep = np.ones(edges.size, dtype=bool)  # the edges that stay
+        np.greater(t_coll, dt * (1.0 + 1e-12), out=keep[1:-1])
+        group = np.zeros(vals.size, dtype=int)
+        np.cumsum(keep[1:-1], out=group[1:])
         vals = np.bincount(group, lengths * (vals + dt * speeds)) / np.bincount(group, lengths)
-        bp = bp[~hit]
+        edges = edges[keep]
     if vals.size > 1:
-        return ScalarStaircaseFlow(segments, None, float(np.sum(lengths * vals)), t_max)
-    segments.append(_ScalarSegment(t, t_max, bp, vals, np.zeros(1), diss, 0.0))
+        return ScalarStaircaseFlow(segments, None, float((lengths * vals).sum()), t_max)
+    segments.append(_ScalarSegment(t, t_max, edges[1:-1], vals, np.zeros(1), diss, 0.0))
     return ScalarStaircaseFlow(segments, t, float(vals[0]), t_max)
 
 
@@ -891,33 +915,35 @@ def scalar_curve(breakpoints, values) -> PiecewiseConstantCurve:
     return PiecewiseConstantCurve(Euclidean(1), breakpoints, np.reshape(values, (-1, 1)))
 
 
-def _staircase_trajectory(flow, sample_times, solver, start, to_values,
+def _staircase_trajectory(flow, sample_times, solver, to_values,
                           dt_nominal=0.0) -> FlowTrajectory:
-    """Record ``start``, the datum, at time 0, and the flow's state at every
-    merge, the end of the flow and the sample times within ``[0, t_max]``.
-    The plateau values of those later states are stacked and mapped onto
-    ``start``'s manifold by one call of ``to_values``; then each state is
-    built once, by the step curve's validating constructor."""
+    """Record the datum at time 0, and the flow's state at every merge, the
+    end of the flow and the sample times within ``[0, t_max]``, which
+    ``_Recorder.requested`` checks once before ``_Recorder.schedule`` sorts
+    them in with those times.  The plateau values of those later states are
+    stacked and mapped onto the target by one call of ``to_values``, which
+    returns the datum curve, snapshot 0, and their values; then each later
+    state is built once, by the step curve's validating constructor."""
     times = flow.event_times() + ([flow.t_max] if flow.extinction_time is None else [])
     if sample_times is not None:
         times += _Recorder.requested(sample_times)
-    rec = _Recorder(times, flow.t_max, start)
-    for t in rec.wanted:
+    rec = _Recorder(None, flow.t_max, None)
+    for t in rec.schedule(times, flow.t_max):
         rec.add(t, partial(flow.state_at, t), flow.dissipation_at(t))
-    later = rec.rows[1:]  # (t, (breakpoints, plateau values), dissipation)
-    if later:
-        values = to_values(np.concatenate([vals for _, (_, vals), _ in later]))
-        cuts = np.cumsum([0] + [len(vals) for _, (_, vals), _ in later]).tolist()
-        rec.rows[1:] = [(t, PiecewiseConstantCurve(start.manifold, bp, values[a:b]), d)
-                        for (t, (bp, _), d), a, b in zip(later, cuts, cuts[1:])]
+    later = rec.rows[1:]  # (t, (breakpoints, plateau values), dissipation); none at rest
+    start, values = to_values(np.concatenate([np.zeros(0)] + [vals for _, (_, vals), _ in later]))
+    cuts = np.cumsum([0] + [len(vals) for _, (_, vals), _ in later]).tolist()
+    rec.rows = [(0.0, start, 0.0)] + [
+        (t, PiecewiseConstantCurve(start.manifold, bp, values[a:b]), d)
+        for (t, (bp, _), d), a, b in zip(later, cuts, cuts[1:])]
     return rec.build(solver, dt_nominal)
 
 
 def scalar_trajectory(flow: ScalarStaircaseFlow, sample_times=None) -> FlowTrajectory:
     """Materialize a scalar flow as a trajectory of euclidean:1 snapshots;
     snapshot 0 is the flow's datum."""
-    return _staircase_trajectory(flow, sample_times, "scalar_tv", scalar_curve(*flow.state_at(0.0)),
-                                 lambda vals: vals[:, None])
+    return _staircase_trajectory(flow, sample_times, "scalar_tv",
+                                 lambda vals: (scalar_curve(*flow.state_at(0.0)), vals[:, None]))
 
 
 def flow_on_geodesic(
@@ -933,14 +959,19 @@ def flow_on_geodesic(
     ``sigma0`` is a curve on euclidean:1 holding geodesic parameters in
     [0, 1].  The dynamics is the scalar staircase flow in arclength units
     transported along the geodesic; for such data this coincides with the
-    full solver.  Snapshot 0 is ``compose_with_geodesic`` of ``sigma0``; the
-    parameters of every later snapshot are checked and carried onto the
-    geodesic together, by one ``geodesic_point`` call.
+    full solver.  Snapshot 0 is ``compose_with_geodesic`` of ``sigma0``, bit
+    for bit; its parameters and those of every later snapshot are checked and
+    carried onto the geodesic together, by one ``geodesic_point`` call.
     """
     dist_pq = float(manifold.dist(p, q))
     if dist_pq < 1e-15:
         raise GeometryError("geodesic endpoints coincide")
-    start = compose_with_geodesic(manifold, p, q, sigma0)  # refuses one off euclidean:1 or [0, 1]
-    flow = run_scalar_tv(scalar_curve(sigma0.breakpoints, sigma0.values[:, 0] * dist_pq), t_max)
-    return _staircase_trajectory(flow, sample_times, "geodesic_graph", start,
-                                 lambda vals: _geodesic_values(manifold, p, q, vals / dist_pq))
+    s0 = _unit_parameters(_geodesic_parameters(sigma0))  # refuses one off euclidean:1 or [0, 1]
+    flow = run_scalar_tv(scalar_curve(sigma0.breakpoints, s0 * dist_pq), t_max)
+
+    def to_values(vals):  # geodesic_point maps each row on its own
+        values = _geodesic_values(manifold, p, q, np.concatenate([s0, vals / dist_pq]))
+        start = PiecewiseConstantCurve(manifold, sigma0.breakpoints, values[:s0.size])
+        return start, values[s0.size:]
+
+    return _staircase_trajectory(flow, sample_times, "geodesic_graph", to_values)

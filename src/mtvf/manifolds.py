@@ -198,7 +198,7 @@ class Manifold:
 
     def constraint_residual(self, p: np.ndarray) -> float:
         """Largest deviation of the given points from the manifold."""
-        return float(np.max(_norm(np.asarray(p, float) - self.project_point(p)), initial=0.0))
+        return float(_norm(np.asarray(p, float) - self.project_point(p)).max(initial=0.0))
 
     def geodesic_point(self, p: np.ndarray, q: np.ndarray, s) -> np.ndarray:
         """Point at parameter ``s`` of the constant-speed geodesic p -> q."""
@@ -357,7 +357,7 @@ class Sphere(Manifold):
         w = q - c[..., None] * p
         s = _norm(w)
         theta = np.arctan2(s, c)
-        if np.any(theta >= _CUT_ANGLE):
+        if (theta >= _CUT_ANGLE).any():
             raise GeometryError("antipodal points have no unique geodesic")
         scale = np.where(s < 1e-300, 1.0, theta / np.where(s < 1e-300, 1.0, s))
         return scale[..., None] * w

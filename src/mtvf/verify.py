@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PiecewiseConstantCurve, l2_distance, tv_measure
+from .curves import PiecewiseConstantCurve, _stacked_jump_sizes, l2_distance, tv_measure
 from .errors import CheckNotApplicable, ConfigError
 from .flows import (
     FlowConfig,
@@ -59,8 +59,8 @@ def check_energy(traj: FlowTrajectory) -> CheckReport:
     tol = 1e-6 + 10.0 * traj.dt_nominal
     # the first snapshot rises by 0, so a run that never rises reports it
     viol = np.concatenate([[0.0], _rises(traj.tv + traj.dissipation)])
-    worst = float(np.max(viol))
-    k = int(np.argmax(viol))
+    worst = float(viol.max())
+    k = int(viol.argmax())
     return CheckReport(
         "energy_inequality", worst <= tol, worst, tol, (float(traj.times[k]),)
     )
@@ -73,7 +73,8 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     across merge events, and the variation measure restricted to every
     dyadic subinterval up to depth ``DYADIC_DEPTH``; both must be
     nonincreasing, within 1e-6.  Every snapshot's jump sizes come from one
-    ``dist`` call, and every interval's mass from one ``bincount``.  Sampled
+    ``dist`` call (``curves._stacked_jump_sizes``, as in ``traj.tv``), and
+    every interval's mass from one ``bincount``.  Sampled
     snapshots raise :class:`CheckNotApplicable`: at fixed resolution the
     grid solver does not obey this law; its monotone quantity is the
     regularized energy.
@@ -85,8 +86,7 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     where: tuple = ()
     # jumps are identified by their (fixed) breakpoint; sets only shrink.
     # sizes[k, j] is the size of the j-th initial jump at time k, NaN once
-    # it has merged.  Each snapshot's jumps are its own value pairs: inner
-    # drops the pair across two snapshots of the stacked values
+    # it has merged
     xs = traj.snapshots[0].breakpoints
     n = len(traj.snapshots)
     bps = np.concatenate([s.breakpoints for s in traj.snapshots])
@@ -95,16 +95,15 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     grew = np.append(xs, np.nan)[col] != bps  # a breakpoint not in xs
     if grew.any():
         raise CheckNotApplicable(f"jump set grew at t={traj.times[row[np.argmax(grew)]]}")
-    vals = np.concatenate([s.values for s in traj.snapshots])
-    inner = np.ones(len(vals) - 1, dtype=bool)
-    inner[np.cumsum([len(s.values) for s in traj.snapshots])[:-1] - 1] = False
+    jumps = _stacked_jump_sizes(traj.snapshots)[0]
     sizes = np.full((n, xs.size), np.nan)
-    sizes[row, col] = traj.manifold.dist(vals[:-1][inner], vals[1:][inner])
+    sizes[row, col] = jumps
     # growth over each jump's smallest earlier size; the first largest
-    # in time-then-breakpoint order is reported
+    # in time-then-breakpoint order is reported (np.nanargmax's pick)
     grown = _rises(sizes)
-    if not np.all(np.isnan(grown)):
-        kt, kx = np.unravel_index(np.nanargmax(grown), grown.shape)
+    merged = np.isnan(grown)
+    if not merged.all():
+        kt, kx = divmod(int(np.where(merged, -np.inf, grown).argmax()), xs.size)
         worst = float(grown[kt, kx])
         where = (float(traj.times[kt + 1]), float(xs[kx]))
     # interval i of level l (m = 2^l intervals) holds the jumps with
@@ -113,15 +112,17 @@ def check_monotone_variation(traj: FlowTrajectory) -> CheckReport:
     ms = 2 ** np.arange(DYADIC_DEPTH + 1)[:, None]
     cols = 2 ** (DYADIC_DEPTH + 1) - 1
     bins = np.arange(n)[:, None, None] * cols + (ms - 1 + np.floor(xs * ms).astype(int))
-    present = np.broadcast_to(np.nan_to_num(sizes)[:, None, :], bins.shape)
+    present = np.zeros((n, 1, xs.size))  # sizes with 0 for a merged jump
+    present[row, 0, col] = jumps
+    present = np.broadcast_to(present, bins.shape)
     masses = np.bincount(bins.ravel(), present.ravel(), minlength=n * cols).reshape(n, cols)
     mass_viol = _rises(masses)
-    if mass_viol.size and float(np.max(mass_viol)) > worst:
-        worst = float(np.max(mass_viol))
-        kt, col = np.unravel_index(np.argmax(mass_viol), mass_viol.shape)
+    if mass_viol.size and mass_viol.max() > worst:
+        worst = float(mass_viol.max())
+        kt, col = divmod(int(mass_viol.argmax()), cols)
         # level l's m = 2^l intervals are columns m - 1 to 2m - 2
-        m = 2 ** ((int(col) + 1).bit_length() - 1)
-        i = int(col) + 1 - m
+        m = 2 ** ((col + 1).bit_length() - 1)
+        i = col + 1 - m
         where = (float(traj.times[kt + 1]), (i / m, (i + 1) / m))
     worst = float(worst) if np.isfinite(worst) else 0.0
     # nothing grew: there is no violation to locate
@@ -253,7 +254,7 @@ def detect_stopping(traj: FlowTrajectory):
         c = traj.snapshots[k].values[0]
         settled = True
         for later in traj.snapshots[k:]:
-            if float(np.max(man.dist(later.values, c))) > STOP_TV_TOL:
+            if float(man.dist(later.values, c).max()) > STOP_TV_TOL:
                 settled = False
                 break
         if settled:

@@ -37,8 +37,10 @@ def _table(lines):
 def test_a_tree_compared_with_a_copy_of_itself_reads_identical_with_every_gap_zero(self_comparison):
     lines, _ = self_comparison
     assert lines[:len(LABELS)] == [f"{label}: identical" for label in LABELS]
-    base, head = re.fullmatch(r"pc_velocity calls: base (\d+), head (\d+)", lines[len(LABELS)]).groups()
-    assert base == head and int(head) > 0
+    for k, count in enumerate((r"pc_velocity calls", r"\?ptsv solves")):
+        line = re.fullmatch(count + r": base (\d+), head (\d+)", lines[len(LABELS) + k])
+        base, head = line.groups()
+        assert base == head and int(head) > 0
     table = _table(lines)
     targets = ("circle", "cylinder", "euclidean:2", "sphere:3")
     assert set(table) == {(s, t) for s in ("exact_pc", "regularized") for t in targets}

@@ -1,4 +1,8 @@
 """Curve representations, total variation, mollification, L2 distance."""
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,6 +284,46 @@ def test_l2_distance_triangle_inequality(seed):
         curves.append(_pc1(bp, rng.uniform(-1, 1, size=m + 1)))
     a, b, c = curves
     assert l2_distance(a, c) <= l2_distance(a, b) + l2_distance(b, c) + 1e-10
+
+
+def test_l2_distance_of_step_curves_integrates_on_the_np_unique_partition():
+    # shared, nested and disjoint breakpoint sets: the same bits as the sum
+    # over np.unique's merged edges
+    rng = np.random.Generator(np.random.Philox(11))
+    for _ in range(300):
+        a_bp = np.sort(rng.choice(np.arange(1, 16) / 16, int(rng.integers(0, 6)), replace=False))
+        b_bp = np.unique(np.concatenate([rng.choice(a_bp, a_bp.size // 2, replace=False),
+                                         rng.uniform(0.01, 0.99, int(rng.integers(0, 4)))]))
+        a = PiecewiseConstantCurve(EU2, a_bp, rng.uniform(-1, 1, (a_bp.size + 1, 2)))
+        b = PiecewiseConstantCurve(EU2, b_bp, rng.uniform(-1, 1, (b_bp.size + 1, 2)))
+        edges = np.unique(np.concatenate([[0.0], a.breakpoints, b.breakpoints, [1.0]]))
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        d = EU2.dist(a.eval_grid(mids), b.eval_grid(mids))
+        assert l2_distance(a, b) == float(np.sqrt(np.sum(d * d * np.diff(edges))))
+
+
+def test_an_exact_run_its_audits_and_l2_distance_import_neither_numpy_ma_nor_scipy():
+    # numpy.ma costs about 20 ms to import, once per process; np.unique
+    # imported it inside the first audit of a run against a competitor
+    code = f"""if True:
+        import sys
+        sys.path.insert(0, {str(pathlib.Path(__file__).resolve().parent.parent / "src")!r})
+        import numpy as np
+        from mtvf import (Euclidean, check_energy, check_monotone_variation,
+                          check_variational_inequality, detect_stopping, l2_distance,
+                          run_exact_pc, tv_measure)
+        from mtvf.synth import random_rad_curve
+        rng = np.random.Generator(np.random.Philox([3, 0]))
+        u0, competitor = (random_rad_curve(Euclidean(2), rng) for _ in range(2))
+        traj = run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total)
+        check_energy(traj), check_monotone_variation(traj), detect_stopping(traj)
+        check_variational_inequality(traj, competitor)
+        l2_distance(traj.final_curve, u0)
+        print(sorted(name for name in ("numpy.ma", "scipy") if name in sys.modules))
+    """
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

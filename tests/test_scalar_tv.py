@@ -109,6 +109,68 @@ def test_event_times_are_increasing():
     assert ev[-1] == flow.extinction_time
 
 
+def _segment_table(bp, vals, t_max):
+    """The staircase flow's segments ``(t0, t1, breakpoints, values, speeds,
+    diss0, diss_rate)``, its extinction time and final value, written per
+    event with ``np.diff``, ``np.where`` and concatenations."""
+    bp, vals = np.array(bp, dtype=float), np.array(vals, dtype=float)
+    t = diss = 0.0
+    segments = []
+    while vals.size > 1:
+        lengths = np.diff(np.concatenate([[0.0], bp, [1.0]]))
+        gaps = np.diff(vals)
+        speeds = np.diff(np.concatenate([[0.0], np.sign(gaps), [0.0]])) / lengths
+        rate = float(np.sum(lengths * speeds * speeds))
+        closing = np.diff(speeds)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_coll = np.where(gaps * closing < 0, -gaps / closing, np.inf)
+        dt = float(np.min(t_coll))
+        end = min(t + dt, t_max)
+        segments.append((t, end, bp, vals, speeds, diss, rate))
+        if end == t_max:
+            return segments, None, float(np.sum(lengths * vals))
+        diss += rate * dt
+        t = end
+        hit = t_coll <= dt * (1.0 + 1e-12)
+        group = np.concatenate([[0], np.cumsum(~hit)])
+        vals = np.bincount(group, lengths * (vals + dt * speeds)) / np.bincount(group, lengths)
+        bp = bp[~hit]
+    segments.append((t, t_max, bp, vals, np.zeros(1), diss, 0.0))
+    return segments, t, float(vals[0])
+
+
+def test_segment_tables_match_the_per_event_diff_formulation_bit_for_bit():
+    # 2,400 staircases: a third on small integer levels, so that plateaus tie
+    # with non-neighbours; a third on evenly spaced breakpoints, where mirror
+    # images collide at the same time; some cut short by t_max
+    rng = np.random.Generator(np.random.Philox(49))
+    simultaneous = 0
+    for k in range(2400):
+        m = int(rng.integers(2, 10))
+        levels = (rng.integers(0, 3, m).astype(float) if k % 3 == 0
+                  else rng.uniform(-1.0, 1.0, m))
+        if k % 3 == 1:
+            levels[m // 2:] = levels[:m - m // 2][::-1]  # a mirror-symmetric staircase
+            bp = np.arange(1, m) / m
+        else:
+            bp = np.sort(rng.uniform(0.02, 0.98, m - 1))
+            if np.min(np.diff(bp), initial=1.0) < 1e-3:
+                bp = np.arange(1, m) / m
+        sigma = scalar_curve(bp, levels)
+        t_max = (4.0 if k % 5 else 0.05) * (tv_measure(sigma).total + 1.0)
+        flow = run_scalar_tv(sigma, t_max)
+        segments, extinction, final = _segment_table(sigma.breakpoints, sigma.values[:, 0], t_max)
+        assert (flow.extinction_time, flow.final_value) == (extinction, final), k
+        assert len(flow.segments) == len(segments), k
+        for seg, ref in zip(flow.segments, segments):
+            got = (seg.t0, seg.t1, seg.breakpoints, seg.values, seg.speeds, seg.diss0, seg.diss_rate)
+            assert got[:2] + got[5:] == ref[:2] + ref[5:], k
+            for a, b in zip(got[2:5], ref[2:5]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
+        simultaneous += any(b[2].size < a[2].size - 1 for a, b in zip(segments, segments[1:]))
+    assert simultaneous >= 100  # many events merge two or more jumps at once
+
+
 def test_rejects_non_scalar_curve():
     from mtvf import Euclidean, PiecewiseConstantCurve
 
@@ -274,9 +336,29 @@ def test_closed_form_snapshots_match_a_per_snapshot_reference(route, wanted):
 
 
 @pytest.mark.parametrize("route", _ROUTES)
+def test_a_constant_datum_is_recorded_alone_unless_times_are_requested(route):
+    # no merge and no end before t_max: the later states are none, or the one
+    # requested time
+    u0 = {"circle": PiecewiseConstantCurve(Circle(), [], _circle_values([0.4])),
+          "geodesic": compose_with_geodesic(SPH, P, Q, scalar_curve([], [0.4]))}.get(
+              route, scalar_curve([], [0.4]))
+    for wanted, rows in ((None, 1), ([0.5], 2)):
+        if route == "scalar":
+            traj = scalar_trajectory(run_scalar_tv(u0, 1.0), wanted)
+        elif route == "geodesic":
+            traj = flow_on_geodesic(SPH, P, Q, scalar_curve([], [0.4]), 1.0, wanted)
+        else:
+            traj = run_exact_pc(u0, 1.0, snapshot_times=wanted)
+            assert traj.snapshots[0] is u0
+        assert len(traj) == rows and traj.times[-1] == (0.5 if wanted else 0.0)
+        for snap in traj.snapshots:
+            assert snap.values.tobytes() == u0.values.tobytes() and snap.num_jumps == 0
+
+
+@pytest.mark.parametrize("route", _ROUTES)
 def test_closed_form_runs_map_once_and_build_each_snapshot_once(route, monkeypatch):
     # whatever the number of requested times: one geodesic_point call for the
-    # later snapshots (and one for the geodesic datum), one chart map, and one
+    # geodesic datum and the later snapshots together, one chart map, and one
     # validated construction per snapshot beside the run's datum curves
     maps, built = [], []
     geodesic_point, flat_chart = Sphere.geodesic_point, mtvf.flows._flat_chart
@@ -301,7 +383,7 @@ def test_closed_form_runs_map_once_and_build_each_snapshot_once(route, monkeypat
         elif route == "geodesic":
             traj = flow_on_geodesic(SPH, P, Q, sigma, 4.0, wanted)
             # the scalar datum, its composition (snapshot 0) and the later snapshots
-            assert (maps, len(built)) == (["geodesic_point"] * 2, len(traj) + 1)
+            assert (maps, len(built)) == (["geodesic_point"], len(traj) + 1)
         else:
             traj = run_exact_pc(sigma if route == "euclidean:1" else u0, 4.0, snapshot_times=wanted)
             # the chart's datum and the later snapshots

@@ -10,6 +10,7 @@ from mtvf import (
     ConfigError,
     Euclidean,
     FlowTrajectory,
+    GeometryError,
     PiecewiseConstantCurve,
     SampledCurve,
     Sphere,
@@ -20,6 +21,7 @@ from mtvf import (
     cross_solver_compare,
     detect_stopping,
     flow_on_geodesic,
+    parse_manifold,
     run_exact_pc,
     run_scalar_tv,
     scalar_curve,
@@ -269,13 +271,68 @@ def test_stopping_skips_a_flat_snapshot_the_run_moves_away_from():
 
 
 def test_energy_and_stopping_measure_each_snapshot_once(monkeypatch):
-    traj = _sphere_run()
-    measured = []
-    measure = flows.tv_measure
+    # a step run's snapshots are measured together, in one stacked measurement
+    # that holds each of them exactly once; a grid run's one tv_measure each
+    stacked, measured = [], []
+    stack, measure = flows._stacked_jump_sizes, flows.tv_measure
+    monkeypatch.setattr(flows, "_stacked_jump_sizes", lambda cs: stacked.append(cs) or stack(cs))
     monkeypatch.setattr(flows, "tv_measure", lambda c: measured.append(c) or measure(c))
+    traj = _sphere_run()
     check_energy(traj)
     detect_stopping(traj)
-    assert len(measured) == len(traj)
+    assert len(stacked) == 1 and measured == []
+    assert [id(s) for s in stacked[0]] == [id(s) for s in traj.snapshots]
+    field = noisy_field("sphere:3", grid_n=33, noise=0.1, seed=2)
+    grid = run_regularized(field, FlowConfig(manifold=SPH, epsilon=1e-2, t_max=0.01))
+    check_energy(grid)
+    detect_stopping(grid)
+    assert len(stacked) == 1
+    assert [id(s) for s in measured] == [id(s) for s in grid.snapshots]
+
+
+def _record(snapshots, epsilon=None):
+    n = len(snapshots)
+    return FlowTrajectory("exact_pc" if epsilon is None else "regularized", np.arange(n) / 8.0,
+                          snapshots, np.zeros(n), 1e-3, epsilon)
+
+
+@pytest.mark.parametrize("spec", ["euclidean:1", "euclidean:2", "sphere:3", "circle", "cylinder"])
+def test_tv_is_tv_measure_of_every_snapshot_bit_for_bit(spec):
+    # 72 records of 1-6 step curves with 0-19 jumps each, beside a run of the
+    # target and 3 sampled records; np.sum adds 8 or more terms pairwise
+    rng = np.random.Generator(np.random.Philox([49, len(spec)]))
+    records = [_record([random_rad_curve(spec, rng, n_jumps=int(rng.integers(0, 20)), min_gap=1e-6)
+                        for _ in range(int(rng.integers(1, 7)))]) for _ in range(72)]
+    u0 = random_rad_curve(spec, rng, n_jumps=6)
+    records.append(run_exact_pc(u0, t_max=4.0 * tv_measure(u0).total))
+    records += [_record([noisy_field(spec, grid_n=n, noise=0.1, seed=s) for s in range(3)], 1e-2)
+                for n in (5, 33, 201)]
+    jumps = {s.num_jumps for traj in records[:72] for s in traj.snapshots}
+    assert min(jumps) == 0 and max(jumps) == 19
+    for traj in records:
+        reference = np.array([tv_measure(s).total for s in traj.snapshots])
+        assert traj.tv.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_tv_refuses_the_first_wide_snapshot_as_tv_measure_does(sampled):
+    # snapshot 1 holds a turn just short of the half turn at x = 0.6, snapshot
+    # 2 a half turn at x = 0.2: the refusal names snapshot 1's, as a snapshot
+    # by snapshot tv_measure does, not the largest of the record (sampled on
+    # six nodes, the chords from x = 0.4 and 0)
+    circle = parse_manifold("circle")
+    angles = [[0.0, 1.0], [0.0, math.pi - 1e-13], [0.0, math.pi]]
+    snaps = [PiecewiseConstantCurve(circle, [x], np.column_stack([np.cos(a), np.sin(a)]))
+             for x, a in zip([0.5, 0.6, 0.2], angles)]
+    if sampled:
+        snaps = [SampledCurve(circle, s.eval_grid(np.linspace(0.0, 1.0, 6))) for s in snaps]
+    traj = _record(snaps, 1e-2 if sampled else None)
+    with pytest.raises(GeometryError) as first:
+        tv_measure(snaps[1])
+    with pytest.raises(GeometryError) as refused:
+        traj.tv
+    assert str(refused.value) == str(first.value)
+    assert f"at x={0.4 if sampled else 0.6} reaches" in str(refused.value)
 
 
 def test_solvers_refuse_the_other_curve_kind():

@@ -4,7 +4,8 @@
 
 Each tree runs the lists below in a child process (one process cannot import two
 ``mtvf``) and saves to ``base.npz`` or ``head.npz`` in the existing OUT_DIR a sha256
-per item, the ``pc_velocity`` calls of the 80 exact runs, and each exact and grid run
+per item, the ``pc_velocity`` calls of the 80 exact runs, the ``?ptsv`` solves
+(``flows.solve_banded``) of every grid run, and each exact and grid run
 again at 24 requested times, a fixed clock, with 20 closed-form runs on that clock
 (``scalar_trajectory`` and ``flow_on_geodesic``).  README.md says what each line means.
 """
@@ -32,8 +33,11 @@ def run_tree(src, out):
     from mtvf.lab import geodesic_endpoint_stability, hessian_comparison_check
     from mtvf.synth import SUITE_MANIFOLDS, noisy_field, staircase, suite, two_jump_sphere_example
     np.set_printoptions(floatmode="unique", threshold=sys.maxsize)  # reprs keep every bit
-    items, clock, real, calls = [], {}, mtvf.flows.pc_velocity, []
-    mtvf.flows.pc_velocity = lambda *args: calls.append(1) or real(*args)  # where run_exact_pc looks
+    items, clock, calls, solves = [], {}, [], []
+    # counted where the solvers look them up: run_exact_pc and the grid step
+    real, solve = mtvf.flows.pc_velocity, mtvf.flows.solve_banded
+    mtvf.flows.pc_velocity = lambda *args: calls.append(1) or real(*args)
+    mtvf.flows.solve_banded = lambda *args: solves.append(1) or solve(*args)
     def item(label, h):
         items.append((label, h.hexdigest()))
         return len(items) - 1
@@ -147,7 +151,7 @@ def run_tree(src, out):
     hessians([np.random.Generator(np.random.Philox([10, 2])) for _ in SUITE_MANIFOLDS],
              np.linspace(0.1, 1.0, 10), [64] * 10)
     labels, digests = zip(*items)
-    np.savez(out, labels=labels, digests=digests, calls=count, **clock)
+    np.savez(out, labels=labels, digests=digests, calls=count, solves=len(solves), **clock)
 
 
 def l2_gap(base, head, j, i):
@@ -173,6 +177,7 @@ def report(base_path, head_path):
         k = sum(base["digests"][j] != head["digests"][j] or str(j) in moved for j in js)
         lines.append(f"{label}: " + (f"differs in {k} of {len(js)}" if k else "identical"))
     lines.append(f"pc_velocity calls: base {base['calls']}, head {head['calls']}")
+    lines.append(f"?ptsv solves: base {base['solves']}, head {head['solves']}")
     for j in (key[:-len(".kind")] for key in head if key.endswith(".kind")):
         gaps = worst.setdefault(str(head[f"{j}.kind"]), ([0.0], [0.0]))
         gaps[0].extend(l2_gap(base, head, j, i) for i in range(len(CLOCK)))
